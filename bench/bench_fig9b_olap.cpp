@@ -21,10 +21,10 @@
  * real speedup of the batch execution layer is visible next to the
  * modelled time, and regressions in either show up in the artifact.
  *
- * A final scaling section sweeps the parallel sharded executor over
- * workers x shards configurations and records per-configuration
- * host wall-clock, so the thread-scaling trajectory of the shard
- * fan-out is archived alongside the executor baselines (speedups
+ * A final scaling section sweeps the parallel executor over worker
+ * counts and records per-configuration host wall-clock, so the
+ * thread-scaling trajectory of the scan-run fan-out is archived
+ * alongside the executor baselines (speedups
  * depend on the runner's core count, which is recorded too). A
  * morselRows axis rides the same grid for the paper's Q1/Q6/Q9
  * (each JSON row carries its morsel_rows), and a closing section
@@ -84,7 +84,6 @@ struct JsonRow
     double hostBatchNs = 0.0;  ///< Wall-clock, batch executor.
     double hostScalarNs = 0.0; ///< Wall-clock, scalar executor.
     std::uint32_t workers = 1; ///< Executor worker threads.
-    std::uint32_t shards = 1;  ///< Probe-table shards.
     std::uint32_t morselRows = olap::kMorselRows;
     /** Modelled pim+cpu cost of the plan ("optimizer" section). */
     double pricedNs = 0.0;
@@ -174,7 +173,7 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
             "\"consistency_ns\": %.1f, \"total_ns\": %.1f, "
             "\"result_rows\": %llu, "
             "\"host_batch_ns\": %.0f, \"host_scalar_ns\": %.0f, "
-            "\"workers\": %u, \"shards\": %u, "
+            "\"workers\": %u, "
             "\"morsel_rows\": %u, "
             "\"priced_ns\": %.1f, "
             "\"phase_subquery_ns\": %.0f, "
@@ -189,7 +188,7 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
             r.system.c_str(), r.query.c_str(), r.t.pim, r.t.cpu,
             r.t.consistency, r.t.total(),
             static_cast<unsigned long long>(r.rows),
-            r.hostBatchNs, r.hostScalarNs, r.workers, r.shards,
+            r.hostBatchNs, r.hostScalarNs, r.workers,
             r.morselRows, r.pricedNs, r.phaseSubqueryNs, r.phaseBuildNs,
             r.phaseProbeNs, r.phaseMergeNs, r.cacheHit,
             static_cast<unsigned long long>(r.incrementalRows),
@@ -359,7 +358,6 @@ main()
         const auto oq = opt_db.olap().optimizePlan(q.plan);
         WorkerPool opt_pool(oq.workers);
         olap::ExecOptions oexec;
-        oexec.shards = oq.shards;
         oexec.workers = oq.workers;
         oexec.morselRows = oq.morselRows;
         oexec.pool = oq.workers > 1 ? &opt_pool : nullptr;
@@ -396,7 +394,6 @@ main()
         opt_row.hostBatchNs = host_chosen;
         opt_row.pricedNs = orep.pricedChosenNs;
         opt_row.workers = oq.workers;
-        opt_row.shards = oq.shards;
         opt_row.morselRows = oq.morselRows;
         json.push_back(opt_row);
     }
@@ -507,42 +504,39 @@ main()
                 static_cast<unsigned long long>(rc ? rc->misses : 0),
                 sink);
 
-    // Thread/shard scaling of the parallel executor: per-config
-    // host wall-clock over the same populated suite database.
-    // (workers=1, shards=1) is exactly the single-threaded batch
-    // executor the suite section measured.
+    // Thread scaling of the parallel executor: per-config host
+    // wall-clock over the same populated suite database. workers=1
+    // is exactly the single-threaded batch executor the suite section
+    // measured.
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> configs = {
-        {1, 1}, {1, 4}, {2, 4}, {4, 4}};
+    std::vector<std::uint32_t> configs = {1, 2, 4};
     if (hw != 1 && hw != 2 && hw != 4)
-        configs.emplace_back(hw, hw);
+        configs.push_back(hw);
     std::printf("\nParallel executor scaling sweep "
                 "(%u hardware threads on this host)\n\n",
                 hw);
-    // The morselRows axis rides the same workers x shards grid. The
-    // full 22-query suite runs at the default morsel size; the
-    // paper's Q1/Q6/Q9 sweep every (workers, shards, morselRows)
-    // cell so the morsel trajectory is archived without tripling
-    // the whole grid.
-    // Default size first: the (workers=1, shards=1, default) cell is
+    // The morselRows axis rides the same workers grid. The full
+    // 22-query suite runs at the default morsel size; the paper's
+    // Q1/Q6/Q9 sweep every (workers, morselRows) cell so the morsel
+    // trajectory is archived without tripling the whole grid.
+    // Default size first: the (workers=1, default) cell is
     // the speedup baseline and must be measured before any other row
     // of its query prints a ratio against it.
     const std::vector<std::uint32_t> morsel_axis = {olap::kMorselRows,
                                                     512, 8192};
-    TablePrinter zp({"query", "workers", "shards", "morsel",
-                     "host (us)", "speedup vs 1x1"});
+    TablePrinter zp({"query", "workers", "morsel", "host (us)",
+                     "speedup vs 1 worker"});
     for (const auto &q : workload::chExecutablePlans()) {
         const bool sweep_morsels =
             q.queryNo == 1 || q.queryNo == 6 || q.queryNo == 9;
         double base = 0.0;
-        for (const auto &[workers, shards] : configs) {
+        for (const auto workers : configs) {
             WorkerPool pool(workers);
             for (const auto morsel : morsel_axis) {
                 if (morsel != olap::kMorselRows && !sweep_morsels)
                     continue;
                 olap::ExecOptions opts;
                 opts.workers = workers;
-                opts.shards = shards;
                 opts.morselRows = morsel;
                 opts.pool = workers > 1 ? &pool : nullptr;
                 const double host = wallNs([&] {
@@ -550,11 +544,9 @@ main()
                                               q.plan, opts)
                                 .result.rows.size();
                 });
-                if (workers == 1 && shards == 1 &&
-                    morsel == olap::kMorselRows)
+                if (workers == 1 && morsel == olap::kMorselRows)
                     base = host;
                 zp.addRow({q.plan.name, std::to_string(workers),
-                           std::to_string(shards),
                            std::to_string(morsel),
                            TablePrinter::num(host / us, 1),
                            TablePrinter::num(base / host, 2) +
@@ -566,7 +558,6 @@ main()
                 row.query = q.plan.name;
                 row.hostBatchNs = host;
                 row.workers = workers;
-                row.shards = shards;
                 row.morselRows = morsel;
                 json.push_back(row);
             }
@@ -579,8 +570,8 @@ main()
 
     // Per-query phase breakdown: host wall-clock of the batch
     // executor's pre-query (subquery materialization + join build)
-    // and query (probe + merge) phases, serial (workers=1, shards=1)
-    // vs parallel builds (max(hw,2) workers, 4 shards). The two rows
+    // and query (probe + merge) phases, serial (workers=1) vs
+    // parallel (max(hw,2) workers). The two rows
     // per query archive the serial fraction and the build+subquery
     // speedup even when this host has a single hardware thread (the
     // ratio then documents the parallel path's overhead, not a
@@ -589,17 +580,14 @@ main()
     WorkerPool phase_pool(pworkers);
     std::printf("\nPre-query phase breakdown (best-of-3 host "
                 "wall-clock per phase)\n\n");
-    TablePrinter pp({"query", "workers", "shards", "subq (us)",
+    TablePrinter pp({"query", "workers", "subq (us)",
                      "build (us)", "probe (us)", "merge (us)",
                      "pre-query share", "pre-query speedup"});
     for (const auto &q : workload::chExecutablePlans()) {
         double serial_pre = 0.0;
-        const std::pair<std::uint32_t, std::uint32_t> pconfigs[] = {
-            {1, 1}, {pworkers, 4}};
-        for (const auto &[workers, shards] : pconfigs) {
+        for (const std::uint32_t workers : {1u, pworkers}) {
             olap::ExecOptions opts;
             opts.workers = workers;
-            opts.shards = shards;
             opts.pool = workers > 1 ? &phase_pool : nullptr;
             olap::PlanExecution best{};
             double best_total =
@@ -616,10 +604,9 @@ main()
                 }
             }
             const double pre = best.subqueryNs + best.buildNs;
-            if (workers == 1 && shards == 1)
+            if (workers == 1)
                 serial_pre = pre;
             pp.addRow({q.plan.name, std::to_string(workers),
-                       std::to_string(shards),
                        TablePrinter::num(best.subqueryNs / us, 1),
                        TablePrinter::num(best.buildNs / us, 1),
                        TablePrinter::num(best.probeNs / us, 1),
@@ -639,7 +626,6 @@ main()
             row.hostBatchNs = best_total;
             row.rows = best.result.rows.size();
             row.workers = workers;
-            row.shards = shards;
             row.phaseSubqueryNs = best.subqueryNs;
             row.phaseBuildNs = best.buildNs;
             row.phaseProbeNs = best.probeNs;

@@ -23,18 +23,19 @@
  *   db.runQuery(12, &q12);                    // catalog plan
  * @endcode
  *
- * Parallel sharded execution: opts.olap.shards partitions every
- * table into block-aligned bank-stripe shards and opts.olap.workers
- * (0 = hardware) fans the per-shard pipelines out over a worker
- * pool. Results are byte-identical to the single-threaded defaults
- * for any combination; only host wall-clock and the modelled
- * per-shard decomposition (QueryReport::shardBytes / mergeNs)
- * change.
+ * Parallel execution: by default (opts.olap.workers = 0) every query
+ * phase, snapshot and defragmentation pass runs on a pool with one
+ * worker per hardware thread, whose workers claim morsel-aligned
+ * scan runs dynamically. opts.olap.shards only reshapes the modelled
+ * decomposition into block-aligned bank-stripe shards
+ * (QueryReport::shardBytes / mergeNs). Answers are byte-identical
+ * for every combination; only host wall-clock and the modelled
+ * per-shard charges change.
  * @code
  *   htap::PushtapOptions opts;
- *   opts.olap.shards = 4;                     // bank-stripe shards
- *   opts.olap.workers = 0;                    // hardware threads
- *   htap::PushtapDB par(opts);
+ *   opts.olap.shards = 4;                     // priced bank stripes
+ *   opts.olap.workers = 1;                    // run on this thread
+ *   htap::PushtapDB serial(opts);
  * @endcode
  */
 

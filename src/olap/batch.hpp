@@ -30,12 +30,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "format/layout.hpp"
 #include "olap/expr.hpp"
+#include "olap/group_table.hpp"
 #include "storage/table_store.hpp"
 
 namespace pushtap::olap {
@@ -194,62 +194,6 @@ class BatchColumnReader
 };
 
 /**
- * Inline composite key: join, group and subquery keys hashed as
- * whole int tuples (no per-row byte-string building). Capacity
- * bounds the batch engine; wider plans fall back to the scalar
- * executor.
- */
-struct InlineKey
-{
-    static constexpr std::size_t kMaxKeys = 8;
-
-    std::array<std::int64_t, kMaxKeys> v{};
-    std::uint32_t n = 0;
-
-    bool
-    operator==(const InlineKey &o) const
-    {
-        if (n != o.n)
-            return false;
-        for (std::uint32_t i = 0; i < n; ++i)
-            if (v[i] != o.v[i])
-                return false;
-        return true;
-    }
-
-    /** Lexicographic over the used slots (== std::map<vector> order
-     *  of the scalar executor when every key has the same arity). */
-    bool
-    operator<(const InlineKey &o) const
-    {
-        for (std::uint32_t i = 0; i < n && i < o.n; ++i)
-            if (v[i] != o.v[i])
-                return v[i] < o.v[i];
-        return n < o.n;
-    }
-};
-
-struct InlineKeyHash
-{
-    std::size_t
-    operator()(const InlineKey &k) const
-    {
-        // SplitMix64-style mixing per component, FNV-style fold.
-        std::uint64_t h = 0x9e3779b97f4a7c15ull + k.n;
-        for (std::uint32_t i = 0; i < k.n; ++i) {
-            std::uint64_t x = static_cast<std::uint64_t>(k.v[i]);
-            x ^= x >> 30;
-            x *= 0xbf58476d1ce4e5b9ull;
-            x ^= x >> 27;
-            x *= 0x94d049bb133111ebull;
-            x ^= x >> 31;
-            h = (h ^ x) * 0x100000001b3ull;
-        }
-        return static_cast<std::size_t>(h);
-    }
-};
-
-/**
  * One materialized scalar subquery (SubquerySpec): per-group-key
  * aggregate values, probed read-only by every worker during the
  * main pipeline. A key with no group evaluates to 0 in every slot
@@ -257,16 +201,14 @@ struct InlineKeyHash
  */
 struct SubqueryResult
 {
-    std::unordered_map<InlineKey, std::vector<std::int64_t>,
-                       InlineKeyHash>
-        groups;
-    std::size_t slots = 0; ///< Aggregate count per group.
+    /** Per group: one slot per SubquerySpec aggregate. */
+    GroupTable groups;
 
     std::int64_t
     value(const InlineKey &key, std::size_t slot) const
     {
-        const auto it = groups.find(key);
-        return it == groups.end() ? 0 : it->second[slot];
+        const std::int64_t *aggs = groups.find(key);
+        return aggs == nullptr ? 0 : aggs[slot];
     }
 };
 
@@ -402,8 +344,7 @@ void filterCharPrefix(std::span<const std::uint8_t> chars,
 
 /**
  * Apply fn(Morsel) to every morsel of rows [begin, end) of region
- * @p reg, ascending. Morsel bases are relative to @p begin, so a
- * shard's walk is independent of the other shards' extents.
+ * @p reg, ascending, the first morsel starting at @p begin.
  */
 template <typename Fn>
 void
@@ -414,6 +355,54 @@ forEachMorselInRange(storage::Region reg, RowId begin, RowId end,
         fn(Morsel{reg, b,
                   static_cast<std::uint32_t>(
                       std::min<RowId>(morsel_rows, end - b))});
+}
+
+/** Morsels per scan run: short enough that a table of a few dozen
+ *  morsels still spreads over every worker, long enough that the
+ *  per-run predicate reorder settles within a run. */
+inline constexpr std::uint32_t kRunMorsels = 4;
+
+/**
+ * One scan task of a table pass: rows [begin, end) of one region,
+ * a run of whole morsels whose first row is a multiple of the
+ * morsel size.
+ */
+struct ScanRun
+{
+    storage::Region reg = storage::Region::Data;
+    RowId begin = 0;
+    RowId end = 0;
+};
+
+/**
+ * The scan-task list of a pass over @p data_rows data-region and
+ * @p delta_rows delta-region rows: runs of up to kRunMorsels
+ * morsels, every data run (ascending) before every delta run
+ * (ascending). Concatenating per-task output in task order therefore
+ * reproduces forEachMorsel's serial row order, whichever worker ran
+ * which task. The list depends on the region sizes and the morsel
+ * size only — never on worker or shard counts — so anything computed
+ * per task is identical for every execution configuration.
+ */
+std::vector<ScanRun> scanRuns(std::uint64_t data_rows,
+                              std::uint64_t delta_rows,
+                              std::uint32_t morsel_rows);
+
+/** scanRuns over a table store's visibility bitmaps. */
+inline std::vector<ScanRun>
+scanRuns(const storage::TableStore &store, std::uint32_t morsel_rows)
+{
+    return scanRuns(store.dataVisible().size(),
+                    store.deltaVisible().size(), morsel_rows);
+}
+
+/** Apply fn(Morsel) to every morsel of run @p r, ascending. */
+template <typename Fn>
+void
+forEachMorselInRun(const ScanRun &r, std::uint32_t morsel_rows,
+                   Fn &&fn)
+{
+    forEachMorselInRange(r.reg, r.begin, r.end, morsel_rows, fn);
 }
 
 /**

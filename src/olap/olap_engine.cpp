@@ -119,10 +119,9 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
     const std::uint32_t workers =
         cfg_.workers == 0 ? WorkerPool::hardwareWorkers()
                           : cfg_.workers;
-    // The pool drains probe shards, the pre-query phases (join
-    // builds, subquery pre-passes) and the snapshot/defrag passes —
-    // the latter fan out per table even at shards=1, so any
-    // multi-worker config keeps a pool.
+    // The pool runs the scan runs of every query phase (subquery
+    // pre-passes, join builds, the probe) plus the per-table
+    // snapshot/defrag passes.
     if (workers > 1)
         pool_ = std::make_unique<WorkerPool>(workers);
     if (cfg_.resultCache)
@@ -831,7 +830,6 @@ OlapEngine::runQueryUncached(const QueryPlan &plan,
     // functional execution; results are byte-identical to the
     // single-threaded defaults by construction.
     ExecOptions exec_opts;
-    exec_opts.shards = cfg_.shards;
     exec_opts.workers = cfg_.workers;
     exec_opts.morselRows = cfg_.morselRows;
     exec_opts.pool = pool_.get();
@@ -970,7 +968,6 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     // on purpose: the delta is small by construction and its
     // observed stats would poison the full-run stats cache.
     ExecOptions exec_opts;
-    exec_opts.shards = cfg_.shards;
     exec_opts.workers = cfg_.workers;
     exec_opts.morselRows = cfg_.morselRows;
     exec_opts.pool = pool_.get();
@@ -1031,7 +1028,6 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     if (entry.report.optimized) {
         rep.optimized = true;
         rep.planSummary = entry.report.planSummary;
-        rep.execShards = entry.report.execShards;
         rep.execWorkers = entry.report.execWorkers;
         rep.execMorselRows = entry.report.execMorselRows;
         rep.cpuDemotedScans = entry.report.cpuDemotedScans;

@@ -61,23 +61,25 @@ struct OlapConfig
      */
     bool fuseScans = false;
     /**
-     * Shard count: each table's data+delta row space splits into
-     * this many contiguous block-aligned ranges (independent bank
-     * stripes; txn::TableRuntime::shardMap). The executor fans
-     * per-shard pipelines out over the worker pool, and the pricing
-     * walk composes one ScanCost schedule per shard additively plus
-     * a CPU-side merge charge. shards=1 (default) reproduces the
-     * unsharded pricing bit-for-bit.
+     * Shard count of the modelled decomposition: each table's
+     * data+delta row space splits into this many contiguous
+     * block-aligned ranges (independent bank stripes;
+     * txn::TableRuntime::shardMap), and the pricing walk composes one
+     * ScanCost schedule per shard additively plus a CPU-side merge
+     * charge. A pricing knob only — host execution never reads it.
+     * shards=1 (default) reproduces the unsharded pricing
+     * bit-for-bit.
      */
     std::uint32_t shards = 1;
     /**
-     * Host worker threads draining shards and the parallel
-     * pre-query phases — join builds, subquery pre-passes, snapshot
-     * and defragmentation (0 = hardware concurrency). Purely
-     * host-side: results and pricing are independent of the worker
-     * count.
+     * Host worker threads claiming the scan runs of every query
+     * phase — subquery pre-passes, join builds, the probe and the
+     * group merge — plus the per-table snapshot and defragmentation
+     * passes. 0 (default) = hardware concurrency; 1 runs everything
+     * inline on the calling thread. Purely host-side: results and
+     * pricing are independent of the worker count.
      */
-    std::uint32_t workers = 1;
+    std::uint32_t workers = 0;
     /** morselRows sentinel: resolve a per-format default at engine
      *  construction (see defaultMorselRows). */
     static constexpr std::uint32_t kMorselRowsAuto = 0;

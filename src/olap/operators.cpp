@@ -19,7 +19,6 @@
 #include "common/worker_pool.hpp"
 #include "olap/batch.hpp"
 #include "olap/simd_kernels.hpp"
-#include "storage/shard_map.hpp"
 
 namespace pushtap::olap {
 
@@ -94,34 +93,44 @@ struct Accum
     std::uint64_t count = 0;
 };
 
-/** Two's-complement wrapping sum: expression aggregates can reach
- *  any int64, so Sum folds share the IR's defined wrap semantics
- *  (identical in every executor, no UB at the extremes). */
-inline std::int64_t
-wrapAdd(std::int64_t a, std::int64_t b)
-{
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                     static_cast<std::uint64_t>(b));
-}
-
 /** Fold one value into an accumulator slot per the aggregate spec. */
 inline void
 accumulateValue(Accum &acc, std::size_t slot, AggKind kind,
                 std::int64_t v)
 {
-    switch (kind) {
-      case AggKind::Sum:
-        acc.aggs[slot] = wrapAdd(acc.aggs[slot], v);
-        break;
-      case AggKind::Min:
-        acc.aggs[slot] =
-            acc.count == 0 ? v : std::min(acc.aggs[slot], v);
-        break;
-      case AggKind::Max:
-        acc.aggs[slot] =
-            acc.count == 0 ? v : std::max(acc.aggs[slot], v);
-        break;
-    }
+    foldValue(acc.aggs[slot], kind, v, acc.count == 0);
+}
+
+/** Fold one row's aggregate inputs (vals(a) per slot a) into a
+ *  group-table group, then count the row. */
+template <typename SpecT, typename Vals>
+inline void
+accumulateRow(const std::vector<SpecT> &specs, GroupTable::Group g,
+              Vals &&vals)
+{
+    const bool first = *g.count == 0;
+    for (std::size_t a = 0; a < specs.size(); ++a)
+        foldValue(g.aggs[a], specs[a].kind, vals(a), first);
+    ++*g.count;
+}
+
+/** Fold a partial group (@p from slots, @p from_count rows) into
+ *  @p into per the specs' aggregate kinds — the cross-worker merge
+ *  step. Every fold is commutative and associative (wrapping sum,
+ *  min, max, count), so neither the task-to-worker assignment nor
+ *  the merge order can show in the folded values. Works over
+ *  top-level AggSpec and SubqueryAgg alike. */
+template <typename SpecT>
+inline void
+combineSlots(const std::vector<SpecT> &specs, std::int64_t *into,
+             std::uint64_t &into_count, const std::int64_t *from,
+             std::uint64_t from_count)
+{
+    if (from_count == 0)
+        return;
+    for (std::size_t a = 0; a < specs.size(); ++a)
+        foldValue(into[a], specs[a].kind, from[a], into_count == 0);
+    into_count += from_count;
 }
 
 /** Shared tail of both executors: plan.orderBy then plan.limit. */
@@ -156,6 +165,71 @@ sortAndLimit(PlanExecution &out, const QueryPlan &plan)
     }
     if (plan.limit != 0 && out.result.rows.size() > plan.limit)
         out.result.rows.resize(plan.limit);
+}
+
+/** One merged group as materialization reads it: plan.groupBy.size()
+ *  key ints and one slot per plan aggregate. */
+struct GroupView
+{
+    const std::int64_t *key;
+    const std::int64_t *aggs;
+    std::uint64_t count;
+};
+
+/**
+ * The batch engine's materialization tail: order the groups by
+ * (plan.orderBy keys, then ascending group key) — exactly the order
+ * sortAndLimit's stable sort over ascending-key rows produces — and
+ * under a LIMIT select just the top `limit` groups before building
+ * any ResultRow. An ungrouped plan with no groups yields its single
+ * zero row (count 0).
+ */
+QueryResult
+materializeViews(const QueryPlan &plan, std::vector<GroupView> views)
+{
+    const std::size_t kw = plan.groupBy.size();
+    const std::vector<std::int64_t> zeros(plan.aggregates.size(), 0);
+    if (views.empty() && kw == 0)
+        views.push_back(GroupView{nullptr, zeros.data(), 0});
+    const auto sortValue = [](const SortKey &sk, const GroupView &g) {
+        switch (sk.target) {
+          case SortKey::Target::GroupKey:
+            return g.key[sk.index];
+          case SortKey::Target::Aggregate:
+            return g.aggs[sk.index];
+          case SortKey::Target::Count:
+            break;
+        }
+        return static_cast<std::int64_t>(g.count);
+    };
+    const auto before = [&](const GroupView &a, const GroupView &b) {
+        for (const auto &sk : plan.orderBy) {
+            const std::int64_t av = sortValue(sk, a);
+            const std::int64_t bv = sortValue(sk, b);
+            if (av != bv)
+                return sk.descending ? av > bv : av < bv;
+        }
+        return std::lexicographical_compare(a.key, a.key + kw, b.key,
+                                            b.key + kw);
+    };
+    const std::size_t n = plan.limit != 0
+                              ? std::min<std::size_t>(plan.limit,
+                                                      views.size())
+                              : views.size();
+    std::partial_sort(views.begin(),
+                      views.begin() + static_cast<std::ptrdiff_t>(n),
+                      views.end(), before);
+    QueryResult res;
+    res.rows.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &g = views[i];
+        res.rows.push_back(ResultRow{
+            std::vector<std::int64_t>(g.key, g.key + kw),
+            std::vector<std::int64_t>(g.aggs,
+                                      g.aggs + plan.aggregates.size()),
+            g.count});
+    }
+    return res;
 }
 
 // ==================================================================
@@ -423,7 +497,9 @@ materializeSubqueriesScalar(const txn::Database &db,
         for (const auto &agg : spec.aggs)
             inputs.emplace_back(tbl, agg.value, nullptr, nullptr);
 
-        std::unordered_map<InlineKey, Accum, InlineKeyHash> groups;
+        auto &groups = out[s].groups;
+        groups = GroupTable(static_cast<std::uint32_t>(key_scans.size()),
+                            spec.aggs.size());
         forEachVisibleRow(tbl.store(), [&](Region reg, RowId r) {
             if (!filter.pass(reg, r))
                 return;
@@ -431,18 +507,11 @@ materializeSubqueriesScalar(const txn::Database &db,
             key.n = static_cast<std::uint32_t>(key_scans.size());
             for (std::size_t c = 0; c < key_scans.size(); ++c)
                 key.v[c] = key_scans[c].intAt(reg, r);
-            auto &acc = groups[key];
-            if (acc.count == 0)
-                acc.aggs.assign(spec.aggs.size(), 0);
-            for (std::size_t a = 0; a < spec.aggs.size(); ++a)
-                accumulateValue(acc, a, spec.aggs[a].kind,
-                                inputs[a].eval(reg, r, kNoJoins));
-            ++acc.count;
+            accumulateRow(spec.aggs, groups.findOrInsert(key),
+                          [&](std::size_t a) {
+                              return inputs[a].eval(reg, r, kNoJoins);
+                          });
         });
-
-        out[s].slots = spec.aggs.size();
-        for (auto &[key, acc] : groups)
-            out[s].groups.emplace(key, std::move(acc.aggs));
     }
     return out;
 }
@@ -783,9 +852,13 @@ class MorselExprContext final : public BatchExprContext
  * closed int-range and char-prefix forms run their specialized
  * kernels first; expression predicates follow as a short-circuit
  * conjunction whose order adapts to the observed per-conjunct
- * selectivity (cheapest-rejection-first; re-sorted every
- * kReorderInterval morsels). Reordering is sound because conjuncts
- * are side-effect free — the surviving selection is order-invariant.
+ * selectivity (cheapest-rejection-first; re-sorted before every
+ * morsel of a scan run from that run's own counts). Reordering is
+ * sound because conjuncts are side-effect free — the surviving
+ * selection is order-invariant. The adaptive state restarts with
+ * every run (beginRun), so the per-conjunct (seen, kept) totals
+ * depend only on the scan-task list, never on which worker ran which
+ * run.
  */
 class BatchPredicates
 {
@@ -804,9 +877,24 @@ class BatchPredicates
             chars_.push_back({BatchColumnReader(store, p.column),
                               p.prefix, p.negate, {}, false});
         for (const auto &e : input.exprPredicates) {
-            exprs_.push_back({foldConstants(e), 0, 0});
+            exprs_.push_back({foldConstants(e), 0, 0, 0, 0});
             order_.push_back(order_.size());
         }
+    }
+
+    /** Start a scan run: the conjunct order and its pass-rate
+     *  counters restart from the plan's predicate order. */
+    void
+    beginRun()
+    {
+        for (std::size_t i = 0; i < exprs_.size(); ++i) {
+            auto &c = exprs_[i];
+            c.seen += c.runSeen;
+            c.kept += c.runKept;
+            c.runSeen = c.runKept = 0;
+            order_[i] = i;
+        }
+        applies_ = 0;
     }
 
     void
@@ -854,9 +942,9 @@ class BatchPredicates
             // Each conjunct re-gathers over the current (compacted)
             // selection: begin() bumps the context epoch.
             ctx_.begin(m, sel);
-            c.seen += sel.size();
+            c.runSeen += sel.size();
             filterExprBatch(*c.expr, ctx_, sel);
-            c.kept += sel.size();
+            c.runKept += sel.size();
         }
     }
 
@@ -869,13 +957,11 @@ class BatchPredicates
         std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
         out.reserve(exprs_.size());
         for (const auto &c : exprs_)
-            out.emplace_back(c.seen, c.kept);
+            out.emplace_back(c.seen + c.runSeen, c.kept + c.runKept);
         return out;
     }
 
   private:
-    static constexpr std::uint64_t kReorderInterval = 32;
-
     struct IntPred
     {
         BatchColumnReader rd;
@@ -892,23 +978,23 @@ class BatchPredicates
     struct ExprConjunct
     {
         ExprPtr expr; ///< Constant-folded.
-        std::uint64_t seen, kept;
+        /** Totals of finished runs, and of the current run. */
+        std::uint64_t seen, kept, runSeen, runKept;
 
         double
         passRate() const
         {
-            return seen == 0
+            return runSeen == 0
                        ? 1.0
-                       : static_cast<double>(kept) /
-                             static_cast<double>(seen);
+                       : static_cast<double>(runKept) /
+                             static_cast<double>(runSeen);
         }
     };
 
     void
     maybeReorder()
     {
-        if (exprs_.size() < 2 ||
-            applies_ % kReorderInterval != 0)
+        if (exprs_.size() < 2 || applies_ == 0)
             return;
         std::stable_sort(order_.begin(), order_.end(),
                          [this](std::size_t a, std::size_t b) {
@@ -926,12 +1012,8 @@ class BatchPredicates
     MorselExprContext ctx_;
 };
 
-/** Fold @p from into @p into per the specs' aggregate kinds (the
- *  cross-worker merge; every step is commutative AND associative —
- *  wrapping sum, min, max, count — so neither the shard-to-worker
- *  assignment nor the merge order can show in the folded values.
- *  The merge still runs in worker order for good measure). Works
- *  over top-level AggSpec and SubqueryAgg alike. */
+/** combineSlots over whole Accum records (the fused ungrouped
+ *  totals and the result cache's captured groups). */
 template <typename SpecT>
 void
 combineAccum(const std::vector<SpecT> &specs, Accum &into,
@@ -941,48 +1023,73 @@ combineAccum(const std::vector<SpecT> &specs, Accum &into,
         return;
     if (into.count == 0)
         into.aggs.assign(specs.size(), 0);
-    for (std::size_t a = 0; a < specs.size(); ++a)
-        accumulateValue(into, a, specs[a].kind, from.aggs[a]);
-    into.count += from.count;
+    combineSlots(specs, into.aggs.data(), into.count, from.aggs.data(),
+                 from.count);
 }
 
 /**
- * Walk one scan task of a sharded table pass: a shard map of S
- * shards yields 2S tasks — tasks [0, S) are the shards' data-region
- * ranges, tasks [S, 2S) their delta-region ranges. Consuming
- * per-task output in task order therefore reproduces
- * forEachMorsel's serial row order (all data rows ascending, then
- * all delta rows ascending) regardless of which worker ran which
- * task.
+ * Run fn(worker, task) for every task in [0, tasks): claimed
+ * dynamically over @p pool when it has more than one worker, inline
+ * as worker 0 otherwise.
  */
 template <typename Fn>
 void
-forEachMorselInScanTask(const storage::ShardMap &smap,
-                        std::size_t task, std::uint32_t morsel_rows,
-                        Fn &&fn)
+runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
 {
-    const bool data = task < smap.shards();
-    const auto &r = smap.range(static_cast<std::uint32_t>(
-        data ? task : task - smap.shards()));
-    if (data)
-        forEachMorselInRange(Region::Data, r.dataBegin, r.dataEnd,
-                             morsel_rows, fn);
-    else
-        forEachMorselInRange(Region::Delta, r.deltaBegin, r.deltaEnd,
-                             morsel_rows, fn);
+    if (pool && pool->workers() > 1 && tasks > 1) {
+        pool->parallelFor(tasks, fn);
+        return;
+    }
+    for (std::size_t t = 0; t < tasks; ++t)
+        fn(0, t);
+}
+
+/**
+ * Fold every table of @p tables into one and return it: the largest
+ * table is the target, and partition p of every other table folds
+ * into it as one pool task, so the merge parallelizes without locks.
+ * Folds are commutative, so the merged values equal a serial fold's.
+ * @p tables must not be empty.
+ */
+template <typename SpecT>
+GroupTable &
+mergeGroupTables(const std::vector<SpecT> &specs,
+                 std::vector<GroupTable *> tables, WorkerPool *pool)
+{
+    std::swap(tables.front(),
+              *std::max_element(tables.begin(), tables.end(),
+                                [](const GroupTable *a,
+                                   const GroupTable *b) {
+                                    return a->size() < b->size();
+                                }));
+    std::size_t nonempty = 0;
+    for (const auto *t : tables)
+        nonempty += t->size() > 0 ? 1 : 0;
+    if (nonempty < 2)
+        return *tables.front();
+    auto merge = [&](std::uint32_t, std::size_t p) {
+        for (std::size_t w = 1; w < tables.size(); ++w)
+            tables.front()->mergePartition(
+                p, *tables[w],
+                [&](GroupTable::Group into, const std::int64_t *from,
+                    std::uint64_t from_count) {
+                    combineSlots(specs, into.aggs, *into.count, from,
+                                 from_count);
+                });
+    };
+    runTasks(pool, kHashPartitions, merge);
+    return *tables.front();
 }
 
 /**
  * Scalar-subquery pre-pass, morsel-driven mechanisation: the source
  * table streams through the same selection-vector kernels as any
  * probe, group keys decode once per morsel, and aggregate-input
- * expressions evaluate column-at-a-time. Sharded over the worker
- * pool like a probe pipeline: each worker drains whole scan tasks
- * (shard x region ranges of the source table) into private partial
- * group accumulators, merged per group in worker order. Exact
+ * expressions evaluate column-at-a-time. Parallel like a probe
+ * pipeline: workers claim the source table's scan runs dynamically
+ * into private flat group tables, merged partition-parallel. Exact
  * integer folds, commutative and associative, so the result is
- * identical to materializeSubqueriesScalar for every workers x
- * shards split.
+ * identical to materializeSubqueriesScalar for every worker count.
  */
 std::vector<SubqueryResult>
 materializeSubqueriesBatch(const txn::Database &db,
@@ -992,17 +1099,18 @@ materializeSubqueriesBatch(const txn::Database &db,
     std::vector<SubqueryResult> out(plan.subqueries.size());
     for (std::size_t s = 0; s < plan.subqueries.size(); ++s) {
         const auto &spec = plan.subqueries[s];
-        const auto &tbl = db.table(spec.source.table);
-        const auto &store = tbl.store();
+        const auto &store = db.table(spec.source.table).store();
 
         /** Per-worker scan state: private readers, predicate chain
-         *  and partial group accumulators (built lazily on the
-         *  worker's first claimed task). */
+         *  and partial group table (built lazily on the worker's
+         *  first claimed run). */
         struct SubWorker
         {
             SubWorker(const storage::TableStore &st,
                       const SubquerySpec &sp)
-                : preds(st, sp.source), ctx(st, nullptr, nullptr)
+                : preds(st, sp.source), ctx(st, nullptr, nullptr),
+                  groups(static_cast<std::uint32_t>(sp.groupBy.size()),
+                         sp.aggs.size())
             {
                 for (const auto &col : sp.groupBy)
                     keyRd.emplace_back(st, col);
@@ -1018,19 +1126,12 @@ materializeSubqueriesBatch(const txn::Database &db,
             SelectionVector sel;
             std::vector<ColumnBatch> keys;
             std::vector<std::vector<std::int64_t>> vals;
-            std::unordered_map<InlineKey, Accum, InlineKeyHash>
-                groups;
+            GroupTable groups;
         };
 
-        const storage::ShardMap smap = tbl.shardMap(opts.shards);
-        const std::size_t tasks = 2 * smap.shards();
+        const auto runs = scanRuns(store, opts.morselRows);
         const std::uint32_t nworkers = pool ? pool->workers() : 1;
         std::vector<std::optional<SubWorker>> states(nworkers);
-        auto stateFor = [&](std::uint32_t w) -> SubWorker & {
-            if (!states[w])
-                states[w].emplace(store, spec);
-            return *states[w];
-        };
 
         auto processMorsel = [&](SubWorker &st, const Morsel &m) {
             visibleRows(store, m, st.sel);
@@ -1048,44 +1149,32 @@ materializeSubqueriesBatch(const txn::Database &db,
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
                 for (std::size_t c = 0; c < st.keyRd.size(); ++c)
                     key.v[c] = st.keys[c].ints[i];
-                auto &acc = st.groups[key];
-                if (acc.count == 0)
-                    acc.aggs.assign(spec.aggs.size(), 0);
-                for (std::size_t a = 0; a < spec.aggs.size(); ++a)
-                    accumulateValue(acc, a, spec.aggs[a].kind,
-                                    st.vals[a][i]);
-                ++acc.count;
+                accumulateRow(spec.aggs, st.groups.findOrInsert(key),
+                              [&](std::size_t a) {
+                                  return st.vals[a][i];
+                              });
             }
         };
+        runTasks(pool, runs.size(),
+                 [&](std::uint32_t w, std::size_t t) {
+                     if (!states[w])
+                         states[w].emplace(store, spec);
+                     auto &st = *states[w];
+                     st.preds.beginRun();
+                     forEachMorselInRun(runs[t], opts.morselRows,
+                                        [&](const Morsel &m) {
+                                            processMorsel(st, m);
+                                        });
+                 });
 
-        if (pool && nworkers > 1) {
-            pool->parallelFor(
-                tasks, [&](std::uint32_t w, std::size_t t) {
-                    forEachMorselInScanTask(
-                        smap, t, opts.morselRows,
-                        [&](const Morsel &m) {
-                            processMorsel(stateFor(w), m);
-                        });
-                });
-        } else {
-            for (std::size_t t = 0; t < tasks; ++t)
-                forEachMorselInScanTask(
-                    smap, t, opts.morselRows, [&](const Morsel &m) {
-                        processMorsel(stateFor(0), m);
-                    });
-        }
-
-        std::unordered_map<InlineKey, Accum, InlineKeyHash> groups;
-        for (auto &st : states) {
-            if (!st)
-                continue;
-            for (auto &[key, acc] : st->groups)
-                combineAccum(spec.aggs, groups[key], acc);
-        }
-
-        out[s].slots = spec.aggs.size();
-        for (auto &[key, acc] : groups)
-            out[s].groups.emplace(key, std::move(acc.aggs));
+        std::vector<GroupTable *> tables;
+        for (auto &st : states)
+            if (st)
+                tables.push_back(&st->groups);
+        if (tables.empty())
+            continue;
+        out[s].groups =
+            std::move(mergeGroupTables(spec.aggs, tables, pool));
     }
     return out;
 }
@@ -1173,18 +1262,12 @@ class RefVecExprContext final : public BatchExprContext
         likes_;
 };
 
-/** Hash-partition count of the parallel join builds (power of
- *  two): enough partitions to keep every pool worker busy through
- *  the stitch phase without fragmenting small build sides. */
-constexpr std::size_t kBuildPartitions = 16;
-
-/** Partition of an inline key: the top bits of the same hash the
- *  bucket maps use, so partitioning never correlates with
- *  in-partition bucket placement. */
+/** Hash partition of an inline key (hashPartitionOf of the hash the
+ *  bucket maps and group tables use). */
 inline std::size_t
 buildPartitionOf(const InlineKey &k)
 {
-    return InlineKeyHash{}(k) >> 60 & (kBuildPartitions - 1);
+    return hashPartitionOf(InlineKeyHash{}(k));
 }
 
 /**
@@ -1200,7 +1283,7 @@ struct BatchBuildSide
     using Bucket = std::vector<std::vector<std::int64_t>>;
 
     std::array<std::unordered_map<InlineKey, Bucket, InlineKeyHash>,
-               kBuildPartitions>
+               kHashPartitions>
         parts;
 
     const Bucket *
@@ -1218,162 +1301,6 @@ struct BatchRef
 {
     int side = ColRef::kProbe;
     std::size_t idx = 0;
-};
-
-/**
- * Dense aggregation for fused plans with one Int group key whose
- * value domain stays small (Q1's ol_number, Q9-style warehouse ids):
- * accumulators are flat arrays indexed by (key - lo), updated
- * column-at-a-time with no per-row hashing. Falls back (spills to
- * the hash map) when the observed domain exceeds kMaxDomain.
- */
-class DenseGroupAggregator
-{
-  public:
-    static constexpr std::int64_t kMaxDomain = 4096;
-
-    explicit DenseGroupAggregator(const std::vector<AggSpec> &specs)
-    {
-        for (const auto &a : specs)
-            kinds_.push_back(a.kind);
-        aggs_.resize(kinds_.size());
-    }
-
-    /**
-     * Fold one morsel's group keys and aggregate columns (all
-     * parallel to the surviving selection) into the dense arrays.
-     * Returns false — leaving this morsel unconsumed — when the key
-     * domain would exceed kMaxDomain.
-     */
-    bool
-    accumulate(std::span<const std::int64_t> gvals,
-               const std::vector<std::span<const std::int64_t>>
-                   &avals)
-    {
-        if (gvals.empty())
-            return true;
-        std::int64_t mlo = gvals[0], mhi = gvals[0];
-        for (const auto v : gvals) {
-            mlo = std::min(mlo, v);
-            mhi = std::max(mhi, v);
-        }
-        if (!ensureRange(mlo, mhi))
-            return false;
-        const std::int64_t lo = lo_;
-        for (std::size_t a = 0; a < kinds_.size(); ++a) {
-            auto *slots = aggs_[a].data();
-            const auto vals = avals[a];
-            switch (kinds_[a]) {
-              case AggKind::Sum:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = wrapAdd(s, vals[i]);
-                }
-                break;
-              case AggKind::Min:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = std::min(s, vals[i]);
-                }
-                break;
-              case AggKind::Max:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = std::max(s, vals[i]);
-                }
-                break;
-            }
-        }
-        auto *counts = count_.data();
-        for (const auto v : gvals)
-            ++counts[v - lo];
-        return true;
-    }
-
-    /** Spill the non-empty groups into the generic hash map. */
-    template <typename Map>
-    void
-    spill(Map &groups) const
-    {
-        for (std::size_t i = 0; i < count_.size(); ++i) {
-            if (count_[i] == 0)
-                continue;
-            InlineKey key;
-            key.n = 1;
-            key.v[0] = lo_ + static_cast<std::int64_t>(i);
-            auto &acc = groups[key];
-            acc.count = count_[i];
-            acc.aggs.reserve(kinds_.size());
-            for (std::size_t a = 0; a < kinds_.size(); ++a)
-                acc.aggs.push_back(aggs_[a][i]);
-        }
-    }
-
-  private:
-    /** Grow (and re-base) the arrays to cover [lo, hi]. */
-    bool
-    ensureRange(std::int64_t lo, std::int64_t hi)
-    {
-        if (count_.empty()) {
-            if (hi - lo + 1 > kMaxDomain)
-                return false;
-            lo_ = lo;
-            resizeTo(static_cast<std::size_t>(hi - lo + 1), 0);
-            return true;
-        }
-        const std::int64_t new_lo = std::min(lo, lo_);
-        const std::int64_t new_hi = std::max(
-            hi, lo_ + static_cast<std::int64_t>(count_.size()) - 1);
-        if (new_hi - new_lo + 1 > kMaxDomain)
-            return false;
-        if (new_lo == lo_ &&
-            new_hi < lo_ + static_cast<std::int64_t>(count_.size()))
-            return true;
-        const auto front =
-            static_cast<std::size_t>(lo_ - new_lo);
-        resizeTo(static_cast<std::size_t>(new_hi - new_lo + 1),
-                 front);
-        lo_ = new_lo;
-        return true;
-    }
-
-    /** Min slots idle at +inf, Max at -inf: updates need no count
-     *  check, and only count>0 slots are ever read back. */
-    std::int64_t
-    idleValue(AggKind kind) const
-    {
-        switch (kind) {
-          case AggKind::Min:
-            return std::numeric_limits<std::int64_t>::max();
-          case AggKind::Max:
-            return std::numeric_limits<std::int64_t>::min();
-          case AggKind::Sum:
-            break;
-        }
-        return 0;
-    }
-
-    void
-    resizeTo(std::size_t n, std::size_t front)
-    {
-        std::vector<std::uint64_t> counts(n, 0);
-        std::copy(count_.begin(), count_.end(),
-                  counts.begin() + static_cast<std::ptrdiff_t>(front));
-        count_ = std::move(counts);
-        for (std::size_t a = 0; a < aggs_.size(); ++a) {
-            std::vector<std::int64_t> slots(n,
-                                            idleValue(kinds_[a]));
-            std::copy(aggs_[a].begin(), aggs_[a].end(),
-                      slots.begin() +
-                          static_cast<std::ptrdiff_t>(front));
-            aggs_[a] = std::move(slots);
-        }
-    }
-
-    std::int64_t lo_ = 0;
-    std::vector<AggKind> kinds_;
-    std::vector<std::uint64_t> count_;
-    std::vector<std::vector<std::int64_t>> aggs_; ///< [agg][group].
 };
 
 PlanExecution
@@ -1399,14 +1326,13 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     const auto t_subq = Clock::now();
 
     // Build phase: partitioned parallel build of each join's hash
-    // table. Workers scan whole scan tasks (shard x region ranges
-    // of the build input) through the normal morsel pipeline into
-    // per-task partial partitions keyed by the top bits of the key
-    // hash; the stitch then concatenates each partition's chunks in
-    // task order — exactly the serial scan's row order — so bucket
-    // contents (and therefore inner-join match expansion) stay
-    // byte-identical to the serial build. Built once here, then
-    // probed strictly read-only by every worker.
+    // table. Workers claim the build input's scan runs through the
+    // normal morsel pipeline into per-run partial partitions keyed
+    // by the top bits of the key hash; the stitch then concatenates
+    // each partition's chunks in run order — exactly the serial
+    // scan's row order — so bucket contents (and therefore inner-join
+    // match expansion) stay byte-identical to the serial build. Built
+    // once here, then probed strictly read-only by every worker.
     std::vector<BatchBuildSide> builds(plan.joins.size());
     std::vector<simd::FlatKeySet> exist_sets(plan.joins.size());
     for (std::size_t k = 0; k < plan.joins.size(); ++k) {
@@ -1419,7 +1345,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 
         /** Per-worker build-scan state: private readers and
          *  predicate chain, built lazily on the worker's first
-         *  claimed task. */
+         *  claimed run. */
         struct BuildWorker
         {
             BuildWorker(const storage::TableStore &st,
@@ -1442,7 +1368,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             std::vector<ColumnBatch> keys, pays;
         };
 
-        /** One (task, partition) cell: surviving build keys in scan
+        /** One (run, partition) cell: surviving build keys in scan
          *  order, payload values flattened payw-at-a-time
          *  alongside. */
         struct BuildChunk
@@ -1451,23 +1377,21 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             std::vector<std::int64_t> vals;
         };
 
-        const storage::ShardMap bmap = btbl.shardMap(opts.shards);
-        const std::size_t tasks = 2 * bmap.shards();
+        const auto runs = scanRuns(store, opts.morselRows);
+        const std::size_t tasks = runs.size();
         const std::uint32_t nworkers = pool ? pool->workers() : 1;
         std::vector<std::optional<BuildWorker>> bstates(nworkers);
-        auto bstateFor = [&](std::uint32_t w) -> BuildWorker & {
-            if (!bstates[w])
-                bstates[w].emplace(store, join);
-            return *bstates[w];
-        };
-        std::vector<std::array<BuildChunk, kBuildPartitions>> cells(
+        std::vector<std::array<BuildChunk, kHashPartitions>> cells(
             tasks);
 
         auto scanTask = [&](std::uint32_t w, std::size_t t) {
-            auto &bw = bstateFor(w);
+            if (!bstates[w])
+                bstates[w].emplace(store, join);
+            auto &bw = *bstates[w];
             auto &out_cells = cells[t];
-            forEachMorselInScanTask(
-                bmap, t, opts.morselRows, [&](const Morsel &m) {
+            bw.preds.beginRun();
+            forEachMorselInRun(
+                runs[t], opts.morselRows, [&](const Morsel &m) {
                     visibleRows(store, m, bw.sel);
                     bw.preds.apply(m, bw.sel);
                     if (bw.sel.empty())
@@ -1494,12 +1418,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     }
                 });
         };
-        if (pool && nworkers > 1) {
-            pool->parallelFor(tasks, scanTask);
-        } else {
-            for (std::size_t t = 0; t < tasks; ++t)
-                scanTask(0, t);
-        }
+        runTasks(pool, tasks, scanTask);
 
         // Stitch: each partition concatenates its chunks in task
         // order. Inner joins append payload tuples into the
@@ -1510,7 +1429,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         // FlatKeySet::contains is insertion-order independent, so
         // the serial build's insert order never mattered.
         if (inner) {
-            auto stitch = [&](std::size_t p) {
+            auto stitch = [&](std::uint32_t, std::size_t p) {
                 auto &map = builds[k].parts[p];
                 for (std::size_t t = 0; t < tasks; ++t) {
                     const auto &cell = cells[t][p];
@@ -1523,36 +1442,18 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     }
                 }
             };
-            if (pool && nworkers > 1) {
-                pool->parallelFor(
-                    kBuildPartitions,
-                    [&](std::uint32_t, std::size_t p) {
-                        stitch(p);
-                    });
-            } else {
-                for (std::size_t p = 0; p < kBuildPartitions; ++p)
-                    stitch(p);
-            }
+            runTasks(pool, kHashPartitions, stitch);
         } else {
-            std::array<std::vector<InlineKey>, kBuildPartitions>
+            std::array<std::vector<InlineKey>, kHashPartitions>
                 uniq;
-            auto dedupe = [&](std::size_t p) {
+            auto dedupe = [&](std::uint32_t, std::size_t p) {
                 std::unordered_set<InlineKey, InlineKeyHash> seen;
                 for (std::size_t t = 0; t < tasks; ++t)
                     for (const auto &key : cells[t][p].keys)
                         if (seen.insert(key).second)
                             uniq[p].push_back(key);
             };
-            if (pool && nworkers > 1) {
-                pool->parallelFor(
-                    kBuildPartitions,
-                    [&](std::uint32_t, std::size_t p) {
-                        dedupe(p);
-                    });
-            } else {
-                for (std::size_t p = 0; p < kBuildPartitions; ++p)
-                    dedupe(p);
-            }
+            runTasks(pool, kHashPartitions, dedupe);
             std::size_t total = 0;
             for (const auto &u : uniq)
                 total += u.size();
@@ -1704,7 +1605,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     const bool dense_grouped = group_refs.size() == 1;
 
     /**
-     * Everything one worker touches while draining shards: its own
+     * Everything one worker touches while draining scan runs: its own
      * readers, batches, selection, accumulators and join-expansion
      * scratch. Workers never share mutable state; the build tables
      * and the plan context above are read-only during the fan-out.
@@ -1718,6 +1619,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     bool fused_ungrouped, bool dense_grouped)
             : preds(store, plan.probe, &plan, subs),
               aggLikeCtx(store, nullptr, nullptr),
+              groups(static_cast<std::uint32_t>(plan.groupBy.size()),
+                     plan.aggregates.size()),
               dense(plan.aggregates), denseActive(dense_grouped)
         {
             rd.reserve(cols.size());
@@ -1762,7 +1665,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<std::vector<std::int64_t>> likeExpand;
         RefVecExprContext exprCtx;
         std::vector<std::span<const std::int64_t>> aggPtrs;
-        std::unordered_map<InlineKey, Accum, InlineKeyHash> groups;
+        GroupTable groups;
         Accum fusedTotal;
         DenseGroupAggregator dense;
         bool denseActive;
@@ -1774,21 +1677,17 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         InlineKey fk; ///< Filter-join probe key, reused across rows.
     };
 
-    /** Hash-map accumulation of entries [0, n) via value(slot, e). */
+    /** Group-table accumulation of entries [0, n) via
+     *  group_val(g, e) / agg_val(a, e). */
     auto hashAccumulate = [&](WorkerState &st, std::size_t n,
                               auto &&group_val, auto &&agg_val) {
+        InlineKey gk;
+        gk.n = static_cast<std::uint32_t>(group_refs.size());
         for (std::size_t e = 0; e < n; ++e) {
-            InlineKey gk;
-            gk.n = static_cast<std::uint32_t>(group_refs.size());
             for (std::size_t g = 0; g < group_refs.size(); ++g)
                 gk.v[g] = group_val(g, e);
-            auto &acc = st.groups[gk];
-            if (acc.count == 0)
-                acc.aggs.assign(agg_inputs.size(), 0);
-            for (std::size_t a = 0; a < agg_inputs.size(); ++a)
-                accumulateValue(acc, a, plan.aggregates[a].kind,
-                                agg_val(a, e));
-            ++acc.count;
+            accumulateRow(plan.aggregates, st.groups.findOrInsert(gk),
+                          [&](std::size_t a) { return agg_val(a, e); });
         }
     };
 
@@ -1941,7 +1840,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                         st.aggPtrs))
                     return;
                 // Key domain outgrew the dense arrays: spill to
-                // the hash map and continue generically (this
+                // the group table and continue generically (this
                 // morsel included, below).
                 st.denseActive = false;
                 st.dense.spill(st.groups);
@@ -2113,52 +2012,32 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             });
     };
 
-    // Shard fan-out: the probe table's block-aligned shard ranges
-    // are the unit of work; each worker drains whole shards through
-    // its private state. Shards are claimed in order, and nothing
-    // below depends on which worker ran which shard. States are
-    // built lazily on a worker's first claimed shard — a pool sized
-    // to the hardware but given fewer shards constructs no more
-    // reader sets than shards actually run.
-    const storage::ShardMap smap = probe_tbl.shardMap(opts.shards);
+    // Probe fan-out: the probe table's scan runs are the unit of
+    // work, claimed dynamically by the pool's workers; each worker
+    // drains its runs through its private state, and nothing below
+    // depends on which worker ran which run. States are built lazily
+    // on a worker's first claimed run — a pool given fewer runs than
+    // workers constructs no more reader sets than runs actually run.
+    const auto runs = scanRuns(probe_store, opts.morselRows);
     const std::uint32_t nworkers = pool ? pool->workers() : 1;
     std::vector<std::optional<WorkerState>> states(nworkers);
-    auto stateFor = [&](std::uint32_t w) -> WorkerState & {
+    runTasks(pool, runs.size(), [&](std::uint32_t w, std::size_t t) {
         if (!states[w])
             states[w].emplace(probe_store, plan, &subqueries,
                               probe_cols, fused_ungrouped,
                               dense_grouped);
-        return *states[w];
-    };
-
-    auto processShard = [&](WorkerState &st,
-                            const storage::ShardRange &r) {
-        forEachMorselInRange(
-            Region::Data, r.dataBegin, r.dataEnd, opts.morselRows,
-            [&](const Morsel &m) { processMorsel(st, m); });
-        forEachMorselInRange(
-            Region::Delta, r.deltaBegin, r.deltaEnd, opts.morselRows,
-            [&](const Morsel &m) { processMorsel(st, m); });
-    };
-    if (pool && nworkers > 1 && smap.shards() > 1) {
-        pool->parallelFor(smap.shards(),
-                          [&](std::uint32_t w, std::size_t s) {
-                              processShard(
-                                  stateFor(w),
-                                  smap.range(
-                                      static_cast<std::uint32_t>(s)));
-                          });
-    } else {
-        for (std::uint32_t s = 0; s < smap.shards(); ++s)
-            processShard(stateFor(0), smap.range(s));
-    }
+        auto &st = *states[w];
+        st.preds.beginRun();
+        forEachMorselInRun(runs[t], opts.morselRows,
+                           [&](const Morsel &m) { processMorsel(st, m); });
+    });
     const auto t_probe = Clock::now();
 
-    // CPU-side merge: fold the per-worker partial accumulators in
-    // worker order. Every fold is commutative (sum/min/max/count),
-    // and the materialization below orders by group key, so the
-    // result is byte-identical for any workers x shards split.
-    // Workers that never claimed a shard have no state to fold.
+    // CPU-side merge of the per-worker partial accumulators. Every
+    // fold is commutative (sum/min/max/count), and materialization
+    // orders by (order-by keys, group key), so the result is
+    // byte-identical for any worker count. Workers that never
+    // claimed a run have no state to fold.
     std::vector<WorkerState *> engaged;
     for (auto &st : states)
         if (st)
@@ -2217,53 +2096,61 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         return out;
     }
 
-    // Spill any still-dense per-worker aggregator, then fold the
-    // workers' group maps into the first engaged worker's.
-    for (auto *st : engaged)
-        if (st->denseActive)
+    // Still-dense per-worker aggregators fold array by array into
+    // the first one; a worker whose key range would widen the union
+    // past the dense domain spills into its own group table instead.
+    DenseGroupAggregator *dense_total = nullptr;
+    for (auto *st : engaged) {
+        if (!st->denseActive)
+            continue;
+        if (!dense_total)
+            dense_total = &st->dense;
+        else if (!dense_total->mergeFrom(st->dense))
             st->dense.spill(st->groups);
-    auto &groups = engaged.front()->groups;
-    for (std::size_t w = 1; w < engaged.size(); ++w)
-        for (auto &[key, acc] : engaged[w]->groups)
-            combineAccum(plan.aggregates, groups[key], acc);
+    }
+    // Group tables merge partition-parallel into one (an empty
+    // stand-in when no run ran); the folded dense arrays join last.
+    std::vector<GroupTable *> tables;
+    for (auto *st : engaged)
+        tables.push_back(&st->groups);
+    GroupTable empty(static_cast<std::uint32_t>(plan.groupBy.size()),
+                     plan.aggregates.size());
+    if (tables.empty())
+        tables.push_back(&empty);
+    GroupTable &groups =
+        mergeGroupTables(plan.aggregates, tables, pool);
+    if (dense_total)
+        dense_total->spill(groups);
 
-    // Capture the merged accumulators before the placeholder
-    // insertion and materialization move them away: these are the
-    // partials a later delta-incremental run folds new rows into.
+    // Capture the merged accumulators (ascending group key) before
+    // materialization: these are the partials a later
+    // delta-incremental run folds new rows into.
     if (opts.captureGroups) {
         out.groupsCaptured = true;
         out.groups.reserve(groups.size());
-        for (const auto &[key, acc] : groups)
-            if (acc.count > 0)
-                out.groups.push_back(
-                    GroupAccum{key, acc.aggs, acc.count});
+        groups.forEach([&](const std::int64_t *key,
+                           const std::int64_t *aggs,
+                           std::uint64_t count) {
+            GroupAccum g;
+            g.key.n = groups.keyWidth();
+            std::copy(key, key + g.key.n, g.key.v.begin());
+            g.aggs.assign(aggs, aggs + groups.slots());
+            g.count = count;
+            out.groups.push_back(std::move(g));
+        });
+        std::sort(out.groups.begin(), out.groups.end(),
+                  [](const GroupAccum &a, const GroupAccum &b) {
+                      return a.key < b.key;
+                  });
     }
 
-    // An ungrouped query always yields exactly one row (zero sums
-    // and count when nothing matched).
-    if (plan.groupBy.empty() && groups.empty())
-        groups[InlineKey{}] =
-            Accum{std::vector<std::int64_t>(plan.aggregates.size(),
-                                            0),
-                  0};
-
-    // Materialize in ascending group-key order (the scalar
-    // executor's std::map iteration order), then sort/limit.
-    std::vector<std::pair<InlineKey, Accum>> ordered;
-    ordered.reserve(groups.size());
-    for (auto &[key, acc] : groups)
-        ordered.emplace_back(key, std::move(acc));
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    out.result.rows.reserve(ordered.size());
-    for (auto &[key, acc] : ordered)
-        out.result.rows.push_back(ResultRow{
-            std::vector<std::int64_t>(key.v.begin(),
-                                      key.v.begin() + key.n),
-            std::move(acc.aggs), acc.count});
-    sortAndLimit(out, plan);
+    std::vector<GroupView> views;
+    views.reserve(groups.size());
+    groups.forEach([&](const std::int64_t *key,
+                       const std::int64_t *aggs, std::uint64_t count) {
+        views.push_back(GroupView{key, aggs, count});
+    });
+    out.result = materializeViews(plan, std::move(views));
     out.mergeNs = phaseNs(t_probe, Clock::now());
     return out;
 }
@@ -2311,29 +2198,13 @@ foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
 
 QueryResult
 materializeGroups(const QueryPlan &plan,
-                  std::vector<GroupAccum> groups)
+                  const std::vector<GroupAccum> &groups)
 {
-    // Mirrors executeBatchImpl's tail exactly: the ungrouped
-    // zero-placeholder when a grouped-empty plan produced nothing,
-    // ascending inline-key materialization order, then sort/limit.
-    if (plan.groupBy.empty() && groups.empty())
-        groups.push_back(GroupAccum{
-            InlineKey{},
-            std::vector<std::int64_t>(plan.aggregates.size(), 0),
-            0});
-    std::sort(groups.begin(), groups.end(),
-              [](const GroupAccum &a, const GroupAccum &b) {
-                  return a.key < b.key;
-              });
-    PlanExecution out;
-    out.result.rows.reserve(groups.size());
-    for (auto &g : groups)
-        out.result.rows.push_back(ResultRow{
-            std::vector<std::int64_t>(g.key.v.begin(),
-                                      g.key.v.begin() + g.key.n),
-            std::move(g.aggs), g.count});
-    sortAndLimit(out, plan);
-    return std::move(out.result);
+    std::vector<GroupView> views;
+    views.reserve(groups.size());
+    for (const auto &g : groups)
+        views.push_back(GroupView{g.key.v.data(), g.aggs.data(), g.count});
+    return materializeViews(plan, std::move(views));
 }
 
 bool
@@ -2368,15 +2239,12 @@ executePlan(const txn::Database &db, const QueryPlan &plan,
         fatal("executePlan: morselRows must be a power of two "
               "(got {})",
               opts.morselRows);
-    if (opts.shards == 0)
-        fatal("executePlan: shard count must be >= 1");
     if (!fitsBatchEngine(plan))
         return executeScalarImpl(db, plan);
     WorkerPool *pool = opts.pool;
     std::optional<WorkerPool> local;
-    // Even a single probe shard profits from a pool now: join
-    // builds and subquery pre-passes fan their data/delta scan
-    // tasks (and the build stitch) out over it.
+    // Every phase fans its scan runs (and the build stitch and
+    // group merge) out over the pool.
     if (!pool) {
         const std::uint32_t w = opts.workers == 0
                                     ? WorkerPool::hardwareWorkers()

@@ -7,10 +7,10 @@
  * probe), a grouped aggregate and a sort/limit, composed by
  * executePlan() according to a logical QueryPlan.
  *
- * executePlan() is morsel-driven, batch-at-a-time and shard
- * parallel: the probe table splits into contiguous block-aligned
- * shards (txn::TableRuntime::shardMap) fanned out over a worker
- * pool, and each worker walks its shards in morsels through the
+ * executePlan() is morsel-driven, batch-at-a-time and parallel: every
+ * table pass splits into morsel-aligned scan runs (scanRuns, data
+ * region then delta region) that the workers of a pool claim
+ * dynamically, and each worker walks its runs in morsels through the
  * kernel layer of olap/batch.hpp (selection vectors from word-level
  * bitmap extraction, one typed column decode per morsel with a
  * zero-copy stride path for unfragmented columns, predicate kernels
@@ -20,14 +20,15 @@
  * into per-morsel index/payload vectors, and a filter+aggregate pass
  * fused into one loop when no join intervenes). The pre-query
  * phases are parallel too: join hash tables build as partitioned
- * parallel builds (per-shard scans into hash-partitioned partial
- * chunks, stitched in deterministic task order) and scalar
- * subqueries materialize through the same sharded morsel pipeline
- * (per-worker partial group accumulators, ordered merge) before
- * either is probed strictly read-only by the fan-out. Per-worker
- * partial accumulators are consolidated by a deterministic ordered
- * merge, so results are byte-identical to the single-threaded run
- * for every workers x shards configuration.
+ * parallel builds (per-run scans into hash-partitioned partial
+ * chunks, stitched in deterministic run order) and scalar subqueries
+ * materialize through the same morsel pipeline (per-worker flat
+ * group tables, partition-parallel merge) before either is probed
+ * strictly read-only by the fan-out. Per-worker partial accumulators
+ * merge with commutative folds and materialize in a total order, so
+ * results are byte-identical to the single-threaded run for every
+ * worker count. Shard counts (OlapConfig::shards) only shape the
+ * modelled pricing; execution never reads them.
  * executePlanScalar() keeps the original row-at-a-time pipeline as
  * an independently-mechanised reference: both must produce
  * byte-identical results, and the fig9b bench reports their host
@@ -156,10 +157,13 @@ struct JoinExecStats
  * modelled. The cost-based optimizer's per-plan stats cache feeds on
  * these so repeated runs re-optimize from measured selectivities
  * (probe filter pass rates, per-join survival/expansion ratios)
- * instead of assumed ones. All counts are deterministic sums over
- * the per-worker partials, so they are identical for every workers x
- * shards configuration. Left at the defaults (collected == false)
- * when the scalar reference executor ran.
+ * instead of assumed ones. All counts are sums of per-scan-run
+ * counts, and both the run list and each run's adaptive conjunct
+ * order depend only on the table sizes and the morsel size, so the
+ * stats are identical for every worker count (and every
+ * OlapConfig::shards, which execution never reads). Left at the
+ * defaults (collected == false) when the scalar reference executor
+ * ran.
  */
 struct ExecStats
 {
@@ -172,7 +176,8 @@ struct ExecStats
     std::vector<JoinExecStats> joins;
     /** (seen, kept) per probe expression conjunct, in the plan's
      *  original predicate order — the adaptive reorderer's measured
-     *  selectivities. */
+     *  selectivities (order-dependent counts, but the order is a
+     *  per-run function of the data, not of the scheduling). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> conjuncts;
 };
 
@@ -225,27 +230,27 @@ struct PlanExecution
      * Filled when ExecOptions::captureGroups was set and the batch
      * engine ran: the merged cross-worker group accumulators exactly
      * as they stood before the ungrouped-placeholder insertion and
-     * materialization (count > 0 entries only, unsorted). False when
-     * the scalar fallback executed — scalar runs never capture.
+     * materialization (count > 0 entries only, ascending group key —
+     * byte-identical for every worker count). False when the scalar
+     * fallback executed — scalar runs never capture.
      */
     bool groupsCaptured = false;
     std::vector<GroupAccum> groups;
 };
 
 /**
- * Host-side execution options of the batch engine: how the probe
- * table is partitioned into shards (contiguous block-aligned row
- * ranges modelling independent bank stripes, see
- * txn::TableRuntime::shardMap) and how many worker threads the
- * shards fan out over. Results are byte-identical to the defaults
- * for every shards x workers combination: per-worker partial
- * accumulators are consolidated by a deterministic ordered merge.
+ * Host-side execution options of the batch engine: how many worker
+ * threads claim the scan runs and how many rows a morsel holds.
+ * Results, captured groups and ExecStats are byte-identical for
+ * every worker count: the run list is fixed by the table sizes and
+ * the morsel size, and per-worker partials merge with commutative
+ * folds. OlapEngine passes its OlapConfig::workers and pool; a bare
+ * executePlan() call stays single-threaded unless asked otherwise.
  */
 struct ExecOptions
 {
-    /** Probe-table shard count (>= 1; fatal on 0). */
-    std::uint32_t shards = 1;
-    /** Worker threads (0 = hardware concurrency). */
+    /** Worker threads (0 = hardware concurrency); ignored when
+     *  `pool` is set. */
     std::uint32_t workers = 1;
     /** Rows per morsel; must be a power of two (fatal otherwise). */
     std::uint32_t morselRows = kMorselRows;
@@ -279,8 +284,8 @@ struct ExecOptions
 
 /**
  * Execute @p plan exactly over the current snapshot bitmaps of @p db
- * with the morsel-driven batch engine, fanning per-shard pipelines
- * out over @p opts' worker pool. The plan is validated first (fatal
+ * with the morsel-driven batch engine, fanning scan runs out over
+ * @p opts' worker pool. The plan is validated first (fatal
  * on malformed plans). Plans whose join or group keys exceed the
  * batch engine's inline-key capacity (8 columns) fall back to the
  * scalar executor — same results, row-at-a-time speed.
@@ -321,13 +326,13 @@ void foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
 
 /**
  * Materialize @p groups into result rows exactly as the batch
- * engine's tail does: ascending inline-key order, the ungrouped
- * zero-placeholder row when a grouped plan produced no groups, then
- * the plan's sort/limit. Byte-identical to a cold executePlan() fed
- * the same accumulator state.
+ * engine's tail does: the ungrouped zero-placeholder row when an
+ * ungrouped plan produced no groups, then the plan's sort (ties by
+ * ascending group key) and limit. Byte-identical to a cold
+ * executePlan() fed the same accumulator state.
  */
 QueryResult materializeGroups(const QueryPlan &plan,
-                              std::vector<GroupAccum> groups);
+                              const std::vector<GroupAccum> &groups);
 
 /**
  * Row-at-a-time reference executor (the pre-batching pipeline):

@@ -183,7 +183,6 @@ summaryLine(const OptimizedQuery &oq)
     s += " demoted=" + std::to_string(oq.joinsDemoted);
     s += " cpuScans=" + std::to_string(oq.cpuPlacements.size());
     s += oq.fuseProbeScans ? " fused" : " unfused";
-    s += " shards=" + std::to_string(oq.shards);
     s += " workers=" + std::to_string(oq.workers);
     s += " morsel=" + std::to_string(oq.morselRows);
     return s;
@@ -336,8 +335,7 @@ describePlan(const QueryPlan &hand_built, const OptimizedQuery &oq)
     }
     os << "  probe pass priced "
        << (oq.fuseProbeScans ? "fused" : "per-operator") << "\n";
-    os << "  knobs: shards=" << oq.shards
-       << " workers=" << oq.workers
+    os << "  knobs: workers=" << oq.workers
        << " morselRows=" << oq.morselRows << "\n";
     os << "  selectivities: "
        << (oq.usedObservedStats ? "observed (stats cache)"
@@ -604,38 +602,22 @@ OlapEngine::optimizePlan(const QueryPlan &plan) const
 
     // ---- Pass 4: host knob resolution --------------------------
     // User-set > derived > default, per knob. Purely host-side: the
-    // pricing decomposition stays at the configured shard count and
-    // results are invariant for every shards x workers x morselRows
-    // combination (deterministic ordered merges), so tuning cannot
-    // perturb either answers or the modelled report.
+    // pricing decomposition stays at the configured shard count
+    // (execution never reads it) and results are invariant for every
+    // workers x morselRows combination (commutative merges, total
+    // materialization order), so tuning cannot perturb either answers
+    // or the modelled report.
     std::uint32_t workers = cfg_.workers;
     if (workers <= 1)
         workers = WorkerPool::hardwareWorkers();
     oq.workers = workers;
-    std::uint32_t shards = cfg_.shards;
-    if (shards == 1 && workers > 1) {
-        // One shard per worker, capped so each shard keeps at least
-        // four morsels of probe rows; largest power of two below
-        // both (1 when the probe is too small to split).
-        const std::uint64_t by_rows =
-            probe_rows /
-            (4ull * std::max<std::uint32_t>(1, cfg_.morselRows));
-        const std::uint64_t target =
-            std::min<std::uint64_t>(workers, by_rows);
-        std::uint32_t s = 1;
-        while (2ull * s <= target)
-            s *= 2;
-        shards = s;
-    }
-    oq.shards = shards;
     std::uint32_t morsel = cfg_.morselRows;
     if (morselAuto_) {
-        // Shrink a defaulted morsel (never an explicit one) while a
-        // shard cannot even fill two morsels — small tables then
-        // still spread across the shard fan-out.
+        // Shrink a defaulted morsel (never an explicit one) while the
+        // probe cannot fill two morsels — tiny tables then still
+        // split into more than one morsel.
         while (morsel > 64 &&
-               static_cast<std::uint64_t>(morsel) * 2ull * shards >
-                   probe_rows)
+               static_cast<std::uint64_t>(morsel) * 2ull > probe_rows)
             morsel /= 2;
     }
     oq.morselRows = morsel;
@@ -655,7 +637,6 @@ OlapEngine::runQueryOptimized(const QueryPlan &plan,
     rep.consistencyNs = takeConsistency();
 
     ExecOptions opts;
-    opts.shards = oq.shards;
     opts.workers = oq.workers;
     opts.morselRows = oq.morselRows;
     // Group-accumulator capture for the result cache. The optimizer
@@ -715,7 +696,6 @@ OlapEngine::runQueryOptimized(const QueryPlan &plan,
     rep.optimized = true;
     rep.pricedChosenNs = chosen.pimNs + chosen.cpuNs;
     rep.pricedHandBuiltNs = hand.pimNs + hand.cpuNs;
-    rep.execShards = oq.shards;
     rep.execWorkers = oq.workers;
     rep.execMorselRows = oq.morselRows;
     rep.cpuDemotedScans =

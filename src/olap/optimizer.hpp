@@ -30,11 +30,11 @@
  *     the fused-probe-scan pricing alternative, each accepted only
  *     when the whole-plan priced cost strictly drops (the runtime
  *     counterpart of the paper's Eq. (3) crossover).
- *  4. Knob resolution — shards / workers / morselRows resolved from
- *     table cardinalities, hardware threads and the per-format
- *     defaults, in the order user-set > derived > default. Purely
- *     host-side: the pricing decomposition stays at the configured
- *     shard count and results are knob-invariant by construction.
+ *  4. Knob resolution — workers / morselRows resolved from table
+ *     cardinalities, hardware threads and the per-format defaults,
+ *     in the order user-set > derived > default. Purely host-side:
+ *     the pricing decomposition stays at the configured shard count
+ *     and results are knob-invariant by construction.
  *
  * The chosen plan's priced cost never exceeds the hand-built plan's:
  * demotion only shrinks charges term-by-term in the same summation
@@ -72,7 +72,6 @@ struct OptimizedQuery
     QueryPlan plan;
 
     /** Resolved host execution knobs (see optimizePlan's pass 4). */
-    std::uint32_t shards = 1;
     std::uint32_t workers = 1;
     std::uint32_t morselRows = kMorselRows;
 

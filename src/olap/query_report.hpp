@@ -76,7 +76,6 @@ struct QueryReport
     /** Resolved execution knobs the query actually ran with (0 when
      *  the optimizer was off). Pricing stays at the configured shard
      *  count — these are the host-side knobs. */
-    std::uint32_t execShards = 0;
     std::uint32_t execWorkers = 0;
     std::uint32_t execMorselRows = 0;
     /** Scans the placement pass moved from PIM to the CPU gather

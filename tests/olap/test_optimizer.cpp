@@ -135,7 +135,6 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
             EXPECT_LE(repo.pricedChosenNs, repo.pricedHandBuiltNs)
                 << what;
             EXPECT_GT(repo.execWorkers, 0u) << what;
-            EXPECT_GT(repo.execShards, 0u) << what;
             EXPECT_GT(repo.execMorselRows, 0u) << what;
             EXPECT_FALSE(repo.planSummary.empty()) << what;
         }
@@ -150,8 +149,8 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
 
 TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
 {
-    // User-set shards/workers pass through the optimizer untouched
-    // and never perturb answers.
+    // User-set workers pass through the optimizer untouched, shards
+    // only reshape pricing, and neither perturbs answers.
     OlapEngine ref(db, OlapConfig::pushtapDimm());
     ref.prepareSnapshot(db.now());
     std::vector<QueryResult> want;
@@ -170,7 +169,7 @@ TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
             QueryResult r;
             const auto rep = opt.runQuery(q.plan, &r);
             expectSameResult(r, want[i++], what);
-            EXPECT_EQ(rep.execShards, shards) << what;
+            EXPECT_EQ(rep.shardBytes.size(), shards) << what;
             EXPECT_EQ(rep.execWorkers, 2u) << what;
         }
     }
@@ -473,7 +472,7 @@ TEST_F(OptimizerTest, DescribePlanDumpsPlanAndDecisions)
     EXPECT_NE(dump.find("optimizer"), std::string::npos);
     EXPECT_NE(dump.find("join order: j0<-hand j1 j1<-hand j0"),
               std::string::npos);
-    EXPECT_NE(dump.find("knobs: shards="), std::string::npos);
+    EXPECT_NE(dump.find("knobs: workers="), std::string::npos);
     EXPECT_NE(dump.find("priced: chosen="), std::string::npos);
     EXPECT_NE(dump.find("cardinality heuristics"),
               std::string::npos);
@@ -524,9 +523,6 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     // Defaults derive: workers<=1 resolves to the hardware count.
     const auto oq = engine.optimizePlan(plans::q6());
     EXPECT_EQ(oq.workers, WorkerPool::hardwareWorkers());
-    EXPECT_GE(oq.shards, 1u);
-    EXPECT_EQ(oq.shards & (oq.shards - 1), 0u)
-        << "derived shard count is a power of two";
     EXPECT_EQ(oq.morselRows, engine.config().morselRows)
         << "OrderLine fills many morsels: the default stays";
 
@@ -539,7 +535,6 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     pinned.prepareSnapshot(db.now());
     const auto oq_pinned = pinned.optimizePlan(plans::q6());
     EXPECT_EQ(oq_pinned.workers, 3u);
-    EXPECT_EQ(oq_pinned.shards, 2u);
     EXPECT_EQ(oq_pinned.morselRows, 512u)
         << "an explicit morselRows is never retuned";
 

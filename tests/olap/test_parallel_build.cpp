@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
@@ -25,8 +26,9 @@ smallConfig()
 {
     DatabaseConfig cfg;
     cfg.scale = 0.0002;
-    // 64-row blocks: build-side shard boundaries land mid-morsel, so
-    // the per-task scan walk of the partitioned build is exercised.
+    // 64-row blocks: circulant block boundaries land mid-morsel, so
+    // the per-run stride segmentation of the build scans is
+    // exercised.
     cfg.blockRows = 64;
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
@@ -62,9 +64,10 @@ struct ScalarGuard
 /**
  * Byte-identity of the partitioned parallel build phase: every
  * catalog plan with a join or subquery, every InstanceFormat, swept
- * across workers x shards against the scalar reference pipeline.
+ * across worker counts against the scalar reference pipeline.
  * In-flight deltas (transactions ingested after the snapshot) stay
- * in the delta region and stress the two-tasks-per-shard scan order.
+ * in the delta region and stress the data-runs-then-delta-runs
+ * stitch order.
  */
 class ParallelBuildTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -94,27 +97,26 @@ class ParallelBuildTest
     OlapEngine engine;
 };
 
-TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkersAndShards)
+TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkers)
 {
+    std::vector<PlanExecution> want;
+    for (const auto &q : workload::chExecutablePlans())
+        want.push_back(executePlanScalar(db, q.plan));
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
         WorkerPool pool(workers);
-        for (const std::uint32_t shards : {1u, 2u, 4u}) {
-            ExecOptions opts;
-            opts.shards = shards;
-            opts.workers = workers;
-            opts.pool = workers > 1 ? &pool : nullptr;
-            for (const auto &q : workload::chExecutablePlans()) {
-                if (q.plan.joins.empty() &&
-                    q.plan.subqueries.empty())
-                    continue;
-                const auto what =
-                    q.plan.name + " w" + std::to_string(workers) +
-                    " s" + std::to_string(shards);
-                expectSameExecution(
-                    executePlan(db, q.plan, opts),
-                    executePlanScalar(db, q.plan), what);
-            }
+        ExecOptions opts;
+        opts.workers = workers;
+        opts.morselRows = 256; // many runs per build table
+        opts.pool = &pool;
+        std::size_t i = 0;
+        for (const auto &q : workload::chExecutablePlans()) {
+            const auto &w = want[i++];
+            if (q.plan.joins.empty() && q.plan.subqueries.empty())
+                continue;
+            expectSameExecution(
+                executePlan(db, q.plan, opts), w,
+                q.plan.name + " w" + std::to_string(workers));
         }
     }
 }
@@ -126,8 +128,8 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
     ScalarGuard g(true);
     WorkerPool pool(4);
     ExecOptions opts;
-    opts.shards = 4;
     opts.workers = 4;
+    opts.morselRows = 256;
     opts.pool = &pool;
     for (const auto &q : workload::chExecutablePlans())
         expectSameExecution(executePlan(db, q.plan, opts),
@@ -138,18 +140,17 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
 TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
 {
     WorkerPool pool(4);
-    for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
-        ExecOptions opts;
-        opts.shards = 4;
-        opts.workers = 4;
-        opts.morselRows = morsel;
-        opts.pool = &pool;
-        for (const auto &q : workload::chExecutablePlans()) {
-            if (q.plan.joins.empty() && q.plan.subqueries.empty())
-                continue;
+    for (const auto &q : workload::chExecutablePlans()) {
+        if (q.plan.joins.empty() && q.plan.subqueries.empty())
+            continue;
+        const auto want = executePlanScalar(db, q.plan);
+        for (const std::uint32_t morsel : {64u, 2048u, 8192u}) {
+            ExecOptions opts;
+            opts.workers = 4;
+            opts.morselRows = morsel;
+            opts.pool = &pool;
             expectSameExecution(
-                executePlan(db, q.plan, opts),
-                executePlanScalar(db, q.plan),
+                executePlan(db, q.plan, opts), want,
                 q.plan.name + " morsel " + std::to_string(morsel));
         }
     }
