@@ -5,8 +5,6 @@
 #include <cstring>
 #include <span>
 
-#include "common/log.hpp"
-
 namespace pushtap::format {
 
 namespace {
@@ -72,62 +70,6 @@ gatherCharsStride(const Column &col, const std::uint8_t *base,
     for (std::size_t i = 0; i < offsets.size(); ++i)
         std::memcpy(out + i * col.width, base + offsets[i] * stride,
                     col.width);
-}
-
-void
-RowCodec::scatter(RowId r, std::span<const std::uint8_t> row,
-                  const Writer &write) const
-{
-    const auto &schema = layout_->schema();
-    if (row.size() < schema.rowBytes())
-        panic("scatter: row buffer {} < row bytes {}", row.size(),
-              schema.rowBytes());
-
-    const auto &parts = layout_->parts();
-    for (std::uint32_t p = 0; p < parts.size(); ++p) {
-        const Part &part = parts[p];
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(r) * part.rowWidth;
-        for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
-            const std::uint32_t dev = circulant_.deviceFor(s, r);
-            std::uint32_t off = 0;
-            for (const auto &f : part.slots[s].fragments) {
-                const std::uint32_t src =
-                    schema.canonicalOffset(f.column) + f.byteOffset;
-                write(p, dev, base + off,
-                      row.subspan(src, f.byteCount));
-                off += f.byteCount;
-            }
-        }
-    }
-}
-
-void
-RowCodec::gather(RowId r, const Reader &read,
-                 std::span<std::uint8_t> row) const
-{
-    const auto &schema = layout_->schema();
-    if (row.size() < schema.rowBytes())
-        panic("gather: row buffer {} < row bytes {}", row.size(),
-              schema.rowBytes());
-
-    const auto &parts = layout_->parts();
-    for (std::uint32_t p = 0; p < parts.size(); ++p) {
-        const Part &part = parts[p];
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(r) * part.rowWidth;
-        for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
-            const std::uint32_t dev = circulant_.deviceFor(s, r);
-            std::uint32_t off = 0;
-            for (const auto &f : part.slots[s].fragments) {
-                const std::uint32_t dst =
-                    schema.canonicalOffset(f.column) + f.byteOffset;
-                read(p, dev, base + off,
-                     row.subspan(dst, f.byteCount));
-                off += f.byteCount;
-            }
-        }
-    }
 }
 
 std::uint32_t

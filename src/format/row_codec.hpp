@@ -10,9 +10,9 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
+#include "common/log.hpp"
 #include "common/types.hpp"
 #include "format/block_circulant.hpp"
 #include "format/layout.hpp"
@@ -43,19 +43,6 @@ void gatherCharsStride(const Column &col, const std::uint8_t *base,
 class RowCodec
 {
   public:
-    /**
-     * Sink for scattered bytes: (part, device, device-local byte
-     * offset within the part's region, data).
-     */
-    using Writer = std::function<void(std::uint32_t, std::uint32_t,
-                                      std::uint64_t,
-                                      std::span<const std::uint8_t>)>;
-
-    /** Source for gathered bytes: same coordinates, fills the span. */
-    using Reader = std::function<void(std::uint32_t, std::uint32_t,
-                                      std::uint64_t,
-                                      std::span<std::uint8_t>)>;
-
     RowCodec(const TableLayout &layout, const BlockCirculant &circulant)
         : layout_(&layout), circulant_(circulant)
     {}
@@ -63,13 +50,43 @@ class RowCodec
     const TableLayout &layout() const { return *layout_; }
     const BlockCirculant &circulant() const { return circulant_; }
 
-    /** Scatter canonical @p row bytes of row @p r to the format. */
-    void scatter(RowId r, std::span<const std::uint8_t> row,
-                 const Writer &write) const;
+    /**
+     * Scatter canonical @p row bytes of row @p r to the format:
+     * write(part, device, device-local byte offset within the part's
+     * region, bytes) once per fragment.
+     */
+    template <typename Write>
+    void
+    scatter(RowId r, std::span<const std::uint8_t> row,
+            Write &&write) const
+    {
+        if (row.size() < layout_->schema().rowBytes())
+            panic("scatter: row buffer {} < row bytes {}", row.size(),
+                  layout_->schema().rowBytes());
+        forEachFragment(r, [&](std::uint32_t part, std::uint32_t dev,
+                               std::uint64_t off, std::uint32_t canon,
+                               std::uint32_t bytes) {
+            write(part, dev, off, row.subspan(canon, bytes));
+        });
+    }
 
-    /** Gather row @p r back into canonical @p row bytes. */
-    void gather(RowId r, const Reader &read,
-                std::span<std::uint8_t> row) const;
+    /**
+     * Gather row @p r back into canonical @p row bytes: read(part,
+     * device, offset, span) fills each fragment's span.
+     */
+    template <typename Read>
+    void
+    gather(RowId r, Read &&read, std::span<std::uint8_t> row) const
+    {
+        if (row.size() < layout_->schema().rowBytes())
+            panic("gather: row buffer {} < row bytes {}", row.size(),
+                  layout_->schema().rowBytes());
+        forEachFragment(r, [&](std::uint32_t part, std::uint32_t dev,
+                               std::uint64_t off, std::uint32_t canon,
+                               std::uint32_t bytes) {
+            read(part, dev, off, row.subspan(canon, bytes));
+        });
+    }
 
     /**
      * Number of distinct byte moves one row re-layout performs (the
@@ -78,6 +95,34 @@ class RowCodec
     std::uint32_t fragmentsPerRow() const;
 
   private:
+    /**
+     * Visit every fragment of row @p r as (part, device, device-local
+     * byte offset, canonical byte offset, byte count).
+     */
+    template <typename Visit>
+    void
+    forEachFragment(RowId r, Visit &&visit) const
+    {
+        const auto &schema = layout_->schema();
+        const auto &parts = layout_->parts();
+        for (std::uint32_t p = 0; p < parts.size(); ++p) {
+            const Part &part = parts[p];
+            const std::uint64_t base =
+                static_cast<std::uint64_t>(r) * part.rowWidth;
+            for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
+                const std::uint32_t dev = circulant_.deviceFor(s, r);
+                std::uint32_t off = 0;
+                for (const auto &f : part.slots[s].fragments) {
+                    visit(p, dev, base + off,
+                          schema.canonicalOffset(f.column) +
+                              f.byteOffset,
+                          f.byteCount);
+                    off += f.byteCount;
+                }
+            }
+        }
+    }
+
     const TableLayout *layout_;
     BlockCirculant circulant_;
 };

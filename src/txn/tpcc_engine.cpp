@@ -1,10 +1,17 @@
 #include "txn/tpcc_engine.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
+#include "format/row_codec.hpp"
 #include "workload/row_view.hpp"
 
 namespace pushtap::txn {
@@ -16,53 +23,151 @@ TpccEngine::TpccEngine(Database &db, InstanceFormat fmt,
                        const format::BandwidthModel &bw,
                        const dram::BatchTimingModel &timing,
                        std::uint64_t seed, const TxnCostConfig &cost)
-    : db_(db), fmt_(fmt), bw_(bw), timing_(timing), cost_(cost),
-      rng_(seed)
+    : db_(db), fmt_(fmt), cost_(cost), rng_(seed),
+      sites_(resolveSites(bw, timing)), writes_(resolveWrites(bw, timing))
 {
+    std::uint32_t widest = 0;
+    for (std::size_t t = 0; t < workload::kChTableCount; ++t)
+        widest = std::max(
+            widest, db_.table(static_cast<ChTable>(t)).schema().rowBytes());
+    scratch_.resize(widest);
 }
 
-double
-TpccEngine::readLines(const TableRuntime &tbl,
-                      const std::vector<ColumnId> &columns) const
+TpccEngine::Sites
+TpccEngine::resolveSites(const format::BandwidthModel &bw,
+                         const dram::BatchTimingModel &timing) const
 {
+    const auto read = [&](ChTable t,
+                          std::initializer_list<std::string_view> cols) {
+        return readSite(t, cols, bw, timing);
+    };
+    // Read-modify-write statements list the columns they update
+    // first; inserts list the columns they set, in value order.
+    return {
+        .payWarehouse =
+            read(ChTable::Warehouse, {"w_ytd", "w_tax", "w_name"}),
+        .payDistrict =
+            read(ChTable::District, {"d_ytd", "d_tax", "d_name"}),
+        .payCustomer = read(ChTable::Customer,
+                            {"c_balance", "c_ytd_payment",
+                             "c_payment_cnt", "c_credit", "c_last"}),
+        .payHistory = site(ChTable::History,
+                           {"h_c_id", "h_c_w_id", "h_d_id", "h_w_id",
+                            "h_date", "h_amount"}),
+        .noDistrict =
+            read(ChTable::District, {"d_next_o_id", "d_tax"}),
+        .noCustomer = read(ChTable::Customer,
+                           {"c_discount", "c_last", "c_credit"}),
+        .noItem = read(ChTable::Item, {"i_price", "i_name", "i_data"}),
+        .noStock = read(ChTable::Stock, {"s_quantity", "s_ytd",
+                                         "s_order_cnt", "s_dist_01"}),
+        .noOrderLine = site(ChTable::OrderLine,
+                            {"ol_o_id", "ol_d_id", "ol_w_id",
+                             "ol_number", "ol_i_id", "ol_supply_w_id",
+                             "ol_delivery_d", "ol_quantity",
+                             "ol_amount"}),
+        .noOrders = site(ChTable::Orders,
+                         {"o_id", "o_d_id", "o_w_id", "o_c_id",
+                          "o_entry_d", "o_ol_cnt", "o_all_local"}),
+        .noNewOrder =
+            site(ChTable::NewOrder, {"no_o_id", "no_d_id", "no_w_id"}),
+    };
+}
+
+std::array<TpccEngine::WriteSite, workload::kChTableCount>
+TpccEngine::resolveWrites(const format::BandwidthModel &bw,
+                          const dram::BatchTimingModel &timing) const
+{
+    std::array<WriteSite, workload::kChTableCount> writes;
+    for (std::size_t t = 0; t < writes.size(); ++t)
+        writes[t] = writeSite(static_cast<ChTable>(t), bw, timing);
+    return writes;
+}
+
+TpccEngine::AccessSite
+TpccEngine::site(ChTable t,
+                 std::initializer_list<std::string_view> columns) const
+{
+    AccessSite s;
+    s.table = t;
+    s.schema = &db_.table(t).schema();
+    if (columns.size() > s.columns.size())
+        panic("access site on {} names {} columns, at most {}",
+              s.schema->name(), columns.size(), s.columns.size());
+    for (const std::string_view name : columns)
+        s.columns[s.columnCount++] =
+            s.schema->columnId(std::string(name));
+    return s;
+}
+
+TpccEngine::AccessSite
+TpccEngine::readSite(ChTable t,
+                     std::initializer_list<std::string_view> columns,
+                     const format::BandwidthModel &bw,
+                     const dram::BatchTimingModel &timing) const
+{
+    AccessSite s = site(t, columns);
+    const std::vector<ColumnId> ids(
+        s.columns.begin(), s.columns.begin() + s.columnCount);
+    const auto &tbl = db_.table(t);
     switch (fmt_) {
       case InstanceFormat::Unified:
-        return bw_.columnSetAccess(tbl.layout(), columns).avgLines;
+        s.readLines = bw.columnSetAccess(tbl.layout(), ids).avgLines;
+        break;
       case InstanceFormat::RowStore:
-        return bw_.rowStoreColumns(tbl.schema(), columns).avgLines;
+        s.readLines = bw.rowStoreColumns(tbl.schema(), ids).avgLines;
+        break;
       case InstanceFormat::ColumnStore:
-        return bw_.columnStoreColumns(tbl.schema(), columns)
-            .avgLines;
+        s.readLines =
+            bw.columnStoreColumns(tbl.schema(), ids).avgLines;
+        break;
     }
-    return 0.0;
+    const double overlap = fmt_ == InstanceFormat::ColumnStore
+                               ? cost_.columnStoreReadOverlap
+                               : cost_.rowFormatReadOverlap;
+    s.readMemNs = s.readLines * timing.randomAccessLatency() / overlap;
+    if (fmt_ == InstanceFormat::Unified) {
+        // Loading re-layouts the fragments into the canonical form.
+        s.readRelayoutNs = cost_.relayoutNsPerFragment *
+                           static_cast<double>(ids.size());
+    }
+    return s;
 }
 
-double
-TpccEngine::writeLines(const TableRuntime &tbl) const
+TpccEngine::WriteSite
+TpccEngine::writeSite(ChTable t, const format::BandwidthModel &bw,
+                      const dram::BatchTimingModel &timing) const
 {
     // New versions append densely (consecutive delta slots share
     // lines across transactions in every format), so the amortised
     // write cost is the payload bytes — including the format's
     // padding — spread over whole lines.
-    const double line =
-        static_cast<double>(bw_.lineBytes());
-    switch (fmt_) {
-      case InstanceFormat::Unified:
-        return static_cast<double>(tbl.layout().paddedRowBytes()) /
-               line;
-      case InstanceFormat::RowStore:
-      case InstanceFormat::ColumnStore:
-        return static_cast<double>(tbl.schema().rowBytes()) / line;
+    const auto &tbl = db_.table(t);
+    const double line = static_cast<double>(bw.lineBytes());
+    WriteSite w;
+    w.lines = fmt_ == InstanceFormat::Unified
+                  ? static_cast<double>(tbl.layout().paddedRowBytes()) /
+                        line
+                  : static_cast<double>(tbl.schema().rowBytes()) / line;
+    // Streamed writes cost each core its fair share of the bus.
+    const double bus_share_ns =
+        line / (timing.cpuPeakBandwidth().bytesPerNs() /
+                static_cast<double>(cost_.cores));
+    w.memNs = w.lines * bus_share_ns;
+    if (fmt_ == InstanceFormat::Unified) {
+        const format::RowCodec codec(tbl.layout(),
+                                     tbl.store().circulant());
+        w.relayoutNs = cost_.relayoutNsPerFragment *
+                       static_cast<double>(codec.fragmentsPerRow());
     }
-    return 0.0;
+    return w;
 }
 
 void
 TpccEngine::chargeIndex(std::uint64_t probes)
 {
-    stats_.cpu.add("indexing",
-                   cost_.indexNsPerProbe *
-                       static_cast<double>(probes));
+    stats_.cpu.add(TxnCpu::Indexing,
+                   cost_.indexNsPerProbe * static_cast<double>(probes));
 }
 
 RowId
@@ -100,29 +205,18 @@ TpccEngine::releaseGates(Timestamp ts)
     held_.clear();
 }
 
-void
-TpccEngine::readRow(ChTable t, RowId row,
-                    const std::vector<ColumnId> &columns,
-                    std::span<std::uint8_t> out)
+std::span<std::uint8_t>
+TpccEngine::readRow(const AccessSite &site, RowId row)
 {
-    const auto steps = db_.readNewest(t, row, out);
-    stats_.cpu.add("chain_traverse",
-                   cost_.traverseNsPerStep *
-                       static_cast<double>(steps));
-    const double lines = readLines(db_.table(t), columns);
-    const double overlap = fmt_ == InstanceFormat::ColumnStore
-                               ? cost_.columnStoreReadOverlap
-                               : cost_.rowFormatReadOverlap;
-    stats_.memLines += lines;
-    stats_.memTimeNs +=
-        lines * timing_.randomAccessLatency() / overlap;
-    if (fmt_ == InstanceFormat::Unified) {
-        // Loading re-layouts the fragments into the canonical form.
-        stats_.cpu.add(
-            "relayout",
-            cost_.relayoutNsPerFragment *
-                static_cast<double>(columns.size()));
-    }
+    const std::span<std::uint8_t> out(scratch_.data(),
+                                      site.schema->rowBytes());
+    const auto steps = db_.readNewest(site.table, row, out);
+    stats_.cpu.add(TxnCpu::ChainTraverse,
+                   cost_.traverseNsPerStep * static_cast<double>(steps));
+    stats_.memLines += site.readLines;
+    stats_.memTimeNs += site.readMemNs;
+    stats_.cpu.add(TxnCpu::Relayout, site.readRelayoutNs);
+    return out;
 }
 
 void
@@ -137,36 +231,35 @@ TpccEngine::updateRow(ChTable t, RowId row,
     tbl.bumpWriteEpoch();
     ++stats_.versionsCreated;
 
-    stats_.cpu.add("allocation", cost_.allocNsPerVersion);
-    stats_.cpu.add("computation", cost_.computeNsPerVersion);
-    const double lines = writeLines(tbl);
-    stats_.memLines += lines;
-    // Streamed writes cost each core its fair share of the bus.
-    const double bus_share_ns =
-        static_cast<double>(bw_.lineBytes()) /
-        (timing_.cpuPeakBandwidth().bytesPerNs() /
-         static_cast<double>(cost_.cores));
-    stats_.memTimeNs += lines * bus_share_ns;
-    if (fmt_ == InstanceFormat::Unified) {
-        format::RowCodec codec(tbl.layout(),
-                               tbl.store().circulant());
-        stats_.cpu.add("relayout",
-                       cost_.relayoutNsPerFragment *
-                           static_cast<double>(
-                               codec.fragmentsPerRow()));
-    }
+    const WriteSite &w = writes_[static_cast<std::size_t>(t)];
+    stats_.cpu.add(TxnCpu::Allocation, cost_.allocNsPerVersion);
+    stats_.cpu.add(TxnCpu::Computation, cost_.computeNsPerVersion);
+    stats_.memLines += w.lines;
+    stats_.memTimeNs += w.memNs;
+    stats_.cpu.add(TxnCpu::Relayout, w.relayoutNs);
 }
 
 RowId
-TpccEngine::insertRow(ChTable t, std::span<const std::uint8_t> data,
+TpccEngine::insertRow(const AccessSite &site,
+                      std::initializer_list<std::int64_t> values,
                       Timestamp ts)
 {
-    auto &tbl = db_.table(t);
-    const RowId row = tbl.allocInsertRow();
+    if (values.size() != site.columnCount)
+        panic("insert into {}: {} values for {} columns",
+              site.schema->name(), values.size(), site.columnCount);
+    const std::span<std::uint8_t> data(scratch_.data(),
+                                       site.schema->rowBytes());
+    std::fill(data.begin(), data.end(), std::uint8_t{0});
+    RowView v(*site.schema, data);
+    const ColumnId *col = site.columns.data();
+    for (const std::int64_t value : values)
+        v.setInt(*col++, value);
+
+    const RowId row = db_.table(site.table).allocInsertRow();
     // The fresh row is born as a delta version of its (invisible)
     // data-region slot, so snapshots expose it consistently and
     // defragmentation lands it in place.
-    updateRow(t, row, data, ts);
+    updateRow(site.table, row, data, ts);
     return row;
 }
 
@@ -176,7 +269,7 @@ TpccEngine::commit(std::uint64_t dirtied_lines)
     // clflush of the dirtied lines is already accounted as write
     // traffic; the commit fence serialises them (section 6.3).
     (void)dirtied_lines;
-    stats_.cpu.add("commit", cost_.commitBarrierNs);
+    stats_.cpu.add(TxnCpu::Commit, cost_.commitBarrierNs);
 }
 
 TxnDescriptor
@@ -271,72 +364,41 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
     const std::int64_t amount = txn.amount;
     const Timestamp ts = txn.ts;
 
-    // Warehouse: read tax/ytd, bump ytd.
-    {
-        auto &tbl = db_.table(ChTable::Warehouse);
-        const auto &s = tbl.schema();
-        const RowId row = lookupOrDie(ChTable::Warehouse, packKey(w));
-        gateEnter(ChTable::Warehouse, row, ts);
-        scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Warehouse, row,
-                {s.columnId("w_ytd"), s.columnId("w_tax"),
-                 s.columnId("w_name")},
-                scratch_);
-        RowView v(s, scratch_);
-        v.setInt("w_ytd", v.getInt("w_ytd") + amount);
-        updateRow(ChTable::Warehouse, row, scratch_, ts);
-    }
-    // District: same shape.
-    {
-        auto &tbl = db_.table(ChTable::District);
-        const auto &s = tbl.schema();
-        const RowId row =
-            lookupOrDie(ChTable::District, packKey(w, d));
-        gateEnter(ChTable::District, row, ts);
-        scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::District, row,
-                {s.columnId("d_ytd"), s.columnId("d_tax"),
-                 s.columnId("d_name")},
-                scratch_);
-        RowView v(s, scratch_);
-        v.setInt("d_ytd", v.getInt("d_ytd") + amount);
-        updateRow(ChTable::District, row, scratch_, ts);
+    // Warehouse, then district: read ytd/tax/name, bump ytd.
+    for (const auto &[site, key] :
+         {std::pair{&sites_.payWarehouse, packKey(w)},
+          std::pair{&sites_.payDistrict, packKey(w, d)}}) {
+        const RowId row = lookupOrDie(site->table, key);
+        gateEnter(site->table, row, ts);
+        const auto bytes = readRow(*site, row);
+        RowView v(*site->schema, bytes);
+        const ColumnId ytd = site->columns[0];
+        v.setInt(ytd, v.getInt(ytd) + amount);
+        updateRow(site->table, row, bytes, ts);
     }
     // Customer: balance / ytd / payment count.
     {
-        auto &tbl = db_.table(ChTable::Customer);
-        const auto &s = tbl.schema();
-        const RowId row =
-            lookupOrDie(ChTable::Customer, packKey(0, 0, c));
-        gateEnter(ChTable::Customer, row, ts);
-        scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Customer, row,
-                {s.columnId("c_balance"),
-                 s.columnId("c_ytd_payment"),
-                 s.columnId("c_payment_cnt"),
-                 s.columnId("c_credit"), s.columnId("c_last")},
-                scratch_);
-        RowView v(s, scratch_);
-        v.setInt("c_balance", v.getInt("c_balance") - amount);
-        v.setInt("c_ytd_payment",
-                 v.getInt("c_ytd_payment") + amount);
-        v.setInt("c_payment_cnt", v.getInt("c_payment_cnt") + 1);
-        updateRow(ChTable::Customer, row, scratch_, ts);
+        const AccessSite &s = sites_.payCustomer;
+        const RowId row = lookupOrDie(s.table, packKey(0, 0, c));
+        gateEnter(s.table, row, ts);
+        const auto bytes = readRow(s, row);
+        RowView v(*s.schema, bytes);
+        const ColumnId balance = s.columns[0];
+        const ColumnId ytd_payment = s.columns[1];
+        const ColumnId payment_cnt = s.columns[2];
+        v.setInt(balance, v.getInt(balance) - amount);
+        v.setInt(ytd_payment, v.getInt(ytd_payment) + amount);
+        v.setInt(payment_cnt, v.getInt(payment_cnt) + 1);
+        updateRow(s.table, row, bytes, ts);
     }
     // History insert.
-    {
-        const auto &s = db_.table(ChTable::History).schema();
-        scratch_.assign(s.rowBytes(), 0);
-        RowView v(s, scratch_);
-        v.setInt("h_c_id", static_cast<std::int64_t>(c));
-        v.setInt("h_c_w_id", static_cast<std::int64_t>(w));
-        v.setInt("h_d_id", static_cast<std::int64_t>(d));
-        v.setInt("h_w_id", static_cast<std::int64_t>(w));
-        v.setInt("h_date",
-                 workload::kDateBase + static_cast<std::int64_t>(ts));
-        v.setInt("h_amount", amount);
-        insertRow(ChTable::History, scratch_, ts);
-    }
+    const auto wi = static_cast<std::int64_t>(w);
+    insertRow(sites_.payHistory,
+              {static_cast<std::int64_t>(c), wi,
+               static_cast<std::int64_t>(d), wi,
+               workload::kDateBase + static_cast<std::int64_t>(ts),
+               amount},
+              ts);
 
     commit(0);
     releaseGates(ts);
@@ -347,128 +409,75 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
 void
 TpccEngine::applyNewOrder(const TxnDescriptor &txn)
 {
-    const auto w = txn.warehouse;
-    const auto d = txn.district;
-    const auto c = txn.customer;
+    const auto w = static_cast<std::int64_t>(txn.warehouse);
+    const auto d = static_cast<std::int64_t>(txn.district);
+    const auto c = static_cast<std::int64_t>(txn.customer);
     const Timestamp ts = txn.ts;
+    const std::int64_t date =
+        workload::kDateBase + static_cast<std::int64_t>(ts);
     std::int64_t next_o_id = 0;
 
     // District: read and bump the order counter.
     {
-        const auto &s = db_.table(ChTable::District).schema();
+        const AccessSite &s = sites_.noDistrict;
         const RowId row =
-            lookupOrDie(ChTable::District, packKey(w, d));
-        gateEnter(ChTable::District, row, ts);
-        scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::District, row,
-                {s.columnId("d_next_o_id"), s.columnId("d_tax")},
-                scratch_);
-        RowView v(s, scratch_);
-        next_o_id = v.getInt("d_next_o_id");
-        v.setInt("d_next_o_id", next_o_id + 1);
-        updateRow(ChTable::District, row, scratch_, ts);
+            lookupOrDie(s.table, packKey(txn.warehouse, txn.district));
+        gateEnter(s.table, row, ts);
+        const auto bytes = readRow(s, row);
+        RowView v(*s.schema, bytes);
+        const ColumnId next = s.columns[0];
+        next_o_id = v.getInt(next);
+        v.setInt(next, next_o_id + 1);
+        updateRow(s.table, row, bytes, ts);
     }
     // Customer: discount / credit.
     {
-        const auto &s = db_.table(ChTable::Customer).schema();
-        const RowId row =
-            lookupOrDie(ChTable::Customer, packKey(0, 0, c));
-        scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Customer, row,
-                {s.columnId("c_discount"), s.columnId("c_last"),
-                 s.columnId("c_credit")},
-                scratch_);
+        const AccessSite &s = sites_.noCustomer;
+        readRow(s, lookupOrDie(s.table, packKey(0, 0, txn.customer)));
     }
 
-    std::int64_t total_amount = 0;
     for (std::uint64_t line = 0; line < workload::kLinesPerOrder;
          ++line) {
         const auto item = txn.lines[line].item;
-        std::int64_t price = 0;
+        const std::int64_t qty = txn.lines[line].qty;
 
         // Item read.
-        {
-            const auto &s = db_.table(ChTable::Item).schema();
-            const RowId row =
-                lookupOrDie(ChTable::Item, packKey(0, 0, item));
-            scratch_.assign(s.rowBytes(), 0);
-            readRow(ChTable::Item, row,
-                    {s.columnId("i_price"), s.columnId("i_name"),
-                     s.columnId("i_data")},
-                    scratch_);
-            price = RowView(s, scratch_).getInt("i_price");
-        }
+        const AccessSite &is = sites_.noItem;
+        const RowId item_row = lookupOrDie(is.table, packKey(0, 0, item));
+        const std::int64_t price =
+            RowView(*is.schema, readRow(is, item_row)).getInt(is.columns[0]);
+
         // Stock read-modify-write.
-        {
-            const auto &s = db_.table(ChTable::Stock).schema();
-            const RowId row =
-                lookupOrDie(ChTable::Stock, packKey(0, 0, item));
-            gateEnter(ChTable::Stock, row, ts);
-            scratch_.assign(s.rowBytes(), 0);
-            readRow(ChTable::Stock, row,
-                    {s.columnId("s_quantity"), s.columnId("s_ytd"),
-                     s.columnId("s_order_cnt"),
-                     s.columnId("s_dist_01")},
-                    scratch_);
-            RowView v(s, scratch_);
-            const std::int64_t qty = txn.lines[line].qty;
-            std::int64_t sq = v.getInt("s_quantity");
-            sq = sq >= qty + 10 ? sq - qty : sq - qty + 91;
-            v.setInt("s_quantity", sq);
-            v.setInt("s_ytd", v.getInt("s_ytd") + qty);
-            v.setInt("s_order_cnt", v.getInt("s_order_cnt") + 1);
-            updateRow(ChTable::Stock, row, scratch_, ts);
+        const AccessSite &s = sites_.noStock;
+        const RowId row = lookupOrDie(s.table, packKey(0, 0, item));
+        gateEnter(s.table, row, ts);
+        const auto bytes = readRow(s, row);
+        RowView v(*s.schema, bytes);
+        const ColumnId quantity = s.columns[0];
+        const ColumnId ytd = s.columns[1];
+        const ColumnId order_cnt = s.columns[2];
+        std::int64_t sq = v.getInt(quantity);
+        sq = sq >= qty + 10 ? sq - qty : sq - qty + 91;
+        v.setInt(quantity, sq);
+        v.setInt(ytd, v.getInt(ytd) + qty);
+        v.setInt(order_cnt, v.getInt(order_cnt) + 1);
+        updateRow(s.table, row, bytes, ts);
 
-            total_amount += qty * price;
-
-            // Order line insert.
-            const auto &ols = db_.table(ChTable::OrderLine).schema();
-            std::vector<std::uint8_t> ol(ols.rowBytes(), 0);
-            RowView lv(ols, ol);
-            lv.setInt("ol_o_id", next_o_id);
-            lv.setInt("ol_d_id", static_cast<std::int64_t>(d));
-            lv.setInt("ol_w_id", static_cast<std::int64_t>(w));
-            lv.setInt("ol_number",
-                      static_cast<std::int64_t>(line + 1));
-            lv.setInt("ol_i_id", static_cast<std::int64_t>(item));
-            lv.setInt("ol_supply_w_id",
-                      static_cast<std::int64_t>(w));
-            lv.setInt("ol_delivery_d",
-                      workload::kDateBase +
-                          static_cast<std::int64_t>(ts));
-            lv.setInt("ol_quantity", qty);
-            lv.setInt("ol_amount", qty * price);
-            insertRow(ChTable::OrderLine, ol, ts);
-        }
+        // Order line insert.
+        insertRow(sites_.noOrderLine,
+                  {next_o_id, d, w, static_cast<std::int64_t>(line + 1),
+                   static_cast<std::int64_t>(item), w, date, qty,
+                   qty * price},
+                  ts);
     }
 
     // Orders + NewOrder inserts.
-    {
-        const auto &s = db_.table(ChTable::Orders).schema();
-        scratch_.assign(s.rowBytes(), 0);
-        RowView v(s, scratch_);
-        v.setInt("o_id", next_o_id);
-        v.setInt("o_d_id", static_cast<std::int64_t>(d));
-        v.setInt("o_w_id", static_cast<std::int64_t>(w));
-        v.setInt("o_c_id", static_cast<std::int64_t>(c));
-        v.setInt("o_entry_d",
-                 workload::kDateBase + static_cast<std::int64_t>(ts));
-        v.setInt("o_ol_cnt", static_cast<std::int64_t>(
-                                 workload::kLinesPerOrder));
-        v.setInt("o_all_local", 1);
-        insertRow(ChTable::Orders, scratch_, ts);
-    }
-    {
-        const auto &s = db_.table(ChTable::NewOrder).schema();
-        scratch_.assign(s.rowBytes(), 0);
-        RowView v(s, scratch_);
-        v.setInt("no_o_id", next_o_id);
-        v.setInt("no_d_id", static_cast<std::int64_t>(d));
-        v.setInt("no_w_id", static_cast<std::int64_t>(w));
-        insertRow(ChTable::NewOrder, scratch_, ts);
-    }
+    insertRow(sites_.noOrders,
+              {next_o_id, d, w, c, date,
+               static_cast<std::int64_t>(workload::kLinesPerOrder), 1},
+              ts);
+    insertRow(sites_.noNewOrder, {next_o_id, d, w}, ts);
 
-    (void)total_amount;
     commit(0);
     releaseGates(ts);
     ++stats_.transactions;

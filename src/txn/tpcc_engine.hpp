@@ -17,11 +17,24 @@
  * threaded execute*() conveniences compose the two, consuming the
  * identical random stream the pre-split engine did. Under concurrent
  * execution an optional TxnGate orders same-row writers by timestamp.
+ *
+ * The cost model is evaluated once per engine, not per statement.
+ * Construction resolves every (table, statement) pair the two
+ * transactions execute into an access site: the statement's column
+ * ids plus each modelled charge that depends only on the table
+ * layout, the instance format and TxnCostConfig (read lines and
+ * their latency, re-layout, write lines at the core's bus share).
+ * execute() adds those precomputed numbers in the order the
+ * per-statement model did, so every modelled figure is bit-identical
+ * to evaluating the model on each access; only the run-dependent
+ * charges (index probes, chain steps) are computed per call.
  */
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,6 +72,23 @@ struct TxnCostConfig
     std::uint32_t cores = 16;
 };
 
+/** CPU cost components (Fig. 11(c) plus re-layout and commit). */
+enum class TxnCpu : std::uint8_t
+{
+    Allocation,
+    ChainTraverse,
+    Commit,
+    Computation,
+    Indexing,
+    Relayout,
+};
+
+/** Names of the TxnCpu components, in enum (= ascending) order. */
+inline constexpr std::array<std::string_view, 6> kTxnCpuNames = {
+    "allocation", "chain_traverse", "commit",
+    "computation", "indexing", "relayout",
+};
+
 struct TxnStats
 {
     std::uint64_t transactions = 0;
@@ -66,8 +96,7 @@ struct TxnStats
     std::uint64_t newOrders = 0;
     std::uint64_t versionsCreated = 0;
 
-    Breakdown cpu; ///< indexing / allocation / computation / traverse
-                   ///< / relayout / commit
+    SlotBreakdown<TxnCpu, kTxnCpuNames> cpu;
     double memLines = 0.0;
     TimeNs memTimeNs = 0.0;
 
@@ -189,6 +218,57 @@ class TpccEngine
     InstanceFormat instanceFormat() const { return fmt_; }
 
   private:
+    /**
+     * One (table, statement) pair, resolved at construction: the
+     * columns the statement names, in the order execute() uses them,
+     * and the modelled charges of reading them from one row. Insert
+     * statements read nothing; their read charges stay zero.
+     */
+    struct AccessSite
+    {
+        workload::ChTable table{};
+        const format::TableSchema *schema = nullptr;
+        std::array<ColumnId, 9> columns{}; ///< Widest: ORDERLINE insert.
+        std::uint32_t columnCount = 0;
+        double readLines = 0.0;      ///< DRAM lines of one read.
+        double readMemNs = 0.0;      ///< Their latency / overlap.
+        double readRelayoutNs = 0.0; ///< Unified: per column loaded.
+    };
+
+    /** Modelled charges of writing one new version of a row. */
+    struct WriteSite
+    {
+        double lines = 0.0;      ///< Amortised DRAM lines.
+        double memNs = 0.0;      ///< Lines at the core's bus share.
+        double relayoutNs = 0.0; ///< Unified: per fragment scattered.
+    };
+
+    /** Every statement Payment and NewOrder execute. */
+    struct Sites
+    {
+        AccessSite payWarehouse, payDistrict, payCustomer, payHistory;
+        AccessSite noDistrict, noCustomer, noItem, noStock;
+        AccessSite noOrderLine, noOrders, noNewOrder;
+    };
+
+    /** Resolve every site against this instance's cost model. */
+    Sites resolveSites(const format::BandwidthModel &bw,
+                       const dram::BatchTimingModel &timing) const;
+    std::array<WriteSite, workload::kChTableCount>
+    resolveWrites(const format::BandwidthModel &bw,
+                  const dram::BatchTimingModel &timing) const;
+
+    AccessSite site(workload::ChTable t,
+                    std::initializer_list<std::string_view> columns)
+        const;
+    AccessSite readSite(workload::ChTable t,
+                        std::initializer_list<std::string_view> columns,
+                        const format::BandwidthModel &bw,
+                        const dram::BatchTimingModel &timing) const;
+    WriteSite writeSite(workload::ChTable t,
+                        const format::BandwidthModel &bw,
+                        const dram::BatchTimingModel &timing) const;
+
     void applyPayment(const TxnDescriptor &d);
     void applyNewOrder(const TxnDescriptor &d);
 
@@ -198,25 +278,23 @@ class TpccEngine
     /** Leave every gate held by the current transaction. */
     void releaseGates(Timestamp ts);
 
-    /** Line cost of reading @p columns of one row. */
-    double readLines(const TableRuntime &tbl,
-                     const std::vector<ColumnId> &columns) const;
-
-    /** Line cost of writing one full row (a new version). */
-    double writeLines(const TableRuntime &tbl) const;
-
-    /** Functional read of the newest version + cost accounting. */
-    void readRow(workload::ChTable t, RowId row,
-                 const std::vector<ColumnId> &columns,
-                 std::span<std::uint8_t> out);
+    /**
+     * Functional read of the newest version into the scratch row +
+     * cost accounting. Returns the row's canonical bytes.
+     */
+    std::span<std::uint8_t> readRow(const AccessSite &site, RowId row);
 
     /** Create a new version of @p row with the bytes in @p data. */
     void updateRow(workload::ChTable t, RowId row,
                    std::span<const std::uint8_t> data, Timestamp ts);
 
-    /** Insert a fresh row (appends to the data-region tail). */
-    RowId insertRow(workload::ChTable t,
-                    std::span<const std::uint8_t> data, Timestamp ts);
+    /**
+     * Insert a fresh row (appends to the data-region tail) whose
+     * site columns hold @p values, in site order; other bytes zero.
+     */
+    RowId insertRow(const AccessSite &site,
+                    std::initializer_list<std::int64_t> values,
+                    Timestamp ts);
 
     RowId lookupOrDie(workload::ChTable t, std::uint64_t key);
 
@@ -225,11 +303,14 @@ class TpccEngine
 
     Database &db_;
     InstanceFormat fmt_;
-    const format::BandwidthModel &bw_;
-    dram::BatchTimingModel timing_;
     TxnCostConfig cost_;
     Rng rng_;
     TxnStats stats_;
+    // Resolved at construction (after db_, fmt_ and cost_), then
+    // only read.
+    const Sites sites_;
+    const std::array<WriteSite, workload::kChTableCount> writes_;
+    /** One canonical row of the widest table. */
     std::vector<std::uint8_t> scratch_;
     TxnGate *gate_ = nullptr;
 

@@ -124,6 +124,8 @@ class RowView
         return ConstRowView(*schema_, bytes_);
     }
 
+    std::int64_t getInt(ColumnId id) const { return asConst().getInt(id); }
+
     std::int64_t
     getInt(std::string_view name) const
     {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <string_view>
+
 #include "common/stats.hpp"
 #include "common/table_printer.hpp"
 #include "common/units.hpp"
@@ -66,6 +71,49 @@ TEST(Breakdown, MergeAddsComponents)
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
     EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
+}
+
+enum class Part : std::uint8_t
+{
+    Alpha,
+    Beta,
+    Gamma,
+};
+constexpr std::array<std::string_view, 3> kPartNames = {"alpha", "beta",
+                                                        "gamma"};
+using Parts = SlotBreakdown<Part, kPartNames>;
+
+TEST(SlotBreakdown, LooksUpByNameAndSlot)
+{
+    Parts b;
+    b.add(Part::Beta, 2.5);
+    b.add(Part::Beta, 1.0);
+    EXPECT_EQ(b.get(Part::Beta), 3.5);
+    EXPECT_EQ(b.get("beta"), 3.5);
+    EXPECT_EQ(b.get("alpha"), 0.0);
+    EXPECT_EQ(b.get("delta"), 0.0);
+}
+
+TEST(SlotBreakdown, SumsBitIdenticalToBreakdown)
+{
+    // Values whose sum depends on the order of addition: the slot
+    // form must reproduce the ordered map's rounding exactly, with
+    // unused slots and merges included.
+    const double v[] = {0.1, 1e16, 3.3, -1e16, 7e-3, 0.2};
+    Parts slots, slots_other;
+    Breakdown map, map_other;
+    for (int i = 0; i < 6; ++i) {
+        const Part p = i % 2 == 0 ? Part::Gamma : Part::Alpha;
+        slots.add(p, v[i]);
+        map.add(std::string(kPartNames[static_cast<int>(p)]), v[i]);
+    }
+    slots_other.add(Part::Beta, 0.3);
+    map_other.add("beta", 0.3);
+    slots.merge(slots_other);
+    map.merge(map_other);
+    for (const auto name : kPartNames)
+        EXPECT_EQ(slots.get(name), map.get(std::string(name))) << name;
+    EXPECT_EQ(slots.total(), map.total());
 }
 
 TEST(Bandwidth, TransferTimeInvertsBandwidth)

@@ -29,7 +29,7 @@ paperCustomer()
 class FakeStore
 {
   public:
-    RowCodec::Writer
+    auto
     writer()
     {
         return [this](std::uint32_t part, std::uint32_t dev,
@@ -43,7 +43,7 @@ class FakeStore
         };
     }
 
-    RowCodec::Reader
+    auto
     reader()
     {
         return [this](std::uint32_t part, std::uint32_t dev,

@@ -22,7 +22,7 @@ namespace {
 class FakeStore
 {
   public:
-    RowCodec::Writer
+    auto
     writer()
     {
         return [this](std::uint32_t part, std::uint32_t dev,
@@ -36,7 +36,7 @@ class FakeStore
         };
     }
 
-    RowCodec::Reader
+    auto
     reader()
     {
         return [this](std::uint32_t part, std::uint32_t dev,

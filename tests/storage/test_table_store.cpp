@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -127,6 +128,14 @@ TEST_F(TableStoreTest, OutOfRangePanics)
     std::vector<std::uint8_t> row(schema.rowBytes(), 0);
     EXPECT_DEATH(store.writeRow(Region::Data, 64, row), "capacity");
     EXPECT_DEATH(store.readRow(Region::Delta, 32, row), "capacity");
+
+    // One byte short of a canonical row.
+    const std::span<std::uint8_t> short_row(row.data(),
+                                            row.size() - 1);
+    EXPECT_DEATH(store.writeRow(Region::Data, 0, short_row),
+                 "row buffer");
+    EXPECT_DEATH(store.readRow(Region::Data, 0, short_row),
+                 "row buffer");
 }
 
 } // namespace

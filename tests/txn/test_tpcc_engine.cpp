@@ -193,5 +193,66 @@ TEST(TpccFormatComparison, FormatsOrderAsInFig9a)
     EXPECT_LT(unified - rs, 0.5 * (cs - rs));
 }
 
+/** Every modelled number of one 400-transaction mixed run. */
+struct PinnedRun
+{
+    InstanceFormat fmt;
+    std::uint64_t transactions;
+    std::uint64_t versionsCreated;
+    double allocation;
+    double chainTraverse;
+    double commit;
+    double computation;
+    double indexing;
+    double relayout;
+    double memLines;
+    double memTimeNs;
+    double totalNs;
+};
+
+TEST(TpccModelPins, MixedRunIsBitIdenticalPerFormat)
+{
+    // The cost model's output, pinned bit for bit: how the engine
+    // books a charge (per-site precomputation, slot-indexed
+    // breakdown) must never move a modelled number.
+    constexpr PinnedRun kPins[] = {
+        {InstanceFormat::Unified, 400, 5666, 0x1.0f208p+19,
+         0x1.4ep+12, 0x1.77p+13, 0x1.c2f4cp+18, 0x1.6c7fp+18,
+         0x1.4c13999999909p+15, 0x1.5d2d7p+15, 0x1.4a292f0dcd5eap+18,
+         0x1.b494189040242p+20},
+        {InstanceFormat::RowStore, 400, 5666, 0x1.0f208p+19,
+         0x1.4ep+12, 0x1.77p+13, 0x1.c2f4cp+18, 0x1.6c7fp+18, 0x0p+0,
+         0x1.998c8p+14, 0x1.b0b06dc70723p+17, 0x1.8dbf3db8e0e46p+20},
+        {InstanceFormat::ColumnStore, 400, 5666, 0x1.0f208p+19,
+         0x1.4ep+12, 0x1.77p+13, 0x1.c2f4cp+18, 0x1.6c7fp+18, 0x0p+0,
+         0x1.115aep+15, 0x1.458d2df1c1d3cp+19, 0x1.fa6fc6f8e0e9ep+20},
+    };
+    const format::BandwidthModel bw(8, 8, true);
+    const dram::BatchTimingModel timing(
+        dram::Geometry::dimmDefault(),
+        dram::TimingParams::ddr5_3200());
+    for (const PinnedRun &pin : kPins) {
+        SCOPED_TRACE(static_cast<int>(pin.fmt));
+        DatabaseConfig cfg;
+        cfg.scale = 0.001;
+        Database db(cfg);
+        TpccEngine engine(db, pin.fmt, bw, timing, 7);
+        for (int i = 0; i < 400; ++i)
+            engine.executeMixed();
+        const TxnStats &s = engine.stats();
+        EXPECT_EQ(s.transactions, pin.transactions);
+        EXPECT_EQ(s.versionsCreated, pin.versionsCreated);
+        EXPECT_EQ(s.cpu.get("allocation"), pin.allocation);
+        EXPECT_EQ(s.cpu.get("chain_traverse"), pin.chainTraverse);
+        EXPECT_EQ(s.cpu.get("commit"), pin.commit);
+        EXPECT_EQ(s.cpu.get("computation"), pin.computation);
+        EXPECT_EQ(s.cpu.get("indexing"), pin.indexing);
+        EXPECT_EQ(s.cpu.get("relayout"), pin.relayout);
+        EXPECT_EQ(s.memLines, pin.memLines);
+        EXPECT_EQ(s.memTimeNs, pin.memTimeNs);
+        EXPECT_EQ(s.totalNs(), pin.totalNs);
+    }
+}
+
 } // namespace
 } // namespace pushtap::txn

@@ -93,6 +93,20 @@ TEST_F(TxnWorkerGroupTest, SingleWorkerMatchesSerialEngine)
         EXPECT_EQ(tableBytes(serial_db, t), tableBytes(group_db, t))
             << workload::chTableName(t);
     }
+
+    // The one worker books the same modelled cost, bit for bit.
+    const TxnStats &want = engine.stats();
+    const TxnStats got = group->stats();
+    EXPECT_EQ(got.transactions, want.transactions);
+    EXPECT_EQ(got.payments, want.payments);
+    EXPECT_EQ(got.newOrders, want.newOrders);
+    EXPECT_EQ(got.versionsCreated, want.versionsCreated);
+    for (const char *part : {"allocation", "chain_traverse", "commit",
+                             "computation", "indexing", "relayout"})
+        EXPECT_EQ(got.cpu.get(part), want.cpu.get(part)) << part;
+    EXPECT_EQ(got.cpu.total(), want.cpu.total());
+    EXPECT_EQ(got.memLines, want.memLines);
+    EXPECT_EQ(got.memTimeNs, want.memTimeNs);
 }
 
 TEST_F(TxnWorkerGroupTest, ParallelMatchesSerialRowValues)
