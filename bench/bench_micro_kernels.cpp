@@ -545,29 +545,39 @@ BM_CharLikeDict(benchmark::State &state)
 BENCHMARK(BM_CharLikeDict)->Arg(0)->Arg(1);
 
 void
-BM_FlatKeySetProbe(benchmark::State &state)
+BM_GroupTableProbe(benchmark::State &state)
 {
-    // Bulk single-int existence probe (semi/anti filter join) over
-    // the open-addressing FlatKeySet, scalar vs vectorized hashing.
+    // Bulk single-int existence probe (semi/anti filter join) over a
+    // slot-less GroupTable key set: hashKeys1 over the morsel's keys
+    // (scalar vs vectorized), then one contains() per row.
     setKernelVariant(state);
     Rng rng(19);
-    olap::simd::FlatKeySet set;
-    set.reserve(1 << 15);
+    olap::GroupTable set(1, 0);
     for (int i = 0; i < (1 << 15); ++i) {
         olap::InlineKey k;
         k.n = 1;
         k.v[0] = static_cast<std::int64_t>(i) * 2; // even = member
-        set.insert(k);
+        set.findOrInsert(k);
     }
     std::vector<std::int64_t> keys(olap::kMorselRows);
     for (auto &k : keys)
         k = static_cast<std::int64_t>(rng.below(1 << 16));
+    std::vector<std::uint64_t> hashes(keys.size());
     olap::SelectionVector all, sel;
     for (std::uint32_t i = 0; i < olap::kMorselRows; ++i)
         all.idx.push_back(i);
     for (auto _ : state) {
         sel.idx = all.idx;
-        set.filterContains1(keys, sel, false);
+        olap::simd::hashKeys1(keys, hashes);
+        olap::InlineKey k;
+        k.n = 1;
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < sel.idx.size(); ++i) {
+            k.v[0] = keys[i];
+            sel.idx[out] = sel.idx[i];
+            out += static_cast<std::size_t>(set.contains(k, hashes[i]));
+        }
+        sel.idx.resize(out);
         benchmark::DoNotOptimize(sel.idx.data());
     }
     state.SetItemsProcessed(
@@ -575,13 +585,13 @@ BM_FlatKeySetProbe(benchmark::State &state)
         olap::kMorselRows);
     olap::simd::forceScalarKernels(false);
 }
-BENCHMARK(BM_FlatKeySetProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_GroupTableProbe)->Arg(0)->Arg(1);
 
 void
 BM_UnorderedSetProbe(benchmark::State &state)
 {
-    // The node-based std::unordered_set the filter join probed
-    // before FlatKeySet, for contrast.
+    // The same probe over a node-based std::unordered_set, which the
+    // filter joins used before the flat key sets, for contrast.
     state.SetLabel("stdhash");
     Rng rng(19);
     std::unordered_set<olap::InlineKey, olap::InlineKeyHash> set;

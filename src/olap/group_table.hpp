@@ -10,9 +10,15 @@
  * a group are stored inline in fixed-width records, so inserting a
  * group allocates nothing beyond amortized array growth. The table
  * is split into kHashPartitions independent sub-tables by the top
- * bits of the key hash (hashPartitionOf) — the partitioning the
- * parallel join builds use too — so a cross-worker merge folds
- * partition p of every worker's table as one independent task.
+ * bits of the key hash (hashPartitionOf), so a cross-worker merge
+ * (mergeGroupTables) folds partition p of every worker's table as
+ * one independent task, and any work confined to one partition runs
+ * beside the others without locks.
+ *
+ * The batch engine groups, materializes subqueries and builds every
+ * join into it: a semi/anti join's build is a slot-less key set
+ * probed with contains(); an inner join's keeps two slots per key,
+ * the range of its payload tuples in a flat per-partition array.
  *
  * DenseGroupAggregator is the hash-free alternative for one small
  * integer key domain: flat arrays indexed by key offset, merged
@@ -28,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "common/worker_pool.hpp"
 #include "olap/plan.hpp"
 
 namespace pushtap::olap {
@@ -175,19 +182,41 @@ class GroupTable
     {
         if (k.n != keyWidth_)
             return nullptr;
-        const std::uint64_t h = InlineKeyHash{}(k);
+        return find(k, InlineKeyHash{}(k));
+    }
+
+    /** Aggregate slots of the group of @p k (hash @p h, arity
+     *  keyWidth()), or nullptr. */
+    const std::int64_t *
+    find(const InlineKey &k, std::uint64_t h) const
+    {
         const auto &p = parts_[hashPartitionOf(h)];
-        if (p.index.empty())
-            return nullptr;
-        const std::size_t mask = p.index.size() - 1;
-        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-            const std::uint32_t id = p.index[i];
-            if (id == 0)
-                return nullptr;
-            const std::size_t g = id - 1;
-            if (p.hashes[g] == h && keyEquals(p, g, k))
-                return p.aggs.data() + g * slots_;
-        }
+        const std::size_t g = locate(p, k, h);
+        return g == kAbsent ? nullptr : p.aggs.data() + g * slots_;
+    }
+
+    std::int64_t *
+    find(const InlineKey &k, std::uint64_t h)
+    {
+        auto &p = parts_[hashPartitionOf(h)];
+        const std::size_t g = locate(p, k, h);
+        return g == kAbsent ? nullptr : p.aggs.data() + g * slots_;
+    }
+
+    /** True when @p k (hash @p h, arity keyWidth()) has a group:
+     *  the existence probe of a slot-less key set. */
+    bool
+    contains(const InlineKey &k, std::uint64_t h) const
+    {
+        return locate(parts_[hashPartitionOf(h)], k, h) != kAbsent;
+    }
+
+    /** Aggregate slots of partition @p p's groups, slots() per group
+     *  in insertion order. */
+    std::span<std::int64_t>
+    partitionAggs(std::size_t p)
+    {
+        return parts_[p].aggs;
     }
 
     /**
@@ -238,6 +267,27 @@ class GroupTable
         std::vector<std::uint64_t> counts; ///< Per group.
     };
 
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    /** Group index of @p k (hash @p h) in partition @p p, or
+     *  kAbsent. */
+    std::size_t
+    locate(const Partition &p, const InlineKey &k,
+           std::uint64_t h) const
+    {
+        if (p.index.empty())
+            return kAbsent;
+        const std::size_t mask = p.index.size() - 1;
+        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+            const std::uint32_t id = p.index[i];
+            if (id == 0)
+                return kAbsent;
+            const std::size_t g = id - 1;
+            if (p.hashes[g] == h && keyEquals(p, g, k))
+                return g;
+        }
+    }
+
     bool
     keyEquals(const Partition &p, std::size_t g,
               const InlineKey &k) const
@@ -270,6 +320,43 @@ class GroupTable
     std::size_t slots_ = 0;
     std::array<Partition, kHashPartitions> parts_;
 };
+
+/**
+ * Fold every table of @p tables into one and return it: the largest
+ * table is the target, and partition p of every other table folds
+ * into it as one task of @p pool (inline without a multi-worker
+ * pool), so the merge parallelizes without locks. @p fold is
+ * mergePartition's per-group fold; a commutative fold makes the
+ * merged values equal a serial fold's, and a no-op fold leaves the
+ * union of the key sets. @p tables must not be empty.
+ */
+template <typename Fold>
+GroupTable &
+mergeGroupTables(std::vector<GroupTable *> tables, WorkerPool *pool,
+                 const Fold &fold)
+{
+    std::swap(tables.front(),
+              *std::max_element(tables.begin(), tables.end(),
+                                [](const GroupTable *a,
+                                   const GroupTable *b) {
+                                    return a->size() < b->size();
+                                }));
+    std::size_t nonempty = 0;
+    for (const auto *t : tables)
+        nonempty += t->size() > 0 ? 1 : 0;
+    if (nonempty < 2)
+        return *tables.front();
+    auto merge = [&](std::uint32_t, std::size_t p) {
+        for (std::size_t w = 1; w < tables.size(); ++w)
+            tables.front()->mergePartition(p, *tables[w], fold);
+    };
+    if (pool && pool->workers() > 1)
+        pool->parallelFor(kHashPartitions, merge);
+    else
+        for (std::size_t p = 0; p < kHashPartitions; ++p)
+            merge(0, p);
+    return *tables.front();
+}
 
 /** Two's-complement wrapping sum: expression aggregates can reach
  *  any int64, so Sum folds share the IR's defined wrap semantics

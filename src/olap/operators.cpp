@@ -6,12 +6,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -1044,41 +1044,16 @@ runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
         fn(0, t);
 }
 
-/**
- * Fold every table of @p tables into one and return it: the largest
- * table is the target, and partition p of every other table folds
- * into it as one pool task, so the merge parallelizes without locks.
- * Folds are commutative, so the merged values equal a serial fold's.
- * @p tables must not be empty.
- */
+/** The group-table merge fold of an aggregate list: combineSlots
+ *  per group. */
 template <typename SpecT>
-GroupTable &
-mergeGroupTables(const std::vector<SpecT> &specs,
-                 std::vector<GroupTable *> tables, WorkerPool *pool)
+auto
+slotFold(const std::vector<SpecT> &specs)
 {
-    std::swap(tables.front(),
-              *std::max_element(tables.begin(), tables.end(),
-                                [](const GroupTable *a,
-                                   const GroupTable *b) {
-                                    return a->size() < b->size();
-                                }));
-    std::size_t nonempty = 0;
-    for (const auto *t : tables)
-        nonempty += t->size() > 0 ? 1 : 0;
-    if (nonempty < 2)
-        return *tables.front();
-    auto merge = [&](std::uint32_t, std::size_t p) {
-        for (std::size_t w = 1; w < tables.size(); ++w)
-            tables.front()->mergePartition(
-                p, *tables[w],
-                [&](GroupTable::Group into, const std::int64_t *from,
+    return [&specs](GroupTable::Group into, const std::int64_t *from,
                     std::uint64_t from_count) {
-                    combineSlots(specs, into.aggs, *into.count, from,
-                                 from_count);
-                });
+        combineSlots(specs, into.aggs, *into.count, from, from_count);
     };
-    runTasks(pool, kHashPartitions, merge);
-    return *tables.front();
 }
 
 /**
@@ -1173,8 +1148,8 @@ materializeSubqueriesBatch(const txn::Database &db,
                 tables.push_back(&st->groups);
         if (tables.empty())
             continue;
-        out[s].groups =
-            std::move(mergeGroupTables(spec.aggs, tables, pool));
+        out[s].groups = std::move(
+            mergeGroupTables(tables, pool, slotFold(spec.aggs)));
     }
     return out;
 }
@@ -1262,37 +1237,44 @@ class RefVecExprContext final : public BatchExprContext
         likes_;
 };
 
-/** Hash partition of an inline key (hashPartitionOf of the hash the
- *  bucket maps and group tables use). */
-inline std::size_t
-buildPartitionOf(const InlineKey &k)
+/**
+ * out[i] = InlineKeyHash of row i's key tuple, whose component c is
+ * col(c)[i] (c < width, i < n): the bulk kernel for single-column
+ * keys, one tuple at a time otherwise. The join builds partition by
+ * these hashes and the probes hand them to the build tables.
+ */
+template <typename ColFn>
+void
+hashKeyRows(std::size_t width, std::size_t n, ColFn &&col,
+            std::vector<std::uint64_t> &out)
 {
-    return hashPartitionOf(InlineKeyHash{}(k));
+    out.resize(n);
+    if (width == 1) {
+        simd::hashKeys1(col(0).first(n), out);
+        return;
+    }
+    InlineKey key;
+    key.n = static_cast<std::uint32_t>(width);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < width; ++c)
+            key.v[c] = col(c)[i];
+        out[i] = InlineKeyHash{}(key);
+    }
 }
 
 /**
- * One join's built hash table over inline keys, hash-partitioned
- * for the parallel build: payload buckets for inner joins (probed
- * through find()), with semi/anti existence keys flattened into a
- * simd::FlatKeySet by the caller instead. Built once by the
- * partitioned parallel build, then probed strictly read-only by
- * every worker.
+ * One join's built hash table: its distinct build keys in a flat,
+ * hash-partitioned GroupTable. Semi/anti joins keep the keys alone,
+ * an existence set probed with contains(). Inner joins give each key
+ * two slots, the range [slot 0, slot 1) of its payload tuples in the
+ * flat tuple array of the key's hash partition, payload-width ints
+ * per tuple in serial scan order. Built once by the partitioned
+ * parallel build, then probed strictly read-only by every worker.
  */
 struct BatchBuildSide
 {
-    using Bucket = std::vector<std::vector<std::int64_t>>;
-
-    std::array<std::unordered_map<InlineKey, Bucket, InlineKeyHash>,
-               kHashPartitions>
-        parts;
-
-    const Bucket *
-    find(const InlineKey &k) const
-    {
-        const auto &m = parts[buildPartitionOf(k)];
-        const auto it = m.find(k);
-        return it == m.end() ? nullptr : &it->second;
-    }
+    GroupTable keys;
+    std::array<std::vector<std::int64_t>, kHashPartitions> tuples;
 };
 
 /** ColRef resolved for the batch probe: an index into the morsel's
@@ -1327,30 +1309,34 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 
     // Build phase: partitioned parallel build of each join's hash
     // table. Workers claim the build input's scan runs through the
-    // normal morsel pipeline into per-run partial partitions keyed
-    // by the top bits of the key hash; the stitch then concatenates
-    // each partition's chunks in run order — exactly the serial
-    // scan's row order — so bucket contents (and therefore inner-join
-    // match expansion) stay byte-identical to the serial build. Built
-    // once here, then probed strictly read-only by every worker.
+    // normal morsel pipeline. Semi/anti joins dedupe each worker's
+    // surviving keys into its own flat key set, and the sets merge
+    // partition-parallel. Inner joins gather per-run partial
+    // partitions keyed by the top bits of the key hash; the stitch
+    // then walks each partition's chunks in run order — exactly the
+    // serial scan's row order — so every key's payload tuples (and
+    // therefore inner-join match expansion) stay byte-identical to
+    // the serial build. Built once here, then probed strictly
+    // read-only by every worker.
     std::vector<BatchBuildSide> builds(plan.joins.size());
-    std::vector<simd::FlatKeySet> exist_sets(plan.joins.size());
     for (std::size_t k = 0; k < plan.joins.size(); ++k) {
         const auto &join = plan.joins[k];
-        const auto &btbl = db.table(join.build.table);
-        const auto &store = btbl.store();
+        const auto &store = db.table(join.build.table).store();
         const bool inner = join.kind == JoinKind::Inner;
-        const std::size_t keyw = join.keys.size();
+        const auto keyw = static_cast<std::uint32_t>(join.keys.size());
         const std::size_t payw = inner ? join.payload.size() : 0;
+        auto &side = builds[k];
+        side.keys = GroupTable(keyw, inner ? 2 : 0);
 
-        /** Per-worker build-scan state: private readers and
-         *  predicate chain, built lazily on the worker's first
-         *  claimed run. */
+        /** Per-worker build-scan state: private readers, predicate
+         *  chain and (semi/anti) key set, built lazily on the
+         *  worker's first claimed run. */
         struct BuildWorker
         {
             BuildWorker(const storage::TableStore &st,
                         const JoinSpec &jn)
-                : preds(st, jn.build)
+                : preds(st, jn.build),
+                  keys(static_cast<std::uint32_t>(jn.keys.size()), 0)
             {
                 for (const auto &[build_col, ref] : jn.keys) {
                     (void)ref;
@@ -1359,22 +1345,24 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 if (jn.kind == JoinKind::Inner)
                     for (const auto &col : jn.payload)
                         payRd.emplace_back(st, col);
-                keys.resize(keyRd.size());
-                pays.resize(payRd.size());
+                keyCols.resize(keyRd.size());
+                payCols.resize(payRd.size());
             }
             BatchPredicates preds;
             std::vector<BatchColumnReader> keyRd, payRd;
             SelectionVector sel;
-            std::vector<ColumnBatch> keys, pays;
+            std::vector<ColumnBatch> keyCols, payCols;
+            std::vector<std::uint64_t> hashes;
+            GroupTable keys; ///< Semi/anti: distinct keys scanned.
         };
 
-        /** One (run, partition) cell: surviving build keys in scan
-         *  order, payload values flattened payw-at-a-time
-         *  alongside. */
+        /** One (run, partition) cell of an inner build: surviving
+         *  rows in scan order, as key hashes plus keyw key ints and
+         *  payw payload ints per row. */
         struct BuildChunk
         {
-            std::vector<InlineKey> keys;
-            std::vector<std::int64_t> vals;
+            std::vector<std::uint64_t> hashes;
+            std::vector<std::int64_t> keys, vals;
         };
 
         const auto runs = scanRuns(store, opts.morselRows);
@@ -1382,86 +1370,110 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         const std::uint32_t nworkers = pool ? pool->workers() : 1;
         std::vector<std::optional<BuildWorker>> bstates(nworkers);
         std::vector<std::array<BuildChunk, kHashPartitions>> cells(
-            tasks);
+            inner ? tasks : 0);
 
         auto scanTask = [&](std::uint32_t w, std::size_t t) {
             if (!bstates[w])
                 bstates[w].emplace(store, join);
             auto &bw = *bstates[w];
-            auto &out_cells = cells[t];
             bw.preds.beginRun();
+            InlineKey key;
+            key.n = keyw;
             forEachMorselInRun(
                 runs[t], opts.morselRows, [&](const Morsel &m) {
                     visibleRows(store, m, bw.sel);
                     bw.preds.apply(m, bw.sel);
                     if (bw.sel.empty())
                         return;
-                    for (std::size_t c = 0; c < bw.keyRd.size();
-                         ++c)
+                    for (std::size_t c = 0; c < keyw; ++c)
                         bw.keyRd[c].gatherInts(m, bw.sel.span(),
-                                               bw.keys[c]);
-                    for (std::size_t c = 0; c < bw.payRd.size();
-                         ++c)
+                                               bw.keyCols[c]);
+                    for (std::size_t c = 0; c < payw; ++c)
                         bw.payRd[c].gatherInts(m, bw.sel.span(),
-                                               bw.pays[c]);
-                    for (std::size_t i = 0; i < bw.sel.size();
-                         ++i) {
-                        InlineKey hk;
-                        hk.n = static_cast<std::uint32_t>(keyw);
+                                               bw.payCols[c]);
+                    hashKeyRows(
+                        keyw, bw.sel.size(),
+                        [&](std::size_t c) {
+                            return std::span<const std::int64_t>(
+                                bw.keyCols[c].ints);
+                        },
+                        bw.hashes);
+                    for (std::size_t i = 0; i < bw.sel.size(); ++i) {
                         for (std::size_t c = 0; c < keyw; ++c)
-                            hk.v[c] = bw.keys[c].ints[i];
+                            key.v[c] = bw.keyCols[c].ints[i];
+                        if (!inner) {
+                            bw.keys.findOrInsert(key, bw.hashes[i]);
+                            continue;
+                        }
                         auto &cell =
-                            out_cells[buildPartitionOf(hk)];
-                        cell.keys.push_back(hk);
+                            cells[t][hashPartitionOf(bw.hashes[i])];
+                        cell.hashes.push_back(bw.hashes[i]);
+                        cell.keys.insert(cell.keys.end(), key.v.begin(),
+                                         key.v.begin() + keyw);
                         for (std::size_t c = 0; c < payw; ++c)
-                            cell.vals.push_back(bw.pays[c].ints[i]);
+                            cell.vals.push_back(bw.payCols[c].ints[i]);
                     }
                 });
         };
         runTasks(pool, tasks, scanTask);
 
-        // Stitch: each partition concatenates its chunks in task
-        // order. Inner joins append payload tuples into the
-        // partition's bucket map (a partition is owned by exactly
-        // one stitch task, so the maps build race-free); semi/anti
-        // joins dedupe keys per partition, then bulk-insert the
-        // survivors into the flat existence set serially —
-        // FlatKeySet::contains is insertion-order independent, so
-        // the serial build's insert order never mattered.
-        if (inner) {
-            auto stitch = [&](std::uint32_t, std::size_t p) {
-                auto &map = builds[k].parts[p];
-                for (std::size_t t = 0; t < tasks; ++t) {
-                    const auto &cell = cells[t][p];
-                    for (std::size_t i = 0; i < cell.keys.size();
-                         ++i) {
-                        const std::int64_t *v =
-                            payw == 0 ? nullptr
-                                      : cell.vals.data() + i * payw;
-                        map[cell.keys[i]].emplace_back(v, v + payw);
-                    }
-                }
-            };
-            runTasks(pool, kHashPartitions, stitch);
-        } else {
-            std::array<std::vector<InlineKey>, kHashPartitions>
-                uniq;
-            auto dedupe = [&](std::uint32_t, std::size_t p) {
-                std::unordered_set<InlineKey, InlineKeyHash> seen;
-                for (std::size_t t = 0; t < tasks; ++t)
-                    for (const auto &key : cells[t][p].keys)
-                        if (seen.insert(key).second)
-                            uniq[p].push_back(key);
-            };
-            runTasks(pool, kHashPartitions, dedupe);
-            std::size_t total = 0;
-            for (const auto &u : uniq)
-                total += u.size();
-            exist_sets[k].reserve(total);
-            for (const auto &u : uniq)
-                for (const auto &key : u)
-                    exist_sets[k].insert(key);
+        if (!inner) {
+            std::vector<GroupTable *> tables;
+            for (auto &bw : bstates)
+                if (bw)
+                    tables.push_back(&bw->keys);
+            if (!tables.empty())
+                side.keys = std::move(mergeGroupTables(
+                    tables, pool,
+                    [](GroupTable::Group, const std::int64_t *,
+                       std::uint64_t) {}));
+            continue;
         }
+
+        // Inner stitch of partition p: count each key's tuples
+        // (slot 1), lay the keys' tuple ranges out back to back in
+        // first-seen order, then walk the chunks again in task order
+        // scattering every payload to its key's next tuple. A stitch
+        // touches partition p of the key table only, so the
+        // partitions stitch concurrently without locks.
+        auto stitch = [&](std::uint32_t, std::size_t p) {
+            InlineKey key;
+            key.n = keyw;
+            auto keyOf = [&](const BuildChunk &cell,
+                             std::size_t i) -> const InlineKey & {
+                std::copy_n(cell.keys.data() + i * keyw, keyw,
+                            key.v.begin());
+                return key;
+            };
+            for (std::size_t t = 0; t < tasks; ++t) {
+                const auto &cell = cells[t][p];
+                for (std::size_t i = 0; i < cell.hashes.size(); ++i)
+                    ++side.keys.findOrInsert(keyOf(cell, i),
+                                             cell.hashes[i])
+                          .aggs[1];
+            }
+            std::int64_t next = 0;
+            const auto ranges = side.keys.partitionAggs(p);
+            for (std::size_t g = 0; g < ranges.size(); g += 2) {
+                const std::int64_t count = ranges[g + 1];
+                ranges[g] = ranges[g + 1] = next;
+                next += count;
+            }
+            auto &tuples = side.tuples[p];
+            tuples.resize(static_cast<std::size_t>(next) * payw);
+            for (std::size_t t = 0; t < tasks; ++t) {
+                const auto &cell = cells[t][p];
+                for (std::size_t i = 0; i < cell.hashes.size(); ++i) {
+                    const auto slot = static_cast<std::size_t>(
+                        side.keys.find(keyOf(cell, i),
+                                       cell.hashes[i])[1]++);
+                    if (payw != 0)
+                        std::copy_n(cell.vals.data() + i * payw, payw,
+                                    tuples.data() + slot * payw);
+                }
+            }
+        };
+        runTasks(pool, kHashPartitions, stitch);
     }
     const auto t_build = Clock::now();
 
@@ -1628,6 +1640,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 rd.emplace_back(store, name);
             batches.resize(cols.size());
             bulkKeys.resize(plan.joins.size());
+            bulkHashes.resize(plan.joins.size());
             joinStats.resize(plan.joins.size());
             etup.resize(plan.joins.size());
             etupNext.resize(plan.joins.size());
@@ -1643,12 +1656,15 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<BatchColumnReader> rd; ///< By probe slot.
         std::vector<ColumnBatch> batches;  ///< By probe slot.
         SelectionVector sel;
+        /** Probe-keyed descend joins' keys and key hashes per
+         *  selection row. */
         std::vector<std::vector<InlineKey>> bulkKeys;
+        std::vector<std::vector<std::uint64_t>> bulkHashes;
+        std::vector<std::uint64_t> hashes; ///< Filter-join key hashes.
         // Join match expansion: entry e is (selection index erow[e],
         // payload tuple etup[k][e] per expanded inner join k).
         std::vector<std::uint32_t> erow, erowNext;
-        std::vector<std::vector<const std::vector<std::int64_t> *>>
-            etup, etupNext;
+        std::vector<std::vector<const std::int64_t *>> etup, etupNext;
         std::vector<std::size_t> activeTup; ///< Expanded inner joins.
         // Group-key / aggregate columns over the expanded entries.
         std::vector<std::vector<std::int64_t>> gvals, avals;
@@ -1674,7 +1690,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::uint64_t filtered = 0;
         /** Per-join observed in/out row flow (ExecStats). */
         std::vector<JoinExecStats> joinStats;
-        InlineKey fk; ///< Filter-join probe key, reused across rows.
+        InlineKey fk; ///< Join probe key, reused across rows.
     };
 
     /** Group-table accumulation of entries [0, n) via
@@ -1757,8 +1773,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         st.preds.apply(m, st.sel);
         st.filtered += st.sel.size();
 
-        // Filter joins: bulk-probe the built existence tables and
-        // compact the selection in place.
+        // Filter joins: bulk-hash the morsel's keys, probe the built
+        // key sets and compact the selection in place.
         for (const auto k : filter_joins) {
             if (st.sel.empty())
                 break;
@@ -1768,28 +1784,25 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             for (const auto &ref : refs)
                 st.rd[ref.idx].gatherInts(m, st.sel.span(),
                                           st.batches[ref.idx]);
-            const auto &exists = exist_sets[k];
+            auto col = [&](std::size_t c) {
+                return std::span<const std::int64_t>(
+                    st.batches[refs[c].idx].ints);
+            };
+            hashKeyRows(refs.size(), st.sel.size(), col, st.hashes);
+            const auto &keys = builds[k].keys;
             const bool anti =
                 plan.joins[k].kind == JoinKind::Anti;
-            if (refs.size() == 1) {
-                // Bulk probe: vectorized key hashing + compaction.
-                exists.filterContains1(
-                    st.batches[refs[0].idx].ints, st.sel, anti);
-                js.out += st.sel.size();
-                continue;
-            }
             st.fk.n = static_cast<std::uint32_t>(refs.size());
             std::size_t n = 0;
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
                 for (std::size_t c = 0; c < refs.size(); ++c)
-                    st.fk.v[c] =
-                        st.batches[refs[c].idx].ints[i];
-                const bool found = exists.contains(st.fk);
+                    st.fk.v[c] = col(c)[i];
+                const bool found = keys.contains(st.fk, st.hashes[i]);
                 st.sel.idx[n] = st.sel.idx[i];
                 n += static_cast<std::size_t>(found != anti);
             }
             st.sel.idx.resize(n);
-            js.out += st.sel.size();
+            js.out += n;
         }
         if (st.sel.empty())
             return;
@@ -1863,12 +1876,17 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             auto &keys = st.bulkKeys[k];
             keys.resize(st.sel.size());
             const auto &refs = join_key_refs[k];
+            auto col = [&](std::size_t c) {
+                return std::span<const std::int64_t>(
+                    st.batches[refs[c].idx].ints);
+            };
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
                 keys[i].n = static_cast<std::uint32_t>(refs.size());
                 for (std::size_t c = 0; c < refs.size(); ++c)
-                    keys[i].v[c] =
-                        st.batches[refs[c].idx].ints[i];
+                    keys[i].v[c] = col(c)[i];
             }
+            hashKeyRows(refs.size(), st.sel.size(), col,
+                        st.bulkHashes[k]);
         }
 
         // Batched match expansion: entries start as the surviving
@@ -1886,28 +1904,34 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         for (const auto k : descend_joins) {
             st.joinStats[k].in += erow.size();
             const auto &refs = join_key_refs[k];
-            auto keyAt = [&](std::size_t e) {
+            const auto &side = builds[k];
+            auto keyAt = [&](std::size_t e) -> const InlineKey & {
                 if (probe_keyed[k])
                     return st.bulkKeys[k][erow[e]];
-                InlineKey hk;
-                hk.n = static_cast<std::uint32_t>(refs.size());
+                st.fk.n = static_cast<std::uint32_t>(refs.size());
                 for (std::size_t c = 0; c < refs.size(); ++c) {
                     const auto &r = refs[c];
-                    hk.v[c] =
+                    st.fk.v[c] =
                         r.side == ColRef::kProbe
                             ? st.batches[r.idx].ints[erow[e]]
-                            : (*st.etup[static_cast<std::size_t>(
-                                  r.side)][e])[r.idx];
+                            : st.etup[static_cast<std::size_t>(
+                                  r.side)][e][r.idx];
                 }
-                return hk;
+                return st.fk;
+            };
+            auto hashAt = [&](std::size_t e, const InlineKey &key) {
+                return probe_keyed[k]
+                           ? st.bulkHashes[k][erow[e]]
+                           : std::uint64_t{InlineKeyHash{}(key)};
             };
             if (plan.joins[k].kind != JoinKind::Inner) {
                 const bool anti =
                     plan.joins[k].kind == JoinKind::Anti;
-                const auto &exists = exist_sets[k];
                 std::size_t n = 0;
                 for (std::size_t e = 0; e < erow.size(); ++e) {
-                    if (exists.contains(keyAt(e)) == anti)
+                    const auto &key = keyAt(e);
+                    if (side.keys.contains(key, hashAt(e, key)) ==
+                        anti)
                         continue;
                     erow[n] = erow[e];
                     for (const auto l : st.activeTup)
@@ -1918,19 +1942,25 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 for (const auto l : st.activeTup)
                     st.etup[l].resize(n);
             } else {
+                const std::size_t payw = plan.joins[k].payload.size();
                 st.erowNext.clear();
                 for (const auto l : st.activeTup)
                     st.etupNext[l].clear();
                 st.etupNext[k].clear();
                 for (std::size_t e = 0; e < erow.size(); ++e) {
-                    const auto *bucket = builds[k].find(keyAt(e));
-                    if (!bucket)
+                    const auto &key = keyAt(e);
+                    const std::uint64_t h = hashAt(e, key);
+                    const std::int64_t *range = side.keys.find(key, h);
+                    if (!range)
                         continue;
-                    for (const auto &tuple : *bucket) {
+                    const std::int64_t *tuples =
+                        side.tuples[hashPartitionOf(h)].data();
+                    for (auto j = range[0]; j < range[1]; ++j) {
                         st.erowNext.push_back(erow[e]);
                         for (const auto l : st.activeTup)
                             st.etupNext[l].push_back(st.etup[l][e]);
-                        st.etupNext[k].push_back(&tuple);
+                        st.etupNext[k].push_back(
+                            tuples + static_cast<std::size_t>(j) * payw);
                     }
                 }
                 std::swap(erow, st.erowNext);
@@ -1958,7 +1988,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 const auto &tup =
                     st.etup[static_cast<std::size_t>(r.side)];
                 for (std::size_t e = 0; e < ne; ++e)
-                    out[e] = (*tup[e])[r.idx];
+                    out[e] = tup[e][r.idx];
             }
         };
         for (std::size_t g = 0; g < group_refs.size(); ++g)
@@ -2118,7 +2148,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     if (tables.empty())
         tables.push_back(&empty);
     GroupTable &groups =
-        mergeGroupTables(plan.aggregates, tables, pool);
+        mergeGroupTables(tables, pool, slotFold(plan.aggregates));
     if (dense_total)
         dense_total->spill(groups);
 
@@ -2173,27 +2203,29 @@ foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
            const std::vector<GroupAccum> &from)
 {
     // Same numeric semantics as combineAccum: wrapping sums, counts,
-    // min/max with the count==0 first-value rule. Quadratic matching
-    // is fine — group counts are result-sized, not row-sized.
+    // min/max with the count==0 first-value rule. Both captures are
+    // ascending by key, so one two-pointer pass folds matching groups
+    // and interleaves the rest, keeping the result ascending.
+    std::vector<GroupAccum> merged;
+    merged.reserve(into.size() + from.size());
+    auto it = into.begin();
     for (const auto &f : from) {
         if (f.count == 0)
             continue;
-        GroupAccum *hit = nullptr;
-        for (auto &g : into)
-            if (g.key == f.key) {
-                hit = &g;
-                break;
-            }
-        if (!hit) {
-            into.push_back(f);
+        while (it != into.end() && it->key < f.key)
+            merged.push_back(std::move(*it++));
+        if (it == into.end() || f.key < it->key) {
+            merged.push_back(f);
             continue;
         }
-        Accum merged{hit->aggs, hit->count};
-        combineAccum(plan.aggregates, merged,
-                     Accum{f.aggs, f.count});
-        hit->aggs = std::move(merged.aggs);
-        hit->count = merged.count;
+        Accum acc{std::move(it->aggs), it->count};
+        combineAccum(plan.aggregates, acc, Accum{f.aggs, f.count});
+        merged.push_back(
+            GroupAccum{it->key, std::move(acc.aggs), acc.count});
+        ++it;
     }
+    std::move(it, into.end(), std::back_inserter(merged));
+    into = std::move(merged);
 }
 
 QueryResult

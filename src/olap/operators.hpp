@@ -17,14 +17,16 @@
  * — closed forms and expression trees with selectivity-adaptive
  * conjunct ordering — that compact the selection in place,
  * bulk-hashed join probes with batched inner-join match expansion
- * into per-morsel index/payload vectors, and a filter+aggregate pass
- * fused into one loop when no join intervenes). The pre-query
- * phases are parallel too: join hash tables build as partitioned
- * parallel builds (per-run scans into hash-partitioned partial
- * chunks, stitched in deterministic run order) and scalar subqueries
- * materialize through the same morsel pipeline (per-worker flat
- * group tables, partition-parallel merge) before either is probed
- * strictly read-only by the fan-out. Per-worker partial accumulators
+ * into per-morsel index/payload-pointer vectors, and a filter+
+ * aggregate pass fused into one loop when no join intervenes). The
+ * pre-query phases are parallel too: every join builds into the flat,
+ * hash-partitioned GroupTable of olap/group_table.hpp with no
+ * per-tuple allocation — semi/anti key sets deduped per worker and
+ * merged partition-parallel, inner key → tuple-range tables stitched
+ * per partition from per-run chunks in deterministic run order — and
+ * scalar subqueries materialize through the same morsel pipeline
+ * (per-worker flat group tables, partition-parallel merge) before
+ * either is probed strictly read-only by the fan-out. Per-worker partial accumulators
  * merge with commutative folds and materialize in a total order, so
  * results are byte-identical to the single-threaded run for every
  * worker count. Shard counts (OlapConfig::shards) only shape the
@@ -215,7 +217,7 @@ struct PlanExecution
     /**
      * Host wall-clock of the batch engine's execution phases, in
      * nanoseconds: the scalar-subquery pre-pass, the join build
-     * phase (partitioned scan + stitch + existence-set flatten), the
+     * phase (partitioned scan + inner stitch or key-set merge), the
      * probe fan-out, and the final cross-worker merge/materialize.
      * Measured time, not modelled — the pricing walks never read
      * these. All zero when the scalar reference executor ran.
@@ -318,8 +320,10 @@ bool fitsBatchEngine(const QueryPlan &plan);
 /**
  * Fold @p from into @p into with the batch engine's cross-worker
  * merge semantics (wrapping sums, counts, min/max with the
- * first-value rule), matching groups by key and appending unmatched
- * ones. Entries must carry aggs sized to @p plan's aggregate list.
+ * first-value rule), matching groups by key and inserting unmatched
+ * ones in key order. Both inputs must be ascending by key with
+ * distinct keys, as captures are; @p into stays so. Entries must
+ * carry aggs sized to @p plan's aggregate list.
  */
 void foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
                 const std::vector<GroupAccum> &from);

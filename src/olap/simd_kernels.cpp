@@ -1,8 +1,6 @@
 #include "olap/simd_kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -581,93 +579,22 @@ gatherDictCodes(std::span<const std::uint8_t> packed,
 }
 
 void
-FlatKeySet::reserve(std::size_t count)
+hashKeys1(std::span<const std::int64_t> keys,
+          std::span<std::uint64_t> out)
 {
-    const std::size_t cap =
-        std::bit_ceil(std::max<std::size_t>(16, count * 2));
-    slots_.assign(cap, InlineKey{});
-    used_.assign(cap, 0);
-    mask_ = cap - 1;
-    n_ = 0;
-}
-
-void
-FlatKeySet::insertNoGrow(const InlineKey &k)
-{
-    std::size_t h = InlineKeyHash{}(k)&mask_;
-    while (used_[h]) {
-        if (slots_[h] == k)
-            return;
-        h = (h + 1) & mask_;
-    }
-    slots_[h] = k;
-    used_[h] = 1;
-    ++n_;
-}
-
-void
-FlatKeySet::insert(const InlineKey &k)
-{
-    if (slots_.empty() || (n_ + 1) * 2 > slots_.size()) {
-        std::vector<InlineKey> old;
-        old.reserve(n_);
-        for (std::size_t i = 0; i < slots_.size(); ++i)
-            if (used_[i])
-                old.push_back(slots_[i]);
-        reserve(std::max<std::size_t>(n_ * 2, 8));
-        for (const auto &o : old)
-            insertNoGrow(o);
-    }
-    insertNoGrow(k);
-}
-
-bool
-FlatKeySet::containsHashed1(std::uint64_t h, std::int64_t key) const
-{
-    std::size_t s = static_cast<std::size_t>(h) & mask_;
-    while (used_[s]) {
-        if (slots_[s].n == 1 && slots_[s].v[0] == key)
-            return true;
-        s = (s + 1) & mask_;
-    }
-    return false;
-}
-
-void
-FlatKeySet::filterContains1(std::span<const std::int64_t> keys,
-                            SelectionVector &sel, bool anti) const
-{
-    if (n_ == 0) {
-        // Empty build side: semi keeps nothing, anti keeps all.
-        if (!anti)
-            sel.idx.clear();
-        return;
-    }
-    std::uint32_t *idx = sel.idx.data();
-    const std::int64_t *k = keys.data();
-    const std::size_t n = sel.idx.size();
-    std::size_t out = 0, i = 0;
+    const std::size_t n = keys.size();
+    std::size_t i = 0;
 #ifdef PUSHTAP_SIMD_X86
-    if (simdActive()) {
-        alignas(32) std::uint64_t h[4];
-        for (; i + 4 <= n; i += 4) {
-            hashKeys4(k + i, h);
-            for (std::size_t j = 0; j < 4; ++j) {
-                idx[out] = idx[i + j];
-                out += static_cast<std::size_t>(
-                    containsHashed1(h[j], k[i + j]) != anti);
-            }
-        }
-    }
+    if (simdActive())
+        for (; i + 4 <= n; i += 4)
+            hashKeys4(keys.data() + i, out.data() + i);
 #endif
     InlineKey key;
     key.n = 1;
     for (; i < n; ++i) {
-        key.v[0] = k[i];
-        idx[out] = idx[i];
-        out += static_cast<std::size_t>(contains(key) != anti);
+        key.v[0] = keys[i];
+        out[i] = InlineKeyHash{}(key);
     }
-    sel.idx.resize(out);
 }
 
 } // namespace pushtap::olap::simd

@@ -5,8 +5,8 @@
  * Explicit SIMD implementations of the hot batch kernels, behind the
  * same semantics as the scalar loops in batch.cpp (bit-identical
  * results by construction: every kernel makes exact integer keep/drop
- * decisions, so vector width only changes how many rows are decided
- * per step, never the outcome).
+ * decisions or computes exact integer values, so vector width only
+ * changes how many rows are decided per step, never the outcome).
  *
  * Dispatch is width-aware and layered:
  *  - compile time: building with -DPUSHTAP_FORCE_SCALAR_KERNELS=1
@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "format/schema.hpp"
 #include "olap/batch.hpp"
@@ -121,55 +120,13 @@ void gatherDictCodes(std::span<const std::uint8_t> packed,
                      AlignedVec<std::uint32_t> &out);
 
 /**
- * Open-addressing exact-match set of InlineKeys: the filter-join
- * existence probe (semi/anti join with no payload) as a flat,
- * cache-friendly table instead of node-based buckets. Build once
- * single-threaded, probe concurrently read-only.
+ * Bulk single-int key hashing: out[i] = InlineKeyHash of the one-
+ * column key {keys[i]} (@p out is sized like @p keys). The vector
+ * path hashes 4 keys per step with the same SplitMix64 mix and FNV
+ * fold; the join builds partition by these hashes and the probes
+ * pass them to GroupTable::contains / find.
  */
-class FlatKeySet
-{
-  public:
-    FlatKeySet() = default;
-
-    /** Size the table for @p count keys (call before insert). */
-    void reserve(std::size_t count);
-
-    void insert(const InlineKey &k);
-
-    bool
-    contains(const InlineKey &k) const
-    {
-        if (n_ == 0)
-            return false;
-        std::size_t h = InlineKeyHash{}(k)&mask_;
-        while (used_[h]) {
-            if (slots_[h] == k)
-                return true;
-            h = (h + 1) & mask_;
-        }
-        return false;
-    }
-
-    std::size_t size() const { return n_; }
-
-    /**
-     * Bulk existence probe over single-int-column keys: keep sel[i]
-     * iff contains({keys[i]}) != anti. @p keys is parallel to
-     * @p sel. The vector path hashes 4 keys per step (vectorized
-     * SplitMix64 mix matching InlineKeyHash) before the scalar
-     * bucket walks.
-     */
-    void filterContains1(std::span<const std::int64_t> keys,
-                         SelectionVector &sel, bool anti) const;
-
-  private:
-    void insertNoGrow(const InlineKey &k);
-    bool containsHashed1(std::uint64_t h, std::int64_t key) const;
-
-    std::vector<InlineKey> slots_;
-    std::vector<std::uint8_t> used_;
-    std::size_t mask_ = 0;
-    std::size_t n_ = 0;
-};
+void hashKeys1(std::span<const std::int64_t> keys,
+               std::span<std::uint64_t> out);
 
 } // namespace pushtap::olap::simd

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -126,6 +128,136 @@ TEST(GroupTable, PartitionMergeEqualsSerialFold)
         want[{key[0], key[1]}] = {aggs[0], aggs[1], count};
     });
     expectTable(parts[0], want);
+}
+
+/** A key of @p arity with components drawn from [-lo_hi, lo_hi]. */
+InlineKey
+drawKey(Rng &rng, std::uint32_t arity, std::int64_t lo_hi)
+{
+    InlineKey k;
+    k.n = arity;
+    for (std::uint32_t c = 0; c < arity; ++c)
+        k.v[c] = rng.inRange(-lo_hi, lo_hi);
+    return k;
+}
+
+std::vector<std::int64_t>
+tupleOf(const InlineKey &k)
+{
+    return {k.v.begin(), k.v.begin() + k.n};
+}
+
+/** The executor's semi/anti filter over a key set: indices of the
+ *  probe keys kept (found != anti). */
+std::vector<std::size_t>
+filterKeys(const GroupTable &set, const std::vector<InlineKey> &probe,
+           bool anti)
+{
+    std::vector<std::size_t> kept;
+    for (std::size_t i = 0; i < probe.size(); ++i)
+        if (set.contains(probe[i], InlineKeyHash{}(probe[i])) != anti)
+            kept.push_back(i);
+    return kept;
+}
+
+TEST(GroupTable, ContainsMatchesOrderedSetAtEveryArity)
+{
+    // Slot-less key sets (the semi/anti join builds) at arity 1-3:
+    // small component domains make repeats and misses both common,
+    // and the int64 extremes sit in the set at arity 1.
+    for (const std::uint32_t arity : {1u, 2u, 3u}) {
+        GroupTable set(arity, 0);
+        std::set<std::vector<std::int64_t>> ref;
+        Rng rng(17 + arity);
+        const std::int64_t span = arity == 1 ? 4000 : 40;
+        auto insert = [&](const InlineKey &k) {
+            set.findOrInsert(k, InlineKeyHash{}(k));
+            ref.insert(tupleOf(k));
+        };
+        for (int i = 0; i < 6000; ++i)
+            insert(drawKey(rng, arity, span));
+        if (arity == 1)
+            for (const std::int64_t v :
+                 {std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max()}) {
+                InlineKey k;
+                k.n = 1;
+                k.v[0] = v;
+                insert(k);
+            }
+        ASSERT_EQ(set.size(), ref.size()) << "arity " << arity;
+        std::vector<InlineKey> probe;
+        for (int i = 0; i < 6000; ++i)
+            probe.push_back(drawKey(rng, arity, span + span / 4));
+        for (const auto &k : ref) {
+            InlineKey ik;
+            ik.n = arity;
+            std::copy(k.begin(), k.end(), ik.v.begin());
+            probe.push_back(ik);
+        }
+        for (const bool anti : {false, true}) {
+            std::vector<std::size_t> want;
+            for (std::size_t i = 0; i < probe.size(); ++i)
+                if ((ref.count(tupleOf(probe[i])) != 0) != anti)
+                    want.push_back(i);
+            EXPECT_EQ(filterKeys(set, probe, anti), want)
+                << "arity " << arity << " anti " << anti;
+        }
+    }
+}
+
+TEST(GroupTable, EmptyKeySetDropsSemiKeepsAnti)
+{
+    for (const std::uint32_t arity : {1u, 2u, 3u}) {
+        const GroupTable empty(arity, 0);
+        Rng rng(23);
+        std::vector<InlineKey> probe;
+        for (int i = 0; i < 100; ++i)
+            probe.push_back(drawKey(rng, arity, 1000));
+        EXPECT_TRUE(filterKeys(empty, probe, false).empty());
+        EXPECT_EQ(filterKeys(empty, probe, true).size(), probe.size());
+    }
+}
+
+TEST(GroupTable, MergedKeySetsContainTheUnion)
+{
+    // Per-worker key sets (overlapping, plus one empty worker) merged
+    // with a no-op fold hold exactly the union, on a pool and
+    // serially.
+    for (const std::uint32_t arity : {1u, 2u, 3u})
+        for (const bool pooled : {true, false}) {
+            std::vector<GroupTable> parts(4, GroupTable(arity, 0));
+            std::set<std::vector<std::int64_t>> ref;
+            Rng rng(29 + arity);
+            const std::int64_t span =
+                arity == 1 ? 3000 : arity == 2 ? 60 : 15;
+            for (int i = 0; i < 9000; ++i) {
+                const auto k = drawKey(rng, arity, span);
+                parts[static_cast<std::size_t>(i % 3)].findOrInsert(
+                    k, InlineKeyHash{}(k));
+                ref.insert(tupleOf(k));
+            }
+            std::vector<GroupTable *> tables;
+            for (auto &p : parts)
+                tables.push_back(&p);
+            WorkerPool pool(4);
+            const GroupTable &merged = mergeGroupTables(
+                tables, pooled ? &pool : nullptr,
+                [](GroupTable::Group, const std::int64_t *,
+                   std::uint64_t) {});
+            ASSERT_EQ(merged.size(), ref.size()) << "arity " << arity;
+            std::vector<InlineKey> probe;
+            for (int i = 0; i < 9000; ++i)
+                probe.push_back(drawKey(rng, arity, span + span / 4));
+            for (const bool anti : {false, true}) {
+                std::vector<std::size_t> want;
+                for (std::size_t i = 0; i < probe.size(); ++i)
+                    if ((ref.count(tupleOf(probe[i])) != 0) != anti)
+                        want.push_back(i);
+                EXPECT_EQ(filterKeys(merged, probe, anti), want)
+                    << "arity " << arity << " pooled " << pooled;
+            }
+        }
 }
 
 TEST(DenseGroupAggregator, MergesArraysAndSpillsDisjointRanges)

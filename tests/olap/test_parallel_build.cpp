@@ -10,6 +10,7 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/reference_executor.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -153,6 +154,129 @@ TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
                 executePlan(db, q.plan, opts), want,
                 q.plan.name + " morsel " + std::to_string(morsel));
         }
+    }
+}
+
+/**
+ * Run @p plan at workers {1, 4} x morselRows {64, 2048} and compare
+ * each answer with the reference executor (snapshot at db.now()),
+ * which is returned.
+ */
+std::vector<testsupport::RefRow>
+expectMatchesReference(Database &db, const QueryPlan &plan)
+{
+    const auto want = testsupport::referenceExecute(db, plan);
+    WorkerPool pool(4);
+    for (const std::uint32_t workers : {1u, 4u})
+        for (const std::uint32_t morsel : {64u, 2048u}) {
+            ExecOptions opts;
+            opts.workers = workers;
+            opts.morselRows = morsel;
+            opts.pool = workers > 1 ? &pool : nullptr;
+            const auto got = executePlan(db, plan, opts);
+            const auto what = plan.name + " w" +
+                              std::to_string(workers) + " m" +
+                              std::to_string(morsel);
+            EXPECT_EQ(got.result.rows.size(), want.size()) << what;
+            if (got.result.rows.size() != want.size())
+                continue;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got.result.rows[i].keys, want[i].keys)
+                    << what << " row " << i;
+                EXPECT_EQ(got.result.rows[i].aggs, want[i].aggs)
+                    << what << " row " << i;
+                EXPECT_EQ(got.result.rows[i].count, want[i].count)
+                    << what << " row " << i;
+            }
+        }
+    return want;
+}
+
+TEST_P(ParallelBuildTest, BuildPredicateRejectingEveryRow)
+{
+    // An empty build side: semi keeps no probe row, anti keeps every
+    // one, inner expands to nothing — with single- and multi-column
+    // keys, grouped and ungrouped (the zero-count placeholder row).
+    engine.prepareSnapshot(db.now());
+    const ColRef line_o{ColRef::kProbe, "ol_o_id"};
+    const ColRef line_d{ColRef::kProbe, "ol_d_id"};
+    const ColRef line_w{ColRef::kProbe, "ol_w_id"};
+    for (const auto kind :
+         {JoinKind::Semi, JoinKind::Anti, JoinKind::Inner})
+        for (const bool multi : {false, true})
+            for (const bool grouped : {false, true}) {
+                QueryPlan p;
+                p.name = std::string("reject_all_k") +
+                         std::to_string(static_cast<int>(kind)) +
+                         (multi ? "_multi" : "_single") +
+                         (grouped ? "_grouped" : "");
+                p.probe.table = workload::ChTable::OrderLine;
+                JoinSpec orders;
+                orders.build.table = workload::ChTable::Orders;
+                orders.build.intPredicates = {{"o_id", -2, -1}};
+                orders.kind = kind;
+                orders.keys = {{"o_id", line_o}};
+                if (multi)
+                    orders.keys.insert(orders.keys.end(),
+                                       {{"o_d_id", line_d},
+                                        {"o_w_id", line_w}});
+                p.aggregates = {
+                    {AggKind::Sum, {ColRef::kProbe, "ol_amount"}, {}}};
+                if (kind == JoinKind::Inner) {
+                    orders.payload = {"o_c_id"};
+                    p.aggregates.push_back(
+                        {AggKind::Max, {0, "o_c_id"}, {}});
+                }
+                p.joins = {std::move(orders)};
+                if (grouped)
+                    p.groupBy = {line_d};
+                const auto want = expectMatchesReference(db, p);
+                std::uint64_t rows = 0;
+                for (const auto &r : want)
+                    rows += r.count;
+                if (kind == JoinKind::Anti)
+                    EXPECT_GT(rows, 0u) << p.name;
+                else
+                    EXPECT_EQ(rows, 0u) << p.name;
+            }
+}
+
+TEST_P(ParallelBuildTest, RepeatedInnerKeyFeedsPayloadKeyedJoin)
+{
+    // ORDERS keyed on o_d_id alone: ten keys, each with a long run of
+    // tuples that every matching probe row expands into. The next
+    // join keys on that join's payload (customer of the order), as
+    // an inner, semi and anti join in turn.
+    engine.prepareSnapshot(db.now());
+    for (const auto kind :
+         {JoinKind::Inner, JoinKind::Semi, JoinKind::Anti}) {
+        QueryPlan p;
+        p.name = std::string("repeated_key_then_k") +
+                 std::to_string(static_cast<int>(kind));
+        p.probe.table = workload::ChTable::OrderLine;
+        p.probe.intPredicates = {{"ol_number", 1, 1},
+                                 {"ol_o_id", 0, 40}};
+        JoinSpec orders;
+        orders.build.table = workload::ChTable::Orders;
+        orders.kind = JoinKind::Inner;
+        orders.keys = {{"o_d_id", {ColRef::kProbe, "ol_d_id"}}};
+        orders.payload = {"o_c_id", "o_d_id", "o_id"};
+        JoinSpec customers;
+        customers.build.table = workload::ChTable::Customer;
+        customers.kind = kind;
+        customers.keys = {{"c_id", {0, "o_c_id"}},
+                          {"c_d_id", {0, "o_d_id"}}};
+        p.groupBy = {{0, "o_d_id"}};
+        p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}, {}},
+                        {AggKind::Sum, {0, "o_id"}, {}},
+                        {AggKind::Max, {0, "o_c_id"}, {}}};
+        if (kind == JoinKind::Inner) {
+            customers.payload = {"c_balance"};
+            p.aggregates.push_back({AggKind::Min, {1, "c_balance"}, {}});
+        }
+        p.joins = {std::move(orders), std::move(customers)};
+        const auto want = expectMatchesReference(db, p);
+        EXPECT_FALSE(want.empty()) << p.name;
     }
 }
 

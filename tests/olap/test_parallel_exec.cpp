@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -351,6 +352,79 @@ TEST_F(HighCardinalityTest, LimitThroughTiedAggregates)
                  {ColRef::kProbe, "ol_i_id"}};
     p.orderBy = {{SortKey::Target::Count, 0, false}};
     sweep(p);
+}
+
+TEST_F(HighCardinalityTest, FoldedCapturesMaterializeLikeColdRun)
+{
+    // foldGroups merges two key-sorted captures in one pass. Split the
+    // probe rows by row parity through the baseline bitmaps, capture
+    // each half, and fold one half into the other: Q11 has one stock
+    // row per item, so its halves hold disjoint, interleaved keys;
+    // lines grouped by item repeat most items in both halves. Either
+    // way the fold, in both orders, must equal the cold capture and
+    // materialize to the cold answer.
+    const Database &db = env_->db;
+    QueryPlan lines;
+    lines.name = "lines_by_item";
+    lines.probe.table = ChTable::OrderLine;
+    lines.groupBy = {{ColRef::kProbe, "ol_i_id"}};
+    lines.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}},
+                        {AggKind::Min, {ColRef::kProbe, "ol_quantity"}},
+                        {AggKind::Max, {ColRef::kProbe, "ol_number"}}};
+    const QueryPlan q11 = *workload::executableQueryPlan(11);
+    for (const bool overlapping : {false, true}) {
+        const QueryPlan &plan = overlapping ? lines : q11;
+        const auto &probe = db.table(plan.probe.table).store();
+        auto parityBits = [](std::size_t n, std::size_t parity) {
+            Bitmap b(n);
+            for (std::size_t i = parity; i < n; i += 2)
+                b.set(i);
+            return b;
+        };
+        ExecOptions opts;
+        opts.captureGroups = true;
+        const auto cold = executePlan(db, plan, opts);
+        std::vector<std::vector<GroupAccum>> halves;
+        for (const std::size_t skip : {1u, 0u}) {
+            const Bitmap data =
+                parityBits(probe.dataVisible().size(), skip);
+            const Bitmap delta =
+                parityBits(probe.deltaVisible().size(), skip);
+            ExecOptions half = opts;
+            half.probeBaselineData = &data;
+            half.probeBaselineDelta = &delta;
+            halves.push_back(executePlan(db, plan, half).groups);
+        }
+        std::size_t shared = 0;
+        for (const auto &g : halves[0])
+            shared += std::binary_search(
+                          halves[1].begin(), halves[1].end(), g,
+                          [](const GroupAccum &a, const GroupAccum &b) {
+                              return a.key < b.key;
+                          })
+                          ? 1
+                          : 0;
+        ASSERT_GT(cold.groups.size(), 10'000u) << plan.name;
+        if (overlapping)
+            EXPECT_GT(shared, halves[0].size() / 2) << plan.name;
+        else
+            EXPECT_EQ(shared, 0u) << plan.name;
+        for (const bool swapped : {false, true}) {
+            auto into = halves[swapped ? 1 : 0];
+            foldGroups(plan, into, halves[swapped ? 0 : 1]);
+            const auto what =
+                plan.name + (swapped ? " odd+even" : " even+odd");
+            ASSERT_EQ(into.size(), cold.groups.size()) << what;
+            for (std::size_t i = 0; i < into.size(); ++i) {
+                ASSERT_TRUE(into[i].key == cold.groups[i].key)
+                    << what << " group " << i;
+                EXPECT_EQ(into[i].aggs, cold.groups[i].aggs) << what;
+                EXPECT_EQ(into[i].count, cold.groups[i].count) << what;
+            }
+            expectSameRows(materializeGroups(plan, into), cold.result,
+                           what);
+        }
+    }
 }
 
 TEST(ExecOptionsValidation, RejectsBadKnobs)

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -285,64 +284,35 @@ TEST(SimdKernels, DecodeIntStrideMatchesManualDecode)
     EXPECT_FALSE(simd::decodeIntStride(col, buf, 8, off, out));
 }
 
-TEST(SimdKernels, FlatKeySetMatchesUnorderedSet)
+TEST(SimdKernels, HashKeys1MatchesInlineKeyHash)
 {
+    // The bulk single-int hash feeds join-build partitioning and the
+    // GroupTable probes, so it must equal InlineKeyHash bit for bit
+    // under both dispatches: across the vector width's tails and at
+    // the int64 extremes (the SplitMix64 shifts see the sign bit).
     Rng rng(131);
-    simd::FlatKeySet set;
-    std::unordered_set<std::int64_t> ref;
-    set.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-        const auto k =
-            static_cast<std::int64_t>(rng.below(5000)) - 2500;
-        InlineKey ik;
-        ik.n = 1;
-        ik.v[0] = k;
-        set.insert(ik);
-        ref.insert(k);
-    }
-    EXPECT_EQ(set.size(), ref.size());
-    for (std::int64_t k = -2600; k < 2600; ++k) {
-        InlineKey ik;
-        ik.n = 1;
-        ik.v[0] = k;
-        EXPECT_EQ(set.contains(ik), ref.count(k) != 0) << k;
-    }
-
-    // Bulk probe: scalar vs vector vs reference, semi and anti.
     for (const auto n : kSizes) {
         std::vector<std::int64_t> keys(n);
         for (auto &k : keys)
-            k = static_cast<std::int64_t>(rng.below(6000)) - 3000;
-        for (const bool anti : {false, true}) {
-            const auto kept =
-                bothDispatches(n, [&](SelectionVector &sel) {
-                    set.filterContains1(keys, sel, anti);
-                });
-            std::vector<std::uint32_t> want;
-            for (std::uint32_t i = 0; i < n; ++i)
-                if (ref.count(keys[i]) != anti)
-                    want.push_back(i);
-            EXPECT_EQ(kept, want) << "n=" << n << " anti=" << anti;
+            k = static_cast<std::int64_t>(rng());
+        const std::int64_t edges[] = {
+            std::numeric_limits<std::int64_t>::min(),
+            std::numeric_limits<std::int64_t>::max(), -1, 0, 1};
+        for (std::size_t i = 0; i < n && i < std::size(edges); ++i)
+            keys[n - 1 - i] = edges[i];
+        std::vector<std::uint64_t> want(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            InlineKey ik;
+            ik.n = 1;
+            ik.v[0] = keys[i];
+            want[i] = InlineKeyHash{}(ik);
         }
-    }
-}
-
-TEST(SimdKernels, EmptyFlatKeySetDropsSemiKeepsAnti)
-{
-    const simd::FlatKeySet empty;
-    InlineKey ik;
-    ik.n = 1;
-    ik.v[0] = 42;
-    EXPECT_FALSE(empty.contains(ik));
-    const std::vector<std::int64_t> keys = {1, 2, 3};
-    for (const bool forced : {false, true}) {
-        ScalarGuard g(forced);
-        SelectionVector sel = iota(3);
-        empty.filterContains1(keys, sel, false);
-        EXPECT_TRUE(sel.empty());
-        sel = iota(3);
-        empty.filterContains1(keys, sel, true);
-        EXPECT_EQ(sel.size(), 3u);
+        for (const bool forced : {true, false}) {
+            ScalarGuard g(forced);
+            std::vector<std::uint64_t> got(n, 0);
+            simd::hashKeys1(keys, got);
+            EXPECT_EQ(got, want) << "n=" << n << " scalar=" << forced;
+        }
     }
 }
 
