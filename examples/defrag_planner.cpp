@@ -72,7 +72,7 @@ main(int argc, char **argv)
     const auto layout = format::compactAligned(schema, 8, 0.6);
     const format::BlockCirculant circ(8, 1024);
     storage::TableStore store(layout, circ, 4096, 4096);
-    mvcc::VersionManager vm(circ, 1 << 22);
+    mvcc::VersionManager vm(circ, 1 << 22, 4096);
     workload::ChGenerator gen(1, 0.001);
 
     std::vector<std::uint8_t> row(schema.rowBytes());

@@ -43,9 +43,8 @@ ColumnDictionary::ColumnDictionary(std::uint32_t width,
 std::uint32_t
 ColumnDictionary::encode(std::span<const std::uint8_t> bytes) const
 {
-    const std::string key(bytes.begin(),
-                          bytes.begin() + width_);
-    const auto it = codeOf_.find(key);
+    const auto it = codeOf_.find(std::string_view(
+        reinterpret_cast<const char *>(bytes.data()), width_));
     return it == codeOf_.end() ? sentinel() : it->second;
 }
 

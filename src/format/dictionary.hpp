@@ -25,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,11 +68,26 @@ class ColumnDictionary
             &pred) const;
 
   private:
+    /** Transparent hash: encode() probes with a view of the row bytes
+     *  instead of building a std::string per call. */
+    struct KeyHash
+    {
+        using is_transparent = void;
+
+        std::size_t
+        operator()(std::string_view s) const noexcept
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     std::uint32_t width_;
     std::uint32_t cardinality_;
     std::uint32_t codeWidth_;
     std::vector<std::uint8_t> values_; ///< cardinality * width bytes.
-    std::unordered_map<std::string, std::uint32_t> codeOf_;
+    std::unordered_map<std::string, std::uint32_t, KeyHash,
+                       std::equal_to<>>
+        codeOf_;
 };
 
 /**

@@ -77,27 +77,22 @@ Defragmenter::run(storage::TableStore &store, VersionManager &vm,
             store.layout().devices() - 1) /
                store.layout().devices());
 
-    // Walk every chain head: copy the newest version back over the
-    // origin row and count the traversal work (Fig. 11(d) breakdown).
-    // The epoch pin covers the arena walk and must drop before
-    // reset(), which waits for all pinned readers.
+    // One sweep of the arena in append order: copy each row's newest
+    // version back over its origin row (inserted rows thus land in
+    // data-row and delta-slot order) and count every swept entry as a
+    // chain hop (Fig. 11(d) breakdown). The epoch pin covers the
+    // sweep and must drop before reset(), which waits for all pinned
+    // readers.
     {
         const EpochGuard epoch(vm.epochs());
-        vm.forEachHead([&](RowId data_row, std::uint32_t head) {
-            const VersionMeta &newest = versions[head];
-            stats.bytesMoved +=
-                store.copyDeltaToData(newest.deltaSlot, data_row);
-            ++stats.rowsCopied;
-
-            std::uint32_t idx = head;
-            while (idx != kNoVersion) {
-                ++stats.chainSteps;
-                idx = versions[idx].prev;
-            }
-
-            // Repair visibility: origin row is current again.
-            store.dataVisible().set(data_row);
-        });
+        stats.chainSteps =
+            vm.forEachHead([&](RowId data_row, std::uint32_t head) {
+                stats.bytesMoved += store.copyDeltaToData(
+                    versions[head].deltaSlot, data_row);
+                ++stats.rowsCopied;
+                // Repair visibility: origin row is current again.
+                store.dataVisible().set(data_row);
+            });
     }
     store.deltaVisible().setAll(false);
     vm.reset();

@@ -59,9 +59,12 @@ class Defragmenter
 
     /**
      * Run defragmentation on @p store / @p vm with @p strategy.
-     * Functionally: copies newest versions back, repairs the
-     * visibility bitmaps, resets the version chains. The returned
-     * stats carry the modelled strategy time.
+     * Functionally: one sweep of the version arena in append order
+     * copies each row's newest version back over its origin row,
+     * then the visibility bitmaps are repaired and the version
+     * chains reset. chainSteps counts the entries swept, which is
+     * the summed length of all chains. The returned stats carry the
+     * modelled strategy time.
      *
      * Per-row CPU costs (chain traverse, metadata merge) are included
      * in the breakdown; the caller adds fixed thread/PIM activation

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/log.hpp"
 
@@ -45,13 +45,16 @@ VersionArena::freeChunks()
 
 VersionManager::VersionManager(
     const format::BlockCirculant &circulant,
-    std::uint64_t delta_capacity)
+    std::uint64_t delta_capacity, std::uint64_t data_rows)
     : circulant_(circulant), deltaCapacity_(delta_capacity),
-      arena_(delta_capacity)
+      arena_(delta_capacity), dataRows_(data_rows),
+      heads_(std::make_unique<std::atomic<std::uint32_t>[]>(data_rows))
 {
     const std::uint32_t classes =
         circulant_.enabled() ? circulant_.devices() : 1;
     cursors_.resize(classes);
+    for (std::uint64_t r = 0; r < dataRows_; ++r)
+        heads_[r].store(kNoVersion, std::memory_order_relaxed);
 }
 
 RowId
@@ -125,13 +128,14 @@ std::uint32_t
 VersionManager::addVersion(RowId data_row, RowId delta_slot,
                            Timestamp write_ts)
 {
-    HeadShard &shard = headShards_[headShardOf(data_row)];
-    std::lock_guard<std::mutex> append_guard(mu_);
-    std::unique_lock<std::shared_mutex> head_guard(shard.mu);
+    if (data_row >= dataRows_)
+        fatal("version of row {} beyond the data region ({} rows)",
+              data_row, dataRows_);
+    std::lock_guard<std::mutex> guard(mu_);
 
-    auto it = shard.map.find(data_row);
-    const std::uint32_t prev =
-        it == shard.map.end() ? kNoVersion : it->second;
+    // Heads only change under mu_, so a relaxed load sees the latest.
+    std::atomic<std::uint32_t> &head = heads_[data_row];
+    const std::uint32_t prev = head.load(std::memory_order_relaxed);
     if (prev != kNoVersion && write_ts < arena_[prev].writeTs)
         fatal("non-monotonic commit timestamp {} < {} for row {}",
               write_ts, arena_[prev].writeTs, data_row);
@@ -146,32 +150,24 @@ VersionManager::addVersion(RowId data_row, RowId delta_slot,
 
     const std::uint32_t idx =
         arena_.pushBack(write_ts, data_row, delta_slot, prev);
-    shard.map[data_row] = idx;
+    // Publish: a reader that loads this head (acquire) also sees the
+    // entry's fields and its chunk pointer.
+    head.store(idx, std::memory_order_release);
     return idx;
 }
 
 bool
 VersionManager::hasVersions(RowId data_row) const
 {
-    const HeadShard &shard = headShards_[headShardOf(data_row)];
-    std::shared_lock<std::shared_mutex> guard(shard.mu);
-    return shard.map.find(data_row) != shard.map.end();
+    return headOf(data_row) != kNoVersion;
 }
 
 VersionLookup
 VersionManager::locateVisible(RowId data_row, Timestamp ts)
 {
     VersionLookup lk{storage::Region::Data, data_row, 0};
-    std::uint32_t idx;
-    {
-        const HeadShard &shard = headShards_[headShardOf(data_row)];
-        std::shared_lock<std::shared_mutex> guard(shard.mu);
-        auto it = shard.map.find(data_row);
-        if (it == shard.map.end())
-            return lk;
-        idx = it->second;
-    }
     // The prev-chain below the head is immutable: walk lock-free.
+    std::uint32_t idx = headOf(data_row);
     while (idx != kNoVersion) {
         ++lk.chainSteps;
         const VersionMeta &v = arena_[idx];
@@ -194,24 +190,10 @@ VersionManager::locateVisible(RowId data_row, Timestamp ts)
 VersionLookup
 VersionManager::locateNewest(RowId data_row) const
 {
-    const HeadShard &shard = headShards_[headShardOf(data_row)];
-    std::shared_lock<std::shared_mutex> guard(shard.mu);
-    auto it = shard.map.find(data_row);
-    if (it == shard.map.end())
+    const std::uint32_t head = headOf(data_row);
+    if (head == kNoVersion)
         return {storage::Region::Data, data_row, 0};
-    const VersionMeta &v = arena_[it->second];
-    return {storage::Region::Delta, v.deltaSlot, 1};
-}
-
-void
-VersionManager::forEachHead(
-    const std::function<void(RowId, std::uint32_t)> &fn) const
-{
-    for (const HeadShard &shard : headShards_) {
-        std::shared_lock<std::shared_mutex> guard(shard.mu);
-        for (const auto &[row, head] : shard.map)
-            fn(row, head);
-    }
+    return {storage::Region::Delta, arena_[head].deltaSlot, 1};
 }
 
 void
@@ -220,10 +202,9 @@ VersionManager::reset()
     // Wait out every epoch-pinned chain walk before freeing metadata.
     epochs_.synchronize();
     std::lock_guard<std::mutex> guard(mu_);
-    for (HeadShard &shard : headShards_) {
-        std::unique_lock<std::shared_mutex> head_guard(shard.mu);
-        shard.map.clear();
-    }
+    // Only rows with a version can hold a head: sweep the arena.
+    for (const VersionMeta &v : arena_)
+        heads_[v.rowId].store(kNoVersion, std::memory_order_relaxed);
     arena_.clear();
     deltaUsed_.store(0, std::memory_order_relaxed);
     for (auto &c : cursors_)

@@ -13,9 +13,10 @@
  *    readers walk chains lock-free while writers append (the entry
  *    count is published with release ordering after the entry's
  *    fields are written, and chunk pointers are never reallocated).
- *  - Chain heads are a striped-lock hash map: writers update a head
- *    under one stripe's exclusive lock, readers take the stripe
- *    shared just long enough to fetch the head index, then walk the
+ *  - Chain heads are one atomic version index per data-region row
+ *    (the per-row metadata of Fig. 6(b)): a writer publishes a new
+ *    head with a release store under the append mutex, and a reader
+ *    finds the newest version with one acquire load, then walks the
  *    immutable prev-chain without any lock.
  *  - Commit timestamps must be monotonic *per row* (concurrent
  *    partitions interleave their appends, so the global append order
@@ -27,14 +28,11 @@
  *    block writers.
  */
 
-#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -176,9 +174,11 @@ class VersionManager
     /**
      * @param circulant       Placement config (rotation classes).
      * @param delta_capacity  Delta-region rows available.
+     * @param data_rows       Data-region rows that may carry versions.
      */
     VersionManager(const format::BlockCirculant &circulant,
-                   std::uint64_t delta_capacity);
+                   std::uint64_t delta_capacity,
+                   std::uint64_t data_rows);
 
     /**
      * Allocate a delta slot whose rotation matches data row @p data_row.
@@ -190,8 +190,9 @@ class VersionManager
     /**
      * Record a new version of @p data_row living at @p delta_slot,
      * committed at @p write_ts. Timestamps must be non-decreasing per
-     * row (concurrent rows may interleave out of order). Returns the
-     * version index. Thread-safe.
+     * row (concurrent rows may interleave out of order); fatal()s on
+     * a row beyond the data region. Returns the version index.
+     * Thread-safe.
      */
     std::uint32_t addVersion(RowId data_row, RowId delta_slot,
                              Timestamp write_ts);
@@ -213,12 +214,25 @@ class VersionManager
     const VersionArena &versions() const { return arena_; }
 
     /**
-     * Visit every chain head as (data_row, newest version index).
-     * Takes the head stripes shared; intended for quiesced phases
-     * (defragmentation) or read-only inspection.
+     * Visit every chain head as (data_row, newest version index): one
+     * sweep of the arena in append order that visits entry i only if
+     * it is its row's head. Returns the entries swept; every entry
+     * lies on exactly one row's chain, so that is also the total
+     * chain length. Intended for quiesced phases (defragmentation)
+     * or read-only inspection.
      */
-    void forEachHead(
-        const std::function<void(RowId, std::uint32_t)> &fn) const;
+    template <class Fn>
+    std::size_t
+    forEachHead(Fn &&fn) const
+    {
+        const std::size_t n = arena_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            const RowId row = arena_[i].rowId;
+            if (headOf(row) == i)
+                fn(row, static_cast<std::uint32_t>(i));
+        }
+        return n;
+    }
 
     /**
      * True while the arena's append order matches commit-timestamp
@@ -285,10 +299,13 @@ class VersionManager
     void reset();
 
   private:
-    std::size_t
-    headShardOf(RowId row) const
+    /** Newest version of @p row, kNoVersion if none (lock-free). */
+    std::uint32_t
+    headOf(RowId row) const
     {
-        return (row * 0x9E3779B97F4A7C15ull) >> 58; // top 6 bits
+        return row < dataRows_
+                   ? heads_[row].load(std::memory_order_acquire)
+                   : kNoVersion;
     }
 
     format::BlockCirculant circulant_;
@@ -310,13 +327,9 @@ class VersionManager
 
     VersionArena arena_;
 
-    static constexpr std::size_t kHeadShards = 64;
-    struct HeadShard
-    {
-        mutable std::shared_mutex mu;
-        std::unordered_map<RowId, std::uint32_t> map;
-    };
-    std::array<HeadShard, kHeadShards> headShards_;
+    /** Per data row: its newest version, kNoVersion if none. */
+    std::uint64_t dataRows_;
+    std::unique_ptr<std::atomic<std::uint32_t>[]> heads_;
 
     mutable EpochManager epochs_;
 };

@@ -165,12 +165,11 @@ TableStore::copyDeltaToData(RowId from_delta, RowId to_data)
     if (!dicts_.empty()) {
         // Re-encode the dict columns of the refreshed data row from
         // the bytes just copied in (defrag keeps codes in sync).
-        std::vector<std::uint8_t> buf;
         for (ColumnId c = 0; c < dicts_.size(); ++c) {
             if (!dicts_[c])
                 continue;
-            const auto &col = schema().column(c);
-            buf.resize(col.width);
+            const std::span<std::uint8_t> buf(
+                dictScratch_.data(), schema().column(c).width);
             readColumnBytes(Region::Data, c, to_data, buf);
             const std::uint32_t code = dicts_[c]->dict.encode(buf);
             if (code == dicts_[c]->dict.sentinel())
@@ -251,6 +250,8 @@ TableStore::buildDictionaries(std::uint32_t max_cardinality)
         }
         dicts_[c] = std::move(cd);
         any = true;
+        if (dictScratch_.size() < col.width)
+            dictScratch_.resize(col.width);
     }
     if (!any)
         dicts_.clear();

@@ -111,7 +111,8 @@ class TableStore
      * Copy the full row @p from (delta) over row @p to (data) the way
      * the PIM Defragment operation does: device-local, slot-aligned
      * copies. Requires both rows to have the same rotation. Returns
-     * bytes moved per device stripe.
+     * bytes moved per device stripe. One caller at a time per store:
+     * the dictionary re-encode reuses a shared scratch buffer.
      */
     Bytes copyDeltaToData(RowId from_delta, RowId to_data);
 
@@ -219,6 +220,8 @@ class TableStore
     Bitmap deltaVisible_;
     /** Indexed by ColumnId; null = column not dict-encoded. */
     std::vector<std::unique_ptr<ColumnDict>> dicts_;
+    /** Widest dict column's bytes: copyDeltaToData's re-encode. */
+    std::vector<std::uint8_t> dictScratch_;
 };
 
 } // namespace pushtap::storage

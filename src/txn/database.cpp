@@ -47,8 +47,8 @@ TableRuntime::TableRuntime(ChTable id, format::TableSchema schema,
     const format::BlockCirculant circ(cfg.devices, cfg.blockRows);
     store_ = std::make_unique<storage::TableStore>(
         *layout_, circ, dataCapacity_, delta_capacity);
-    versions_ =
-        std::make_unique<mvcc::VersionManager>(circ, delta_guard);
+    versions_ = std::make_unique<mvcc::VersionManager>(
+        circ, delta_guard, dataCapacity_);
 
     // Unpopulated tail rows are invisible until inserted.
     for (RowId r = populatedRows_; r < dataCapacity_; ++r)

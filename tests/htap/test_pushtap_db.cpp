@@ -71,13 +71,15 @@ TEST_F(PushtapDbTest, Q1AndQ9Run)
     std::vector<olap::Q1Row> q1rows;
     const auto q1 = db.q1(workload::kDateBase, &q1rows);
     EXPECT_FALSE(q1rows.empty());
-    if (pim_pinned)
+    if (pim_pinned) {
         EXPECT_GT(q1.pimNs, 0.0);
+    }
 
     std::vector<olap::Q9Row> q9rows;
     const auto q9 = db.q9(&q9rows);
-    if (pim_pinned)
+    if (pim_pinned) {
         EXPECT_GT(q9.pimNs, 0.0);
+    }
 }
 
 TEST_F(PushtapDbTest, DefragIntervalZeroDisables)

@@ -29,7 +29,7 @@ class DefragmenterTest : public ::testing::Test
           layout(format::compactAligned(schema, 4, 0.6)),
           circ(4, 8),
           store(layout, circ, 32, 64),
-          vm(circ, 64),
+          vm(circ, 64, 32),
           defrag(Bandwidth::gbPerSec(100.0),
                  Bandwidth::gbPerSec(1000.0), 8)
     {}
@@ -174,7 +174,7 @@ TEST_F(DefragmenterTest, BreakdownDominatedByCopy)
                 });
     const auto wlayout = format::compactAligned(wide, 4, 0.6);
     storage::TableStore wstore(wlayout, circ, 64, 64);
-    VersionManager wvm(circ, 4096);
+    VersionManager wvm(circ, 4096, 64);
     const Defragmenter wdefrag(Bandwidth::gbPerSec(100.0),
                                Bandwidth::gbPerSec(1000.0), 4);
     std::vector<std::uint8_t> bytes(wide.rowBytes(), 7);

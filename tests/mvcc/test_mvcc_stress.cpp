@@ -31,7 +31,7 @@ class MvccStress : public ::testing::TestWithParam<std::uint64_t>
           layout(format::compactAligned(schema, 4, 0.6)),
           circ(4, 16),
           store(layout, circ, kRows, 64),
-          vm(circ, 1 << 20),
+          vm(circ, 1 << 20, kRows),
           defrag(Bandwidth::gbPerSec(100.0),
                  Bandwidth::gbPerSec(1000.0), 4)
     {

@@ -28,7 +28,7 @@ class SnapshotterTest : public ::testing::Test
           layout(format::compactAligned(schema, 4, 0.6)),
           circ(4, 8),
           store(layout, circ, 32, 64),
-          vm(circ, 64)
+          vm(circ, 64, 32)
     {}
 
     /** Create a version of @p row at @p ts carrying value @p val. */

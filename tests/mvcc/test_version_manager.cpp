@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
 
 #include "mvcc/version_manager.hpp"
 
@@ -17,7 +19,7 @@ class VersionManagerTest : public ::testing::Test
 {
   protected:
     format::BlockCirculant circ{4, 8}; // 4 devices, 8-row blocks
-    VersionManager vm{circ, 256};
+    VersionManager vm{circ, 256, 64};
 };
 
 TEST_F(VersionManagerTest, AllocPreservesRotation)
@@ -116,7 +118,7 @@ TEST_F(VersionManagerTest, MonotonicTimestampsEnforced)
 
 TEST_F(VersionManagerTest, CapacityExhaustionIsFatal)
 {
-    VersionManager tiny(circ, 8);
+    VersionManager tiny(circ, 8, 8);
     // Rotation class 0 owns blocks 0, 4, 8...; capacity 8 rows means
     // only block 0 fits.
     for (int i = 0; i < 8; ++i)
@@ -176,6 +178,57 @@ TEST_F(VersionManagerTest, ForEachHeadVisitsNewestPerRow)
     EXPECT_EQ(heads[7], other);
 }
 
+TEST_F(VersionManagerTest, AddVersionBeyondDataRegionIsFatal)
+{
+    // The fixture provisions 64 data rows: row 64 has no head.
+    EXPECT_THROW(vm.addVersion(64, 0, 1), FatalError);
+    EXPECT_TRUE(vm.versions().empty());
+    EXPECT_FALSE(vm.hasVersions(64));
+    EXPECT_EQ(vm.locateNewest(64).region, storage::Region::Data);
+    vm.addVersion(63, vm.allocDeltaSlot(63), 1);
+    EXPECT_TRUE(vm.hasVersions(63));
+}
+
+TEST_F(VersionManagerTest, ForEachHeadMatchesMapReference)
+{
+    // Random rows with repeats, over two reset() cycles: the heads
+    // the arena sweep reports must equal a reference map of each
+    // row's last append, visited in ascending arena index.
+    pushtap::Rng rng(11);
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        std::map<RowId, std::uint32_t> ref;
+        for (Timestamp ts = 1; ts <= 120; ++ts) {
+            const RowId r = rng.below(48);
+            ref[r] = vm.addVersion(r, vm.allocDeltaSlot(r), ts);
+        }
+        std::map<RowId, std::uint32_t> heads;
+        std::vector<std::uint32_t> order;
+        const std::size_t swept =
+            vm.forEachHead([&](RowId row, std::uint32_t head) {
+                EXPECT_TRUE(heads.emplace(row, head).second)
+                    << "row " << row << " visited twice";
+                order.push_back(head);
+            });
+        EXPECT_EQ(swept, vm.versions().size());
+        EXPECT_EQ(heads, ref) << "cycle " << cycle;
+        EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+        for (RowId r = 0; r < 64; ++r) {
+            const auto it = ref.find(r);
+            const auto lk = vm.locateNewest(r);
+            if (it == ref.end()) {
+                EXPECT_EQ(lk.region, storage::Region::Data);
+            } else {
+                EXPECT_EQ(lk.region, storage::Region::Delta);
+                EXPECT_EQ(lk.row, vm.versions()[it->second].deltaSlot);
+            }
+        }
+        vm.reset();
+        for (const auto &[row, head] : ref)
+            EXPECT_FALSE(vm.hasVersions(row)) << "row " << row;
+        EXPECT_EQ(vm.forEachHead([](RowId, std::uint32_t) {}), 0u);
+    }
+}
+
 TEST_F(VersionManagerTest, SlotBoundPredictsAllocations)
 {
     // Ask for the bound of a batch, then actually allocate it: no
@@ -194,7 +247,7 @@ TEST_F(VersionManagerTest, SlotBoundPredictsAllocations)
 
 TEST_F(VersionManagerTest, SlotBoundOverCapacityIsFatal)
 {
-    VersionManager tiny{format::BlockCirculant(4, 8), 8};
+    VersionManager tiny{format::BlockCirculant(4, 8), 8, 8};
     std::vector<std::uint64_t> extra(4, 0);
     extra[0] = 100;
     EXPECT_THROW(tiny.slotBoundWithExtra(extra), FatalError);
@@ -203,29 +256,63 @@ TEST_F(VersionManagerTest, SlotBoundOverCapacityIsFatal)
 TEST_F(VersionManagerTest, ConcurrentReadersSeePublishedVersions)
 {
     // One writer appends versions of distinct rows with increasing
-    // timestamps while readers locate them; every row observed by a
-    // reader must resolve exactly (TSan hardens this further).
+    // timestamps while readers locate them and walk their chains;
+    // every row observed by a reader must resolve exactly (TSan
+    // hardens this further). Row r's versions commit at r, r+32,
+    // r+64, r+96 (row 0 at 32, 64, 96, 128).
     constexpr RowId kRows = 32;
+    constexpr Timestamp kLastTs = 128;
+    // Commit timestamp of the version in each delta slot, stored
+    // before the version is published.
+    std::vector<std::atomic<Timestamp>> slot_ts(vm.deltaCapacity());
+    constexpr int kReaders = 3;
+    std::atomic<int> ready{0};
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> bad{0};
     std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < kReaders; ++t) {
         readers.emplace_back([&] {
+            ready.fetch_add(1, std::memory_order_release);
             while (!stop.load(std::memory_order_acquire)) {
                 for (RowId r = 0; r < kRows; ++r) {
                     if (!vm.hasVersions(r))
                         continue;
-                    const auto lk = vm.locateNewest(r);
-                    if (lk.region != storage::Region::Delta)
-                        bad.fetch_add(
-                            1, std::memory_order_relaxed);
+                    if (vm.locateNewest(r).region !=
+                        storage::Region::Delta)
+                        bad.fetch_add(1, std::memory_order_relaxed);
+                    const Timestamp first = r == 0 ? kRows : r;
+                    for (const Timestamp at :
+                         {first - 1, first, first + kRows, kLastTs}) {
+                        const auto lk = vm.locateVisible(r, at);
+                        if (at < first) {
+                            if (lk.region != storage::Region::Data)
+                                bad.fetch_add(
+                                    1, std::memory_order_relaxed);
+                            continue;
+                        }
+                        const Timestamp ts =
+                            lk.region == storage::Region::Delta
+                                ? slot_ts[lk.row].load(
+                                      std::memory_order_relaxed)
+                                : 0;
+                        if (ts == 0 || ts > at || ts % kRows != r ||
+                            lk.chainSteps == 0 || lk.chainSteps > 4)
+                            bad.fetch_add(
+                                1, std::memory_order_relaxed);
+                    }
                 }
             }
         });
     }
-    for (Timestamp ts = 1; ts <= 128; ++ts)
-        vm.addVersion(ts % kRows,
-                      vm.allocDeltaSlot(ts % kRows), ts);
+    // Start appending only once every reader is spinning.
+    while (ready.load(std::memory_order_acquire) < kReaders)
+        std::this_thread::yield();
+    for (Timestamp ts = 1; ts <= kLastTs; ++ts) {
+        const RowId row = ts % kRows;
+        const RowId slot = vm.allocDeltaSlot(row);
+        slot_ts[slot].store(ts, std::memory_order_relaxed);
+        vm.addVersion(row, slot, ts);
+    }
     stop.store(true, std::memory_order_release);
     for (auto &t : readers)
         t.join();

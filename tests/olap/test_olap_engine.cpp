@@ -86,8 +86,9 @@ TEST_F(OlapEngineTest, Q6MatchesReferenceOnCleanData)
                                    10));
     // A forced optimizer may legitimately demote every scan of this
     // tiny table to the CPU gather path, pricing pimNs to zero.
-    if (!OlapConfig::optimizeForcedByEnv())
+    if (!OlapConfig::optimizeForcedByEnv()) {
         EXPECT_GT(rep.pimNs, 0.0);
+    }
     EXPECT_EQ(rep.rowsVisible,
               db.table(ChTable::OrderLine).populatedRows());
 }

@@ -99,8 +99,9 @@ TEST_P(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
             auto ground = executePlan(db, q.plan);
             expectSameResult(rc, ground.result, what);
             EXPECT_EQ(rep.rowsVisible, ground.rowsVisible) << what;
-            if (round == 1)
+            if (round == 1) {
                 EXPECT_TRUE(rep.cacheHit) << what;
+            }
             saw_hit = saw_hit || rep.cacheHit;
             saw_incremental =
                 saw_incremental || rep.incrementalRows > 0;
@@ -153,8 +154,9 @@ TEST_P(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
     // == 0) while the incremental re-execution keeps the hand-built
     // plan's PIM placement for its delta rows, whose fixed per-scan
     // charges dominate at this row count.
-    if (!OlapConfig::optimizeForcedByEnv())
+    if (!OlapConfig::optimizeForcedByEnv()) {
         EXPECT_LE(warm_rep.pimNs, cold_rep.pimNs);
+    }
 }
 
 TEST_P(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)
