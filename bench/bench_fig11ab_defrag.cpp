@@ -109,13 +109,13 @@ main()
 
         db.olap().prepareSnapshot(db.database().now());
         const auto clean =
-            db.olap().q6(0, 1LL << 60, 1, 10, nullptr);
+            db.olap().runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
         const double clean_ns = clean.pimNs + clean.cpuNs;
 
         db.mixed(txns);
         db.olap().prepareSnapshot(db.database().now());
         const auto fragged =
-            db.olap().q6(0, 1LL << 60, 1, 10, nullptr);
+            db.olap().runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
         const double frag_ns =
             fragged.pimNs + fragged.cpuNs - clean_ns;
 

@@ -15,16 +15,14 @@
  * within 12.6%; PUSHtap(HBM) is 1.4x faster at 8M; MI(HBM) with a
  * dedicated rebuild accelerator pays only +24.1%.
  *
- * The CH suite section also measures *host wall-clock* per query for
- * both executors — the morsel-driven batch engine (executePlan) and
- * the row-at-a-time reference pipeline (executePlanScalar) — so the
- * real speedup of the batch execution layer is visible next to the
- * modelled time, and regressions in either show up in the artifact.
+ * The CH suite section also measures the *host wall-clock* per query
+ * of the morsel-driven executor (executePlan), so host regressions
+ * show up in the artifact next to the modelled time.
  *
  * A final scaling section sweeps the parallel executor over worker
  * counts and records per-configuration host wall-clock, so the
  * thread-scaling trajectory of the scan-run fan-out is archived
- * alongside the executor baselines (speedups
+ * alongside the suite rows (speedups
  * depend on the runner's core count, which is recorded too). A
  * morselRows axis rides the same grid for the paper's Q1/Q6/Q9
  * (each JSON row carries its morsel_rows), and a closing section
@@ -82,7 +80,6 @@ struct JsonRow
     Measured t{};
     std::uint64_t rows = 0;
     double hostBatchNs = 0.0;  ///< Wall-clock, batch executor.
-    double hostScalarNs = 0.0; ///< Wall-clock, scalar executor.
     std::uint32_t workers = 1; ///< Executor worker threads.
     std::uint32_t morselRows = olap::kMorselRows;
     /** Modelled pim+cpu cost of the plan ("optimizer" section). */
@@ -144,7 +141,7 @@ runPushtap(std::uint64_t txns, bool hbm)
 {
     htap::PushtapDB db(pushtapOptions(hbm));
     db.mixed(txns);
-    const auto rep = db.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
     return {rep.pimNs, rep.cpuNs, rep.consistencyNs};
 }
 
@@ -172,7 +169,7 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
             "\"pim_ns\": %.1f, \"cpu_ns\": %.1f, "
             "\"consistency_ns\": %.1f, \"total_ns\": %.1f, "
             "\"result_rows\": %llu, "
-            "\"host_batch_ns\": %.0f, \"host_scalar_ns\": %.0f, "
+            "\"host_batch_ns\": %.0f, "
             "\"workers\": %u, "
             "\"morsel_rows\": %u, "
             "\"priced_ns\": %.1f, "
@@ -188,7 +185,7 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
             r.system.c_str(), r.query.c_str(), r.t.pim, r.t.cpu,
             r.t.consistency, r.t.total(),
             static_cast<unsigned long long>(r.rows),
-            r.hostBatchNs, r.hostScalarNs, r.workers,
+            r.hostBatchNs, r.workers,
             r.morselRows, r.pricedNs, r.phaseSubqueryNs, r.phaseBuildNs,
             r.phaseProbeNs, r.phaseMergeNs, r.cacheHit,
             static_cast<unsigned long long>(r.incrementalRows),
@@ -249,20 +246,23 @@ main()
         const auto pending =
             static_cast<std::uint64_t>(versions);
 
-        const auto ideal = analytic.q6(htap::BaselineKind::Ideal, 0);
+        const auto ideal = analytic.runQuery(htap::BaselineKind::Ideal,
+                                             olap::plans::q6(), 0);
         addRow(pt.paperTxns, "Ideal",
                {ideal.pimNs, ideal.cpuNs, ideal.consistencyNs});
 
-        const auto mi = analytic.q6(
-            htap::BaselineKind::MultiInstance, pending);
+        const auto mi = analytic.runQuery(
+            htap::BaselineKind::MultiInstance, olap::plans::q6(),
+            pending);
         addRow(pt.paperTxns, "MI",
                {mi.pimNs, mi.cpuNs, mi.consistencyNs});
 
         addRow(pt.paperTxns, "PUSHtap",
                runPushtap(pt.scaledTxns, false));
 
-        const auto mi_hbm = analytic.q6(
-            htap::BaselineKind::MultiInstanceAccel, pending);
+        const auto mi_hbm = analytic.runQuery(
+            htap::BaselineKind::MultiInstanceAccel, olap::plans::q6(),
+            pending);
         addRow(pt.paperTxns, "MI (HBM+accel)",
                {mi_hbm.pimNs, mi_hbm.cpuNs, mi_hbm.consistencyNs});
 
@@ -277,16 +277,15 @@ main()
 
     // The wider executable suite, end-to-end through runQuery after
     // 1000 mixed transactions (PUSHtap vs the Ideal baseline), with
-    // host wall-clock of the batch executor vs the row-at-a-time
-    // reference pipeline alongside the modelled decomposition.
+    // host wall-clock of the executor alongside the modelled
+    // decomposition.
     std::printf("\nExecutable CH suite through the plan pipeline "
                 "(1000 txns, scale 1/1000)\n\n");
     htap::PushtapDB suite_db(pushtapOptions(false));
     suite_db.mixed(1'000);
     TablePrinter sp({"query", "result rows", "PIM (us)", "CPU (us)",
                      "consistency (us)", "total (us)",
-                     "Ideal total (us)", "host batch (us)",
-                     "host scalar (us)", "host speedup"});
+                     "Ideal total (us)", "host batch (us)"});
     std::size_t sink = 0; // Defeats dead-code elimination.
     for (const auto &q : workload::chExecutablePlans()) {
         olap::QueryResult res;
@@ -297,34 +296,25 @@ main()
             sink += olap::executePlan(suite_db.database(), q.plan)
                         .result.rows.size();
         });
-        const double host_scalar = wallNs([&] {
-            sink += olap::executePlanScalar(suite_db.database(),
-                                            q.plan)
-                        .result.rows.size();
-        });
         sp.addRow({rep.name, std::to_string(res.rows.size()),
                    TablePrinter::num(rep.pimNs / us, 1),
                    TablePrinter::num(rep.cpuNs / us, 1),
                    TablePrinter::num(rep.consistencyNs / us, 1),
                    TablePrinter::num(rep.totalNs() / us, 1),
                    TablePrinter::num(ideal.totalNs() / us, 1),
-                   TablePrinter::num(host_batch / us, 1),
-                   TablePrinter::num(host_scalar / us, 1),
-                   TablePrinter::num(host_scalar / host_batch, 1) +
-                       "x"});
+                   TablePrinter::num(host_batch / us, 1)});
         json.push_back(
             {"suite", 1'000'000, "PUSHtap", rep.name,
              {rep.pimNs, rep.cpuNs, rep.consistencyNs},
-             res.rows.size(), host_batch, host_scalar});
+             res.rows.size(), host_batch});
         json.push_back(
             {"suite", 1'000'000, "Ideal", rep.name,
              {ideal.pimNs, ideal.cpuNs, ideal.consistencyNs},
              0});
     }
     sp.print();
-    std::printf("\n(host columns: wall-clock of the morsel-driven "
-                "batch executor vs the row-at-a-time reference "
-                "pipeline, best of 5; checksum %zu)\n", sink);
+    std::printf("\n(host batch: wall-clock of the morsel-driven "
+                "executor, best of 5; checksum %zu)\n", sink);
 
     // Cost-based optimizer: the same suite through an optimize-on
     // instance with identical transaction history. Per query, the

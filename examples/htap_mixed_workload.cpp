@@ -46,17 +46,16 @@ main(int argc, char **argv)
     for (int r = 0; r < rounds; ++r) {
         db.mixed(100);
 
-        std::vector<olap::Q1Row> q1rows;
-        const auto q1 = db.q1(workload::kDateBase, &q1rows);
-
-        std::int64_t revenue = 0;
-        const auto q6 = db.q6(0, 1LL << 60, 1, 10, &revenue);
-
-        std::vector<olap::Q9Row> q9rows;
-        const auto q9 = db.q9(&q9rows);
+        olap::QueryResult q1rows, q6rows, q9rows;
+        const auto q1 =
+            db.runQuery(olap::plans::q1(workload::kDateBase), &q1rows);
+        const auto q6 =
+            db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6rows);
+        const std::int64_t revenue = q6rows.rows[0].aggs[0];
+        const auto q9 = db.runQuery(olap::plans::q9(), &q9rows);
         std::uint64_t matches = 0;
-        for (const auto &row : q9rows)
-            matches += row.matches;
+        for (const auto &row : q9rows.rows)
+            matches += row.count;
 
         const double total_ms =
             (q1.totalNs() + q6.totalNs() + q9.totalNs()) / 1e6;
@@ -78,7 +77,7 @@ main(int argc, char **argv)
                     r,
                     static_cast<unsigned long long>(
                         db.oltp().stats().transactions),
-                    q1rows.size(), static_cast<long long>(revenue),
+                    q1rows.rows.size(), static_cast<long long>(revenue),
                     static_cast<unsigned long long>(matches),
                     total_ms, pim_ms, cpu_ms, cons_ms, blocked_us);
 

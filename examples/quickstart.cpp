@@ -49,8 +49,9 @@ main()
 
     // OLAP: Q6 revenue query — snapshot happens automatically, so it
     // sees every transaction committed above.
-    std::int64_t revenue = 0;
-    const auto q6 = db.q6(0, 1LL << 60, 1, 10, &revenue);
+    olap::QueryResult res;
+    const auto q6 = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &res);
+    const std::int64_t revenue = res.rows[0].aggs[0];
     std::printf("\nQ6 revenue: %lld (visible rows: %llu)\n",
                 static_cast<long long>(revenue),
                 static_cast<unsigned long long>(q6.rowsVisible));
@@ -61,8 +62,8 @@ main()
 
     // Freshness check: more orders, revenue grows.
     db.newOrders(20);
-    std::int64_t revenue2 = 0;
-    db.q6(0, 1LL << 60, 1, 10, &revenue2);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &res);
+    const std::int64_t revenue2 = res.rows[0].aggs[0];
     std::printf("\nafter 20 more new-orders, Q6 revenue: %lld "
                 "(+%lld)\n",
                 static_cast<long long>(revenue2),

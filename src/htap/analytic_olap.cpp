@@ -209,25 +209,4 @@ AnalyticOlapModel::runQuery(BaselineKind kind,
     return rep;
 }
 
-BaselineReport
-AnalyticOlapModel::q1(BaselineKind kind,
-                      std::uint64_t pending_versions) const
-{
-    return runQuery(kind, olap::plans::q1(), pending_versions);
-}
-
-BaselineReport
-AnalyticOlapModel::q6(BaselineKind kind,
-                      std::uint64_t pending_versions) const
-{
-    return runQuery(kind, olap::plans::q6(), pending_versions);
-}
-
-BaselineReport
-AnalyticOlapModel::q9(BaselineKind kind,
-                      std::uint64_t pending_versions) const
-{
-    return runQuery(kind, olap::plans::q9(), pending_versions);
-}
-
 } // namespace pushtap::htap

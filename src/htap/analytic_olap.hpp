@@ -15,8 +15,7 @@
  * Both systems answer queries identically to the single-instance
  * engine by construction, so only times are modelled here: runQuery()
  * walks the same logical plans (olap/plan.hpp) the engine executes
- * and prices every operator on clean packed columns. Q1/Q6/Q9 remain
- * as plan wrappers.
+ * and prices every operator on clean packed columns.
  */
 
 #include <cstdint>
@@ -76,14 +75,6 @@ class AnalyticOlapModel
     BaselineReport runQuery(BaselineKind kind,
                             const olap::QueryPlan &plan,
                             std::uint64_t pending_versions) const;
-
-    /** Q1/Q6/Q9 plan wrappers (predicate values do not affect cost). */
-    BaselineReport q1(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
-    BaselineReport q6(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
-    BaselineReport q9(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
 
     /**
      * Rebuild cost for @p versions pending transactions: the CPU

@@ -132,30 +132,6 @@ PushtapDB::explainQuery(int ch_query_no)
     return explainQuery(*plan);
 }
 
-olap::QueryReport
-PushtapDB::q1(std::int64_t delivery_after,
-              std::vector<olap::Q1Row> *rows)
-{
-    olap_->prepareSnapshot(db_->now());
-    return olap_->q1(delivery_after, rows);
-}
-
-olap::QueryReport
-PushtapDB::q6(std::int64_t d_lo, std::int64_t d_hi,
-              std::int64_t q_lo, std::int64_t q_hi,
-              std::int64_t *revenue)
-{
-    olap_->prepareSnapshot(db_->now());
-    return olap_->q6(d_lo, d_hi, q_lo, q_hi, revenue);
-}
-
-olap::QueryReport
-PushtapDB::q9(std::vector<olap::Q9Row> *rows)
-{
-    olap_->prepareSnapshot(db_->now());
-    return olap_->q9(rows);
-}
-
 TimeNs
 PushtapDB::defragment()
 {

@@ -11,14 +11,15 @@
  *
  * Analytical queries run through runQuery(): any logical plan
  * (olap/plan.hpp), or a CH query number with an executable catalog
- * plan (workload/query_catalog.hpp). Q1/Q6/Q9 remain as convenience
- * wrappers.
+ * plan (workload/query_catalog.hpp).
  *
  * Quickstart:
  * @code
  *   htap::PushtapDB db;                       // default small scale
  *   db.mixed(1000);                           // run transactions
- *   auto rep = db.q6(lo, hi, 1, 10, &revenue);  // fresh analytics
+ *   olap::QueryResult q6;                     // fresh analytics
+ *   auto rep = db.runQuery(olap::plans::q6(lo, hi, 1, 10), &q6);
+ *   std::int64_t revenue = q6.rows[0].aggs[0];
  *   olap::QueryResult q12;
  *   db.runQuery(12, &q12);                    // catalog plan
  * @endcode
@@ -134,14 +135,6 @@ class PushtapDB
 
     /** EXPLAIN the catalog plan of CH query @p ch_query_no. */
     std::string explainQuery(int ch_query_no);
-
-    /** Q1/Q6/Q9 convenience wrappers over runQuery(). */
-    olap::QueryReport q1(std::int64_t delivery_after,
-                         std::vector<olap::Q1Row> *rows = nullptr);
-    olap::QueryReport q6(std::int64_t d_lo, std::int64_t d_hi,
-                         std::int64_t q_lo, std::int64_t q_hi,
-                         std::int64_t *revenue = nullptr);
-    olap::QueryReport q9(std::vector<olap::Q9Row> *rows = nullptr);
 
     /** Force a defragmentation pass now. */
     TimeNs defragment();

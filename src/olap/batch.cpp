@@ -321,8 +321,8 @@ filterCharPrefix(std::span<const std::uint8_t> chars,
                  std::uint32_t width, SelectionVector &sel,
                  std::string_view prefix, bool negate)
 {
-    // A prefix longer than the column can never match (substr
-    // semantics of the scalar path).
+    // A prefix longer than the column can never match (every prefix
+    // byte must compare equal).
     const bool possible = prefix.size() <= width;
     std::size_t n = 0;
     for (std::size_t i = 0; i < sel.idx.size(); ++i) {

@@ -407,8 +407,7 @@ forEachMorselInRun(const ScanRun &r, std::uint32_t morsel_rows,
 
 /**
  * Apply fn(Morsel) to every morsel of both regions: the data region
- * first, then the delta region, ascending — the same row order the
- * scalar forEachVisibleRow walk produces.
+ * first, then the delta region, ascending.
  */
 template <typename Fn>
 void

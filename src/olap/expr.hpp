@@ -20,9 +20,9 @@
  *    references are predicate-only,
  *  - SubquerySpec aggregate inputs — over the subquery source table.
  *
- * Evaluation semantics are fixed here so the scalar interpreter
- * (operators.cpp), the vectorized kernels (batch.cpp) and the naive
- * test reference evaluator cannot diverge:
+ * Evaluation semantics are fixed here so the vectorized kernels
+ * (batch.cpp, simd_kernels.cpp) and the naive test reference
+ * evaluator cannot diverge:
  *
  *  - every value is an int64; comparisons and logic yield 0/1 and
  *    any nonzero operand counts as true,

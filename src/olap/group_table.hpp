@@ -41,9 +41,8 @@ namespace pushtap::olap {
 
 /**
  * Inline composite key: join, group and subquery keys hashed as
- * whole int tuples (no per-row byte-string building). Capacity
- * bounds the batch engine; wider plans fall back to the scalar
- * executor.
+ * whole int tuples (no per-row byte-string building). validatePlan
+ * caps every plan key at kMaxKeyColumns, so each one fits.
  */
 struct InlineKey
 {
@@ -64,7 +63,7 @@ struct InlineKey
     }
 
     /** Lexicographic over the used slots (== std::map<vector> order
-     *  of the scalar executor when every key has the same arity). */
+     *  when every key has the same arity). */
     bool
     operator<(const InlineKey &o) const
     {
@@ -74,6 +73,9 @@ struct InlineKey
         return n < o.n;
     }
 };
+
+static_assert(InlineKey::kMaxKeys >= kMaxKeyColumns,
+              "plan keys must fit the inline key");
 
 struct InlineKeyHash
 {

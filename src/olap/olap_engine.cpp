@@ -928,7 +928,7 @@ OlapEngine::runQueryCached(const QueryPlan &plan,
     }
 
     // Cold run or fallback: execute in full (capturing the group
-    // accumulators when the batch engine ran) and refresh the entry.
+    // accumulators) and refresh the entry.
     ++cache_->misses;
     PlanExecution exec;
     QueryReport rep = runQueryUncached(plan, result, &exec);
@@ -939,7 +939,7 @@ OlapEngine::runQueryCached(const QueryPlan &plan,
     entry.frontier = std::move(current);
     entry.probeData = probe_tbl.store().dataVisible();
     entry.probeDelta = probe_tbl.store().deltaVisible();
-    entry.hasGroups = exec.groupsCaptured && incrementalCapable(plan);
+    entry.hasGroups = incrementalCapable(plan);
     entry.groups = std::move(exec.groups);
     entry.rowsVisible = exec.rowsVisible;
     entry.result = std::move(exec.result);
@@ -999,7 +999,7 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     // measured; join flows fold only into signatures the cold run
     // already recorded (a demotion may have renamed them) so a
     // delta-only orphan can never mislead the reorderer.
-    if (cfg_.optimize && exec.stats.collected) {
+    if (cfg_.optimize) {
         auto &ps = statsCache_[plan.name];
         ++ps.runs;
         ps.probeVisible += exec.stats.probeVisible;
@@ -1064,46 +1064,6 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
 
     if (result)
         *result = entry.result;
-    return rep;
-}
-
-QueryReport
-OlapEngine::q1(std::int64_t delivery_after, std::vector<Q1Row> *rows)
-{
-    QueryResult res;
-    auto rep = runQuery(plans::q1(delivery_after), &res);
-    if (rows) {
-        rows->clear();
-        for (const auto &row : res.rows)
-            rows->push_back(Q1Row{row.keys[0], row.aggs[0],
-                                  row.aggs[1], row.count});
-    }
-    return rep;
-}
-
-QueryReport
-OlapEngine::q6(std::int64_t d_lo, std::int64_t d_hi,
-               std::int64_t q_lo, std::int64_t q_hi,
-               std::int64_t *revenue)
-{
-    QueryResult res;
-    auto rep = runQuery(plans::q6(d_lo, d_hi, q_lo, q_hi), &res);
-    if (revenue)
-        *revenue = res.rows.front().aggs[0];
-    return rep;
-}
-
-QueryReport
-OlapEngine::q9(std::vector<Q9Row> *rows)
-{
-    QueryResult res;
-    auto rep = runQuery(plans::q9(), &res);
-    if (rows) {
-        rows->clear();
-        for (const auto &row : res.rows)
-            rows->push_back(
-                Q9Row{row.keys[0], row.aggs[0], row.count});
-    }
     return rep;
 }
 

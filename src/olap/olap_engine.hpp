@@ -12,8 +12,7 @@
  * the returned aggregates are exact and verifiable against a
  * reference scan — while runQuery() prices each operator with the
  * two-phase schedule, the controller's offload overheads, and the
- * CPU-side transfer steps of the multi-column operators. Q1/Q6/Q9
- * remain as thin wrappers over their plan definitions.
+ * CPU-side transfer steps of the multi-column operators.
  */
 
 #include <cstddef>
@@ -207,23 +206,6 @@ struct ScanCost
     pim::TwoPhaseSchedule schedule; ///< Per-unit phase schedule.
 };
 
-/** Q1 aggregate rows. */
-struct Q1Row
-{
-    std::int64_t olNumber;
-    std::int64_t sumQuantity;
-    std::int64_t sumAmount;
-    std::uint64_t count;
-};
-
-/** Q9 aggregate rows (profit by supplying warehouse). */
-struct Q9Row
-{
-    std::int64_t supplyWarehouse;
-    std::int64_t sumAmount;
-    std::uint64_t matches;
-};
-
 class OlapEngine
 {
   public:
@@ -267,18 +249,6 @@ class OlapEngine
      */
     QueryReport runQuery(const QueryPlan &plan,
                          QueryResult *result = nullptr);
-
-    /** Q1: pricing summary over ORDERLINE (plan wrapper). */
-    QueryReport q1(std::int64_t delivery_after,
-                   std::vector<Q1Row> *rows = nullptr);
-
-    /** Q6: revenue-change selection over ORDERLINE (plan wrapper). */
-    QueryReport q6(std::int64_t d_lo, std::int64_t d_hi,
-                   std::int64_t q_lo, std::int64_t q_hi,
-                   std::int64_t *revenue = nullptr);
-
-    /** Q9: item/stock/orders x orderline joins (plan wrapper). */
-    QueryReport q9(std::vector<Q9Row> *rows = nullptr);
 
     /**
      * Run the cost-based optimizer over @p plan without executing

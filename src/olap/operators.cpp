@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <limits>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -24,66 +22,6 @@ namespace pushtap::olap {
 
 using storage::Region;
 
-ColumnScanner::ColumnScanner(const txn::TableRuntime &tbl,
-                             const std::string &column)
-    : store_(&tbl.store()),
-      col_(tbl.schema().columnId(column)),
-      single_(tbl.layout().singlePlacement(col_) != nullptr)
-{
-    column_ = &tbl.schema().column(col_);
-    buf_.resize(column_->width);
-}
-
-std::int64_t
-ColumnScanner::intAt(Region reg, RowId r) const
-{
-    if (single_)
-        return store_->columnValue(reg, col_, r);
-    store_->readColumnBytes(reg, col_, r, buf_);
-    return format::decodeValue(*column_, buf_);
-}
-
-void
-ColumnScanner::charsAt(Region reg, RowId r,
-                       std::span<std::uint8_t> out) const
-{
-    store_->readColumnBytes(reg, col_, r, out);
-}
-
-RowFilter::RowFilter(const txn::TableRuntime &tbl,
-                     const TableInput &input)
-{
-    for (const auto &p : input.intPredicates)
-        intPreds_.push_back(
-            {ColumnScanner(tbl, p.column), p.lo, p.hi});
-    for (const auto &p : input.charPredicates) {
-        CharPred pred{ColumnScanner(tbl, p.column), p.prefix,
-                      p.negate, {}};
-        pred.buf.resize(pred.scan.column().width);
-        charPreds_.push_back(std::move(pred));
-    }
-}
-
-bool
-RowFilter::pass(Region reg, RowId r) const
-{
-    for (const auto &p : intPreds_) {
-        const auto v = p.scan.intAt(reg, r);
-        if (v < p.lo || v > p.hi)
-            return false;
-    }
-    for (const auto &p : charPreds_) {
-        p.scan.charsAt(reg, r, p.buf);
-        const bool match =
-            p.prefix.size() <= p.buf.size() &&
-            std::memcmp(p.buf.data(), p.prefix.data(),
-                        p.prefix.size()) == 0;
-        if (match == p.negate)
-            return false;
-    }
-    return true;
-}
-
 namespace {
 
 /** Grouped-aggregation accumulator (exact integer arithmetic). */
@@ -92,14 +30,6 @@ struct Accum
     std::vector<std::int64_t> aggs;
     std::uint64_t count = 0;
 };
-
-/** Fold one value into an accumulator slot per the aggregate spec. */
-inline void
-accumulateValue(Accum &acc, std::size_t slot, AggKind kind,
-                std::int64_t v)
-{
-    foldValue(acc.aggs[slot], kind, v, acc.count == 0);
-}
 
 /** Fold one row's aggregate inputs (vals(a) per slot a) into a
  *  group-table group, then count the row. */
@@ -133,40 +63,6 @@ combineSlots(const std::vector<SpecT> &specs, std::int64_t *into,
     into_count += from_count;
 }
 
-/** Shared tail of both executors: plan.orderBy then plan.limit. */
-void
-sortAndLimit(PlanExecution &out, const QueryPlan &plan)
-{
-    if (!plan.orderBy.empty()) {
-        std::stable_sort(
-            out.result.rows.begin(), out.result.rows.end(),
-            [&plan](const ResultRow &a, const ResultRow &b) {
-                for (const auto &sk : plan.orderBy) {
-                    std::int64_t av = 0, bv = 0;
-                    switch (sk.target) {
-                      case SortKey::Target::GroupKey:
-                        av = a.keys[sk.index];
-                        bv = b.keys[sk.index];
-                        break;
-                      case SortKey::Target::Aggregate:
-                        av = a.aggs[sk.index];
-                        bv = b.aggs[sk.index];
-                        break;
-                      case SortKey::Target::Count:
-                        av = static_cast<std::int64_t>(a.count);
-                        bv = static_cast<std::int64_t>(b.count);
-                        break;
-                    }
-                    if (av != bv)
-                        return sk.descending ? av > bv : av < bv;
-                }
-                return false;
-            });
-    }
-    if (plan.limit != 0 && out.result.rows.size() > plan.limit)
-        out.result.rows.resize(plan.limit);
-}
-
 /** One merged group as materialization reads it: plan.groupBy.size()
  *  key ints and one slot per plan aggregate. */
 struct GroupView
@@ -178,11 +74,10 @@ struct GroupView
 
 /**
  * The batch engine's materialization tail: order the groups by
- * (plan.orderBy keys, then ascending group key) — exactly the order
- * sortAndLimit's stable sort over ascending-key rows produces — and
- * under a LIMIT select just the top `limit` groups before building
- * any ResultRow. An ungrouped plan with no groups yields its single
- * zero row (count 0).
+ * (plan.orderBy keys, then ascending group key) — a stable sort by
+ * plan.orderBy over ascending-key rows — and under a LIMIT select
+ * just the top `limit` groups before building any ResultRow. An
+ * ungrouped plan with no groups yields its single zero row (count 0).
  */
 QueryResult
 materializeViews(const QueryPlan &plan, std::vector<GroupView> views)
@@ -231,463 +126,6 @@ materializeViews(const QueryPlan &plan, std::vector<GroupView> views)
     }
     return res;
 }
-
-// ==================================================================
-// Scalar reference executor (the original row-at-a-time pipeline).
-// ==================================================================
-
-/** Exact hash-key encoding: 8 little-endian bytes per value. */
-void
-appendKey(std::string &key, std::int64_t v)
-{
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i)
-        key.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-}
-
-/** One join's built hash table: key -> matching payload tuples. */
-struct BuildSide
-{
-    std::unordered_map<std::string,
-                       std::vector<std::vector<std::int64_t>>>
-        buckets;
-};
-
-/**
- * Evaluates one ColRef per probe row: a typed probe-column scan or a
- * lookup into the current match of an earlier inner join.
- */
-struct RefReader
-{
-    int side = ColRef::kProbe;
-    std::size_t payloadIdx = 0;
-    std::optional<ColumnScanner> scan; ///< Set for probe-side refs.
-
-    std::int64_t
-    value(Region reg, RowId r,
-          const std::vector<const std::vector<std::int64_t> *>
-              &current) const
-    {
-        if (side == ColRef::kProbe)
-            return scan->intAt(reg, r);
-        return (*current[static_cast<std::size_t>(side)])[payloadIdx];
-    }
-};
-
-RefReader
-makeRefReader(const txn::Database &db, const QueryPlan &plan,
-              const ColRef &ref)
-{
-    RefReader rd;
-    rd.side = ref.side;
-    if (ref.side == ColRef::kProbe) {
-        rd.scan.emplace(db.table(plan.probe.table), ref.column);
-        return rd;
-    }
-    const auto &payload =
-        plan.joins[static_cast<std::size_t>(ref.side)].payload;
-    rd.payloadIdx = static_cast<std::size_t>(
-        std::find(payload.begin(), payload.end(), ref.column) -
-        payload.begin());
-    return rd;
-}
-
-/**
- * Row-at-a-time expression interpreter: the expression tree compiled
- * against per-leaf typed scanners. Input-local trees resolve columns
- * on one table; full-plan trees (aggregate expressions) resolve
- * through RefReaders against the probe and inner-join payloads.
- * Evaluation follows the shared IR semantics (olap/expr.hpp).
- */
-class ScalarExpr
-{
-  public:
-    /** Input-local scope: columns of @p tbl; @p plan + @p subs set
-     *  only for the probe input (subquery lookups). */
-    ScalarExpr(const txn::TableRuntime &tbl, const ExprPtr &e,
-               const QueryPlan *plan,
-               const std::vector<SubqueryResult> *subs)
-    {
-        root_ = compileLocal(tbl, *foldConstants(e), plan, subs);
-    }
-
-    /** Full-plan scope (aggregate expressions). */
-    ScalarExpr(const txn::Database &db, const QueryPlan &plan,
-               const ExprPtr &e)
-    {
-        root_ = compileFull(db, plan, *foldConstants(e));
-    }
-
-    std::int64_t
-    eval(Region reg, RowId r,
-         const std::vector<const std::vector<std::int64_t> *>
-             &current) const
-    {
-        return evalNode(root_, reg, r, current);
-    }
-
-  private:
-    struct Node
-    {
-        ExprOp op = ExprOp::IntLit;
-        std::int64_t lit = 0;
-        std::optional<ColumnScanner> scan; ///< Input-local / Like.
-        std::optional<RefReader> ref;      ///< Full-plan column.
-        std::string pattern;
-        mutable std::vector<std::uint8_t> charBuf;
-        const SubqueryResult *sub = nullptr;
-        std::size_t aggIndex = 0;
-        std::vector<ColumnScanner> keyScans;
-        std::vector<Node> kids;
-    };
-
-    static Node
-    compileLocal(const txn::TableRuntime &tbl, const Expr &e,
-                 const QueryPlan *plan,
-                 const std::vector<SubqueryResult> *subs)
-    {
-        Node n;
-        n.op = e.op;
-        n.lit = e.lit;
-        n.pattern = e.pattern;
-        switch (e.op) {
-          case ExprOp::Column:
-            n.scan.emplace(tbl, e.col.column);
-            break;
-          case ExprOp::Like:
-            n.scan.emplace(tbl, e.col.column);
-            n.charBuf.resize(n.scan->column().width);
-            break;
-          case ExprOp::SubqueryRef: {
-            if (!plan || !subs)
-                fatal("scalar expression: subquery reference "
-                      "outside the probe filter context");
-            n.sub = &(*subs)[e.subquery];
-            n.aggIndex = e.aggIndex;
-            for (const auto &key :
-                 plan->subqueries[e.subquery].keys)
-                n.keyScans.emplace_back(tbl, key.column);
-            break;
-          }
-          default:
-            break;
-        }
-        for (const auto &k : e.kids)
-            n.kids.push_back(compileLocal(tbl, *k, plan, subs));
-        return n;
-    }
-
-    static Node
-    compileFull(const txn::Database &db, const QueryPlan &plan,
-                const Expr &e)
-    {
-        Node n;
-        n.op = e.op;
-        n.lit = e.lit;
-        n.pattern = e.pattern;
-        if (e.op == ExprOp::Column) {
-            n.ref = makeRefReader(db, plan, e.col);
-        } else if (e.op == ExprOp::Like) {
-            // Full-plan LIKE targets a probe Char column (validated);
-            // the probe row id is in scope at every eval site.
-            if (e.col.side != ColRef::kProbe)
-                fatal("scalar expression: LIKE must target a probe "
-                      "column");
-            n.scan.emplace(db.table(plan.probe.table), e.col.column);
-            n.charBuf.resize(n.scan->column().width);
-        } else if (e.op == ExprOp::SubqueryRef) {
-            fatal("scalar expression: {} outside an input filter",
-                  exprOpName(e.op));
-        }
-        for (const auto &k : e.kids)
-            n.kids.push_back(compileFull(db, plan, *k));
-        return n;
-    }
-
-    static std::int64_t
-    evalNode(const Node &n, Region reg, RowId r,
-             const std::vector<const std::vector<std::int64_t> *>
-                 &current)
-    {
-        switch (n.op) {
-          case ExprOp::IntLit:
-            return n.lit;
-          case ExprOp::Column:
-            return n.scan ? n.scan->intAt(reg, r)
-                          : n.ref->value(reg, r, current);
-          case ExprOp::Like:
-            n.scan->charsAt(reg, r, n.charBuf);
-            return likeMatch(n.charBuf, n.pattern) ? 1 : 0;
-          case ExprOp::SubqueryRef: {
-            InlineKey key;
-            key.n = static_cast<std::uint32_t>(n.keyScans.size());
-            for (std::size_t c = 0; c < n.keyScans.size(); ++c)
-                key.v[c] = n.keyScans[c].intAt(reg, r);
-            return n.sub->value(key, n.aggIndex);
-          }
-          case ExprOp::CaseWhen:
-            return evalNode(n.kids[0], reg, r, current) != 0
-                       ? evalNode(n.kids[1], reg, r, current)
-                       : evalNode(n.kids[2], reg, r, current);
-          case ExprOp::Not:
-            return evalNode(n.kids[0], reg, r, current) == 0 ? 1
-                                                             : 0;
-          default:
-            return exprApply(
-                n.op, evalNode(n.kids[0], reg, r, current),
-                evalNode(n.kids[1], reg, r, current));
-        }
-    }
-
-    Node root_;
-};
-
-/** RowFilter plus the input's compiled expression predicates. */
-struct ScalarInputFilter
-{
-    ScalarInputFilter(const txn::TableRuntime &tbl,
-                      const TableInput &input,
-                      const QueryPlan *plan = nullptr,
-                      const std::vector<SubqueryResult> *subs =
-                          nullptr)
-        : base(tbl, input)
-    {
-        for (const auto &e : input.exprPredicates)
-            exprs.emplace_back(tbl, e, plan, subs);
-    }
-
-    bool
-    pass(Region reg, RowId r) const
-    {
-        if (!base.pass(reg, r))
-            return false;
-        static const std::vector<const std::vector<std::int64_t> *>
-            kNoJoins;
-        for (const auto &e : exprs)
-            if (e.eval(reg, r, kNoJoins) == 0)
-                return false;
-        return true;
-    }
-
-    RowFilter base;
-    std::vector<ScalarExpr> exprs;
-};
-
-/**
- * Scalar-subquery pre-pass, row-at-a-time mechanisation (the batch
- * executor materializes the same tables through the morsel kernels;
- * both produce identical exact-integer values, so the executors
- * stay byte-identical).
- */
-std::vector<SubqueryResult>
-materializeSubqueriesScalar(const txn::Database &db,
-                            const QueryPlan &plan)
-{
-    std::vector<SubqueryResult> out(plan.subqueries.size());
-    static const std::vector<const std::vector<std::int64_t> *>
-        kNoJoins;
-    for (std::size_t s = 0; s < plan.subqueries.size(); ++s) {
-        const auto &spec = plan.subqueries[s];
-        const auto &tbl = db.table(spec.source.table);
-        const ScalarInputFilter filter(tbl, spec.source);
-        std::vector<ColumnScanner> key_scans;
-        for (const auto &col : spec.groupBy)
-            key_scans.emplace_back(tbl, col);
-        std::vector<ScalarExpr> inputs;
-        for (const auto &agg : spec.aggs)
-            inputs.emplace_back(tbl, agg.value, nullptr, nullptr);
-
-        auto &groups = out[s].groups;
-        groups = GroupTable(static_cast<std::uint32_t>(key_scans.size()),
-                            spec.aggs.size());
-        forEachVisibleRow(tbl.store(), [&](Region reg, RowId r) {
-            if (!filter.pass(reg, r))
-                return;
-            InlineKey key;
-            key.n = static_cast<std::uint32_t>(key_scans.size());
-            for (std::size_t c = 0; c < key_scans.size(); ++c)
-                key.v[c] = key_scans[c].intAt(reg, r);
-            accumulateRow(spec.aggs, groups.findOrInsert(key),
-                          [&](std::size_t a) {
-                              return inputs[a].eval(reg, r, kNoJoins);
-                          });
-        });
-    }
-    return out;
-}
-
-PlanExecution
-executeScalarImpl(const txn::Database &db, const QueryPlan &plan)
-{
-    const auto &probe_tbl = db.table(plan.probe.table);
-
-    // Scalar-subquery pre-pass: materialized before anything else,
-    // probed read-only by the probe filter below.
-    const auto subqueries = materializeSubqueriesScalar(db, plan);
-
-    // Build phase: hash each (filtered) build table.
-    std::vector<BuildSide> builds(plan.joins.size());
-    for (std::size_t k = 0; k < plan.joins.size(); ++k) {
-        const auto &join = plan.joins[k];
-        const auto &tbl = db.table(join.build.table);
-        const ScalarInputFilter filter(tbl, join.build);
-        std::vector<ColumnScanner> key_scans;
-        for (const auto &[build_col, ref] : join.keys) {
-            (void)ref;
-            key_scans.emplace_back(tbl, build_col);
-        }
-        std::vector<ColumnScanner> payload_scans;
-        for (const auto &col : join.payload)
-            payload_scans.emplace_back(tbl, col);
-
-        std::string key; // reused across rows
-        forEachVisibleRow(tbl.store(), [&](Region reg, RowId r) {
-            if (!filter.pass(reg, r))
-                return;
-            key.clear();
-            for (const auto &s : key_scans)
-                appendKey(key, s.intAt(reg, r));
-            auto &bucket = builds[k].buckets[key];
-            if (join.kind == JoinKind::Inner) {
-                std::vector<std::int64_t> tuple;
-                tuple.reserve(payload_scans.size());
-                for (const auto &s : payload_scans)
-                    tuple.push_back(s.intAt(reg, r));
-                bucket.push_back(std::move(tuple));
-            } else if (bucket.empty()) {
-                // Semi/Anti joins only need existence.
-                bucket.emplace_back();
-            }
-        });
-    }
-
-    // Probe-side readers.
-    const ScalarInputFilter probe_filter(probe_tbl, plan.probe,
-                                         &plan, &subqueries);
-    std::vector<std::vector<RefReader>> join_key_refs(
-        plan.joins.size());
-    for (std::size_t k = 0; k < plan.joins.size(); ++k)
-        for (const auto &[build_col, ref] : plan.joins[k].keys) {
-            (void)build_col;
-            join_key_refs[k].push_back(makeRefReader(db, plan, ref));
-        }
-    std::vector<RefReader> group_refs;
-    for (const auto &key : plan.groupBy)
-        group_refs.push_back(makeRefReader(db, plan, key));
-    // Aggregate inputs: a plain column reader, or the compiled
-    // expression interpreter when the aggregate folds an expression.
-    struct ScalarAggInput
-    {
-        std::optional<RefReader> ref;
-        std::optional<ScalarExpr> ev;
-
-        std::int64_t
-        value(Region reg, RowId r,
-              const std::vector<const std::vector<std::int64_t> *>
-                  &current) const
-        {
-            return ref ? ref->value(reg, r, current)
-                       : ev->eval(reg, r, current);
-        }
-    };
-    std::vector<ScalarAggInput> agg_refs;
-    for (const auto &agg : plan.aggregates) {
-        ScalarAggInput in;
-        if (agg.expr)
-            in.ev.emplace(db, plan, agg.expr);
-        else
-            in.ref = makeRefReader(db, plan, agg.value);
-        agg_refs.push_back(std::move(in));
-    }
-
-    // Probe phase: filter, join, accumulate into ordered groups.
-    std::map<std::vector<std::int64_t>, Accum> groups;
-    std::uint64_t visible = 0;
-    std::vector<const std::vector<std::int64_t> *> current(
-        plan.joins.size(), nullptr);
-    std::vector<std::string> level_keys(plan.joins.size());
-    std::vector<std::int64_t> group_key;
-    forEachVisibleRow(probe_tbl.store(), [&](Region reg, RowId r) {
-        ++visible;
-        if (!probe_filter.pass(reg, r))
-            return;
-
-        auto accumulate = [&]() {
-            group_key.clear();
-            for (const auto &g : group_refs)
-                group_key.push_back(g.value(reg, r, current));
-            auto &acc = groups[group_key];
-            if (acc.count == 0)
-                acc.aggs.assign(agg_refs.size(), 0);
-            for (std::size_t i = 0; i < agg_refs.size(); ++i)
-                accumulateValue(acc, i, plan.aggregates[i].kind,
-                                agg_refs[i].value(reg, r, current));
-            ++acc.count;
-        };
-
-        auto descend = [&](auto &&self, std::size_t k) -> void {
-            if (k == plan.joins.size()) {
-                accumulate();
-                return;
-            }
-            auto &key = level_keys[k];
-            key.clear();
-            for (const auto &ref : join_key_refs[k])
-                appendKey(key, ref.value(reg, r, current));
-            const auto it = builds[k].buckets.find(key);
-            const bool found = it != builds[k].buckets.end() &&
-                               !it->second.empty();
-            switch (plan.joins[k].kind) {
-              case JoinKind::Semi:
-                if (found)
-                    self(self, k + 1);
-                break;
-              case JoinKind::Anti:
-                if (!found)
-                    self(self, k + 1);
-                break;
-              case JoinKind::Inner:
-                if (!found)
-                    break;
-                for (const auto &tuple : it->second) {
-                    current[k] = &tuple;
-                    self(self, k + 1);
-                }
-                current[k] = nullptr;
-                break;
-            }
-        };
-        descend(descend, 0);
-    });
-
-    // An ungrouped query always yields exactly one row (zero sums
-    // and count when nothing matched).
-    if (plan.groupBy.empty() && groups.empty())
-        groups[{}] = Accum{std::vector<std::int64_t>(
-                               plan.aggregates.size(), 0),
-                           0};
-
-    // Materialize (std::map iteration = ascending group keys), then
-    // sort/limit.
-    PlanExecution out;
-    out.rowsVisible = visible;
-    out.result.rows.reserve(groups.size());
-    for (auto &[key, acc] : groups)
-        out.result.rows.push_back(
-            ResultRow{key, std::move(acc.aggs), acc.count});
-    sortAndLimit(out, plan);
-    return out;
-}
-
-// ==================================================================
-// Morsel-driven batch executor.
-// ==================================================================
-
-// InlineKey / InlineKeyHash moved to olap/batch.hpp: the subquery
-// lookup tables (SubqueryResult) key on them, so both executors and
-// the kernel layer share one definition.
-static_assert(InlineKey::kMaxKeys >= kMaxSubqueryGroupKeys,
-              "subquery group keys must fit the inline key");
 
 /**
  * Leaf resolution over one morsel's current selection: columns
@@ -1064,7 +502,7 @@ slotFold(const std::vector<SpecT> &specs)
  * pipeline: workers claim the source table's scan runs dynamically
  * into private flat group tables, merged partition-parallel. Exact
  * integer folds, commutative and associative, so the result is
- * identical to materializeSubqueriesScalar for every worker count.
+ * identical for every worker count.
  */
 std::vector<SubqueryResult>
 materializeSubqueriesBatch(const txn::Database &db,
@@ -1156,9 +594,11 @@ materializeSubqueriesBatch(const txn::Database &db,
 
 /**
  * Leaf resolution over pre-gathered value vectors (the post-join
- * expanded entries, or the fused pass's probe batches): aggregate
- * expressions are integer-only and subquery-free by validation, so
- * only ints() resolves.
+ * expanded entries, or the fused pass's probe batches): ints()
+ * resolves columns and likeValues() the 0/1 vectors of probe LIKE
+ * nodes, both registered up front. Aggregate expressions are
+ * subquery-free by validation, and no raw char payload is ever
+ * read here.
  */
 class RefVecExprContext final : public BatchExprContext
 {
@@ -1892,8 +1332,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         // Batched match expansion: entries start as the surviving
         // selection; each join either compacts them (semi/anti) or
         // expands every entry into its matching payload tuples
-        // (inner), in (row, tuple) order — exactly the order the
-        // recursive row-at-a-time descend used to visit.
+        // (inner), in (row, tuple) order — exactly the order a
+        // recursive per-row descent through the joins visits.
         auto &erow = st.erow;
         erow.resize(st.sel.size());
         for (std::uint32_t i = 0;
@@ -2090,7 +1530,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 
     // Observed selectivities for the optimizer's stats cache: all
     // deterministic integer sums over the per-worker partials.
-    out.stats.collected = true;
     out.stats.probeVisible = out.rowsVisible;
     out.stats.joins.resize(plan.joins.size());
     out.stats.conjuncts.assign(plan.probe.exprPredicates.size(),
@@ -2113,15 +1552,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         total.aggs.assign(plan.aggregates.size(), 0);
         for (const auto *st : engaged)
             combineAccum(plan.aggregates, total, st->fusedTotal);
-        if (opts.captureGroups) {
-            out.groupsCaptured = true;
-            if (total.count > 0)
-                out.groups.push_back(
-                    GroupAccum{InlineKey{}, total.aggs, total.count});
-        }
+        if (opts.captureGroups && total.count > 0)
+            out.groups.push_back(
+                GroupAccum{InlineKey{}, total.aggs, total.count});
         out.result.rows.push_back(ResultRow{
             {}, std::move(total.aggs), total.count});
-        sortAndLimit(out, plan);
         out.mergeNs = phaseNs(t_probe, Clock::now());
         return out;
     }
@@ -2156,7 +1591,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // materialization: these are the partials a later
     // delta-incremental run folds new rows into.
     if (opts.captureGroups) {
-        out.groupsCaptured = true;
         out.groups.reserve(groups.size());
         groups.forEach([&](const std::int64_t *key,
                            const std::int64_t *aggs,
@@ -2186,17 +1620,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 }
 
 } // namespace
-
-bool
-fitsBatchEngine(const QueryPlan &plan)
-{
-    if (plan.groupBy.size() > InlineKey::kMaxKeys)
-        return false;
-    for (const auto &join : plan.joins)
-        if (join.keys.size() > InlineKey::kMaxKeys)
-            return false;
-    return true;
-}
 
 void
 foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
@@ -2244,11 +1667,7 @@ planFusesProbePass(const QueryPlan &plan)
 {
     // Mirrors executeBatchImpl's classification exactly: the fused
     // probe pass runs when no join descends — every join is a
-    // non-inner join keyed purely on probe columns — and the plan
-    // fits the inline-key engine (otherwise the scalar reference
-    // executor runs and nothing fuses).
-    if (!fitsBatchEngine(plan))
-        return false;
+    // non-inner join keyed purely on probe columns.
     for (const auto &join : plan.joins) {
         if (join.kind == JoinKind::Inner)
             return false;
@@ -2271,8 +1690,6 @@ executePlan(const txn::Database &db, const QueryPlan &plan,
         fatal("executePlan: morselRows must be a power of two "
               "(got {})",
               opts.morselRows);
-    if (!fitsBatchEngine(plan))
-        return executeScalarImpl(db, plan);
     WorkerPool *pool = opts.pool;
     std::optional<WorkerPool> local;
     // Every phase fans its scan runs (and the build stitch and
@@ -2285,13 +1702,6 @@ executePlan(const txn::Database &db, const QueryPlan &plan,
             pool = &local.emplace(w);
     }
     return executeBatchImpl(db, plan, opts, pool);
-}
-
-PlanExecution
-executePlanScalar(const txn::Database &db, const QueryPlan &plan)
-{
-    validatePlan(plan);
-    return executeScalarImpl(db, plan);
 }
 
 } // namespace pushtap::olap

@@ -2,10 +2,10 @@
 
 /**
  * @file
- * Physical operators of the OLAP pipeline: a typed column scan over
- * the snapshot bitmaps, predicate filters, a hash join (build +
- * probe), a grouped aggregate and a sort/limit, composed by
- * executePlan() according to a logical QueryPlan.
+ * The OLAP executor: executePlan() runs a logical QueryPlan — typed
+ * column scans over the snapshot bitmaps, predicate filters, hash
+ * joins (build + probe), a grouped aggregate and a sort/limit — and
+ * is the only way a plan executes.
  *
  * executePlan() is morsel-driven, batch-at-a-time and parallel: every
  * table pass splits into morsel-aligned scan runs (scanRuns, data
@@ -31,10 +31,6 @@
  * results are byte-identical to the single-threaded run for every
  * worker count. Shard counts (OlapConfig::shards) only shape the
  * modelled pricing; execution never reads them.
- * executePlanScalar() keeps the original row-at-a-time pipeline as
- * an independently-mechanised reference: both must produce
- * byte-identical results, and the fig9b bench reports their host
- * wall-clock side by side.
  *
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the
@@ -45,15 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/bitmap.hpp"
 #include "common/types.hpp"
 #include "olap/batch.hpp"
 #include "olap/plan.hpp"
-#include "storage/table_store.hpp"
 #include "txn/database.hpp"
 
 namespace pushtap {
@@ -61,78 +54,6 @@ class WorkerPool;
 }
 
 namespace pushtap::olap {
-
-/** Apply fn(region, row) to every snapshot-visible row of a table. */
-template <typename Fn>
-void
-forEachVisibleRow(const storage::TableStore &store, Fn &&fn)
-{
-    const auto &dv = store.dataVisible();
-    for (std::size_t r = dv.findNext(0); r < dv.size();
-         r = dv.findNext(r + 1))
-        fn(storage::Region::Data, static_cast<RowId>(r));
-    const auto &xv = store.deltaVisible();
-    for (std::size_t r = xv.findNext(0); r < xv.size();
-         r = xv.findNext(r + 1))
-        fn(storage::Region::Delta, static_cast<RowId>(r));
-}
-
-/**
- * Row-at-a-time typed scan of one column of one table: the PIM
- * units' localized single read for unfragmented (key) columns, the
- * CPU fragment-gather path otherwise. Used by the scalar reference
- * executor; the batch engine reads through olap/batch.hpp instead.
- */
-class ColumnScanner
-{
-  public:
-    ColumnScanner(const txn::TableRuntime &tbl,
-                  const std::string &column);
-
-    const format::Column &column() const { return *column_; }
-
-    std::int64_t intAt(storage::Region reg, RowId r) const;
-
-    /**
-     * Copy the raw column bytes of one row into @p out (at least the
-     * column's width). The caller owns the buffer, so no view of
-     * scanner-internal scratch ever escapes.
-     */
-    void charsAt(storage::Region reg, RowId r,
-                 std::span<std::uint8_t> out) const;
-
-  private:
-    const storage::TableStore *store_;
-    const format::Column *column_;
-    ColumnId col_;
-    bool single_; ///< One fragment: the fast columnValue path.
-    mutable std::vector<std::uint8_t> buf_; ///< intAt decode scratch.
-};
-
-/** Predicate filter over one table's pushed-down predicates. */
-class RowFilter
-{
-  public:
-    RowFilter(const txn::TableRuntime &tbl, const TableInput &input);
-
-    bool pass(storage::Region reg, RowId r) const;
-
-  private:
-    struct IntPred
-    {
-        ColumnScanner scan;
-        std::int64_t lo, hi;
-    };
-    struct CharPred
-    {
-        ColumnScanner scan;
-        std::string prefix;
-        bool negate;
-        mutable std::vector<std::uint8_t> buf; ///< Per-pred bytes.
-    };
-    std::vector<IntPred> intPreds_;
-    std::vector<CharPred> charPreds_;
-};
 
 /** One output row of a plan. */
 struct ResultRow
@@ -155,7 +76,7 @@ struct JoinExecStats
 };
 
 /**
- * Measured execution statistics of the batch engine — observed, not
+ * Measured execution statistics of the executor — observed, not
  * modelled. The cost-based optimizer's per-plan stats cache feeds on
  * these so repeated runs re-optimize from measured selectivities
  * (probe filter pass rates, per-join survival/expansion ratios)
@@ -163,13 +84,10 @@ struct JoinExecStats
  * counts, and both the run list and each run's adaptive conjunct
  * order depend only on the table sizes and the morsel size, so the
  * stats are identical for every worker count (and every
- * OlapConfig::shards, which execution never reads). Left at the
- * defaults (collected == false) when the scalar reference executor
- * ran.
+ * OlapConfig::shards, which execution never reads).
  */
 struct ExecStats
 {
-    bool collected = false;
     /** Snapshot-visible probe rows entering the predicate chain. */
     std::uint64_t probeVisible = 0;
     /** Probe rows surviving the pushed-down predicate chain. */
@@ -209,7 +127,7 @@ struct PlanExecution
     /**
      * Number of distinct probe Int columns the batch engine streamed
      * in a single fused filter+group+aggregate pass (0 when a join
-     * intervened or the scalar executor ran). OlapConfig::fuseScans
+     * intervened). OlapConfig::fuseScans
      * prices these as one serial scan instead of one per operator
      * input.
      */
@@ -220,23 +138,21 @@ struct PlanExecution
      * phase (partitioned scan + inner stitch or key-set merge), the
      * probe fan-out, and the final cross-worker merge/materialize.
      * Measured time, not modelled — the pricing walks never read
-     * these. All zero when the scalar reference executor ran.
+     * these.
      */
     double subqueryNs = 0.0;
     double buildNs = 0.0;
     double probeNs = 0.0;
     double mergeNs = 0.0;
-    /** Observed selectivity statistics (batch engine only). */
+    /** Observed selectivity statistics. */
     ExecStats stats;
     /**
-     * Filled when ExecOptions::captureGroups was set and the batch
-     * engine ran: the merged cross-worker group accumulators exactly
-     * as they stood before the ungrouped-placeholder insertion and
-     * materialization (count > 0 entries only, ascending group key —
-     * byte-identical for every worker count). False when the scalar
-     * fallback executed — scalar runs never capture.
+     * Filled when ExecOptions::captureGroups was set: the merged
+     * cross-worker group accumulators exactly as they stood before
+     * the ungrouped-placeholder insertion and materialization
+     * (count > 0 entries only, ascending group key — byte-identical
+     * for every worker count).
      */
-    bool groupsCaptured = false;
     std::vector<GroupAccum> groups;
 };
 
@@ -263,8 +179,7 @@ struct ExecOptions
     WorkerPool *pool = nullptr;
     /**
      * Capture the merged group accumulators into
-     * PlanExecution::groups (batch engine only; the scalar fallback
-     * ignores it). The result cache sets this on cold and
+     * PlanExecution::groups. The result cache sets this on cold and
      * incremental runs so the accumulators can seed later
      * delta-incremental re-executions.
      */
@@ -288,9 +203,8 @@ struct ExecOptions
  * Execute @p plan exactly over the current snapshot bitmaps of @p db
  * with the morsel-driven batch engine, fanning scan runs out over
  * @p opts' worker pool. The plan is validated first (fatal
- * on malformed plans). Plans whose join or group keys exceed the
- * batch engine's inline-key capacity (8 columns) fall back to the
- * scalar executor — same results, row-at-a-time speed.
+ * on malformed plans, including join or group keys wider than
+ * kMaxKeyColumns).
  */
 PlanExecution executePlan(const txn::Database &db,
                           const QueryPlan &plan,
@@ -299,23 +213,13 @@ PlanExecution executePlan(const txn::Database &db,
 /**
  * True when the batch engine runs @p plan's whole probe pass fused
  * (predicates + filter joins + grouping + aggregation in one morsel
- * loop): the plan fits the inline-key engine (no scalar fallback)
- * and every join is a probe-keyed selection kernel — a semi or anti
- * join keyed purely on probe columns. Inner joins and payload-keyed
+ * loop): every join is a probe-keyed selection kernel — a semi or
+ * anti join keyed purely on probe columns. Inner joins and payload-keyed
  * joins descend through the match expansion instead. Defined next to
  * the executor's own classification so the OlapConfig::fuseScans
  * pricing gate and the fusedScanColumns report cannot drift.
  */
 bool planFusesProbePass(const QueryPlan &plan);
-
-/**
- * True when @p plan fits the inline-key batch engine (group-by and
- * every join's key set within InlineKey capacity). Plans that don't
- * fit fall back to the scalar executor, which cannot capture group
- * accumulators — the result cache uses this as an eligibility gate
- * for delta-incremental re-execution.
- */
-bool fitsBatchEngine(const QueryPlan &plan);
 
 /**
  * Fold @p from into @p into with the batch engine's cross-worker
@@ -337,15 +241,5 @@ void foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
  */
 QueryResult materializeGroups(const QueryPlan &plan,
                               const std::vector<GroupAccum> &groups);
-
-/**
- * Row-at-a-time reference executor (the pre-batching pipeline):
- * per-row typed scans, string-encoded hash keys, ordered-map
- * grouping. Kept as an independently-mechanised oracle for the
- * batch engine and as the baseline the fig9b bench measures host
- * wall-clock speedup against.
- */
-PlanExecution executePlanScalar(const txn::Database &db,
-                                const QueryPlan &plan);
 
 } // namespace pushtap::olap

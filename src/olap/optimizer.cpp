@@ -657,18 +657,16 @@ OlapEngine::runQueryOptimized(const QueryPlan &plan,
     // Close the loop: fold the measured selectivities into the
     // per-plan stats cache the next optimizePlan() reads. Joins are
     // keyed by signature, so the observation survives reordering.
-    if (exec.stats.collected) {
-        auto &ps = statsCache_[plan.name];
-        ++ps.runs;
-        ps.probeVisible = exec.stats.probeVisible;
-        ps.probeFiltered = exec.stats.probeFiltered;
-        for (std::size_t k = 0; k < oq.plan.joins.size(); ++k) {
-            auto &jo = ps.joins[joinSignature(oq.plan, k)];
-            jo.in = exec.stats.joins[k].in;
-            jo.out = exec.stats.joins[k].out;
-        }
-        ps.conjuncts = exec.stats.conjuncts;
+    auto &ps = statsCache_[plan.name];
+    ++ps.runs;
+    ps.probeVisible = exec.stats.probeVisible;
+    ps.probeFiltered = exec.stats.probeFiltered;
+    for (std::size_t k = 0; k < oq.plan.joins.size(); ++k) {
+        auto &jo = ps.joins[joinSignature(oq.plan, k)];
+        jo.in = exec.stats.joins[k].in;
+        jo.out = exec.stats.joins[k].out;
     }
+    ps.conjuncts = exec.stats.conjuncts;
 
     // Price the chosen decisions in the hand-built summation order
     // (pricing charges per join independently of position) so the

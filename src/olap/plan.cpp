@@ -182,7 +182,6 @@ struct ExprScope
     bool inputLocal = true;
     workload::ChTable table{}; ///< inputLocal resolution target.
     std::size_t upto = 0;      ///< Full-plan: joins in scope.
-    bool allowChar = true;     ///< LIKE permitted here.
     bool allowSubqueries = false;
     const char *what = "expression";
 };
@@ -215,10 +214,6 @@ checkExpr(const QueryPlan &plan, const Expr &e,
         }
         break;
       case ExprOp::Like:
-        if (!scope.allowChar)
-            fatal("plan {}: {} may not contain LIKE (integer-only "
-                  "context)",
-                  plan.name, scope.what);
         if (e.pattern.empty())
             fatal("plan {}: {} has a LIKE with an empty pattern",
                   plan.name, scope.what);
@@ -292,10 +287,9 @@ checkSubquery(const QueryPlan &plan, const SubquerySpec &sub,
               std::size_t idx)
 {
     checkInput(plan, sub.source, /*is_probe=*/false);
-    if (sub.groupBy.size() > kMaxSubqueryGroupKeys)
+    if (sub.groupBy.size() > kMaxKeyColumns)
         fatal("plan {}: subquery {} has {} group columns (max {})",
-              plan.name, idx, sub.groupBy.size(),
-              kMaxSubqueryGroupKeys);
+              plan.name, idx, sub.groupBy.size(), kMaxKeyColumns);
     for (const auto &col : sub.groupBy)
         checkColumn(plan, sub.source.table, col,
                     format::ColType::Int);
@@ -341,6 +335,9 @@ validatePlan(const QueryPlan &plan)
         if (join.keys.empty())
             fatal("plan {}: join {} has no equality keys", plan.name,
                   k);
+        if (join.keys.size() > kMaxKeyColumns)
+            fatal("plan {}: join {} has {} equality keys (max {})",
+                  plan.name, k, join.keys.size(), kMaxKeyColumns);
         for (const auto &[build_col, ref] : join.keys) {
             checkColumn(plan, join.build.table, build_col,
                         format::ColType::Int);
@@ -353,6 +350,9 @@ validatePlan(const QueryPlan &plan)
             fatal("plan {}: join {} is semi/anti but has a payload",
                   plan.name, k);
     }
+    if (plan.groupBy.size() > kMaxKeyColumns)
+        fatal("plan {}: {} group columns (max {})", plan.name,
+              plan.groupBy.size(), kMaxKeyColumns);
     for (const auto &key : plan.groupBy)
         checkRef(plan, key, plan.joins.size(), "group key");
     for (const auto &agg : plan.aggregates) {

@@ -76,6 +76,14 @@ enum class JoinKind : std::uint8_t
     Anti,  ///< Keep probe rows with no match (NOT EXISTS).
 };
 
+/**
+ * Column cap of every key tuple a plan hashes: a join's equality
+ * keys, the group-by list and a scalar subquery's group key. The
+ * executor hashes each as one inline int tuple (InlineKey,
+ * olap/group_table.hpp); validatePlan rejects wider keys.
+ */
+inline constexpr std::size_t kMaxKeyColumns = 8;
+
 /** Hash join of a filtered build table against probe-side columns. */
 struct JoinSpec
 {
@@ -131,10 +139,6 @@ struct SubqueryAgg
  * the Q17/Q20 `qty < 0.2 * AVG(qty) per item` shape, with AVG
  * spelled exactly in integers via separate sum and count slots.
  */
-/** Group-key arity cap of a scalar subquery (the materialized
- *  lookup keys on the batch layer's inline int tuple). */
-inline constexpr std::size_t kMaxSubqueryGroupKeys = 8;
-
 struct SubquerySpec
 {
     TableInput source;
@@ -212,7 +216,8 @@ std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
 /**
  * Structural validation against the CH schemas: referenced columns
  * exist with the right ColType, join-key/group/aggregate references
- * resolve to the probe table or an earlier Inner join's payload.
+ * resolve to the probe table or an earlier Inner join's payload, and
+ * no join, group or subquery key is wider than kMaxKeyColumns.
  * fatal() on violation.
  */
 void validatePlan(const QueryPlan &plan);

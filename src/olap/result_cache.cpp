@@ -17,8 +17,6 @@ planFootprint(const QueryPlan &plan)
 bool
 incrementalCapable(const QueryPlan &plan)
 {
-    if (!fitsBatchEngine(plan))
-        return false;
     for (const auto &join : plan.joins)
         if (join.kind == JoinKind::Anti)
             return false;

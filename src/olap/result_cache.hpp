@@ -57,12 +57,10 @@ std::vector<workload::ChTable> planFootprint(const QueryPlan &plan);
 
 /**
  * Static half of the delta-incremental eligibility gate: the plan
- * must fit the inline-key batch engine (the scalar fallback cannot
- * capture group accumulators) and carry no anti join (kept
- * conservatively out per the fallback contract — a NOT EXISTS over a
- * footprint that moved is the classic non-monotone trap). The
- * dynamic half — which tables moved and how — is checked per run by
- * the engine against the cached entry.
+ * must carry no anti join (kept conservatively out per the fallback
+ * contract — a NOT EXISTS over a footprint that moved is the classic
+ * non-monotone trap). The dynamic half — which tables moved and
+ * how — is checked per run by the engine against the cached entry.
  */
 bool incrementalCapable(const QueryPlan &plan);
 
@@ -78,8 +76,9 @@ class ResultCache
          *  incremental baseline. */
         Bitmap probeData;
         Bitmap probeDelta;
-        /** Merged group accumulators (count > 0 entries only), when
-         *  the batch engine captured them. */
+        /** Merged group accumulators (count > 0 entries only);
+         *  hasGroups marks them as seeds for incremental runs
+         *  (incrementalCapable plans only). */
         bool hasGroups = false;
         std::vector<GroupAccum> groups;
         /** Snapshot-visible probe rows behind `groups`. */

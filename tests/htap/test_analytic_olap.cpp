@@ -39,7 +39,8 @@ class AnalyticOlapTest : public ::testing::Test
 
 TEST_F(AnalyticOlapTest, IdealHasNoConsistency)
 {
-    const auto rep = model.q6(BaselineKind::Ideal, 1'000'000);
+    const auto rep =
+        model.runQuery(BaselineKind::Ideal, olap::plans::q6(), 1'000'000);
     EXPECT_EQ(rep.consistencyNs, 0.0);
     EXPECT_GT(rep.pimNs, 0.0);
 }
@@ -65,42 +66,37 @@ TEST_F(AnalyticOlapTest, MiConsistencyDominatesAtHighTxnCounts)
     // Fig. 9(b): at large pending-transaction counts, MI's rebuild
     // dwarfs the scan time.
     const std::uint64_t versions = 200'000;
-    const auto mi = model.q6(BaselineKind::MultiInstance, versions);
+    const auto mi = model.runQuery(BaselineKind::MultiInstance,
+                                   olap::plans::q6(), versions);
     EXPECT_GT(mi.consistencyNs, mi.pimNs);
-    const auto ideal = model.q6(BaselineKind::Ideal, versions);
+    const auto ideal =
+        model.runQuery(BaselineKind::Ideal, olap::plans::q6(), versions);
     EXPECT_GT(mi.totalNs(), 2.0 * ideal.totalNs());
 }
 
 TEST_F(AnalyticOlapTest, QueriesOrderedByWork)
 {
     // Q9 (join over two tables) > Q1 (4 scans) > Q6 (3 scans).
-    const auto q1 = model.q1(BaselineKind::Ideal, 0);
-    const auto q6 = model.q6(BaselineKind::Ideal, 0);
-    const auto q9 = model.q9(BaselineKind::Ideal, 0);
+    const auto q1 = model.runQuery(BaselineKind::Ideal, olap::plans::q1(), 0);
+    const auto q6 = model.runQuery(BaselineKind::Ideal, olap::plans::q6(), 0);
+    const auto q9 = model.runQuery(BaselineKind::Ideal, olap::plans::q9(), 0);
     EXPECT_GT(q9.totalNs(), q1.totalNs());
     EXPECT_GT(q1.totalNs(), q6.totalNs());
 }
 
 TEST_F(AnalyticOlapTest, NamesIdentifySystem)
 {
-    EXPECT_EQ(model.q1(BaselineKind::Ideal, 0).name, "Ideal/Q1");
-    EXPECT_EQ(model.q6(BaselineKind::MultiInstance, 0).name,
+    EXPECT_EQ(
+        model.runQuery(BaselineKind::Ideal, olap::plans::q1(), 0).name,
+        "Ideal/Q1");
+    EXPECT_EQ(model.runQuery(BaselineKind::MultiInstance,
+                             olap::plans::q6(), 0)
+                  .name,
               "MI/Q6");
-    EXPECT_EQ(model.q9(BaselineKind::MultiInstanceAccel, 0).name,
+    EXPECT_EQ(model.runQuery(BaselineKind::MultiInstanceAccel,
+                             olap::plans::q9(), 0)
+                  .name,
               "MI(accel)/Q9");
-}
-
-TEST_F(AnalyticOlapTest, WrappersDelegateToRunQuery)
-{
-    for (const auto kind :
-         {BaselineKind::Ideal, BaselineKind::MultiInstance}) {
-        const auto w = model.q9(kind, 5000);
-        const auto g = model.runQuery(kind, olap::plans::q9(), 5000);
-        EXPECT_EQ(w.name, g.name);
-        EXPECT_DOUBLE_EQ(w.pimNs, g.pimNs);
-        EXPECT_DOUBLE_EQ(w.cpuNs, g.cpuNs);
-        EXPECT_DOUBLE_EQ(w.consistencyNs, g.consistencyNs);
-    }
 }
 
 TEST_F(AnalyticOlapTest, RunQueryPricesWiderChSuite)

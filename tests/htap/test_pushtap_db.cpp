@@ -28,20 +28,20 @@ class PushtapDbTest : public ::testing::Test
 TEST_F(PushtapDbTest, QuickstartFlow)
 {
     db.mixed(20);
-    std::int64_t revenue = 0;
-    const auto rep = db.q6(0, 1LL << 60, 1, 10, &revenue);
-    EXPECT_GT(revenue, 0);
+    olap::QueryResult q6;
+    const auto rep = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6);
+    EXPECT_GT(q6.rows[0].aggs[0], 0);
     EXPECT_GT(rep.totalNs(), 0.0);
     EXPECT_GT(rep.consistencyNs, 0.0); // snapshot charged
 }
 
 TEST_F(PushtapDbTest, FreshnessAcrossQueries)
 {
-    std::int64_t r1 = 0, r2 = 0;
-    db.q6(0, 1LL << 60, 1, 10, &r1);
+    olap::QueryResult r1, r2;
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r1);
     db.newOrders(10);
-    db.q6(0, 1LL << 60, 1, 10, &r2);
-    EXPECT_GT(r2, r1);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r2);
+    EXPECT_GT(r2.rows[0].aggs[0], r1.rows[0].aggs[0]);
 }
 
 TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
@@ -54,12 +54,12 @@ TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
 
 TEST_F(PushtapDbTest, DefragKeepsResultsCorrect)
 {
-    std::int64_t before = 0, after = 0;
+    olap::QueryResult before, after;
     db.mixed(60);
-    db.q6(0, 1LL << 60, 1, 10, &before);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &before);
     db.defragment();
-    db.q6(0, 1LL << 60, 1, 10, &after);
-    EXPECT_EQ(before, after);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &after);
+    EXPECT_EQ(before.rows[0].aggs[0], after.rows[0].aggs[0]);
 }
 
 TEST_F(PushtapDbTest, Q1AndQ9Run)
@@ -68,15 +68,16 @@ TEST_F(PushtapDbTest, Q1AndQ9Run)
     // A forced optimizer may price this tiny table's scans entirely
     // on the CPU gather path; the queries still run and answer.
     const bool pim_pinned = !olap::OlapConfig::optimizeForcedByEnv();
-    std::vector<olap::Q1Row> q1rows;
-    const auto q1 = db.q1(workload::kDateBase, &q1rows);
-    EXPECT_FALSE(q1rows.empty());
+    olap::QueryResult q1rows;
+    const auto q1 =
+        db.runQuery(olap::plans::q1(workload::kDateBase), &q1rows);
+    EXPECT_FALSE(q1rows.rows.empty());
     if (pim_pinned) {
         EXPECT_GT(q1.pimNs, 0.0);
     }
 
-    std::vector<olap::Q9Row> q9rows;
-    const auto q9 = db.q9(&q9rows);
+    olap::QueryResult q9rows;
+    const auto q9 = db.runQuery(olap::plans::q9(), &q9rows);
     if (pim_pinned) {
         EXPECT_GT(q9.pimNs, 0.0);
     }
@@ -176,7 +177,7 @@ TEST_F(PushtapDbTest, DefragNotChargedToQueryConsistency)
     // the next query pays only its snapshot.
     EXPECT_DOUBLE_EQ(db.olap().pendingConsistencyNs(),
                      pending_before);
-    const auto rep = db.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.consistencyNs, 0.0); // its own snapshot
     // A second query without intervening work pays no residue.
     const auto rep2 = db.olap().runQuery(olap::plans::q14(), nullptr);

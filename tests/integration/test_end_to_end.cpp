@@ -38,8 +38,10 @@ TEST_F(EndToEnd, LongMixedRunStaysConsistent)
     std::int64_t last = 0;
     for (int round = 0; round < 8; ++round) {
         db.mixed(60);
-        std::int64_t revenue = 0;
-        const auto rep = db.q6(0, 1LL << 60, 1, 10, &revenue);
+        olap::QueryResult q6;
+        const auto rep =
+            db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6);
+        const std::int64_t revenue = q6.rows[0].aggs[0];
         ASSERT_GT(revenue, last) << "round " << round;
         ASSERT_GT(rep.totalNs(), 0.0);
         last = revenue;
@@ -53,28 +55,26 @@ TEST_F(EndToEnd, AllThreeQueriesAgreeAcrossDefrag)
     htap::PushtapDB db(options());
     db.mixed(80);
 
-    std::vector<olap::Q1Row> q1a, q1b;
-    std::vector<olap::Q9Row> q9a, q9b;
-    std::int64_t q6a = 0, q6b = 0;
-    db.q1(workload::kDateBase, &q1a);
-    db.q6(0, 1LL << 60, 1, 10, &q6a);
-    db.q9(&q9a);
+    olap::QueryResult q1a, q1b, q6a, q6b, q9a, q9b;
+    db.runQuery(olap::plans::q1(workload::kDateBase), &q1a);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6a);
+    db.runQuery(olap::plans::q9(), &q9a);
 
     db.defragment();
 
-    db.q1(workload::kDateBase, &q1b);
-    db.q6(0, 1LL << 60, 1, 10, &q6b);
-    db.q9(&q9b);
+    db.runQuery(olap::plans::q1(workload::kDateBase), &q1b);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6b);
+    db.runQuery(olap::plans::q9(), &q9b);
 
-    EXPECT_EQ(q6a, q6b);
-    ASSERT_EQ(q1a.size(), q1b.size());
-    for (std::size_t i = 0; i < q1a.size(); ++i) {
-        EXPECT_EQ(q1a[i].sumAmount, q1b[i].sumAmount);
-        EXPECT_EQ(q1a[i].count, q1b[i].count);
+    EXPECT_EQ(q6a.rows[0].aggs[0], q6b.rows[0].aggs[0]);
+    ASSERT_EQ(q1a.rows.size(), q1b.rows.size());
+    for (std::size_t i = 0; i < q1a.rows.size(); ++i) {
+        EXPECT_EQ(q1a.rows[i].aggs[1], q1b.rows[i].aggs[1]);
+        EXPECT_EQ(q1a.rows[i].count, q1b.rows[i].count);
     }
-    ASSERT_EQ(q9a.size(), q9b.size());
-    for (std::size_t i = 0; i < q9a.size(); ++i)
-        EXPECT_EQ(q9a[i].sumAmount, q9b[i].sumAmount);
+    ASSERT_EQ(q9a.rows.size(), q9b.rows.size());
+    for (std::size_t i = 0; i < q9a.rows.size(); ++i)
+        EXPECT_EQ(q9a.rows[i].aggs[0], q9b.rows[i].aggs[0]);
 }
 
 TEST_F(EndToEnd, BaselinesAndEngineAgreeOnScanScale)
@@ -90,8 +90,9 @@ TEST_F(EndToEnd, BaselinesAndEngineAgreeOnScanScale)
     const htap::AnalyticOlapModel analytic(
         db.database(), geom, db.olap().config().timing,
         db.olap().config().pimConfig, db.olap().config().overheads);
-    const auto ideal = analytic.q6(htap::BaselineKind::Ideal, 0);
-    const auto rep = db.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto ideal =
+        analytic.runQuery(htap::BaselineKind::Ideal, olap::plans::q6(), 0);
+    const auto rep = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.pimNs, 0.5 * ideal.pimNs);
     EXPECT_LT(rep.pimNs, 4.0 * ideal.pimNs);
 }
@@ -180,10 +181,10 @@ TEST_F(EndToEnd, RowStoreAndUnifiedAgreeOnAnswers)
     unified.mixed(50);
     rowstore.mixed(50);
 
-    std::int64_t ru = 0, rr = 0;
-    unified.q6(0, 1LL << 60, 1, 10, &ru);
-    rowstore.q6(0, 1LL << 60, 1, 10, &rr);
-    EXPECT_EQ(ru, rr);
+    olap::QueryResult ru, rr;
+    unified.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &ru);
+    rowstore.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &rr);
+    EXPECT_EQ(ru.rows[0].aggs[0], rr.rows[0].aggs[0]);
 }
 
 } // namespace

@@ -11,8 +11,10 @@
 #include "olap/batch.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
+#include "workload/row_view.hpp"
 
 namespace pushtap::olap {
 namespace {
@@ -112,7 +114,7 @@ TEST(SelectionKernels, CharPrefixLongerThanColumnNeverMatches)
     filterCharPrefix(chars, w, sel, "ABC", false);
     EXPECT_TRUE(sel.empty());
 
-    // ... so its negation keeps everything (scalar substr rule).
+    // ... so its negation keeps everything (substr semantics).
     sel = iota(2);
     filterCharPrefix(chars, w, sel, "ABC", true);
     EXPECT_EQ(sel.size(), 2u);
@@ -132,10 +134,9 @@ TEST(MorselVisibility, MatchesFindNextWalk)
         dv.clear(r);
 
     std::vector<RowId> expect;
-    forEachVisibleRow(store, [&](Region reg, RowId r) {
-        if (reg == Region::Data)
-            expect.push_back(r);
-    });
+    for (std::size_t r = dv.findNext(0); r < dv.size();
+         r = dv.findNext(r + 1))
+        expect.push_back(static_cast<RowId>(r));
 
     std::vector<RowId> got;
     SelectionVector sel;
@@ -163,7 +164,7 @@ TEST(MorselVisibility, EmptyRegionYieldsEmptySelections)
     });
 }
 
-// ---- batch decode vs the scalar column scanner -------------------
+// ---- batch decode vs whole-row reads -----------------------------
 
 class BatchDecodeTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -182,42 +183,42 @@ class BatchDecodeTest
         engine.prepareSnapshot(db.now());
     }
 
+    /** Every column of @p table decodes per morsel exactly as the
+     *  canonical bytes of each visible row read it. */
     void
     expectAllColumnsMatch(ChTable table)
     {
         const auto &tbl = db.table(table);
+        const auto &schema = tbl.schema();
         const auto &store = tbl.store();
-        for (const auto &col : tbl.schema().columns()) {
+        std::vector<std::uint8_t> row_buf(schema.rowBytes());
+        const workload::ConstRowView row(schema, row_buf);
+        for (const auto &col : schema.columns()) {
             const BatchColumnReader rd(store, col.name);
-            const ColumnScanner scan(tbl, col.name);
+            const ColumnId id = schema.columnId(col.name);
             SelectionVector sel;
-            ColumnBatch batch;
-            std::vector<std::uint8_t> row_buf(col.width);
+            ColumnBatch ints, chars;
             forEachMorsel(store, [&](const Morsel &m) {
                 visibleRows(store, m, sel);
                 if (col.type == format::ColType::Int) {
-                    rd.gatherInts(m, sel.span(), batch);
-                    ASSERT_EQ(batch.ints.size(), sel.size());
-                    for (std::size_t i = 0; i < sel.size(); ++i)
-                        ASSERT_EQ(batch.ints[i],
-                                  scan.intAt(m.reg,
-                                             m.base + sel.idx[i]))
-                            << col.name << " row "
-                            << m.base + sel.idx[i];
+                    rd.gatherInts(m, sel.span(), ints);
+                    ASSERT_EQ(ints.ints.size(), sel.size());
                 }
-                rd.gatherChars(m, sel.span(), batch);
-                ASSERT_EQ(batch.chars.size(),
-                          sel.size() * col.width);
+                rd.gatherChars(m, sel.span(), chars);
+                ASSERT_EQ(chars.chars.size(), sel.size() * col.width);
                 for (std::size_t i = 0; i < sel.size(); ++i) {
-                    scan.charsAt(m.reg, m.base + sel.idx[i],
-                                 row_buf);
-                    ASSERT_EQ(std::memcmp(batch.chars.data() +
+                    const RowId r = m.base + sel.idx[i];
+                    store.readRow(m.reg, r, row_buf);
+                    if (col.type == format::ColType::Int) {
+                        ASSERT_EQ(ints.ints[i], row.getInt(id))
+                            << col.name << " row " << r;
+                    }
+                    ASSERT_EQ(std::memcmp(chars.chars.data() +
                                               i * col.width,
-                                          row_buf.data(),
+                                          row.getChars(id).data(),
                                           col.width),
                               0)
-                        << col.name << " row "
-                        << m.base + sel.idx[i];
+                        << col.name << " row " << r;
                 }
             });
         }
@@ -230,7 +231,7 @@ class BatchDecodeTest
     OlapEngine engine;
 };
 
-TEST_P(BatchDecodeTest, EveryColumnMatchesScalarScanner)
+TEST_P(BatchDecodeTest, EveryColumnMatchesRowRead)
 {
     expectAllColumnsMatch(ChTable::OrderLine);
     expectAllColumnsMatch(ChTable::Orders);
@@ -266,7 +267,7 @@ INSTANTIATE_TEST_SUITE_P(
         return "Unknown";
     });
 
-TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
+TEST(BatchDecodeFragmented, GatherFallbackMatchesRowRead)
 {
     // With only Q1's columns as keys, most columns fragment: the
     // reader must fall back to the per-row gather with identical
@@ -275,56 +276,38 @@ TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
     cfg.olapQuerySubset = 1;
     Database db(cfg);
     const auto &tbl = db.table(ChTable::Orders);
+    const auto &schema = tbl.schema();
     const auto &store = tbl.store();
+    std::vector<std::uint8_t> row_buf(schema.rowBytes());
+    const workload::ConstRowView row(schema, row_buf);
 
     bool saw_fragmented = false;
-    for (const auto &col : tbl.schema().columns()) {
+    for (const auto &col : schema.columns()) {
         const BatchColumnReader rd(store, col.name);
         saw_fragmented |= !rd.strided();
         if (col.type != format::ColType::Int)
             continue;
-        const ColumnScanner scan(tbl, col.name);
+        const ColumnId id = schema.columnId(col.name);
         SelectionVector sel;
         ColumnBatch batch;
         forEachMorsel(store, [&](const Morsel &m) {
             visibleRows(store, m, sel);
             rd.gatherInts(m, sel.span(), batch);
-            for (std::size_t i = 0; i < sel.size(); ++i)
-                ASSERT_EQ(batch.ints[i],
-                          scan.intAt(m.reg, m.base + sel.idx[i]))
-                    << col.name;
+            for (std::size_t i = 0; i < sel.size(); ++i) {
+                store.readRow(m.reg, m.base + sel.idx[i], row_buf);
+                ASSERT_EQ(batch.ints[i], row.getInt(id)) << col.name;
+            }
         });
     }
     EXPECT_TRUE(saw_fragmented);
 }
 
-// ---- batch executor vs the scalar reference pipeline -------------
+// ---- batch executor vs the reference executor --------------------
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys,
-                  want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs,
-                  want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
-class BatchVsScalarTest : public ::testing::Test
+class BatchVsReferenceTest : public ::testing::Test
 {
   protected:
-    BatchVsScalarTest()
+    BatchVsReferenceTest()
         : db(smallConfig()),
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
@@ -337,6 +320,18 @@ class BatchVsScalarTest : public ::testing::Test
         engine.prepareSnapshot(db.now());
     }
 
+    /** Run @p plan and compare it with the reference executor at
+     *  this fresh snapshot, where every probe row is visible. */
+    PlanExecution
+    checkedRun(const QueryPlan &plan, const std::string &what)
+    {
+        auto got = executePlan(db, plan);
+        testsupport::expectReferenceAnswer(
+            db, plan, got, testsupport::referenceExecute(db, plan),
+            what);
+        return got;
+    }
+
     Database db;
     format::BandwidthModel bw;
     dram::BatchTimingModel timing;
@@ -344,19 +339,17 @@ class BatchVsScalarTest : public ::testing::Test
     OlapEngine engine;
 };
 
-TEST_F(BatchVsScalarTest, AllExecutablePlansMatch)
+TEST_F(BatchVsReferenceTest, AllExecutablePlansMatch)
 {
     for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name);
+        checkedRun(q.plan, q.plan.name);
 }
 
-TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
+TEST_F(BatchVsReferenceTest, FusedPassEqualsUnfusedOnRandomPlans)
 {
     // Property: the batch engine's fused filter+aggregate pass
-    // (joins absent) and its joined pipeline both equal the scalar
-    // executor on randomized plans.
+    // (joins absent) and its joined pipeline both equal the
+    // reference executor on randomized plans.
     Rng rng(20260725);
     for (int it = 0; it < 24; ++it) {
         QueryPlan p;
@@ -388,9 +381,7 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
         // positive on operator+(const char*, string&&) (PR 105651).
         p.name += std::string("#") + std::to_string(it);
 
-        const auto batch = executePlan(db, p);
-        expectSameExecution(batch, executePlanScalar(db, p),
-                            p.name);
+        const auto batch = checkedRun(p, p.name);
         // Fusion is reported exactly when the whole probe pass
         // stays one fused kernel: join-free, or every join a
         // probe-keyed semi/anti existence filter.
@@ -401,7 +392,7 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
     }
 }
 
-TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
+TEST_F(BatchVsReferenceTest, MinMaxAggregatesMatchAcrossExecutors)
 {
     QueryPlan p;
     p.name = "minmax";
@@ -409,16 +400,14 @@ TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
     p.aggregates = {{AggKind::Min, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Max, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Sum, {ColRef::kProbe, "ol_quantity"}}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), p.name);
+    checkedRun(p, p.name);
 
     // Grouped variant exercises per-group Min/Max seeding.
     p.groupBy = {{ColRef::kProbe, "ol_number"}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), "minmax grouped");
+    checkedRun(p, "minmax grouped");
 }
 
-TEST_F(BatchVsScalarTest, FusedScanPricingReducesModelledTime)
+TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
 {
     // With fuseScans on, results stay identical and the modelled
     // PIM time of a fused plan drops (one serial scan instead of

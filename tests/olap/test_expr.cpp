@@ -11,7 +11,7 @@
 #include "olap/expr.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -244,7 +244,7 @@ TEST(ExprValidation, RejectsExpressionsOutsideTheirContext)
     EXPECT_THROW(validatePlan(p), FatalError);
 }
 
-// ---- random expression trees: batch vs scalar vs naive -------------
+// ---- random expression trees: batch vs the reference executor -----
 
 /**
  * Random expression generator over ORDERLINE. Int trees draw from
@@ -258,8 +258,9 @@ class ExprGen
   public:
     explicit ExprGen(std::uint64_t seed) : rng_(seed) {}
 
-    /** @p allow_like: LIKE is predicate-only — aggregate-input
-     *  trees must stay integer-only (validatePlan enforces it). */
+    /** @p allow_like lets the tree's boolean subtrees draw LIKE over
+     *  ol_dist_info. validatePlan accepts a probe-column LIKE in
+     *  every expression context, so callers choose per use. */
     ExprPtr
     intExpr(int depth, bool allow_like = false)
     {
@@ -377,35 +378,14 @@ class ExprGen
     Rng rng_;
 };
 
+/** The serial batch run and a parallel one both answer @p plan as
+ *  the reference executor does. */
 void
-expectThreeWayAgreement(Database &db, const QueryPlan &plan)
+expectAgreesWithReference(Database &db, const QueryPlan &plan)
 {
-    const auto scalar = executePlanScalar(db, plan);
-    const auto batch = executePlan(db, plan);
-    ASSERT_EQ(batch.result.rows.size(), scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i) {
-        EXPECT_EQ(batch.result.rows[i].keys,
-                  scalar.result.rows[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].count,
-                  scalar.result.rows[i].count)
-            << plan.name << " row " << i;
-    }
-
     const auto ref = testsupport::referenceExecute(db, plan);
-    ASSERT_EQ(scalar.result.rows.size(), ref.size()) << plan.name;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(scalar.result.rows[i].keys, ref[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].aggs, ref[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].count, ref[i].count)
-            << plan.name << " row " << i;
-    }
+    testsupport::expectSameRows(executePlan(db, plan).result.rows, ref,
+                                plan.name);
 
     // And the parallel scan-run fan-out must not change a byte.
     WorkerPool pool(2);
@@ -413,14 +393,8 @@ expectThreeWayAgreement(Database &db, const QueryPlan &plan)
     opts.workers = 2;
     opts.morselRows = 256;
     opts.pool = &pool;
-    const auto parallel = executePlan(db, plan, opts);
-    ASSERT_EQ(parallel.result.rows.size(),
-              scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i)
-        EXPECT_EQ(parallel.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
+    testsupport::expectSameRows(executePlan(db, plan, opts).result.rows,
+                                ref, plan.name + " parallel");
 }
 
 /**
@@ -499,7 +473,7 @@ randomPlan(ExprGen &gen, Rng &rng, int it)
 
     AggSpec sum;
     sum.kind = AggKind::Sum;
-    sum.expr = gen.intExpr(2 + rng.below(2));
+    sum.expr = gen.intExpr(2 + rng.below(2), /*allow_like=*/true);
     p.aggregates.push_back(std::move(sum));
     p.aggregates.push_back(
         {AggKind::Min, {ColRef::kProbe, "ol_amount"}});
@@ -530,14 +504,14 @@ class ExprPropertyTest
     TpccEngine oltp;
 };
 
-TEST_P(ExprPropertyTest, RandomTreesAgreeAcrossAllThreeExecutors)
+TEST_P(ExprPropertyTest, RandomTreesAgreeWithReference)
 {
     Rng rng(97 + static_cast<std::uint64_t>(GetParam()));
     ExprGen gen(1000 + static_cast<std::uint64_t>(GetParam()));
     for (int it = 0; it < 16; ++it) {
         const auto plan = randomPlan(gen, rng, it);
         ASSERT_NO_THROW(validatePlan(plan)) << plan.name;
-        expectThreeWayAgreement(db, plan);
+        expectAgreesWithReference(db, plan);
     }
 }
 
@@ -608,7 +582,7 @@ TEST(ExprPropertyFragmented, RandomTreesAgreeOnFragmentedLayouts)
     ExprGen gen(5678);
     for (int it = 0; it < 8; ++it) {
         const auto plan = randomPlan(gen, rng, it);
-        expectThreeWayAgreement(db, plan);
+        expectAgreesWithReference(db, plan);
     }
 }
 
@@ -618,7 +592,7 @@ TEST(ExprPropertyFragmented, CatalogLongTailAgreesOnFragmentedLayouts)
     cfg.olapQuerySubset = 1;
     Database db(cfg);
     for (int n : {2, 8, 10, 11, 16, 17, 20, 21, 22})
-        expectThreeWayAgreement(
+        expectAgreesWithReference(
             db, *workload::executableQueryPlan(n));
 }
 

@@ -77,13 +77,14 @@ class OlapEngineTest : public ::testing::Test
 TEST_F(OlapEngineTest, Q6MatchesReferenceOnCleanData)
 {
     engine.prepareSnapshot(db.now());
-    std::int64_t revenue = 0;
-    const auto rep = engine.q6(workload::kDateBase,
-                               workload::kDateBase + 2000, 1, 10,
-                               &revenue);
-    EXPECT_EQ(revenue, referenceQ6(db, workload::kDateBase,
-                                   workload::kDateBase + 2000, 1,
-                                   10));
+    QueryResult res;
+    const auto rep = engine.runQuery(
+        plans::q6(workload::kDateBase, workload::kDateBase + 2000, 1,
+                  10),
+        &res);
+    EXPECT_EQ(res.rows[0].aggs[0],
+              referenceQ6(db, workload::kDateBase,
+                          workload::kDateBase + 2000, 1, 10));
     // A forced optimizer may legitimately demote every scan of this
     // tiny table to the CPU gather path, pricing pimNs to zero.
     if (!OlapConfig::optimizeForcedByEnv()) {
@@ -96,17 +97,18 @@ TEST_F(OlapEngineTest, Q6MatchesReferenceOnCleanData)
 TEST_F(OlapEngineTest, Q6SeesCommittedTransactions)
 {
     // Freshness: inserted order lines appear in the next query.
-    std::int64_t before = 0, after = 0;
+    QueryResult before, after;
     engine.prepareSnapshot(db.now());
-    engine.q6(0, 1LL << 60, 1, 10, &before);
+    engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &before);
 
     for (int i = 0; i < 5; ++i)
         oltp.executeNewOrder();
 
     engine.prepareSnapshot(db.now());
-    engine.q6(0, 1LL << 60, 1, 10, &after);
-    EXPECT_GT(after, before);
-    EXPECT_EQ(after, referenceQ6(db, 0, 1LL << 60, 1, 10));
+    engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &after);
+    EXPECT_GT(after.rows[0].aggs[0], before.rows[0].aggs[0]);
+    EXPECT_EQ(after.rows[0].aggs[0],
+              referenceQ6(db, 0, 1LL << 60, 1, 10));
 }
 
 TEST_F(OlapEngineTest, Q6IgnoresUncommittedFuture)
@@ -114,17 +116,17 @@ TEST_F(OlapEngineTest, Q6IgnoresUncommittedFuture)
     // Snapshot isolation: a query sees the snapshot timestamp, not
     // transactions that commit afterwards.
     engine.prepareSnapshot(db.now());
-    std::int64_t at_snapshot = 0;
-    engine.q6(0, 1LL << 60, 1, 10, &at_snapshot);
+    QueryResult at_snapshot;
+    engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &at_snapshot);
 
     const auto frozen = db.now();
     for (int i = 0; i < 3; ++i)
         oltp.executeNewOrder();
 
     engine.prepareSnapshot(frozen); // snapshot at the old timestamp
-    std::int64_t still = 0;
-    engine.q6(0, 1LL << 60, 1, 10, &still);
-    EXPECT_EQ(still, at_snapshot);
+    QueryResult still;
+    engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &still);
+    EXPECT_EQ(still.rows[0].aggs[0], at_snapshot.rows[0].aggs[0]);
 }
 
 TEST_F(OlapEngineTest, Q1GroupsMatchReference)
@@ -133,8 +135,9 @@ TEST_F(OlapEngineTest, Q1GroupsMatchReference)
         oltp.executeNewOrder();
     engine.prepareSnapshot(db.now());
 
-    std::vector<Q1Row> rows;
-    engine.q1(workload::kDateBase, &rows);
+    QueryResult res;
+    engine.runQuery(plans::q1(workload::kDateBase), &res);
+    const auto &rows = res.rows;
     ASSERT_FALSE(rows.empty());
     EXPECT_LE(rows.size(), 10u); // ol_number in [1, 10]
 
@@ -142,7 +145,12 @@ TEST_F(OlapEngineTest, Q1GroupsMatchReference)
     auto &tbl = db.table(ChTable::OrderLine);
     const auto &s = tbl.schema();
     std::vector<std::uint8_t> buf(s.rowBytes());
-    std::unordered_map<std::int64_t, Q1Row> expect;
+    struct Sums
+    {
+        std::int64_t sumQuantity = 0, sumAmount = 0;
+        std::uint64_t count = 0;
+    };
+    std::unordered_map<std::int64_t, Sums> expect;
     for (RowId r = 0; r < tbl.usedDataRows(); ++r) {
         db.readNewest(ChTable::OrderLine, r, buf);
         const workload::ConstRowView v(s, buf);
@@ -155,9 +163,9 @@ TEST_F(OlapEngineTest, Q1GroupsMatchReference)
     }
     ASSERT_EQ(rows.size(), expect.size());
     for (const auto &row : rows) {
-        const auto &e = expect.at(row.olNumber);
-        EXPECT_EQ(row.sumQuantity, e.sumQuantity);
-        EXPECT_EQ(row.sumAmount, e.sumAmount);
+        const auto &e = expect.at(row.keys[0]);
+        EXPECT_EQ(row.aggs[0], e.sumQuantity);
+        EXPECT_EQ(row.aggs[1], e.sumAmount);
         EXPECT_EQ(row.count, e.count);
     }
 }
@@ -165,8 +173,8 @@ TEST_F(OlapEngineTest, Q1GroupsMatchReference)
 TEST_F(OlapEngineTest, Q9JoinMatchesReference)
 {
     engine.prepareSnapshot(db.now());
-    std::vector<Q9Row> rows;
-    const auto rep = engine.q9(&rows);
+    QueryResult res;
+    const auto rep = engine.runQuery(plans::q9(), &res);
     EXPECT_GT(rep.pimNs, 0.0);
     EXPECT_GT(rep.cpuNs, 0.0);
 
@@ -197,9 +205,9 @@ TEST_F(OlapEngineTest, Q9JoinMatchesReference)
     }
     std::int64_t got_total = 0;
     std::uint64_t got_matches = 0;
-    for (const auto &row : rows) {
-        got_total += row.sumAmount;
-        got_matches += row.matches;
+    for (const auto &row : res.rows) {
+        got_total += row.aggs[0];
+        got_matches += row.count;
     }
     EXPECT_EQ(got_total, total);
     EXPECT_EQ(got_matches, matches);
@@ -237,9 +245,9 @@ TEST_F(OlapEngineTest, DefragmentationRestoresScanCost)
 
     // And results are still right afterwards.
     engine.prepareSnapshot(db.now());
-    std::int64_t revenue = 0;
-    engine.q6(0, 1LL << 60, 1, 10, &revenue);
-    EXPECT_EQ(revenue, referenceQ6(db, 0, 1LL << 60, 1, 10));
+    QueryResult res;
+    engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &res);
+    EXPECT_EQ(res.rows[0].aggs[0], referenceQ6(db, 0, 1LL << 60, 1, 10));
 }
 
 TEST_F(OlapEngineTest, ConsistencyChargedOncePerQuery)
@@ -248,10 +256,10 @@ TEST_F(OlapEngineTest, ConsistencyChargedOncePerQuery)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
     EXPECT_GT(engine.pendingConsistencyNs(), 0.0);
-    const auto rep = engine.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.consistencyNs, 0.0);
     EXPECT_EQ(engine.pendingConsistencyNs(), 0.0);
-    const auto rep2 = engine.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep2 = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_EQ(rep2.consistencyNs, 0.0);
 }
 
@@ -281,13 +289,13 @@ TEST_F(OlapEngineTest, CpuBlockedTimeOnlyDuringLoadPhases)
     if (OlapConfig::optimizeForcedByEnv())
         GTEST_SKIP() << "optimizer forced on";
     engine.prepareSnapshot(db.now());
-    const auto rep = engine.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.cpuBlockedNs, 0.0);
     EXPECT_LT(rep.cpuBlockedNs, rep.pimNs);
 }
 
-// ---- Plan-pipeline equivalence: the q1/q6/q9 wrappers must keep
-// ---- the pre-refactor QueryReport decomposition exactly.
+// ---- Plan-pipeline equivalence: the Q1/Q6/Q9 plans must keep the
+// ---- pre-refactor QueryReport decomposition exactly.
 
 TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
 {
@@ -300,7 +308,7 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
-    const auto rep = engine.q6(0, 1LL << 60, 1, 10, nullptr);
+    const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
 
     auto &tbl = db.table(ChTable::OrderLine);
     const auto &s = tbl.schema();
@@ -335,7 +343,7 @@ TEST_F(OlapEngineTest, Q1TimingMatchesBespokeDecomposition)
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
-    const auto rep = engine.q1(workload::kDateBase, nullptr);
+    const auto rep = engine.runQuery(plans::q1(workload::kDateBase));
 
     auto &tbl = db.table(ChTable::OrderLine);
     const auto &s = tbl.schema();
@@ -368,7 +376,7 @@ TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
-    const auto rep = engine.q9(nullptr);
+    const auto rep = engine.runQuery(plans::q9());
 
     auto &items = db.table(ChTable::Item);
     auto &stock = db.table(ChTable::Stock);
@@ -444,28 +452,6 @@ TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
 
     EXPECT_DOUBLE_EQ(rep.cpuNs, cpu);
     EXPECT_NEAR(rep.pimNs, pim, 1e-6 * pim);
-}
-
-TEST_F(OlapEngineTest, WrappersAreThinPlanDefinitions)
-{
-    for (int i = 0; i < 10; ++i)
-        oltp.executeMixed();
-
-    engine.prepareSnapshot(db.now());
-    std::int64_t revenue = 0;
-    const auto wrapped = engine.q6(0, 1LL << 60, 1, 10, &revenue);
-
-    engine.prepareSnapshot(db.now());
-    QueryResult res;
-    const auto planned =
-        engine.runQuery(plans::q6(0, 1LL << 60, 1, 10), &res);
-
-    EXPECT_DOUBLE_EQ(wrapped.pimNs, planned.pimNs);
-    EXPECT_DOUBLE_EQ(wrapped.cpuNs, planned.cpuNs);
-    EXPECT_DOUBLE_EQ(wrapped.cpuBlockedNs, planned.cpuBlockedNs);
-    EXPECT_EQ(wrapped.rowsVisible, planned.rowsVisible);
-    ASSERT_EQ(res.rows.size(), 1u);
-    EXPECT_EQ(res.rows[0].aggs[0], revenue);
 }
 
 TEST_F(OlapEngineTest, RunQueryChargesPendingConsistencyOnce)

@@ -7,13 +7,14 @@
 
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectSameRows;
 using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
@@ -29,22 +30,6 @@ smallConfig()
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
     return cfg;
-}
-
-void
-expectSameRows(const QueryResult &got,
-               const std::vector<testsupport::RefRow> &want,
-               const std::string &what)
-{
-    ASSERT_EQ(got.rows.size(), want.size()) << what;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.rows[i].keys, want[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].aggs, want[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].count, want[i].count)
-            << what << " row " << i;
-    }
 }
 
 /**
@@ -79,7 +64,7 @@ TEST_P(OperatorPropertyTest, CleanDataMatchesReference)
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(db, q.plan),
+        expectSameRows(res.rows, referenceExecute(db, q.plan),
                        q.plan.name + " clean");
     }
 }
@@ -96,7 +81,7 @@ TEST_P(OperatorPropertyTest, InFlightDeltasMatchReference)
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(db, q.plan),
+        expectSameRows(res.rows, referenceExecute(db, q.plan),
                        q.plan.name + " deltas");
     }
 }
@@ -129,7 +114,7 @@ TEST_P(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
     engine.prepareSnapshot(db.now());
     QueryResult fresh;
     engine.runQuery(plan, &fresh);
-    expectSameRows(fresh, referenceExecute(db, plan),
+    expectSameRows(fresh.rows, referenceExecute(db, plan),
                    "Q12 after catch-up");
 }
 
@@ -185,14 +170,16 @@ TEST_F(OperatorTest, BoundaryQueryWindowsSelectNothing)
     // Degenerate windows the old imperative predicates accepted:
     // q6 over [d, d) and q1 above INT64_MAX return zero matches
     // instead of rejecting or overflowing.
-    std::int64_t revenue = -1;
-    engine.q6(workload::kDateBase, workload::kDateBase, 1, 10,
-              &revenue);
-    EXPECT_EQ(revenue, 0);
+    QueryResult q6;
+    engine.runQuery(
+        plans::q6(workload::kDateBase, workload::kDateBase, 1, 10),
+        &q6);
+    EXPECT_EQ(q6.rows[0].aggs[0], 0);
 
-    std::vector<Q1Row> rows;
-    engine.q1(std::numeric_limits<std::int64_t>::max(), &rows);
-    EXPECT_TRUE(rows.empty());
+    QueryResult q1;
+    engine.runQuery(plans::q1(std::numeric_limits<std::int64_t>::max()),
+                    &q1);
+    EXPECT_TRUE(q1.rows.empty());
 }
 
 TEST_F(OperatorTest, AntiJoinMatchesReference)
@@ -208,7 +195,7 @@ TEST_F(OperatorTest, AntiJoinMatchesReference)
     plan.joins[0].kind = JoinKind::Anti;
     QueryResult res;
     engine.runQuery(plan, &res);
-    expectSameRows(res, referenceExecute(db, plan), "Q14 anti");
+    expectSameRows(res.rows, referenceExecute(db, plan), "Q14 anti");
 
     // Semi + anti partitions the filtered probe rows exactly.
     auto semi = plans::q14();
@@ -232,7 +219,7 @@ TEST_F(OperatorTest, InnerJoinPayloadGroupingMatchesReference)
     const auto &plan = *workload::executableQueryPlan(12);
     QueryResult res;
     engine.runQuery(plan, &res);
-    expectSameRows(res, referenceExecute(db, plan), "Q12");
+    expectSameRows(res.rows, referenceExecute(db, plan), "Q12");
     for (const auto &row : res.rows)
         EXPECT_GT(row.count, 0u);
 }
@@ -314,7 +301,7 @@ TEST_F(OperatorTest, FragmentedColumnsFallBackToGatherPath)
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         frag_engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(frag_db, q.plan),
+        expectSameRows(res.rows, referenceExecute(frag_db, q.plan),
                        q.plan.name + " fragmented");
     }
 }

@@ -12,12 +12,14 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/optimizer.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectSameRows;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -43,21 +45,6 @@ optimizedConfig(std::uint32_t shards = 1, std::uint32_t workers = 1)
     cfg.shards = shards;
     cfg.workers = workers;
     return cfg;
-}
-
-void
-expectSameResult(const QueryResult &got, const QueryResult &want,
-                 const std::string &what)
-{
-    ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
-    for (std::size_t i = 0; i < want.rows.size(); ++i) {
-        EXPECT_EQ(got.rows[i].keys, want.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].aggs, want.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].count, want.rows[i].count)
-            << what << " row " << i;
-    }
 }
 
 /** Probe OrderLine through two semi joins: the huge STOCK build and
@@ -129,7 +116,7 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
             QueryResult rb, ro;
             const auto repb = base.runQuery(q.plan, &rb);
             const auto repo = opt.runQuery(q.plan, &ro);
-            expectSameResult(ro, rb, what);
+            expectSameRows(ro.rows, rb.rows, what);
             EXPECT_EQ(repo.rowsVisible, repb.rowsVisible) << what;
             EXPECT_TRUE(repo.optimized) << what;
             EXPECT_LE(repo.pricedChosenNs, repo.pricedHandBuiltNs)
@@ -168,7 +155,7 @@ TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
                 q.plan.name + " s" + std::to_string(shards);
             QueryResult r;
             const auto rep = opt.runQuery(q.plan, &r);
-            expectSameResult(r, want[i++], what);
+            expectSameRows(r.rows, want[i++].rows, what);
             EXPECT_EQ(rep.shardBytes.size(), shards) << what;
             EXPECT_EQ(rep.execWorkers, 2u) << what;
         }
@@ -278,8 +265,8 @@ TEST_F(OptimizerTest, SkewedJoinOrderPutsTinyBuildFirst)
     EXPECT_LE(oq.pricedChosenNs, oq.pricedHandBuiltNs);
 
     // Filter reorder is selection commutation: byte-identical.
-    expectSameResult(executePlan(db, oq.plan).result,
-                     executePlan(db, plan).result, plan.name);
+    expectSameRows(executePlan(db, oq.plan).result.rows,
+                   executePlan(db, plan).result.rows, plan.name);
 }
 
 TEST_F(OptimizerTest, ObservedSelectivityOverridesHeuristics)
@@ -364,8 +351,8 @@ TEST_F(OptimizerTest, DemotesInnerJoinCoveringPrimaryKey)
     EXPECT_EQ(oq.demoted[0], 1u);
     EXPECT_EQ(oq.plan.joins[0].kind, JoinKind::Semi);
     EXPECT_LE(oq.pricedChosenNs, oq.pricedHandBuiltNs);
-    expectSameResult(executePlan(db, oq.plan).result,
-                     executePlan(db, p).result, p.name);
+    expectSameRows(executePlan(db, oq.plan).result.rows,
+                   executePlan(db, p).result.rows, p.name);
 
     // Referenced payload blocks the demotion.
     QueryPlan used = p;

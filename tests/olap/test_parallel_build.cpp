@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/expect_rows.hpp"
 #include "support/reference_executor.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
@@ -17,6 +19,7 @@
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectSameRows;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -36,25 +39,6 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /** Force the scalar reference kernels for one scope. */
 struct ScalarGuard
 {
@@ -65,7 +49,7 @@ struct ScalarGuard
 /**
  * Byte-identity of the partitioned parallel build phase: every
  * catalog plan with a join or subquery, every InstanceFormat, swept
- * across worker counts against the scalar reference pipeline.
+ * across worker counts against the reference executor.
  * In-flight deltas (transactions ingested after the snapshot) stay
  * in the delta region and stress the data-runs-then-delta-runs
  * stitch order.
@@ -74,6 +58,14 @@ class ParallelBuildTest
     : public ::testing::TestWithParam<InstanceFormat>
 {
   protected:
+    /** A catalog plan's answer at the snapshot: the reference rows
+     *  and the probe table's visible-row count. */
+    struct Expected
+    {
+        std::vector<testsupport::RefRow> rows;
+        std::uint64_t rowsVisible = 0;
+    };
+
     ParallelBuildTest()
         : db(smallConfig()),
           bw(8, 8, true),
@@ -85,11 +77,38 @@ class ParallelBuildTest
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
         engine.prepareSnapshot(db.now());
+        // The reference reads the newest versions, so the answers at
+        // the snapshot are taken before the in-flight commits below
+        // (once per format: the population is deterministic).
+        auto &want = expected_[GetParam()];
+        if (want.empty())
+            for (const auto &q : workload::chExecutablePlans())
+                want.push_back(
+                    {testsupport::referenceExecute(db, q.plan),
+                     db.table(q.plan.probe.table).usedDataRows()});
         // In-flight rows: invisible to the snapshot, present in the
         // delta region the build tasks walk.
         for (int i = 0; i < 10; ++i)
             oltp.executeMixed();
     }
+
+    /** Expected answers of the catalog plans, in catalog order. */
+    const std::vector<Expected> &
+    want() const
+    {
+        return expected_.at(GetParam());
+    }
+
+    static void
+    expectAnswer(const PlanExecution &got, const Expected &want,
+                 const std::string &what)
+    {
+        EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
+        expectSameRows(got.result.rows, want.rows, what);
+    }
+
+    static inline std::map<InstanceFormat, std::vector<Expected>>
+        expected_;
 
     Database db;
     format::BandwidthModel bw;
@@ -98,11 +117,8 @@ class ParallelBuildTest
     OlapEngine engine;
 };
 
-TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkers)
+TEST_P(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkers)
 {
-    std::vector<PlanExecution> want;
-    for (const auto &q : workload::chExecutablePlans())
-        want.push_back(executePlanScalar(db, q.plan));
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
         WorkerPool pool(workers);
@@ -112,12 +128,11 @@ TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkers)
         opts.pool = &pool;
         std::size_t i = 0;
         for (const auto &q : workload::chExecutablePlans()) {
-            const auto &w = want[i++];
+            const auto &w = want()[i++];
             if (q.plan.joins.empty() && q.plan.subqueries.empty())
                 continue;
-            expectSameExecution(
-                executePlan(db, q.plan, opts), w,
-                q.plan.name + " w" + std::to_string(workers));
+            expectAnswer(executePlan(db, q.plan, opts), w,
+                         q.plan.name + " w" + std::to_string(workers));
         }
     }
 }
@@ -132,26 +147,27 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
     opts.workers = 4;
     opts.morselRows = 256;
     opts.pool = &pool;
+    std::size_t i = 0;
     for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan, opts),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name + " forced-scalar");
+        expectAnswer(executePlan(db, q.plan, opts), want()[i++],
+                     q.plan.name + " forced-scalar");
 }
 
 TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
 {
     WorkerPool pool(4);
+    std::size_t i = 0;
     for (const auto &q : workload::chExecutablePlans()) {
+        const auto &w = want()[i++];
         if (q.plan.joins.empty() && q.plan.subqueries.empty())
             continue;
-        const auto want = executePlanScalar(db, q.plan);
         for (const std::uint32_t morsel : {64u, 2048u, 8192u}) {
             ExecOptions opts;
             opts.workers = 4;
             opts.morselRows = morsel;
             opts.pool = &pool;
-            expectSameExecution(
-                executePlan(db, q.plan, opts), want,
+            expectAnswer(
+                executePlan(db, q.plan, opts), w,
                 q.plan.name + " morsel " + std::to_string(morsel));
         }
     }
@@ -173,21 +189,10 @@ expectMatchesReference(Database &db, const QueryPlan &plan)
             opts.workers = workers;
             opts.morselRows = morsel;
             opts.pool = workers > 1 ? &pool : nullptr;
-            const auto got = executePlan(db, plan, opts);
-            const auto what = plan.name + " w" +
-                              std::to_string(workers) + " m" +
-                              std::to_string(morsel);
-            EXPECT_EQ(got.result.rows.size(), want.size()) << what;
-            if (got.result.rows.size() != want.size())
-                continue;
-            for (std::size_t i = 0; i < want.size(); ++i) {
-                EXPECT_EQ(got.result.rows[i].keys, want[i].keys)
-                    << what << " row " << i;
-                EXPECT_EQ(got.result.rows[i].aggs, want[i].aggs)
-                    << what << " row " << i;
-                EXPECT_EQ(got.result.rows[i].count, want[i].count)
-                    << what << " row " << i;
-            }
+            expectSameRows(executePlan(db, plan, opts).result.rows,
+                           want,
+                           plan.name + " w" + std::to_string(workers) +
+                               " m" + std::to_string(morsel));
         }
     return want;
 }
@@ -380,12 +385,7 @@ TEST_F(ParallelMaintenanceTest, DefragChargeStatsAndAnswersIdentical)
         QueryResult r1, r4;
         serial.engine.runQuery(q.plan, &r1);
         parallel.engine.runQuery(q.plan, &r4);
-        ASSERT_EQ(r1.rows.size(), r4.rows.size()) << q.plan.name;
-        for (std::size_t i = 0; i < r1.rows.size(); ++i) {
-            EXPECT_EQ(r1.rows[i].keys, r4.rows[i].keys);
-            EXPECT_EQ(r1.rows[i].aggs, r4.rows[i].aggs);
-            EXPECT_EQ(r1.rows[i].count, r4.rows[i].count);
-        }
+        expectSameRows(r4.rows, r1.rows, q.plan.name);
     }
 }
 

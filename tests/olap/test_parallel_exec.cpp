@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -12,12 +13,17 @@
 #include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/expect_rows.hpp"
+#include "support/reference_executor.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectReferenceAnswer;
+using testsupport::expectSameRows;
+using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -38,35 +44,14 @@ smallConfig()
     return cfg;
 }
 
+/** @p got reproduces the one-worker run @p want: answer, visible
+ *  rows, captured groups and ExecStats. */
 void
-expectSameRows(const QueryResult &got, const QueryResult &want,
-               const std::string &what)
-{
-    ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
-    for (std::size_t i = 0; i < want.rows.size(); ++i) {
-        EXPECT_EQ(got.rows[i].keys, want.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].aggs, want.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].count, want.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
+expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
+                   const std::string &what)
 {
     EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    expectSameRows(got.result, want.result, what);
-}
-
-void
-expectSameGroups(const PlanExecution &got, const PlanExecution &want,
-                 const std::string &what)
-{
-    ASSERT_EQ(got.groupsCaptured, want.groupsCaptured) << what;
+    expectSameRows(got.result.rows, want.result.rows, what);
     ASSERT_EQ(got.groups.size(), want.groups.size()) << what;
     for (std::size_t i = 0; i < want.groups.size(); ++i) {
         EXPECT_TRUE(got.groups[i].key == want.groups[i].key)
@@ -76,26 +61,21 @@ expectSameGroups(const PlanExecution &got, const PlanExecution &want,
         EXPECT_EQ(got.groups[i].count, want.groups[i].count)
             << what << " group " << i;
     }
-}
-
-void
-expectSameStats(const ExecStats &got, const ExecStats &want,
-                const std::string &what)
-{
-    EXPECT_EQ(got.probeVisible, want.probeVisible) << what;
-    EXPECT_EQ(got.probeFiltered, want.probeFiltered) << what;
-    ASSERT_EQ(got.joins.size(), want.joins.size()) << what;
-    for (std::size_t k = 0; k < want.joins.size(); ++k) {
-        EXPECT_EQ(got.joins[k].in, want.joins[k].in) << what;
-        EXPECT_EQ(got.joins[k].out, want.joins[k].out) << what;
+    const ExecStats &gs = got.stats, &ws = want.stats;
+    EXPECT_EQ(gs.probeVisible, ws.probeVisible) << what;
+    EXPECT_EQ(gs.probeFiltered, ws.probeFiltered) << what;
+    ASSERT_EQ(gs.joins.size(), ws.joins.size()) << what;
+    for (std::size_t k = 0; k < ws.joins.size(); ++k) {
+        EXPECT_EQ(gs.joins[k].in, ws.joins[k].in) << what;
+        EXPECT_EQ(gs.joins[k].out, ws.joins[k].out) << what;
     }
-    EXPECT_EQ(got.conjuncts, want.conjuncts) << what;
+    EXPECT_EQ(gs.conjuncts, ws.conjuncts) << what;
 }
 
 /**
  * The worker sweep of the acceptance criteria: every executable
  * catalog plan, every InstanceFormat, workers {1, 2, 4, hardware} —
- * answers byte-identical to the scalar reference pipeline, and the
+ * answers byte-identical to the reference executor, and the
  * captured group accumulators (what foldGroups/materializeGroups
  * consume) plus the ExecStats byte-identical to the single-worker
  * run. Execution reads no shard count, so these hold at every
@@ -125,7 +105,7 @@ class ParallelExecTest
     OlapEngine engine;
 };
 
-TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkers)
+TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
 {
     ExecOptions serial;
     serial.captureGroups = true;
@@ -133,8 +113,9 @@ TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkers)
     std::vector<PlanExecution> want;
     for (const auto &q : workload::chExecutablePlans()) {
         want.push_back(executePlan(db, q.plan, serial));
-        expectSameExecution(want.back(), executePlanScalar(db, q.plan),
-                            q.plan.name + " w1");
+        expectReferenceAnswer(db, q.plan, want.back(),
+                              referenceExecute(db, q.plan),
+                              q.plan.name + " w1");
     }
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {2u, 4u, hw}) {
@@ -145,11 +126,9 @@ TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkers)
         std::size_t i = 0;
         for (const auto &q : workload::chExecutablePlans()) {
             const auto got = executePlan(db, q.plan, opts);
-            const auto what =
-                q.plan.name + " w" + std::to_string(workers);
-            expectSameExecution(got, want[i], what);
-            expectSameGroups(got, want[i], what);
-            expectSameStats(got.stats, want[i].stats, what);
+            expectSameAsSerial(
+                got, want[i],
+                q.plan.name + " w" + std::to_string(workers));
             ++i;
         }
     }
@@ -161,9 +140,9 @@ TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkersAndShards)
     // the modelled decomposition — answers never move. Execution
     // reads no shard count, so each shard count runs once, at a
     // different worker count.
-    std::vector<QueryResult> want;
+    std::vector<std::vector<testsupport::RefRow>> want;
     for (const auto &q : workload::chExecutablePlans())
-        want.push_back(executePlanScalar(db, q.plan).result);
+        want.push_back(referenceExecute(db, q.plan));
     const std::pair<std::uint32_t, std::uint32_t> configs[] = {
         {1, 1}, {2, 4}, {WorkerPool::hardwareWorkers(), 2}};
     for (const auto &[workers, shards] : configs) {
@@ -176,7 +155,7 @@ TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkersAndShards)
         for (const auto &q : workload::chExecutablePlans()) {
             QueryResult res;
             eng.runQuery(q.plan, &res);
-            expectSameRows(res, want[i++],
+            expectSameRows(res.rows, want[i++],
                            q.plan.name + " w" + std::to_string(workers) +
                                " s" + std::to_string(shards));
         }
@@ -187,16 +166,71 @@ TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
 {
     WorkerPool pool(2);
     for (const auto &q : workload::chExecutablePlans()) {
-        const auto want = executePlanScalar(db, q.plan);
+        const auto want = referenceExecute(db, q.plan);
         for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
             ExecOptions opts;
             opts.workers = 2;
             opts.morselRows = morsel;
             opts.pool = &pool;
-            expectSameExecution(
-                executePlan(db, q.plan, opts), want,
+            expectReferenceAnswer(
+                db, q.plan, executePlan(db, q.plan, opts), want,
                 q.plan.name + " morsel " + std::to_string(morsel));
         }
+    }
+}
+
+TEST_P(ParallelExecTest, EightColumnKeysMatchReference)
+{
+    // The widest keys validatePlan admits fill InlineKey to
+    // capacity: a group-by, a semi self-join and an inner self-join,
+    // each over eight ORDERLINE columns.
+    static const char *const kCols[] = {
+        "ol_w_id",   "ol_d_id",        "ol_o_id",
+        "ol_number", "ol_i_id",        "ol_supply_w_id",
+        "ol_delivery_d", "ol_quantity"};
+    static_assert(std::size(kCols) == kMaxKeyColumns);
+    std::vector<QueryPlan> wide(1);
+    wide[0].name = "group_by_8";
+    wide[0].probe.table = ChTable::OrderLine;
+    for (const char *c : kCols)
+        wide[0].groupBy.push_back({ColRef::kProbe, c});
+    wide[0].aggregates = {
+        {AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+    for (const auto kind : {JoinKind::Semi, JoinKind::Inner}) {
+        JoinSpec self;
+        self.build.table = ChTable::OrderLine;
+        self.build.intPredicates = {{"ol_number", 1, 5}};
+        self.kind = kind;
+        for (const char *c : kCols)
+            self.keys.push_back({c, {ColRef::kProbe, c}});
+        QueryPlan p;
+        p.name = kind == JoinKind::Semi ? "semi_self_join_8"
+                                        : "inner_self_join_8";
+        p.probe.table = ChTable::OrderLine;
+        p.groupBy = {{ColRef::kProbe, "ol_d_id"}};
+        p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+        if (kind == JoinKind::Inner) {
+            self.payload = {"ol_i_id"};
+            p.aggregates.push_back({AggKind::Max, {0, "ol_i_id"}});
+        }
+        p.joins = {std::move(self)};
+        wide.push_back(std::move(p));
+    }
+    WorkerPool pool(4);
+    for (const auto &plan : wide) {
+        const auto want = referenceExecute(db, plan);
+        ASSERT_FALSE(want.empty()) << plan.name;
+        for (const std::uint32_t workers : {1u, 4u})
+            for (const std::uint32_t morsel : {64u, 2048u}) {
+                ExecOptions opts;
+                opts.workers = workers;
+                opts.morselRows = morsel;
+                opts.pool = workers > 1 ? &pool : nullptr;
+                expectReferenceAnswer(
+                    db, plan, executePlan(db, plan, opts), want,
+                    plan.name + " w" + std::to_string(workers) +
+                        " m" + std::to_string(morsel));
+            }
     }
 }
 
@@ -222,8 +256,8 @@ INSTANTIATE_TEST_SUITE_P(
  * pre-passes), a grouped plan whose workers' dense aggregators see
  * key ranges that cannot share one dense domain, and a LIMIT cut
  * through tied aggregates. Each runs at one worker and at {2, 4,
- * hardware} workers; answers match the scalar reference pipeline,
- * and captures and stats match the single-worker run.
+ * hardware} workers; answers match the reference executor, and
+ * captures and stats match the single-worker run.
  */
 class HighCardinalityTest : public ::testing::Test
 {
@@ -265,25 +299,23 @@ class HighCardinalityTest : public ::testing::Test
     static PlanExecution
     sweep(const QueryPlan &plan)
     {
-        const Database &db = env_->db;
+        Database &db = env_->db;
         ExecOptions serial;
         serial.captureGroups = true;
         serial.morselRows = 1024;
         auto want = executePlan(db, plan, serial);
-        expectSameExecution(want, executePlanScalar(db, plan),
-                            plan.name + " w1");
+        expectReferenceAnswer(db, plan, want,
+                              referenceExecute(db, plan),
+                              plan.name + " w1");
         for (const std::uint32_t workers :
              {2u, 4u, WorkerPool::hardwareWorkers()}) {
             WorkerPool pool(workers);
             ExecOptions opts = serial;
             opts.workers = workers;
             opts.pool = &pool;
-            const auto got = executePlan(db, plan, opts);
-            const auto what =
-                plan.name + " w" + std::to_string(workers);
-            expectSameExecution(got, want, what);
-            expectSameGroups(got, want, what);
-            expectSameStats(got.stats, want.stats, what);
+            expectSameAsSerial(executePlan(db, plan, opts), want,
+                               plan.name + " w" +
+                                   std::to_string(workers));
         }
         return want;
     }
@@ -421,8 +453,8 @@ TEST_F(HighCardinalityTest, FoldedCapturesMaterializeLikeColdRun)
                 EXPECT_EQ(into[i].aggs, cold.groups[i].aggs) << what;
                 EXPECT_EQ(into[i].count, cold.groups[i].count) << what;
             }
-            expectSameRows(materializeGroups(plan, into), cold.result,
-                           what);
+            expectSameRows(materializeGroups(plan, into).rows,
+                           cold.result.rows, what);
         }
     }
 }
@@ -502,12 +534,7 @@ TEST_F(ShardPricingTest, SingleShardDecompositionUnchangedByWorkers)
         EXPECT_EQ(prep.rowsVisible, grep.rowsVisible) << q.plan.name;
         EXPECT_DOUBLE_EQ(prep.mergeNs, 0.0) << q.plan.name;
         EXPECT_DOUBLE_EQ(prep.buildMergeNs, 0.0) << q.plan.name;
-        ASSERT_EQ(gres.rows.size(), pres.rows.size()) << q.plan.name;
-        for (std::size_t i = 0; i < gres.rows.size(); ++i) {
-            EXPECT_EQ(gres.rows[i].keys, pres.rows[i].keys);
-            EXPECT_EQ(gres.rows[i].aggs, pres.rows[i].aggs);
-            EXPECT_EQ(gres.rows[i].count, pres.rows[i].count);
-        }
+        expectSameRows(pres.rows, gres.rows, q.plan.name);
     }
 }
 
@@ -557,20 +584,14 @@ TEST_F(ShardPricingTest, ShardBytesComposeAdditively)
 TEST_F(ShardPricingTest, EngineShardingKeepsReferenceAnswers)
 {
     // End-to-end through the engine at an aggressive configuration:
-    // answers equal the scalar reference pipeline exactly.
+    // answers equal the reference executor exactly.
     OlapEngine engine(db, config(4, 4));
     engine.prepareSnapshot(db.now());
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        const auto want = executePlanScalar(db, q.plan);
-        ASSERT_EQ(res.rows.size(), want.result.rows.size())
-            << q.plan.name;
-        for (std::size_t i = 0; i < res.rows.size(); ++i) {
-            EXPECT_EQ(res.rows[i].keys, want.result.rows[i].keys);
-            EXPECT_EQ(res.rows[i].aggs, want.result.rows[i].aggs);
-            EXPECT_EQ(res.rows[i].count, want.result.rows[i].count);
-        }
+        expectSameRows(res.rows, referenceExecute(db, q.plan),
+                       q.plan.name);
     }
 }
 

@@ -3,6 +3,10 @@
 #include "common/log.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "olap/plan.hpp"
 #include "workload/query_catalog.hpp"
@@ -124,6 +128,74 @@ TEST(Plan, ValidateRejectsJoinWithoutKeys)
     auto p = plans::q9();
     p.joins[0].keys.clear();
     EXPECT_THROW(validatePlan(p), pushtap::FatalError);
+}
+
+/** The first @p n of ORDERLINE's nine Int columns (one more than
+ *  kMaxKeyColumns). */
+std::vector<std::string>
+lineInts(std::size_t n)
+{
+    static const char *const kCols[] = {
+        "ol_w_id",       "ol_d_id",     "ol_o_id",
+        "ol_number",     "ol_i_id",     "ol_supply_w_id",
+        "ol_delivery_d", "ol_quantity", "ol_amount"};
+    static_assert(std::size(kCols) == kMaxKeyColumns + 1);
+    return {kCols, kCols + n};
+}
+
+/** @p widen(n) builds an ORDERLINE plan with an n-column key: it
+ *  validates at kMaxKeyColumns columns and fatals at one more. */
+template <typename Widen>
+void
+expectKeyCap(Widen &&widen)
+{
+    const auto base = [] {
+        QueryPlan p;
+        p.name = "wide_keys";
+        p.probe.table = ChTable::OrderLine;
+        p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+        return p;
+    };
+    auto fits = base();
+    widen(fits, lineInts(kMaxKeyColumns));
+    EXPECT_NO_THROW(validatePlan(fits));
+    auto wide = base();
+    widen(wide, lineInts(kMaxKeyColumns + 1));
+    EXPECT_THROW(validatePlan(wide), pushtap::FatalError);
+}
+
+TEST(Plan, ValidateCapsGroupKeys)
+{
+    expectKeyCap([](QueryPlan &p, const std::vector<std::string> &cols) {
+        for (const auto &c : cols)
+            p.groupBy.push_back({ColRef::kProbe, c});
+    });
+}
+
+TEST(Plan, ValidateCapsJoinKeys)
+{
+    expectKeyCap([](QueryPlan &p, const std::vector<std::string> &cols) {
+        JoinSpec self;
+        self.build.table = ChTable::OrderLine;
+        self.kind = JoinKind::Semi;
+        for (const auto &c : cols)
+            self.keys.push_back({c, {ColRef::kProbe, c}});
+        p.joins = {std::move(self)};
+    });
+}
+
+TEST(Plan, ValidateCapsSubqueryGroupKeys)
+{
+    expectKeyCap([](QueryPlan &p, const std::vector<std::string> &cols) {
+        SubquerySpec sub;
+        sub.source.table = ChTable::OrderLine;
+        sub.aggs = {{AggKind::Sum, ex::lit(1)}};
+        for (const auto &c : cols) {
+            sub.groupBy.push_back(c);
+            sub.keys.push_back({ColRef::kProbe, c});
+        }
+        p.subqueries = {std::move(sub)};
+    });
 }
 
 } // namespace

@@ -9,12 +9,14 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/result_cache.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectSameRows;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -30,21 +32,6 @@ smallConfig()
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
     return cfg;
-}
-
-void
-expectSameResult(const QueryResult &got, const QueryResult &want,
-                 const std::string &what)
-{
-    ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
-    for (std::size_t i = 0; i < want.rows.size(); ++i) {
-        EXPECT_EQ(got.rows[i].keys, want.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].aggs, want.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].count, want.rows[i].count)
-            << what << " row " << i;
-    }
 }
 
 class ResultCachePropertyTest
@@ -97,7 +84,7 @@ TEST_P(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
             // Cold ground truth at the very same frontier, through
             // the plain operator pipeline with no engine state.
             auto ground = executePlan(db, q.plan);
-            expectSameResult(rc, ground.result, what);
+            expectSameRows(rc.rows, ground.result.rows, what);
             EXPECT_EQ(rep.rowsVisible, ground.rowsVisible) << what;
             if (round == 1) {
                 EXPECT_TRUE(rep.cacheHit) << what;
@@ -145,7 +132,7 @@ TEST_P(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
     EXPECT_GT(warm_rep.rowsVisible, cold_rep.rowsVisible);
 
     auto ground = executePlan(db, q1);
-    expectSameResult(warm, ground.result, "q1 incremental");
+    expectSameRows(warm.rows, ground.result.rows, "q1 incremental");
 
     // The delta-only ScanCost pricing can never charge more PIM
     // streaming than the cold run over the full snapshot did. Only
@@ -186,7 +173,7 @@ TEST_P(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)
     EXPECT_FALSE(rep.cacheHit);
     EXPECT_EQ(rep.incrementalRows, 0u);
     auto ground = executePlan(db, stock_scan);
-    expectSameResult(warm, ground.result, "stock fallback");
+    expectSameRows(warm.rows, ground.result.rows, "stock fallback");
 }
 
 INSTANTIATE_TEST_SUITE_P(

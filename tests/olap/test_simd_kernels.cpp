@@ -14,6 +14,7 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -21,6 +22,8 @@ namespace pushtap::olap {
 namespace {
 
 using storage::Region;
+using testsupport::expectReferenceAnswer;
+using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -459,30 +462,11 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /**
  * OLTP-churned database (in-flight deltas, fragmented rows,
  * post-freeze dictionary writes) per instance format: the
  * acceptance sweep that SIMD and forced-scalar dispatches execute
- * every catalog plan byte-identically.
+ * every catalog plan exactly as the reference executor answers it.
  */
 class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
 {
@@ -500,6 +484,17 @@ class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
         engine.prepareSnapshot(db.now());
     }
 
+    /** Run @p plan under the current dispatch and compare it with
+     *  the reference rows @p want. */
+    void
+    expectAnswer(const QueryPlan &plan,
+                 const std::vector<testsupport::RefRow> &want,
+                 const std::string &what)
+    {
+        expectReferenceAnswer(db, plan, executePlan(db, plan), want,
+                              what);
+    }
+
     Database db;
     format::BandwidthModel bw;
     dram::BatchTimingModel timing;
@@ -510,16 +505,14 @@ class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
 TEST_P(SimdExecTest, AllPlansByteIdenticalUnderForcedScalar)
 {
     for (const auto &q : workload::chExecutablePlans()) {
-        const auto ref = executePlanScalar(db, q.plan);
-        expectSameExecution(executePlan(db, q.plan), ref,
-                            q.plan.name + " simd");
+        const auto ref = referenceExecute(db, q.plan);
+        expectAnswer(q.plan, ref, q.plan.name + " simd");
         ScalarGuard g(true);
-        expectSameExecution(executePlan(db, q.plan), ref,
-                            q.plan.name + " forced-scalar");
+        expectAnswer(q.plan, ref, q.plan.name + " forced-scalar");
     }
 }
 
-TEST_P(SimdExecTest, DictLikeAggregateMatchesScalar)
+TEST_P(SimdExecTest, DictLikeAggregateMatchesReference)
 {
     using namespace ex;
     // CASE WHEN ol_dist_info LIKE ... over the probe: the aggregate
@@ -530,20 +523,18 @@ TEST_P(SimdExecTest, DictLikeAggregateMatchesScalar)
     caseLike.expr = caseWhen(like("ol_dist_info", "%a%"),
                              col("ol_amount"), lit(0));
     p.aggregates = {caseLike};
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "q6-like simd");
+    const auto ref = referenceExecute(db, p);
+    expectAnswer(p, ref, "q6-like simd");
     {
         ScalarGuard g(true);
-        expectSameExecution(executePlan(db, p), ref,
-                            "q6-like forced-scalar");
+        expectAnswer(p, ref, "q6-like forced-scalar");
     }
 
     // Negated LIKE through NOT, summed standalone.
     AggSpec notLikeSum;
     notLikeSum.expr = not_(like("ol_dist_info", "%a%"));
     p.aggregates = {notLikeSum};
-    expectSameExecution(executePlan(db, p), executePlanScalar(db, p),
-                        "q6-notlike");
+    expectAnswer(p, referenceExecute(db, p), "q6-notlike");
 }
 
 TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
@@ -558,11 +549,10 @@ TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
     p.aggregates[0].expr =
         mul(caseWhen(like("ol_dist_info", "%1%"), lit(1), lit(2)),
             p.aggregates[0].expr);
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "q21-like simd");
+    const auto ref = referenceExecute(db, p);
+    expectAnswer(p, ref, "q21-like simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "q21-like forced-scalar");
+    expectAnswer(p, ref, "q21-like forced-scalar");
 }
 
 TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
@@ -571,11 +561,10 @@ TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
     auto p = plans::q6();
     p.probe.charPredicates = {{"ol_dist_info", "a", false}};
     p.probe.exprPredicates = {notLike("ol_dist_info", "%b%")};
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "charpred simd");
+    const auto ref = referenceExecute(db, p);
+    expectAnswer(p, ref, "charpred simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "charpred forced-scalar");
+    expectAnswer(p, ref, "charpred forced-scalar");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -596,8 +585,8 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Freshly populated database (no OLTP churn): ORDERLINE's
  * ol_dist_info dictionary is fully coded, so the batch executor's
- * pure code-filter fast path is actually taken — and must still be
- * byte-identical to the scalar reference.
+ * pure code-filter fast path is actually taken — and must still
+ * answer exactly as the reference executor does.
  */
 TEST(SimdExecFresh, DictFastPathActiveAndByteIdentical)
 {
@@ -624,12 +613,12 @@ TEST(SimdExecFresh, DictFastPathActiveAndByteIdentical)
     caseLike.expr = caseWhen(like("ol_dist_info", "%b%"),
                              col("ol_amount"), lit(0));
     p.aggregates.push_back(caseLike);
-    const auto ref = executePlanScalar(db, p);
-    EXPECT_GT(ref.rowsVisible, 0u);
-    expectSameExecution(executePlan(db, p), ref, "fresh simd");
+    const auto ref = referenceExecute(db, p);
+    EXPECT_GT(ol.usedDataRows(), 0u);
+    expectReferenceAnswer(db, p, executePlan(db, p), ref, "fresh simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "fresh forced-scalar");
+    expectReferenceAnswer(db, p, executePlan(db, p), ref,
+                          "fresh forced-scalar");
 }
 
 } // namespace

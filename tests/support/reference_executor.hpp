@@ -4,24 +4,26 @@
  * @file
  * Naive reference executor for logical query plans. The plan
  * *semantics* are the shared specification; the mechanisms that have
- * room to hide bugs are deliberately different from the physical
- * operators':
+ * room to hide bugs are deliberately different from the engine's
+ * (olap::executePlan):
  *
  *  - row visibility: version chains (Database::readNewest) instead
- *    of snapshot bitmaps,
- *  - column access: canonical row views instead of typed per-column
- *    scanners over the unified layout,
- *  - join keys: int tuples in ordered maps instead of packed byte
- *    strings in hash maps,
- *  - match expansion: breadth-first context lists instead of
- *    recursive descent,
+ *    of snapshot bitmaps walked as morsel selection vectors,
+ *  - column access: canonical row views instead of per-morsel typed
+ *    column decodes (stride reads, fragment gathers, dictionary
+ *    codes) over the storage layout,
+ *  - join keys and groups: int tuples in ordered maps instead of
+ *    inline-key tuples in flat hash-partitioned group tables and
+ *    dense arrays,
+ *  - match expansion: breadth-first context lists per row instead
+ *    of batched per-morsel match vectors,
  *  - expressions: direct recursion over ConstRowView values with an
  *    independently-written arithmetic switch and a recursive
- *    backtracking LIKE matcher (the engine compiles trees against
- *    typed scanners / vectorized kernels and matches LIKE by
- *    anchored piece scanning),
+ *    backtracking LIKE matcher (the engine evaluates trees
+ *    column-at-a-time through vectorized kernels and matches LIKE by
+ *    anchored piece scanning or dictionary match tables),
  *  - scalar subqueries: ordered maps keyed by int-tuple vectors
- *    instead of the engine's inline-key hash lookups.
+ *    instead of the engine's inline-key group-table lookups.
  *
  * Aggregate accumulation, the orderBy/limit step, and the IR's
  * value semantics (wrapping arithmetic, guarded division, NUL-
@@ -162,10 +164,13 @@ refEvalLocal(const olap::Expr &e, const workload::ConstRowView &v,
 }
 
 /** Full-plan expression evaluation (aggregate expressions): columns
- *  resolve through @p resolve; LIKE/subqueries cannot appear. */
+ *  resolve through @p resolve, LIKE reads the probe row @p probe
+ *  (validation confines it to probe Char columns); subqueries cannot
+ *  appear. */
 template <typename Resolve>
 std::int64_t
-refEvalFull(const olap::Expr &e, Resolve &&resolve)
+refEvalFull(const olap::Expr &e, const workload::ConstRowView &probe,
+            Resolve &&resolve)
 {
     using olap::ExprOp;
     switch (e.op) {
@@ -173,15 +178,18 @@ refEvalFull(const olap::Expr &e, Resolve &&resolve)
         return e.lit;
       case ExprOp::Column:
         return resolve(e.col);
+      case ExprOp::Like:
+        return refLike(trimNul(probe.getChars(e.col.column)),
+                       e.pattern);
       case ExprOp::Not:
-        return refEvalFull(*e.kids[0], resolve) == 0;
+        return refEvalFull(*e.kids[0], probe, resolve) == 0;
       case ExprOp::CaseWhen:
-        return refEvalFull(*e.kids[0], resolve) != 0
-                   ? refEvalFull(*e.kids[1], resolve)
-                   : refEvalFull(*e.kids[2], resolve);
+        return refEvalFull(*e.kids[0], probe, resolve) != 0
+                   ? refEvalFull(*e.kids[1], probe, resolve)
+                   : refEvalFull(*e.kids[2], probe, resolve);
       default:
-        return refArith(e.op, refEvalFull(*e.kids[0], resolve),
-                        refEvalFull(*e.kids[1], resolve));
+        return refArith(e.op, refEvalFull(*e.kids[0], probe, resolve),
+                        refEvalFull(*e.kids[1], probe, resolve));
     }
 }
 
@@ -389,7 +397,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
                 const auto x =
                     spec.expr
                         ? detail::refEvalFull(
-                              *spec.expr,
+                              *spec.expr, v,
                               [&](const ColRef &ref) {
                                   return resolve(ctx, ref);
                               })
