@@ -25,9 +25,7 @@
  * alongside the suite rows (speedups
  * depend on the runner's core count, which is recorded too). A
  * morselRows axis rides the same grid for the paper's Q1/Q6/Q9
- * (each JSON row carries its morsel_rows), and a closing section
- * sweeps morsel sizes per InstanceFormat and records the suggested
- * per-format default (ROADMAP morsel-sweep item).
+ * (each JSON row carries its morsel_rows).
  *
  * Results are also written to BENCH_fig9b.json (machine-readable;
  * CI archives it on every run so the perf trajectory across PRs can
@@ -71,8 +69,8 @@ struct Measured
 /** One row of the JSON report. */
 struct JsonRow
 {
-    /** "sweep", "suite", "scaling", "phases", "morsel_default",
-     *  "optimizer" or "result_cache". */
+    /** "sweep", "suite", "scaling", "phases", "optimizer" or
+     *  "result_cache". */
     std::string section;
     std::uint64_t paperTxns = 0;
     std::string system;
@@ -627,69 +625,6 @@ main()
     std::printf("\n(pre-query share = (subquery + build) / total; "
                 "speedup compares the parallel row's pre-query time "
                 "against its query's serial row; checksum %zu)\n",
-                sink);
-
-    // Per-format morselRows suggestion: each InstanceFormat lays the
-    // unified store out differently, so the sweet spot between
-    // per-batch setup amortization and decoded-column cache
-    // residency can shift. Q1 + Q6 (the scan-bound class the morsel
-    // size dominates) time the sweep; the argmin is the suggested
-    // default for that format.
-    std::printf("\nPer-format morselRows sweep (Q1 + Q6 host "
-                "wall-clock)\n\n");
-    TablePrinter mp({"format", "morsel", "Q1+Q6 host (us)",
-                     "suggested"});
-    const std::pair<txn::InstanceFormat, const char *> formats[] = {
-        {txn::InstanceFormat::Unified, "Unified"},
-        {txn::InstanceFormat::RowStore, "RowStore"},
-        {txn::InstanceFormat::ColumnStore, "ColumnStore"}};
-    for (const auto &[format, fname] : formats) {
-        auto fopts = pushtapOptions(false);
-        fopts.format = format;
-        htap::PushtapDB fdb(fopts);
-        fdb.mixed(500);
-        double best_host = std::numeric_limits<double>::infinity();
-        std::uint32_t best_morsel = olap::kMorselRows;
-        std::vector<std::pair<std::uint32_t, double>> sweep;
-        for (const auto morsel : morsel_axis) {
-            olap::ExecOptions opts;
-            opts.morselRows = morsel;
-            const double host = wallNs([&] {
-                sink += olap::executePlan(fdb.database(),
-                                          olap::plans::q1(), opts)
-                            .result.rows.size();
-                sink += olap::executePlan(fdb.database(),
-                                          olap::plans::q6(), opts)
-                            .result.rows.size();
-            });
-            sweep.emplace_back(morsel, host);
-            if (host < best_host) {
-                best_host = host;
-                best_morsel = morsel;
-            }
-        }
-        for (const auto &[morsel, host] : sweep) {
-            mp.addRow({fname, std::to_string(morsel),
-                       TablePrinter::num(host / us, 1),
-                       morsel == best_morsel ? "<-- suggested"
-                                             : ""});
-            JsonRow row;
-            row.section = "morsel_default";
-            row.paperTxns = 1'000'000;
-            row.system = fname;
-            row.query = "Q1+Q6";
-            row.hostBatchNs = host;
-            row.morselRows = morsel;
-            row.rows = morsel == best_morsel ? 1 : 0;
-            json.push_back(row);
-        }
-        std::printf("suggested OlapConfig::morselRows for %s: %u\n",
-                    fname, best_morsel);
-    }
-    mp.print();
-    std::printf("\n(rows with result_rows=1 in the morsel_default "
-                "section mark the per-format suggestion; "
-                "checksum %zu)\n",
                 sink);
 
     writeJson(json, "BENCH_fig9b.json");

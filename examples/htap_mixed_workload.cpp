@@ -137,30 +137,6 @@ main(int argc, char **argv)
                     db.explainQuery(9).c_str());
     }
 
-    // Same suite priced as four bank-stripe shards (execution keeps
-    // its default of one worker per hardware thread). Answers are
-    // byte-identical; the modelled decomposition gains the per-shard
-    // scan split and the CPU-side merge charge.
-    auto par_opts = opts;
-    par_opts.olap.shards = 4;
-    htap::PushtapDB par(par_opts);
-    par.mixed(static_cast<std::uint64_t>(rounds) * 100);
-    std::printf("\nsame suite, shards=4 x hardware workers "
-                "(answers must not change):\n");
-    std::printf("query | result rows | shard KiB (s0/s1/s2/s3) | "
-                "merge us\n");
-    for (const auto &q : workload::chExecutablePlans()) {
-        olap::QueryResult res;
-        const auto rep = par.runQuery(q.plan, &res);
-        std::printf("%5s | %11zu | %6.1f/%6.1f/%6.1f/%6.1f | %6.3f\n",
-                    rep.name.c_str(), res.rows.size(),
-                    static_cast<double>(rep.shardBytes[0]) / 1024.0,
-                    static_cast<double>(rep.shardBytes[1]) / 1024.0,
-                    static_cast<double>(rep.shardBytes[2]) / 1024.0,
-                    static_cast<double>(rep.shardBytes[3]) / 1024.0,
-                    rep.mergeNs / 1e3);
-    }
-
     std::printf("\nOLTP totals: %llu txns, avg %.0f ns; defrag "
                 "pauses %.2f ms total\n",
                 static_cast<unsigned long long>(

@@ -12,10 +12,6 @@ namespace pushtap::htap {
 
 PushtapDB::PushtapDB(const PushtapOptions &opts) : opts_(opts)
 {
-    // Tell the engine which instance format it is pricing for, so
-    // an auto morselRows resolves against this facade's format (and
-    // the optimizer's knob pass retunes from the right default).
-    opts_.olap.instanceFormat = opts_.format;
     db_ = std::make_unique<txn::Database>(opts_.database);
     bw_ = std::make_unique<format::BandwidthModel>(
         opts_.database.devices,

@@ -27,14 +27,11 @@
  * Parallel execution: by default (opts.olap.workers = 0) every query
  * phase, snapshot and defragmentation pass runs on a pool with one
  * worker per hardware thread, whose workers claim morsel-aligned
- * scan runs dynamically. opts.olap.shards only reshapes the modelled
- * decomposition into block-aligned bank-stripe shards
- * (QueryReport::shardBytes / mergeNs). Answers are byte-identical
- * for every combination; only host wall-clock and the modelled
- * per-shard charges change.
+ * scan runs dynamically. Answers and the modelled decomposition are
+ * byte-identical for every worker count; only host wall-clock
+ * changes.
  * @code
  *   htap::PushtapOptions opts;
- *   opts.olap.shards = 4;                     // priced bank stripes
  *   opts.olap.workers = 1;                    // run on this thread
  *   htap::PushtapDB serial(opts);
  * @endcode

@@ -16,9 +16,9 @@
  * intervenes) the aggregate update too, fuses into a single pass
  * over each morsel.
  *
- * This layer is purely functional: the pricing walks still charge
- * one serial scan per operator input (section 6.2) unless the
- * modelled fused-scan option is enabled (OlapConfig::fuseScans).
+ * This layer is purely functional: the pricing walks charge one
+ * serial scan per operator input (section 6.2) unless the optimizer
+ * chooses its fused-scan alternative (OptimizedQuery::fuseProbeScans).
  */
 
 #include <algorithm>
@@ -381,8 +381,8 @@ struct ScanRun
  * (ascending). Concatenating per-task output in task order therefore
  * reproduces forEachMorsel's serial row order, whichever worker ran
  * which task. The list depends on the region sizes and the morsel
- * size only — never on worker or shard counts — so anything computed
- * per task is identical for every execution configuration.
+ * size only — never on the worker count — so anything computed per
+ * task is identical for every execution configuration.
  */
 std::vector<ScanRun> scanRuns(std::uint64_t data_rows,
                               std::uint64_t delta_rows,

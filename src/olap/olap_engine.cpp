@@ -22,24 +22,6 @@ namespace pushtap::olap {
 
 using workload::ChTable;
 
-std::uint32_t
-OlapConfig::defaultMorselRows(txn::InstanceFormat f)
-{
-    // Baked from the BENCH_fig9b.json per-format sweep: every
-    // instance format's host-wall-clock argmin is the 2048 default
-    // on the bench hardware (single-thread container; re-sweep on
-    // wider hardware before diverging these).
-    switch (f) {
-      case txn::InstanceFormat::Unified:
-        return kMorselRows;
-      case txn::InstanceFormat::RowStore:
-        return kMorselRows;
-      case txn::InstanceFormat::ColumnStore:
-        return kMorselRows;
-    }
-    return kMorselRows;
-}
-
 bool
 OlapConfig::optimizeForcedByEnv()
 {
@@ -97,15 +79,15 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
           timing_.pimAggregateBandwidth(cfg.pimConfig.streamBandwidth),
           db.config().devices)
 {
-    // kMorselRowsAuto resolves to the baked default of the
-    // configured instance format (the facade sets `instanceFormat`
-    // to its own; a bare engine keeps the Unified hint). The
+    // Every host knob resolves here, once: kMorselRowsAuto to
+    // kMorselRows and workers = 0 to the hardware thread count. The
     // optimizer may only retune a defaulted morsel size — explicit
     // settings stay authoritative.
     morselAuto_ = cfg_.morselRows == OlapConfig::kMorselRowsAuto;
-    if (cfg_.morselRows == OlapConfig::kMorselRowsAuto)
-        cfg_.morselRows =
-            OlapConfig::defaultMorselRows(cfg_.instanceFormat);
+    if (morselAuto_)
+        cfg_.morselRows = kMorselRows;
+    if (cfg_.workers == 0)
+        cfg_.workers = WorkerPool::hardwareWorkers();
     if (OlapConfig::optimizeForcedByEnv())
         cfg_.optimize = true;
     if (OlapConfig::resultCacheForcedByEnv())
@@ -114,16 +96,11 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
         fatal("OlapConfig: morselRows must be a power of two "
               "(got {})",
               cfg_.morselRows);
-    if (cfg_.shards == 0)
-        fatal("OlapConfig: shards must be >= 1");
-    const std::uint32_t workers =
-        cfg_.workers == 0 ? WorkerPool::hardwareWorkers()
-                          : cfg_.workers;
     // The pool runs the scan runs of every query phase (subquery
     // pre-passes, join builds, the probe) plus the per-table
     // snapshot/defrag passes.
-    if (workers > 1)
-        pool_ = std::make_unique<WorkerPool>(workers);
+    if (cfg_.workers > 1)
+        pool_ = std::make_unique<WorkerPool>(cfg_.workers);
     if (cfg_.resultCache)
         cache_ = std::make_unique<ResultCache>();
     if (const char *f = std::getenv("PUSHTAP_OLAP_STATS_FILE"))
@@ -277,34 +254,15 @@ OlapEngine::scanCostForWidth(const txn::TableRuntime &tbl,
 }
 
 void
-OlapEngine::priceShardedScan(const txn::TableRuntime &tbl,
-                             std::uint32_t width, pim::OpType op,
-                             QueryReport &rep) const
+OlapEngine::priceScan(const txn::TableRuntime &tbl,
+                      std::uint32_t width, pim::OpType op,
+                      QueryReport &rep) const
 {
-    // One ScanCost schedule per shard, composed additively: each
-    // shard's bank stripes stream that shard's rows as an
-    // independent serial scan, and the schedules consolidate
-    // end-to-end (the per-scan offload fixed costs are paid per
-    // shard — the modelled price of partitioning). The shard row
-    // split comes from the same ShardMap the executor scans by.
-    const auto smap = tbl.shardMap(cfg_.shards);
-    const std::uint64_t data = scannedDataRows(tbl);
-    const std::uint64_t delta = scannedDeltaRows(tbl);
-    if (rep.shardBytes.size() < smap.shards())
-        rep.shardBytes.resize(smap.shards(), 0);
-    for (std::uint32_t s = 0; s < smap.shards(); ++s) {
-        const std::uint64_t rows =
-            smap.dataRowsIn(s, data) + smap.deltaRowsIn(s, delta);
-        // Empty shards dispatch no scan (but shards=1 always prices
-        // its single schedule, keeping the golden decompositions
-        // bit-for-bit even on empty tables).
-        if (rows == 0 && smap.shards() > 1)
-            continue;
-        const auto cost = scanCostForRows(rows, width, op);
-        rep.pimNs += cost.schedule.total();
-        rep.cpuBlockedNs += cost.schedule.cpuBlockedTime;
-        rep.shardBytes[s] += cost.totalBytes;
-    }
+    // One serial scan spread over every PIM unit (section 6.2);
+    // block-circulant placement provides the parallelism.
+    const auto cost = scanCostForWidth(tbl, width, op);
+    rep.pimNs += cost.schedule.total();
+    rep.cpuBlockedNs += cost.schedule.cpuBlockedTime;
 }
 
 ScanCost
@@ -419,12 +377,12 @@ OlapEngine::priceCpuGather(const txn::TableRuntime &tbl,
     // Dictionary-encoded Char columns are filtered over their packed
     // integer codes: the predicate pre-evaluates once against the
     // dictionary and the scan streams code-width bytes per row, so
-    // the charge is a sharded scan at the code width instead of the
-    // raw fragment gather.
+    // the charge is a PIM scan at the code width instead of the raw
+    // fragment gather.
     const ColumnId cid = tbl.schema().columnId(column);
     if (const auto *dict = tbl.store().dictionary(cid)) {
-        priceShardedScan(tbl, dict->codeWidthBytes(),
-                         pim::OpType::Filter, rep);
+        priceScan(tbl, dict->codeWidthBytes(), pim::OpType::Filter,
+                  rep);
         return;
     }
     // Normal columns (no query in the key-selection set scans them by
@@ -462,8 +420,8 @@ OlapEngine::priceColumnRead(const txn::TableRuntime &tbl,
         tbl.layout().singlePlacement(c) != nullptr &&
         !demotedToCpu(tbl, column)) {
         const auto &pl = tbl.layout().keyPlacement(c);
-        priceShardedScan(tbl, tbl.layout().parts()[pl.part].rowWidth,
-                         op, rep);
+        priceScan(tbl, tbl.layout().parts()[pl.part].rowWidth, op,
+                  rep);
         return;
     }
     priceCpuGather(tbl, column, rep);
@@ -485,7 +443,7 @@ OlapEngine::priceFusedScan(const txn::TableRuntime &tbl,
         const auto &pl = tbl.layout().keyPlacement(c);
         width += tbl.layout().parts()[pl.part].rowWidth;
     }
-    priceShardedScan(tbl, width, pim::OpType::Aggregation, rep);
+    priceScan(tbl, width, pim::OpType::Aggregation, rep);
 }
 
 void
@@ -687,57 +645,6 @@ OlapEngine::priceMerge(const QueryPlan &plan, std::uint64_t visible,
                          8 * naggs);
 }
 
-void
-OlapEngine::priceShardMerge(const QueryPlan &plan,
-                            QueryReport &rep) const
-{
-    if (cfg_.shards <= 1)
-        return;
-    // Each shard ships one partial accumulator set — group slots x
-    // (aggregates + count), 8 B each — and the CPU folds them in
-    // shard order. This is the consolidation step the shard
-    // partitioning buys its parallelism with.
-    const auto naggs =
-        std::max<std::size_t>(1, plan.aggregates.size());
-    const std::uint64_t slots =
-        plan.groupBy.empty() ? 1 : plan.groupSlots;
-    rep.mergeNs = busTime(static_cast<Bytes>(cfg_.shards) * slots *
-                          8 * (naggs + 1));
-    rep.cpuNs += rep.mergeNs;
-}
-
-void
-OlapEngine::priceBuildMerge(const QueryPlan &plan,
-                            QueryReport &rep) const
-{
-    if (cfg_.shards <= 1)
-        return;
-    // Join builds: the partitioned parallel build re-ships every
-    // surviving build tuple once — key columns plus (inner-join)
-    // payload columns, 8 B each — from the per-shard partial
-    // partitions into the stitched probe tables. Modelled on the
-    // build table's primary rows, like the join hash/partition
-    // charge above it.
-    for (const auto &join : plan.joins) {
-        const auto &build_tbl = db_.table(join.build.table);
-        const std::uint64_t width =
-            8ull * (join.keys.size() +
-                    (join.kind == JoinKind::Inner
-                         ? join.payload.size()
-                         : 0));
-        rep.buildMergeNs +=
-            busTime(build_tbl.usedDataRows() * width);
-    }
-    // Subquery pre-passes: each shard ships one partial group
-    // accumulator set to the host fold — the same consolidation
-    // shape priceShardMerge charges for the top-level aggregates.
-    for (const auto &sub : plan.subqueries)
-        rep.buildMergeNs +=
-            busTime(static_cast<Bytes>(cfg_.shards) *
-                    plan.groupSlots * 8 * (sub.aggs.size() + 1));
-    rep.cpuNs += rep.buildMergeNs;
-}
-
 QueryReport
 OlapEngine::pricePlan(const QueryPlan &plan, bool fuse_probe_scans,
                       const PlacementSet *cpu_demotions,
@@ -748,13 +655,10 @@ OlapEngine::pricePlan(const QueryPlan &plan, bool fuse_probe_scans,
     // The placement set is active only for the duration of this walk.
     QueryReport rep;
     rep.name = plan.name;
-    rep.shardBytes.assign(cfg_.shards, 0);
     activePlacements_ = cpu_demotions;
     priceQuery(plan, fuse_probe_scans, rep);
     activePlacements_ = nullptr;
     priceMerge(plan, visible_rows, rep);
-    priceShardMerge(plan, rep);
-    priceBuildMerge(plan, rep);
     return rep;
 }
 
@@ -823,12 +727,11 @@ OlapEngine::runQueryUncached(const QueryPlan &plan,
     QueryReport rep;
     rep.name = plan.name;
     rep.consistencyNs = takeConsistency();
-    rep.shardBytes.assign(cfg_.shards, 0);
 
     // executePlan validates the plan before any pricing walk. The
-    // engine's shard/worker/morsel configuration drives the
-    // functional execution; results are byte-identical to the
-    // single-threaded defaults by construction.
+    // engine's worker/morsel configuration drives the functional
+    // execution; results are byte-identical to the single-threaded
+    // defaults by construction.
     ExecOptions exec_opts;
     exec_opts.workers = cfg_.workers;
     exec_opts.morselRows = cfg_.morselRows;
@@ -838,11 +741,9 @@ OlapEngine::runQueryUncached(const QueryPlan &plan,
     rep.rowsVisible = exec.rowsVisible;
     rep.fusedScanColumns = exec.fusedScanColumns;
 
-    priceQuery(plan,
-               cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
+    // The hand-built plan is priced per operator (section 6.2).
+    priceQuery(plan, /*fuse_probe_scans=*/false, rep);
     priceMerge(plan, exec.rowsVisible, rep);
-    priceShardMerge(plan, rep);
-    priceBuildMerge(plan, rep);
 
     if (result)
         *result = exec_out ? exec.result : std::move(exec.result);
@@ -868,7 +769,7 @@ deltaEligible(const ResultCache::Entry &entry, const QueryPlan &plan,
               const htap::FrontierVector &current,
               const txn::Database &db)
 {
-    if (!entry.hasGroups || !incrementalCapable(plan))
+    if (!incrementalCapable(plan))
         return false;
     std::set<ChTable> build_or_sub;
     for (const auto &join : plan.joins)
@@ -939,7 +840,6 @@ OlapEngine::runQueryCached(const QueryPlan &plan,
     entry.frontier = std::move(current);
     entry.probeData = probe_tbl.store().dataVisible();
     entry.probeDelta = probe_tbl.store().deltaVisible();
-    entry.hasGroups = incrementalCapable(plan);
     entry.groups = std::move(exec.groups);
     entry.rowsVisible = exec.rowsVisible;
     entry.result = std::move(exec.result);
@@ -960,7 +860,6 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     QueryReport rep;
     rep.name = plan.name;
     rep.consistencyNs = takeConsistency();
-    rep.shardBytes.assign(cfg_.shards, 0);
 
     // Re-execute the hand-built plan scanning only the probe rows
     // appended since the cached baseline (builds and subqueries
@@ -1047,12 +946,9 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
         store.dataVisible().count() - entry.probeData.count();
     scanOverrideDeltaRows_ =
         store.deltaVisible().count() - entry.probeDelta.count();
-    priceQuery(plan,
-               cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
+    priceQuery(plan, /*fuse_probe_scans=*/false, rep);
     scanOverrideTbl_ = nullptr;
     priceMerge(plan, rep.rowsVisible, rep);
-    priceShardMerge(plan, rep);
-    priceBuildMerge(plan, rep);
 
     // Refresh the entry at the new frontier so incremental runs
     // chain: the next rep folds only rows appended after this one.

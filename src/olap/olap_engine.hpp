@@ -48,62 +48,32 @@ struct OlapConfig
     /** Block-circulant placement on (affects PIM parallelism). */
     bool blockCirculant = true;
     /**
-     * Model intra-query operator fusion: when the batch executor
-     * reports a fused predicate+join-filter+group+aggregate pass
-     * (join-free, or probe-keyed semi/anti filter joins only — see
-     * planFusesProbePass), charge one serial PIM scan streaming
-     * every fused column's slot bytes together instead of one scan
-     * per operator input; the non-fusable join legs (build scans,
-     * partition shuffle, in-bucket probe) keep their per-operator
-     * charges. Off by default — section 6.2's pricing charges one
-     * serial scan per input and all golden decompositions assume it.
-     */
-    bool fuseScans = false;
-    /**
-     * Shard count of the modelled decomposition: each table's
-     * data+delta row space splits into this many contiguous
-     * block-aligned ranges (independent bank stripes;
-     * txn::TableRuntime::shardMap), and the pricing walk composes one
-     * ScanCost schedule per shard additively plus a CPU-side merge
-     * charge. A pricing knob only — host execution never reads it.
-     * shards=1 (default) reproduces the unsharded pricing
-     * bit-for-bit.
-     */
-    std::uint32_t shards = 1;
-    /**
      * Host worker threads claiming the scan runs of every query
      * phase — subquery pre-passes, join builds, the probe and the
      * group merge — plus the per-table snapshot and defragmentation
-     * passes. 0 (default) = hardware concurrency; 1 runs everything
-     * inline on the calling thread. Purely host-side: results and
-     * pricing are independent of the worker count.
+     * passes. 0 (default) = hardware concurrency, resolved at engine
+     * construction; 1 runs everything inline on the calling thread.
+     * Purely host-side: results and pricing are independent of the
+     * worker count.
      */
     std::uint32_t workers = 0;
-    /** morselRows sentinel: resolve a per-format default at engine
-     *  construction (see defaultMorselRows). */
+    /** morselRows sentinel: resolves to kMorselRows at engine
+     *  construction. */
     static constexpr std::uint32_t kMorselRowsAuto = 0;
     /**
      * Rows per morsel of the batch executor. Must be a power of two
      * when set explicitly (validated at engine construction);
-     * kMorselRowsAuto (the default) resolves through
-     * defaultMorselRows() against `instanceFormat` at engine
-     * construction. Explicitly set values are always authoritative —
-     * the adaptive optimizer only retunes a defaulted morsel size.
+     * kMorselRowsAuto (the default) resolves to kMorselRows.
+     * Explicitly set values are always authoritative — the adaptive
+     * optimizer only retunes a defaulted morsel size.
      */
     std::uint32_t morselRows = kMorselRowsAuto;
-    /**
-     * Instance-format hint resolving the per-format morsel default
-     * (PushtapDB sets its configured format; a bare engine keeps
-     * Unified). Purely a knob-resolution input — execution and
-     * pricing read the actual table layouts.
-     */
-    txn::InstanceFormat instanceFormat = txn::InstanceFormat::Unified;
     /**
      * Cost-based adaptive optimizer (olap/optimizer.hpp): every
      * runQuery() first prices candidate physical plans through the
      * ScanCost walk — join order, inner-to-semi demotion, per-scan
      * CPU-vs-PIM placement, probe-pass fusion — resolves the host
-     * execution knobs (shards/workers/morselRows) from table
+     * execution knobs (workers/morselRows) from table
      * cardinalities and hardware threads, and executes the chosen
      * plan. Results are byte-identical to the hand-built plan (only
      * result-preserving transforms are ever candidates) and the
@@ -132,14 +102,6 @@ struct OlapConfig
     bool resultCache = false;
     /** True when PUSHTAP_OLAP_RESULT_CACHE forces the cache on. */
     static bool resultCacheForcedByEnv();
-    /**
-     * Per-format default morsel size, baked from the
-     * BENCH_fig9b.json per-format sweep (the sweep's argmin). Every
-     * format currently agrees on 2048 on the bench hardware — the
-     * table exists so a future sweep on wider hardware can diverge
-     * them without touching call sites.
-     */
-    static std::uint32_t defaultMorselRows(txn::InstanceFormat f);
     /** Fixed per-defragmentation overhead (threads + activation). */
     TimeNs defragFixedNs = 50'000.0;
     /** Fixed per-snapshot overhead (thread wakeup). */
@@ -218,6 +180,7 @@ class OlapEngine
      */
     ~OlapEngine();
 
+    /** The configuration with workers and morselRows resolved. */
     const OlapConfig &config() const { return cfg_; }
 
     /**
@@ -261,12 +224,14 @@ class OlapEngine
 
     /**
      * Price @p plan through the full modelled walk (priceQuery +
-     * merge/shard/build consolidation) without executing anything:
-     * the optimizer's cost function. @p cpu_demotions (may be null)
-     * prices those scan sites on the CPU gather path;
-     * @p visible_rows feeds the visible-row-dependent merge terms
-     * (identical across candidate plans, so it never affects the
-     * ranking). consistencyNs is left zero.
+     * priceMerge) without executing anything: the optimizer's cost
+     * function. @p fuse_probe_scans prices a fusing plan's probe
+     * pass as one serial scan (section 6.2's per-operator charges
+     * otherwise); @p cpu_demotions (may be null) prices those scan
+     * sites on the CPU gather path; @p visible_rows feeds the
+     * visible-row-dependent merge terms (identical across candidate
+     * plans, so it never affects the ranking). consistencyNs is left
+     * zero.
      */
     QueryReport pricePlan(const QueryPlan &plan,
                           bool fuse_probe_scans,
@@ -340,9 +305,10 @@ class OlapEngine
      * @p rep: PIM scan schedules for predicates / group keys /
      * aggregates, hash + partition + probe work per join, and the
      * CPU gather path for char-predicate (normal) columns. When
-     * @p fuse_probe_scans is set (executor fused the probe pass and
-     * cfg_.fuseScans opted in), the probe's PIM-scannable columns
-     * are priced as one fused serial scan instead.
+     * @p fuse_probe_scans is set (the optimizer chose the fused
+     * alternative and the executor fused the probe pass), the
+     * probe's PIM-scannable columns are priced as one fused serial
+     * scan instead.
      */
     void priceQuery(const QueryPlan &plan, bool fuse_probe_scans,
                     QueryReport &rep) const;
@@ -372,38 +338,14 @@ class OlapEngine
                          bool probe_keys_fused,
                          QueryReport &rep) const;
 
-    /**
-     * Price one serial scan of @p width bytes per row as one
-     * ScanCost schedule per shard, composed additively: shard s
-     * streams its ShardMap share of the table's scanned rows, and
-     * the per-shard bytes land in rep.shardBytes. With shards=1 this
-     * is exactly the single whole-table schedule.
-     */
-    void priceShardedScan(const txn::TableRuntime &tbl,
-                          std::uint32_t width, pim::OpType op,
-                          QueryReport &rep) const;
+    /** Charge one serial scan of @p width bytes per row over the
+     *  table's scanned rows: its ScanCost schedule. */
+    void priceScan(const txn::TableRuntime &tbl, std::uint32_t width,
+                   pim::OpType op, QueryReport &rep) const;
 
     /** CPU-side merge charges that depend on the visible-row count. */
     void priceMerge(const QueryPlan &plan, std::uint64_t visible,
                     QueryReport &rep) const;
-
-    /**
-     * CPU-side cross-shard consolidation: each shard ships one
-     * partial accumulator set (group slots x aggregates + count) to
-     * the host merge. Charges nothing at shards=1.
-     */
-    void priceShardMerge(const QueryPlan &plan,
-                         QueryReport &rep) const;
-
-    /**
-     * CPU-side build consolidation of the parallel pre-query
-     * phases: stitching each join's per-shard partial partitions
-     * into the probe tables, and folding each subquery's per-shard
-     * partial group accumulators. Charges nothing at shards=1 (the
-     * build is one serial scan there, exactly as priced before).
-     */
-    void priceBuildMerge(const QueryPlan &plan,
-                         QueryReport &rep) const;
 
     /** PIM scan when unfragmented (and not demoted by the active
      *  placement set), CPU gather otherwise. */
@@ -467,19 +409,16 @@ class OlapEngine
     dram::BatchTimingModel timing_;
     pim::TwoPhaseModel twoPhase_;
     /** Reused across queries and the snapshot/defrag passes; null
-     *  when the config is one worker. */
+     *  when the resolved worker count is one. */
     std::unique_ptr<WorkerPool> pool_;
-    /** Lazily created when the optimizer tunes workers above the
-     *  configured count and no configured pool exists. */
-    std::unique_ptr<WorkerPool> optPool_;
     std::vector<mvcc::Snapshotter> snapshotters_;
     mvcc::Defragmenter defragmenter_;
     TimeNs pendingConsistency_ = 0.0;
     mvcc::DefragStats lastDefrag_;
     mvcc::SnapshotStats lastSnapshot_;
-    /** True when morselRows came from the per-format default (auto)
-     *  rather than an explicit user setting — the only case the
-     *  optimizer may tune it. */
+    /** True when morselRows came from kMorselRowsAuto rather than
+     *  an explicit user setting — the only case the optimizer may
+     *  tune it. */
     bool morselAuto_ = false;
     /** Placement set consulted by priceColumnRead during a
      *  pricePlan walk (null outside one); mutable because pricing

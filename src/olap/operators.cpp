@@ -740,7 +740,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     };
     const auto t_start = Clock::now();
 
-    // Scalar-subquery pre-pass: materialized through the sharded
+    // Scalar-subquery pre-pass: materialized through the parallel
     // morsel pipeline before the fan-out, then probed strictly
     // read-only by every worker's predicate chain.
     const auto subqueries =

@@ -29,8 +29,7 @@
  * either is probed strictly read-only by the fan-out. Per-worker partial accumulators
  * merge with commutative folds and materialize in a total order, so
  * results are byte-identical to the single-threaded run for every
- * worker count. Shard counts (OlapConfig::shards) only shape the
- * modelled pricing; execution never reads them.
+ * worker count.
  *
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the
@@ -83,8 +82,7 @@ struct JoinExecStats
  * instead of assumed ones. All counts are sums of per-scan-run
  * counts, and both the run list and each run's adaptive conjunct
  * order depend only on the table sizes and the morsel size, so the
- * stats are identical for every worker count (and every
- * OlapConfig::shards, which execution never reads).
+ * stats are identical for every worker count.
  */
 struct ExecStats
 {
@@ -127,9 +125,9 @@ struct PlanExecution
     /**
      * Number of distinct probe Int columns the batch engine streamed
      * in a single fused filter+group+aggregate pass (0 when a join
-     * intervened). OlapConfig::fuseScans
-     * prices these as one serial scan instead of one per operator
-     * input.
+     * intervened). The optimizer's fused-scan alternative
+     * (OptimizedQuery::fuseProbeScans) prices these as one serial
+     * scan instead of one per operator input.
      */
     std::uint32_t fusedScanColumns = 0;
     /**
@@ -216,8 +214,8 @@ PlanExecution executePlan(const txn::Database &db,
  * loop): every join is a probe-keyed selection kernel — a semi or
  * anti join keyed purely on probe columns. Inner joins and payload-keyed
  * joins descend through the match expansion instead. Defined next to
- * the executor's own classification so the OlapConfig::fuseScans
- * pricing gate and the fusedScanColumns report cannot drift.
+ * the executor's own classification so the fused pricing gate and
+ * the fusedScanColumns report cannot drift.
  */
 bool planFusesProbePass(const QueryPlan &plan);
 

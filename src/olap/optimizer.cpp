@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "workload/ch_schema.hpp"
 
 namespace pushtap::olap {
@@ -593,24 +592,18 @@ OlapEngine::optimizePlan(const QueryPlan &plan) const
             oq.pricedChosenNs = fused_cost;
         }
     }
-    const bool hand_fuse = cfg_.fuseScans &&
-                           planFusesProbePass(plan) &&
-                           !fusedProbeColumns(plan).empty();
+    // The hand-built plan is priced per operator (section 6.2).
     const QueryReport hand =
-        pricePlan(plan, hand_fuse, nullptr, probe_rows);
+        pricePlan(plan, /*fuse_probe_scans=*/false, nullptr, probe_rows);
     oq.pricedHandBuiltNs = hand.pimNs + hand.cpuNs;
 
     // ---- Pass 4: host knob resolution --------------------------
-    // User-set > derived > default, per knob. Purely host-side: the
-    // pricing decomposition stays at the configured shard count
-    // (execution never reads it) and results are invariant for every
-    // workers x morselRows combination (commutative merges, total
+    // Purely host-side: results are invariant for every workers x
+    // morselRows combination (commutative merges, total
     // materialization order), so tuning cannot perturb either answers
-    // or the modelled report.
-    std::uint32_t workers = cfg_.workers;
-    if (workers <= 1)
-        workers = WorkerPool::hardwareWorkers();
-    oq.workers = workers;
+    // or the modelled report. Workers stay as the engine constructor
+    // resolved them (0 = hardware, any other value kept).
+    oq.workers = cfg_.workers;
     std::uint32_t morsel = cfg_.morselRows;
     if (morselAuto_) {
         // Shrink a defaulted morsel (never an explicit one) while the
@@ -645,11 +638,6 @@ OlapEngine::runQueryOptimized(const QueryPlan &plan,
     // later delta-incremental runs of either.
     opts.captureGroups = exec_out != nullptr;
     opts.pool = pool_.get();
-    if (opts.pool == nullptr && oq.workers > 1) {
-        if (!optPool_)
-            optPool_ = std::make_unique<WorkerPool>(oq.workers);
-        opts.pool = optPool_.get();
-    }
     auto exec = executePlan(db_, oq.plan, opts);
     rep.rowsVisible = exec.rowsVisible;
     rep.fusedScanColumns = exec.fusedScanColumns;
@@ -678,18 +666,12 @@ OlapEngine::runQueryOptimized(const QueryPlan &plan,
     QueryReport chosen = pricePlan(basis, chosen_fuse,
                                    &oq.cpuPlacements,
                                    exec.rowsVisible);
-    const bool hand_fuse = cfg_.fuseScans &&
-                           planFusesProbePass(plan) &&
-                           !fusedProbeColumns(plan).empty();
-    const QueryReport hand =
-        pricePlan(plan, hand_fuse, nullptr, exec.rowsVisible);
+    const QueryReport hand = pricePlan(plan, /*fuse_probe_scans=*/false,
+                                       nullptr, exec.rowsVisible);
 
     rep.pimNs = chosen.pimNs;
     rep.cpuNs = chosen.cpuNs;
     rep.cpuBlockedNs = chosen.cpuBlockedNs;
-    rep.shardBytes = std::move(chosen.shardBytes);
-    rep.mergeNs = chosen.mergeNs;
-    rep.buildMergeNs = chosen.buildMergeNs;
 
     rep.optimized = true;
     rep.pricedChosenNs = chosen.pimNs + chosen.cpuNs;

@@ -30,10 +30,10 @@
  *     the fused-probe-scan pricing alternative, each accepted only
  *     when the whole-plan priced cost strictly drops (the runtime
  *     counterpart of the paper's Eq. (3) crossover).
- *  4. Knob resolution — workers / morselRows resolved from table
- *     cardinalities, hardware threads and the per-format defaults,
- *     in the order user-set > derived > default. Purely host-side:
- *     the pricing decomposition stays at the configured shard count
+ *  4. Knob resolution — workers as the engine resolved them
+ *     (0 = hardware threads, any other value kept); a defaulted
+ *     morselRows shrinks while the probe table cannot fill two
+ *     morsels, an explicit one is kept. Purely host-side: pricing
  *     and results are knob-invariant by construction.
  *
  * The chosen plan's priced cost never exceeds the hand-built plan's:

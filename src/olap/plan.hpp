@@ -209,7 +209,8 @@ touchedColumns(const QueryPlan &plan);
  * any plan whose joins are all probe-keyed selection kernels
  * (olap/operators.hpp planFusesProbePass), join-free plans included.
  * Shared by the batch executor's fusedScanColumns report and the
- * OlapConfig::fuseScans pricing walk so the two cannot drift.
+ * fused pricing walk (OlapEngine::pricePlan) so the two cannot
+ * drift.
  */
 std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
 

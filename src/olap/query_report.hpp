@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -30,34 +29,11 @@ struct QueryReport
     /**
      * Distinct probe Int columns the batch executor streamed in one
      * fused filter+group+aggregate pass (0 when a join intervened).
-     * Purely informational unless OlapConfig::fuseScans also prices
-     * the pass as a single serial scan.
+     * Informational: only an optimized run whose chosen plan takes
+     * the fused-scan alternative prices the pass as a single serial
+     * scan.
      */
     std::uint32_t fusedScanColumns = 0;
-    /**
-     * PIM bytes streamed per shard (one entry per configured shard;
-     * filled by the single-instance engine's per-shard pricing, left
-     * empty by the analytic baselines). The entries of a
-     * shards-partitioned run always sum to the shards=1 total: the
-     * per-shard ScanCost schedules compose additively.
-     */
-    std::vector<Bytes> shardBytes;
-    /**
-     * CPU-side cross-shard consolidation charge (one partial
-     * accumulator set shipped per shard), already included in cpuNs.
-     * Zero when shards=1, so single-shard decompositions are
-     * unchanged.
-     */
-    TimeNs mergeNs = 0.0;
-    /**
-     * CPU-side consolidation charge of the parallel pre-query
-     * phases (stitching each join's per-shard partial build
-     * partitions, folding each subquery's per-shard partial group
-     * accumulators), already included in cpuNs. Zero when shards=1
-     * — the builds run as one serial-order scan there and the
-     * single-shard golden decompositions stay bit-for-bit.
-     */
-    TimeNs buildMergeNs = 0.0;
 
     // ------ Cost-based optimizer surface (OlapConfig::optimize) ---
     // All defaulted to the "hand-built plan ran" values, so reports
@@ -73,9 +49,8 @@ struct QueryReport
      *  cheaper transforms, priced in the hand-built summation
      *  order). */
     TimeNs pricedChosenNs = 0.0;
-    /** Resolved execution knobs the query actually ran with (0 when
-     *  the optimizer was off). Pricing stays at the configured shard
-     *  count — these are the host-side knobs. */
+    /** Resolved host execution knobs the query actually ran with
+     *  (0 when the optimizer was off); pricing never reads them. */
     std::uint32_t execWorkers = 0;
     std::uint32_t execMorselRows = 0;
     /** Scans the placement pass moved from PIM to the CPU gather

@@ -29,9 +29,8 @@
  *    a cold full run at the same frontier.
  *
  *  - Anything else (update-in-place to a footprint table, a changed
- *    build/subquery table, anti joins, plans the inline-key batch
- *    engine can't run) falls back to full execution, which refreshes
- *    the entry.
+ *    build/subquery table, anti joins) falls back to full execution,
+ *    which refreshes the entry.
  */
 
 #include <cstdint>
@@ -76,10 +75,8 @@ class ResultCache
          *  incremental baseline. */
         Bitmap probeData;
         Bitmap probeDelta;
-        /** Merged group accumulators (count > 0 entries only);
-         *  hasGroups marks them as seeds for incremental runs
-         *  (incrementalCapable plans only). */
-        bool hasGroups = false;
+        /** Merged group accumulators (count > 0 entries only): the
+         *  seeds of incremental runs of incrementalCapable plans. */
         std::vector<GroupAccum> groups;
         /** Snapshot-visible probe rows behind `groups`. */
         std::uint64_t rowsVisible = 0;

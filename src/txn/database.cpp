@@ -55,21 +55,6 @@ TableRuntime::TableRuntime(ChTable id, format::TableSchema schema,
         store_->dataVisible().clear(r);
 }
 
-storage::ShardMap
-TableRuntime::shardMap(std::uint32_t shards) const
-{
-    // Data shards partition the *used* prefix (every visible data
-    // row lives below the insert cursor), not the provisioned
-    // capacity — otherwise the populated rows would all land in the
-    // first shards and the tail shards would scan nothing. Delta
-    // slots are rotation-matched and spread across the whole region,
-    // so the delta partitioning covers its full capacity.
-    const auto &bc = store_->circulant();
-    return storage::ShardMap(usedDataRows(),
-                             store_->deltaVisible().size(), shards,
-                             bc.enabled() ? bc.blockRows() : 1);
-}
-
 RowId
 TableRuntime::allocInsertRow()
 {

@@ -22,7 +22,6 @@
 #include "format/layout.hpp"
 #include "format/schema.hpp"
 #include "mvcc/version_manager.hpp"
-#include "storage/shard_map.hpp"
 #include "storage/table_store.hpp"
 #include "txn/hash_index.hpp"
 #include "workload/ch_gen.hpp"
@@ -142,16 +141,6 @@ class TableRuntime
 
     /** Provisioned data-region rows (insert ceiling). */
     std::uint64_t dataCapacity() const { return dataCapacity_; }
-
-    /**
-     * Partition the table's current data+delta row space into
-     * @p shards contiguous ranges aligned to whole block-circulant
-     * blocks (independent bank stripes). Both the parallel executors
-     * and the per-shard pricing walks read this one partitioning, so
-     * the rows a shard scans and the rows its ScanCost charges can
-     * never drift apart.
-     */
-    storage::ShardMap shardMap(std::uint32_t shards) const;
 
     /**
      * Next insert slot in the data-region tail; fatal when full.

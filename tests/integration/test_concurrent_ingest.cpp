@@ -86,15 +86,13 @@ TEST_F(ConcurrentIngest, QueryDuringIngestMatchesSerialOracle)
 
     // Concurrent side: four writers drain the schedule while the
     // analytical engine snapshots and queries mid-flight. The
-    // analytical engine itself runs at shards=4 / workers=4 so the
-    // partitioned parallel join builds, sharded subquery
-    // materialization and per-table parallel snapshot all execute
-    // against live ingest (and under TSan in CI). The serial oracle
-    // below stays at the default single-shard config.
+    // analytical engine itself runs at workers=4 so the partitioned
+    // parallel join builds, parallel subquery materialization and
+    // per-table parallel snapshot all execute against live ingest
+    // (and under TSan in CI).
     txn::Database par_db(config());
     auto group = makeGroup(par_db, 4);
     auto par_cfg = olap::OlapConfig::pushtapDimm();
-    par_cfg.shards = 4;
     par_cfg.workers = 4;
     olap::OlapEngine par_olap(par_db, par_cfg);
 

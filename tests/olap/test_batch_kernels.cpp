@@ -409,34 +409,19 @@ TEST_F(BatchVsReferenceTest, MinMaxAggregatesMatchAcrossExecutors)
 
 TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
 {
-    // With fuseScans on, results stay identical and the modelled
-    // PIM time of a fused plan drops (one serial scan instead of
-    // one per probe column) — for the join-free Q6 and for the
-    // probe-keyed semi-join Q14, whose probe pass also runs fused.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: reports are priced "
-                        "over the chosen plan, not the fuseScans "
-                        "comparison this test pins";
-    auto fused_cfg = OlapConfig::pushtapDimm();
-    fused_cfg.fuseScans = true;
-    OlapEngine fused(db, fused_cfg);
-    fused.prepareSnapshot(db.now());
-    engine.prepareSnapshot(db.now());
-
-    QueryResult base_res, fused_res;
-    const auto base = engine.runQuery(plans::q6(), &base_res);
-    const auto opt = fused.runQuery(plans::q6(), &fused_res);
-    ASSERT_EQ(base_res.rows.size(), fused_res.rows.size());
-    EXPECT_EQ(base_res.rows[0].aggs, fused_res.rows[0].aggs);
-    EXPECT_EQ(base.fusedScanColumns, opt.fusedScanColumns);
-    EXPECT_GT(base.fusedScanColumns, 0u);
-    EXPECT_LT(opt.pimNs, base.pimNs);
-
-    const auto base_j = engine.runQuery(plans::q14(), nullptr);
-    const auto opt_j = fused.runQuery(plans::q14(), nullptr);
-    EXPECT_GT(base_j.fusedScanColumns, 0u);
-    EXPECT_EQ(opt_j.fusedScanColumns, base_j.fusedScanColumns);
-    EXPECT_LT(opt_j.pimNs, base_j.pimNs);
+    // Fused pricing charges one serial scan instead of one per probe
+    // column, so the modelled PIM time of a fusing plan drops — for
+    // the join-free Q6 and for the probe-keyed semi-join Q14, whose
+    // probe pass also runs fused.
+    for (const auto &plan : {plans::q6(), plans::q14()}) {
+        const auto exec = executePlan(db, plan);
+        EXPECT_GT(exec.fusedScanColumns, 0u) << plan.name;
+        const auto unfused =
+            engine.pricePlan(plan, false, nullptr, exec.rowsVisible);
+        const auto fused =
+            engine.pricePlan(plan, true, nullptr, exec.rowsVisible);
+        EXPECT_LT(fused.pimNs, unfused.pimNs) << plan.name;
+    }
 }
 
 } // namespace

@@ -38,11 +38,10 @@ smallConfig()
 }
 
 OlapConfig
-optimizedConfig(std::uint32_t shards = 1, std::uint32_t workers = 1)
+optimizedConfig(std::uint32_t workers = 0)
 {
     auto cfg = OlapConfig::pushtapDimm();
     cfg.optimize = true;
-    cfg.shards = shards;
     cfg.workers = workers;
     return cfg;
 }
@@ -136,8 +135,8 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
 
 TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
 {
-    // User-set workers pass through the optimizer untouched, shards
-    // only reshape pricing, and neither perturbs answers.
+    // User-set workers pass through the optimizer untouched and
+    // never perturb answers.
     OlapEngine ref(db, OlapConfig::pushtapDimm());
     ref.prepareSnapshot(db.now());
     std::vector<QueryResult> want;
@@ -146,18 +145,17 @@ TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
         ref.runQuery(q.plan, &r);
         want.push_back(std::move(r));
     }
-    for (const std::uint32_t shards : {2u, 4u}) {
-        OlapEngine opt(db, optimizedConfig(shards, 2));
+    for (const std::uint32_t workers : {1u, 2u}) {
+        OlapEngine opt(db, optimizedConfig(workers));
         opt.prepareSnapshot(db.now());
         std::size_t i = 0;
         for (const auto &q : workload::chExecutablePlans()) {
             const auto what =
-                q.plan.name + " s" + std::to_string(shards);
+                q.plan.name + " w" + std::to_string(workers);
             QueryResult r;
             const auto rep = opt.runQuery(q.plan, &r);
             expectSameRows(r.rows, want[i++].rows, what);
-            EXPECT_EQ(rep.shardBytes.size(), shards) << what;
-            EXPECT_EQ(rep.execWorkers, 2u) << what;
+            EXPECT_EQ(rep.execWorkers, workers) << what;
         }
     }
 }
@@ -507,7 +505,7 @@ TEST_F(OptimizerTest, PimCrossoverRowsMatchesEligibility)
 
 TEST_F(OptimizerTest, KnobResolutionOrder)
 {
-    // Defaults derive: workers<=1 resolves to the hardware count.
+    // Defaults derive: workers = 0 resolves to the hardware count.
     const auto oq = engine.optimizePlan(plans::q6());
     EXPECT_EQ(oq.workers, WorkerPool::hardwareWorkers());
     EXPECT_EQ(oq.morselRows, engine.config().morselRows)
@@ -516,7 +514,6 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     // User-set values are authoritative.
     auto cfg = OlapConfig::pushtapDimm();
     cfg.workers = 3;
-    cfg.shards = 2;
     cfg.morselRows = 512;
     OlapEngine pinned(db, cfg);
     pinned.prepareSnapshot(db.now());
@@ -524,6 +521,13 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     EXPECT_EQ(oq_pinned.workers, 3u);
     EXPECT_EQ(oq_pinned.morselRows, 512u)
         << "an explicit morselRows is never retuned";
+
+    // An explicit workers = 1 runs inline: the optimizer keeps it,
+    // for the plan and for the execution that follows.
+    OlapEngine serial(db, optimizedConfig(1));
+    serial.prepareSnapshot(db.now());
+    EXPECT_EQ(serial.optimizePlan(plans::q6()).workers, 1u);
+    EXPECT_EQ(serial.runQuery(plans::q6()).execWorkers, 1u);
 
     // A defaulted morsel shrinks for a tiny probe table.
     QueryPlan tiny;

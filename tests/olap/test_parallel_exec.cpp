@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,9 @@ smallConfig()
 {
     DatabaseConfig cfg;
     cfg.scale = 0.0002;
-    // 64-row circulant blocks: shard boundaries align to blocks far
-    // smaller than a morsel, so shards start mid-morsel-stride and
-    // the per-shard walk is exercised hard.
+    // 64-row circulant blocks, far smaller than a morsel: every
+    // morsel spans many rotation blocks, so the per-block stride
+    // walk is exercised hard.
     cfg.blockRows = 64;
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
@@ -78,8 +77,7 @@ expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
  * answers byte-identical to the reference executor, and the
  * captured group accumulators (what foldGroups/materializeGroups
  * consume) plus the ExecStats byte-identical to the single-worker
- * run. Execution reads no shard count, so these hold at every
- * OlapConfig::shards; the engine-level sweep below covers that axis.
+ * run.
  */
 class ParallelExecTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -134,21 +132,16 @@ TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
     }
 }
 
-TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkersAndShards)
+TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkers)
 {
-    // Through the engine: workers claim runs, shards only reshape
-    // the modelled decomposition — answers never move. Execution
-    // reads no shard count, so each shard count runs once, at a
-    // different worker count.
+    // Through the engine: workers claim runs — answers never move.
     std::vector<std::vector<testsupport::RefRow>> want;
     for (const auto &q : workload::chExecutablePlans())
         want.push_back(referenceExecute(db, q.plan));
-    const std::pair<std::uint32_t, std::uint32_t> configs[] = {
-        {1, 1}, {2, 4}, {WorkerPool::hardwareWorkers(), 2}};
-    for (const auto &[workers, shards] : configs) {
+    for (const std::uint32_t workers :
+         {1u, 2u, WorkerPool::hardwareWorkers()}) {
         auto cfg = OlapConfig::pushtapDimm();
         cfg.workers = workers;
-        cfg.shards = shards;
         OlapEngine eng(db, cfg);
         eng.prepareSnapshot(db.now());
         std::size_t i = 0;
@@ -156,8 +149,8 @@ TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkersAndShards)
             QueryResult res;
             eng.runQuery(q.plan, &res);
             expectSameRows(res.rows, want[i++],
-                           q.plan.name + " w" + std::to_string(workers) +
-                               " s" + std::to_string(shards));
+                           q.plan.name + " w" +
+                               std::to_string(workers));
         }
     }
 }
@@ -476,19 +469,16 @@ TEST(OlapConfigValidation, RejectsBadKnobs)
     auto cfg = OlapConfig::pushtapDimm();
     cfg.morselRows = 1000;
     EXPECT_THROW(OlapEngine(db, cfg), FatalError);
-    cfg = OlapConfig::pushtapDimm();
-    cfg.shards = 0;
-    EXPECT_THROW(OlapEngine(db, cfg), FatalError);
 }
 
 /**
- * Pricing invariants of the shard decomposition, against the golden
- * single-shard engine.
+ * Pricing invariants of the worker count, against the golden serial
+ * engine.
  */
-class ShardPricingTest : public ::testing::Test
+class WorkerPricingTest : public ::testing::Test
 {
   protected:
-    ShardPricingTest()
+    WorkerPricingTest()
         : db(smallConfig()),
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
@@ -500,10 +490,9 @@ class ShardPricingTest : public ::testing::Test
     }
 
     OlapConfig
-    config(std::uint32_t shards, std::uint32_t workers) const
+    config(std::uint32_t workers) const
     {
         auto cfg = OlapConfig::pushtapDimm();
-        cfg.shards = shards;
         cfg.workers = workers;
         return cfg;
     }
@@ -514,13 +503,14 @@ class ShardPricingTest : public ::testing::Test
     TpccEngine oltp;
 };
 
-TEST_F(ShardPricingTest, SingleShardDecompositionUnchangedByWorkers)
+TEST_F(WorkerPricingTest, DecompositionUnchangedByWorkers)
 {
-    // Golden invariance: workers are host-side only, so a shards=1
-    // engine must reproduce every decomposition bit-for-bit no
-    // matter how many threads drained the morsels.
-    OlapEngine golden(db, config(1, 1));
-    OlapEngine parallel(db, config(1, 4));
+    // Golden invariance: workers are host-side only, so the engine
+    // must reproduce every decomposition bit-for-bit no matter how
+    // many threads drained the morsels — and answer exactly like
+    // the reference executor.
+    OlapEngine golden(db, config(1));
+    OlapEngine parallel(db, config(4));
     for (const auto &q : workload::chExecutablePlans()) {
         golden.prepareSnapshot(db.now());
         parallel.prepareSnapshot(db.now());
@@ -532,65 +522,8 @@ TEST_F(ShardPricingTest, SingleShardDecompositionUnchangedByWorkers)
         EXPECT_DOUBLE_EQ(prep.cpuBlockedNs, grep.cpuBlockedNs)
             << q.plan.name;
         EXPECT_EQ(prep.rowsVisible, grep.rowsVisible) << q.plan.name;
-        EXPECT_DOUBLE_EQ(prep.mergeNs, 0.0) << q.plan.name;
-        EXPECT_DOUBLE_EQ(prep.buildMergeNs, 0.0) << q.plan.name;
         expectSameRows(pres.rows, gres.rows, q.plan.name);
-    }
-}
-
-TEST_F(ShardPricingTest, ShardBytesComposeAdditively)
-{
-    // The optimizer prices shard counts independently, so its greedy
-    // placement may diverge between the two engines; this test pins
-    // the hand-built decomposition relation only.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on";
-    OlapEngine one(db, config(1, 1));
-    OlapEngine four(db, config(4, 2));
-    for (const auto &q : workload::chExecutablePlans()) {
-        one.prepareSnapshot(db.now());
-        four.prepareSnapshot(db.now());
-        QueryResult r1, r4;
-        const auto rep1 = one.runQuery(q.plan, &r1);
-        const auto rep4 = four.runQuery(q.plan, &r4);
-
-        // Identical answers, identical scanned bytes in total.
-        ASSERT_EQ(r1.rows.size(), r4.rows.size()) << q.plan.name;
-        for (std::size_t i = 0; i < r1.rows.size(); ++i)
-            EXPECT_EQ(r1.rows[i].aggs, r4.rows[i].aggs);
-        ASSERT_EQ(rep1.shardBytes.size(), 1u);
-        ASSERT_EQ(rep4.shardBytes.size(), 4u);
-        EXPECT_EQ(std::accumulate(rep4.shardBytes.begin(),
-                                  rep4.shardBytes.end(), Bytes{0}),
-                  rep1.shardBytes[0])
-            << q.plan.name;
-
-        // Partitioning pays per-shard scan fixed costs plus the
-        // cross-shard merge and (for plans with builds) the
-        // build-consolidation charge — never less than the single
-        // scan.
-        EXPECT_GE(rep4.pimNs, rep1.pimNs) << q.plan.name;
-        EXPECT_GT(rep4.mergeNs, 0.0) << q.plan.name;
-        if (q.plan.joins.empty() && q.plan.subqueries.empty())
-            EXPECT_DOUBLE_EQ(rep4.buildMergeNs, 0.0) << q.plan.name;
-        else
-            EXPECT_GT(rep4.buildMergeNs, 0.0) << q.plan.name;
-        EXPECT_DOUBLE_EQ(rep4.cpuNs, rep1.cpuNs + rep4.mergeNs +
-                                         rep4.buildMergeNs)
-            << q.plan.name;
-    }
-}
-
-TEST_F(ShardPricingTest, EngineShardingKeepsReferenceAnswers)
-{
-    // End-to-end through the engine at an aggressive configuration:
-    // answers equal the reference executor exactly.
-    OlapEngine engine(db, config(4, 4));
-    engine.prepareSnapshot(db.now());
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult res;
-        engine.runQuery(q.plan, &res);
-        expectSameRows(res.rows, referenceExecute(db, q.plan),
+        expectSameRows(pres.rows, referenceExecute(db, q.plan),
                        q.plan.name);
     }
 }
