@@ -51,7 +51,7 @@ fullScaleQ6()
           {2, pim::OpType::Filter},
           {8, pim::OpType::Aggregation}}) {
         const auto s = model.schedule(
-            op, rows * width / geom.totalPimUnits(), width);
+            op, rows * width / geom.pimUnitCount(), width);
         q.pimNs += s.total();
         q.blockedNs += s.cpuBlockedTime;
     }

@@ -39,13 +39,12 @@ q6Time(Bytes wram_bytes, bool pushtap_arch)
     cfg.wramBytes = wram_bytes;
     const auto ov = pushtap_arch
                         ? memctrl::pushtapArchOverheads(geom, timing)
-                        : memctrl::originalArchOverheads(geom,
-                                                         timing);
+                        : memctrl::originalArchOverheads(geom);
     const pim::TwoPhaseModel model(pim::CostModel(cfg), ov);
 
     // Q6 scans three ORDERLINE columns at the paper's full scale.
     const std::uint64_t rows = 60'000'000;
-    const std::uint32_t units = geom.totalPimUnits();
+    const std::uint32_t units = geom.pimUnitCount();
     ArchResult res{0.0, 0.0};
     TimeNs overhead = 0.0;
     for (const auto &[width, op] :

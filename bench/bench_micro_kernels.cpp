@@ -2,11 +2,10 @@
  * @file
  * Google-benchmark micro-benchmarks for the core kernels: compact
  * aligned bin-packing, row scatter/gather re-layout, snapshot bitmap
- * updates, PIM filter throughput, hash-index lookups, and the batch
- * execution layer (morsel column decode, selection-vector filtering,
- * word-level visibility extraction) vs the row-at-a-time paths —
- * so kernel-level regressions are visible independent of the query
- * suite.
+ * updates, hash-index lookups, and the batch execution layer (morsel
+ * column decode, selection-vector filtering, word-level visibility
+ * extraction) vs the row-at-a-time paths — so kernel-level
+ * regressions are visible independent of the query suite.
  *
  * The SIMD-vs-scalar benches run each kernel twice (Arg 0 = scalar
  * reference via simd::forceScalarKernels, Arg 1 = the dispatched
@@ -34,7 +33,6 @@
 #include "olap/batch.hpp"
 #include "olap/expr.hpp"
 #include "olap/simd_kernels.hpp"
-#include "pim/pim_unit.hpp"
 #include "storage/table_store.hpp"
 #include "txn/hash_index.hpp"
 #include "workload/ch_schema.hpp"
@@ -135,27 +133,6 @@ BM_BitmapFindNext(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BitmapFindNext);
-
-void
-BM_PimFilter(benchmark::State &state)
-{
-    pim::PimUnit unit;
-    const std::uint64_t n = 4096;
-    for (std::uint64_t i = 0; i < n; ++i)
-        unit.writeInt(static_cast<std::uint32_t>(i * 4), 4,
-                      static_cast<std::int64_t>(i));
-    pim::FilterParams p{pim::kNoBitmap, 0, 20000, 4,
-                        pim::encodeCondition(pim::CompareOp::Gt,
-                                             2048)};
-    for (auto _ : state) {
-        unit.execFilter(p, n);
-        benchmark::DoNotOptimize(unit.wram().data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PimFilter);
 
 /**
  * A populated ORDERLINE-format store for the batch-kernel benches

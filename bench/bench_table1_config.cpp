@@ -50,7 +50,7 @@ printSystem(const char *title, const dram::Geometry &g,
                    TablePrinter::num(t.tWTR, 2) + " / " +
                    TablePrinter::num(t.tRTP, 2)});
     tp.addRow({"PIM units (total)",
-               std::to_string(g.totalPimUnits())});
+               std::to_string(g.pimUnitCount())});
     tp.addRow({"PIM units/rank",
                std::to_string(g.banksPerRank())});
     tp.addRow({"PIM freq (MHz)",

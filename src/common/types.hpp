@@ -13,9 +13,6 @@ namespace pushtap {
 /** Simulated time in nanoseconds (analytic timing model currency). */
 using TimeNs = double;
 
-/** Simulated time in picoseconds (event kernel currency, integral). */
-using Tick = std::uint64_t;
-
 /** Byte counts. */
 using Bytes = std::uint64_t;
 
@@ -25,12 +22,6 @@ using RowId = std::uint64_t;
 /** Transaction timestamp (monotonically increasing commit order). */
 using Timestamp = std::uint64_t;
 
-/** Identifier of a DRAM device (chip) within a rank. */
-using DeviceId = std::uint32_t;
-
-/** Identifier of a bank (flattened across channel/rank/device). */
-using BankId = std::uint32_t;
-
 /** Identifier of a column within a table schema. */
 using ColumnId = std::uint32_t;
 
@@ -39,22 +30,5 @@ inline constexpr RowId kInvalidRow = ~RowId{0};
 
 /** Sentinel for "no timestamp". */
 inline constexpr Timestamp kInvalidTimestamp = ~Timestamp{0};
-
-/** Picoseconds per nanosecond, for Tick/TimeNs conversions. */
-inline constexpr Tick kTicksPerNs = 1000;
-
-/** Convert nanoseconds to kernel ticks (rounds to nearest tick). */
-constexpr Tick
-nsToTicks(TimeNs ns)
-{
-    return static_cast<Tick>(ns * static_cast<double>(kTicksPerNs) + 0.5);
-}
-
-/** Convert kernel ticks to nanoseconds. */
-constexpr TimeNs
-ticksToNs(Tick ticks)
-{
-    return static_cast<TimeNs>(ticks) / static_cast<double>(kTicksPerNs);
-}
 
 } // namespace pushtap

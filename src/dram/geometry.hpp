@@ -56,7 +56,7 @@ struct Geometry
     }
 
     /** One PIM unit per bank (UPMEM-like). */
-    std::uint32_t totalPimUnits() const { return totalBanks(); }
+    std::uint32_t pimUnitCount() const { return totalBanks(); }
 
     Bytes
     bytesPerBank() const

@@ -5,9 +5,7 @@
  * Analytic batch timing model. Engines report access batches (how many
  * lines, streamed or random, read or write) and receive nanoseconds,
  * computed from the Table 1 timing parameters. This stands in for the
- * trace-driven ramulator-pim runs of the paper (see DESIGN.md §2); the
- * event-driven memctrl model validates the same formulas at small
- * scale.
+ * trace-driven ramulator-pim runs of the paper.
  */
 
 #include <algorithm>
@@ -119,7 +117,7 @@ class BatchTimingModel
     Bandwidth
     pimAggregateBandwidth(Bandwidth unit_bw) const
     {
-        return unit_bw * static_cast<double>(geom_.totalPimUnits());
+        return unit_bw * static_cast<double>(geom_.pimUnitCount());
     }
 
   private:

@@ -14,13 +14,19 @@ namespace pushtap::htap {
 
 using workload::ChTable;
 
+namespace {
+
+/** Rebuild speedup of MI (HBM)'s dedicated accelerator [6]. */
+constexpr double kAccelSpeedup = 5.0;
+
+} // namespace
+
 AnalyticOlapModel::AnalyticOlapModel(
     const txn::Database &db, const dram::Geometry &geom,
     const dram::TimingParams &timing, const pim::PimConfig &pim_cfg,
-    const pim::OffloadOverheads &overheads, double accel_speedup)
+    const pim::OffloadOverheads &overheads)
     : db_(db), geom_(geom), timing_(geom, timing), pimCfg_(pim_cfg),
-      twoPhase_(pim::CostModel(pim_cfg), overheads),
-      accelSpeedup_(accel_speedup)
+      twoPhase_(pim::CostModel(pim_cfg), overheads)
 {
 }
 
@@ -29,7 +35,7 @@ AnalyticOlapModel::idealColumnScan(std::uint64_t rows,
                                    std::uint32_t width) const
 {
     const Bytes total = rows * width;
-    const std::uint32_t units = geom_.totalPimUnits();
+    const std::uint32_t units = geom_.pimUnitCount();
     const Bytes per_unit = (total + units - 1) / units;
     return twoPhase_.schedule(pim::OpType::Filter, per_unit, width);
 }
@@ -59,8 +65,8 @@ AnalyticOlapModel::rebuildTime(std::uint64_t versions,
     pim::CostModel cm(pimCfg_);
     t += cm.computeTime(pim::OpType::Defragment,
                         versions * row_bytes /
-                            geom_.totalPimUnits());
-    return accel ? t / accelSpeedup_ : t;
+                            geom_.pimUnitCount());
+    return accel ? t / kAccelSpeedup : t;
 }
 
 TimeNs
@@ -166,7 +172,7 @@ AnalyticOlapModel::runQuery(BaselineKind kind,
         pim::CostModel cm(pimCfg_);
         rep.pimNs += cm.computeTime(
             pim::OpType::Join,
-            (build_rows + probe_rows) / geom_.totalPimUnits() + 1);
+            (build_rows + probe_rows) / geom_.pimUnitCount() + 1);
         rep.cpuNs += 2.0 * timing_.cpuPeakBandwidth().transferTime(
                                (build_rows + probe_rows) * 4);
     }
@@ -200,7 +206,7 @@ AnalyticOlapModel::runQuery(BaselineKind kind,
             const auto naggs = std::max<std::size_t>(
                 1, plan.aggregates.size());
             rep.cpuNs += timing_.cpuPeakBandwidth().transferTime(
-                static_cast<Bytes>(geom_.totalPimUnits()) * 8 *
+                static_cast<Bytes>(geom_.pimUnitCount()) * 8 *
                 naggs);
         }
     }

@@ -56,8 +56,7 @@ class AnalyticOlapModel
                       const dram::Geometry &geom,
                       const dram::TimingParams &timing,
                       const pim::PimConfig &pim_cfg,
-                      const pim::OffloadOverheads &overheads,
-                      double accel_speedup = 5.0);
+                      const pim::OffloadOverheads &overheads);
 
     /**
      * Scan time of @p width-byte column over @p rows at 100%
@@ -93,7 +92,6 @@ class AnalyticOlapModel
     dram::BatchTimingModel timing_;
     pim::PimConfig pimCfg_;
     pim::TwoPhaseModel twoPhase_;
-    double accelSpeedup_;
 };
 
 } // namespace pushtap::htap

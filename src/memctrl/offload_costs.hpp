@@ -16,10 +16,24 @@
 #include "common/types.hpp"
 #include "dram/geometry.hpp"
 #include "dram/timing_params.hpp"
-#include "memctrl/controller.hpp"
 #include "pim/two_phase.hpp"
 
 namespace pushtap::memctrl {
+
+/** Scheduler decode + broadcast cost per launch. */
+inline constexpr TimeNs kSchedulerDecodeNs = 4.0;
+
+/**
+ * Bank-handover cost per rank, CPU to PIM or back (0.2 us, measured
+ * on a real UPMEM server per section 7.1).
+ */
+inline constexpr TimeNs kHandoverPerRankNs = 200.0;
+
+/**
+ * Polling module sampling period: one status sweep of the channel's
+ * PIM interfaces.
+ */
+inline constexpr TimeNs kPollPeriodNs = 2000.0;
 
 /**
  * Per-unit software message cost (one mailbox write or status read
@@ -36,10 +50,7 @@ inline constexpr TimeNs kPerUnitMessageNs = 165.0;
  * unit of the channel; LS phases additionally pay the per-rank bank
  * handover in both directions.
  */
-pim::OffloadOverheads
-originalArchOverheads(const dram::Geometry &geom,
-                      const dram::TimingParams &timing,
-                      TimeNs per_unit_message_ns = kPerUnitMessageNs);
+pim::OffloadOverheads originalArchOverheads(const dram::Geometry &geom);
 
 /**
  * Overheads of the PUSHtap extended controller: launching is one
@@ -50,7 +61,6 @@ originalArchOverheads(const dram::Geometry &geom,
  */
 pim::OffloadOverheads
 pushtapArchOverheads(const dram::Geometry &geom,
-                     const dram::TimingParams &timing,
-                     const ControllerConfig &cfg = {});
+                     const dram::TimingParams &timing);
 
 } // namespace pushtap::memctrl

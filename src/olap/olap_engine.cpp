@@ -61,15 +61,6 @@ OlapConfig::pushtapHbm()
     return cfg;
 }
 
-OlapConfig
-OlapConfig::originalArchDimm()
-{
-    OlapConfig cfg;
-    cfg.overheads = memctrl::originalArchOverheads(cfg.geom,
-                                                   cfg.timing);
-    return cfg;
-}
-
 OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
     : db_(db), cfg_(cfg), timing_(cfg.geom, cfg.timing),
       twoPhase_(pim::CostModel(cfg.pimConfig), cfg.overheads),
@@ -228,29 +219,21 @@ OlapEngine::scannedDeltaRows(const txn::TableRuntime &tbl) const
 }
 
 ScanCost
-OlapEngine::scanCostForRows(std::uint64_t rows, std::uint32_t width,
-                            pim::OpType op) const
-{
-    ScanCost cost;
-    cost.totalBytes = rows * width;
-    cost.activeUnits =
-        cfg_.blockCirculant
-            ? cfg_.geom.totalPimUnits()
-            : cfg_.geom.totalPimUnits() / db_.config().devices;
-    cost.bytesPerUnit =
-        (cost.totalBytes + cost.activeUnits - 1) / cost.activeUnits;
-    cost.schedule = twoPhase_.schedule(op, cost.bytesPerUnit, width);
-    return cost;
-}
-
-ScanCost
 OlapEngine::scanCostForWidth(const txn::TableRuntime &tbl,
                              std::uint32_t width,
                              pim::OpType op) const
 {
-    return scanCostForRows(scannedDataRows(tbl) +
-                               scannedDeltaRows(tbl),
-                           width, op);
+    ScanCost cost;
+    cost.totalBytes =
+        (scannedDataRows(tbl) + scannedDeltaRows(tbl)) * width;
+    cost.activeUnits =
+        cfg_.blockCirculant
+            ? cfg_.geom.pimUnitCount()
+            : cfg_.geom.pimUnitCount() / db_.config().devices;
+    cost.bytesPerUnit =
+        (cost.totalBytes + cost.activeUnits - 1) / cost.activeUnits;
+    cost.schedule = twoPhase_.schedule(op, cost.bytesPerUnit, width);
+    return cost;
 }
 
 void
@@ -302,10 +285,17 @@ OlapEngine::prepareSnapshot(Timestamp ts)
             snapshotTable(i);
     }
     TimeNs total = cfg_.snapshotFixedNs;
-    for (const auto &st : stats)
+    mvcc::SnapshotStats merged;
+    for (const auto &st : stats) {
         total += busTime(st.metadataBytesRead) +
                  busTime(st.bitmapBytesWritten);
-    lastSnapshot_ = stats.back();
+        merged.versionsScanned += st.versionsScanned;
+        merged.versionsSkipped += st.versionsSkipped;
+        merged.bitsFlipped += st.bitsFlipped;
+        merged.metadataBytesRead += st.metadataBytesRead;
+        merged.bitmapBytesWritten += st.bitmapBytesWritten;
+    }
+    lastSnapshot_ = merged;
     pendingConsistency_ += total;
     return total;
 }
@@ -544,7 +534,7 @@ OlapEngine::priceQuery(const QueryPlan &plan, bool fuse_probe_scans,
         pim::CostModel cm(cfg_.pimConfig);
         rep.pimNs += cm.computeTime(
             pim::OpType::Join,
-            (build_rows + probe_rows) / cfg_.geom.totalPimUnits() +
+            (build_rows + probe_rows) / cfg_.geom.pimUnitCount() +
                 1);
     };
 
@@ -633,7 +623,7 @@ OlapEngine::priceMerge(const QueryPlan &plan, std::uint64_t visible,
         // per-unit partial sums.
         rep.cpuNs += busTime(visible * 2);
         rep.cpuNs += busTime(static_cast<Bytes>(
-                                 cfg_.geom.totalPimUnits()) *
+                                 cfg_.geom.pimUnitCount()) *
                              plan.groupSlots * 8);
         return;
     }
@@ -641,7 +631,7 @@ OlapEngine::priceMerge(const QueryPlan &plan, std::uint64_t visible,
     const auto naggs =
         std::max<std::size_t>(1, plan.aggregates.size());
     rep.cpuNs += busTime(static_cast<Bytes>(
-                             cfg_.geom.totalPimUnits()) *
+                             cfg_.geom.pimUnitCount()) *
                          8 * naggs);
 }
 
@@ -660,52 +650,6 @@ OlapEngine::pricePlan(const QueryPlan &plan, bool fuse_probe_scans,
     activePlacements_ = nullptr;
     priceMerge(plan, visible_rows, rep);
     return rep;
-}
-
-std::uint64_t
-OlapEngine::pimCrossoverRows(const txn::TableRuntime &tbl,
-                             const std::string &column,
-                             pim::OpType op) const
-{
-    const ColumnId c = tbl.schema().columnId(column);
-    const auto &col = tbl.schema().column(c);
-    if (col.type != format::ColType::Int ||
-        tbl.layout().singlePlacement(c) == nullptr)
-        return 0; // Always the CPU gather path; no crossover.
-    const auto &pl = tbl.layout().keyPlacement(c);
-    const std::uint32_t width =
-        tbl.layout().parts()[pl.part].rowWidth;
-    const auto access = format::BandwidthModel(
-                            db_.config().devices,
-                            cfg_.geom.interleaveGranularity,
-                            cfg_.geom.stripedLines)
-                            .columnSetAccess(tbl.layout(), {c});
-    auto pimWins = [&](std::uint64_t rows) {
-        const TimeNs pim =
-            scanCostForRows(rows, width, op).schedule.total();
-        const TimeNs cpu = busTime(static_cast<Bytes>(
-            access.fetchedBytes * static_cast<double>(rows)));
-        return pim <= cpu;
-    };
-    if (pimWins(1))
-        return 1;
-    // The offload fixed costs amortize with scale while the gather
-    // transfer grows linearly, so the win threshold is found by
-    // doubling then bisecting. Capped: a scan that has not caught
-    // the gather by 2^40 rows never profitably offloads (returns 0,
-    // like a non-eligible column).
-    std::uint64_t hi = 2;
-    while (!pimWins(hi)) {
-        if (hi >= (1ull << 40))
-            return 0;
-        hi *= 2;
-    }
-    std::uint64_t lo = hi / 2; // !pimWins(lo), pimWins(hi).
-    while (hi - lo > 1) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        (pimWins(mid) ? hi : lo) = mid;
-    }
-    return hi;
 }
 
 QueryReport

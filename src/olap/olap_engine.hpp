@@ -109,8 +109,6 @@ struct OlapConfig
 
     static OlapConfig pushtapDimm();
     static OlapConfig pushtapHbm();
-    /** Original software-managed PIM architecture (Fig. 12(b)). */
-    static OlapConfig originalArchDimm();
 };
 
 /**
@@ -238,19 +236,6 @@ class OlapEngine
                           const PlacementSet *cpu_demotions,
                           std::uint64_t visible_rows) const;
 
-    /**
-     * Eq. (3)-style crossover of one PIM-eligible column scan: the
-     * smallest scanned-row count at which the PIM schedule (with its
-     * per-scan offload fixed costs) beats the CPU gather transfer.
-     * 0 when no such count exists: the column is not PIM-eligible
-     * (Char or fragmented — always CPU), or the schedule never
-     * catches the gather within the searched range. An EXPLAIN aid;
-     * the placement pass itself prices whole plans.
-     */
-    std::uint64_t pimCrossoverRows(const txn::TableRuntime &tbl,
-                                   const std::string &column,
-                                   pim::OpType op) const;
-
     /** Observed stats of @p plan_name's past optimized runs (null
      *  when it never ran with the optimizer on). */
     const PlanStats *planStats(const std::string &plan_name) const
@@ -276,20 +261,13 @@ class OlapEngine
                               std::uint32_t width,
                               pim::OpType op) const;
 
-    /** Scan cost of streaming @p rows rows of @p width bytes —
-     *  the row-count-parametric core pimCrossoverRows() bisects
-     *  over; public so tests can check the crossover point against
-     *  the actual schedules. */
-    ScanCost scanCostForRows(std::uint64_t rows, std::uint32_t width,
-                             pim::OpType op) const;
-
     /** Last defragmentation's statistics (Fig. 11(d)). */
     const mvcc::DefragStats &lastDefragStats() const
     {
         return lastDefrag_;
     }
 
-    /** Last snapshot pass statistics. */
+    /** Last snapshot pass statistics, summed over every table. */
     const mvcc::SnapshotStats &lastSnapshotStats() const
     {
         return lastSnapshot_;

@@ -11,10 +11,21 @@
 #include <cstdint>
 
 #include "common/types.hpp"
-#include "pim/launch.hpp"
 #include "pim/pim_config.hpp"
 
 namespace pushtap::pim {
+
+/** Operation types the extended controller launches (Fig. 7(b)). */
+enum class OpType : std::uint8_t
+{
+    LS = 0,          ///< Load/store phase: DMA between DRAM and WRAM.
+    Filter = 1,      ///< Compare a column against a condition.
+    Group = 2,       ///< Compute group indices via a dictionary.
+    Aggregation = 3, ///< Accumulate values into per-group sums.
+    Hash = 4,        ///< Hash a column.
+    Join = 5,        ///< Probe/match hashed buckets.
+    Defragment = 6,  ///< Copy newest delta rows back to data region.
+};
 
 class CostModel
 {

@@ -25,12 +25,6 @@ struct PimConfig
     Bandwidth streamBandwidth = Bandwidth::gbPerSec(1.0);
 
     /**
-     * Latency to hand bank access control between CPU and PIM per
-     * rank (0.2 us, measured on a real UPMEM server per the paper).
-     */
-    TimeNs modeSwitchPerRankNs = 200.0;
-
-    /**
      * Half of WRAM buffers the data of a load phase (section 6.2);
      * the other half is working memory.
      */

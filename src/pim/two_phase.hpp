@@ -15,7 +15,6 @@
 
 #include "common/types.hpp"
 #include "pim/cost_model.hpp"
-#include "pim/launch.hpp"
 
 namespace pushtap::pim {
 

@@ -25,11 +25,11 @@ TEST(Geometry, DimmRankIs8GiB)
     EXPECT_EQ(g.bytesPerRank(), 8ull << 30);
 }
 
-TEST(Geometry, DimmHas1024PimUnits)
+TEST(Geometry, DimmHas1024Banks)
 {
     const auto g = Geometry::dimmDefault();
     EXPECT_EQ(g.banksPerRank(), 64u); // "64 per Rank" (Table 1)
-    EXPECT_EQ(g.totalPimUnits(), 1024u);
+    EXPECT_EQ(g.pimUnitCount(), 1024u);
 }
 
 TEST(Geometry, HbmKeepsSameBankCount)

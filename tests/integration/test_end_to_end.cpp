@@ -4,7 +4,6 @@
 
 #include "htap/analytic_olap.hpp"
 #include "htap/pushtap_db.hpp"
-#include "memctrl/controller.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap {
@@ -12,9 +11,9 @@ namespace {
 
 /**
  * End-to-end integration over the whole stack: the PushtapDB facade
- * driving transactions, snapshots, defragmentation and queries, with
- * the event-driven controller validating the concurrency semantics
- * the analytic two-phase model assumes.
+ * driving transactions, snapshots, defragmentation and queries,
+ * checked against the analytic baselines, a serial instance and the
+ * row-store format.
  */
 class EndToEnd : public ::testing::Test
 {
@@ -95,46 +94,6 @@ TEST_F(EndToEnd, BaselinesAndEngineAgreeOnScanScale)
     const auto rep = db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.pimNs, 0.5 * ideal.pimNs);
     EXPECT_LT(rep.pimNs, 4.0 * ideal.pimNs);
-}
-
-TEST_F(EndToEnd, ControllerHonoursTwoPhaseContract)
-{
-    // The event-driven controller and the analytic two-phase model
-    // must agree on the core contract: compute launches leave the
-    // CPU unblocked; LS launches block exactly for handover + DMA.
-    sim::EventQueue eq;
-    auto geom = dram::Geometry::dimmDefault();
-    geom.channels = 1;
-    memctrl::ControllerConfig cfg;
-    memctrl::PushtapController ctrl(
-        eq, geom, dram::TimingParams::ddr5_3200(), cfg);
-
-    const TimeNs dma_ns = 32768.0; // one 32 kB chunk at 1 GB/s
-    ctrl.setNextUnitDuration(dma_ns);
-    memctrl::Request launch;
-    launch.type = memctrl::AccessType::Write;
-    launch.addr = cfg.magicAddr;
-    launch.payload = pim::LaunchRequest::ls({}).payload();
-    ctrl.submit(std::move(launch));
-
-    Tick read_done = 0;
-    memctrl::Request read;
-    read.type = memctrl::AccessType::Read;
-    read.addr = 0x100;
-    read.rank = 0;
-    read.bankInRank = 3;
-    read.row = 9;
-    read.onComplete = [&](Tick t) { read_done = t; };
-    ctrl.submit(std::move(read));
-    eq.run();
-
-    // The blocked read resumed after handover + DMA + handback, as
-    // the analytic model charges.
-    const TimeNs expect =
-        dma_ns +
-        2.0 * cfg.handoverPerRankNs * geom.ranksPerChannel;
-    EXPECT_GE(ticksToNs(read_done), expect);
-    EXPECT_LT(ticksToNs(read_done), expect + 2000.0);
 }
 
 TEST_F(EndToEnd, ParallelInstanceAgreesWithSerial)

@@ -13,6 +13,7 @@
 #include "common/units.hpp"
 #include "dram/geometry.hpp"
 #include "dram/timing_params.hpp"
+#include "memctrl/offload_costs.hpp"
 #include "pim/pim_config.hpp"
 
 namespace pushtap {
@@ -74,7 +75,7 @@ TEST(PaperTable1, DimmGeometryGoldenValues)
     // one UPMEM-like PIM unit per bank.
     EXPECT_EQ(g.banksPerRank(), 64u);
     EXPECT_EQ(g.totalBanks(), 1024u);
-    EXPECT_EQ(g.totalPimUnits(), 1024u);
+    EXPECT_EQ(g.pimUnitCount(), 1024u);
     // 128 MiB per bank -> 8 GiB per rank -> 128 GiB PIM DRAM.
     EXPECT_EQ(g.bytesPerBank(), 128u * kMiB);
     EXPECT_EQ(g.totalBytes(), 128ull * 1024 * kMiB);
@@ -94,11 +95,11 @@ TEST(PaperTable1, HbmGeometryGoldenValues)
 
     // Same PIM-unit population as the DIMM system: 32 x 2 x 16 = 1024.
     EXPECT_EQ(g.totalBanks(), 1024u);
-    EXPECT_EQ(g.totalPimUnits(), 1024u);
+    EXPECT_EQ(g.pimUnitCount(), 1024u);
     EXPECT_EQ(g.stripeDevices(), 1u);
 }
 
-TEST(PaperTable1, PimUnitGoldenValues)
+TEST(PaperTable1, PimConfigGoldenValues)
 {
     const auto c = pim::PimConfig::upmemLike();
     EXPECT_DOUBLE_EQ(c.frequencyMHz, 500.0);
@@ -107,7 +108,7 @@ TEST(PaperTable1, PimUnitGoldenValues)
     EXPECT_EQ(c.iramBytes, 24u * kKiB);
     EXPECT_EQ(c.wireBits, 64u);
     EXPECT_DOUBLE_EQ(c.streamBandwidth.gbPerSecValue(), 1.0);
-    EXPECT_DOUBLE_EQ(c.modeSwitchPerRankNs, 200.0);
+    EXPECT_DOUBLE_EQ(memctrl::kHandoverPerRankNs, 200.0);
 }
 
 TEST(PaperTable1, PimDerivedQuantities)

@@ -166,8 +166,7 @@ TEST(MorselVisibility, EmptyRegionYieldsEmptySelections)
 
 // ---- batch decode vs whole-row reads -----------------------------
 
-class BatchDecodeTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class BatchDecodeTest : public ::testing::Test
 {
   protected:
     BatchDecodeTest()
@@ -175,7 +174,7 @@ class BatchDecodeTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 17),
+          oltp(db, InstanceFormat::Unified, bw, timing, 17),
           engine(db, OlapConfig::pushtapDimm())
     {
         for (int i = 0; i < 30; ++i)
@@ -231,14 +230,14 @@ class BatchDecodeTest
     OlapEngine engine;
 };
 
-TEST_P(BatchDecodeTest, EveryColumnMatchesRowRead)
+TEST_F(BatchDecodeTest, EveryColumnMatchesRowRead)
 {
     expectAllColumnsMatch(ChTable::OrderLine);
     expectAllColumnsMatch(ChTable::Orders);
     expectAllColumnsMatch(ChTable::Item);
 }
 
-TEST_P(BatchDecodeTest, KeyColumnsUseTheStridePath)
+TEST_F(BatchDecodeTest, KeyColumnsUseTheStridePath)
 {
     const auto &tbl = db.table(ChTable::OrderLine);
     // Key columns are unfragmented by construction, so the
@@ -251,21 +250,6 @@ TEST_P(BatchDecodeTest, KeyColumnsUseTheStridePath)
         }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, BatchDecodeTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 TEST(BatchDecodeFragmented, GatherFallbackMatchesRowRead)
 {

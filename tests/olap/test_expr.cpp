@@ -480,8 +480,7 @@ randomPlan(ExprGen &gen, Rng &rng, int it)
     return p;
 }
 
-class ExprPropertyTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class ExprPropertyTest : public ::testing::Test
 {
   protected:
     ExprPropertyTest()
@@ -489,7 +488,7 @@ class ExprPropertyTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 41)
+          oltp(db, InstanceFormat::Unified, bw, timing, 41)
     {
         // In-flight delta versions so both regions carry rows.
         for (int i = 0; i < 30; ++i)
@@ -504,31 +503,16 @@ class ExprPropertyTest
     TpccEngine oltp;
 };
 
-TEST_P(ExprPropertyTest, RandomTreesAgreeWithReference)
+TEST_F(ExprPropertyTest, RandomTreesAgreeWithReference)
 {
-    Rng rng(97 + static_cast<std::uint64_t>(GetParam()));
-    ExprGen gen(1000 + static_cast<std::uint64_t>(GetParam()));
+    Rng rng(97);
+    ExprGen gen(1000);
     for (int it = 0; it < 16; ++it) {
         const auto plan = randomPlan(gen, rng, it);
         ASSERT_NO_THROW(validatePlan(plan)) << plan.name;
         expectAgreesWithReference(db, plan);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ExprPropertyTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 /**
  * The ExecStats contract: every count — including the adaptive

@@ -263,6 +263,28 @@ TEST_F(OlapEngineTest, ConsistencyChargedOncePerQuery)
     EXPECT_EQ(rep2.consistencyNs, 0.0);
 }
 
+TEST_F(OlapEngineTest, SnapshotStatsCountEveryTable)
+{
+    // A snapshot pass processes each committed version exactly once,
+    // in whichever table it lives: Payment writes none to STOCK.
+    engine.prepareSnapshot(db.now());
+    auto created = oltp.stats().versionsCreated;
+    for (int i = 0; i < 25; ++i)
+        oltp.executePayment();
+    engine.prepareSnapshot(db.now());
+    EXPECT_GT(oltp.stats().versionsCreated, created);
+    EXPECT_EQ(engine.lastSnapshotStats().versionsScanned,
+              oltp.stats().versionsCreated - created);
+
+    created = oltp.stats().versionsCreated;
+    for (int i = 0; i < 25; ++i)
+        oltp.executeMixed();
+    engine.prepareSnapshot(db.now());
+    EXPECT_EQ(engine.lastSnapshotStats().versionsScanned,
+              oltp.stats().versionsCreated - created);
+    EXPECT_EQ(engine.lastSnapshotStats().versionsSkipped, 0u);
+}
+
 TEST_F(OlapEngineTest, BlockCirculantImprovesParallelism)
 {
     // Fig. 5: with rotation every unit participates; without, only
@@ -327,7 +349,7 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
         dram::BatchTimingModel(cfg.geom, cfg.timing)
             .cpuPeakBandwidth()
             .transferTime(
-                static_cast<Bytes>(cfg.geom.totalPimUnits()) * 8);
+                static_cast<Bytes>(cfg.geom.pimUnitCount()) * 8);
 
     EXPECT_DOUBLE_EQ(rep.pimNs, pim);
     EXPECT_DOUBLE_EQ(rep.cpuNs, cpu);
@@ -360,7 +382,7 @@ TEST_F(OlapEngineTest, Q1TimingMatchesBespokeDecomposition)
     TimeNs cpu =
         tm.cpuPeakBandwidth().transferTime(rep.rowsVisible * 2);
     cpu += tm.cpuPeakBandwidth().transferTime(
-        static_cast<Bytes>(cfg.geom.totalPimUnits()) * 16 * 8);
+        static_cast<Bytes>(cfg.geom.pimUnitCount()) * 16 * 8);
 
     EXPECT_DOUBLE_EQ(rep.pimNs, pim);
     EXPECT_DOUBLE_EQ(rep.cpuNs, cpu);
@@ -413,7 +435,7 @@ TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
         pim += pim::CostModel(cfg.pimConfig)
                    .computeTime(pim::OpType::Join,
                                 (build.usedDataRows() + n_lines) /
-                                        cfg.geom.totalPimUnits() +
+                                        cfg.geom.pimUnitCount() +
                                     1);
     };
     // ITEM leg.

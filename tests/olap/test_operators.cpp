@@ -34,12 +34,10 @@ smallConfig()
 
 /**
  * The core property: every executable plan's aggregates exactly
- * match the naive reference scan over the same snapshot, for every
- * InstanceFormat (the format changes OLTP pricing, never results)
- * and with in-flight delta versions present.
+ * match the naive reference scan over the same snapshot, with
+ * in-flight delta versions present.
  */
-class OperatorPropertyTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class OperatorPropertyTest : public ::testing::Test
 {
   protected:
     OperatorPropertyTest()
@@ -47,7 +45,7 @@ class OperatorPropertyTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 11),
+          oltp(db, InstanceFormat::Unified, bw, timing, 11),
           engine(db, OlapConfig::pushtapDimm())
     {}
 
@@ -58,7 +56,7 @@ class OperatorPropertyTest
     OlapEngine engine;
 };
 
-TEST_P(OperatorPropertyTest, CleanDataMatchesReference)
+TEST_F(OperatorPropertyTest, CleanDataMatchesReference)
 {
     engine.prepareSnapshot(db.now());
     for (const auto &q : workload::chExecutablePlans()) {
@@ -69,7 +67,7 @@ TEST_P(OperatorPropertyTest, CleanDataMatchesReference)
     }
 }
 
-TEST_P(OperatorPropertyTest, InFlightDeltasMatchReference)
+TEST_F(OperatorPropertyTest, InFlightDeltasMatchReference)
 {
     for (int i = 0; i < 40; ++i)
         oltp.executeMixed();
@@ -86,7 +84,7 @@ TEST_P(OperatorPropertyTest, InFlightDeltasMatchReference)
     }
 }
 
-TEST_P(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
+TEST_F(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
 {
     for (int i = 0; i < 10; ++i)
         oltp.executeMixed();
@@ -117,21 +115,6 @@ TEST_P(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
     expectSameRows(fresh.rows, referenceExecute(db, plan),
                    "Q12 after catch-up");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, OperatorPropertyTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 class OperatorTest : public ::testing::Test
 {

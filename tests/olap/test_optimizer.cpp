@@ -71,10 +71,9 @@ skewedTwoJoinPlan()
     return p;
 }
 
-// ---- Property suite: every CH plan, every instance format --------
+// ---- Property suite: every CH plan -------------------------------
 
-class OptimizerPropertyTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class OptimizerPropertyTest : public ::testing::Test
 {
   protected:
     OptimizerPropertyTest()
@@ -82,7 +81,7 @@ class OptimizerPropertyTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 29)
+          oltp(db, InstanceFormat::Unified, bw, timing, 29)
     {
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
@@ -94,7 +93,7 @@ class OptimizerPropertyTest
     TpccEngine oltp;
 };
 
-TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
+TEST_F(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
 {
     // The acceptance property: with `optimize` on, every executable
     // CH plan returns byte-identical results to the hand-built plan,
@@ -133,7 +132,7 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
     EXPECT_GT(st->probeVisible, 0u);
 }
 
-TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
+TEST_F(OptimizerPropertyTest, KnobSweepIsResultInvariant)
 {
     // User-set workers pass through the optimizer untouched and
     // never perturb answers.
@@ -208,21 +207,6 @@ TEST(OptimizerStatsPersistence, SurvivesEngineInstances)
     ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
     std::remove(path.c_str());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, OptimizerPropertyTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 // ---- Unit tests over constructed plans ---------------------------
 
@@ -461,46 +445,6 @@ TEST_F(OptimizerTest, DescribePlanDumpsPlanAndDecisions)
     EXPECT_NE(dump.find("priced: chosen="), std::string::npos);
     EXPECT_NE(dump.find("cardinality heuristics"),
               std::string::npos);
-}
-
-TEST_F(OptimizerTest, PimCrossoverRowsMatchesEligibility)
-{
-    auto &tbl = db.table(ChTable::OrderLine);
-    // Char columns never run on PIM: no crossover.
-    EXPECT_EQ(engine.pimCrossoverRows(tbl, "ol_dist_info",
-                                      pim::OpType::Filter),
-              0u);
-    // An Int column either crosses over at some finite row count or
-    // never does; when it does, the schedule must actually win
-    // there and still lose one row earlier.
-    const auto rows = engine.pimCrossoverRows(
-        tbl, "ol_amount", pim::OpType::Aggregation);
-    if (rows > 1) {
-        const auto &schema = tbl.schema();
-        const auto c = schema.columnId("ol_amount");
-        const auto &pl = tbl.layout().keyPlacement(c);
-        const auto width = tbl.layout().parts()[pl.part].rowWidth;
-        const auto cfg = engine.config();
-        const auto access =
-            format::BandwidthModel(db.config().devices,
-                                   cfg.geom.interleaveGranularity,
-                                   cfg.geom.stripedLines)
-                .columnSetAccess(tbl.layout(), {c});
-        const dram::BatchTimingModel tm(cfg.geom, cfg.timing);
-        const auto cpu = [&](std::uint64_t n) {
-            return tm.cpuPeakBandwidth().transferTime(
-                static_cast<Bytes>(access.fetchedBytes *
-                                   static_cast<double>(n)));
-        };
-        const auto pim = [&](std::uint64_t n) {
-            return engine
-                .scanCostForRows(n, width,
-                                 pim::OpType::Aggregation)
-                .schedule.total();
-        };
-        EXPECT_LE(pim(rows), cpu(rows));
-        EXPECT_GT(pim(rows - 1), cpu(rows - 1));
-    }
 }
 
 TEST_F(OptimizerTest, KnobResolutionOrder)

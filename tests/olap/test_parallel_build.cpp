@@ -3,7 +3,6 @@
 #include "common/log.hpp"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -48,14 +47,13 @@ struct ScalarGuard
 
 /**
  * Byte-identity of the partitioned parallel build phase: every
- * catalog plan with a join or subquery, every InstanceFormat, swept
- * across worker counts against the reference executor.
+ * catalog plan with a join or subquery, swept across worker counts
+ * against the reference executor.
  * In-flight deltas (transactions ingested after the snapshot) stay
  * in the delta region and stress the data-runs-then-delta-runs
  * stitch order.
  */
-class ParallelBuildTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class ParallelBuildTest : public ::testing::Test
 {
   protected:
     /** A catalog plan's answer at the snapshot: the reference rows
@@ -71,7 +69,7 @@ class ParallelBuildTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 31),
+          oltp(db, InstanceFormat::Unified, bw, timing, 31),
           engine(db, OlapConfig::pushtapDimm())
     {
         for (int i = 0; i < 40; ++i)
@@ -79,11 +77,10 @@ class ParallelBuildTest
         engine.prepareSnapshot(db.now());
         // The reference reads the newest versions, so the answers at
         // the snapshot are taken before the in-flight commits below
-        // (once per format: the population is deterministic).
-        auto &want = expected_[GetParam()];
-        if (want.empty())
+        // (once: the population is deterministic).
+        if (expected_.empty())
             for (const auto &q : workload::chExecutablePlans())
-                want.push_back(
+                expected_.push_back(
                     {testsupport::referenceExecute(db, q.plan),
                      db.table(q.plan.probe.table).usedDataRows()});
         // In-flight rows: invisible to the snapshot, present in the
@@ -96,7 +93,7 @@ class ParallelBuildTest
     const std::vector<Expected> &
     want() const
     {
-        return expected_.at(GetParam());
+        return expected_;
     }
 
     static void
@@ -107,8 +104,7 @@ class ParallelBuildTest
         expectSameRows(got.result.rows, want.rows, what);
     }
 
-    static inline std::map<InstanceFormat, std::vector<Expected>>
-        expected_;
+    static inline std::vector<Expected> expected_;
 
     Database db;
     format::BandwidthModel bw;
@@ -117,7 +113,7 @@ class ParallelBuildTest
     OlapEngine engine;
 };
 
-TEST_P(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkers)
+TEST_F(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkers)
 {
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
@@ -137,7 +133,7 @@ TEST_P(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkers)
     }
 }
 
-TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
+TEST_F(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
 {
     // Parallel builds must not depend on the SIMD kernels: force the
     // scalar reference kernels and sweep the aggressive corner.
@@ -153,7 +149,7 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
                      q.plan.name + " forced-scalar");
 }
 
-TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
+TEST_F(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
 {
     WorkerPool pool(4);
     std::size_t i = 0;
@@ -197,7 +193,7 @@ expectMatchesReference(Database &db, const QueryPlan &plan)
     return want;
 }
 
-TEST_P(ParallelBuildTest, BuildPredicateRejectingEveryRow)
+TEST_F(ParallelBuildTest, BuildPredicateRejectingEveryRow)
 {
     // An empty build side: semi keeps no probe row, anti keeps every
     // one, inner expands to nothing — with single- and multi-column
@@ -246,7 +242,7 @@ TEST_P(ParallelBuildTest, BuildPredicateRejectingEveryRow)
             }
 }
 
-TEST_P(ParallelBuildTest, RepeatedInnerKeyFeedsPayloadKeyedJoin)
+TEST_F(ParallelBuildTest, RepeatedInnerKeyFeedsPayloadKeyedJoin)
 {
     // ORDERS keyed on o_d_id alone: ten keys, each with a long run of
     // tuples that every matching probe row expands into. The next
@@ -284,21 +280,6 @@ TEST_P(ParallelBuildTest, RepeatedInnerKeyFeedsPayloadKeyedJoin)
         EXPECT_FALSE(want.empty()) << p.name;
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ParallelBuildTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 /**
  * Bit-identity of the parallel snapshot/defrag passes: the modelled

@@ -73,14 +73,12 @@ expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
 
 /**
  * The worker sweep of the acceptance criteria: every executable
- * catalog plan, every InstanceFormat, workers {1, 2, 4, hardware} —
- * answers byte-identical to the reference executor, and the
- * captured group accumulators (what foldGroups/materializeGroups
- * consume) plus the ExecStats byte-identical to the single-worker
- * run.
+ * catalog plan, workers {1, 2, 4, hardware} — answers byte-identical
+ * to the reference executor, and the captured group accumulators
+ * (what foldGroups/materializeGroups consume) plus the ExecStats
+ * byte-identical to the single-worker run.
  */
-class ParallelExecTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class ParallelExecTest : public ::testing::Test
 {
   protected:
     ParallelExecTest()
@@ -88,7 +86,7 @@ class ParallelExecTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 29),
+          oltp(db, InstanceFormat::Unified, bw, timing, 29),
           engine(db, OlapConfig::pushtapDimm())
     {
         for (int i = 0; i < 40; ++i)
@@ -103,7 +101,7 @@ class ParallelExecTest
     OlapEngine engine;
 };
 
-TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
+TEST_F(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
 {
     ExecOptions serial;
     serial.captureGroups = true;
@@ -132,7 +130,7 @@ TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
     }
 }
 
-TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkers)
+TEST_F(ParallelExecTest, EngineAnswersInvariantAcrossWorkers)
 {
     // Through the engine: workers claim runs — answers never move.
     std::vector<std::vector<testsupport::RefRow>> want;
@@ -155,7 +153,7 @@ TEST_P(ParallelExecTest, EngineAnswersInvariantAcrossWorkers)
     }
 }
 
-TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
+TEST_F(ParallelExecTest, MorselRowsSweepIsResultInvariant)
 {
     WorkerPool pool(2);
     for (const auto &q : workload::chExecutablePlans()) {
@@ -172,7 +170,7 @@ TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
     }
 }
 
-TEST_P(ParallelExecTest, EightColumnKeysMatchReference)
+TEST_F(ParallelExecTest, EightColumnKeysMatchReference)
 {
     // The widest keys validatePlan admits fill InlineKey to
     // capacity: a group-by, a semi self-join and an inner self-join,
@@ -226,21 +224,6 @@ TEST_P(ParallelExecTest, EightColumnKeysMatchReference)
             }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ParallelExecTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 /**
  * The cases the flat group tables and the dense-array merge exist

@@ -34,8 +34,7 @@ smallConfig()
     return cfg;
 }
 
-class ResultCachePropertyTest
-    : public ::testing::TestWithParam<InstanceFormat>
+class ResultCachePropertyTest : public ::testing::Test
 {
   protected:
     ResultCachePropertyTest()
@@ -43,7 +42,7 @@ class ResultCachePropertyTest
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 37)
+          oltp(db, InstanceFormat::Unified, bw, timing, 37)
     {
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
@@ -55,7 +54,7 @@ class ResultCachePropertyTest
     TpccEngine oltp;
 };
 
-TEST_P(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
+TEST_F(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
 {
     // The acceptance property: with the result cache on, every CH
     // plan's answer is byte-identical to a cold execution at the
@@ -106,7 +105,7 @@ TEST_P(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
     EXPECT_GT(cached.resultCache()->misses, 0u);
 }
 
-TEST_P(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
+TEST_F(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
 {
     auto cfg = OlapConfig::pushtapDimm();
     cfg.resultCache = true;
@@ -146,7 +145,7 @@ TEST_P(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
     }
 }
 
-TEST_P(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)
+TEST_F(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)
 {
     auto cfg = OlapConfig::pushtapDimm();
     cfg.resultCache = true;
@@ -175,21 +174,6 @@ TEST_P(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)
     auto ground = executePlan(db, stock_scan);
     expectSameRows(warm.rows, ground.result.rows, "stock fallback");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ResultCachePropertyTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 } // namespace
 } // namespace pushtap::olap

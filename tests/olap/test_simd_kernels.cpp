@@ -464,11 +464,11 @@ smallConfig()
 
 /**
  * OLTP-churned database (in-flight deltas, fragmented rows,
- * post-freeze dictionary writes) per instance format: the
- * acceptance sweep that SIMD and forced-scalar dispatches execute
- * every catalog plan exactly as the reference executor answers it.
+ * post-freeze dictionary writes): the acceptance sweep that SIMD
+ * and forced-scalar dispatches execute every catalog plan exactly
+ * as the reference executor answers it.
  */
-class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
+class SimdExecTest : public ::testing::Test
 {
   protected:
     SimdExecTest()
@@ -476,7 +476,7 @@ class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
                  dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 37),
+          oltp(db, InstanceFormat::Unified, bw, timing, 37),
           engine(db, OlapConfig::pushtapDimm())
     {
         for (int i = 0; i < 40; ++i)
@@ -502,7 +502,7 @@ class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
     OlapEngine engine;
 };
 
-TEST_P(SimdExecTest, AllPlansByteIdenticalUnderForcedScalar)
+TEST_F(SimdExecTest, AllPlansByteIdenticalUnderForcedScalar)
 {
     for (const auto &q : workload::chExecutablePlans()) {
         const auto ref = referenceExecute(db, q.plan);
@@ -512,7 +512,7 @@ TEST_P(SimdExecTest, AllPlansByteIdenticalUnderForcedScalar)
     }
 }
 
-TEST_P(SimdExecTest, DictLikeAggregateMatchesReference)
+TEST_F(SimdExecTest, DictLikeAggregateMatchesReference)
 {
     using namespace ex;
     // CASE WHEN ol_dist_info LIKE ... over the probe: the aggregate
@@ -537,7 +537,7 @@ TEST_P(SimdExecTest, DictLikeAggregateMatchesReference)
     expectAnswer(p, referenceExecute(db, p), "q6-notlike");
 }
 
-TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
+TEST_F(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
 {
     using namespace ex;
     // Q21's CASE sum compares a probe column against an inner-join
@@ -555,7 +555,7 @@ TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
     expectAnswer(p, ref, "q21-like forced-scalar");
 }
 
-TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
+TEST_F(SimdExecTest, CharPredicatesMatchAcrossDispatches)
 {
     using namespace ex;
     auto p = plans::q6();
@@ -566,21 +566,6 @@ TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
     ScalarGuard g(true);
     expectAnswer(p, ref, "charpred forced-scalar");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, SimdExecTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 /**
  * Freshly populated database (no OLTP churn): ORDERLINE's

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "memctrl/offload_costs.hpp"
 #include "pim/cost_model.hpp"
 
 namespace pushtap::pim {
@@ -13,7 +14,7 @@ TEST(PimConfig, DefaultsMatchTable1)
     EXPECT_EQ(c.wramBytes, 64u * 1024);
     EXPECT_EQ(c.wireBits, 64u);
     EXPECT_DOUBLE_EQ(c.streamBandwidth.gbPerSecValue(), 1.0);
-    EXPECT_DOUBLE_EQ(c.modeSwitchPerRankNs, 200.0);
+    EXPECT_DOUBLE_EQ(memctrl::kHandoverPerRankNs, 200.0);
 }
 
 TEST(PimConfig, LoadChunkIsHalfWram)
