@@ -671,11 +671,10 @@ writeJson(const std::vector<JsonCollector::Row> &rows,
                  "{\n  \"figure\": \"micro\",\n"
                  "  \"hardware_threads\": %u,\n"
                  "  \"dispatch\": {\"forced_scalar_build\": %s, "
-                 "\"forced_scalar_env\": %s, \"avx2\": %s, "
-                 "\"active\": \"%s\"},\n  \"rows\": [\n",
+                 "\"avx2\": %s, \"active\": \"%s\"},\n"
+                 "  \"rows\": [\n",
                  WorkerPool::hardwareWorkers(),
                  d.forcedScalarBuild ? "true" : "false",
-                 d.forcedScalarEnv ? "true" : "false",
                  d.avx2 ? "true" : "false", d.active);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];

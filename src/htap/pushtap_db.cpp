@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "common/log.hpp"
+#include "mvcc/defragmenter.hpp"
 #include "olap/optimizer.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -29,7 +28,7 @@ PushtapDB::runDefragPass()
 {
     sinceDefrag_ = 0;
     const TimeNs t =
-        olap_->runDefragmentation(opts_.defragStrategy);
+        olap_->runDefragmentation(mvcc::DefragStrategy::Hybrid);
     defragPauseNs_ += t;
     return t;
 }
@@ -70,26 +69,6 @@ PushtapDB::mixed(std::uint64_t n)
     }
 }
 
-txn::TxnStats
-PushtapDB::mixedParallel(std::uint64_t n)
-{
-    if (!oltpGroup_) {
-        txn::TxnWorkerGroupOptions gopts;
-        gopts.workers = opts_.oltpWorkers;
-        gopts.seed = opts_.txnSeed;
-        oltpGroup_ = std::make_unique<txn::TxnWorkerGroup>(
-            *db_, opts_.format, *bw_, *timing_, gopts);
-    }
-    oltpGroup_->run(n);
-
-    // Interval defragmentation at batch granularity.
-    sinceDefrag_ += n;
-    if (opts_.defragInterval != 0 &&
-        sinceDefrag_ >= opts_.defragInterval)
-        runDefragPass();
-    return oltpGroup_->stats();
-}
-
 olap::QueryReport
 PushtapDB::runQuery(const olap::QueryPlan &plan,
                     olap::QueryResult *result)
@@ -101,12 +80,8 @@ PushtapDB::runQuery(const olap::QueryPlan &plan,
 olap::QueryReport
 PushtapDB::runQuery(int ch_query_no, olap::QueryResult *result)
 {
-    const auto *plan = workload::executableQueryPlan(ch_query_no);
-    if (!plan)
-        fatal("CH query Q{} is footprint-only (no executable plan "
-              "in the catalog yet)",
-              ch_query_no);
-    return runQuery(*plan, result);
+    return runQuery(*workload::executableQueryPlan(ch_query_no),
+                    result);
 }
 
 std::string
@@ -120,12 +95,7 @@ PushtapDB::explainQuery(const olap::QueryPlan &plan)
 std::string
 PushtapDB::explainQuery(int ch_query_no)
 {
-    const auto *plan = workload::executableQueryPlan(ch_query_no);
-    if (!plan)
-        fatal("CH query Q{} is footprint-only (no executable plan "
-              "in the catalog yet)",
-              ch_query_no);
-    return explainQuery(*plan);
+    return explainQuery(*workload::executableQueryPlan(ch_query_no));
 }
 
 TimeNs

@@ -44,11 +44,9 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "mvcc/defragmenter.hpp"
 #include "olap/olap_engine.hpp"
 #include "txn/database.hpp"
 #include "txn/tpcc_engine.hpp"
-#include "txn/txn_worker_group.hpp"
 
 namespace pushtap::htap {
 
@@ -59,14 +57,7 @@ struct PushtapOptions
     txn::InstanceFormat format = txn::InstanceFormat::Unified;
     /** Defragment every this many transactions (section 7.4). */
     std::uint64_t defragInterval = 10'000;
-    mvcc::DefragStrategy defragStrategy = mvcc::DefragStrategy::Hybrid;
     std::uint64_t txnSeed = 7;
-    /**
-     * Worker threads of the concurrent OLTP front end used by
-     * mixedParallel() (0 = hardware threads). The serial paths
-     * (payments/newOrders/mixed) are unaffected.
-     */
-    std::uint32_t oltpWorkers = 1;
 };
 
 class PushtapDB
@@ -90,16 +81,6 @@ class PushtapDB
     void mixed(std::uint64_t n);
 
     /**
-     * Run @p n transactions of the 50/50 mix through the concurrent
-     * worker group (opts.oltpWorkers threads, partitioned by home
-     * warehouse/district). Same serial schedule semantics — with one
-     * worker it is bit-identical to mixed() on a fresh engine; the
-     * per-batch interval defragmentation still applies. Returns the
-     * group's cumulative merged worker statistics.
-     */
-    txn::TxnStats mixedParallel(std::uint64_t n);
-
-    /**
      * Fresh analytical query: snapshot at the current commit
      * timestamp first, then execute @p plan through the operator
      * pipeline. Data freshness is exact: every committed transaction
@@ -115,8 +96,8 @@ class PushtapDB
                                olap::QueryResult *result = nullptr);
 
     /**
-     * Run the catalog's executable plan of CH query @p ch_query_no
-     * (fatal for footprint-only queries).
+     * Run the catalog plan of CH query @p ch_query_no (fatal outside
+     * Q1..Q22).
      */
     olap::QueryReport runQuery(int ch_query_no,
                                olap::QueryResult *result = nullptr);
@@ -162,7 +143,6 @@ class PushtapDB
     std::unique_ptr<format::BandwidthModel> bw_;
     std::unique_ptr<dram::BatchTimingModel> timing_;
     std::unique_ptr<txn::TpccEngine> oltp_;
-    std::unique_ptr<txn::TxnWorkerGroup> oltpGroup_;
     std::unique_ptr<olap::OlapEngine> olap_;
     std::uint64_t sinceDefrag_ = 0;
     TimeNs defragPauseNs_ = 0.0;

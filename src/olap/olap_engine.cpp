@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,24 +21,6 @@
 namespace pushtap::olap {
 
 using workload::ChTable;
-
-bool
-OlapConfig::optimizeForcedByEnv()
-{
-    // Same run-time switch shape as PUSHTAP_FORCE_SCALAR_KERNELS:
-    // set (to anything but "0") forces the optimizer on, letting CI
-    // drive whole existing suites through the optimized path without
-    // touching their code.
-    const char *v = std::getenv("PUSHTAP_OLAP_OPTIMIZE");
-    return v != nullptr && std::string_view(v) != "0";
-}
-
-bool
-OlapConfig::resultCacheForcedByEnv()
-{
-    const char *v = std::getenv("PUSHTAP_OLAP_RESULT_CACHE");
-    return v != nullptr && std::string_view(v) != "0";
-}
 
 OlapConfig
 OlapConfig::pushtapDimm()
@@ -79,10 +61,6 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
         cfg_.morselRows = kMorselRows;
     if (cfg_.workers == 0)
         cfg_.workers = WorkerPool::hardwareWorkers();
-    if (OlapConfig::optimizeForcedByEnv())
-        cfg_.optimize = true;
-    if (OlapConfig::resultCacheForcedByEnv())
-        cfg_.resultCache = true;
     if ((cfg_.morselRows & (cfg_.morselRows - 1)) != 0)
         fatal("OlapConfig: morselRows must be a power of two "
               "(got {})",
@@ -115,28 +93,30 @@ OlapEngine::loadStatsFile()
     std::string line;
     if (!std::getline(in, line) || line != "pushtap-olap-stats v1")
         return; // Unknown format: ignore; the next save rewrites it.
-    PlanStats *ps = nullptr;
+    // Each record parses into a local and lands in the cache only at
+    // its `end` line, so a file cut short mid-record loses just the
+    // torn record instead of loading it as if it were whole.
+    std::string name;
+    PlanStats ps;
     while (std::getline(in, line)) {
         std::istringstream is(line);
         std::string tag;
         is >> tag;
         if (tag == "plan") {
-            std::string name;
+            name.clear();
             is >> name;
-            ps = name.empty() ? nullptr : &statsCache_[name];
-            if (ps != nullptr)
-                *ps = PlanStats{};
-        } else if (ps == nullptr) {
+            ps = PlanStats{};
+        } else if (name.empty()) {
             continue;
         } else if (tag == "runs") {
-            is >> ps->runs;
+            is >> ps.runs;
         } else if (tag == "probe") {
-            is >> ps->probeVisible >> ps->probeFiltered;
+            is >> ps.probeVisible >> ps.probeFiltered;
         } else if (tag == "conjunct") {
             std::uint64_t seen = 0, kept = 0;
             is >> seen >> kept;
             if (!is.fail())
-                ps->conjuncts.emplace_back(seen, kept);
+                ps.conjuncts.emplace_back(seen, kept);
         } else if (tag == "join") {
             // Counts first, then the signature as the rest of the
             // line (signatures may contain arbitrary punctuation).
@@ -147,9 +127,11 @@ OlapEngine::loadStatsFile()
             if (!sig.empty() && sig.front() == ' ')
                 sig.erase(0, 1);
             if (!is.fail() && !sig.empty())
-                ps->joins[sig] = jo;
+                ps.joins[sig] = jo;
         } else if (tag == "end") {
-            ps = nullptr;
+            statsCache_[name] = std::move(ps);
+            ps = PlanStats{};
+            name.clear();
         }
     }
 }
@@ -159,23 +141,36 @@ OlapEngine::saveStatsFile() const
 {
     if (statsFile_.empty() || statsCache_.empty())
         return;
-    std::ofstream out(statsFile_, std::ios::trunc);
-    if (!out)
-        return;
-    out << "pushtap-olap-stats v1\n";
-    for (const auto &[name, ps] : statsCache_) {
-        out << "plan " << name << "\n";
-        out << "runs " << ps.runs << "\n";
-        out << "probe " << ps.probeVisible << " "
-            << ps.probeFiltered << "\n";
-        for (const auto &c : ps.conjuncts)
-            out << "conjunct " << c.first << " " << c.second
-                << "\n";
-        for (const auto &[sig, jo] : ps.joins)
-            out << "join " << jo.in << " " << jo.out << " " << sig
-                << "\n";
-        out << "end\n";
+    // Write a sibling temp file and rename it over the old one: a
+    // crash mid-write leaves the previous file intact, never a
+    // truncated one.
+    const std::string tmp = statsFile_ + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc);
+        if (!out)
+            return;
+        out << "pushtap-olap-stats v1\n";
+        for (const auto &[name, ps] : statsCache_) {
+            out << "plan " << name << "\n";
+            out << "runs " << ps.runs << "\n";
+            out << "probe " << ps.probeVisible << " "
+                << ps.probeFiltered << "\n";
+            for (const auto &c : ps.conjuncts)
+                out << "conjunct " << c.first << " " << c.second
+                    << "\n";
+            for (const auto &[sig, jo] : ps.joins)
+                out << "join " << jo.in << " " << jo.out << " "
+                    << sig << "\n";
+            out << "end\n";
+        }
+        out.close();
+        if (!out) {
+            std::remove(tmp.c_str());
+            return;
+        }
     }
+    if (std::rename(tmp.c_str(), statsFile_.c_str()) != 0)
+        std::remove(tmp.c_str());
 }
 
 TimeNs

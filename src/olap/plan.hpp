@@ -196,8 +196,9 @@ workload::ChTable tableOf(const QueryPlan &plan, const ColRef &ref);
 
 /**
  * Every (table, column) the plan reads — predicates, join keys, group
- * keys and aggregate inputs. This is the set the query-catalog
- * footprint consistency test compares against QueryFootprint.
+ * keys and aggregate inputs. The query catalog derives each CH
+ * query's footprint, and so the key columns, from this set
+ * (workload::scanFrequencies).
  */
 std::set<std::pair<workload::ChTable, std::string>>
 touchedColumns(const QueryPlan &plan);

@@ -1,7 +1,6 @@
 #include "olap/simd_kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -17,13 +16,6 @@ namespace pushtap::olap::simd {
 namespace {
 
 std::atomic<bool> g_force_scalar{false};
-
-bool
-envForcedScalar()
-{
-    const char *v = std::getenv("PUSHTAP_FORCE_SCALAR_KERNELS");
-    return v != nullptr && !(v[0] == '0' && v[1] == '\0');
-}
 
 bool
 cpuHasAvx2()
@@ -419,12 +411,8 @@ kernelDispatch()
 #else
         k.forcedScalarBuild = false;
 #endif
-        k.forcedScalarEnv = envForcedScalar();
         k.avx2 = cpuHasAvx2();
-        k.active = (k.avx2 && !k.forcedScalarBuild &&
-                    !k.forcedScalarEnv)
-                       ? "avx2"
-                       : "scalar";
+        k.active = k.avx2 && !k.forcedScalarBuild ? "avx2" : "scalar";
         return k;
     }();
     return d;
@@ -440,7 +428,7 @@ bool
 simdActive()
 {
     const KernelDispatch &d = kernelDispatch();
-    return d.avx2 && !d.forcedScalarBuild && !d.forcedScalarEnv &&
+    return d.avx2 && !d.forcedScalarBuild &&
            !g_force_scalar.load(std::memory_order_relaxed);
 }
 

@@ -8,15 +8,17 @@
  * decisions or computes exact integer values, so vector width only
  * changes how many rows are decided per step, never the outcome).
  *
- * Dispatch is width-aware and layered:
- *  - compile time: building with -DPUSHTAP_FORCE_SCALAR_KERNELS=1
- *    (CMake option PUSHTAP_FORCE_SCALAR_KERNELS) removes the vector
- *    paths entirely — the CI fallback leg proving bit-equality;
- *  - run time: the PUSHTAP_FORCE_SCALAR_KERNELS environment variable
- *    (any value but "0"), the forceScalarKernels() test/bench hook,
- *    and a __builtin_cpu_supports("avx2") probe select between the
- *    256-bit AVX2 kernels and the scalar reference. Non-x86 targets
- *    (NEON/SSE-only hosts) currently take the scalar reference path.
+ * Dispatch is width-aware and layered; each layer can only fall
+ * back to the scalar reference:
+ *  - build flag: -DPUSHTAP_FORCE_SCALAR_KERNELS=1 (CMake option
+ *    PUSHTAP_FORCE_SCALAR_KERNELS) removes the vector paths entirely
+ *    — the CI fallback job proving bit-equality, and the only way
+ *    outside tests and benches to force the scalar kernels;
+ *  - CPU probe: __builtin_cpu_supports("avx2") selects the 256-bit
+ *    AVX2 kernels, else the scalar reference. Non-x86 targets
+ *    (NEON/SSE-only hosts) currently take the scalar reference path;
+ *  - hook: forceScalarKernels() lets tests and benches switch a
+ *    supporting host to the scalar reference at run time.
  *
  * The AVX2 kernels share one primitive: compare (or table-lookup) 8
  * selection entries at a time into an 8-bit keep mask, then compact
@@ -39,12 +41,11 @@ namespace pushtap::olap::simd {
 struct KernelDispatch
 {
     bool forcedScalarBuild; ///< -DPUSHTAP_FORCE_SCALAR_KERNELS=1.
-    bool forcedScalarEnv;   ///< PUSHTAP_FORCE_SCALAR_KERNELS env.
     bool avx2;              ///< Host CPU supports AVX2.
     const char *active;     ///< "avx2" or "scalar".
 };
 
-/** Dispatch facts, resolved once (env read at first call). */
+/** Dispatch facts, resolved once (CPU probed at first call). */
 const KernelDispatch &kernelDispatch();
 
 /** Runtime override for benches/tests: true forces the scalar

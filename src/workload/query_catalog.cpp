@@ -12,279 +12,34 @@
 
 namespace pushtap::workload {
 
-namespace {
-
-using T = ChTable;
-
-std::vector<QueryFootprint>
-buildCatalog()
-{
-    // Reconstructed from the standard CH-benCHmark rewrites of the 22
-    // TPC-H queries over the TPC-C schema. Each entry lists the
-    // columns the query scans (selection, join, aggregation and
-    // group-by columns).
-    return {
-        // Q1: pricing summary on ORDERLINE.
-        {1,
-         {{T::OrderLine, "ol_number"},
-          {T::OrderLine, "ol_quantity"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q2: minimum-cost supplier (stock/item side).
-        {2,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::Item, "i_name"},
-          {T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::Stock, "s_quantity"},
-          {T::Stock, "s_ytd"},
-          {T::Stock, "s_order_cnt"}}},
-        // Q3: shipping priority (customer x orders x orderline).
-        {3,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_d_id"},
-          {T::Customer, "c_w_id"},
-          {T::Customer, "c_state"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_d_id"},
-          {T::Orders, "o_w_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::NewOrder, "no_o_id"},
-          {T::NewOrder, "no_d_id"},
-          {T::NewOrder, "no_w_id"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_d_id"},
-          {T::OrderLine, "ol_w_id"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q4: order priority checking.
-        {4,
-         {{T::Orders, "o_id"},
-          {T::Orders, "o_d_id"},
-          {T::Orders, "o_w_id"},
-          {T::Orders, "o_entry_d"},
-          {T::Orders, "o_ol_cnt"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_d_id"},
-          {T::OrderLine, "ol_w_id"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q5: local supplier volume.
-        {5,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_d_id"},
-          {T::Customer, "c_w_id"},
-          {T::Customer, "c_state"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"}}},
-        // Q6: forecast revenue change (pure ORDERLINE selection).
-        {6,
-         {{T::OrderLine, "ol_delivery_d"},
-          {T::OrderLine, "ol_quantity"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q7: volume shipping.
-        {7,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_state"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::OrderLine, "ol_amount"},
-          {T::Stock, "s_w_id"},
-          {T::Stock, "s_i_id"}}},
-        // Q8: national market share.
-        {8,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::Customer, "c_id"},
-          {T::Customer, "c_state"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q9: product type profit (item x stock x orderline x
-        // orders, the orders leg on the full composite order key).
-        {9,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_d_id"},
-          {T::Orders, "o_w_id"},
-          {T::Orders, "o_entry_d"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_d_id"},
-          {T::OrderLine, "ol_w_id"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q10: returned item reporting.
-        {10,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_last"},
-          {T::Customer, "c_city"},
-          {T::Customer, "c_state"},
-          {T::Customer, "c_phone"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::Orders, "o_carrier_id"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q11: important stock identification.
-        {11,
-         {{T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::Stock, "s_quantity"},
-          {T::Stock, "s_order_cnt"}}},
-        // Q12: shipping mode / order priority (joined on the full
-        // composite order key, as the CH rewrite does).
-        {12,
-         {{T::Orders, "o_id"},
-          {T::Orders, "o_d_id"},
-          {T::Orders, "o_w_id"},
-          {T::Orders, "o_entry_d"},
-          {T::Orders, "o_carrier_id"},
-          {T::Orders, "o_ol_cnt"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_d_id"},
-          {T::OrderLine, "ol_w_id"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q13: customer distribution.
-        {13,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_d_id"},
-          {T::Customer, "c_w_id"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_carrier_id"}}},
-        // Q14: promotion effect.
-        {14,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q15: top supplier.
-        {15,
-         {{T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q16: parts/supplier relationship.
-        {16,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::Item, "i_price"},
-          {T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"}}},
-        // Q17: small-quantity-order revenue.
-        {17,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_quantity"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q18: large volume customer.
-        {18,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_last"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"},
-          {T::Orders, "o_entry_d"},
-          {T::Orders, "o_ol_cnt"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_amount"}}},
-        // Q19: discounted revenue.
-        {19,
-         {{T::Item, "i_id"},
-          {T::Item, "i_price"},
-          {T::Item, "i_data"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_quantity"},
-          {T::OrderLine, "ol_amount"},
-          {T::OrderLine, "ol_w_id"}}},
-        // Q20: potential part promotion.
-        {20,
-         {{T::Item, "i_id"},
-          {T::Item, "i_data"},
-          {T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::Stock, "s_quantity"},
-          {T::OrderLine, "ol_i_id"},
-          {T::OrderLine, "ol_delivery_d"},
-          {T::OrderLine, "ol_quantity"}}},
-        // Q21: suppliers who kept orders waiting.
-        {21,
-         {{T::Stock, "s_i_id"},
-          {T::Stock, "s_w_id"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_entry_d"},
-          {T::OrderLine, "ol_o_id"},
-          {T::OrderLine, "ol_supply_w_id"},
-          {T::OrderLine, "ol_delivery_d"}}},
-        // Q22: global sales opportunity.
-        {22,
-         {{T::Customer, "c_id"},
-          {T::Customer, "c_phone"},
-          {T::Customer, "c_balance"},
-          {T::Orders, "o_id"},
-          {T::Orders, "o_c_id"}}},
-    };
-}
-
-} // namespace
-
-const std::vector<QueryFootprint> &
-chQueryCatalog()
-{
-    static const std::vector<QueryFootprint> catalog = buildCatalog();
-    return catalog;
-}
-
 const std::vector<ExecutableQuery> &
 chExecutablePlans()
 {
     static const std::vector<ExecutableQuery> plans = [] {
         namespace p = olap::plans;
         std::vector<ExecutableQuery> v;
-        v.push_back({1, true, p::q1()});
-        v.push_back({2, true, p::q2()});
-        v.push_back({3, true, p::q3()});
-        v.push_back({4, true, p::q4()});
-        v.push_back({5, true, p::q5()});
-        v.push_back({6, true, p::q6()});
-        v.push_back({7, true, p::q7()});
-        v.push_back({8, true, p::q8()});
-        v.push_back({9, true, p::q9()});
-        v.push_back({10, true, p::q10()});
-        v.push_back({11, true, p::q11()});
-        v.push_back({12, true, p::q12()});
-        v.push_back({13, true, p::q13()});
-        v.push_back({14, true, p::q14()});
-        v.push_back({15, true, p::q15()});
-        v.push_back({16, true, p::q16()});
-        v.push_back({17, true, p::q17()});
-        v.push_back({18, true, p::q18()});
-        v.push_back({19, true, p::q19()});
-        v.push_back({20, true, p::q20()});
-        v.push_back({21, true, p::q21()});
-        v.push_back({22, true, p::q22()});
+        v.push_back({1, p::q1()});
+        v.push_back({2, p::q2()});
+        v.push_back({3, p::q3()});
+        v.push_back({4, p::q4()});
+        v.push_back({5, p::q5()});
+        v.push_back({6, p::q6()});
+        v.push_back({7, p::q7()});
+        v.push_back({8, p::q8()});
+        v.push_back({9, p::q9()});
+        v.push_back({10, p::q10()});
+        v.push_back({11, p::q11()});
+        v.push_back({12, p::q12()});
+        v.push_back({13, p::q13()});
+        v.push_back({14, p::q14()});
+        v.push_back({15, p::q15()});
+        v.push_back({16, p::q16()});
+        v.push_back({17, p::q17()});
+        v.push_back({18, p::q18()});
+        v.push_back({19, p::q19()});
+        v.push_back({20, p::q20()});
+        v.push_back({21, p::q21()});
+        v.push_back({22, p::q22()});
         return v;
     }();
     return plans;
@@ -297,10 +52,8 @@ executableQueryPlan(int query_no)
         fatal("executableQueryPlan: Q{} is outside the CH-benCHmark "
               "catalog (valid queries: Q1..Q22, all executable)",
               query_no);
-    for (const auto &q : chExecutablePlans())
-        if (q.queryNo == query_no)
-            return &q.plan;
-    return nullptr;
+    return &chExecutablePlans()[static_cast<std::size_t>(query_no - 1)]
+                .plan;
 }
 
 std::map<std::pair<ChTable, std::string>, std::uint32_t>
@@ -312,10 +65,10 @@ scanFrequencies(int n_queries)
               "CH-benCHmark catalog)",
               n_queries);
     std::map<std::pair<ChTable, std::string>, std::uint32_t> freq;
-    for (const auto &q : chQueryCatalog()) {
+    for (const auto &q : chExecutablePlans()) {
         if (q.queryNo > n_queries)
             break;
-        for (const auto &col : q.columns)
+        for (const auto &col : olap::touchedColumns(q.plan))
             ++freq[col];
     }
     return freq;
@@ -346,6 +99,7 @@ htapBenchScanFrequencies()
 {
     // The HTAPBench analytical mix concentrates on ORDERS +
     // ORDERLINE + CUSTOMER aggregates.
+    using T = ChTable;
     std::map<std::pair<ChTable, std::string>, std::uint32_t> freq;
     auto add = [&freq](ChTable t, const std::string &c,
                        std::uint32_t n) {

@@ -2,15 +2,17 @@
 
 /**
  * @file
- * Column footprints of the 22 CH-benCHmark analytical queries.
+ * The 22 CH-benCHmark analytical queries as executable plans, and
+ * the column footprints derived from them.
  *
  * The paper derives key columns from "the columns scanned by frequent
  * analytical queries" (section 4.1.2) and evaluates key-column growth
  * over the subsets Q1, Q1-2, Q1-3, Q1-10, Q1-22 and ALL (Fig. 8(c,d);
- * the Q1 subset has 4 key columns, Q1-3 has 32). The footprints here
- * are reconstructed from the TPC-H query semantics on the TPC-C
- * schema (the standard CH-benCHmark rewrites) — they are data, and
- * deliberately easy to edit.
+ * the Q1 subset has 4 key columns, Q1-3 has 32). Each query's
+ * footprint is the (table, column) set its plan reads
+ * (olap::touchedColumns), so the plans — the standard CH-benCHmark
+ * rewrites of the TPC-H queries over the TPC-C schema — are the one
+ * source of both the answers and the key-column model.
  */
 
 #include <cstddef>
@@ -26,53 +28,28 @@
 
 namespace pushtap::workload {
 
-/** One analytical query's scanned columns. */
-struct QueryFootprint
-{
-    int queryNo; ///< 1-based TPC-H query number.
-    /** (table, column) pairs the query scans. */
-    std::vector<std::pair<ChTable, std::string>> columns;
-};
-
-/** All 22 CH query footprints, ordered by query number. */
-const std::vector<QueryFootprint> &chQueryCatalog();
-
-/**
- * One CH query with an executable plan definition (olap/plan.hpp)
- * living next to its footprint.
- */
+/** One CH query and its executable plan (olap/plan.hpp). */
 struct ExecutableQuery
 {
-    int queryNo; ///< 1-based TPC-H query number.
-    /**
-     * True when the plan's touched (table, column) set equals the
-     * query's footprint entry exactly — currently every executable
-     * plan. False would mark a documented simplification whose
-     * touched set must then be a strict subset of the footprint.
-     */
-    bool coversFootprint;
+    int queryNo;          ///< 1-based TPC-H query number.
     olap::QueryPlan plan; ///< Default-parameter plan.
 };
 
-/**
- * All 22 CH queries with executable plans, ordered by query number
- * (every catalog footprint has a runnable plan since the expression
- * IR landed).
- */
+/** All 22 CH queries with executable plans, ordered by query
+ *  number. */
 const std::vector<ExecutableQuery> &chExecutablePlans();
 
 /**
- * The default-parameter plan of query @p query_no. Fatal when
- * @p query_no is outside [1, 22] (the message names the valid
- * range); nullptr would mark a footprint-only query, of which none
- * remain.
+ * The default-parameter plan of query @p query_no; never null.
+ * Fatal when @p query_no is outside [1, 22] (the message names the
+ * valid range).
  */
 const olap::QueryPlan *executableQueryPlan(int query_no);
 
 /**
- * Per-(table, column) scan frequency over queries [1, n_queries]
- * (how many queries of the subset scan the column). Columns never
- * scanned are absent.
+ * Per-(table, column) scan frequency over queries [1, n_queries]:
+ * how many of the subset's plans touch the column
+ * (olap::touchedColumns). Columns never scanned are absent.
  */
 std::map<std::pair<ChTable, std::string>, std::uint32_t>
 scanFrequencies(int n_queries);
@@ -87,7 +64,8 @@ std::size_t markKeyColumns(std::vector<format::TableSchema> &schemas,
 
 /**
  * HTAPBench analytical footprints (for the section 7.2 generality
- * test): scan frequencies over the HTAPBench query mix.
+ * test): scan frequencies over the HTAPBench query mix. Hand-written
+ * data, because that mix has no executable plans here.
  */
 std::map<std::pair<ChTable, std::string>, std::uint32_t>
 htapBenchScanFrequencies();

@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 
 #include "htap/pushtap_db.hpp"
+#include "support/engine_modes.hpp"
 
 namespace pushtap::htap {
 namespace {
@@ -37,11 +38,17 @@ TEST_F(PushtapDbTest, QuickstartFlow)
 
 TEST_F(PushtapDbTest, FreshnessAcrossQueries)
 {
-    olap::QueryResult r1, r2;
-    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r1);
-    db.newOrders(10);
-    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r2);
-    EXPECT_GT(r2.rows[0].aggs[0], r1.rows[0].aggs[0]);
+    for (const auto &mode : testsupport::kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        auto opts = smallOptions();
+        opts.olap = mode.apply(opts.olap);
+        PushtapDB fresh(opts);
+        olap::QueryResult r1, r2;
+        fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r1);
+        fresh.newOrders(10);
+        fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r2);
+        EXPECT_GT(r2.rows[0].aggs[0], r1.rows[0].aggs[0]);
+    }
 }
 
 TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
@@ -54,33 +61,34 @@ TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
 
 TEST_F(PushtapDbTest, DefragKeepsResultsCorrect)
 {
-    olap::QueryResult before, after;
-    db.mixed(60);
-    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &before);
-    db.defragment();
-    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &after);
-    EXPECT_EQ(before.rows[0].aggs[0], after.rows[0].aggs[0]);
+    for (const auto &mode : testsupport::kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        auto opts = smallOptions();
+        opts.olap = mode.apply(opts.olap);
+        PushtapDB defragged(opts);
+        olap::QueryResult before, after;
+        defragged.mixed(60);
+        defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10),
+                           &before);
+        defragged.defragment();
+        defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10),
+                           &after);
+        EXPECT_EQ(before.rows[0].aggs[0], after.rows[0].aggs[0]);
+    }
 }
 
 TEST_F(PushtapDbTest, Q1AndQ9Run)
 {
     db.mixed(10);
-    // A forced optimizer may price this tiny table's scans entirely
-    // on the CPU gather path; the queries still run and answer.
-    const bool pim_pinned = !olap::OlapConfig::optimizeForcedByEnv();
     olap::QueryResult q1rows;
     const auto q1 =
         db.runQuery(olap::plans::q1(workload::kDateBase), &q1rows);
     EXPECT_FALSE(q1rows.rows.empty());
-    if (pim_pinned) {
-        EXPECT_GT(q1.pimNs, 0.0);
-    }
+    EXPECT_GT(q1.pimNs, 0.0);
 
     olap::QueryResult q9rows;
     const auto q9 = db.runQuery(olap::plans::q9(), &q9rows);
-    if (pim_pinned) {
-        EXPECT_GT(q9.pimNs, 0.0);
-    }
+    EXPECT_GT(q9.pimNs, 0.0);
 }
 
 TEST_F(PushtapDbTest, DefragIntervalZeroDisables)

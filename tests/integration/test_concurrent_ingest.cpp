@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "olap/olap_engine.hpp"
+#include "support/engine_modes.hpp"
 #include "txn/txn_worker_group.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -84,57 +85,63 @@ TEST_F(ConcurrentIngest, QueryDuringIngestMatchesSerialOracle)
     constexpr std::uint64_t kTxns = 360;
     constexpr Timestamp kMinFrontier = 120;
 
-    // Concurrent side: four writers drain the schedule while the
-    // analytical engine snapshots and queries mid-flight. The
-    // analytical engine itself runs at workers=4 so the partitioned
-    // parallel join builds, parallel subquery materialization and
-    // per-table parallel snapshot all execute against live ingest
-    // (and under TSan in CI).
-    txn::Database par_db(config());
-    auto group = makeGroup(par_db, 4);
-    auto par_cfg = olap::OlapConfig::pushtapDimm();
-    par_cfg.workers = 4;
-    olap::OlapEngine par_olap(par_db, par_cfg);
+    // Once per engine mode, varying the concurrent engine only: the
+    // serial oracle stays plain. With the result cache on, the
+    // mid-flight queries capture their frontier under live ingest.
+    for (const auto &mode : testsupport::kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        // Concurrent side: four writers drain the schedule while the
+        // analytical engine snapshots and queries mid-flight. The
+        // analytical engine itself runs at workers=4 so the
+        // partitioned parallel join builds, parallel subquery
+        // materialization and per-table parallel snapshot all
+        // execute against live ingest (and under TSan in CI).
+        txn::Database par_db(config());
+        auto group = makeGroup(par_db, 4);
+        auto par_cfg = mode.apply(olap::OlapConfig::pushtapDimm());
+        par_cfg.workers = 4;
+        olap::OlapEngine par_olap(par_db, par_cfg);
 
-    group->start(kTxns);
-    Timestamp frontier = 0;
-    while ((frontier = group->commitFrontier()) < kMinFrontier)
-        std::this_thread::yield();
-    // Everything at or below `frontier` has committed; later
-    // transactions are still being applied while we query.
-    par_olap.prepareSnapshot(frontier);
-    olap::QueryResult mid_q1, mid_q6;
-    par_olap.runQuery(*workload::executableQueryPlan(1), &mid_q1);
-    par_olap.runQuery(*workload::executableQueryPlan(6), &mid_q6);
-    group->finish();
-    ASSERT_EQ(group->commitFrontier(), kTxns);
+        group->start(kTxns);
+        Timestamp frontier = 0;
+        while ((frontier = group->commitFrontier()) < kMinFrontier)
+            std::this_thread::yield();
+        // Everything at or below `frontier` has committed; later
+        // transactions are still being applied while we query.
+        par_olap.prepareSnapshot(frontier);
+        olap::QueryResult mid_q1, mid_q6;
+        par_olap.runQuery(*workload::executableQueryPlan(1), &mid_q1);
+        par_olap.runQuery(*workload::executableQueryPlan(6), &mid_q6);
+        group->finish();
+        ASSERT_EQ(group->commitFrontier(), kTxns);
 
-    par_olap.prepareSnapshot(kTxns);
-    const auto par_final = runAllPlans(par_olap);
+        par_olap.prepareSnapshot(kTxns);
+        const auto par_final = runAllPlans(par_olap);
 
-    // Serial oracle: one worker replays the identical schedule (same
-    // seed, same descriptor stream) and stops at the captured
-    // frontier before continuing to the end.
-    txn::Database ser_db(config());
-    auto oracle = makeGroup(ser_db, 1);
-    oracle->run(frontier);
-    olap::OlapEngine ser_olap(ser_db,
-                              olap::OlapConfig::pushtapDimm());
-    ser_olap.prepareSnapshot(frontier);
-    olap::QueryResult ref_q1, ref_q6;
-    ser_olap.runQuery(*workload::executableQueryPlan(1), &ref_q1);
-    ser_olap.runQuery(*workload::executableQueryPlan(6), &ref_q6);
-    expectSameResults(mid_q1, ref_q1, "Q1 at mid-ingest frontier");
-    expectSameResults(mid_q6, ref_q6, "Q6 at mid-ingest frontier");
+        // Serial oracle: one worker replays the identical schedule
+        // (same seed, same descriptor stream) and stops at the
+        // captured frontier before continuing to the end.
+        txn::Database ser_db(config());
+        auto oracle = makeGroup(ser_db, 1);
+        oracle->run(frontier);
+        olap::OlapEngine ser_olap(ser_db,
+                                  olap::OlapConfig::pushtapDimm());
+        ser_olap.prepareSnapshot(frontier);
+        olap::QueryResult ref_q1, ref_q6;
+        ser_olap.runQuery(*workload::executableQueryPlan(1), &ref_q1);
+        ser_olap.runQuery(*workload::executableQueryPlan(6), &ref_q6);
+        expectSameResults(mid_q1, ref_q1, "Q1 at mid-ingest frontier");
+        expectSameResults(mid_q6, ref_q6, "Q6 at mid-ingest frontier");
 
-    oracle->run(kTxns - frontier);
-    ser_olap.prepareSnapshot(kTxns);
-    const auto ser_final = runAllPlans(ser_olap);
-    ASSERT_EQ(par_final.size(), ser_final.size());
-    const auto &plans = workload::chExecutablePlans();
-    for (std::size_t i = 0; i < par_final.size(); ++i)
-        expectSameResults(par_final[i], ser_final[i],
-                          plans[i].plan.name.c_str());
+        oracle->run(kTxns - frontier);
+        ser_olap.prepareSnapshot(kTxns);
+        const auto ser_final = runAllPlans(ser_olap);
+        ASSERT_EQ(par_final.size(), ser_final.size());
+        const auto &plans = workload::chExecutablePlans();
+        for (std::size_t i = 0; i < par_final.size(); ++i)
+            expectSameResults(par_final[i], ser_final[i],
+                              plans[i].plan.name.c_str());
+    }
 }
 
 TEST_F(ConcurrentIngest, WorkerCountNeverChangesAnswers)

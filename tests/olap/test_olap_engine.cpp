@@ -7,6 +7,7 @@
 
 #include "format/bandwidth.hpp"
 #include "olap/olap_engine.hpp"
+#include "support/engine_modes.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 #include "workload/row_view.hpp"
@@ -85,11 +86,7 @@ TEST_F(OlapEngineTest, Q6MatchesReferenceOnCleanData)
     EXPECT_EQ(res.rows[0].aggs[0],
               referenceQ6(db, workload::kDateBase,
                           workload::kDateBase + 2000, 1, 10));
-    // A forced optimizer may legitimately demote every scan of this
-    // tiny table to the CPU gather path, pricing pimNs to zero.
-    if (!OlapConfig::optimizeForcedByEnv()) {
-        EXPECT_GT(rep.pimNs, 0.0);
-    }
+    EXPECT_GT(rep.pimNs, 0.0);
     EXPECT_EQ(rep.rowsVisible,
               db.table(ChTable::OrderLine).populatedRows());
 }
@@ -252,15 +249,22 @@ TEST_F(OlapEngineTest, DefragmentationRestoresScanCost)
 
 TEST_F(OlapEngineTest, ConsistencyChargedOncePerQuery)
 {
+    // In every mode: with the result cache on, the repeat is an
+    // exact hit, which must not charge the snapshot again either.
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
-    engine.prepareSnapshot(db.now());
-    EXPECT_GT(engine.pendingConsistencyNs(), 0.0);
-    const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
-    EXPECT_GT(rep.consistencyNs, 0.0);
-    EXPECT_EQ(engine.pendingConsistencyNs(), 0.0);
-    const auto rep2 = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
-    EXPECT_EQ(rep2.consistencyNs, 0.0);
+    for (const auto &mode : testsupport::kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        EXPECT_GT(eng.pendingConsistencyNs(), 0.0);
+        const auto rep = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
+        EXPECT_GT(rep.consistencyNs, 0.0);
+        EXPECT_EQ(eng.pendingConsistencyNs(), 0.0);
+        const auto rep2 = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
+        EXPECT_EQ(rep2.consistencyNs, 0.0);
+        EXPECT_EQ(rep2.cacheHit, mode.resultCache);
+    }
 }
 
 TEST_F(OlapEngineTest, SnapshotStatsCountEveryTable)
@@ -306,10 +310,7 @@ TEST_F(OlapEngineTest, BlockCirculantImprovesParallelism)
 
 TEST_F(OlapEngineTest, CpuBlockedTimeOnlyDuringLoadPhases)
 {
-    // Bank-lock time exists only while scans run on PIM; a forced
-    // optimizer may price this tiny table's scans on the CPU.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on";
+    // Bank-lock time exists only while scans run on PIM.
     engine.prepareSnapshot(db.now());
     const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.cpuBlockedNs, 0.0);
@@ -324,9 +325,6 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
     // Reconstruct the original hand-rolled Q6 pricing: three serial
     // scans (Filter delivery, Filter quantity, Aggregation amount)
     // plus one 8 B partial-sum merge per PIM unit.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
@@ -359,9 +357,6 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
 
 TEST_F(OlapEngineTest, Q1TimingMatchesBespokeDecomposition)
 {
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
@@ -392,9 +387,6 @@ TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
 {
     // Q9 now carries its full CH join graph (ITEM, STOCK and ORDERS
     // legs); the decomposition mirrors priceQuery leg by leg.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());

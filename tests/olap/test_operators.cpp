@@ -3,10 +3,12 @@
 #include "common/log.hpp"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/engine_modes.hpp"
 #include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
@@ -15,6 +17,7 @@ namespace pushtap::olap {
 namespace {
 
 using testsupport::expectSameRows;
+using testsupport::kEngineModes;
 using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
@@ -75,45 +78,56 @@ TEST_F(OperatorPropertyTest, InFlightDeltasMatchReference)
                   .versions()
                   .deltaUsed(),
               0u);
-    engine.prepareSnapshot(db.now());
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult res;
-        engine.runQuery(q.plan, &res);
-        expectSameRows(res.rows, referenceExecute(db, q.plan),
-                       q.plan.name + " deltas");
+    std::vector<std::vector<testsupport::RefRow>> want;
+    for (const auto &q : workload::chExecutablePlans())
+        want.push_back(referenceExecute(db, q.plan));
+    // Every engine mode, two rounds each: with the result cache on,
+    // the second round is served from the cache.
+    for (const auto &mode : kEngineModes) {
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        for (int round = 0; round < 2; ++round) {
+            std::size_t i = 0;
+            for (const auto &q : workload::chExecutablePlans()) {
+                QueryResult res;
+                eng.runQuery(q.plan, &res);
+                expectSameRows(res.rows, want[i++],
+                               q.plan.name + " deltas " + mode.name +
+                                   " round " + std::to_string(round));
+            }
+        }
     }
 }
 
 TEST_F(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
 {
-    for (int i = 0; i < 10; ++i)
-        oltp.executeMixed();
-    const auto frozen = db.now();
-    engine.prepareSnapshot(frozen);
-
     const auto &plan = *workload::executableQueryPlan(12);
-    QueryResult before;
-    engine.runQuery(plan, &before);
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        for (int i = 0; i < 10; ++i)
+            oltp.executeMixed();
+        const auto frozen = db.now();
+        eng.prepareSnapshot(frozen);
 
-    for (int i = 0; i < 10; ++i)
-        oltp.executeMixed();
+        QueryResult before;
+        eng.runQuery(plan, &before);
 
-    engine.prepareSnapshot(frozen);
-    QueryResult still;
-    engine.runQuery(plan, &still);
-    ASSERT_EQ(still.rows.size(), before.rows.size());
-    for (std::size_t i = 0; i < before.rows.size(); ++i) {
-        EXPECT_EQ(still.rows[i].keys, before.rows[i].keys);
-        EXPECT_EQ(still.rows[i].aggs, before.rows[i].aggs);
-        EXPECT_EQ(still.rows[i].count, before.rows[i].count);
+        for (int i = 0; i < 10; ++i)
+            oltp.executeMixed();
+
+        eng.prepareSnapshot(frozen);
+        QueryResult still;
+        eng.runQuery(plan, &still);
+        expectSameRows(still.rows, before.rows, "Q12 at the frozen ts");
+
+        // Catching up to now() sees the new commits again.
+        eng.prepareSnapshot(db.now());
+        QueryResult fresh;
+        eng.runQuery(plan, &fresh);
+        expectSameRows(fresh.rows, referenceExecute(db, plan),
+                       "Q12 after catch-up");
     }
-
-    // Catching up to now() sees the new commits again.
-    engine.prepareSnapshot(db.now());
-    QueryResult fresh;
-    engine.runQuery(plan, &fresh);
-    expectSameRows(fresh.rows, referenceExecute(db, plan),
-                   "Q12 after catch-up");
 }
 
 class OperatorTest : public ::testing::Test
@@ -137,61 +151,75 @@ class OperatorTest : public ::testing::Test
 
 TEST_F(OperatorTest, UngroupedEmptySelectionYieldsOneZeroRow)
 {
-    engine.prepareSnapshot(db.now());
-    // An impossible delivery window selects nothing.
-    QueryResult res;
-    engine.runQuery(plans::q6(-2000, -1000, 1, 10), &res);
-    ASSERT_EQ(res.rows.size(), 1u);
-    EXPECT_TRUE(res.rows[0].keys.empty());
-    EXPECT_EQ(res.rows[0].aggs, std::vector<std::int64_t>{0});
-    EXPECT_EQ(res.rows[0].count, 0u);
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        // An impossible delivery window selects nothing.
+        QueryResult res;
+        eng.runQuery(plans::q6(-2000, -1000, 1, 10), &res);
+        ASSERT_EQ(res.rows.size(), 1u);
+        EXPECT_TRUE(res.rows[0].keys.empty());
+        EXPECT_EQ(res.rows[0].aggs, std::vector<std::int64_t>{0});
+        EXPECT_EQ(res.rows[0].count, 0u);
+    }
 }
 
 TEST_F(OperatorTest, BoundaryQueryWindowsSelectNothing)
 {
-    engine.prepareSnapshot(db.now());
-    // Degenerate windows the old imperative predicates accepted:
-    // q6 over [d, d) and q1 above INT64_MAX return zero matches
-    // instead of rejecting or overflowing.
-    QueryResult q6;
-    engine.runQuery(
-        plans::q6(workload::kDateBase, workload::kDateBase, 1, 10),
-        &q6);
-    EXPECT_EQ(q6.rows[0].aggs[0], 0);
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        // Degenerate windows the old imperative predicates accepted:
+        // q6 over [d, d) and q1 above INT64_MAX return zero matches
+        // instead of rejecting or overflowing.
+        QueryResult q6;
+        eng.runQuery(
+            plans::q6(workload::kDateBase, workload::kDateBase, 1, 10),
+            &q6);
+        EXPECT_EQ(q6.rows[0].aggs[0], 0);
 
-    QueryResult q1;
-    engine.runQuery(plans::q1(std::numeric_limits<std::int64_t>::max()),
-                    &q1);
-    EXPECT_TRUE(q1.rows.empty());
+        QueryResult q1;
+        eng.runQuery(
+            plans::q1(std::numeric_limits<std::int64_t>::max()), &q1);
+        EXPECT_TRUE(q1.rows.empty());
+    }
 }
 
 TEST_F(OperatorTest, AntiJoinMatchesReference)
 {
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
-    engine.prepareSnapshot(db.now());
 
     // Revenue of order lines over non-ORIGINAL items: the anti form
     // of Q14's semi join.
     auto plan = plans::q14();
     plan.name = "Q14anti";
     plan.joins[0].kind = JoinKind::Anti;
-    QueryResult res;
-    engine.runQuery(plan, &res);
-    expectSameRows(res.rows, referenceExecute(db, plan), "Q14 anti");
-
-    // Semi + anti partitions the filtered probe rows exactly.
+    const auto want = referenceExecute(db, plan);
     auto semi = plans::q14();
-    QueryResult semi_res;
-    engine.runQuery(semi, &semi_res);
     auto all = plans::q14();
     all.joins.clear();
-    QueryResult all_res;
-    engine.runQuery(all, &all_res);
-    EXPECT_EQ(res.rows[0].count + semi_res.rows[0].count,
-              all_res.rows[0].count);
-    EXPECT_EQ(res.rows[0].aggs[0] + semi_res.rows[0].aggs[0],
-              all_res.rows[0].aggs[0]);
+
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        QueryResult res;
+        eng.runQuery(plan, &res);
+        expectSameRows(res.rows, want, "Q14 anti");
+
+        // Semi + anti partitions the filtered probe rows exactly.
+        QueryResult semi_res;
+        eng.runQuery(semi, &semi_res);
+        QueryResult all_res;
+        eng.runQuery(all, &all_res);
+        EXPECT_EQ(res.rows[0].count + semi_res.rows[0].count,
+                  all_res.rows[0].count);
+        EXPECT_EQ(res.rows[0].aggs[0] + semi_res.rows[0].aggs[0],
+                  all_res.rows[0].aggs[0]);
+    }
 }
 
 TEST_F(OperatorTest, InnerJoinPayloadGroupingMatchesReference)
@@ -213,16 +241,12 @@ TEST_F(OperatorTest, MinMaxAggregatesMatchDirectScan)
     // the reference executor, whose accumulation mirrors the spec).
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
-    engine.prepareSnapshot(db.now());
 
     QueryPlan p;
     p.name = "minmax";
     p.probe.table = workload::ChTable::OrderLine;
     p.aggregates = {{AggKind::Min, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Max, {ColRef::kProbe, "ol_amount"}}};
-    QueryResult res;
-    engine.runQuery(p, &res);
-    ASSERT_EQ(res.rows.size(), 1u);
 
     auto &tbl = db.table(workload::ChTable::OrderLine);
     std::vector<std::uint8_t> buf(tbl.schema().rowBytes());
@@ -235,8 +259,16 @@ TEST_F(OperatorTest, MinMaxAggregatesMatchDirectScan)
         lo = std::min(lo, v);
         hi = std::max(hi, v);
     }
-    EXPECT_EQ(res.rows[0].aggs[0], lo);
-    EXPECT_EQ(res.rows[0].aggs[1], hi);
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        QueryResult res;
+        eng.runQuery(p, &res);
+        ASSERT_EQ(res.rows.size(), 1u);
+        EXPECT_EQ(res.rows[0].aggs[0], lo);
+        EXPECT_EQ(res.rows[0].aggs[1], hi);
+    }
 }
 
 TEST_F(OperatorTest, Q12JoinMultiplicityIsExactlyOnePerLine)
@@ -248,16 +280,20 @@ TEST_F(OperatorTest, Q12JoinMultiplicityIsExactlyOnePerLine)
     // against a colliding foreign order.
     for (int i = 0; i < 40; ++i)
         oltp.executeNewOrder();
-    engine.prepareSnapshot(db.now());
     const auto wide =
         plans::q12(std::numeric_limits<std::int64_t>::min(),
                    std::numeric_limits<std::int64_t>::max(), 0, 9);
-    QueryResult res;
-    const auto rep = engine.runQuery(wide, &res);
-    std::uint64_t total = 0;
-    for (const auto &row : res.rows)
-        total += row.count;
-    EXPECT_EQ(total, rep.rowsVisible);
+    for (const auto &mode : kEngineModes) {
+        SCOPED_TRACE(mode.name);
+        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
+        eng.prepareSnapshot(db.now());
+        QueryResult res;
+        const auto rep = eng.runQuery(wide, &res);
+        std::uint64_t total = 0;
+        for (const auto &row : res.rows)
+            total += row.count;
+        EXPECT_EQ(total, rep.rowsVisible);
+    }
 }
 
 TEST_F(OperatorTest, SortAndLimitAppliedToQ3)
@@ -279,13 +315,20 @@ TEST_F(OperatorTest, FragmentedColumnsFallBackToGatherPath)
     auto cfg = smallConfig();
     cfg.olapQuerySubset = 1;
     Database frag_db(cfg);
-    OlapEngine frag_engine(frag_db, OlapConfig::pushtapDimm());
-    frag_engine.prepareSnapshot(frag_db.now());
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult res;
-        frag_engine.runQuery(q.plan, &res);
-        expectSameRows(res.rows, referenceExecute(frag_db, q.plan),
-                       q.plan.name + " fragmented");
+    std::vector<std::vector<testsupport::RefRow>> want;
+    for (const auto &q : workload::chExecutablePlans())
+        want.push_back(referenceExecute(frag_db, q.plan));
+    for (const auto &mode : kEngineModes) {
+        OlapEngine frag_engine(frag_db,
+                               mode.apply(OlapConfig::pushtapDimm()));
+        frag_engine.prepareSnapshot(frag_db.now());
+        std::size_t i = 0;
+        for (const auto &q : workload::chExecutablePlans()) {
+            QueryResult res;
+            frag_engine.runQuery(q.plan, &res);
+            expectSameRows(res.rows, want[i++],
+                           q.plan.name + " fragmented " + mode.name);
+        }
     }
 }
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -202,6 +204,57 @@ TEST(OptimizerStatsPersistence, SurvivesEngineInstances)
         const auto *st9 = fresh.planStats("Q9");
         ASSERT_NE(st9, nullptr);
         EXPECT_FALSE(st9->joins.empty());
+    }
+
+    ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
+    std::remove(path.c_str());
+}
+
+TEST(OptimizerStatsPersistence, TruncatedFileKeepsOnlyCompleteRecords)
+{
+    // A file cut short mid-record loads only its complete records,
+    // and the next save replaces it whole through a temp file.
+    Database db(smallConfig());
+    const std::string path =
+        ::testing::TempDir() + "pushtap_stats_truncated.txt";
+    const std::string tmp = path + ".tmp";
+    std::remove(tmp.c_str());
+    const std::string q6_record = "plan Q6\n"
+                                  "runs 2\n"
+                                  "probe 100 40\n"
+                                  "conjunct 100 40\n"
+                                  "end\n";
+    std::ofstream(path) << "pushtap-olap-stats v1\n"
+                        << q6_record << "plan Q9\n"
+                        << "runs 3\n"
+                        << "probe 40\n";
+    ::setenv("PUSHTAP_OLAP_STATS_FILE", path.c_str(), 1);
+
+    {
+        OlapEngine eng(db, optimizedConfig(1));
+        const auto *st6 = eng.planStats("Q6");
+        ASSERT_NE(st6, nullptr);
+        EXPECT_EQ(st6->runs, 2u);
+        EXPECT_EQ(st6->probeVisible, 100u);
+        EXPECT_EQ(st6->probeFiltered, 40u);
+        ASSERT_EQ(st6->conjuncts.size(), 1u);
+        EXPECT_EQ(st6->conjuncts[0].first, 100u);
+        EXPECT_EQ(st6->conjuncts[0].second, 40u);
+        EXPECT_EQ(eng.planStats("Q9"), nullptr)
+            << "the torn Q9 record loaded as if it were whole";
+    } // Destructor saves.
+
+    std::ifstream saved(path);
+    const std::string text{std::istreambuf_iterator<char>(saved),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_EQ(text, "pushtap-olap-stats v1\n" + q6_record);
+    EXPECT_FALSE(std::ifstream(tmp).good()) << "temp file left behind";
+
+    // A file with an unknown header loads nothing.
+    std::ofstream(path) << "pushtap-olap-stats v0\n" << q6_record;
+    {
+        OlapEngine eng(db, optimizedConfig(1));
+        EXPECT_EQ(eng.planStats("Q6"), nullptr);
     }
 
     ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
@@ -481,27 +534,6 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     const auto oq_tiny = engine.optimizePlan(tiny);
     EXPECT_LT(oq_tiny.morselRows, engine.config().morselRows);
     EXPECT_GE(oq_tiny.morselRows, 64u);
-}
-
-TEST_F(OptimizerTest, EnvVariableForcesOptimizer)
-{
-    const char *old = std::getenv("PUSHTAP_OLAP_OPTIMIZE");
-    const std::string saved = old ? old : "";
-
-    ::setenv("PUSHTAP_OLAP_OPTIMIZE", "1", 1);
-    EXPECT_TRUE(OlapConfig::optimizeForcedByEnv());
-    OlapEngine forced(db, OlapConfig::pushtapDimm());
-    EXPECT_TRUE(forced.config().optimize);
-
-    ::setenv("PUSHTAP_OLAP_OPTIMIZE", "0", 1);
-    EXPECT_FALSE(OlapConfig::optimizeForcedByEnv());
-    OlapEngine off(db, OlapConfig::pushtapDimm());
-    EXPECT_FALSE(off.config().optimize);
-
-    if (old)
-        ::setenv("PUSHTAP_OLAP_OPTIMIZE", saved.c_str(), 1);
-    else
-        ::unsetenv("PUSHTAP_OLAP_OPTIMIZE");
 }
 
 } // namespace

@@ -473,10 +473,11 @@ class WorkerPricingTest : public ::testing::Test
     }
 
     OlapConfig
-    config(std::uint32_t workers) const
+    config(std::uint32_t workers, bool optimize) const
     {
         auto cfg = OlapConfig::pushtapDimm();
         cfg.workers = workers;
+        cfg.optimize = optimize;
         return cfg;
     }
 
@@ -491,23 +492,34 @@ TEST_F(WorkerPricingTest, DecompositionUnchangedByWorkers)
     // Golden invariance: workers are host-side only, so the engine
     // must reproduce every decomposition bit-for-bit no matter how
     // many threads drained the morsels — and answer exactly like
-    // the reference executor.
-    OlapEngine golden(db, config(1));
-    OlapEngine parallel(db, config(4));
-    for (const auto &q : workload::chExecutablePlans()) {
-        golden.prepareSnapshot(db.now());
-        parallel.prepareSnapshot(db.now());
-        QueryResult gres, pres;
-        const auto grep = golden.runQuery(q.plan, &gres);
-        const auto prep = parallel.runQuery(q.plan, &pres);
-        EXPECT_DOUBLE_EQ(prep.pimNs, grep.pimNs) << q.plan.name;
-        EXPECT_DOUBLE_EQ(prep.cpuNs, grep.cpuNs) << q.plan.name;
-        EXPECT_DOUBLE_EQ(prep.cpuBlockedNs, grep.cpuBlockedNs)
-            << q.plan.name;
-        EXPECT_EQ(prep.rowsVisible, grep.rowsVisible) << q.plan.name;
-        expectSameRows(pres.rows, gres.rows, q.plan.name);
-        expectSameRows(pres.rows, referenceExecute(db, q.plan),
-                       q.plan.name);
+    // the reference executor. The optimizer's pricing of its chosen
+    // plan must not depend on the worker count either.
+    std::vector<std::vector<testsupport::RefRow>> want;
+    for (const auto &q : workload::chExecutablePlans())
+        want.push_back(referenceExecute(db, q.plan));
+    for (const bool optimize : {false, true}) {
+        SCOPED_TRACE(optimize ? "optimize" : "plain");
+        OlapEngine golden(db, config(1, optimize));
+        OlapEngine parallel(db, config(4, optimize));
+        std::size_t i = 0;
+        for (const auto &q : workload::chExecutablePlans()) {
+            golden.prepareSnapshot(db.now());
+            parallel.prepareSnapshot(db.now());
+            QueryResult gres, pres;
+            const auto grep = golden.runQuery(q.plan, &gres);
+            const auto prep = parallel.runQuery(q.plan, &pres);
+            EXPECT_DOUBLE_EQ(prep.pimNs, grep.pimNs) << q.plan.name;
+            EXPECT_DOUBLE_EQ(prep.cpuNs, grep.cpuNs) << q.plan.name;
+            EXPECT_DOUBLE_EQ(prep.cpuBlockedNs, grep.cpuBlockedNs)
+                << q.plan.name;
+            EXPECT_EQ(prep.rowsVisible, grep.rowsVisible)
+                << q.plan.name;
+            EXPECT_EQ(prep.optimized, optimize) << q.plan.name;
+            EXPECT_DOUBLE_EQ(prep.pricedChosenNs, grep.pricedChosenNs)
+                << q.plan.name;
+            expectSameRows(pres.rows, gres.rows, q.plan.name);
+            expectSameRows(pres.rows, want[i++], q.plan.name);
+        }
     }
 }
 

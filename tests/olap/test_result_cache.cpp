@@ -62,47 +62,70 @@ TEST_F(ResultCachePropertyTest, AllPlansByteIdenticalBothPaths)
     // serve path — round 0 cold misses, round 1 (no intervening
     // writes) exact hits, round 2 (mixed txns + fresh snapshot)
     // delta-incremental for the append-only probes and full-run
-    // fallback for plans whose builds moved.
-    auto cfg = OlapConfig::pushtapDimm();
-    cfg.resultCache = true;
-    OlapEngine cached(db, cfg);
-    cached.prepareSnapshot(db.now());
+    // fallback for plans whose builds moved. Swept with the
+    // optimizer off and on: every serve keeps the cold run's
+    // optimized flag, and each round-0 miss reports exactly what a
+    // cache-off twin engine reports.
+    for (const bool optimize : {false, true}) {
+        SCOPED_TRACE(optimize ? "optimize" : "plain");
+        auto cfg = OlapConfig::pushtapDimm();
+        cfg.optimize = optimize;
+        OlapEngine uncached(db, cfg);
+        uncached.prepareSnapshot(db.now());
+        cfg.resultCache = true;
+        OlapEngine cached(db, cfg);
+        cached.prepareSnapshot(db.now());
 
-    bool saw_hit = false, saw_incremental = false;
-    for (int round = 0; round < 3; ++round) {
-        if (round == 2) {
-            for (int i = 0; i < 30; ++i)
-                oltp.executeMixed();
-            cached.prepareSnapshot(db.now());
-        }
-        for (const auto &q : workload::chExecutablePlans()) {
-            const auto what =
-                q.plan.name + " round " + std::to_string(round);
-            QueryResult rc;
-            const auto rep = cached.runQuery(q.plan, &rc);
-            // Cold ground truth at the very same frontier, through
-            // the plain operator pipeline with no engine state.
-            auto ground = executePlan(db, q.plan);
-            expectSameRows(rc.rows, ground.result.rows, what);
-            EXPECT_EQ(rep.rowsVisible, ground.rowsVisible) << what;
-            if (round == 1) {
-                EXPECT_TRUE(rep.cacheHit) << what;
+        bool saw_hit = false, saw_incremental = false;
+        for (int round = 0; round < 3; ++round) {
+            if (round == 2) {
+                for (int i = 0; i < 30; ++i)
+                    oltp.executeMixed();
+                cached.prepareSnapshot(db.now());
             }
-            saw_hit = saw_hit || rep.cacheHit;
-            saw_incremental =
-                saw_incremental || rep.incrementalRows > 0;
+            for (const auto &q : workload::chExecutablePlans()) {
+                const auto what =
+                    q.plan.name + " round " + std::to_string(round);
+                QueryResult rc;
+                const auto rep = cached.runQuery(q.plan, &rc);
+                // Cold ground truth at the very same frontier,
+                // through the plain operator pipeline with no engine
+                // state.
+                auto ground = executePlan(db, q.plan);
+                expectSameRows(rc.rows, ground.result.rows, what);
+                EXPECT_EQ(rep.rowsVisible, ground.rowsVisible) << what;
+                EXPECT_EQ(rep.name, q.plan.name) << what;
+                EXPECT_EQ(rep.optimized, optimize) << what;
+                if (round == 0) {
+                    const auto twin = uncached.runQuery(q.plan);
+                    EXPECT_DOUBLE_EQ(rep.pimNs, twin.pimNs) << what;
+                    EXPECT_DOUBLE_EQ(rep.cpuNs, twin.cpuNs) << what;
+                    EXPECT_DOUBLE_EQ(rep.cpuBlockedNs,
+                                     twin.cpuBlockedNs)
+                        << what;
+                    EXPECT_DOUBLE_EQ(rep.pricedChosenNs,
+                                     twin.pricedChosenNs)
+                        << what;
+                }
+                if (round == 1) {
+                    EXPECT_TRUE(rep.cacheHit) << what;
+                }
+                saw_hit = saw_hit || rep.cacheHit;
+                saw_incremental =
+                    saw_incremental || rep.incrementalRows > 0;
+            }
         }
-    }
 
-    // Both serve paths must actually run in this workload: exact
-    // hits in round 1, and in round 2 the append-only OrderLine
-    // probes (Q1/Q6) re-execute incrementally.
-    EXPECT_TRUE(saw_hit);
-    EXPECT_TRUE(saw_incremental);
-    ASSERT_NE(cached.resultCache(), nullptr);
-    EXPECT_GT(cached.resultCache()->hits, 0u);
-    EXPECT_GT(cached.resultCache()->incrementals, 0u);
-    EXPECT_GT(cached.resultCache()->misses, 0u);
+        // Both serve paths must actually run in this workload: exact
+        // hits in round 1, and in round 2 the append-only OrderLine
+        // probes (Q1/Q6) re-execute incrementally.
+        EXPECT_TRUE(saw_hit);
+        EXPECT_TRUE(saw_incremental);
+        ASSERT_NE(cached.resultCache(), nullptr);
+        EXPECT_GT(cached.resultCache()->hits, 0u);
+        EXPECT_GT(cached.resultCache()->incrementals, 0u);
+        EXPECT_GT(cached.resultCache()->misses, 0u);
+    }
 }
 
 TEST_F(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
@@ -134,15 +157,8 @@ TEST_F(ResultCachePropertyTest, IncrementalScansOnlyTheDelta)
     expectSameRows(warm.rows, ground.result.rows, "q1 incremental");
 
     // The delta-only ScanCost pricing can never charge more PIM
-    // streaming than the cold run over the full snapshot did. Only
-    // meaningful when scan placement is pinned: with the optimizer
-    // forced on, the cold run CPU-demotes this tiny probe (pimNs
-    // == 0) while the incremental re-execution keeps the hand-built
-    // plan's PIM placement for its delta rows, whose fixed per-scan
-    // charges dominate at this row count.
-    if (!OlapConfig::optimizeForcedByEnv()) {
-        EXPECT_LE(warm_rep.pimNs, cold_rep.pimNs);
-    }
+    // streaming than the cold run over the full snapshot did.
+    EXPECT_LE(warm_rep.pimNs, cold_rep.pimNs);
 }
 
 TEST_F(ResultCachePropertyTest, UpdatedProbeFallsBackToFullRun)

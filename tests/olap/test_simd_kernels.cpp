@@ -328,11 +328,13 @@ TEST(SimdKernels, DispatchReportsConsistentState)
     EXPECT_FALSE(simd::simdActive());
 #else
     EXPECT_FALSE(d.forcedScalarBuild);
-    if (!d.forcedScalarEnv && d.avx2) {
+    if (d.avx2) {
         EXPECT_STREQ(d.active, "avx2");
         EXPECT_TRUE(simd::simdActive());
         ScalarGuard g(true);
         EXPECT_FALSE(simd::simdActive());
+    } else {
+        EXPECT_STREQ(d.active, "scalar");
     }
 #endif
 }
