@@ -10,9 +10,12 @@
  * The SIMD-vs-scalar benches run each kernel twice (Arg 0 = scalar
  * reference via simd::forceScalarKernels, Arg 1 = the dispatched
  * vector path), and the Char-LIKE benches add the dictionary-code
- * variant vs the raw byte-match path. Results land in
- * BENCH_micro.json (rows/s per kernel and variant), archived by CI
- * next to BENCH_fig9a/9b.json.
+ * variant vs the raw byte-match path. The join-probe benches compare
+ * the hashed GroupTable key set, a node-based set and the
+ * direct-addressed BuildTable key set over the same keys. Results
+ * land in BENCH_micro.json (rows/s per kernel and variant), archived
+ * by CI and committed at the repository root next to
+ * BENCH_fig9a.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,6 +35,7 @@
 #include "format/row_codec.hpp"
 #include "olap/batch.hpp"
 #include "olap/expr.hpp"
+#include "olap/group_table.hpp"
 #include "olap/simd_kernels.hpp"
 #include "storage/table_store.hpp"
 #include "txn/hash_index.hpp"
@@ -563,6 +567,56 @@ BM_GroupTableProbe(benchmark::State &state)
     olap::simd::forceScalarKernels(false);
 }
 BENCHMARK(BM_GroupTableProbe)->Arg(0)->Arg(1);
+
+void
+BM_DenseKeySetProbe(benchmark::State &state)
+{
+    // The same members and probes over the direct-addressed key set a
+    // semi/anti join builds when its key domain is dense: one range
+    // check and one bit test per row, no hash.
+    state.SetLabel("dense");
+    Rng rng(19);
+    olap::BuildRows rows;
+    rows.keys.resize(1);
+    std::vector<std::int64_t> members;
+    for (int i = 0; i < (1 << 15); ++i)
+        members.push_back(static_cast<std::int64_t>(i) * 2);
+    rows.appendKeys(0, members);
+    rows.rows = members.size();
+    const auto set = olap::BuildTable::keySet(
+        1, std::span<const olap::BuildRows>(&rows, 1), nullptr);
+    if (set.denseSlots() == 0) {
+        state.SkipWithError("key set did not place dense");
+        return;
+    }
+    std::vector<std::int64_t> keys(olap::kMorselRows);
+    for (auto &k : keys)
+        k = static_cast<std::int64_t>(rng.below(1 << 16));
+    std::vector<std::uint64_t> locs;
+    olap::SelectionVector all, sel;
+    for (std::uint32_t i = 0; i < olap::kMorselRows; ++i)
+        all.idx.push_back(i);
+    for (auto _ : state) {
+        sel.idx = all.idx;
+        set.find(
+            keys.size(),
+            [&](std::size_t) {
+                return std::span<const std::int64_t>(keys);
+            },
+            locs);
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < sel.idx.size(); ++i) {
+            sel.idx[out] = sel.idx[i];
+            out += static_cast<std::size_t>(set.contains(locs[i]));
+        }
+        sel.idx.resize(out);
+        benchmark::DoNotOptimize(sel.idx.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        olap::kMorselRows);
+}
+BENCHMARK(BM_DenseKeySetProbe);
 
 void
 BM_UnorderedSetProbe(benchmark::State &state)

@@ -194,25 +194,6 @@ class BatchColumnReader
 };
 
 /**
- * One materialized scalar subquery (SubquerySpec): per-group-key
- * aggregate values, probed read-only by every worker during the
- * main pipeline. A key with no group evaluates to 0 in every slot
- * (the IR's missing-group semantics).
- */
-struct SubqueryResult
-{
-    /** Per group: one slot per SubquerySpec aggregate. */
-    GroupTable groups;
-
-    std::int64_t
-    value(const InlineKey &key, std::size_t slot) const
-    {
-        const std::int64_t *aggs = groups.find(key);
-        return aggs == nullptr ? 0 : aggs[slot];
-    }
-};
-
-/**
  * Dictionary fast path for one LIKE predicate: per-entry codes
  * (parallel to the current entry set) plus the pattern's match table
  * over the dictionary (cardinality + 1 entries, 1 = match; the

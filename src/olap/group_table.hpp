@@ -15,15 +15,20 @@
  * one independent task, and any work confined to one partition runs
  * beside the others without locks.
  *
- * The batch engine groups, materializes subqueries and builds every
- * join into it: a semi/anti join's build is a slot-less key set
- * probed with contains(); an inner join's keeps two slots per key,
- * the range of its payload tuples in a flat per-partition array.
+ * The batch engine groups into it. Join builds and subquery
+ * pre-passes go through BuildTable, which places the keys one of two
+ * ways, chosen per build from the rows it collected: when the key
+ * columns' observed ranges span few enough slots (denseSlotBound),
+ * by mixed-radix slot into flat arrays probed with one range check
+ * per key column; otherwise into a GroupTable — a semi/anti join's
+ * as a slot-less key set, an inner join's with two slots per key
+ * (the range of its payload tuples in a flat per-partition array),
+ * a subquery's with one slot per aggregate.
  *
- * DenseGroupAggregator is the hash-free alternative for one small
- * integer key domain: flat arrays indexed by key offset, merged
- * array by array across workers and spilled into a GroupTable when
- * the domain outgrows it.
+ * DenseGroupAggregator is the hash-free alternative for the probe's
+ * grouping over one small integer key domain: flat arrays indexed by
+ * key offset, merged array by array across workers and spilled into
+ * a GroupTable when the domain outgrows it.
  */
 
 #include <algorithm>
@@ -31,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -96,6 +102,58 @@ struct InlineKeyHash
         return static_cast<std::size_t>(h);
     }
 };
+
+namespace simd {
+/**
+ * Bulk single-int key hashing: out[i] = InlineKeyHash of the one-
+ * column key {keys[i]} (@p out is sized like @p keys). The vector
+ * path (olap/simd_kernels.cpp) hashes 4 keys per step with the same
+ * SplitMix64 mix and FNV fold.
+ */
+void hashKeys1(std::span<const std::int64_t> keys,
+               std::span<std::uint64_t> out);
+} // namespace simd
+
+/**
+ * out[i] = InlineKeyHash of row i's key tuple, whose component c is
+ * col(c)[i] (c < width, i < n): the bulk kernel for single-column
+ * keys, one tuple at a time otherwise.
+ */
+template <typename ColFn>
+void
+hashKeyRows(std::size_t width, std::size_t n, ColFn &&col,
+            std::vector<std::uint64_t> &out)
+{
+    out.resize(n);
+    if (width == 1) {
+        simd::hashKeys1(col(0).first(n), out);
+        return;
+    }
+    InlineKey key;
+    key.n = static_cast<std::uint32_t>(width);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < width; ++c)
+            key.v[c] = col(c)[i];
+        out[i] = InlineKeyHash{}(key);
+    }
+}
+
+/**
+ * Run fn(worker, task) for every task in [0, tasks): claimed
+ * dynamically over @p pool when it has more than one worker, inline
+ * as worker 0 otherwise.
+ */
+template <typename Fn>
+void
+runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
+{
+    if (pool && pool->workers() > 1 && tasks > 1) {
+        pool->parallelFor(tasks, fn);
+        return;
+    }
+    for (std::size_t t = 0; t < tasks; ++t)
+        fn(0, t);
+}
 
 /** Hash-partition count of the parallel join builds and the group
  *  tables (power of two): enough partitions to keep every pool
@@ -213,6 +271,29 @@ class GroupTable
         return locate(parts_[hashPartitionOf(h)], k, h) != kAbsent;
     }
 
+    /** No group: groupId()'s miss. */
+    static constexpr std::uint64_t kNoGroup = ~std::uint64_t{0};
+
+    /** Id of the group of @p k (hash @p h, arity keyWidth()) — its
+     *  partition in the high 32 bits, its index there in the low —
+     *  or kNoGroup. Ids stay valid until the next insert. */
+    std::uint64_t
+    groupId(const InlineKey &k, std::uint64_t h) const
+    {
+        const std::size_t p = hashPartitionOf(h);
+        const std::size_t g = locate(parts_[p], k, h);
+        return g == kAbsent ? kNoGroup
+                            : std::uint64_t{p} << 32 | g;
+    }
+
+    /** Aggregate slots of group @p id (a groupId(), not kNoGroup). */
+    const std::int64_t *
+    groupAggs(std::uint64_t id) const
+    {
+        return parts_[id >> 32].aggs.data() +
+               (id & 0xffffffffu) * slots_;
+    }
+
     /** Aggregate slots of partition @p p's groups, slots() per group
      *  in insertion order. */
     std::span<std::int64_t>
@@ -260,7 +341,10 @@ class GroupTable
     }
 
   private:
-    struct Partition
+    /** Cache-line aligned: a merge or stitch grows the partitions of
+     *  one table from different workers at once, and partitions
+     *  sharing a line would false-share their vector headers. */
+    struct alignas(64) Partition
     {
         std::vector<std::uint32_t> index;  ///< Group id + 1; 0 = free.
         std::vector<std::uint64_t> hashes; ///< Per group.
@@ -348,15 +432,10 @@ mergeGroupTables(std::vector<GroupTable *> tables, WorkerPool *pool,
         nonempty += t->size() > 0 ? 1 : 0;
     if (nonempty < 2)
         return *tables.front();
-    auto merge = [&](std::uint32_t, std::size_t p) {
+    runTasks(pool, kHashPartitions, [&](std::uint32_t, std::size_t p) {
         for (std::size_t w = 1; w < tables.size(); ++w)
             tables.front()->mergePartition(p, *tables[w], fold);
-    };
-    if (pool && pool->workers() > 1)
-        pool->parallelFor(kHashPartitions, merge);
-    else
-        for (std::size_t p = 0; p < kHashPartitions; ++p)
-            merge(0, p);
+    });
     return *tables.front();
 }
 
@@ -388,6 +467,331 @@ foldValue(std::int64_t &slot, AggKind kind, std::int64_t v, bool first)
         break;
     }
 }
+
+/** The value an empty dense aggregate slot idles at: the identity of
+ *  its fold (0, +inf, -inf), so folding any value into it yields that
+ *  value and slots need no first-row check. */
+inline std::int64_t
+foldIdentity(AggKind kind)
+{
+    switch (kind) {
+      case AggKind::Min:
+        return std::numeric_limits<std::int64_t>::max();
+      case AggKind::Max:
+        return std::numeric_limits<std::int64_t>::min();
+      case AggKind::Sum:
+        break;
+    }
+    return 0;
+}
+
+/**
+ * The surviving rows of one build-scan task, in scan order: what a
+ * join build or a subquery pre-pass collected from its source table.
+ * BuildTable places them.
+ */
+struct BuildRows
+{
+    /** Key values, one vector per key column. */
+    std::vector<std::vector<std::int64_t>> keys;
+    /** Value ints per row, row after row: an inner join's payload
+     *  tuple or a subquery's evaluated aggregate inputs. */
+    std::vector<std::int64_t> vals;
+    /** Each key column's min and max over the rows (unset while
+     *  there are none). */
+    std::array<std::int64_t, InlineKey::kMaxKeys> lo{}, hi{};
+    std::size_t rows = 0;
+
+    /** Append a batch of key column @p c's values, widening its
+     *  range; the caller counts the batch's rows into `rows` once
+     *  every column is in. */
+    void
+    appendKeys(std::size_t c, std::span<const std::int64_t> batch)
+    {
+        if (batch.empty())
+            return;
+        auto &col = keys[c];
+        std::int64_t l = col.empty() ? batch[0] : lo[c];
+        std::int64_t h = col.empty() ? batch[0] : hi[c];
+        for (const auto v : batch) {
+            l = std::min(l, v);
+            h = std::max(h, v);
+        }
+        lo[c] = l;
+        hi[c] = h;
+        col.insert(col.end(), batch.begin(), batch.end());
+    }
+};
+
+/** What a BuildTable keeps per key. */
+enum class BuildForm : std::uint8_t
+{
+    KeySet,      ///< Semi/anti join: membership only.
+    TupleRanges, ///< Inner join: the key's payload tuples.
+    Aggregates,  ///< Scalar subquery: one folded value per aggregate.
+};
+
+/** Slots every build may address directly, whatever its row count:
+ *  a small build over a small domain never hashes. */
+inline constexpr std::uint64_t kDenseSlack = std::uint64_t{1} << 16;
+
+/**
+ * The density rule: the most slots a direct-addressed build of
+ * @p rows collected rows may span, for key width w = @p width and
+ * a = @p aggs aggregates (Aggregates form).
+ *
+ * Direct addressing must take no more memory than the GroupTable the
+ * same rows would build. That table holds at most one group per row,
+ * and each group at least 2 + w + p eight-byte words, its slot index
+ * aside: the stored hash, the row count, the key and p payload slots
+ * (0 for a key set, 2 for an inner join's tuple range, a for a
+ * subquery). A dense slot holds 1 bit for a key set, one 4-byte
+ * tuple offset for an inner join and a words for a subquery, its
+ * presence bit aside. The payload tuples are the same in both forms.
+ * So per collected row a build may span
+ *   key set       64 (2 + w)     = 128 + 64 w slots,
+ *   tuple ranges   2 (2 + w + 2) =   8 + 2 w slots,
+ *   aggregates    (2 + w + a) / a         slots,
+ * plus kDenseSlack slots any build may take. Saturates at the
+ * uint64 maximum.
+ */
+inline std::uint64_t
+denseSlotBound(BuildForm form, std::uint32_t width, std::size_t aggs,
+               std::uint64_t rows)
+{
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t words = 2 + width;
+    std::uint64_t per_row = 0, divisor = 1;
+    switch (form) {
+      case BuildForm::KeySet:
+        per_row = 64 * words;
+        break;
+      case BuildForm::TupleRanges:
+        per_row = 2 * (words + 2);
+        break;
+      case BuildForm::Aggregates:
+        divisor = std::max<std::uint64_t>(aggs, 1);
+        per_row = words + divisor;
+        break;
+    }
+    if (rows > kMax / per_row)
+        return kMax;
+    const std::uint64_t slots = per_row * rows / divisor;
+    return slots > kMax - kDenseSlack ? kMax : slots + kDenseSlack;
+}
+
+/**
+ * The observed key domain of a build: each key column's values lie in
+ * [lo, lo + span), and a key's slot is the mixed-radix number of its
+ * offsets (v - lo), column 0 fastest. slots, the product of the
+ * spans, is 0 for a build of no rows.
+ */
+struct KeyDomain
+{
+    std::uint32_t width = 0;
+    std::array<std::int64_t, InlineKey::kMaxKeys> lo{};
+    std::array<std::uint64_t, InlineKey::kMaxKeys> span{};
+    std::array<std::uint64_t, InlineKey::kMaxKeys> stride{};
+    std::uint64_t slots = 0;
+
+    /**
+     * The domain of @p tasks' keys, or nullopt when it spans more
+     * than @p bound slots. Computed in uint64 with overflow checks: a
+     * column spanning all of int64 is simply too wide.
+     */
+    static std::optional<KeyDomain>
+    observe(std::uint32_t width, std::span<const BuildRows> tasks,
+            std::uint64_t bound);
+
+    /**
+     * out[i] = slot of the key whose component c is col(c)[i]
+     * (i < n), or GroupTable::kNoGroup when a component lies outside
+     * its column's range: one unsigned compare per column.
+     */
+    template <typename ColFn>
+    void
+    slotsOf(std::size_t n, ColFn &&col,
+            std::vector<std::uint64_t> &out) const
+    {
+        constexpr std::uint64_t kMiss = GroupTable::kNoGroup;
+        if (width == 0 || slots == 0) {
+            out.assign(n, slots == 0 ? kMiss : 0);
+            return;
+        }
+        out.resize(n);
+        for (std::uint32_t c = 0; c < width; ++c) {
+            const auto vals = col(c);
+            const auto base = static_cast<std::uint64_t>(lo[c]);
+            const std::uint64_t sp = span[c], st = stride[c];
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint64_t d =
+                    static_cast<std::uint64_t>(vals[i]) - base;
+                const std::uint64_t acc = c == 0 ? 0 : out[i];
+                out[i] = d < sp && acc != kMiss ? acc + d * st : kMiss;
+            }
+        }
+    }
+};
+
+/**
+ * One join build or subquery pre-pass: the keys of the rows its scan
+ * collected, placed for read-only probing by every worker. The form
+ * is chosen per build from the collected keys: direct-addressed by
+ * KeyDomain slot when the domain fits denseSlotBound — a bitset for
+ * a key set, an offset array over the payload tuples for tuple
+ * ranges, flat per-slot values for aggregates — and hashed into a
+ * GroupTable otherwise. Both forms answer every probe alike; only
+ * denseSlots() tells them apart. Every placement is identical for
+ * any worker count.
+ */
+class BuildTable
+{
+  public:
+    /** find()'s miss: no collected row has the key. */
+    static constexpr std::uint64_t kMiss = GroupTable::kNoGroup;
+
+    /** A semi/anti join's key set over @p tasks' keys. */
+    static BuildTable keySet(std::uint32_t width,
+                             std::span<const BuildRows> tasks,
+                             WorkerPool *pool);
+
+    /** An inner join's tuple ranges: each task's vals hold
+     *  @p payload ints per row, and every key's tuples keep the
+     *  tasks' scan order. */
+    static BuildTable tupleRanges(std::uint32_t width,
+                                  std::uint32_t payload,
+                                  std::span<const BuildRows> tasks,
+                                  WorkerPool *pool);
+
+    /** A subquery's aggregates: each task's vals hold one input per
+     *  @p kinds entry per row, folded per key. */
+    static BuildTable aggregates(std::uint32_t width,
+                                 std::vector<AggKind> kinds,
+                                 std::span<const BuildRows> tasks,
+                                 WorkerPool *pool);
+
+    /** Rows collected, summed over tasks. */
+    std::uint64_t rows() const { return rows_; }
+
+    /** Slots of the direct-addressed form; 0 when hashed, and for a
+     *  build of no rows (dense, with no slot). */
+    std::uint64_t denseSlots() const { return hashed_ ? 0 : domain_.slots; }
+
+    /**
+     * Locate n probe keys: out[i] locates the key whose component c
+     * is col(c)[i] (a span per key column), or is kMiss. A dense
+     * build checks each column's range and reads one slot; a hashed
+     * one hashes the keys and walks its table.
+     */
+    template <typename ColFn>
+    void
+    find(std::size_t n, ColFn &&col,
+         std::vector<std::uint64_t> &out) const
+    {
+        if (hashed_) {
+            hashKeyRows(width_, n, col, out);
+            InlineKey k;
+            k.n = width_;
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::uint32_t c = 0; c < width_; ++c)
+                    k.v[c] = col(c)[i];
+                out[i] = table_.groupId(k, out[i]);
+            }
+            return;
+        }
+        domain_.slotsOf(n, col, out);
+        for (auto &s : out)
+            if (s != kMiss && !occupied(s))
+                s = kMiss;
+    }
+
+    bool contains(std::uint64_t loc) const { return loc != kMiss; }
+
+    /** A located key's payload tuples: count tuples of the build's
+     *  payload width from first, in scan order. */
+    struct Tuples
+    {
+        const std::int64_t *first = nullptr;
+        std::uint64_t count = 0;
+    };
+
+    Tuples
+    matches(std::uint64_t loc) const
+    {
+        if (loc == kMiss)
+            return {};
+        if (!hashed_) {
+            const std::uint32_t b = offsets_[loc];
+            return {tuples_[0].data() + std::size_t{b} * valWidth_,
+                    offsets_[loc + 1] - b};
+        }
+        const std::int64_t *range = table_.groupAggs(loc);
+        return {tuples_[loc >> 32].data() +
+                    static_cast<std::size_t>(range[0]) * valWidth_,
+                static_cast<std::uint64_t>(range[1] - range[0])};
+    }
+
+    /** Aggregate @p agg of a located key; 0 for kMiss, the IR's
+     *  missing-group value. */
+    std::int64_t
+    value(std::uint64_t loc, std::size_t agg) const
+    {
+        if (loc == kMiss)
+            return 0;
+        return hashed_ ? table_.groupAggs(loc)[agg]
+                       : aggs_[loc * valWidth_ + agg];
+    }
+
+  private:
+    BuildTable(BuildForm form, std::uint32_t width,
+               std::uint32_t val_width, std::vector<AggKind> kinds,
+               std::span<const BuildRows> tasks, WorkerPool *pool);
+
+    /** True when dense slot @p s holds a key. */
+    bool
+    occupied(std::uint64_t s) const
+    {
+        if (form_ == BuildForm::TupleRanges)
+            return offsets_[s] != offsets_[s + 1];
+        return (bits_[s >> 6] >> (s & 63) & 1) != 0;
+    }
+
+    void placeDenseKeySet(std::span<const BuildRows> tasks,
+                          WorkerPool *pool);
+    void placeDenseTupleRanges(std::span<const BuildRows> tasks,
+                               WorkerPool *pool);
+    void placeDenseAggregates(std::span<const BuildRows> tasks,
+                              WorkerPool *pool);
+    /** Key set or aggregates: per-worker GroupTables, merged. */
+    void placeHashedGroups(std::span<const BuildRows> tasks,
+                           WorkerPool *pool);
+    void placeHashedTupleRanges(std::span<const BuildRows> tasks,
+                                WorkerPool *pool);
+
+    BuildForm form_ = BuildForm::KeySet;
+    std::uint32_t width_ = 0;
+    /** Payload ints (tuple ranges) or aggregates (aggregates) per
+     *  row and key. */
+    std::uint32_t valWidth_ = 0;
+    std::vector<AggKind> kinds_;
+    std::uint64_t rows_ = 0;
+    bool hashed_ = false;
+    KeyDomain domain_;
+    /** Dense key set: membership, 1 bit per slot. Dense aggregates:
+     *  presence, likewise. */
+    std::vector<std::uint64_t> bits_;
+    /** Dense tuple ranges: slot s's tuples are [offsets_[s],
+     *  offsets_[s + 1]) of tuples_[0]. */
+    std::vector<std::uint32_t> offsets_;
+    /** Payload tuples: one array (tuples_[0]) when dense, one per
+     *  hash partition when hashed. */
+    std::array<std::vector<std::int64_t>, kHashPartitions> tuples_;
+    /** Dense aggregates: valWidth_ values per slot. */
+    std::vector<std::int64_t> aggs_;
+    /** Hashed form: the keys, with the tuple range (slots 0 and 1)
+     *  or the aggregates per group. */
+    GroupTable table_;
+};
 
 /**
  * Dense aggregation for fused plans with one Int group key whose
@@ -546,22 +950,6 @@ class DenseGroupAggregator
         return true;
     }
 
-    /** Min slots idle at +inf, Max at -inf: updates need no count
-     *  check, and only count>0 slots are ever read back. */
-    std::int64_t
-    idleValue(AggKind kind) const
-    {
-        switch (kind) {
-          case AggKind::Min:
-            return std::numeric_limits<std::int64_t>::max();
-          case AggKind::Max:
-            return std::numeric_limits<std::int64_t>::min();
-          case AggKind::Sum:
-            break;
-        }
-        return 0;
-    }
-
     void
     resizeTo(std::size_t n, std::size_t front)
     {
@@ -570,8 +958,9 @@ class DenseGroupAggregator
                   counts.begin() + static_cast<std::ptrdiff_t>(front));
         count_ = std::move(counts);
         for (std::size_t a = 0; a < aggs_.size(); ++a) {
-            std::vector<std::int64_t> slots(n,
-                                            idleValue(kinds_[a]));
+            // Slots idle at their fold's identity: updates need no
+            // count check, and only count>0 slots are read back.
+            std::vector<std::int64_t> slots(n, foldIdentity(kinds_[a]));
             std::copy(aggs_[a].begin(), aggs_[a].end(),
                       slots.begin() +
                           static_cast<std::ptrdiff_t>(front));

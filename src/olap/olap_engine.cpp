@@ -94,10 +94,19 @@ OlapEngine::loadStatsFile()
     if (!std::getline(in, line) || line != "pushtap-olap-stats v1")
         return; // Unknown format: ignore; the next save rewrites it.
     // Each record parses into a local and lands in the cache only at
-    // its `end` line, so a file cut short mid-record loses just the
-    // torn record instead of loading it as if it were whole.
+    // its `end` line, and only when every one of its lines parsed
+    // completely: a file cut short mid-record, or a record with a
+    // garbled number or an unknown line, loses just that record
+    // instead of loading it as if it were whole.
+    const auto parsedWhole = [](std::istringstream &is) {
+        if (is.fail())
+            return false;
+        is >> std::ws;
+        return is.eof();
+    };
     std::string name;
     PlanStats ps;
+    bool whole = true;
     while (std::getline(in, line)) {
         std::istringstream is(line);
         std::string tag;
@@ -106,17 +115,20 @@ OlapEngine::loadStatsFile()
             name.clear();
             is >> name;
             ps = PlanStats{};
+            whole = parsedWhole(is);
         } else if (name.empty()) {
             continue;
         } else if (tag == "runs") {
             is >> ps.runs;
+            whole = parsedWhole(is) && whole;
         } else if (tag == "probe") {
             is >> ps.probeVisible >> ps.probeFiltered;
+            whole = parsedWhole(is) && whole;
         } else if (tag == "conjunct") {
             std::uint64_t seen = 0, kept = 0;
             is >> seen >> kept;
-            if (!is.fail())
-                ps.conjuncts.emplace_back(seen, kept);
+            whole = parsedWhole(is) && whole;
+            ps.conjuncts.emplace_back(seen, kept);
         } else if (tag == "join") {
             // Counts first, then the signature as the rest of the
             // line (signatures may contain arbitrary punctuation).
@@ -126,12 +138,15 @@ OlapEngine::loadStatsFile()
             std::getline(is, sig);
             if (!sig.empty() && sig.front() == ' ')
                 sig.erase(0, 1);
-            if (!is.fail() && !sig.empty())
-                ps.joins[sig] = jo;
+            whole = !is.fail() && !sig.empty() && whole;
+            ps.joins[sig] = jo;
         } else if (tag == "end") {
-            statsCache_[name] = std::move(ps);
+            if (whole)
+                statsCache_[name] = std::move(ps);
             ps = PlanStats{};
             name.clear();
+        } else {
+            whole = false;
         }
     }
 }

@@ -1,7 +1,6 @@
 #include "olap/operators.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -140,7 +139,7 @@ class MorselExprContext final : public BatchExprContext
   public:
     MorselExprContext(const storage::TableStore &store,
                       const QueryPlan *plan,
-                      const std::vector<SubqueryResult> *subs)
+                      const std::vector<BuildTable> *subs)
         : store_(&store), plan_(plan), subs_(subs)
     {
     }
@@ -228,22 +227,24 @@ class MorselExprContext final : public BatchExprContext
         if (!plan_ || !subs_)
             fatal("batch expression: subquery reference outside the "
                   "probe filter context");
-        const auto &spec = plan_->subqueries[ref.subquery];
         const auto &sub = (*subs_)[ref.subquery];
-        // Gather every key column first (each lives in its own
-        // slot, so earlier spans stay valid).
-        keySpans_.clear();
-        for (const auto &key : spec.keys)
-            keySpans_.push_back(ints(key));
-        const std::size_t n = entries();
-        subVals_.resize(n);
-        InlineKey k;
-        k.n = static_cast<std::uint32_t>(keySpans_.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t c = 0; c < keySpans_.size(); ++c)
-                k.v[c] = keySpans_[c][i];
-            subVals_[i] = sub.value(k, ref.aggIndex);
+        // Locate the keys once per (selection, subquery): Q17-style
+        // predicates read two aggregates of one subquery.
+        if (locEpoch_ != epoch_ || locSubquery_ != ref.subquery) {
+            // Gather every key column first (each lives in its own
+            // slot, so earlier spans stay valid).
+            keySpans_.clear();
+            for (const auto &key : plan_->subqueries[ref.subquery].keys)
+                keySpans_.push_back(ints(key));
+            sub.find(
+                entries(),
+                [&](std::size_t c) { return keySpans_[c]; }, locs_);
+            locEpoch_ = epoch_;
+            locSubquery_ = ref.subquery;
         }
+        subVals_.resize(locs_.size());
+        for (std::size_t i = 0; i < locs_.size(); ++i)
+            subVals_[i] = sub.value(locs_[i], ref.aggIndex);
         return subVals_;
     }
 
@@ -275,12 +276,16 @@ class MorselExprContext final : public BatchExprContext
 
     const storage::TableStore *store_;
     const QueryPlan *plan_;
-    const std::vector<SubqueryResult> *subs_;
+    const std::vector<BuildTable> *subs_;
     const Morsel *morsel_ = nullptr;
     const SelectionVector *sel_ = nullptr;
     std::uint64_t epoch_ = 0;
     std::vector<std::pair<std::string, Slot>> slots_;
     std::vector<std::span<const std::int64_t>> keySpans_;
+    /** Located subquery keys, valid for (locEpoch_, locSubquery_). */
+    std::vector<std::uint64_t> locs_;
+    std::uint64_t locEpoch_ = 0;
+    std::size_t locSubquery_ = 0;
     std::vector<std::int64_t> subVals_;
 };
 
@@ -304,7 +309,7 @@ class BatchPredicates
     BatchPredicates(const storage::TableStore &store,
                     const TableInput &input,
                     const QueryPlan *plan = nullptr,
-                    const std::vector<SubqueryResult> *subs =
+                    const std::vector<BuildTable> *subs =
                         nullptr)
         : ctx_(store, plan, subs)
     {
@@ -465,23 +470,6 @@ combineAccum(const std::vector<SpecT> &specs, Accum &into,
                  from.count);
 }
 
-/**
- * Run fn(worker, task) for every task in [0, tasks): claimed
- * dynamically over @p pool when it has more than one worker, inline
- * as worker 0 otherwise.
- */
-template <typename Fn>
-void
-runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
-{
-    if (pool && pool->workers() > 1 && tasks > 1) {
-        pool->parallelFor(tasks, fn);
-        return;
-    }
-    for (std::size_t t = 0; t < tasks; ++t)
-        fn(0, t);
-}
-
 /** The group-table merge fold of an aggregate list: combineSlots
  *  per group. */
 template <typename SpecT>
@@ -495,99 +483,118 @@ slotFold(const std::vector<SpecT> &specs)
 }
 
 /**
- * Scalar-subquery pre-pass, morsel-driven mechanisation: the source
- * table streams through the same selection-vector kernels as any
- * probe, group keys decode once per morsel, and aggregate-input
- * expressions evaluate column-at-a-time. Parallel like a probe
- * pipeline: workers claim the source table's scan runs dynamically
- * into private flat group tables, merged partition-parallel. Exact
- * integer folds, commutative and associative, so the result is
- * identical for every worker count.
+ * The build-side scan of join builds and subquery pre-passes alike:
+ * workers claim @p input's scan runs dynamically, and each task
+ * appends its surviving rows, in scan order, to its own BuildRows —
+ * the @p keys columns, then per row the @p payload columns and the
+ * evaluated @p values expressions. Concatenating the tasks in order
+ * reproduces the serial scan, whichever worker ran which task.
  */
-std::vector<SubqueryResult>
+std::vector<BuildRows>
+collectBuildRows(const storage::TableStore &store,
+                 const TableInput &input,
+                 const std::vector<std::string> &keys,
+                 const std::vector<std::string> &payload,
+                 const std::vector<ExprPtr> &values,
+                 const ExecOptions &opts, WorkerPool *pool)
+{
+    /** Per-worker scan state: private readers, predicate chain and
+     *  batches, built lazily on the worker's first claimed run. */
+    struct Collector
+    {
+        Collector(const storage::TableStore &st, const TableInput &in,
+                  const std::vector<std::string> &key_cols,
+                  const std::vector<std::string> &pay_cols,
+                  std::size_t nvalues)
+            : preds(st, in), ctx(st, nullptr, nullptr), vals(nvalues)
+        {
+            for (const auto &col : key_cols)
+                keyRd.emplace_back(st, col);
+            for (const auto &col : pay_cols)
+                payRd.emplace_back(st, col);
+        }
+        BatchPredicates preds;
+        std::vector<BatchColumnReader> keyRd, payRd;
+        MorselExprContext ctx;
+        SelectionVector sel;
+        ColumnBatch batch;
+        std::vector<std::vector<std::int64_t>> vals;
+    };
+
+    const auto runs = scanRuns(store, opts.morselRows);
+    std::vector<BuildRows> out(runs.size());
+    std::vector<std::optional<Collector>> states(pool ? pool->workers()
+                                                      : 1);
+    const std::size_t valw = payload.size() + values.size();
+    runTasks(pool, runs.size(), [&](std::uint32_t w, std::size_t t) {
+        if (!states[w])
+            states[w].emplace(store, input, keys, payload,
+                              values.size());
+        auto &st = *states[w];
+        auto &rows = out[t];
+        rows.keys.resize(keys.size());
+        st.preds.beginRun();
+        forEachMorselInRun(runs[t], opts.morselRows, [&](const Morsel &m) {
+            visibleRows(store, m, st.sel);
+            st.preds.apply(m, st.sel);
+            const std::size_t n = st.sel.size();
+            if (n == 0)
+                return;
+            for (std::size_t c = 0; c < keys.size(); ++c) {
+                st.keyRd[c].gatherInts(m, st.sel.span(), st.batch);
+                rows.appendKeys(c, st.batch.ints);
+            }
+            const std::size_t base = rows.vals.size();
+            rows.vals.resize(base + n * valw);
+            auto scatter = [&](std::size_t v,
+                               std::span<const std::int64_t> col) {
+                std::int64_t *dst = rows.vals.data() + base + v;
+                for (std::size_t i = 0; i < n; ++i, dst += valw)
+                    *dst = col[i];
+            };
+            for (std::size_t c = 0; c < payload.size(); ++c) {
+                st.payRd[c].gatherInts(m, st.sel.span(), st.batch);
+                scatter(c, st.batch.ints);
+            }
+            if (!values.empty())
+                st.ctx.begin(m, st.sel);
+            for (std::size_t a = 0; a < values.size(); ++a) {
+                evalExprBatch(*values[a], st.ctx, st.vals[a]);
+                scatter(payload.size() + a, st.vals[a]);
+            }
+            rows.rows += n;
+        });
+    });
+    return out;
+}
+
+/**
+ * Scalar-subquery pre-pass: the source table streams through the
+ * build-side scan (group keys plus aggregate-input expressions
+ * evaluated column-at-a-time), and the collected rows fold into an
+ * Aggregates BuildTable. Exact integer folds, commutative and
+ * associative, so the result is identical for every worker count.
+ */
+std::vector<BuildTable>
 materializeSubqueriesBatch(const txn::Database &db,
                            const QueryPlan &plan,
                            const ExecOptions &opts, WorkerPool *pool)
 {
-    std::vector<SubqueryResult> out(plan.subqueries.size());
-    for (std::size_t s = 0; s < plan.subqueries.size(); ++s) {
-        const auto &spec = plan.subqueries[s];
-        const auto &store = db.table(spec.source.table).store();
-
-        /** Per-worker scan state: private readers, predicate chain
-         *  and partial group table (built lazily on the worker's
-         *  first claimed run). */
-        struct SubWorker
-        {
-            SubWorker(const storage::TableStore &st,
-                      const SubquerySpec &sp)
-                : preds(st, sp.source), ctx(st, nullptr, nullptr),
-                  groups(static_cast<std::uint32_t>(sp.groupBy.size()),
-                         sp.aggs.size())
-            {
-                for (const auto &col : sp.groupBy)
-                    keyRd.emplace_back(st, col);
-                for (const auto &agg : sp.aggs)
-                    inputs.push_back(foldConstants(agg.value));
-                keys.resize(keyRd.size());
-                vals.resize(inputs.size());
-            }
-            BatchPredicates preds;
-            std::vector<BatchColumnReader> keyRd;
-            std::vector<ExprPtr> inputs;
-            MorselExprContext ctx;
-            SelectionVector sel;
-            std::vector<ColumnBatch> keys;
-            std::vector<std::vector<std::int64_t>> vals;
-            GroupTable groups;
-        };
-
-        const auto runs = scanRuns(store, opts.morselRows);
-        const std::uint32_t nworkers = pool ? pool->workers() : 1;
-        std::vector<std::optional<SubWorker>> states(nworkers);
-
-        auto processMorsel = [&](SubWorker &st, const Morsel &m) {
-            visibleRows(store, m, st.sel);
-            st.preds.apply(m, st.sel);
-            if (st.sel.empty())
-                return;
-            for (std::size_t c = 0; c < st.keyRd.size(); ++c)
-                st.keyRd[c].gatherInts(m, st.sel.span(),
-                                       st.keys[c]);
-            st.ctx.begin(m, st.sel);
-            for (std::size_t a = 0; a < st.inputs.size(); ++a)
-                evalExprBatch(*st.inputs[a], st.ctx, st.vals[a]);
-            InlineKey key;
-            key.n = static_cast<std::uint32_t>(st.keyRd.size());
-            for (std::size_t i = 0; i < st.sel.size(); ++i) {
-                for (std::size_t c = 0; c < st.keyRd.size(); ++c)
-                    key.v[c] = st.keys[c].ints[i];
-                accumulateRow(spec.aggs, st.groups.findOrInsert(key),
-                              [&](std::size_t a) {
-                                  return st.vals[a][i];
-                              });
-            }
-        };
-        runTasks(pool, runs.size(),
-                 [&](std::uint32_t w, std::size_t t) {
-                     if (!states[w])
-                         states[w].emplace(store, spec);
-                     auto &st = *states[w];
-                     st.preds.beginRun();
-                     forEachMorselInRun(runs[t], opts.morselRows,
-                                        [&](const Morsel &m) {
-                                            processMorsel(st, m);
-                                        });
-                 });
-
-        std::vector<GroupTable *> tables;
-        for (auto &st : states)
-            if (st)
-                tables.push_back(&st->groups);
-        if (tables.empty())
-            continue;
-        out[s].groups = std::move(
-            mergeGroupTables(tables, pool, slotFold(spec.aggs)));
+    std::vector<BuildTable> out;
+    out.reserve(plan.subqueries.size());
+    for (const auto &spec : plan.subqueries) {
+        std::vector<ExprPtr> inputs;
+        std::vector<AggKind> kinds;
+        for (const auto &agg : spec.aggs) {
+            inputs.push_back(foldConstants(agg.value));
+            kinds.push_back(agg.kind);
+        }
+        const auto rows = collectBuildRows(
+            db.table(spec.source.table).store(), spec.source,
+            spec.groupBy, {}, inputs, opts, pool);
+        out.push_back(BuildTable::aggregates(
+            static_cast<std::uint32_t>(spec.groupBy.size()),
+            std::move(kinds), rows, pool));
     }
     return out;
 }
@@ -677,46 +684,6 @@ class RefVecExprContext final : public BatchExprContext
         likes_;
 };
 
-/**
- * out[i] = InlineKeyHash of row i's key tuple, whose component c is
- * col(c)[i] (c < width, i < n): the bulk kernel for single-column
- * keys, one tuple at a time otherwise. The join builds partition by
- * these hashes and the probes hand them to the build tables.
- */
-template <typename ColFn>
-void
-hashKeyRows(std::size_t width, std::size_t n, ColFn &&col,
-            std::vector<std::uint64_t> &out)
-{
-    out.resize(n);
-    if (width == 1) {
-        simd::hashKeys1(col(0).first(n), out);
-        return;
-    }
-    InlineKey key;
-    key.n = static_cast<std::uint32_t>(width);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < width; ++c)
-            key.v[c] = col(c)[i];
-        out[i] = InlineKeyHash{}(key);
-    }
-}
-
-/**
- * One join's built hash table: its distinct build keys in a flat,
- * hash-partitioned GroupTable. Semi/anti joins keep the keys alone,
- * an existence set probed with contains(). Inner joins give each key
- * two slots, the range [slot 0, slot 1) of its payload tuples in the
- * flat tuple array of the key's hash partition, payload-width ints
- * per tuple in serial scan order. Built once by the partitioned
- * parallel build, then probed strictly read-only by every worker.
- */
-struct BatchBuildSide
-{
-    GroupTable keys;
-    std::array<std::vector<std::int64_t>, kHashPartitions> tuples;
-};
-
 /** ColRef resolved for the batch probe: an index into the morsel's
  *  gathered probe columns, or a payload slot of an earlier join. */
 struct BatchRef
@@ -747,173 +714,31 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         materializeSubqueriesBatch(db, plan, opts, pool);
     const auto t_subq = Clock::now();
 
-    // Build phase: partitioned parallel build of each join's hash
-    // table. Workers claim the build input's scan runs through the
-    // normal morsel pipeline. Semi/anti joins dedupe each worker's
-    // surviving keys into its own flat key set, and the sets merge
-    // partition-parallel. Inner joins gather per-run partial
-    // partitions keyed by the top bits of the key hash; the stitch
-    // then walks each partition's chunks in run order — exactly the
-    // serial scan's row order — so every key's payload tuples (and
-    // therefore inner-join match expansion) stay byte-identical to
-    // the serial build. Built once here, then probed strictly
-    // read-only by every worker.
-    std::vector<BatchBuildSide> builds(plan.joins.size());
-    for (std::size_t k = 0; k < plan.joins.size(); ++k) {
-        const auto &join = plan.joins[k];
-        const auto &store = db.table(join.build.table).store();
+    // Build phase: each join's build input streams through the
+    // build-side scan, and the collected rows place into the join's
+    // BuildTable — a key set for semi/anti joins, key -> payload
+    // tuple ranges for inner joins, every key's tuples in serial scan
+    // order so inner-join match expansion stays byte-identical to the
+    // serial build. Built once here, then probed strictly read-only
+    // by every worker.
+    std::vector<BuildTable> builds;
+    builds.reserve(plan.joins.size());
+    for (const auto &join : plan.joins) {
         const bool inner = join.kind == JoinKind::Inner;
-        const auto keyw = static_cast<std::uint32_t>(join.keys.size());
-        const std::size_t payw = inner ? join.payload.size() : 0;
-        auto &side = builds[k];
-        side.keys = GroupTable(keyw, inner ? 2 : 0);
-
-        /** Per-worker build-scan state: private readers, predicate
-         *  chain and (semi/anti) key set, built lazily on the
-         *  worker's first claimed run. */
-        struct BuildWorker
-        {
-            BuildWorker(const storage::TableStore &st,
-                        const JoinSpec &jn)
-                : preds(st, jn.build),
-                  keys(static_cast<std::uint32_t>(jn.keys.size()), 0)
-            {
-                for (const auto &[build_col, ref] : jn.keys) {
-                    (void)ref;
-                    keyRd.emplace_back(st, build_col);
-                }
-                if (jn.kind == JoinKind::Inner)
-                    for (const auto &col : jn.payload)
-                        payRd.emplace_back(st, col);
-                keyCols.resize(keyRd.size());
-                payCols.resize(payRd.size());
-            }
-            BatchPredicates preds;
-            std::vector<BatchColumnReader> keyRd, payRd;
-            SelectionVector sel;
-            std::vector<ColumnBatch> keyCols, payCols;
-            std::vector<std::uint64_t> hashes;
-            GroupTable keys; ///< Semi/anti: distinct keys scanned.
-        };
-
-        /** One (run, partition) cell of an inner build: surviving
-         *  rows in scan order, as key hashes plus keyw key ints and
-         *  payw payload ints per row. */
-        struct BuildChunk
-        {
-            std::vector<std::uint64_t> hashes;
-            std::vector<std::int64_t> keys, vals;
-        };
-
-        const auto runs = scanRuns(store, opts.morselRows);
-        const std::size_t tasks = runs.size();
-        const std::uint32_t nworkers = pool ? pool->workers() : 1;
-        std::vector<std::optional<BuildWorker>> bstates(nworkers);
-        std::vector<std::array<BuildChunk, kHashPartitions>> cells(
-            inner ? tasks : 0);
-
-        auto scanTask = [&](std::uint32_t w, std::size_t t) {
-            if (!bstates[w])
-                bstates[w].emplace(store, join);
-            auto &bw = *bstates[w];
-            bw.preds.beginRun();
-            InlineKey key;
-            key.n = keyw;
-            forEachMorselInRun(
-                runs[t], opts.morselRows, [&](const Morsel &m) {
-                    visibleRows(store, m, bw.sel);
-                    bw.preds.apply(m, bw.sel);
-                    if (bw.sel.empty())
-                        return;
-                    for (std::size_t c = 0; c < keyw; ++c)
-                        bw.keyRd[c].gatherInts(m, bw.sel.span(),
-                                               bw.keyCols[c]);
-                    for (std::size_t c = 0; c < payw; ++c)
-                        bw.payRd[c].gatherInts(m, bw.sel.span(),
-                                               bw.payCols[c]);
-                    hashKeyRows(
-                        keyw, bw.sel.size(),
-                        [&](std::size_t c) {
-                            return std::span<const std::int64_t>(
-                                bw.keyCols[c].ints);
-                        },
-                        bw.hashes);
-                    for (std::size_t i = 0; i < bw.sel.size(); ++i) {
-                        for (std::size_t c = 0; c < keyw; ++c)
-                            key.v[c] = bw.keyCols[c].ints[i];
-                        if (!inner) {
-                            bw.keys.findOrInsert(key, bw.hashes[i]);
-                            continue;
-                        }
-                        auto &cell =
-                            cells[t][hashPartitionOf(bw.hashes[i])];
-                        cell.hashes.push_back(bw.hashes[i]);
-                        cell.keys.insert(cell.keys.end(), key.v.begin(),
-                                         key.v.begin() + keyw);
-                        for (std::size_t c = 0; c < payw; ++c)
-                            cell.vals.push_back(bw.payCols[c].ints[i]);
-                    }
-                });
-        };
-        runTasks(pool, tasks, scanTask);
-
-        if (!inner) {
-            std::vector<GroupTable *> tables;
-            for (auto &bw : bstates)
-                if (bw)
-                    tables.push_back(&bw->keys);
-            if (!tables.empty())
-                side.keys = std::move(mergeGroupTables(
-                    tables, pool,
-                    [](GroupTable::Group, const std::int64_t *,
-                       std::uint64_t) {}));
-            continue;
-        }
-
-        // Inner stitch of partition p: count each key's tuples
-        // (slot 1), lay the keys' tuple ranges out back to back in
-        // first-seen order, then walk the chunks again in task order
-        // scattering every payload to its key's next tuple. A stitch
-        // touches partition p of the key table only, so the
-        // partitions stitch concurrently without locks.
-        auto stitch = [&](std::uint32_t, std::size_t p) {
-            InlineKey key;
-            key.n = keyw;
-            auto keyOf = [&](const BuildChunk &cell,
-                             std::size_t i) -> const InlineKey & {
-                std::copy_n(cell.keys.data() + i * keyw, keyw,
-                            key.v.begin());
-                return key;
-            };
-            for (std::size_t t = 0; t < tasks; ++t) {
-                const auto &cell = cells[t][p];
-                for (std::size_t i = 0; i < cell.hashes.size(); ++i)
-                    ++side.keys.findOrInsert(keyOf(cell, i),
-                                             cell.hashes[i])
-                          .aggs[1];
-            }
-            std::int64_t next = 0;
-            const auto ranges = side.keys.partitionAggs(p);
-            for (std::size_t g = 0; g < ranges.size(); g += 2) {
-                const std::int64_t count = ranges[g + 1];
-                ranges[g] = ranges[g + 1] = next;
-                next += count;
-            }
-            auto &tuples = side.tuples[p];
-            tuples.resize(static_cast<std::size_t>(next) * payw);
-            for (std::size_t t = 0; t < tasks; ++t) {
-                const auto &cell = cells[t][p];
-                for (std::size_t i = 0; i < cell.hashes.size(); ++i) {
-                    const auto slot = static_cast<std::size_t>(
-                        side.keys.find(keyOf(cell, i),
-                                       cell.hashes[i])[1]++);
-                    if (payw != 0)
-                        std::copy_n(cell.vals.data() + i * payw, payw,
-                                    tuples.data() + slot * payw);
-                }
-            }
-        };
-        runTasks(pool, kHashPartitions, stitch);
+        std::vector<std::string> key_cols;
+        for (const auto &key : join.keys)
+            key_cols.push_back(key.first);
+        const auto rows = collectBuildRows(
+            db.table(join.build.table).store(), join.build, key_cols,
+            inner ? join.payload : std::vector<std::string>{}, {}, opts,
+            pool);
+        const auto keyw = static_cast<std::uint32_t>(key_cols.size());
+        builds.push_back(
+            inner ? BuildTable::tupleRanges(
+                        keyw,
+                        static_cast<std::uint32_t>(join.payload.size()),
+                        rows, pool)
+                  : BuildTable::keySet(keyw, rows, pool));
     }
     const auto t_build = Clock::now();
 
@@ -1066,7 +891,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     {
         WorkerState(const storage::TableStore &store,
                     const QueryPlan &plan,
-                    const std::vector<SubqueryResult> *subs,
+                    const std::vector<BuildTable> *subs,
                     const std::vector<std::string> &cols,
                     bool fused_ungrouped, bool dense_grouped)
             : preds(store, plan.probe, &plan, subs),
@@ -1079,8 +904,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             for (const auto &name : cols)
                 rd.emplace_back(store, name);
             batches.resize(cols.size());
-            bulkKeys.resize(plan.joins.size());
-            bulkHashes.resize(plan.joins.size());
+            bulkLocs.resize(plan.joins.size());
             joinStats.resize(plan.joins.size());
             etup.resize(plan.joins.size());
             etupNext.resize(plan.joins.size());
@@ -1096,11 +920,14 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<BatchColumnReader> rd; ///< By probe slot.
         std::vector<ColumnBatch> batches;  ///< By probe slot.
         SelectionVector sel;
-        /** Probe-keyed descend joins' keys and key hashes per
-         *  selection row. */
-        std::vector<std::vector<InlineKey>> bulkKeys;
-        std::vector<std::vector<std::uint64_t>> bulkHashes;
-        std::vector<std::uint64_t> hashes; ///< Filter-join key hashes.
+        /** Probe-keyed descend joins' located keys per selection
+         *  row. */
+        std::vector<std::vector<std::uint64_t>> bulkLocs;
+        /** Located keys of a filter join (per selection row) or of a
+         *  payload-keyed descend join (per entry). */
+        std::vector<std::uint64_t> locs;
+        /** Payload-keyed descend join keys over the entries. */
+        std::vector<std::vector<std::int64_t>> keyScratch;
         // Join match expansion: entry e is (selection index erow[e],
         // payload tuple etup[k][e] per expanded inner join k).
         std::vector<std::uint32_t> erow, erowNext;
@@ -1130,7 +957,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::uint64_t filtered = 0;
         /** Per-join observed in/out row flow (ExecStats). */
         std::vector<JoinExecStats> joinStats;
-        InlineKey fk; ///< Join probe key, reused across rows.
     };
 
     /** Group-table accumulation of entries [0, n) via
@@ -1213,8 +1039,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         st.preds.apply(m, st.sel);
         st.filtered += st.sel.size();
 
-        // Filter joins: bulk-hash the morsel's keys, probe the built
-        // key sets and compact the selection in place.
+        // Filter joins: locate the morsel's keys in the built key
+        // sets in bulk and compact the selection in place.
         for (const auto k : filter_joins) {
             if (st.sel.empty())
                 break;
@@ -1224,22 +1050,20 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             for (const auto &ref : refs)
                 st.rd[ref.idx].gatherInts(m, st.sel.span(),
                                           st.batches[ref.idx]);
-            auto col = [&](std::size_t c) {
-                return std::span<const std::int64_t>(
-                    st.batches[refs[c].idx].ints);
-            };
-            hashKeyRows(refs.size(), st.sel.size(), col, st.hashes);
-            const auto &keys = builds[k].keys;
+            builds[k].find(
+                st.sel.size(),
+                [&](std::size_t c) {
+                    return std::span<const std::int64_t>(
+                        st.batches[refs[c].idx].ints);
+                },
+                st.locs);
             const bool anti =
                 plan.joins[k].kind == JoinKind::Anti;
-            st.fk.n = static_cast<std::uint32_t>(refs.size());
             std::size_t n = 0;
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
-                for (std::size_t c = 0; c < refs.size(); ++c)
-                    st.fk.v[c] = col(c)[i];
-                const bool found = keys.contains(st.fk, st.hashes[i]);
                 st.sel.idx[n] = st.sel.idx[i];
-                n += static_cast<std::size_t>(found != anti);
+                n += static_cast<std::size_t>(
+                    builds[k].contains(st.locs[i]) != anti);
             }
             st.sel.idx.resize(n);
             js.out += n;
@@ -1309,24 +1133,18 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             return;
         }
 
-        // Bulk-hash the pure-probe descend-join keys for the morsel.
+        // Locate the pure-probe descend-join keys for the morsel.
         for (const auto k : descend_joins) {
             if (!probe_keyed[k])
                 continue;
-            auto &keys = st.bulkKeys[k];
-            keys.resize(st.sel.size());
             const auto &refs = join_key_refs[k];
-            auto col = [&](std::size_t c) {
-                return std::span<const std::int64_t>(
-                    st.batches[refs[c].idx].ints);
-            };
-            for (std::size_t i = 0; i < st.sel.size(); ++i) {
-                keys[i].n = static_cast<std::uint32_t>(refs.size());
-                for (std::size_t c = 0; c < refs.size(); ++c)
-                    keys[i].v[c] = col(c)[i];
-            }
-            hashKeyRows(refs.size(), st.sel.size(), col,
-                        st.bulkHashes[k]);
+            builds[k].find(
+                st.sel.size(),
+                [&](std::size_t c) {
+                    return std::span<const std::int64_t>(
+                        st.batches[refs[c].idx].ints);
+                },
+                st.bulkLocs[k]);
         }
 
         // Batched match expansion: entries start as the surviving
@@ -1343,35 +1161,41 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 
         for (const auto k : descend_joins) {
             st.joinStats[k].in += erow.size();
-            const auto &refs = join_key_refs[k];
             const auto &side = builds[k];
-            auto keyAt = [&](std::size_t e) -> const InlineKey & {
-                if (probe_keyed[k])
-                    return st.bulkKeys[k][erow[e]];
-                st.fk.n = static_cast<std::uint32_t>(refs.size());
+            if (!probe_keyed[k]) {
+                // Keys over earlier joins' payloads: gather them over
+                // the entries, then locate in bulk.
+                const auto &refs = join_key_refs[k];
+                if (st.keyScratch.size() < refs.size())
+                    st.keyScratch.resize(refs.size());
                 for (std::size_t c = 0; c < refs.size(); ++c) {
                     const auto &r = refs[c];
-                    st.fk.v[c] =
-                        r.side == ColRef::kProbe
-                            ? st.batches[r.idx].ints[erow[e]]
-                            : st.etup[static_cast<std::size_t>(
-                                  r.side)][e][r.idx];
+                    auto &dst = st.keyScratch[c];
+                    dst.resize(erow.size());
+                    for (std::size_t e = 0; e < erow.size(); ++e)
+                        dst[e] = r.side == ColRef::kProbe
+                                     ? st.batches[r.idx].ints[erow[e]]
+                                     : st.etup[static_cast<std::size_t>(
+                                           r.side)][e][r.idx];
                 }
-                return st.fk;
-            };
-            auto hashAt = [&](std::size_t e, const InlineKey &key) {
-                return probe_keyed[k]
-                           ? st.bulkHashes[k][erow[e]]
-                           : std::uint64_t{InlineKeyHash{}(key)};
+                side.find(
+                    erow.size(),
+                    [&](std::size_t c) {
+                        return std::span<const std::int64_t>(
+                            st.keyScratch[c]);
+                    },
+                    st.locs);
+            }
+            auto locAt = [&](std::size_t e) {
+                return probe_keyed[k] ? st.bulkLocs[k][erow[e]]
+                                      : st.locs[e];
             };
             if (plan.joins[k].kind != JoinKind::Inner) {
                 const bool anti =
                     plan.joins[k].kind == JoinKind::Anti;
                 std::size_t n = 0;
                 for (std::size_t e = 0; e < erow.size(); ++e) {
-                    const auto &key = keyAt(e);
-                    if (side.keys.contains(key, hashAt(e, key)) ==
-                        anti)
+                    if (side.contains(locAt(e)) == anti)
                         continue;
                     erow[n] = erow[e];
                     for (const auto l : st.activeTup)
@@ -1388,19 +1212,14 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     st.etupNext[l].clear();
                 st.etupNext[k].clear();
                 for (std::size_t e = 0; e < erow.size(); ++e) {
-                    const auto &key = keyAt(e);
-                    const std::uint64_t h = hashAt(e, key);
-                    const std::int64_t *range = side.keys.find(key, h);
-                    if (!range)
-                        continue;
-                    const std::int64_t *tuples =
-                        side.tuples[hashPartitionOf(h)].data();
-                    for (auto j = range[0]; j < range[1]; ++j) {
+                    const auto match = side.matches(locAt(e));
+                    for (std::uint64_t j = 0; j < match.count; ++j) {
                         st.erowNext.push_back(erow[e]);
                         for (const auto l : st.activeTup)
                             st.etupNext[l].push_back(st.etup[l][e]);
                         st.etupNext[k].push_back(
-                            tuples + static_cast<std::size_t>(j) * payw);
+                            match.first +
+                            static_cast<std::size_t>(j) * payw);
                     }
                 }
                 std::swap(erow, st.erowNext);
@@ -1534,6 +1353,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     out.stats.joins.resize(plan.joins.size());
     out.stats.conjuncts.assign(plan.probe.exprPredicates.size(),
                                {0, 0});
+    for (const auto &b : builds)
+        out.stats.joinBuilds.push_back({b.rows(), b.denseSlots()});
+    for (const auto &sub : subqueries)
+        out.stats.subqueryBuilds.push_back(
+            {sub.rows(), sub.denseSlots()});
     for (const auto *st : engaged) {
         out.stats.probeFiltered += st->filtered;
         for (std::size_t k = 0; k < plan.joins.size(); ++k) {

@@ -3,9 +3,9 @@
 /**
  * @file
  * The OLAP executor: executePlan() runs a logical QueryPlan — typed
- * column scans over the snapshot bitmaps, predicate filters, hash
- * joins (build + probe), a grouped aggregate and a sort/limit — and
- * is the only way a plan executes.
+ * column scans over the snapshot bitmaps, predicate filters,
+ * equi-joins (build + probe), a grouped aggregate and a sort/limit —
+ * and is the only way a plan executes.
  *
  * executePlan() is morsel-driven, batch-at-a-time and parallel: every
  * table pass splits into morsel-aligned scan runs (scanRuns, data
@@ -16,17 +16,17 @@
  * zero-copy stride path for unfragmented columns, predicate kernels
  * — closed forms and expression trees with selectivity-adaptive
  * conjunct ordering — that compact the selection in place,
- * bulk-hashed join probes with batched inner-join match expansion
+ * bulk join probes with batched inner-join match expansion
  * into per-morsel index/payload-pointer vectors, and a filter+
  * aggregate pass fused into one loop when no join intervenes). The
- * pre-query phases are parallel too: every join builds into the flat,
- * hash-partitioned GroupTable of olap/group_table.hpp with no
- * per-tuple allocation — semi/anti key sets deduped per worker and
- * merged partition-parallel, inner key → tuple-range tables stitched
- * per partition from per-run chunks in deterministic run order — and
- * scalar subqueries materialize through the same morsel pipeline
- * (per-worker flat group tables, partition-parallel merge) before
- * either is probed strictly read-only by the fan-out. Per-worker partial accumulators
+ * pre-query phases are parallel too: every join build and scalar
+ * subquery pre-pass scans its source through one morsel pipeline into
+ * per-task row buffers, then places the keys in a BuildTable of
+ * olap/group_table.hpp — direct-addressed by key slot when the keys'
+ * observed domain is small enough (a bitset for semi/anti joins, an
+ * offset array over the payload tuples for inner joins, flat slots
+ * for subqueries), hashed into the partitioned GroupTable otherwise —
+ * before the fan-out probes it strictly read-only. Per-worker partial accumulators
  * merge with commutative folds and materialize in a total order, so
  * results are byte-identical to the single-threaded run for every
  * worker count.
@@ -74,6 +74,15 @@ struct JoinExecStats
     std::uint64_t out = 0; ///< Entries surviving (or expanded) out.
 };
 
+/** How one join build or subquery pre-pass placed its keys. */
+struct BuildExecStats
+{
+    std::uint64_t rows = 0; ///< Rows its scan collected.
+    /** Direct-addressed slots; 0 when the keys were hashed, and for
+     *  a build that collected no row. */
+    std::uint64_t denseSlots = 0;
+};
+
 /**
  * Measured execution statistics of the executor — observed, not
  * modelled. The cost-based optimizer's per-plan stats cache feeds on
@@ -97,6 +106,11 @@ struct ExecStats
      *  selectivities (order-dependent counts, but the order is a
      *  per-run function of the data, not of the scheduling). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> conjuncts;
+    /** Per plan join, and per plan subquery: the build's form. Sums
+     *  over scan tasks and a domain read off the collected keys, so
+     *  identical for every worker count too. */
+    std::vector<BuildExecStats> joinBuilds;
+    std::vector<BuildExecStats> subqueryBuilds;
 };
 
 /**
@@ -133,7 +147,7 @@ struct PlanExecution
     /**
      * Host wall-clock of the batch engine's execution phases, in
      * nanoseconds: the scalar-subquery pre-pass, the join build
-     * phase (partitioned scan + inner stitch or key-set merge), the
+     * phase (build scans + key placement), the
      * probe fan-out, and the final cross-worker merge/materialize.
      * Measured time, not modelled — the pricing walks never read
      * these.

@@ -7,7 +7,7 @@
  * A plan is pure data: one probe table with pushed-down predicates
  * (closed int-range/char-prefix forms plus arbitrary expression
  * trees, olap/expr.hpp), optional scalar subqueries materialized as
- * a pre-pass, a chain of hash joins against filtered build tables, a
+ * a pre-pass, a chain of equi-joins against filtered build tables, a
  * grouped aggregation (plain columns or integer expressions) and an
  * optional sort/limit. The physical operators in olap/operators.hpp
  * execute a plan exactly over the MVCC snapshot bitmaps; the pricing

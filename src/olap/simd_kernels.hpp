@@ -120,14 +120,7 @@ void gatherDictCodes(std::span<const std::uint8_t> packed,
                      std::span<const std::uint32_t> sel,
                      AlignedVec<std::uint32_t> &out);
 
-/**
- * Bulk single-int key hashing: out[i] = InlineKeyHash of the one-
- * column key {keys[i]} (@p out is sized like @p keys). The vector
- * path hashes 4 keys per step with the same SplitMix64 mix and FNV
- * fold; the join builds partition by these hashes and the probes
- * pass them to GroupTable::contains / find.
- */
-void hashKeys1(std::span<const std::int64_t> keys,
-               std::span<std::uint64_t> out);
+// hashKeys1, the bulk single-int key hash, is declared next to
+// InlineKeyHash in olap/group_table.hpp.
 
 } // namespace pushtap::olap::simd

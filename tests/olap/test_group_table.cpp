@@ -325,6 +325,349 @@ TEST(DenseGroupAggregator, MergesArraysAndSpillsDisjointRanges)
     EXPECT_EQ(groups, 1001u + 1001u);
 }
 
+// ---- BuildTable: the join builds' and subquery pre-passes' keys ----
+
+using Tuple = std::vector<std::int64_t>;
+
+/**
+ * Rows as build-scan tasks of up to @p per rows each, in order: key
+ * tuple keys[i] (width @p width) and value ints vals[i] per row.
+ */
+std::vector<BuildRows>
+tasksOf(std::uint32_t width, const std::vector<Tuple> &keys,
+        const std::vector<Tuple> &vals, std::size_t per)
+{
+    std::vector<BuildRows> tasks;
+    for (std::size_t b = 0; b < keys.size(); b += per) {
+        BuildRows t;
+        t.keys.resize(width);
+        const std::size_t e = std::min(keys.size(), b + per);
+        for (std::uint32_t c = 0; c < width; ++c) {
+            std::vector<std::int64_t> col;
+            for (std::size_t i = b; i < e; ++i)
+                col.push_back(keys[i][c]);
+            t.appendKeys(c, col);
+        }
+        for (std::size_t i = b; i < e; ++i)
+            t.vals.insert(t.vals.end(), vals[i].begin(), vals[i].end());
+        t.rows = e - b;
+        tasks.push_back(std::move(t));
+    }
+    return tasks;
+}
+
+/** find() over probe key tuples of the build's width. */
+std::vector<std::uint64_t>
+locate(const BuildTable &b, std::uint32_t width,
+       const std::vector<Tuple> &probes)
+{
+    std::vector<std::vector<std::int64_t>> cols(width);
+    for (const auto &k : probes)
+        for (std::uint32_t c = 0; c < width; ++c)
+            cols[c].push_back(k[c]);
+    std::vector<std::uint64_t> out;
+    b.find(
+        probes.size(),
+        [&](std::size_t c) {
+            return std::span<const std::int64_t>(cols[c]);
+        },
+        out);
+    return out;
+}
+
+/** The three forms built over the same rows: a key set, tuple ranges
+ *  carrying every row's vals, aggregates folding them. */
+struct Builds
+{
+    BuildTable set, ranges, aggs;
+};
+
+Builds
+buildAll(std::uint32_t width, const std::vector<Tuple> &keys,
+         const std::vector<Tuple> &vals,
+         const std::vector<AggKind> &kinds, WorkerPool *pool,
+         std::size_t per = 1000)
+{
+    const auto tasks = tasksOf(width, keys, vals, per);
+    return {BuildTable::keySet(width, tasks, pool),
+            BuildTable::tupleRanges(
+                width, static_cast<std::uint32_t>(kinds.size()), tasks,
+                pool),
+            BuildTable::aggregates(width, kinds, tasks, pool)};
+}
+
+/**
+ * Check every form of @p b against the rows it was built from, for
+ * each probe: membership, the key's value tuples in row order, and
+ * each aggregate (0 for a key no row has).
+ */
+void
+expectBuildsMatch(const Builds &b, std::uint32_t width,
+                  const std::vector<Tuple> &keys,
+                  const std::vector<Tuple> &vals,
+                  const std::vector<AggKind> &kinds,
+                  const std::vector<Tuple> &probes,
+                  const std::string &what)
+{
+    std::map<Tuple, std::vector<Tuple>> ref;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ref[keys[i]].push_back(vals[i]);
+    const auto in_set = locate(b.set, width, probes);
+    const auto in_ranges = locate(b.ranges, width, probes);
+    const auto in_aggs = locate(b.aggs, width, probes);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        const auto it = ref.find(probes[p]);
+        const bool member = it != ref.end();
+        EXPECT_EQ(b.set.contains(in_set[p]), member) << what << " " << p;
+        EXPECT_EQ(b.ranges.contains(in_ranges[p]), member) << what;
+        EXPECT_EQ(b.aggs.contains(in_aggs[p]), member) << what;
+        const auto m = b.ranges.matches(in_ranges[p]);
+        ASSERT_EQ(m.count, member ? it->second.size() : 0u) << what;
+        for (std::size_t j = 0; j < m.count; ++j)
+            EXPECT_EQ(Tuple(m.first + j * kinds.size(),
+                            m.first + (j + 1) * kinds.size()),
+                      it->second[j])
+                << what << " probe " << p << " tuple " << j;
+        for (std::size_t a = 0; a < kinds.size(); ++a) {
+            std::int64_t want = 0;
+            if (member) {
+                if (kinds[a] != AggKind::Sum)
+                    want = it->second[0][a];
+                for (const auto &v : it->second)
+                    foldValue(want, kinds[a], v[a], false);
+            }
+            EXPECT_EQ(b.aggs.value(in_aggs[p], a), want)
+                << what << " probe " << p << " agg " << a;
+        }
+    }
+}
+
+TEST(BuildTable, NegativeKeysMissOneStepOutsideEachColumn)
+{
+    // A 3-column domain of negative and mixed keys, every other key
+    // present: each member, and each member with one column moved to
+    // lo - 1 or hi + 1, probed against all three forms.
+    const std::array<std::pair<std::int64_t, std::int64_t>, 3> range = {
+        {{-5, 3}, {-100, -90}, {7, 9}}};
+    std::vector<Tuple> keys, vals;
+    for (std::int64_t a = range[0].first; a <= range[0].second; ++a)
+        for (std::int64_t b = range[1].first; b <= range[1].second; ++b)
+            for (std::int64_t c = range[2].first; c <= range[2].second;
+                 ++c)
+                if ((a + b + c) % 2 == 0 || a == range[0].first ||
+                    a == range[0].second) {
+                    keys.push_back({a, b, c});
+                    vals.push_back({a * b, -c, b});
+                }
+    const std::vector<AggKind> kinds = {AggKind::Sum, AggKind::Min,
+                                        AggKind::Max};
+    WorkerPool pool(4);
+    const auto b = buildAll(3, keys, vals, kinds, &pool, 64);
+    const std::uint64_t slots = 9 * 11 * 3;
+    EXPECT_EQ(b.set.denseSlots(), slots);
+    EXPECT_EQ(b.ranges.denseSlots(), slots);
+    EXPECT_EQ(b.aggs.denseSlots(), slots);
+    EXPECT_EQ(b.set.rows(), keys.size());
+    std::vector<Tuple> probes = keys;
+    for (const auto &k : keys)
+        for (std::size_t c = 0; c < 3; ++c)
+            for (const std::int64_t v :
+                 {range[c].first - 1, range[c].second + 1}) {
+                Tuple out = k;
+                out[c] = v;
+                probes.push_back(out);
+            }
+    // Every key of the domain box, members or not.
+    for (std::int64_t a = range[0].first; a <= range[0].second; ++a)
+        for (std::int64_t b2 = range[1].first; b2 <= range[1].second;
+             ++b2)
+            probes.push_back({a, b2, range[2].first + 1});
+    expectBuildsMatch(b, 3, keys, vals, kinds, probes, "negative");
+}
+
+TEST(BuildTable, FullInt64RangeFallsBackToHashing)
+{
+    // A key column spanning all of int64 (hi - lo + 1 wraps to 0) or
+    // all but one value: no domain, so every form hashes, and still
+    // answers exactly.
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<AggKind> kinds = {AggKind::Min, AggKind::Max};
+    for (const std::int64_t top : {kMax, kMax - 1}) {
+        std::vector<Tuple> keys = {{kMin, 1}, {top, 2}, {0, 3},
+                                   {kMin, 1}, {-1, 2}};
+        std::vector<Tuple> vals = {{kMax, kMin}, {5, -5}, {0, 0},
+                                   {-7, 7}, {kMin, kMax}};
+        const auto b = buildAll(2, keys, vals, kinds, nullptr, 2);
+        EXPECT_EQ(b.set.denseSlots(), 0u) << top;
+        EXPECT_EQ(b.ranges.denseSlots(), 0u) << top;
+        EXPECT_EQ(b.aggs.denseSlots(), 0u) << top;
+        EXPECT_EQ(b.aggs.rows(), keys.size()) << top;
+        auto probes = keys;
+        probes.push_back({kMin, 2});
+        probes.push_back({kMax, 1});
+        probes.push_back({1, 3});
+        expectBuildsMatch(b, 2, keys, vals, kinds, probes,
+                          "int64 span " + std::to_string(top));
+    }
+}
+
+TEST(BuildTable, DomainAtTheBoundIsDenseOneSlotOverIsHashed)
+{
+    // The rule as documented next to denseSlotBound.
+    EXPECT_EQ(denseSlotBound(BuildForm::KeySet, 3, 0, 1000),
+              (128 + 64 * 3) * 1000 + kDenseSlack);
+    EXPECT_EQ(denseSlotBound(BuildForm::TupleRanges, 3, 2, 1000),
+              (8 + 2 * 3) * 1000 + kDenseSlack);
+    EXPECT_EQ(denseSlotBound(BuildForm::Aggregates, 1, 1, 1000),
+              (3 + 1) * 1000 + kDenseSlack);
+    EXPECT_EQ(denseSlotBound(BuildForm::Aggregates, 2, 2, 1000),
+              (2 + 2 + 2) * 1000 / 2 + kDenseSlack);
+    EXPECT_EQ(denseSlotBound(BuildForm::KeySet, 1, 0, ~0ull),
+              ~0ull);
+
+    // Two rows keyed lo and lo + bound - 1 span exactly the bound;
+    // moving the second key up by one spans one slot too many.
+    const std::vector<AggKind> kinds = {AggKind::Sum};
+    const std::vector<Tuple> vals = {{3}, {4}};
+    WorkerPool pool(2);
+    for (const std::int64_t lo : {std::int64_t{-20}, std::int64_t{0}}) {
+        const auto bound = [](BuildForm f) {
+            return static_cast<std::int64_t>(
+                denseSlotBound(f, 1, 1, 2));
+        };
+        for (const auto form : {BuildForm::KeySet, BuildForm::TupleRanges,
+                                BuildForm::Aggregates}) {
+            for (const std::int64_t over : {0, 1}) {
+                const std::vector<Tuple> keys = {
+                    {lo}, {lo + bound(form) - 1 + over}};
+                const auto tasks = tasksOf(1, keys, vals, 1);
+                const auto b =
+                    form == BuildForm::KeySet
+                        ? BuildTable::keySet(1, tasks, &pool)
+                    : form == BuildForm::TupleRanges
+                        ? BuildTable::tupleRanges(1, 1, tasks, &pool)
+                        : BuildTable::aggregates(1, kinds, tasks, &pool);
+                const auto what = "form " +
+                                  std::to_string(static_cast<int>(form)) +
+                                  " over " + std::to_string(over);
+                EXPECT_EQ(b.denseSlots(),
+                          over ? 0u
+                               : static_cast<std::uint64_t>(bound(form)))
+                    << what;
+                const auto locs =
+                    locate(b, 1, {keys[0], keys[1], {lo + 1}});
+                EXPECT_TRUE(b.contains(locs[0])) << what;
+                EXPECT_TRUE(b.contains(locs[1])) << what;
+                EXPECT_FALSE(b.contains(locs[2])) << what;
+            }
+        }
+    }
+}
+
+TEST(BuildTable, OneSlotSharedByEveryRowAtFourWorkers)
+{
+    // 100k rows on one key (a build keyed on the only warehouse):
+    // every worker hits the same bitset word and the same counter.
+    // The tuple range keeps all of them in row order.
+    std::vector<Tuple> keys(100'000, Tuple{1}), vals;
+    for (std::int64_t i = 0; i < 100'000; ++i)
+        vals.push_back({i});
+    const std::vector<AggKind> kinds = {AggKind::Sum};
+    WorkerPool pool(4);
+    const auto b = buildAll(1, keys, vals, kinds, &pool, 2048);
+    EXPECT_EQ(b.set.denseSlots(), 1u);
+    EXPECT_EQ(b.ranges.denseSlots(), 1u);
+    EXPECT_EQ(b.aggs.denseSlots(), 1u);
+    const auto locs = locate(b.ranges, 1, {{0}, {1}, {2}});
+    EXPECT_FALSE(b.ranges.contains(locs[0]));
+    EXPECT_FALSE(b.ranges.contains(locs[2]));
+    const auto m = b.ranges.matches(locs[1]);
+    ASSERT_EQ(m.count, 100'000u);
+    for (std::int64_t i = 0; i < 100'000; ++i)
+        ASSERT_EQ(m.first[i], i);
+    EXPECT_EQ(b.aggs.value(locate(b.aggs, 1, {{1}})[0], 0),
+              std::int64_t{100'000} * 99'999 / 2);
+    EXPECT_TRUE(b.set.contains(locate(b.set, 1, {{1}})[0]));
+}
+
+TEST(BuildTable, GappedAggregatesReadZeroForMissingKeys)
+{
+    // Min/Max slots idle at the int64 extremes: a key between the
+    // present ones, or past either end, still reads 0.
+    const std::vector<Tuple> keys = {{1}, {5}, {9}, {5}, {1}};
+    const std::vector<Tuple> vals = {
+        {-3, -3}, {10, 10}, {-8, -8}, {12, 12}, {-9, -9}};
+    const std::vector<AggKind> kinds = {AggKind::Min, AggKind::Max};
+    for (const std::size_t per : {std::size_t{1}, std::size_t{5}}) {
+        WorkerPool pool(3);
+        const auto b = buildAll(1, keys, vals, kinds, &pool, per);
+        ASSERT_EQ(b.aggs.denseSlots(), 9u);
+        std::vector<Tuple> probes;
+        for (std::int64_t k = -1; k <= 11; ++k)
+            probes.push_back({k});
+        const auto locs = locate(b.aggs, 1, probes);
+        for (std::size_t p = 0; p < probes.size(); ++p) {
+            const std::int64_t k = probes[p][0];
+            const std::int64_t min = k == 1   ? -9
+                                     : k == 5 ? 10
+                                     : k == 9 ? -8
+                                              : 0;
+            const std::int64_t max = k == 1   ? -3
+                                     : k == 5 ? 12
+                                     : k == 9 ? -8
+                                              : 0;
+            EXPECT_EQ(b.aggs.value(locs[p], 0), min) << k;
+            EXPECT_EQ(b.aggs.value(locs[p], 1), max) << k;
+        }
+        expectBuildsMatch(b, 1, keys, vals, kinds, probes, "gapped");
+    }
+}
+
+TEST(BuildTable, BothFormsMatchReferenceAtEveryWorkerCount)
+{
+    // Random rows over a small domain (dense) and over a wide one
+    // (hashed), built serially and on 4 workers in many tasks, all
+    // against the same reference.
+    const std::vector<AggKind> kinds = {AggKind::Sum, AggKind::Min,
+                                        AggKind::Max};
+    for (const std::uint32_t width : {1u, 2u, 3u})
+        for (const bool wide : {false, true}) {
+            Rng rng(41 + width);
+            const std::int64_t span = wide ? 1'000'000'000 : 12;
+            std::vector<Tuple> keys, vals, probes;
+            for (int i = 0; i < 20'000; ++i) {
+                Tuple k;
+                for (std::uint32_t c = 0; c < width; ++c)
+                    k.push_back(rng.inRange(-span, span));
+                keys.push_back(k);
+                vals.push_back({rng.inRange(-1000, 1000),
+                                rng.inRange(-1000, 1000),
+                                rng.inRange(-1000, 1000)});
+            }
+            probes = keys;
+            for (int i = 0; i < 2000; ++i) {
+                Tuple k;
+                for (std::uint32_t c = 0; c < width; ++c)
+                    k.push_back(rng.inRange(-span - 2, span + 2));
+                probes.push_back(k);
+            }
+            WorkerPool pool(4);
+            for (WorkerPool *p : {static_cast<WorkerPool *>(nullptr),
+                                  &pool}) {
+                const auto b = buildAll(width, keys, vals, kinds, p, 700);
+                const bool hashed = b.set.denseSlots() == 0;
+                EXPECT_EQ(hashed, wide) << "width " << width;
+                EXPECT_EQ(b.ranges.denseSlots() == 0, wide);
+                EXPECT_EQ(b.aggs.denseSlots() == 0, wide);
+                expectBuildsMatch(b, width, keys, vals, kinds, probes,
+                                  "width " + std::to_string(width) +
+                                      (wide ? " wide" : " narrow") +
+                                      (p ? " pooled" : " serial"));
+            }
+        }
+}
+
 /**
  * The scan-task list: drained through pools of 1, 3 and 4 workers,
  * per-task morsels concatenated in task order cover every data row,

@@ -261,6 +261,61 @@ TEST(OptimizerStatsPersistence, TruncatedFileKeepsOnlyCompleteRecords)
     std::remove(path.c_str());
 }
 
+TEST(OptimizerStatsPersistence, GarbledRecordIsDropped)
+{
+    // A record with a garbled number loads nothing, however well
+    // formed its other lines; a whole record beside it still loads,
+    // and the next save writes only that one.
+    Database db(smallConfig());
+    const std::string path =
+        ::testing::TempDir() + "pushtap_stats_garbled.txt";
+    const std::string q9_record = "plan Q9\n"
+                                  "runs 4\n"
+                                  "probe 100 40\n"
+                                  "conjunct 100 40\n"
+                                  "join 40 20 orders on ol_o_id\n"
+                                  "end\n";
+    std::ofstream(path) << "pushtap-olap-stats v1\n"
+                        << "plan Q6\n"
+                        << "runs 3\n"
+                        << "probe 4O 30\n"
+                        << "conjunct 9x 2\n"
+                        << "end\n"
+                        << q9_record;
+    ::setenv("PUSHTAP_OLAP_STATS_FILE", path.c_str(), 1);
+
+    {
+        OlapEngine eng(db, optimizedConfig(1));
+        EXPECT_EQ(eng.planStats("Q6"), nullptr)
+            << "the garbled Q6 record loaded";
+        const auto *st9 = eng.planStats("Q9");
+        ASSERT_NE(st9, nullptr);
+        EXPECT_EQ(st9->runs, 4u);
+        EXPECT_EQ(st9->probeVisible, 100u);
+        EXPECT_EQ(st9->probeFiltered, 40u);
+        ASSERT_EQ(st9->joins.size(), 1u);
+        EXPECT_EQ(st9->joins.begin()->first, "orders on ol_o_id");
+    } // Destructor saves.
+
+    std::ifstream saved(path);
+    const std::string text{std::istreambuf_iterator<char>(saved),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_EQ(text, "pushtap-olap-stats v1\n" + q9_record);
+
+    // Trailing garbage, a missing count and an unknown line each
+    // drop their record too.
+    for (const std::string bad :
+         {"runs 3 7\n", "probe 40\n", "join 40\n", "rnus 3\n"}) {
+        std::ofstream(path) << "pushtap-olap-stats v1\nplan Q6\n" << bad
+                            << "end\n";
+        OlapEngine eng(db, optimizedConfig(1));
+        EXPECT_EQ(eng.planStats("Q6"), nullptr) << bad;
+    }
+
+    ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
+    std::remove(path.c_str());
+}
+
 // ---- Unit tests over constructed plans ---------------------------
 
 class OptimizerTest : public ::testing::Test

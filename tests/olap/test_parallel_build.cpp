@@ -198,6 +198,9 @@ TEST_F(ParallelBuildTest, BuildPredicateRejectingEveryRow)
     // An empty build side: semi keeps no probe row, anti keeps every
     // one, inner expands to nothing — with single- and multi-column
     // keys, grouped and ungrouped (the zero-count placeholder row).
+    // The same cases run again beside a subquery whose source rejects
+    // every row: its Sum and Min read 0 for every probe key, so a
+    // predicate requiring both to be 0 keeps every row.
     engine.prepareSnapshot(db.now());
     const ColRef line_o{ColRef::kProbe, "ol_o_id"};
     const ColRef line_d{ColRef::kProbe, "ol_d_id"};
@@ -205,13 +208,36 @@ TEST_F(ParallelBuildTest, BuildPredicateRejectingEveryRow)
     for (const auto kind :
          {JoinKind::Semi, JoinKind::Anti, JoinKind::Inner})
         for (const bool multi : {false, true})
-            for (const bool grouped : {false, true}) {
+            for (const int variant : {0, 1, 2, 3}) {
+                const bool grouped = (variant & 1) != 0;
+                const bool subquery = (variant & 2) != 0;
                 QueryPlan p;
                 p.name = std::string("reject_all_k") +
                          std::to_string(static_cast<int>(kind)) +
                          (multi ? "_multi" : "_single") +
-                         (grouped ? "_grouped" : "");
+                         (grouped ? "_grouped" : "") +
+                         (subquery ? "_subquery" : "");
                 p.probe.table = workload::ChTable::OrderLine;
+                if (subquery) {
+                    using namespace ex;
+                    SubquerySpec empty;
+                    empty.source.table = workload::ChTable::Orders;
+                    empty.source.intPredicates = {{"o_ol_cnt", -2, -1}};
+                    empty.groupBy = {"o_id"};
+                    empty.keys = {line_o};
+                    if (multi) {
+                        empty.groupBy.insert(empty.groupBy.end(),
+                                             {"o_d_id", "o_w_id"});
+                        empty.keys.insert(empty.keys.end(),
+                                          {line_d, line_w});
+                    }
+                    empty.aggs = {{AggKind::Sum, col("o_ol_cnt")},
+                                  {AggKind::Min, col("o_c_id")}};
+                    p.subqueries = {std::move(empty)};
+                    p.probe.exprPredicates = {
+                        and_(eq(subq(0, 0), lit(0)),
+                             eq(subq(0, 1), lit(0)))};
+                }
                 JoinSpec orders;
                 orders.build.table = workload::ChTable::Orders;
                 orders.build.intPredicates = {{"o_id", -2, -1}};
@@ -239,6 +265,16 @@ TEST_F(ParallelBuildTest, BuildPredicateRejectingEveryRow)
                     EXPECT_GT(rows, 0u) << p.name;
                 else
                     EXPECT_EQ(rows, 0u) << p.name;
+                // Every empty build is dense with no slot.
+                const auto stats = executePlan(db, p).stats;
+                for (const auto &b : stats.joinBuilds) {
+                    EXPECT_EQ(b.rows, 0u) << p.name;
+                    EXPECT_EQ(b.denseSlots, 0u) << p.name;
+                }
+                for (const auto &b : stats.subqueryBuilds) {
+                    EXPECT_EQ(b.rows, 0u) << p.name;
+                    EXPECT_EQ(b.denseSlots, 0u) << p.name;
+                }
             }
 }
 

@@ -44,7 +44,7 @@ smallConfig()
 }
 
 /** @p got reproduces the one-worker run @p want: answer, visible
- *  rows, captured groups and ExecStats. */
+ *  rows, captured groups and ExecStats, build forms included. */
 void
 expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
                    const std::string &what)
@@ -69,6 +69,15 @@ expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
         EXPECT_EQ(gs.joins[k].out, ws.joins[k].out) << what;
     }
     EXPECT_EQ(gs.conjuncts, ws.conjuncts) << what;
+    for (const auto &[g, w] : {std::pair{&gs.joinBuilds, &ws.joinBuilds},
+                               std::pair{&gs.subqueryBuilds,
+                                         &ws.subqueryBuilds}}) {
+        ASSERT_EQ(g->size(), w->size()) << what;
+        for (std::size_t i = 0; i < w->size(); ++i) {
+            EXPECT_EQ((*g)[i].rows, (*w)[i].rows) << what;
+            EXPECT_EQ((*g)[i].denseSlots, (*w)[i].denseSlots) << what;
+        }
+    }
 }
 
 /**
@@ -217,10 +226,18 @@ TEST_F(ParallelExecTest, EightColumnKeysMatchReference)
                 opts.workers = workers;
                 opts.morselRows = morsel;
                 opts.pool = workers > 1 ? &pool : nullptr;
-                expectReferenceAnswer(
-                    db, plan, executePlan(db, plan, opts), want,
-                    plan.name + " w" + std::to_string(workers) +
-                        " m" + std::to_string(morsel));
+                const auto what = plan.name + " w" +
+                                  std::to_string(workers) + " m" +
+                                  std::to_string(morsel);
+                const auto got = executePlan(db, plan, opts);
+                expectReferenceAnswer(db, plan, got, want, what);
+                // Eight columns span far more slots than the build
+                // has rows: the self-join builds hash, so the
+                // GroupTable placements keep a plan that reaches them.
+                for (const auto &b : got.stats.joinBuilds) {
+                    EXPECT_GT(b.rows, 0u) << what;
+                    EXPECT_EQ(b.denseSlots, 0u) << what;
+                }
             }
     }
 }
@@ -306,6 +323,36 @@ TEST_F(HighCardinalityTest, Q11Q17Q20MatchAcrossWorkers)
     // Q11's grouping outgrows any dense domain: the group table ran.
     const auto q11 = sweep(*workload::executableQueryPlan(11));
     EXPECT_GT(q11.groups.size(), 10'000u);
+}
+
+TEST_F(HighCardinalityTest, CatalogBuildsAreDirectAddressed)
+{
+    // Every join build and subquery pre-pass of the 22 catalog plans
+    // collects rows over a TPC-C id domain small enough to address
+    // directly, at one worker and at four.
+    WorkerPool pool(4);
+    for (const std::uint32_t workers : {1u, 4u}) {
+        ExecOptions opts;
+        opts.workers = workers;
+        opts.pool = workers > 1 ? &pool : nullptr;
+        for (const auto &q : workload::chExecutablePlans()) {
+            const auto stats = executePlan(env_->db, q.plan, opts).stats;
+            const auto what = q.plan.name + " w" + std::to_string(workers);
+            ASSERT_EQ(stats.joinBuilds.size(), q.plan.joins.size()) << what;
+            ASSERT_EQ(stats.subqueryBuilds.size(),
+                      q.plan.subqueries.size())
+                << what;
+            for (std::size_t k = 0; k < stats.joinBuilds.size(); ++k) {
+                EXPECT_GT(stats.joinBuilds[k].rows, 0u) << what << k;
+                EXPECT_GT(stats.joinBuilds[k].denseSlots, 0u)
+                    << what << " join " << k;
+            }
+            for (const auto &b : stats.subqueryBuilds) {
+                EXPECT_GT(b.rows, 0u) << what;
+                EXPECT_GT(b.denseSlots, 0u) << what << " subquery";
+            }
+        }
+    }
 }
 
 TEST_F(HighCardinalityTest, DisjointDenseKeyRangesMerge)
