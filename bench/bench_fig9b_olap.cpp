@@ -27,9 +27,10 @@
  * morselRows axis rides the same grid for the paper's Q1/Q6/Q9
  * (each JSON row carries its morsel_rows).
  *
- * Results are also written to BENCH_fig9b.json (machine-readable;
- * CI archives it on every run so the perf trajectory across PRs can
- * be recorded).
+ * Results are also written to BENCH_fig9b.json (machine-readable,
+ * with a header recording the host's hardware threads and vector
+ * ISA); the committed copy at the repository root is the per-query
+ * trajectory across changes.
  */
 
 #include <chrono>
@@ -38,8 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "olap/operators.hpp"
-#include "olap/optimizer.hpp"
 
 #include "common/table_printer.hpp"
 #include "common/worker_pool.hpp"
@@ -69,8 +70,7 @@ struct Measured
 /** One row of the JSON report. */
 struct JsonRow
 {
-    /** "sweep", "suite", "scaling", "phases", "optimizer" or
-     *  "result_cache". */
+    /** "sweep", "suite", "scaling" or "phases". */
     std::string section;
     std::uint64_t paperTxns = 0;
     std::string system;
@@ -80,17 +80,11 @@ struct JsonRow
     double hostBatchNs = 0.0;  ///< Wall-clock, batch executor.
     std::uint32_t workers = 1; ///< Executor worker threads.
     std::uint32_t morselRows = olap::kMorselRows;
-    /** Modelled pim+cpu cost of the plan ("optimizer" section). */
-    double pricedNs = 0.0;
     /** Host wall-clock per execution phase ("phases" section). */
     double phaseSubqueryNs = 0.0;
     double phaseBuildNs = 0.0;
     double phaseProbeNs = 0.0;
     double phaseMergeNs = 0.0;
-    /** Result-cache serve counters ("result_cache" section). */
-    std::uint32_t cacheHit = 0;
-    std::uint64_t incrementalRows = 0;
-    double deltaScanNs = 0.0;
 };
 
 /** Best-of-N host wall-clock of fn(), in nanoseconds. */
@@ -151,13 +145,16 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
         std::fprintf(stderr, "cannot write %s\n", path);
         return;
     }
-    // hardware_threads bounds the scaling-section speedups, so the
-    // archived artifact stays interpretable across runner shapes.
+    // hardware_threads bounds the scaling-section speedups and the
+    // ISA flags bound the kernels, so the archived artifact stays
+    // interpretable across runner shapes.
     std::fprintf(f,
                  "{\n  \"figure\": \"fig9b\",\n"
                  "  \"scale\": %g,\n"
-                 "  \"hardware_threads\": %u,\n  \"rows\": [\n",
-                 kScale, WorkerPool::hardwareWorkers());
+                 "  \"hardware_threads\": %u,\n"
+                 "  \"isa\": %s,\n  \"rows\": [\n",
+                 kScale, WorkerPool::hardwareWorkers(),
+                 benchutil::isaJson().c_str());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         std::fprintf(
@@ -170,24 +167,18 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
             "\"host_batch_ns\": %.0f, "
             "\"workers\": %u, "
             "\"morsel_rows\": %u, "
-            "\"priced_ns\": %.1f, "
             "\"phase_subquery_ns\": %.0f, "
             "\"phase_build_ns\": %.0f, "
             "\"phase_probe_ns\": %.0f, "
-            "\"phase_merge_ns\": %.0f, "
-            "\"cache_hit\": %u, "
-            "\"incremental_rows\": %llu, "
-            "\"delta_scan_ns\": %.0f}%s\n",
+            "\"phase_merge_ns\": %.0f}%s\n",
             r.section.c_str(),
             static_cast<unsigned long long>(r.paperTxns),
             r.system.c_str(), r.query.c_str(), r.t.pim, r.t.cpu,
             r.t.consistency, r.t.total(),
             static_cast<unsigned long long>(r.rows),
             r.hostBatchNs, r.workers,
-            r.morselRows, r.pricedNs, r.phaseSubqueryNs, r.phaseBuildNs,
-            r.phaseProbeNs, r.phaseMergeNs, r.cacheHit,
-            static_cast<unsigned long long>(r.incrementalRows),
-            r.deltaScanNs,
+            r.morselRows, r.phaseSubqueryNs, r.phaseBuildNs,
+            r.phaseProbeNs, r.phaseMergeNs,
             i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -313,184 +304,6 @@ main()
     sp.print();
     std::printf("\n(host batch: wall-clock of the morsel-driven "
                 "executor, best of 5; checksum %zu)\n", sink);
-
-    // Cost-based optimizer: the same suite through an optimize-on
-    // instance with identical transaction history. Per query, the
-    // modelled (priced) pim+cpu cost of the hand-built plan vs the
-    // chosen physical plan, and host wall-clock of executing each —
-    // the chosen plan must never price above hand-built, and answers
-    // must not change.
-    std::printf("\nAdaptive optimizer: hand-built vs chosen plan "
-                "(same 1000-txn population)\n\n");
-    auto opt_opts = pushtapOptions(false);
-    opt_opts.olap.optimize = true;
-    htap::PushtapDB opt_db(opt_opts);
-    opt_db.mixed(1'000);
-    TablePrinter op({"query", "priced hand (us)", "priced chosen (us)",
-                     "host hand (us)", "host chosen (us)", "plan"});
-    for (const auto &q : workload::chExecutablePlans()) {
-        olap::QueryResult hand_res, opt_res;
-        suite_db.runQuery(q.plan, &hand_res);
-        const auto orep = opt_db.runQuery(q.plan, &opt_res);
-        if (hand_res.rows.size() != opt_res.rows.size())
-            std::printf("!! %s: optimizer changed the answer "
-                        "(%zu vs %zu rows)\n",
-                        q.plan.name.c_str(), hand_res.rows.size(),
-                        opt_res.rows.size());
-        if (orep.pricedChosenNs > orep.pricedHandBuiltNs)
-            std::printf("!! %s: chosen plan priced above "
-                        "hand-built\n",
-                        q.plan.name.c_str());
-        // The second optimizePlan call sees the stats the run above
-        // fed back, i.e. the plan the engine would pick next time.
-        const auto oq = opt_db.olap().optimizePlan(q.plan);
-        WorkerPool opt_pool(oq.workers);
-        olap::ExecOptions oexec;
-        oexec.workers = oq.workers;
-        oexec.morselRows = oq.morselRows;
-        oexec.pool = oq.workers > 1 ? &opt_pool : nullptr;
-        const double host_hand = wallNs([&] {
-            sink += olap::executePlan(opt_db.database(), q.plan)
-                        .result.rows.size();
-        });
-        const double host_chosen = wallNs([&] {
-            sink += olap::executePlan(opt_db.database(), oq.plan,
-                                      oexec)
-                        .result.rows.size();
-        });
-        op.addRow({q.plan.name,
-                   TablePrinter::num(orep.pricedHandBuiltNs / us, 1),
-                   TablePrinter::num(orep.pricedChosenNs / us, 1),
-                   TablePrinter::num(host_hand / us, 1),
-                   TablePrinter::num(host_chosen / us, 1),
-                   orep.planSummary});
-        JsonRow hand_row;
-        hand_row.section = "optimizer";
-        hand_row.paperTxns = 1'000'000;
-        hand_row.system = "hand-built";
-        hand_row.query = q.plan.name;
-        hand_row.rows = hand_res.rows.size();
-        hand_row.hostBatchNs = host_hand;
-        hand_row.pricedNs = orep.pricedHandBuiltNs;
-        json.push_back(hand_row);
-        JsonRow opt_row;
-        opt_row.section = "optimizer";
-        opt_row.paperTxns = 1'000'000;
-        opt_row.system = "optimized";
-        opt_row.query = q.plan.name;
-        opt_row.rows = opt_res.rows.size();
-        opt_row.hostBatchNs = host_chosen;
-        opt_row.pricedNs = orep.pricedChosenNs;
-        opt_row.workers = oq.workers;
-        opt_row.morselRows = oq.morselRows;
-        json.push_back(opt_row);
-    }
-    op.print();
-    std::printf("\n(priced = modelled pim+cpu of each physical plan "
-                "over the same snapshot; host columns execute the "
-                "hand-built plan at default knobs vs the chosen plan "
-                "at its resolved knobs, best of 5; checksum %zu)\n",
-                sink);
-
-    // Frontier-keyed result cache: per query, host wall-clock of the
-    // cold run (miss, populates the entry), an exact hit (nothing
-    // committed since, the materialized answer returns without
-    // executing) and a rep after appended New-Order rows — served
-    // delta-incrementally when the plan and write pattern allow,
-    // full-run fallback otherwise. The single-shot cold/incremental
-    // timings include the per-query snapshot pass PushtapDB charges.
-    std::printf("\nResult cache: cold vs exact-hit vs incremental "
-                "(%u appended New-Order txns between reps)\n\n",
-                64u);
-    auto cache_opts = pushtapOptions(false);
-    cache_opts.olap.resultCache = true;
-    // The scaled interval defragments every 10 txns, which rewrites
-    // probe rows and (correctly) forces full fallback; park it so
-    // this section measures the cache's own serve paths.
-    cache_opts.defragInterval = 1'000'000;
-    htap::PushtapDB cache_db(cache_opts);
-    cache_db.mixed(1'000);
-    TablePrinter cp({"query", "cold (us)", "hit (us)", "hit speedup",
-                     "after-append (us)", "incr rows",
-                     "snapshot rows", "served"});
-    auto oneShotNs = [](auto &&fn) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        return static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t1 - t0)
-                .count());
-    };
-    for (const auto &q : workload::chExecutablePlans()) {
-        olap::QueryResult res;
-        olap::QueryReport cold_rep;
-        const double host_cold = oneShotNs([&] {
-            cold_rep = cache_db.runQuery(q.plan, &res);
-            sink += res.rows.size();
-        });
-        olap::QueryReport hit_rep;
-        const double host_hit = wallNs([&] {
-            hit_rep = cache_db.runQuery(q.plan, &res);
-            sink += res.rows.size();
-        });
-        cache_db.newOrders(64);
-        olap::QueryReport inc_rep;
-        const double host_inc = oneShotNs([&] {
-            inc_rep = cache_db.runQuery(q.plan, &res);
-            sink += res.rows.size();
-        });
-        const char *served = inc_rep.incrementalRows > 0
-                                 ? "incremental"
-                                 : "full fallback";
-        cp.addRow({q.plan.name, TablePrinter::num(host_cold / us, 1),
-                   TablePrinter::num(host_hit / us, 1),
-                   TablePrinter::num(host_cold / host_hit, 1) + "x",
-                   TablePrinter::num(host_inc / us, 1),
-                   std::to_string(inc_rep.incrementalRows),
-                   std::to_string(inc_rep.rowsVisible), served});
-        JsonRow cold_row;
-        cold_row.section = "result_cache";
-        cold_row.paperTxns = 1'000'000;
-        cold_row.system = "cold";
-        cold_row.query = q.plan.name;
-        cold_row.rows = cold_rep.rowsVisible;
-        cold_row.hostBatchNs = host_cold;
-        json.push_back(cold_row);
-        JsonRow hit_row;
-        hit_row.section = "result_cache";
-        hit_row.paperTxns = 1'000'000;
-        hit_row.system = "exact_hit";
-        hit_row.query = q.plan.name;
-        hit_row.rows = hit_rep.rowsVisible;
-        hit_row.hostBatchNs = host_hit;
-        hit_row.cacheHit = hit_rep.cacheHit ? 1 : 0;
-        json.push_back(hit_row);
-        JsonRow inc_row;
-        inc_row.section = "result_cache";
-        inc_row.paperTxns = 1'000'000;
-        inc_row.system = inc_rep.incrementalRows > 0
-                             ? "incremental"
-                             : "full_fallback";
-        inc_row.query = q.plan.name;
-        inc_row.rows = inc_rep.rowsVisible;
-        inc_row.hostBatchNs = host_inc;
-        inc_row.incrementalRows = inc_rep.incrementalRows;
-        inc_row.deltaScanNs = inc_rep.deltaScanNs;
-        json.push_back(inc_row);
-    }
-    cp.print();
-    const auto *rc = cache_db.olap().resultCache();
-    std::printf("\n(hit rows answer without executing; incremental "
-                "rows re-scan only the appended probe rows and fold "
-                "into the cached accumulators; cache counters: "
-                "%llu hits / %llu incrementals / %llu misses; "
-                "checksum %zu)\n",
-                static_cast<unsigned long long>(rc ? rc->hits : 0),
-                static_cast<unsigned long long>(
-                    rc ? rc->incrementals : 0),
-                static_cast<unsigned long long>(rc ? rc->misses : 0),
-                sink);
 
     // Thread scaling of the parallel executor: per-config host
     // wall-clock over the same populated suite database. workers=1

@@ -41,6 +41,8 @@
 #include "txn/hash_index.hpp"
 #include "workload/ch_schema.hpp"
 
+#include "bench_util.hpp"
+
 using namespace pushtap;
 
 namespace {
@@ -726,10 +728,12 @@ writeJson(const std::vector<JsonCollector::Row> &rows,
                  "  \"hardware_threads\": %u,\n"
                  "  \"dispatch\": {\"forced_scalar_build\": %s, "
                  "\"avx2\": %s, \"active\": \"%s\"},\n"
+                 "  \"isa\": %s,\n"
                  "  \"rows\": [\n",
                  WorkerPool::hardwareWorkers(),
                  d.forcedScalarBuild ? "true" : "false",
-                 d.avx2 ? "true" : "false", d.active);
+                 d.avx2 ? "true" : "false", d.active,
+                 benchutil::isaJson().c_str());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         // Kernel = the registered name up to the first arg suffix.

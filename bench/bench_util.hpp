@@ -3,10 +3,12 @@
 /**
  * @file
  * Shared helpers for the figure/table benches: benchmark-wide
- * effective-bandwidth evaluation (Fig. 8 family) and common setup.
+ * effective-bandwidth evaluation (Fig. 8 family), common setup and
+ * the host ISA flags of the BENCH_*.json machine headers.
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -77,6 +79,33 @@ evaluateFormat(
     eff.cpuEff = cpu_fetched > 0.0 ? cpu_useful / cpu_fetched : 0.0;
     eff.pimEff = pim_fetched > 0.0 ? pim_useful / pim_fetched : 0.0;
     return eff;
+}
+
+/**
+ * The host's vector ISA flags the batch kernels could use, as a JSON
+ * object for the machine header of a BENCH_*.json file (all false off
+ * x86-64).
+ */
+inline std::string
+isaJson()
+{
+#if defined(__x86_64__)
+    const bool avx2 = __builtin_cpu_supports("avx2");
+    const bool avx512f = __builtin_cpu_supports("avx512f");
+    const bool avx512bw = __builtin_cpu_supports("avx512bw");
+    const bool avx512vbmi = __builtin_cpu_supports("avx512vbmi");
+#else
+    const bool avx2 = false, avx512f = false, avx512bw = false,
+               avx512vbmi = false;
+#endif
+    const auto flag = [](bool on) { return on ? "true" : "false"; };
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"avx2\": %s, \"avx512f\": %s, \"avx512bw\": %s, "
+                  "\"avx512vbmi\": %s}",
+                  flag(avx2), flag(avx512f), flag(avx512bw),
+                  flag(avx512vbmi));
+    return buf;
 }
 
 /** Percentage formatting shorthand. */

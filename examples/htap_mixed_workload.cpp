@@ -23,7 +23,6 @@
 #include <cstdlib>
 
 #include "htap/pushtap_db.hpp"
-#include "olap/optimizer.hpp"
 #include "workload/query_catalog.hpp"
 
 using namespace pushtap;
@@ -124,18 +123,9 @@ main(int argc, char **argv)
                     rep.totalNs() / 1e6);
     }
 
-    // EXPLAIN the Q9 join chain: the hand-built logical plan next
-    // to what the cost-based optimizer would run — join order ranked
-    // by modelled row flow, scans placed CPU-vs-PIM by the priced
-    // Eq. (3) crossover, host knobs resolved from cardinalities.
-    {
-        const auto &plan = *workload::executableQueryPlan(9);
-        std::printf("\nhand-built Q9 plan:\n%s",
-                    olap::describePlan(plan).c_str());
-        std::printf("\noptimized Q9 plan (PushtapDB::explainQuery):"
-                    "\n%s",
-                    db.explainQuery(9).c_str());
-    }
+    // EXPLAIN the Q9 join chain: the hand-built plan runQuery
+    // executes and prices operator by operator.
+    std::printf("\nhand-built Q9 plan:\n%s", db.explainQuery(9).c_str());
 
     std::printf("\nOLTP totals: %llu txns, avg %.0f ns; defrag "
                 "pauses %.2f ms total\n",

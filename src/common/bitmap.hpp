@@ -143,61 +143,6 @@ class Bitmap
         }
     }
 
-    /**
-     * Like collectSetBits, but skips bits also set in @p base: the
-     * offsets appended are the bits set here and NOT in base. base
-     * may be shorter (its missing tail reads as all-zero) — this is
-     * the delta-extraction primitive of the result cache's
-     * incremental re-execution, where base is the visibility bitmap
-     * captured at the cached frontier and the remainder is exactly
-     * the rows appended since.
-     */
-    template <typename U32Vec>
-    void
-    collectSetBitsExcluding(std::size_t from, std::size_t to,
-                            const Bitmap &base, U32Vec &out) const
-    {
-        if (to > nbits_)
-            to = nbits_;
-        if (from >= to)
-            return;
-        std::size_t wi = from >> 6;
-        const std::size_t wlast = (to - 1) >> 6;
-        for (; wi <= wlast; ++wi) {
-            std::uint64_t w = words_[wi];
-            if (wi < base.words_.size())
-                w &= ~base.words_[wi];
-            if (wi == from >> 6)
-                w &= ~std::uint64_t{0} << (from & 63);
-            if (wi == wlast && (to & 63) != 0)
-                w &= ~std::uint64_t{0} >> (64 - (to & 63));
-            while (w != 0) {
-                const std::size_t bit =
-                    (wi << 6) +
-                    static_cast<std::size_t>(__builtin_ctzll(w));
-                out.push_back(static_cast<std::uint32_t>(bit - from));
-                w &= w - 1;
-            }
-        }
-    }
-
-    /**
-     * True when every bit set in this bitmap is also set in @p o
-     * (o may be longer). "Old visibility ⊆ new visibility" is the
-     * pure-appends test gating incremental re-execution.
-     */
-    bool
-    subsetOf(const Bitmap &o) const
-    {
-        for (std::size_t i = 0; i < words_.size(); ++i) {
-            const std::uint64_t ow =
-                i < o.words_.size() ? o.words_[i] : 0;
-            if ((words_[i] & ~ow) != 0)
-                return false;
-        }
-        return true;
-    }
-
     bool
     operator==(const Bitmap &o) const
     {

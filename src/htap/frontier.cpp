@@ -5,36 +5,7 @@
 #include <limits>
 #include <vector>
 
-#include "txn/database.hpp"
-
 namespace pushtap::htap {
-
-const TableFrontier *
-FrontierVector::find(workload::ChTable t) const
-{
-    for (const auto &e : tables)
-        if (e.table == t)
-            return &e;
-    return nullptr;
-}
-
-FrontierVector
-captureFrontier(const txn::Database &db,
-                std::vector<workload::ChTable> tables)
-{
-    std::sort(tables.begin(), tables.end());
-    tables.erase(std::unique(tables.begin(), tables.end()),
-                 tables.end());
-    FrontierVector fv;
-    fv.tables.reserve(tables.size());
-    for (const auto t : tables) {
-        const auto &tbl = db.table(t);
-        fv.tables.push_back(TableFrontier{t, tbl.writeEpoch(),
-                                          tbl.snapshotEpoch(),
-                                          tbl.rewriteEpoch()});
-    }
-    return fv;
-}
 
 double
 FrontierModel::maxTxnRate() const

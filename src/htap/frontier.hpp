@@ -12,13 +12,6 @@
  * transfers plus consistency traffic share the bus — and (b)
  * execution blocking: PUSHtap's LS phases lock banks briefly, while
  * MI's rebuild occupies both the bus and the row-store instance.
- *
- * This file also hosts the *commit-frontier vector* machinery: the
- * per-table epoch triples the result cache (olap/result_cache.hpp)
- * keys on. A query's footprint — every table its plan reads — maps to
- * a sorted vector of (table, epochs); equal vectors at two points in
- * time guarantee byte-identical answers because nothing the query can
- * observe changed in between.
  */
 
 #include <cstdint>
@@ -26,74 +19,8 @@
 
 #include "common/types.hpp"
 #include "common/units.hpp"
-#include "workload/ch_schema.hpp"
-
-namespace pushtap::txn {
-class Database;
-} // namespace pushtap::txn
 
 namespace pushtap::htap {
-
-/**
- * One table's position in the commit frontier. The three epochs are
- * monotone counters owned by `txn::TableRuntime`:
- *
- *  - `writeEpoch` advances once per committed version touching the
- *    table (updates and inserts alike);
- *  - `snapshotEpoch` advances when a snapshot pass flips at least one
- *    of the table's visibility bits (new commits becoming visible);
- *  - `rewriteEpoch` advances when defragmentation physically moves
- *    rows (delta slots recycled, data-region bytes rewritten).
- *
- * Query answers are a pure function of (visibility bitmaps, stored
- * bytes); both only change under one of these three events, so equal
- * triples imply an unchanged table as far as any reader can tell.
- */
-struct TableFrontier
-{
-    workload::ChTable table = workload::ChTable::Warehouse;
-    std::uint64_t writeEpoch = 0;
-    std::uint64_t snapshotEpoch = 0;
-    std::uint64_t rewriteEpoch = 0;
-
-    friend bool
-    operator==(const TableFrontier &a, const TableFrontier &b)
-    {
-        return a.table == b.table && a.writeEpoch == b.writeEpoch &&
-               a.snapshotEpoch == b.snapshotEpoch &&
-               a.rewriteEpoch == b.rewriteEpoch;
-    }
-};
-
-/**
- * The frontier vector of a query footprint: one `TableFrontier` per
- * footprint table, sorted by table id (deduplicated). Two captures
- * compare equal iff no footprint table saw a commit, a snapshot bit
- * flip, or a defragmentation pass in between.
- */
-struct FrontierVector
-{
-    std::vector<TableFrontier> tables;
-
-    friend bool
-    operator==(const FrontierVector &a, const FrontierVector &b)
-    {
-        return a.tables == b.tables;
-    }
-
-    /** Entry for @p t, or nullptr when t is not in the footprint. */
-    const TableFrontier *find(workload::ChTable t) const;
-};
-
-/**
- * Capture the current frontier of @p tables (any order, duplicates
- * fine) from @p db. Individual epoch loads are atomic; the vector as
- * a whole is not a consistent cut under concurrent ingest — callers
- * use it as a cache key, where a torn capture can only cause a
- * conservative miss, never a stale hit.
- */
-FrontierVector captureFrontier(const txn::Database &db,
-                               std::vector<workload::ChTable> tables);
 
 /** One achievable operating point. */
 struct FrontierPoint

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "mvcc/defragmenter.hpp"
-#include "olap/optimizer.hpp"
+#include "olap/plan.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::htap {
@@ -85,15 +85,13 @@ PushtapDB::runQuery(int ch_query_no, olap::QueryResult *result)
 }
 
 std::string
-PushtapDB::explainQuery(const olap::QueryPlan &plan)
+PushtapDB::explainQuery(const olap::QueryPlan &plan) const
 {
-    olap_->prepareSnapshot(db_->now());
-    const auto oq = olap_->optimizePlan(plan);
-    return olap::describePlan(plan, oq);
+    return olap::describePlan(plan);
 }
 
 std::string
-PushtapDB::explainQuery(int ch_query_no)
+PushtapDB::explainQuery(int ch_query_no) const
 {
     return explainQuery(*workload::executableQueryPlan(ch_query_no));
 }

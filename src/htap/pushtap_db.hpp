@@ -84,13 +84,7 @@ class PushtapDB
      * Fresh analytical query: snapshot at the current commit
      * timestamp first, then execute @p plan through the operator
      * pipeline. Data freshness is exact: every committed transaction
-     * is visible. With opts.olap.resultCache on, repeated plans may
-     * be served from the frontier-keyed result cache — freshness is
-     * unaffected, because any commit, snapshot flip or
-     * defragmentation move since the cached run changes the frontier
-     * vector and forces re-execution; a served answer is always
-     * byte-identical to a cold run at the current snapshot
-     * (QueryReport::cacheHit / incrementalRows record the path).
+     * is visible.
      */
     olap::QueryReport runQuery(const olap::QueryPlan &plan,
                                olap::QueryResult *result = nullptr);
@@ -103,16 +97,14 @@ class PushtapDB
                                olap::QueryResult *result = nullptr);
 
     /**
-     * EXPLAIN: snapshot at the current commit timestamp, run the
-     * adaptive optimizer over @p plan (regardless of the configured
-     * `optimize` flag — this only describes, it never executes) and
-     * return the describePlan() dump of the chosen physical plan and
-     * decision record.
+     * EXPLAIN: the describePlan() dump of @p plan, the plan runQuery
+     * executes and prices. Pure: it neither snapshots nor executes,
+     * so the next query's report is unaffected.
      */
-    std::string explainQuery(const olap::QueryPlan &plan);
+    std::string explainQuery(const olap::QueryPlan &plan) const;
 
     /** EXPLAIN the catalog plan of CH query @p ch_query_no. */
-    std::string explainQuery(int ch_query_no);
+    std::string explainQuery(int ch_query_no) const;
 
     /** Force a defragmentation pass now. */
     TimeNs defragment();

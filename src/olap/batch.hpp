@@ -17,8 +17,7 @@
  * over each morsel.
  *
  * This layer is purely functional: the pricing walks charge one
- * serial scan per operator input (section 6.2) unless the optimizer
- * chooses its fused-scan alternative (OptimizedQuery::fuseProbeScans).
+ * serial scan per operator input (section 6.2), fused pass or not.
  */
 
 #include <algorithm>

@@ -67,17 +67,6 @@ struct InlineKey
                 return false;
         return true;
     }
-
-    /** Lexicographic over the used slots (== std::map<vector> order
-     *  when every key has the same arity). */
-    bool
-    operator<(const InlineKey &o) const
-    {
-        for (std::uint32_t i = 0; i < n && i < o.n; ++i)
-            if (v[i] != o.v[i])
-                return v[i] < o.v[i];
-        return n < o.n;
-    }
 };
 
 static_assert(InlineKey::kMaxKeys >= kMaxKeyColumns,

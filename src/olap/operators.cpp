@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -392,8 +391,7 @@ class BatchPredicates
     }
 
     /** Observed (seen, kept) counts per expression conjunct, in the
-     *  input's original predicate order — the measured selectivities
-     *  the optimizer's per-plan stats cache feeds on. */
+     *  input's original predicate order (ExecStats::conjuncts). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
     conjunctStats() const
     {
@@ -456,7 +454,7 @@ class BatchPredicates
 };
 
 /** combineSlots over whole Accum records (the fused ungrouped
- *  totals and the result cache's captured groups). */
+ *  totals). */
 template <typename SpecT>
 void
 combineAccum(const std::vector<SpecT> &specs, Accum &into,
@@ -1018,23 +1016,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     };
 
     auto processMorsel = [&](WorkerState &st, const Morsel &m) {
-        if (opts.probeBaselineData != nullptr) {
-            // Delta-incremental scan: only rows visible now but not
-            // in the caller's baseline bitmaps (the rows appended
-            // since the cached frontier) enter the pipeline, and
-            // `visible` counts exactly those.
-            st.sel.clear();
-            const Bitmap &vis = m.reg == Region::Data
-                                    ? probe_store.dataVisible()
-                                    : probe_store.deltaVisible();
-            const Bitmap &base = m.reg == Region::Data
-                                     ? *opts.probeBaselineData
-                                     : *opts.probeBaselineDelta;
-            vis.collectSetBitsExcluding(m.base, m.base + m.count,
-                                        base, st.sel.idx);
-        } else {
-            visibleRows(probe_store, m, st.sel);
-        }
+        visibleRows(probe_store, m, st.sel);
         st.visible += st.sel.size();
         st.preds.apply(m, st.sel);
         st.filtered += st.sel.size();
@@ -1347,8 +1329,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             fusedProbeColumns(plan).size());
     }
 
-    // Observed selectivities for the optimizer's stats cache: all
-    // deterministic integer sums over the per-worker partials.
+    // Observed selectivities: all deterministic integer sums over the
+    // per-worker partials.
     out.stats.probeVisible = out.rowsVisible;
     out.stats.joins.resize(plan.joins.size());
     out.stats.conjuncts.assign(plan.probe.exprPredicates.size(),
@@ -1376,9 +1358,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         total.aggs.assign(plan.aggregates.size(), 0);
         for (const auto *st : engaged)
             combineAccum(plan.aggregates, total, st->fusedTotal);
-        if (opts.captureGroups && total.count > 0)
-            out.groups.push_back(
-                GroupAccum{InlineKey{}, total.aggs, total.count});
         out.result.rows.push_back(ResultRow{
             {}, std::move(total.aggs), total.count});
         out.mergeNs = phaseNs(t_probe, Clock::now());
@@ -1411,27 +1390,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     if (dense_total)
         dense_total->spill(groups);
 
-    // Capture the merged accumulators (ascending group key) before
-    // materialization: these are the partials a later
-    // delta-incremental run folds new rows into.
-    if (opts.captureGroups) {
-        out.groups.reserve(groups.size());
-        groups.forEach([&](const std::int64_t *key,
-                           const std::int64_t *aggs,
-                           std::uint64_t count) {
-            GroupAccum g;
-            g.key.n = groups.keyWidth();
-            std::copy(key, key + g.key.n, g.key.v.begin());
-            g.aggs.assign(aggs, aggs + groups.slots());
-            g.count = count;
-            out.groups.push_back(std::move(g));
-        });
-        std::sort(out.groups.begin(), out.groups.end(),
-                  [](const GroupAccum &a, const GroupAccum &b) {
-                      return a.key < b.key;
-                  });
-    }
-
     std::vector<GroupView> views;
     views.reserve(groups.size());
     groups.forEach([&](const std::int64_t *key,
@@ -1444,47 +1402,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 }
 
 } // namespace
-
-void
-foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
-           const std::vector<GroupAccum> &from)
-{
-    // Same numeric semantics as combineAccum: wrapping sums, counts,
-    // min/max with the count==0 first-value rule. Both captures are
-    // ascending by key, so one two-pointer pass folds matching groups
-    // and interleaves the rest, keeping the result ascending.
-    std::vector<GroupAccum> merged;
-    merged.reserve(into.size() + from.size());
-    auto it = into.begin();
-    for (const auto &f : from) {
-        if (f.count == 0)
-            continue;
-        while (it != into.end() && it->key < f.key)
-            merged.push_back(std::move(*it++));
-        if (it == into.end() || f.key < it->key) {
-            merged.push_back(f);
-            continue;
-        }
-        Accum acc{std::move(it->aggs), it->count};
-        combineAccum(plan.aggregates, acc, Accum{f.aggs, f.count});
-        merged.push_back(
-            GroupAccum{it->key, std::move(acc.aggs), acc.count});
-        ++it;
-    }
-    std::move(it, into.end(), std::back_inserter(merged));
-    into = std::move(merged);
-}
-
-QueryResult
-materializeGroups(const QueryPlan &plan,
-                  const std::vector<GroupAccum> &groups)
-{
-    std::vector<GroupView> views;
-    views.reserve(groups.size());
-    for (const auto &g : groups)
-        views.push_back(GroupView{g.key.v.data(), g.aggs.data(), g.count});
-    return materializeViews(plan, std::move(views));
-}
 
 bool
 planFusesProbePass(const QueryPlan &plan)

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitmap.hpp"
 #include "common/types.hpp"
 #include "olap/batch.hpp"
 #include "olap/plan.hpp"
@@ -85,13 +84,12 @@ struct BuildExecStats
 
 /**
  * Measured execution statistics of the executor — observed, not
- * modelled. The cost-based optimizer's per-plan stats cache feeds on
- * these so repeated runs re-optimize from measured selectivities
- * (probe filter pass rates, per-join survival/expansion ratios)
- * instead of assumed ones. All counts are sums of per-scan-run
- * counts, and both the run list and each run's adaptive conjunct
- * order depend only on the table sizes and the morsel size, so the
- * stats are identical for every worker count.
+ * modelled: probe filter pass rates, per-join survival/expansion
+ * flows, per-conjunct selectivities and each build's form, the
+ * measured half next to the modelled QueryReport. All counts are
+ * sums of per-scan-run counts, and both the run list and each run's
+ * adaptive conjunct order depend only on the table sizes and the
+ * morsel size, so the stats are identical for every worker count.
  */
 struct ExecStats
 {
@@ -113,24 +111,6 @@ struct ExecStats
     std::vector<BuildExecStats> subqueryBuilds;
 };
 
-/**
- * One group's partial accumulator state, captured from the batch
- * engine's cross-worker merge before materialization. The key is the
- * inline group key (empty key, n == 0, for ungrouped plans), `aggs`
- * holds one partial per plan aggregate in plan order, `count` the
- * rows folded in. Folding two captures with foldGroups() and
- * materializing with materializeGroups() is byte-identical to one
- * cold run over the union of their input rows — every aggregate kind
- * is a commutative, associative fold (wrapping sums, counts,
- * min/max), which is what makes delta-incremental re-execution exact.
- */
-struct GroupAccum
-{
-    InlineKey key;
-    std::vector<std::int64_t> aggs;
-    std::uint64_t count = 0;
-};
-
 struct PlanExecution
 {
     QueryResult result;
@@ -139,9 +119,8 @@ struct PlanExecution
     /**
      * Number of distinct probe Int columns the batch engine streamed
      * in a single fused filter+group+aggregate pass (0 when a join
-     * intervened). The optimizer's fused-scan alternative
-     * (OptimizedQuery::fuseProbeScans) prices these as one serial
-     * scan instead of one per operator input.
+     * intervened). Host-side only: pricing charges one scan per
+     * operator input whether or not the pass fused.
      */
     std::uint32_t fusedScanColumns = 0;
     /**
@@ -158,24 +137,16 @@ struct PlanExecution
     double mergeNs = 0.0;
     /** Observed selectivity statistics. */
     ExecStats stats;
-    /**
-     * Filled when ExecOptions::captureGroups was set: the merged
-     * cross-worker group accumulators exactly as they stood before
-     * the ungrouped-placeholder insertion and materialization
-     * (count > 0 entries only, ascending group key — byte-identical
-     * for every worker count).
-     */
-    std::vector<GroupAccum> groups;
 };
 
 /**
  * Host-side execution options of the batch engine: how many worker
  * threads claim the scan runs and how many rows a morsel holds.
- * Results, captured groups and ExecStats are byte-identical for
- * every worker count: the run list is fixed by the table sizes and
- * the morsel size, and per-worker partials merge with commutative
- * folds. OlapEngine passes its OlapConfig::workers and pool; a bare
- * executePlan() call stays single-threaded unless asked otherwise.
+ * Results and ExecStats are byte-identical for every worker count:
+ * the run list is fixed by the table sizes and the morsel size, and
+ * per-worker partials merge with commutative folds. OlapEngine passes
+ * its OlapConfig::workers and pool; a bare executePlan() call stays
+ * single-threaded unless asked otherwise.
  */
 struct ExecOptions
 {
@@ -189,26 +160,6 @@ struct ExecOptions
      * a transient pool when workers resolves to more than one.
      */
     WorkerPool *pool = nullptr;
-    /**
-     * Capture the merged group accumulators into
-     * PlanExecution::groups. The result cache sets this on cold and
-     * incremental runs so the accumulators can seed later
-     * delta-incremental re-executions.
-     */
-    bool captureGroups = false;
-    /**
-     * Baseline visibility bitmaps of the probe table (both or
-     * neither). When set, the probe pass scans only rows visible now
-     * but NOT in the baseline — the rows appended since the baseline
-     * was captured — and PlanExecution::rowsVisible counts just
-     * those. Join builds and subquery pre-passes still scan their
-     * full tables. Only sound when the probe table changed by pure
-     * appends since the baseline (no previously visible bit cleared,
-     * no defragmentation); the result cache checks exactly that
-     * before setting these.
-     */
-    const Bitmap *probeBaselineData = nullptr;
-    const Bitmap *probeBaselineDelta = nullptr;
 };
 
 /**
@@ -228,30 +179,9 @@ PlanExecution executePlan(const txn::Database &db,
  * loop): every join is a probe-keyed selection kernel — a semi or
  * anti join keyed purely on probe columns. Inner joins and payload-keyed
  * joins descend through the match expansion instead. Defined next to
- * the executor's own classification so the fused pricing gate and
- * the fusedScanColumns report cannot drift.
+ * the executor's own classification so tests can check which plans
+ * the fusedScanColumns report covers.
  */
 bool planFusesProbePass(const QueryPlan &plan);
-
-/**
- * Fold @p from into @p into with the batch engine's cross-worker
- * merge semantics (wrapping sums, counts, min/max with the
- * first-value rule), matching groups by key and inserting unmatched
- * ones in key order. Both inputs must be ascending by key with
- * distinct keys, as captures are; @p into stays so. Entries must
- * carry aggs sized to @p plan's aggregate list.
- */
-void foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
-                const std::vector<GroupAccum> &from);
-
-/**
- * Materialize @p groups into result rows exactly as the batch
- * engine's tail does: the ungrouped zero-placeholder row when an
- * ungrouped plan produced no groups, then the plan's sort (ties by
- * ascending group key) and limit. Byte-identical to a cold
- * executePlan() fed the same accumulator state.
- */
-QueryResult materializeGroups(const QueryPlan &plan,
-                              const std::vector<GroupAccum> &groups);
 
 } // namespace pushtap::olap

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -381,6 +383,198 @@ validatePlan(const QueryPlan &plan)
             fatal("plan {}: sort key index {} out of range",
                   plan.name, sk.index);
     }
+}
+
+namespace {
+
+const char *
+kindName(JoinKind k)
+{
+    switch (k) {
+      case JoinKind::Inner: return "inner";
+      case JoinKind::Semi: return "semi";
+      case JoinKind::Anti: return "anti";
+    }
+    return "?";
+}
+
+const char *
+aggName(AggKind k)
+{
+    switch (k) {
+      case AggKind::Sum: return "sum";
+      case AggKind::Min: return "min";
+      case AggKind::Max: return "max";
+    }
+    return "?";
+}
+
+std::string
+boundStr(std::int64_t v)
+{
+    if (v == std::numeric_limits<std::int64_t>::min())
+        return "-inf";
+    if (v == std::numeric_limits<std::int64_t>::max())
+        return "+inf";
+    return std::to_string(v);
+}
+
+std::string
+refStr(const ColRef &ref)
+{
+    if (ref.side == ColRef::kProbe)
+        return "probe." + ref.column;
+    return "j" + std::to_string(ref.side) + "." + ref.column;
+}
+
+const char *
+opSymbol(ExprOp op)
+{
+    switch (op) {
+      case ExprOp::Add: return "+";
+      case ExprOp::Sub: return "-";
+      case ExprOp::Mul: return "*";
+      case ExprOp::Div: return "/";
+      case ExprOp::Eq: return "==";
+      case ExprOp::Ne: return "!=";
+      case ExprOp::Lt: return "<";
+      case ExprOp::Le: return "<=";
+      case ExprOp::Gt: return ">";
+      case ExprOp::Ge: return ">=";
+      case ExprOp::And: return "&&";
+      case ExprOp::Or: return "||";
+      default: return "?";
+    }
+}
+
+std::string
+exprStr(const Expr &e)
+{
+    switch (e.op) {
+      case ExprOp::IntLit:
+        return std::to_string(e.lit);
+      case ExprOp::Column:
+        return e.col.side == ColRef::kProbe ? e.col.column
+                                            : refStr(e.col);
+      case ExprOp::Like:
+        return (e.col.side == ColRef::kProbe ? e.col.column
+                                             : refStr(e.col)) +
+               " like \"" + e.pattern + "\"";
+      case ExprOp::SubqueryRef:
+        return "s" + std::to_string(e.subquery) + ".agg" +
+               std::to_string(e.aggIndex);
+      case ExprOp::Not:
+        return "!(" + exprStr(*e.kids[0]) + ")";
+      case ExprOp::CaseWhen:
+        return "case(" + exprStr(*e.kids[0]) + ", " +
+               exprStr(*e.kids[1]) + ", " + exprStr(*e.kids[2]) +
+               ")";
+      default:
+        return "(" + exprStr(*e.kids[0]) + " " + opSymbol(e.op) +
+               " " + exprStr(*e.kids[1]) + ")";
+    }
+}
+
+void
+dumpInput(std::ostringstream &os, const TableInput &in,
+          const char *indent)
+{
+    for (const auto &p : in.intPredicates)
+        os << indent << "where " << p.column << " in ["
+           << boundStr(p.lo) << ", " << boundStr(p.hi) << "]\n";
+    for (const auto &p : in.charPredicates)
+        os << indent << "where " << (p.negate ? "!" : "")
+           << "prefix(" << p.column << ", \"" << p.prefix << "\")\n";
+    for (const auto &e : in.exprPredicates)
+        if (e)
+            os << indent << "where " << exprStr(*e) << "\n";
+}
+
+} // namespace
+
+std::string
+describePlan(const QueryPlan &plan)
+{
+    std::ostringstream os;
+    os << "plan " << plan.name << "\n";
+    os << "  probe " << workload::chTableName(plan.probe.table)
+       << "\n";
+    dumpInput(os, plan.probe, "    ");
+    for (std::size_t s = 0; s < plan.subqueries.size(); ++s) {
+        const auto &sub = plan.subqueries[s];
+        os << "  subquery s" << s << ": "
+           << workload::chTableName(sub.source.table);
+        if (!sub.groupBy.empty()) {
+            os << " group by (";
+            for (std::size_t i = 0; i < sub.groupBy.size(); ++i)
+                os << (i ? ", " : "") << sub.groupBy[i];
+            os << ")";
+        }
+        os << "\n";
+        dumpInput(os, sub.source, "    ");
+        for (const auto &agg : sub.aggs)
+            os << "    agg " << aggName(agg.kind) << "("
+               << exprStr(*agg.value) << ")\n";
+        os << "    keyed on (";
+        for (std::size_t i = 0; i < sub.keys.size(); ++i)
+            os << (i ? ", " : "") << refStr(sub.keys[i]);
+        os << ")\n";
+    }
+    for (std::size_t k = 0; k < plan.joins.size(); ++k) {
+        const auto &join = plan.joins[k];
+        os << "  join j" << k << ": " << kindName(join.kind) << " "
+           << workload::chTableName(join.build.table) << " on ";
+        for (std::size_t i = 0; i < join.keys.size(); ++i) {
+            const auto &[build_col, ref] = join.keys[i];
+            os << (i ? ", " : "") << build_col << " == "
+               << refStr(ref);
+        }
+        os << "\n";
+        dumpInput(os, join.build, "    ");
+        if (!join.payload.empty()) {
+            os << "    payload (";
+            for (std::size_t i = 0; i < join.payload.size(); ++i)
+                os << (i ? ", " : "") << join.payload[i];
+            os << ")\n";
+        }
+    }
+    if (!plan.groupBy.empty()) {
+        os << "  group by ";
+        for (std::size_t i = 0; i < plan.groupBy.size(); ++i)
+            os << (i ? ", " : "") << refStr(plan.groupBy[i]);
+        os << "\n";
+    }
+    for (const auto &agg : plan.aggregates) {
+        os << "  agg " << aggName(agg.kind) << "(";
+        if (agg.expr)
+            os << exprStr(*agg.expr);
+        else
+            os << refStr(agg.value);
+        os << ")\n";
+    }
+    if (!plan.orderBy.empty()) {
+        os << "  order by ";
+        for (std::size_t i = 0; i < plan.orderBy.size(); ++i) {
+            const auto &sk = plan.orderBy[i];
+            os << (i ? ", " : "");
+            switch (sk.target) {
+              case SortKey::Target::GroupKey:
+                os << "key" << sk.index;
+                break;
+              case SortKey::Target::Aggregate:
+                os << "agg" << sk.index;
+                break;
+              case SortKey::Target::Count:
+                os << "count";
+                break;
+            }
+            os << (sk.descending ? " desc" : " asc");
+        }
+        os << "\n";
+    }
+    if (plan.limit != 0)
+        os << "  limit " << plan.limit << "\n";
+    return os.str();
 }
 
 namespace plans {

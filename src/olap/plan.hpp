@@ -209,9 +209,7 @@ touchedColumns(const QueryPlan &plan);
  * lookup keys, group keys and aggregate inputs. The pass runs for
  * any plan whose joins are all probe-keyed selection kernels
  * (olap/operators.hpp planFusesProbePass), join-free plans included.
- * Shared by the batch executor's fusedScanColumns report and the
- * fused pricing walk (OlapEngine::pricePlan) so the two cannot
- * drift.
+ * The batch executor reports its size as fusedScanColumns.
  */
 std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
 
@@ -223,6 +221,13 @@ std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
  * fatal() on violation.
  */
 void validatePlan(const QueryPlan &plan);
+
+/**
+ * EXPLAIN-style text dump of a logical plan: probe predicates,
+ * subquery pre-passes, the join chain with kinds and key equalities,
+ * grouping, aggregates and sort/limit. One node per line.
+ */
+std::string describePlan(const QueryPlan &plan);
 
 namespace plans {
 

@@ -74,64 +74,6 @@ class TableRuntime
 
     std::uint64_t populatedRows() const { return populatedRows_; }
 
-    /**
-     * Write-frontier epoch: bumped once per committed version that
-     * touches this table (updates and inserts alike — every TPC-C
-     * write funnels through TpccEngine::updateRow, serial engine and
-     * TxnWorkerGroup workers both). A query footprint's epochs form
-     * the frontier vector the result cache keys on
-     * (htap/frontier.hpp); monotone, never reset.
-     */
-    std::uint64_t
-    writeEpoch() const
-    {
-        return writeEpoch_.load(std::memory_order_acquire);
-    }
-
-    void
-    bumpWriteEpoch()
-    {
-        writeEpoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-
-    /**
-     * Snapshot epoch: bumped by OlapEngine::prepareSnapshot whenever
-     * a pass flips at least one visibility bit of this table. Query
-     * answers are a pure function of the bitmaps, so two frontier
-     * captures with equal write+snapshot+rewrite epochs bracket
-     * byte-identical answers.
-     */
-    std::uint64_t
-    snapshotEpoch() const
-    {
-        return snapshotEpoch_.load(std::memory_order_acquire);
-    }
-
-    void
-    bumpSnapshotEpoch()
-    {
-        snapshotEpoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-
-    /**
-     * Rewrite epoch: bumped by defragmentation passes that moved
-     * rows. Defragmentation recycles delta slots and rewrites
-     * data-region bytes in place, so a bumped rewrite epoch
-     * invalidates any incremental baseline over this table even when
-     * the visibility bitmaps look append-only afterwards.
-     */
-    std::uint64_t
-    rewriteEpoch() const
-    {
-        return rewriteEpoch_.load(std::memory_order_acquire);
-    }
-
-    void
-    bumpRewriteEpoch()
-    {
-        rewriteEpoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-
     /** Data-region rows in use, including inserted tail rows. */
     std::uint64_t
     usedDataRows() const
@@ -165,9 +107,6 @@ class TableRuntime
     std::uint64_t populatedRows_;
     std::atomic<std::uint64_t> insertCursor_;
     std::uint64_t dataCapacity_;
-    std::atomic<std::uint64_t> writeEpoch_{0};
-    std::atomic<std::uint64_t> snapshotEpoch_{0};
-    std::atomic<std::uint64_t> rewriteEpoch_{0};
 
     friend class Database;
 };

@@ -228,7 +228,6 @@ TpccEngine::updateRow(ChTable t, RowId row,
     const RowId slot = tbl.versions().allocDeltaSlot(row);
     tbl.store().writeRow(storage::Region::Delta, slot, data);
     tbl.versions().addVersion(row, slot, ts);
-    tbl.bumpWriteEpoch();
     ++stats_.versionsCreated;
 
     const WriteSite &w = writes_[static_cast<std::size_t>(t)];

@@ -209,25 +209,6 @@ chRowCounts(double scale)
     return counts;
 }
 
-std::vector<std::string>
-chPrimaryKey(ChTable t)
-{
-    switch (t) {
-      case ChTable::Warehouse: return {"w_id"};
-      case ChTable::District: return {"d_w_id", "d_id"};
-      case ChTable::Customer: return {"c_w_id", "c_d_id", "c_id"};
-      case ChTable::History: return {}; // TPC-C: no primary key.
-      case ChTable::NewOrder:
-        return {"no_w_id", "no_d_id", "no_o_id"};
-      case ChTable::Orders: return {"o_w_id", "o_d_id", "o_id"};
-      case ChTable::OrderLine:
-        return {"ol_w_id", "ol_d_id", "ol_o_id", "ol_number"};
-      case ChTable::Item: return {"i_id"};
-      case ChTable::Stock: return {"s_w_id", "s_i_id"};
-    }
-    fatal("unknown CH table");
-}
-
 std::vector<TableSchema>
 htapBenchSchemas()
 {

@@ -52,16 +52,6 @@ std::vector<format::TableSchema> chBenchmarkSchemas();
 std::map<ChTable, std::uint64_t> chRowCounts(double scale);
 
 /**
- * TPC-C primary-key columns of @p t (empty for HISTORY, which has
- * none). Under an MVCC snapshot each logical row exposes exactly one
- * visible version, so a join whose equality keys cover the build
- * table's primary key matches at most one build row per probe row —
- * the uniqueness fact the query optimizer's inner-to-semi join
- * demotion rests on.
- */
-std::vector<std::string> chPrimaryKey(ChTable t);
-
-/**
  * HTAPBench schema variant (section 7.2 generality test): TPC-C
  * tables extended per HTAPBench with a wider CUSTOMER and a TPCH-
  * style date dimension folded into ORDERS.

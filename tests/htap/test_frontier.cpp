@@ -6,10 +6,6 @@
 #include <vector>
 
 #include "htap/frontier.hpp"
-#include "olap/olap_engine.hpp"
-#include "txn/tpcc_engine.hpp"
-#include "txn/txn_worker_group.hpp"
-#include "workload/query_catalog.hpp"
 
 namespace pushtap::htap {
 namespace {
@@ -124,226 +120,6 @@ TEST(Frontier, SweepIsWellFormed)
         EXPECT_GE(pt.oltpTpmC, 0.0);
         EXPECT_GE(pt.olapQphH, 0.0);
     }
-}
-
-// ---- Write-frontier epochs (result-cache keying) ---------------
-
-using workload::ChTable;
-
-std::vector<ChTable>
-allTables()
-{
-    std::vector<ChTable> all;
-    for (std::size_t i = 0; i < workload::kChTableCount; ++i)
-        all.push_back(static_cast<ChTable>(i));
-    return all;
-}
-
-/** Componentwise epoch order: every epoch of @p a <= @p b's. */
-void
-expectMonotone(const FrontierVector &a, const FrontierVector &b)
-{
-    ASSERT_EQ(a.tables.size(), b.tables.size());
-    for (std::size_t i = 0; i < a.tables.size(); ++i) {
-        EXPECT_EQ(a.tables[i].table, b.tables[i].table);
-        EXPECT_LE(a.tables[i].writeEpoch, b.tables[i].writeEpoch);
-        EXPECT_LE(a.tables[i].snapshotEpoch,
-                  b.tables[i].snapshotEpoch);
-        EXPECT_LE(a.tables[i].rewriteEpoch,
-                  b.tables[i].rewriteEpoch);
-    }
-}
-
-class FrontierEpochTest : public ::testing::Test
-{
-  protected:
-    static txn::DatabaseConfig
-    smallConfig()
-    {
-        txn::DatabaseConfig cfg;
-        cfg.scale = 0.0002;
-        cfg.blockRows = 64;
-        cfg.deltaFraction = 3.0;
-        cfg.insertHeadroom = 1.0;
-        return cfg;
-    }
-
-    FrontierEpochTest()
-        : db(smallConfig()),
-          bw(8, 8, true),
-          timing(dram::Geometry::dimmDefault(),
-                 dram::TimingParams::ddr5_3200()),
-          oltp(db, txn::InstanceFormat::Unified, bw, timing, 31)
-    {
-    }
-
-    /** Tables whose write epoch moved between two captures. */
-    std::vector<ChTable>
-    bumpedWriters(const FrontierVector &before,
-                  const FrontierVector &after)
-    {
-        std::vector<ChTable> out;
-        for (const auto &cur : after.tables) {
-            const auto *old = before.find(cur.table);
-            EXPECT_NE(old, nullptr);
-            if (old != nullptr && cur.writeEpoch > old->writeEpoch)
-                out.push_back(cur.table);
-        }
-        return out;
-    }
-
-    txn::Database db;
-    format::BandwidthModel bw;
-    dram::BatchTimingModel timing;
-    txn::TpccEngine oltp;
-};
-
-TEST_F(FrontierEpochTest, CaptureSortsAndDedups)
-{
-    const auto fv = captureFrontier(
-        db, {ChTable::Stock, ChTable::OrderLine, ChTable::Stock,
-             ChTable::District});
-    ASSERT_EQ(fv.tables.size(), 3u);
-    EXPECT_EQ(fv.tables[0].table, ChTable::District);
-    EXPECT_EQ(fv.tables[1].table, ChTable::OrderLine);
-    EXPECT_EQ(fv.tables[2].table, ChTable::Stock);
-    EXPECT_NE(fv.find(ChTable::Stock), nullptr);
-    EXPECT_EQ(fv.find(ChTable::Warehouse), nullptr);
-}
-
-TEST_F(FrontierEpochTest, PaymentBumpsExactlyItsWriteSet)
-{
-    const auto before = captureFrontier(db, allTables());
-    oltp.executePayment();
-    const auto after = captureFrontier(db, allTables());
-    expectMonotone(before, after);
-
-    // Payment updates Warehouse/District/Customer and inserts one
-    // History row; every other table — and every snapshot/rewrite
-    // epoch — is untouched.
-    EXPECT_EQ(bumpedWriters(before, after),
-              (std::vector<ChTable>{ChTable::Warehouse,
-                                    ChTable::District,
-                                    ChTable::Customer,
-                                    ChTable::History}));
-    for (std::size_t i = 0; i < before.tables.size(); ++i) {
-        EXPECT_EQ(before.tables[i].snapshotEpoch,
-                  after.tables[i].snapshotEpoch);
-        EXPECT_EQ(before.tables[i].rewriteEpoch,
-                  after.tables[i].rewriteEpoch);
-    }
-}
-
-TEST_F(FrontierEpochTest, NewOrderBumpsExactlyItsWriteSet)
-{
-    const auto before = captureFrontier(db, allTables());
-    oltp.executeNewOrder();
-    const auto after = captureFrontier(db, allTables());
-    expectMonotone(before, after);
-
-    // New-Order updates District/Stock and inserts into
-    // OrderLine/Orders/NewOrder; Customer and Item are read-only in
-    // this transaction and must not move.
-    EXPECT_EQ(bumpedWriters(before, after),
-              (std::vector<ChTable>{ChTable::District,
-                                    ChTable::NewOrder,
-                                    ChTable::Orders,
-                                    ChTable::OrderLine,
-                                    ChTable::Stock}));
-}
-
-TEST_F(FrontierEpochTest, ConcurrentWorkerGroupBumpsWriteEpochs)
-{
-    // The concurrent front end funnels through the same per-worker
-    // TpccEngine write paths, so a mixed batch moves the same
-    // epochs the serial engine does.
-    const auto before = captureFrontier(db, allTables());
-    txn::TxnWorkerGroupOptions opts;
-    opts.workers = 2;
-    txn::TxnWorkerGroup group(db, txn::InstanceFormat::Unified, bw,
-                              timing, opts);
-    group.run(24);
-    const auto after = captureFrontier(db, allTables());
-    expectMonotone(before, after);
-    EXPECT_GT(after.find(ChTable::District)->writeEpoch,
-              before.find(ChTable::District)->writeEpoch);
-    EXPECT_GT(after.find(ChTable::OrderLine)->writeEpoch,
-              before.find(ChTable::OrderLine)->writeEpoch);
-}
-
-TEST_F(FrontierEpochTest, ReadOnlyBatchBumpsNoEpoch)
-{
-    for (int i = 0; i < 10; ++i)
-        oltp.executeMixed();
-    olap::OlapEngine engine(db, olap::OlapConfig::pushtapDimm());
-    engine.prepareSnapshot(db.now());
-
-    // Queries and point reads advance nothing: the frontier vector
-    // captured before a read-only batch compares equal afterwards,
-    // which is exactly the result cache's exact-hit condition.
-    const auto before = captureFrontier(db, allTables());
-    for (const auto &q : workload::chExecutablePlans()) {
-        olap::QueryResult r;
-        engine.runQuery(q.plan, &r);
-    }
-    std::vector<std::uint8_t> row(
-        db.table(ChTable::Customer).schema().rowBytes());
-    db.readNewest(ChTable::Customer, 0, row);
-    const auto after = captureFrontier(db, allTables());
-    EXPECT_TRUE(before == after);
-}
-
-TEST_F(FrontierEpochTest, SnapshotBumpsOnlyTouchedSnapshotEpochs)
-{
-    olap::OlapEngine engine(db, olap::OlapConfig::pushtapDimm());
-    engine.prepareSnapshot(db.now());
-    for (int i = 0; i < 10; ++i)
-        oltp.executeMixed();
-
-    const auto before = captureFrontier(db, allTables());
-    engine.prepareSnapshot(db.now());
-    const auto after = captureFrontier(db, allTables());
-    expectMonotone(before, after);
-
-    // The pass flipped bits for the written tables (their snapshot
-    // epochs move) and left write epochs alone everywhere.
-    EXPECT_GT(after.find(ChTable::OrderLine)->snapshotEpoch,
-              before.find(ChTable::OrderLine)->snapshotEpoch);
-    EXPECT_GT(after.find(ChTable::District)->snapshotEpoch,
-              before.find(ChTable::District)->snapshotEpoch);
-    EXPECT_EQ(after.find(ChTable::Item)->snapshotEpoch,
-              before.find(ChTable::Item)->snapshotEpoch);
-    for (std::size_t i = 0; i < before.tables.size(); ++i)
-        EXPECT_EQ(before.tables[i].writeEpoch,
-                  after.tables[i].writeEpoch);
-
-    // An idle re-snapshot at the same timestamp flips nothing and
-    // therefore bumps nothing — repeated snapshots of a quiet system
-    // keep exact hits alive.
-    const auto idle = captureFrontier(db, allTables());
-    engine.prepareSnapshot(db.now());
-    EXPECT_TRUE(captureFrontier(db, allTables()) == idle);
-}
-
-TEST_F(FrontierEpochTest, DefragBumpsRewriteEpochOfMovedTables)
-{
-    olap::OlapEngine engine(db, olap::OlapConfig::pushtapDimm());
-    for (int i = 0; i < 20; ++i)
-        oltp.executeMixed();
-    engine.prepareSnapshot(db.now());
-
-    const auto before = captureFrontier(db, allTables());
-    engine.runDefragmentation(mvcc::DefragStrategy::Hybrid);
-    const auto after = captureFrontier(db, allTables());
-    expectMonotone(before, after);
-
-    // Payment rewrote Warehouse rows through the delta region, so
-    // defragmentation moved rows there; Item never changes and its
-    // baseline stays valid.
-    EXPECT_GT(after.find(ChTable::Warehouse)->rewriteEpoch,
-              before.find(ChTable::Warehouse)->rewriteEpoch);
-    EXPECT_EQ(after.find(ChTable::Item)->rewriteEpoch,
-              before.find(ChTable::Item)->rewriteEpoch);
 }
 
 } // namespace

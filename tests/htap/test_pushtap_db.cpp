@@ -3,7 +3,6 @@
 #include "common/log.hpp"
 
 #include "htap/pushtap_db.hpp"
-#include "support/engine_modes.hpp"
 
 namespace pushtap::htap {
 namespace {
@@ -38,17 +37,12 @@ TEST_F(PushtapDbTest, QuickstartFlow)
 
 TEST_F(PushtapDbTest, FreshnessAcrossQueries)
 {
-    for (const auto &mode : testsupport::kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        auto opts = smallOptions();
-        opts.olap = mode.apply(opts.olap);
-        PushtapDB fresh(opts);
-        olap::QueryResult r1, r2;
-        fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r1);
-        fresh.newOrders(10);
-        fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r2);
-        EXPECT_GT(r2.rows[0].aggs[0], r1.rows[0].aggs[0]);
-    }
+    PushtapDB fresh(smallOptions());
+    olap::QueryResult r1, r2;
+    fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r1);
+    fresh.newOrders(10);
+    fresh.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &r2);
+    EXPECT_GT(r2.rows[0].aggs[0], r1.rows[0].aggs[0]);
 }
 
 TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
@@ -61,20 +55,13 @@ TEST_F(PushtapDbTest, AutomaticDefragEveryInterval)
 
 TEST_F(PushtapDbTest, DefragKeepsResultsCorrect)
 {
-    for (const auto &mode : testsupport::kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        auto opts = smallOptions();
-        opts.olap = mode.apply(opts.olap);
-        PushtapDB defragged(opts);
-        olap::QueryResult before, after;
-        defragged.mixed(60);
-        defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10),
-                           &before);
-        defragged.defragment();
-        defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10),
-                           &after);
-        EXPECT_EQ(before.rows[0].aggs[0], after.rows[0].aggs[0]);
-    }
+    PushtapDB defragged(smallOptions());
+    olap::QueryResult before, after;
+    defragged.mixed(60);
+    defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &before);
+    defragged.defragment();
+    defragged.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &after);
+    EXPECT_EQ(before.rows[0].aggs[0], after.rows[0].aggs[0]);
 }
 
 TEST_F(PushtapDbTest, Q1AndQ9Run)
@@ -190,6 +177,25 @@ TEST_F(PushtapDbTest, DefragNotChargedToQueryConsistency)
     // A second query without intervening work pays no residue.
     const auto rep2 = db.olap().runQuery(olap::plans::q14(), nullptr);
     EXPECT_EQ(rep2.consistencyNs, 0.0);
+}
+
+TEST_F(PushtapDbTest, ExplainDoesNotBillTheNextQuery)
+{
+    // EXPLAIN only describes the plan: it neither snapshots nor
+    // prices, so the next query reports exactly what a twin database
+    // that never explained reports.
+    PushtapDB twin{smallOptions()};
+    db.mixed(30);
+    twin.mixed(30);
+    const TimeNs pending = db.olap().pendingConsistencyNs();
+    const std::string dump = db.explainQuery(9);
+    EXPECT_NE(dump.find("plan Q9"), std::string::npos) << dump;
+    EXPECT_EQ(db.olap().pendingConsistencyNs(), pending);
+    const auto rep = db.runQuery(9);
+    const auto want = twin.runQuery(9);
+    EXPECT_GT(want.consistencyNs, 0.0);
+    EXPECT_EQ(rep.consistencyNs, want.consistencyNs);
+    EXPECT_EQ(rep.pimNs, want.pimNs);
 }
 
 TEST_F(PushtapDbTest, BackToBackForcedDefragDoesNotDoubleCount)

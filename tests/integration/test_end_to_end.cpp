@@ -4,7 +4,6 @@
 
 #include "htap/analytic_olap.hpp"
 #include "htap/pushtap_db.hpp"
-#include "support/engine_modes.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap {
@@ -34,59 +33,47 @@ class EndToEnd : public ::testing::Test
 
 TEST_F(EndToEnd, LongMixedRunStaysConsistent)
 {
-    // In every mode: with the result cache on, each round's Q6 is
-    // served incrementally or, after a defrag pass, re-run in full.
-    for (const auto &mode : testsupport::kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        auto opts = options();
-        opts.olap = mode.apply(opts.olap);
-        htap::PushtapDB db(opts);
-        std::int64_t last = 0;
-        for (int round = 0; round < 8; ++round) {
-            db.mixed(60);
-            olap::QueryResult q6;
-            const auto rep =
-                db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6);
-            const std::int64_t revenue = q6.rows[0].aggs[0];
-            ASSERT_GT(revenue, last) << "round " << round;
-            ASSERT_GT(rep.totalNs(), 0.0);
-            last = revenue;
-        }
-        // Several defrag passes happened along the way.
-        EXPECT_GT(db.oltpDefragPauseNs(), 0.0);
+    htap::PushtapDB db(options());
+    std::int64_t last = 0;
+    for (int round = 0; round < 8; ++round) {
+        db.mixed(60);
+        olap::QueryResult q6;
+        const auto rep =
+            db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6);
+        const std::int64_t revenue = q6.rows[0].aggs[0];
+        ASSERT_GT(revenue, last) << "round " << round;
+        ASSERT_GT(rep.totalNs(), 0.0);
+        last = revenue;
     }
+    // Several defrag passes happened along the way.
+    EXPECT_GT(db.oltpDefragPauseNs(), 0.0);
 }
 
 TEST_F(EndToEnd, AllThreeQueriesAgreeAcrossDefrag)
 {
-    for (const auto &mode : testsupport::kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        auto opts = options();
-        opts.olap = mode.apply(opts.olap);
-        htap::PushtapDB db(opts);
-        db.mixed(80);
+    htap::PushtapDB db(options());
+    db.mixed(80);
 
-        olap::QueryResult q1a, q1b, q6a, q6b, q9a, q9b;
-        db.runQuery(olap::plans::q1(workload::kDateBase), &q1a);
-        db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6a);
-        db.runQuery(olap::plans::q9(), &q9a);
+    olap::QueryResult q1a, q1b, q6a, q6b, q9a, q9b;
+    db.runQuery(olap::plans::q1(workload::kDateBase), &q1a);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6a);
+    db.runQuery(olap::plans::q9(), &q9a);
 
-        db.defragment();
+    db.defragment();
 
-        db.runQuery(olap::plans::q1(workload::kDateBase), &q1b);
-        db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6b);
-        db.runQuery(olap::plans::q9(), &q9b);
+    db.runQuery(olap::plans::q1(workload::kDateBase), &q1b);
+    db.runQuery(olap::plans::q6(0, 1LL << 60, 1, 10), &q6b);
+    db.runQuery(olap::plans::q9(), &q9b);
 
-        EXPECT_EQ(q6a.rows[0].aggs[0], q6b.rows[0].aggs[0]);
-        ASSERT_EQ(q1a.rows.size(), q1b.rows.size());
-        for (std::size_t i = 0; i < q1a.rows.size(); ++i) {
-            EXPECT_EQ(q1a.rows[i].aggs[1], q1b.rows[i].aggs[1]);
-            EXPECT_EQ(q1a.rows[i].count, q1b.rows[i].count);
-        }
-        ASSERT_EQ(q9a.rows.size(), q9b.rows.size());
-        for (std::size_t i = 0; i < q9a.rows.size(); ++i)
-            EXPECT_EQ(q9a.rows[i].aggs[0], q9b.rows[i].aggs[0]);
+    EXPECT_EQ(q6a.rows[0].aggs[0], q6b.rows[0].aggs[0]);
+    ASSERT_EQ(q1a.rows.size(), q1b.rows.size());
+    for (std::size_t i = 0; i < q1a.rows.size(); ++i) {
+        EXPECT_EQ(q1a.rows[i].aggs[1], q1b.rows[i].aggs[1]);
+        EXPECT_EQ(q1a.rows[i].count, q1b.rows[i].count);
     }
+    ASSERT_EQ(q9a.rows.size(), q9b.rows.size());
+    for (std::size_t i = 0; i < q9a.rows.size(); ++i)
+        EXPECT_EQ(q9a.rows[i].aggs[0], q9b.rows[i].aggs[0]);
 }
 
 TEST_F(EndToEnd, BaselinesAndEngineAgreeOnScanScale)

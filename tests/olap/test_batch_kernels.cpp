@@ -391,22 +391,5 @@ TEST_F(BatchVsReferenceTest, MinMaxAggregatesMatchAcrossExecutors)
     checkedRun(p, "minmax grouped");
 }
 
-TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
-{
-    // Fused pricing charges one serial scan instead of one per probe
-    // column, so the modelled PIM time of a fusing plan drops — for
-    // the join-free Q6 and for the probe-keyed semi-join Q14, whose
-    // probe pass also runs fused.
-    for (const auto &plan : {plans::q6(), plans::q14()}) {
-        const auto exec = executePlan(db, plan);
-        EXPECT_GT(exec.fusedScanColumns, 0u) << plan.name;
-        const auto unfused =
-            engine.pricePlan(plan, false, nullptr, exec.rowsVisible);
-        const auto fused =
-            engine.pricePlan(plan, true, nullptr, exec.rowsVisible);
-        EXPECT_LT(fused.pimNs, unfused.pimNs) << plan.name;
-    }
-}
-
 } // namespace
 } // namespace pushtap::olap

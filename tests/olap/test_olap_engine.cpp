@@ -7,7 +7,6 @@
 
 #include "format/bandwidth.hpp"
 #include "olap/olap_engine.hpp"
-#include "support/engine_modes.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 #include "workload/row_view.hpp"
@@ -249,22 +248,16 @@ TEST_F(OlapEngineTest, DefragmentationRestoresScanCost)
 
 TEST_F(OlapEngineTest, ConsistencyChargedOncePerQuery)
 {
-    // In every mode: with the result cache on, the repeat is an
-    // exact hit, which must not charge the snapshot again either.
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
-    for (const auto &mode : testsupport::kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        EXPECT_GT(eng.pendingConsistencyNs(), 0.0);
-        const auto rep = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
-        EXPECT_GT(rep.consistencyNs, 0.0);
-        EXPECT_EQ(eng.pendingConsistencyNs(), 0.0);
-        const auto rep2 = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
-        EXPECT_EQ(rep2.consistencyNs, 0.0);
-        EXPECT_EQ(rep2.cacheHit, mode.resultCache);
-    }
+    OlapEngine eng(db, OlapConfig::pushtapDimm());
+    eng.prepareSnapshot(db.now());
+    EXPECT_GT(eng.pendingConsistencyNs(), 0.0);
+    const auto rep = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
+    EXPECT_GT(rep.consistencyNs, 0.0);
+    EXPECT_EQ(eng.pendingConsistencyNs(), 0.0);
+    const auto rep2 = eng.runQuery(plans::q6(0, 1LL << 60, 1, 10));
+    EXPECT_EQ(rep2.consistencyNs, 0.0);
 }
 
 TEST_F(OlapEngineTest, SnapshotStatsCountEveryTable)

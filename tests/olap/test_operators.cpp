@@ -8,7 +8,6 @@
 
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/engine_modes.hpp"
 #include "support/expect_rows.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
@@ -17,7 +16,6 @@ namespace pushtap::olap {
 namespace {
 
 using testsupport::expectSameRows;
-using testsupport::kEngineModes;
 using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
@@ -81,53 +79,40 @@ TEST_F(OperatorPropertyTest, InFlightDeltasMatchReference)
     std::vector<std::vector<testsupport::RefRow>> want;
     for (const auto &q : workload::chExecutablePlans())
         want.push_back(referenceExecute(db, q.plan));
-    // Every engine mode, two rounds each: with the result cache on,
-    // the second round is served from the cache.
-    for (const auto &mode : kEngineModes) {
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        for (int round = 0; round < 2; ++round) {
-            std::size_t i = 0;
-            for (const auto &q : workload::chExecutablePlans()) {
-                QueryResult res;
-                eng.runQuery(q.plan, &res);
-                expectSameRows(res.rows, want[i++],
-                               q.plan.name + " deltas " + mode.name +
-                                   " round " + std::to_string(round));
-            }
-        }
+    engine.prepareSnapshot(db.now());
+    std::size_t i = 0;
+    for (const auto &q : workload::chExecutablePlans()) {
+        QueryResult res;
+        engine.runQuery(q.plan, &res);
+        expectSameRows(res.rows, want[i++], q.plan.name + " deltas");
     }
 }
 
 TEST_F(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
 {
     const auto &plan = *workload::executableQueryPlan(12);
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        for (int i = 0; i < 10; ++i)
-            oltp.executeMixed();
-        const auto frozen = db.now();
-        eng.prepareSnapshot(frozen);
+    for (int i = 0; i < 10; ++i)
+        oltp.executeMixed();
+    const auto frozen = db.now();
+    engine.prepareSnapshot(frozen);
 
-        QueryResult before;
-        eng.runQuery(plan, &before);
+    QueryResult before;
+    engine.runQuery(plan, &before);
 
-        for (int i = 0; i < 10; ++i)
-            oltp.executeMixed();
+    for (int i = 0; i < 10; ++i)
+        oltp.executeMixed();
 
-        eng.prepareSnapshot(frozen);
-        QueryResult still;
-        eng.runQuery(plan, &still);
-        expectSameRows(still.rows, before.rows, "Q12 at the frozen ts");
+    engine.prepareSnapshot(frozen);
+    QueryResult still;
+    engine.runQuery(plan, &still);
+    expectSameRows(still.rows, before.rows, "Q12 at the frozen ts");
 
-        // Catching up to now() sees the new commits again.
-        eng.prepareSnapshot(db.now());
-        QueryResult fresh;
-        eng.runQuery(plan, &fresh);
-        expectSameRows(fresh.rows, referenceExecute(db, plan),
-                       "Q12 after catch-up");
-    }
+    // Catching up to now() sees the new commits again.
+    engine.prepareSnapshot(db.now());
+    QueryResult fresh;
+    engine.runQuery(plan, &fresh);
+    expectSameRows(fresh.rows, referenceExecute(db, plan),
+                   "Q12 after catch-up");
 }
 
 class OperatorTest : public ::testing::Test
@@ -151,40 +136,32 @@ class OperatorTest : public ::testing::Test
 
 TEST_F(OperatorTest, UngroupedEmptySelectionYieldsOneZeroRow)
 {
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        // An impossible delivery window selects nothing.
-        QueryResult res;
-        eng.runQuery(plans::q6(-2000, -1000, 1, 10), &res);
-        ASSERT_EQ(res.rows.size(), 1u);
-        EXPECT_TRUE(res.rows[0].keys.empty());
-        EXPECT_EQ(res.rows[0].aggs, std::vector<std::int64_t>{0});
-        EXPECT_EQ(res.rows[0].count, 0u);
-    }
+    engine.prepareSnapshot(db.now());
+    // An impossible delivery window selects nothing.
+    QueryResult res;
+    engine.runQuery(plans::q6(-2000, -1000, 1, 10), &res);
+    ASSERT_EQ(res.rows.size(), 1u);
+    EXPECT_TRUE(res.rows[0].keys.empty());
+    EXPECT_EQ(res.rows[0].aggs, std::vector<std::int64_t>{0});
+    EXPECT_EQ(res.rows[0].count, 0u);
 }
 
 TEST_F(OperatorTest, BoundaryQueryWindowsSelectNothing)
 {
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        // Degenerate windows the old imperative predicates accepted:
-        // q6 over [d, d) and q1 above INT64_MAX return zero matches
-        // instead of rejecting or overflowing.
-        QueryResult q6;
-        eng.runQuery(
-            plans::q6(workload::kDateBase, workload::kDateBase, 1, 10),
-            &q6);
-        EXPECT_EQ(q6.rows[0].aggs[0], 0);
+    engine.prepareSnapshot(db.now());
+    // Degenerate windows the old imperative predicates accepted:
+    // q6 over [d, d) and q1 above INT64_MAX return zero matches
+    // instead of rejecting or overflowing.
+    QueryResult q6;
+    engine.runQuery(
+        plans::q6(workload::kDateBase, workload::kDateBase, 1, 10),
+        &q6);
+    EXPECT_EQ(q6.rows[0].aggs[0], 0);
 
-        QueryResult q1;
-        eng.runQuery(
-            plans::q1(std::numeric_limits<std::int64_t>::max()), &q1);
-        EXPECT_TRUE(q1.rows.empty());
-    }
+    QueryResult q1;
+    engine.runQuery(
+        plans::q1(std::numeric_limits<std::int64_t>::max()), &q1);
+    EXPECT_TRUE(q1.rows.empty());
 }
 
 TEST_F(OperatorTest, AntiJoinMatchesReference)
@@ -202,24 +179,20 @@ TEST_F(OperatorTest, AntiJoinMatchesReference)
     auto all = plans::q14();
     all.joins.clear();
 
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        QueryResult res;
-        eng.runQuery(plan, &res);
-        expectSameRows(res.rows, want, "Q14 anti");
+    engine.prepareSnapshot(db.now());
+    QueryResult res;
+    engine.runQuery(plan, &res);
+    expectSameRows(res.rows, want, "Q14 anti");
 
-        // Semi + anti partitions the filtered probe rows exactly.
-        QueryResult semi_res;
-        eng.runQuery(semi, &semi_res);
-        QueryResult all_res;
-        eng.runQuery(all, &all_res);
-        EXPECT_EQ(res.rows[0].count + semi_res.rows[0].count,
-                  all_res.rows[0].count);
-        EXPECT_EQ(res.rows[0].aggs[0] + semi_res.rows[0].aggs[0],
-                  all_res.rows[0].aggs[0]);
-    }
+    // Semi + anti partitions the filtered probe rows exactly.
+    QueryResult semi_res;
+    engine.runQuery(semi, &semi_res);
+    QueryResult all_res;
+    engine.runQuery(all, &all_res);
+    EXPECT_EQ(res.rows[0].count + semi_res.rows[0].count,
+              all_res.rows[0].count);
+    EXPECT_EQ(res.rows[0].aggs[0] + semi_res.rows[0].aggs[0],
+              all_res.rows[0].aggs[0]);
 }
 
 TEST_F(OperatorTest, InnerJoinPayloadGroupingMatchesReference)
@@ -259,16 +232,12 @@ TEST_F(OperatorTest, MinMaxAggregatesMatchDirectScan)
         lo = std::min(lo, v);
         hi = std::max(hi, v);
     }
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        QueryResult res;
-        eng.runQuery(p, &res);
-        ASSERT_EQ(res.rows.size(), 1u);
-        EXPECT_EQ(res.rows[0].aggs[0], lo);
-        EXPECT_EQ(res.rows[0].aggs[1], hi);
-    }
+    engine.prepareSnapshot(db.now());
+    QueryResult res;
+    engine.runQuery(p, &res);
+    ASSERT_EQ(res.rows.size(), 1u);
+    EXPECT_EQ(res.rows[0].aggs[0], lo);
+    EXPECT_EQ(res.rows[0].aggs[1], hi);
 }
 
 TEST_F(OperatorTest, Q12JoinMultiplicityIsExactlyOnePerLine)
@@ -283,17 +252,13 @@ TEST_F(OperatorTest, Q12JoinMultiplicityIsExactlyOnePerLine)
     const auto wide =
         plans::q12(std::numeric_limits<std::int64_t>::min(),
                    std::numeric_limits<std::int64_t>::max(), 0, 9);
-    for (const auto &mode : kEngineModes) {
-        SCOPED_TRACE(mode.name);
-        OlapEngine eng(db, mode.apply(OlapConfig::pushtapDimm()));
-        eng.prepareSnapshot(db.now());
-        QueryResult res;
-        const auto rep = eng.runQuery(wide, &res);
-        std::uint64_t total = 0;
-        for (const auto &row : res.rows)
-            total += row.count;
-        EXPECT_EQ(total, rep.rowsVisible);
-    }
+    engine.prepareSnapshot(db.now());
+    QueryResult res;
+    const auto rep = engine.runQuery(wide, &res);
+    std::uint64_t total = 0;
+    for (const auto &row : res.rows)
+        total += row.count;
+    EXPECT_EQ(total, rep.rowsVisible);
 }
 
 TEST_F(OperatorTest, SortAndLimitAppliedToQ3)
@@ -318,17 +283,13 @@ TEST_F(OperatorTest, FragmentedColumnsFallBackToGatherPath)
     std::vector<std::vector<testsupport::RefRow>> want;
     for (const auto &q : workload::chExecutablePlans())
         want.push_back(referenceExecute(frag_db, q.plan));
-    for (const auto &mode : kEngineModes) {
-        OlapEngine frag_engine(frag_db,
-                               mode.apply(OlapConfig::pushtapDimm()));
-        frag_engine.prepareSnapshot(frag_db.now());
-        std::size_t i = 0;
-        for (const auto &q : workload::chExecutablePlans()) {
-            QueryResult res;
-            frag_engine.runQuery(q.plan, &res);
-            expectSameRows(res.rows, want[i++],
-                           q.plan.name + " fragmented " + mode.name);
-        }
+    OlapEngine frag_engine(frag_db, OlapConfig::pushtapDimm());
+    frag_engine.prepareSnapshot(frag_db.now());
+    std::size_t i = 0;
+    for (const auto &q : workload::chExecutablePlans()) {
+        QueryResult res;
+        frag_engine.runQuery(q.plan, &res);
+        expectSameRows(res.rows, want[i++], q.plan.name + " fragmented");
     }
 }
 

@@ -2,7 +2,6 @@
 
 #include "common/log.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -44,22 +43,13 @@ smallConfig()
 }
 
 /** @p got reproduces the one-worker run @p want: answer, visible
- *  rows, captured groups and ExecStats, build forms included. */
+ *  rows and ExecStats, build forms included. */
 void
 expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
                    const std::string &what)
 {
     EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
     expectSameRows(got.result.rows, want.result.rows, what);
-    ASSERT_EQ(got.groups.size(), want.groups.size()) << what;
-    for (std::size_t i = 0; i < want.groups.size(); ++i) {
-        EXPECT_TRUE(got.groups[i].key == want.groups[i].key)
-            << what << " group " << i;
-        EXPECT_EQ(got.groups[i].aggs, want.groups[i].aggs)
-            << what << " group " << i;
-        EXPECT_EQ(got.groups[i].count, want.groups[i].count)
-            << what << " group " << i;
-    }
     const ExecStats &gs = got.stats, &ws = want.stats;
     EXPECT_EQ(gs.probeVisible, ws.probeVisible) << what;
     EXPECT_EQ(gs.probeFiltered, ws.probeFiltered) << what;
@@ -81,11 +71,30 @@ expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
 }
 
 /**
+ * @p plans, plus a LIMIT-free copy of each plan with a LIMIT: the
+ * copy materializes every merged group, not just the top ones.
+ */
+std::vector<QueryPlan>
+withUnlimitedCopies(std::vector<QueryPlan> plans)
+{
+    const std::size_t n = plans.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (plans[i].limit == 0)
+            continue;
+        QueryPlan all = plans[i];
+        all.name += " unlimited";
+        all.limit = 0;
+        plans.push_back(std::move(all));
+    }
+    return plans;
+}
+
+/**
  * The worker sweep of the acceptance criteria: every executable
  * catalog plan, workers {1, 2, 4, hardware} — answers byte-identical
- * to the reference executor, and the captured group accumulators
- * (what foldGroups/materializeGroups consume) plus the ExecStats
- * byte-identical to the single-worker run.
+ * to the reference executor, and answers (every merged group, through
+ * the LIMIT-free copies) plus the ExecStats byte-identical to the
+ * single-worker run.
  */
 class ParallelExecTest : public ::testing::Test
 {
@@ -112,15 +121,18 @@ class ParallelExecTest : public ::testing::Test
 
 TEST_F(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
 {
+    std::vector<QueryPlan> catalog;
+    for (const auto &q : workload::chExecutablePlans())
+        catalog.push_back(q.plan);
+    const auto plans = withUnlimitedCopies(std::move(catalog));
     ExecOptions serial;
-    serial.captureGroups = true;
     serial.morselRows = 256; // many runs per table
     std::vector<PlanExecution> want;
-    for (const auto &q : workload::chExecutablePlans()) {
-        want.push_back(executePlan(db, q.plan, serial));
-        expectReferenceAnswer(db, q.plan, want.back(),
-                              referenceExecute(db, q.plan),
-                              q.plan.name + " w1");
+    for (const auto &plan : plans) {
+        want.push_back(executePlan(db, plan, serial));
+        expectReferenceAnswer(db, plan, want.back(),
+                              referenceExecute(db, plan),
+                              plan.name + " w1");
     }
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {2u, 4u, hw}) {
@@ -128,14 +140,10 @@ TEST_F(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
         ExecOptions opts = serial;
         opts.workers = workers;
         opts.pool = &pool;
-        std::size_t i = 0;
-        for (const auto &q : workload::chExecutablePlans()) {
-            const auto got = executePlan(db, q.plan, opts);
+        for (std::size_t i = 0; i < plans.size(); ++i)
             expectSameAsSerial(
-                got, want[i],
-                q.plan.name + " w" + std::to_string(workers));
-            ++i;
-        }
+                executePlan(db, plans[i], opts), want[i],
+                plans[i].name + " w" + std::to_string(workers));
     }
 }
 
@@ -250,7 +258,8 @@ TEST_F(ParallelExecTest, EightColumnKeysMatchReference)
  * key ranges that cannot share one dense domain, and a LIMIT cut
  * through tied aggregates. Each runs at one worker and at {2, 4,
  * hardware} workers; answers match the reference executor, and
- * captures and stats match the single-worker run.
+ * answers and stats match the single-worker run (every merged group
+ * too, through a LIMIT-free copy of each plan with a LIMIT).
  */
 class HighCardinalityTest : public ::testing::Test
 {
@@ -288,13 +297,15 @@ class HighCardinalityTest : public ::testing::Test
     static void SetUpTestSuite() { env_ = std::make_unique<Env>(); }
     static void TearDownTestSuite() { env_.reset(); }
 
-    /** Run @p plan at every worker count; returns the serial run. */
+    /** Run @p plan, and its LIMIT-free copy when it has a LIMIT, at
+     *  every worker count; returns the serial run of @p plan. */
     static PlanExecution
     sweep(const QueryPlan &plan)
     {
+        if (plan.limit != 0)
+            sweep(withUnlimitedCopies({plan}).back());
         Database &db = env_->db;
         ExecOptions serial;
-        serial.captureGroups = true;
         serial.morselRows = 1024;
         auto want = executePlan(db, plan, serial);
         expectReferenceAnswer(db, plan, want,
@@ -318,11 +329,12 @@ class HighCardinalityTest : public ::testing::Test
 
 TEST_F(HighCardinalityTest, Q11Q17Q20MatchAcrossWorkers)
 {
-    for (const int n : {17, 20})
+    for (const int n : {11, 17, 20})
         sweep(*workload::executableQueryPlan(n));
     // Q11's grouping outgrows any dense domain: the group table ran.
-    const auto q11 = sweep(*workload::executableQueryPlan(11));
-    EXPECT_GT(q11.groups.size(), 10'000u);
+    auto q11 = *workload::executableQueryPlan(11);
+    q11.limit = 0;
+    EXPECT_GT(executePlan(env_->db, q11).result.rows.size(), 10'000u);
 }
 
 TEST_F(HighCardinalityTest, CatalogBuildsAreDirectAddressed)
@@ -361,8 +373,8 @@ TEST_F(HighCardinalityTest, DisjointDenseKeyRangesMerge)
     // order-id clusters ~5000 apart: a worker whose runs fall in one
     // cluster keeps a dense domain under 4096 keys, the union of two
     // such workers does not, and a worker spanning both spills
-    // mid-probe. Whichever way the runs are claimed, the answer and
-    // the capture cannot move.
+    // mid-probe. Whichever way the runs are claimed, the answer cannot
+    // move.
     using namespace ex;
     QueryPlan p;
     p.name = "disjoint_dense";
@@ -373,11 +385,10 @@ TEST_F(HighCardinalityTest, DisjointDenseKeyRangesMerge)
     p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Min, {ColRef::kProbe, "ol_quantity"}},
                     {AggKind::Max, {ColRef::kProbe, "ol_i_id"}}};
-    const auto serial = sweep(p);
-    EXPECT_GT(serial.groups.size(), 500u);
-    EXPECT_GT(serial.groups.back().key.v[0] -
-                  serial.groups.front().key.v[0],
-              4096);
+    // No ORDER BY: the rows come out in ascending key order.
+    const auto &rows = sweep(p).result.rows;
+    EXPECT_GT(rows.size(), 500u);
+    EXPECT_GT(rows.back().keys[0] - rows.front().keys[0], 4096);
 }
 
 TEST_F(HighCardinalityTest, LimitThroughTiedAggregates)
@@ -409,79 +420,6 @@ TEST_F(HighCardinalityTest, LimitThroughTiedAggregates)
     sweep(p);
 }
 
-TEST_F(HighCardinalityTest, FoldedCapturesMaterializeLikeColdRun)
-{
-    // foldGroups merges two key-sorted captures in one pass. Split the
-    // probe rows by row parity through the baseline bitmaps, capture
-    // each half, and fold one half into the other: Q11 has one stock
-    // row per item, so its halves hold disjoint, interleaved keys;
-    // lines grouped by item repeat most items in both halves. Either
-    // way the fold, in both orders, must equal the cold capture and
-    // materialize to the cold answer.
-    const Database &db = env_->db;
-    QueryPlan lines;
-    lines.name = "lines_by_item";
-    lines.probe.table = ChTable::OrderLine;
-    lines.groupBy = {{ColRef::kProbe, "ol_i_id"}};
-    lines.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}},
-                        {AggKind::Min, {ColRef::kProbe, "ol_quantity"}},
-                        {AggKind::Max, {ColRef::kProbe, "ol_number"}}};
-    const QueryPlan q11 = *workload::executableQueryPlan(11);
-    for (const bool overlapping : {false, true}) {
-        const QueryPlan &plan = overlapping ? lines : q11;
-        const auto &probe = db.table(plan.probe.table).store();
-        auto parityBits = [](std::size_t n, std::size_t parity) {
-            Bitmap b(n);
-            for (std::size_t i = parity; i < n; i += 2)
-                b.set(i);
-            return b;
-        };
-        ExecOptions opts;
-        opts.captureGroups = true;
-        const auto cold = executePlan(db, plan, opts);
-        std::vector<std::vector<GroupAccum>> halves;
-        for (const std::size_t skip : {1u, 0u}) {
-            const Bitmap data =
-                parityBits(probe.dataVisible().size(), skip);
-            const Bitmap delta =
-                parityBits(probe.deltaVisible().size(), skip);
-            ExecOptions half = opts;
-            half.probeBaselineData = &data;
-            half.probeBaselineDelta = &delta;
-            halves.push_back(executePlan(db, plan, half).groups);
-        }
-        std::size_t shared = 0;
-        for (const auto &g : halves[0])
-            shared += std::binary_search(
-                          halves[1].begin(), halves[1].end(), g,
-                          [](const GroupAccum &a, const GroupAccum &b) {
-                              return a.key < b.key;
-                          })
-                          ? 1
-                          : 0;
-        ASSERT_GT(cold.groups.size(), 10'000u) << plan.name;
-        if (overlapping)
-            EXPECT_GT(shared, halves[0].size() / 2) << plan.name;
-        else
-            EXPECT_EQ(shared, 0u) << plan.name;
-        for (const bool swapped : {false, true}) {
-            auto into = halves[swapped ? 1 : 0];
-            foldGroups(plan, into, halves[swapped ? 0 : 1]);
-            const auto what =
-                plan.name + (swapped ? " odd+even" : " even+odd");
-            ASSERT_EQ(into.size(), cold.groups.size()) << what;
-            for (std::size_t i = 0; i < into.size(); ++i) {
-                ASSERT_TRUE(into[i].key == cold.groups[i].key)
-                    << what << " group " << i;
-                EXPECT_EQ(into[i].aggs, cold.groups[i].aggs) << what;
-                EXPECT_EQ(into[i].count, cold.groups[i].count) << what;
-            }
-            expectSameRows(materializeGroups(plan, into).rows,
-                           cold.result.rows, what);
-        }
-    }
-}
-
 TEST(ExecOptionsValidation, RejectsBadKnobs)
 {
     const Database db(smallConfig());
@@ -499,6 +437,16 @@ TEST(OlapConfigValidation, RejectsBadKnobs)
     auto cfg = OlapConfig::pushtapDimm();
     cfg.morselRows = 1000;
     EXPECT_THROW(OlapEngine(db, cfg), FatalError);
+    cfg.morselRows = 0;
+    EXPECT_THROW(OlapEngine(db, cfg), FatalError);
+}
+
+TEST(OlapConfigValidation, DefaultsResolveAtConstruction)
+{
+    Database db(smallConfig());
+    const OlapEngine engine(db, OlapConfig::pushtapDimm());
+    EXPECT_EQ(engine.config().workers, WorkerPool::hardwareWorkers());
+    EXPECT_EQ(engine.config().morselRows, kMorselRows);
 }
 
 /**
@@ -520,11 +468,10 @@ class WorkerPricingTest : public ::testing::Test
     }
 
     OlapConfig
-    config(std::uint32_t workers, bool optimize) const
+    config(std::uint32_t workers) const
     {
         auto cfg = OlapConfig::pushtapDimm();
         cfg.workers = workers;
-        cfg.optimize = optimize;
         return cfg;
     }
 
@@ -539,34 +486,23 @@ TEST_F(WorkerPricingTest, DecompositionUnchangedByWorkers)
     // Golden invariance: workers are host-side only, so the engine
     // must reproduce every decomposition bit-for-bit no matter how
     // many threads drained the morsels — and answer exactly like
-    // the reference executor. The optimizer's pricing of its chosen
-    // plan must not depend on the worker count either.
-    std::vector<std::vector<testsupport::RefRow>> want;
-    for (const auto &q : workload::chExecutablePlans())
-        want.push_back(referenceExecute(db, q.plan));
-    for (const bool optimize : {false, true}) {
-        SCOPED_TRACE(optimize ? "optimize" : "plain");
-        OlapEngine golden(db, config(1, optimize));
-        OlapEngine parallel(db, config(4, optimize));
-        std::size_t i = 0;
-        for (const auto &q : workload::chExecutablePlans()) {
-            golden.prepareSnapshot(db.now());
-            parallel.prepareSnapshot(db.now());
-            QueryResult gres, pres;
-            const auto grep = golden.runQuery(q.plan, &gres);
-            const auto prep = parallel.runQuery(q.plan, &pres);
-            EXPECT_DOUBLE_EQ(prep.pimNs, grep.pimNs) << q.plan.name;
-            EXPECT_DOUBLE_EQ(prep.cpuNs, grep.cpuNs) << q.plan.name;
-            EXPECT_DOUBLE_EQ(prep.cpuBlockedNs, grep.cpuBlockedNs)
-                << q.plan.name;
-            EXPECT_EQ(prep.rowsVisible, grep.rowsVisible)
-                << q.plan.name;
-            EXPECT_EQ(prep.optimized, optimize) << q.plan.name;
-            EXPECT_DOUBLE_EQ(prep.pricedChosenNs, grep.pricedChosenNs)
-                << q.plan.name;
-            expectSameRows(pres.rows, gres.rows, q.plan.name);
-            expectSameRows(pres.rows, want[i++], q.plan.name);
-        }
+    // the reference executor.
+    OlapEngine golden(db, config(1));
+    OlapEngine parallel(db, config(4));
+    for (const auto &q : workload::chExecutablePlans()) {
+        golden.prepareSnapshot(db.now());
+        parallel.prepareSnapshot(db.now());
+        QueryResult gres, pres;
+        const auto grep = golden.runQuery(q.plan, &gres);
+        const auto prep = parallel.runQuery(q.plan, &pres);
+        EXPECT_DOUBLE_EQ(prep.pimNs, grep.pimNs) << q.plan.name;
+        EXPECT_DOUBLE_EQ(prep.cpuNs, grep.cpuNs) << q.plan.name;
+        EXPECT_DOUBLE_EQ(prep.cpuBlockedNs, grep.cpuBlockedNs)
+            << q.plan.name;
+        EXPECT_EQ(prep.rowsVisible, grep.rowsVisible) << q.plan.name;
+        expectSameRows(pres.rows, gres.rows, q.plan.name);
+        expectSameRows(pres.rows, referenceExecute(db, q.plan),
+                       q.plan.name);
     }
 }
 

@@ -198,5 +198,33 @@ TEST(Plan, ValidateCapsSubqueryGroupKeys)
     });
 }
 
+TEST(Plan, DescribePlanDumpsPlan)
+{
+    QueryPlan p;
+    p.name = "skewed2";
+    p.probe.table = ChTable::OrderLine;
+    JoinSpec stock;
+    stock.build.table = ChTable::Stock;
+    stock.kind = JoinKind::Semi;
+    stock.keys = {{"s_w_id", {ColRef::kProbe, "ol_supply_w_id"}},
+                  {"s_i_id", {ColRef::kProbe, "ol_i_id"}}};
+    JoinSpec wh;
+    wh.build.table = ChTable::Warehouse;
+    wh.kind = JoinKind::Semi;
+    wh.keys = {{"w_id", {ColRef::kProbe, "ol_w_id"}}};
+    p.joins = {std::move(stock), std::move(wh)};
+    p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+
+    const auto dump = describePlan(p);
+    EXPECT_NE(dump.find("plan skewed2"), std::string::npos);
+    EXPECT_NE(dump.find("probe orderline"), std::string::npos);
+    EXPECT_NE(dump.find("join j0: semi stock"), std::string::npos);
+    EXPECT_NE(dump.find("s_i_id == probe.ol_i_id"), std::string::npos);
+    EXPECT_NE(dump.find("join j1: semi warehouse"),
+              std::string::npos);
+    EXPECT_NE(dump.find("agg sum(probe.ol_amount)"),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace pushtap::olap

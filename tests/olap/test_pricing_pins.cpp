@@ -7,7 +7,6 @@
 #include "format/bandwidth.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "olap/optimizer.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -36,12 +35,10 @@ fnv1a(std::uint64_t h, double value)
 TEST(PricingPins, CatalogDecompositionIsBitIdentical)
 {
     // The modelled clock, pinned: the snapshot charge, and for every
-    // catalog plan the per-operator and fused pricing walks plus the
-    // optimizer's priced pair (over an empty stats cache). Nothing
-    // here executes runQuery, so the pins hold with the optimizer or
-    // the result cache forced on. The instance format only prices
-    // transactions, so one format covers the analytical side.
-    constexpr std::uint64_t kCatalogHash = 0xdef8105b61c371a8ull;
+    // catalog plan its visible rows and the per-operator pricing walk
+    // runQuery charges. The instance format only prices transactions,
+    // so one format covers the analytical side.
+    constexpr std::uint64_t kCatalogHash = 0x31aecb68ff88c34eull;
     constexpr double kQ1 = 0x1.0e69e99873683p+14;
     constexpr double kQ6 = 0x1.716ca647c8a79p+13;
     constexpr double kQ9 = 0x1.081916e858697p+16;
@@ -65,26 +62,20 @@ TEST(PricingPins, CatalogDecompositionIsBitIdentical)
     OlapEngine engine(db, cfg);
     std::uint64_t h = fnv1a(kFnvOffset, engine.prepareSnapshot(db.now()));
 
-    std::map<int, double> unfused_total;
+    std::map<int, double> total;
     for (const auto &q : workload::chExecutablePlans()) {
         const std::uint64_t rows = executePlan(db, q.plan).rowsVisible;
         h = fnv1a(h, rows);
-        for (const bool fuse : {false, true}) {
-            const auto rep = engine.pricePlan(q.plan, fuse, nullptr, rows);
-            h = fnv1a(h, rep.pimNs);
-            h = fnv1a(h, rep.cpuNs);
-            h = fnv1a(h, rep.cpuBlockedNs);
-            if (!fuse)
-                unfused_total[q.queryNo] = rep.pimNs + rep.cpuNs;
-        }
-        const auto oq = engine.optimizePlan(q.plan);
-        h = fnv1a(h, oq.pricedChosenNs);
-        h = fnv1a(h, oq.pricedHandBuiltNs);
+        const auto rep = engine.pricePlan(q.plan, rows);
+        h = fnv1a(h, rep.pimNs);
+        h = fnv1a(h, rep.cpuNs);
+        h = fnv1a(h, rep.cpuBlockedNs);
+        total[q.queryNo] = rep.pimNs + rep.cpuNs;
     }
     EXPECT_EQ(h, kCatalogHash);
-    EXPECT_EQ(unfused_total[1], kQ1);
-    EXPECT_EQ(unfused_total[6], kQ6);
-    EXPECT_EQ(unfused_total[9], kQ9);
+    EXPECT_EQ(total[1], kQ1);
+    EXPECT_EQ(total[6], kQ6);
+    EXPECT_EQ(total[9], kQ9);
 }
 
 } // namespace

@@ -3,6 +3,8 @@
 #include "common/log.hpp"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "txn/tpcc_engine.hpp"
 #include "workload/row_view.hpp"
@@ -34,27 +36,74 @@ class TpccEngineTest : public ::testing::Test
         return cfg;
     }
 
+    /** Versions each table holds, in ChTable order. */
+    std::vector<std::size_t>
+    versionsPerTable() const
+    {
+        std::vector<std::size_t> n;
+        for (std::size_t t = 0; t < workload::kChTableCount; ++t) {
+            const auto &tbl = db.table(static_cast<ChTable>(t));
+            n.push_back(tbl.versions().versions().size());
+        }
+        return n;
+    }
+
+    /** Versions added per table since @p before, in ChTable order. */
+    std::vector<std::size_t>
+    versionsAddedSince(const std::vector<std::size_t> &before) const
+    {
+        auto added = versionsPerTable();
+        for (std::size_t t = 0; t < added.size(); ++t)
+            added[t] -= before[t];
+        return added;
+    }
+
     Database db;
     format::BandwidthModel bw;
     dram::BatchTimingModel timing;
     TpccEngine engine;
 };
 
+/** @p counts as a per-ChTable vector (tables not named get 0). */
+std::vector<std::size_t>
+perTable(std::initializer_list<std::pair<ChTable, std::size_t>> counts)
+{
+    std::vector<std::size_t> out(workload::kChTableCount, 0);
+    for (const auto &[t, n] : counts)
+        out[static_cast<std::size_t>(t)] = n;
+    return out;
+}
+
 TEST_F(TpccEngineTest, PaymentCreatesFourVersions)
 {
+    const auto before = versionsPerTable();
     engine.executePayment();
     const auto &s = engine.stats();
     EXPECT_EQ(s.transactions, 1u);
     EXPECT_EQ(s.payments, 1u);
-    // warehouse + district + customer updates + history insert.
+    // warehouse + district + customer updates + history insert, and
+    // no other table is written.
     EXPECT_EQ(s.versionsCreated, 4u);
+    EXPECT_EQ(versionsAddedSince(before),
+              perTable({{ChTable::Warehouse, 1},
+                        {ChTable::District, 1},
+                        {ChTable::Customer, 1},
+                        {ChTable::History, 1}}));
 }
 
 TEST_F(TpccEngineTest, NewOrderCreatesTwentyThreeVersions)
 {
+    const auto before = versionsPerTable();
     engine.executeNewOrder();
-    // district + 10 stock updates + 10 orderline + orders + neworder.
+    // district + 10 stock updates + 10 orderline + orders + neworder;
+    // Customer and Item are read only.
     EXPECT_EQ(engine.stats().versionsCreated, 23u);
+    EXPECT_EQ(versionsAddedSince(before),
+              perTable({{ChTable::District, 1},
+                        {ChTable::NewOrder, 1},
+                        {ChTable::Orders, 1},
+                        {ChTable::OrderLine, 10},
+                        {ChTable::Stock, 10}}));
 }
 
 TEST_F(TpccEngineTest, PaymentMovesMoney)
