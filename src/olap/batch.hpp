@@ -41,8 +41,8 @@ namespace pushtap::olap {
 
 /** Default rows per morsel: large enough to amortize per-batch
  *  setup, small enough that a handful of decoded columns stay
- *  cache-resident. Tunable (power of two) via ExecOptions::morselRows
- *  and OlapConfig::morselRows. */
+ *  cache-resident. Tunable (power of two) via ExecOptions::morselRows;
+ *  OlapEngine runs at this default. */
 inline constexpr std::uint32_t kMorselRows = 2048;
 
 /** One morsel: rows [base, base + count) of one region. */

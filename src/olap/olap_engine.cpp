@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.hpp"
 #include "format/bandwidth.hpp"
 #include "workload/ch_schema.hpp"
 
@@ -49,11 +48,6 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
     // workers = 0 resolves to the hardware thread count here, once.
     if (cfg_.workers == 0)
         cfg_.workers = WorkerPool::hardwareWorkers();
-    if (cfg_.morselRows == 0 ||
-        (cfg_.morselRows & (cfg_.morselRows - 1)) != 0)
-        fatal("OlapConfig: morselRows must be a power of two "
-              "(got {})",
-              cfg_.morselRows);
     // The pool runs the scan runs of every query phase (subquery
     // pre-passes, join builds, the probe) plus the per-table
     // snapshot/defrag passes.
@@ -65,12 +59,6 @@ TimeNs
 OlapEngine::busTime(Bytes bytes) const
 {
     return timing_.cpuPeakBandwidth().transferTime(bytes);
-}
-
-std::uint64_t
-OlapEngine::scannedDataRows(const txn::TableRuntime &tbl) const
-{
-    return tbl.usedDataRows();
 }
 
 std::uint64_t
@@ -100,7 +88,7 @@ OlapEngine::scanCostForWidth(const txn::TableRuntime &tbl,
 {
     ScanCost cost;
     cost.totalBytes =
-        (scannedDataRows(tbl) + scannedDeltaRows(tbl)) * width;
+        (tbl.usedDataRows() + scannedDeltaRows(tbl)) * width;
     cost.activeUnits =
         cfg_.blockCirculant
             ? cfg_.geom.pimUnitCount()
@@ -252,7 +240,7 @@ OlapEngine::priceCpuGather(const txn::TableRuntime &tbl,
                                 {tbl.schema().columnId(column)});
     rep.cpuNs += busTime(static_cast<Bytes>(
         access.fetchedBytes *
-        static_cast<double>(scannedDataRows(tbl))));
+        static_cast<double>(tbl.usedDataRows())));
 }
 
 void
@@ -327,7 +315,7 @@ OlapEngine::priceQuery(const QueryPlan &plan, QueryReport &rep) const
 {
     const auto &probe_tbl = db_.table(plan.probe.table);
     const std::uint64_t probe_rows =
-        scannedDataRows(probe_tbl) +
+        probe_tbl.usedDataRows() +
         probe_tbl.versions().deltaUsed();
 
     // Predicate filters: one serial PIM scan per pushed-down Int
@@ -441,12 +429,11 @@ OlapEngine::runQuery(const QueryPlan &plan, QueryResult *result)
     const TimeNs consistency = takeConsistency();
 
     // executePlan validates the plan before the pricing walk. The
-    // engine's worker/morsel configuration drives the functional
-    // execution; results are byte-identical to the single-threaded
-    // defaults by construction.
+    // engine's worker pool drives the functional execution at the
+    // default morsel size; results are byte-identical to the
+    // single-threaded defaults by construction.
     ExecOptions exec_opts;
     exec_opts.workers = cfg_.workers;
-    exec_opts.morselRows = cfg_.morselRows;
     exec_opts.pool = pool_.get();
     auto exec = executePlan(db_, plan, exec_opts);
 

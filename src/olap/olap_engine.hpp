@@ -54,11 +54,6 @@ struct OlapConfig
      * worker count.
      */
     std::uint32_t workers = 0;
-    /**
-     * Rows per morsel of the batch executor. Must be a nonzero power
-     * of two (validated at engine construction).
-     */
-    std::uint32_t morselRows = kMorselRows;
     /** Fixed per-defragmentation overhead (threads + activation). */
     TimeNs defragFixedNs = 50'000.0;
     /** Fixed per-snapshot overhead (thread wakeup). */
@@ -150,8 +145,8 @@ class OlapEngine
     }
 
   private:
-    /** Rows the PIM units must stream in each region. */
-    std::uint64_t scannedDataRows(const txn::TableRuntime &tbl) const;
+    /** Delta rows the PIM units must stream: every allocated delta
+     *  block. */
     std::uint64_t scannedDeltaRows(const txn::TableRuntime &tbl) const;
 
     /**

@@ -298,9 +298,7 @@ class MorselExprContext final : public BatchExprContext
  * morsel of a scan run from that run's own counts). Reordering is
  * sound because conjuncts are side-effect free — the surviving
  * selection is order-invariant. The adaptive state restarts with
- * every run (beginRun), so the per-conjunct (seen, kept) totals
- * depend only on the scan-task list, never on which worker ran which
- * run.
+ * every run (beginRun).
  */
 class BatchPredicates
 {
@@ -319,7 +317,7 @@ class BatchPredicates
             chars_.push_back({BatchColumnReader(store, p.column),
                               p.prefix, p.negate, {}, false});
         for (const auto &e : input.exprPredicates) {
-            exprs_.push_back({foldConstants(e), 0, 0, 0, 0});
+            exprs_.push_back({foldConstants(e), 0, 0});
             order_.push_back(order_.size());
         }
     }
@@ -330,10 +328,7 @@ class BatchPredicates
     beginRun()
     {
         for (std::size_t i = 0; i < exprs_.size(); ++i) {
-            auto &c = exprs_[i];
-            c.seen += c.runSeen;
-            c.kept += c.runKept;
-            c.runSeen = c.runKept = 0;
+            exprs_[i].runSeen = exprs_[i].runKept = 0;
             order_[i] = i;
         }
         applies_ = 0;
@@ -390,18 +385,6 @@ class BatchPredicates
         }
     }
 
-    /** Observed (seen, kept) counts per expression conjunct, in the
-     *  input's original predicate order (ExecStats::conjuncts). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    conjunctStats() const
-    {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-        out.reserve(exprs_.size());
-        for (const auto &c : exprs_)
-            out.emplace_back(c.seen + c.runSeen, c.kept + c.runKept);
-        return out;
-    }
-
   private:
     struct IntPred
     {
@@ -419,8 +402,8 @@ class BatchPredicates
     struct ExprConjunct
     {
         ExprPtr expr; ///< Constant-folded.
-        /** Totals of finished runs, and of the current run. */
-        std::uint64_t seen, kept, runSeen, runKept;
+        /** Rows seen and kept in the current run. */
+        std::uint64_t runSeen, runKept;
 
         double
         passRate() const
@@ -903,7 +886,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 rd.emplace_back(store, name);
             batches.resize(cols.size());
             bulkLocs.resize(plan.joins.size());
-            joinStats.resize(plan.joins.size());
             etup.resize(plan.joins.size());
             etupNext.resize(plan.joins.size());
             gvals.resize(plan.groupBy.size());
@@ -951,10 +933,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         DenseGroupAggregator dense;
         bool denseActive;
         std::uint64_t visible = 0;
-        /** Rows surviving the predicate chain (ExecStats). */
-        std::uint64_t filtered = 0;
-        /** Per-join observed in/out row flow (ExecStats). */
-        std::vector<JoinExecStats> joinStats;
     };
 
     /** Group-table accumulation of entries [0, n) via
@@ -1019,15 +997,12 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         visibleRows(probe_store, m, st.sel);
         st.visible += st.sel.size();
         st.preds.apply(m, st.sel);
-        st.filtered += st.sel.size();
 
         // Filter joins: locate the morsel's keys in the built key
         // sets in bulk and compact the selection in place.
         for (const auto k : filter_joins) {
             if (st.sel.empty())
                 break;
-            auto &js = st.joinStats[k];
-            js.in += st.sel.size();
             const auto &refs = join_key_refs[k];
             for (const auto &ref : refs)
                 st.rd[ref.idx].gatherInts(m, st.sel.span(),
@@ -1048,7 +1023,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     builds[k].contains(st.locs[i]) != anti);
             }
             st.sel.idx.resize(n);
-            js.out += n;
         }
         if (st.sel.empty())
             return;
@@ -1142,7 +1116,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         st.activeTup.clear();
 
         for (const auto k : descend_joins) {
-            st.joinStats[k].in += erow.size();
             const auto &side = builds[k];
             if (!probe_keyed[k]) {
                 // Keys over earlier joins' payloads: gather them over
@@ -1210,7 +1183,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 std::swap(st.etup[k], st.etupNext[k]);
                 st.activeTup.push_back(k);
             }
-            st.joinStats[k].out += erow.size();
             if (erow.empty())
                 return;
         }
@@ -1319,39 +1291,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     out.probeNs = phaseNs(t_build, t_probe);
     for (const auto *st : engaged)
         out.rowsVisible += st->visible;
-    if (no_descend) {
-        // The whole probe pass ran fused (predicates + filter joins
-        // + grouping + aggregation in one morsel loop): report how
-        // many probe Int columns that single serial pass streamed —
-        // probe-keyed semi/anti joins are selection kernels inside
-        // the same loop, so they fuse like any other predicate.
-        out.fusedScanColumns = static_cast<std::uint32_t>(
-            fusedProbeColumns(plan).size());
-    }
-
-    // Observed selectivities: all deterministic integer sums over the
-    // per-worker partials.
-    out.stats.probeVisible = out.rowsVisible;
-    out.stats.joins.resize(plan.joins.size());
-    out.stats.conjuncts.assign(plan.probe.exprPredicates.size(),
-                               {0, 0});
     for (const auto &b : builds)
         out.stats.joinBuilds.push_back({b.rows(), b.denseSlots()});
     for (const auto &sub : subqueries)
         out.stats.subqueryBuilds.push_back(
             {sub.rows(), sub.denseSlots()});
-    for (const auto *st : engaged) {
-        out.stats.probeFiltered += st->filtered;
-        for (std::size_t k = 0; k < plan.joins.size(); ++k) {
-            out.stats.joins[k].in += st->joinStats[k].in;
-            out.stats.joins[k].out += st->joinStats[k].out;
-        }
-        const auto cs = st->preds.conjunctStats();
-        for (std::size_t i = 0; i < cs.size(); ++i) {
-            out.stats.conjuncts[i].first += cs[i].first;
-            out.stats.conjuncts[i].second += cs[i].second;
-        }
-    }
 
     if (fused_ungrouped) {
         Accum total;
@@ -1402,24 +1346,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
 }
 
 } // namespace
-
-bool
-planFusesProbePass(const QueryPlan &plan)
-{
-    // Mirrors executeBatchImpl's classification exactly: the fused
-    // probe pass runs when no join descends — every join is a
-    // non-inner join keyed purely on probe columns.
-    for (const auto &join : plan.joins) {
-        if (join.kind == JoinKind::Inner)
-            return false;
-        for (const auto &[build_col, ref] : join.keys) {
-            (void)build_col;
-            if (ref.side != ColRef::kProbe)
-                return false;
-        }
-    }
-    return true;
-}
 
 PlanExecution
 executePlan(const txn::Database &db, const QueryPlan &plan,

@@ -66,13 +66,6 @@ struct QueryResult
     std::vector<ResultRow> rows;
 };
 
-/** Observed row flow through one join of the batch engine. */
-struct JoinExecStats
-{
-    std::uint64_t in = 0;  ///< Entries probed into the join.
-    std::uint64_t out = 0; ///< Entries surviving (or expanded) out.
-};
-
 /** How one join build or subquery pre-pass placed its keys. */
 struct BuildExecStats
 {
@@ -84,29 +77,13 @@ struct BuildExecStats
 
 /**
  * Measured execution statistics of the executor — observed, not
- * modelled: probe filter pass rates, per-join survival/expansion
- * flows, per-conjunct selectivities and each build's form, the
- * measured half next to the modelled QueryReport. All counts are
- * sums of per-scan-run counts, and both the run list and each run's
- * adaptive conjunct order depend only on the table sizes and the
- * morsel size, so the stats are identical for every worker count.
+ * modelled: the form each build took. Build rows are sums over scan
+ * tasks and the dense domain is read off the collected keys, so the
+ * stats are identical for every worker count.
  */
 struct ExecStats
 {
-    /** Snapshot-visible probe rows entering the predicate chain. */
-    std::uint64_t probeVisible = 0;
-    /** Probe rows surviving the pushed-down predicate chain. */
-    std::uint64_t probeFiltered = 0;
-    /** Per plan join index (filter joins and descend joins alike). */
-    std::vector<JoinExecStats> joins;
-    /** (seen, kept) per probe expression conjunct, in the plan's
-     *  original predicate order — the adaptive reorderer's measured
-     *  selectivities (order-dependent counts, but the order is a
-     *  per-run function of the data, not of the scheduling). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> conjuncts;
-    /** Per plan join, and per plan subquery: the build's form. Sums
-     *  over scan tasks and a domain read off the collected keys, so
-     *  identical for every worker count too. */
+    /** Per plan join, and per plan subquery: the build's form. */
     std::vector<BuildExecStats> joinBuilds;
     std::vector<BuildExecStats> subqueryBuilds;
 };
@@ -116,13 +93,6 @@ struct PlanExecution
     QueryResult result;
     /** Snapshot-visible rows of the probe table (filtered or not). */
     std::uint64_t rowsVisible = 0;
-    /**
-     * Number of distinct probe Int columns the batch engine streamed
-     * in a single fused filter+group+aggregate pass (0 when a join
-     * intervened). Host-side only: pricing charges one scan per
-     * operator input whether or not the pass fused.
-     */
-    std::uint32_t fusedScanColumns = 0;
     /**
      * Host wall-clock of the batch engine's execution phases, in
      * nanoseconds: the scalar-subquery pre-pass, the join build
@@ -135,7 +105,7 @@ struct PlanExecution
     double buildNs = 0.0;
     double probeNs = 0.0;
     double mergeNs = 0.0;
-    /** Observed selectivity statistics. */
+    /** Observed build forms. */
     ExecStats stats;
 };
 
@@ -172,16 +142,5 @@ struct ExecOptions
 PlanExecution executePlan(const txn::Database &db,
                           const QueryPlan &plan,
                           const ExecOptions &opts = {});
-
-/**
- * True when the batch engine runs @p plan's whole probe pass fused
- * (predicates + filter joins + grouping + aggregation in one morsel
- * loop): every join is a probe-keyed selection kernel — a semi or
- * anti join keyed purely on probe columns. Inner joins and payload-keyed
- * joins descend through the match expansion instead. Defined next to
- * the executor's own classification so tests can check which plans
- * the fusedScanColumns report covers.
- */
-bool planFusesProbePass(const QueryPlan &plan);
 
 } // namespace pushtap::olap

@@ -81,50 +81,6 @@ touchedColumns(const QueryPlan &plan)
     return touched;
 }
 
-std::set<std::string>
-fusedProbeColumns(const QueryPlan &plan)
-{
-    std::set<std::string> cols;
-    for (const auto &p : plan.probe.intPredicates)
-        cols.insert(p.column);
-    // Int columns an expression predicate streams in the fused pass;
-    // Char LIKE targets stay on the CPU gather path like the closed
-    // char-prefix predicates.
-    for (const auto &e : plan.probe.exprPredicates)
-        if (e)
-            forEachColumnRef(*e, [&cols](const ColRef &ref,
-                                         bool is_char) {
-                if (!is_char)
-                    cols.insert(ref.column);
-            });
-    // Subquery lookups read their probe-side key columns in the same
-    // pass.
-    for (const auto &sub : plan.subqueries)
-        for (const auto &key : sub.keys)
-            cols.insert(key.column);
-    // Probe-keyed filter joins (semi/anti selection kernels) gather
-    // their probe key columns inside the same fused loop. Join keys
-    // are always Int columns. No-op for join-free plans, so the
-    // original fused set is unchanged there.
-    for (const auto &join : plan.joins)
-        for (const auto &[build_col, ref] : join.keys)
-            if (ref.side == ColRef::kProbe)
-                cols.insert(ref.column);
-    for (const auto &key : plan.groupBy)
-        cols.insert(key.column);
-    for (const auto &agg : plan.aggregates) {
-        if (agg.expr)
-            forEachColumnRef(*agg.expr, [&cols](const ColRef &ref,
-                                                bool is_char) {
-                if (!is_char && ref.side == ColRef::kProbe)
-                    cols.insert(ref.column);
-            });
-        else
-            cols.insert(agg.value.column);
-    }
-    return cols;
-}
-
 namespace {
 
 const format::TableSchema &

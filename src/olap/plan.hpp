@@ -204,16 +204,6 @@ std::set<std::pair<workload::ChTable, std::string>>
 touchedColumns(const QueryPlan &plan);
 
 /**
- * The distinct probe columns a fused probe pass streams: pushed-down
- * Int predicate columns, probe-keyed filter-join keys, subquery
- * lookup keys, group keys and aggregate inputs. The pass runs for
- * any plan whose joins are all probe-keyed selection kernels
- * (olap/operators.hpp planFusesProbePass), join-free plans included.
- * The batch executor reports its size as fusedScanColumns.
- */
-std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
-
-/**
  * Structural validation against the CH schemas: referenced columns
  * exist with the right ColType, join-key/group/aggregate references
  * resolve to the probe table or an earlier Inner join's payload, and

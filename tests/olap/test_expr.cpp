@@ -514,46 +514,6 @@ TEST_F(ExprPropertyTest, RandomTreesAgreeWithReference)
     }
 }
 
-/**
- * The ExecStats contract: every count — including the adaptive
- * conjunct reorderer's per-conjunct (seen, kept), which depend on
- * the order the conjuncts ran in — is identical at 1 and 4 workers,
- * because the reorder state restarts with every scan run and the run
- * list is fixed by the table and morsel sizes. Small morsels give
- * each plan dozens of runs, so dynamic claiming really does hand
- * them to different workers.
- */
-TEST(ExecStatsContract, IdenticalAcrossWorkerCounts)
-{
-    Database db(smallConfig());
-    Rng rng(4242);
-    ExprGen gen(4343);
-    WorkerPool pool(4);
-    for (int it = 0; it < 12; ++it) {
-        auto plan = randomPlan(gen, rng, it);
-        plan.probe.exprPredicates.push_back(gen.boolExpr(2));
-        ExecOptions serial;
-        serial.morselRows = 64;
-        const auto want = executePlan(db, plan, serial);
-        ExecOptions opts = serial;
-        opts.workers = 4;
-        opts.pool = &pool;
-        const auto got = executePlan(db, plan, opts);
-        ASSERT_GE(want.stats.conjuncts.size(), 2u) << plan.name;
-        EXPECT_EQ(got.stats.conjuncts, want.stats.conjuncts)
-            << plan.name;
-        EXPECT_EQ(got.stats.probeVisible, want.stats.probeVisible)
-            << plan.name;
-        EXPECT_EQ(got.stats.probeFiltered, want.stats.probeFiltered)
-            << plan.name;
-        ASSERT_EQ(got.stats.joins.size(), want.stats.joins.size());
-        for (std::size_t k = 0; k < want.stats.joins.size(); ++k) {
-            EXPECT_EQ(got.stats.joins[k].in, want.stats.joins[k].in);
-            EXPECT_EQ(got.stats.joins[k].out, want.stats.joins[k].out);
-        }
-    }
-}
-
 TEST(ExprPropertyFragmented, RandomTreesAgreeOnFragmentedLayouts)
 {
     // With only Q1's columns as keys, most referenced columns

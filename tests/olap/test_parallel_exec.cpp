@@ -51,14 +51,6 @@ expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
     EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
     expectSameRows(got.result.rows, want.result.rows, what);
     const ExecStats &gs = got.stats, &ws = want.stats;
-    EXPECT_EQ(gs.probeVisible, ws.probeVisible) << what;
-    EXPECT_EQ(gs.probeFiltered, ws.probeFiltered) << what;
-    ASSERT_EQ(gs.joins.size(), ws.joins.size()) << what;
-    for (std::size_t k = 0; k < ws.joins.size(); ++k) {
-        EXPECT_EQ(gs.joins[k].in, ws.joins[k].in) << what;
-        EXPECT_EQ(gs.joins[k].out, ws.joins[k].out) << what;
-    }
-    EXPECT_EQ(gs.conjuncts, ws.conjuncts) << what;
     for (const auto &[g, w] : {std::pair{&gs.joinBuilds, &ws.joinBuilds},
                                std::pair{&gs.subqueryBuilds,
                                          &ws.subqueryBuilds}}) {
@@ -431,22 +423,11 @@ TEST(ExecOptionsValidation, RejectsBadKnobs)
     EXPECT_THROW(executePlan(db, plan, opts), FatalError);
 }
 
-TEST(OlapConfigValidation, RejectsBadKnobs)
-{
-    Database db(smallConfig());
-    auto cfg = OlapConfig::pushtapDimm();
-    cfg.morselRows = 1000;
-    EXPECT_THROW(OlapEngine(db, cfg), FatalError);
-    cfg.morselRows = 0;
-    EXPECT_THROW(OlapEngine(db, cfg), FatalError);
-}
-
 TEST(OlapConfigValidation, DefaultsResolveAtConstruction)
 {
     Database db(smallConfig());
     const OlapEngine engine(db, OlapConfig::pushtapDimm());
     EXPECT_EQ(engine.config().workers, WorkerPool::hardwareWorkers());
-    EXPECT_EQ(engine.config().morselRows, kMorselRows);
 }
 
 /**
