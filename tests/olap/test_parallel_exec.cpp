@@ -43,7 +43,7 @@ smallConfig()
 }
 
 /** @p got reproduces the one-worker run @p want: answer, visible
- *  rows and ExecStats, build forms included. */
+ *  rows and ExecStats (each build's form). */
 void
 expectSameAsSerial(const PlanExecution &got, const PlanExecution &want,
                    const std::string &what)
