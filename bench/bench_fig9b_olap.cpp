@@ -145,16 +145,18 @@ writeJson(const std::vector<JsonRow> &rows, const char *path)
         std::fprintf(stderr, "cannot write %s\n", path);
         return;
     }
-    // hardware_threads bounds the scaling-section speedups and the
-    // ISA flags bound the kernels, so the archived artifact stays
-    // interpretable across runner shapes.
+    // hardware_threads bounds the scaling-section speedups, the ISA
+    // flags bound the kernels and reference_ns gives the host's
+    // compute speed, so the archived artifact stays interpretable
+    // across runner shapes.
     std::fprintf(f,
                  "{\n  \"figure\": \"fig9b\",\n"
                  "  \"scale\": %g,\n"
                  "  \"hardware_threads\": %u,\n"
-                 "  \"isa\": %s,\n  \"rows\": [\n",
+                 "  \"isa\": %s,\n"
+                 "  \"reference_ns\": %.0f,\n  \"rows\": [\n",
                  kScale, WorkerPool::hardwareWorkers(),
-                 benchutil::isaJson().c_str());
+                 benchutil::isaJson().c_str(), benchutil::referenceNs());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         std::fprintf(

@@ -13,9 +13,9 @@
  * variant vs the raw byte-match path. The join-probe benches compare
  * the hashed GroupTable key set, a node-based set and the
  * direct-addressed BuildTable key set over the same keys. Results
- * land in BENCH_micro.json (rows/s per kernel and variant), archived
- * by CI and committed at the repository root next to
- * BENCH_fig9a.json.
+ * land in BENCH_micro.json (rows/s per kernel and variant, under a
+ * header with the host's reference time), archived by CI and
+ * committed at the repository root next to BENCH_fig9a.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -530,10 +530,9 @@ BENCHMARK(BM_CharLikeDict)->Arg(0)->Arg(1);
 void
 BM_GroupTableProbe(benchmark::State &state)
 {
-    // Bulk single-int existence probe (semi/anti filter join) over a
-    // slot-less GroupTable key set: hashKeys1 over the morsel's keys
-    // (scalar vs vectorized), then one contains() per row.
-    setKernelVariant(state);
+    // Single-int existence probe (semi/anti filter join) over a
+    // slot-less GroupTable key set: one hash and contains() per row.
+    state.SetLabel("hashed");
     Rng rng(19);
     olap::GroupTable set(1, 0);
     for (int i = 0; i < (1 << 15); ++i) {
@@ -545,20 +544,18 @@ BM_GroupTableProbe(benchmark::State &state)
     std::vector<std::int64_t> keys(olap::kMorselRows);
     for (auto &k : keys)
         k = static_cast<std::int64_t>(rng.below(1 << 16));
-    std::vector<std::uint64_t> hashes(keys.size());
     olap::SelectionVector all, sel;
     for (std::uint32_t i = 0; i < olap::kMorselRows; ++i)
         all.idx.push_back(i);
     for (auto _ : state) {
         sel.idx = all.idx;
-        olap::simd::hashKeys1(keys, hashes);
         olap::InlineKey k;
         k.n = 1;
         std::size_t out = 0;
         for (std::size_t i = 0; i < sel.idx.size(); ++i) {
             k.v[0] = keys[i];
             sel.idx[out] = sel.idx[i];
-            out += static_cast<std::size_t>(set.contains(k, hashes[i]));
+            out += static_cast<std::size_t>(set.contains(k));
         }
         sel.idx.resize(out);
         benchmark::DoNotOptimize(sel.idx.data());
@@ -566,9 +563,8 @@ BM_GroupTableProbe(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         olap::kMorselRows);
-    olap::simd::forceScalarKernels(false);
 }
-BENCHMARK(BM_GroupTableProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_GroupTableProbe);
 
 void
 BM_DenseKeySetProbe(benchmark::State &state)
@@ -729,11 +725,12 @@ writeJson(const std::vector<JsonCollector::Row> &rows,
                  "  \"dispatch\": {\"forced_scalar_build\": %s, "
                  "\"avx2\": %s, \"active\": \"%s\"},\n"
                  "  \"isa\": %s,\n"
+                 "  \"reference_ns\": %.0f,\n"
                  "  \"rows\": [\n",
                  WorkerPool::hardwareWorkers(),
                  d.forcedScalarBuild ? "true" : "false",
                  d.avx2 ? "true" : "false", d.active,
-                 benchutil::isaJson().c_str());
+                 benchutil::isaJson().c_str(), benchutil::referenceNs());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         // Kernel = the registered name up to the first arg suffix.

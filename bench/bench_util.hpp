@@ -3,10 +3,13 @@
 /**
  * @file
  * Shared helpers for the figure/table benches: benchmark-wide
- * effective-bandwidth evaluation (Fig. 8 family), common setup and
- * the host ISA flags of the BENCH_*.json machine headers.
+ * effective-bandwidth evaluation (Fig. 8 family), common setup, and
+ * the host ISA flags and reference time of the BENCH_*.json machine
+ * headers.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -106,6 +109,36 @@ isaJson()
                   flag(avx2), flag(avx512f), flag(avx512bw),
                   flag(avx512vbmi));
     return buf;
+}
+
+/**
+ * The host's reference time for the machine header of a BENCH_*.json
+ * file: the best of 15 timings, in ns, of a fixed scalar loop of 2^20
+ * dependent multiply-xorshift steps that calls no library code. It
+ * puts the rows of two sessions or hosts on one scale for compute:
+ * a host that runs everything 1.5x slower reads a 1.5x larger
+ * reference. It does not see interference that slows only
+ * memory-bound kernels.
+ */
+inline double
+referenceNs()
+{
+    double best = 0.0;
+    for (int round = 0; round < 15; ++round) {
+        std::uint64_t x = static_cast<std::uint64_t>(round) + 1;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::uint32_t i = 0; i < (1u << 20); ++i) {
+            x ^= x >> 29;
+            x *= 0xbf58476d1ce4e5b9ull;
+            // Keeps every step in the timed loop, unvectorized.
+            asm volatile("" : "+r"(x));
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ns =
+            std::chrono::duration<double, std::nano>(t1 - t0).count();
+        best = round == 0 ? ns : std::min(best, ns);
+    }
+    return best;
 }
 
 /** Percentage formatting shorthand. */

@@ -107,13 +107,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Split off an independent child stream (for per-thread use). */
-    Rng
-    split()
-    {
-        return Rng((*this)());
-    }
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t x, int k)

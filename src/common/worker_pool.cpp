@@ -14,13 +14,9 @@ WorkerPool::hardwareWorkers()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-WorkerPool::WorkerPool(std::uint32_t workers, std::uint64_t seed)
+WorkerPool::WorkerPool(std::uint32_t workers)
     : workers_(workers == 0 ? hardwareWorkers() : workers)
 {
-    Rng root(seed);
-    rngs_.reserve(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w)
-        rngs_.push_back(root.split());
     threads_.reserve(workers_ - 1);
     for (std::uint32_t w = 1; w < workers_; ++w)
         threads_.emplace_back([this, w] { threadMain(w); });
@@ -38,8 +34,8 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::runTasks(std::uint32_t worker, const Task &fn,
-                     std::size_t tasks)
+WorkerPool::claimTasks(std::uint32_t worker, const Task &fn,
+                       std::size_t tasks)
 {
     const ActiveScope active(this);
     for (;;) {
@@ -69,7 +65,7 @@ WorkerPool::threadMain(std::uint32_t worker)
             fn = fn_;
             tasks = tasks_;
         }
-        runTasks(worker, *fn, tasks);
+        claimTasks(worker, *fn, tasks);
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++finished_;
@@ -102,7 +98,7 @@ WorkerPool::parallelFor(std::size_t tasks, const Task &fn)
         ++generation_;
     }
     workCv_.notify_all();
-    runTasks(0, fn, tasks);
+    claimTasks(0, fn, tasks);
     {
         // parallelFor must not return while a thread still runs a
         // task: the caller may free captured state right after.

@@ -9,15 +9,11 @@
  * and runs everything inline (bit-identical to a plain loop, which
  * keeps single-threaded configurations trivially deterministic).
  * Tasks are claimed from a shared atomic counter, so long and short
- * tasks balance dynamically across workers.
- *
- * Each worker also owns an independent Rng stream split off the pool
- * seed (Rng::split), so randomized per-worker work stays reproducible
- * for a fixed (seed, worker) pair regardless of scheduling order.
+ * tasks balance dynamically across workers. runTasks() runs a loop
+ * on a pool when one is given and inline otherwise.
  *
  * Task functions must not throw (engine errors go through fatal(),
- * which throws before any job is dispatched, or panic()); rng(w) may
- * only be touched by worker w while a job is running.
+ * which throws before any job is dispatched, or panic()).
  *
  * Reentrancy is detected: a task that calls parallelFor() on the pool
  * that is running it fatal()s with a clear message instead of
@@ -35,8 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace pushtap {
 
 class WorkerPool
@@ -46,8 +40,7 @@ class WorkerPool
                                     std::size_t task)>;
 
     /** @param workers  Worker count; 0 means hardwareWorkers(). */
-    explicit WorkerPool(std::uint32_t workers = 0,
-                        std::uint64_t seed = 0x5048u);
+    explicit WorkerPool(std::uint32_t workers = 0);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -57,9 +50,6 @@ class WorkerPool
     static std::uint32_t hardwareWorkers();
 
     std::uint32_t workers() const { return workers_; }
-
-    /** Worker @p w's private random stream. */
-    Rng &rng(std::uint32_t w) { return rngs_[w]; }
 
     /**
      * Run fn(worker, task) for every task in [0, tasks), handing
@@ -73,8 +63,8 @@ class WorkerPool
     void threadMain(std::uint32_t worker);
 
     /** Claim-and-run loop shared by the caller and the threads. */
-    void runTasks(std::uint32_t worker, const Task &fn,
-                  std::size_t tasks);
+    void claimTasks(std::uint32_t worker, const Task &fn,
+                    std::size_t tasks);
 
     /** Marks this thread as executing tasks of a pool (reentrancy
      * detection); restores the previous pool on scope exit so nested
@@ -96,7 +86,6 @@ class WorkerPool
     static thread_local const WorkerPool *tlsActive_;
 
     std::uint32_t workers_;
-    std::vector<Rng> rngs_;
     std::vector<std::thread> threads_;
 
     std::mutex mu_;
@@ -109,5 +98,22 @@ class WorkerPool
     bool stop_ = false;              ///< Guarded by mu_.
     std::atomic<std::size_t> next_{0}; ///< Task claim counter.
 };
+
+/**
+ * Run fn(worker, task) for every task in [0, tasks): claimed
+ * dynamically over @p pool when it has more than one worker and there
+ * is more than one task, inline as worker 0 otherwise.
+ */
+template <typename Fn>
+void
+runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
+{
+    if (pool && pool->workers() > 1 && tasks > 1) {
+        pool->parallelFor(tasks, fn);
+        return;
+    }
+    for (std::size_t t = 0; t < tasks; ++t)
+        fn(0, t);
+}
 
 } // namespace pushtap

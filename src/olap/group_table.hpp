@@ -16,14 +16,15 @@
  * beside the others without locks.
  *
  * The batch engine groups into it. Join builds and subquery
- * pre-passes go through BuildTable, which places the keys one of two
- * ways, chosen per build from the rows it collected: when the key
- * columns' observed ranges span few enough slots (denseSlotBound),
- * by mixed-radix slot into flat arrays probed with one range check
- * per key column; otherwise into a GroupTable — a semi/anti join's
- * as a slot-less key set, an inner join's with two slots per key
- * (the range of its payload tuples in a flat per-partition array),
- * a subquery's with one slot per aggregate.
+ * pre-passes go through BuildTable, which gives every distinct key a
+ * slot and places the rows by slot into flat arrays: a bitset for a
+ * semi/anti join's key set, one counting-sorted tuple array for an
+ * inner join, per-slot values for a subquery's aggregates. A key's
+ * slot is its mixed-radix number over the key columns' observed
+ * ranges when they span few enough slots (denseSlotBound), so a
+ * probe reads it with one range check per key column; otherwise the
+ * build numbers its distinct keys in a GroupTable, and a probe looks
+ * its key up there.
  *
  * DenseGroupAggregator is the hash-free alternative for the probe's
  * grouping over one small integer key domain: flat arrays indexed by
@@ -38,6 +39,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/worker_pool.hpp"
@@ -92,62 +94,9 @@ struct InlineKeyHash
     }
 };
 
-namespace simd {
-/**
- * Bulk single-int key hashing: out[i] = InlineKeyHash of the one-
- * column key {keys[i]} (@p out is sized like @p keys). The vector
- * path (olap/simd_kernels.cpp) hashes 4 keys per step with the same
- * SplitMix64 mix and FNV fold.
- */
-void hashKeys1(std::span<const std::int64_t> keys,
-               std::span<std::uint64_t> out);
-} // namespace simd
-
-/**
- * out[i] = InlineKeyHash of row i's key tuple, whose component c is
- * col(c)[i] (c < width, i < n): the bulk kernel for single-column
- * keys, one tuple at a time otherwise.
- */
-template <typename ColFn>
-void
-hashKeyRows(std::size_t width, std::size_t n, ColFn &&col,
-            std::vector<std::uint64_t> &out)
-{
-    out.resize(n);
-    if (width == 1) {
-        simd::hashKeys1(col(0).first(n), out);
-        return;
-    }
-    InlineKey key;
-    key.n = static_cast<std::uint32_t>(width);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < width; ++c)
-            key.v[c] = col(c)[i];
-        out[i] = InlineKeyHash{}(key);
-    }
-}
-
-/**
- * Run fn(worker, task) for every task in [0, tasks): claimed
- * dynamically over @p pool when it has more than one worker, inline
- * as worker 0 otherwise.
- */
-template <typename Fn>
-void
-runTasks(WorkerPool *pool, std::size_t tasks, Fn &&fn)
-{
-    if (pool && pool->workers() > 1 && tasks > 1) {
-        pool->parallelFor(tasks, fn);
-        return;
-    }
-    for (std::size_t t = 0; t < tasks; ++t)
-        fn(0, t);
-}
-
-/** Hash-partition count of the parallel join builds and the group
- *  tables (power of two): enough partitions to keep every pool
- *  worker busy through a stitch or merge without fragmenting small
- *  inputs. */
+/** Partition count of a GroupTable (power of two): enough
+ *  partitions to keep every pool worker busy through a merge without
+ *  fragmenting small tables. */
 inline constexpr std::size_t kHashPartitions = 16;
 
 /** Partition of a key hash: its top bits, so partitioning never
@@ -229,58 +178,16 @@ class GroupTable
     const std::int64_t *
     find(const InlineKey &k) const
     {
-        if (k.n != keyWidth_)
-            return nullptr;
-        return find(k, InlineKeyHash{}(k));
+        const auto [p, g] = locate(k);
+        return g == kAbsent ? nullptr : p->aggs.data() + g * slots_;
     }
 
-    /** Aggregate slots of the group of @p k (hash @p h, arity
-     *  keyWidth()), or nullptr. */
-    const std::int64_t *
-    find(const InlineKey &k, std::uint64_t h) const
-    {
-        const auto &p = parts_[hashPartitionOf(h)];
-        const std::size_t g = locate(p, k, h);
-        return g == kAbsent ? nullptr : p.aggs.data() + g * slots_;
-    }
-
-    std::int64_t *
-    find(const InlineKey &k, std::uint64_t h)
-    {
-        auto &p = parts_[hashPartitionOf(h)];
-        const std::size_t g = locate(p, k, h);
-        return g == kAbsent ? nullptr : p.aggs.data() + g * slots_;
-    }
-
-    /** True when @p k (hash @p h, arity keyWidth()) has a group:
-     *  the existence probe of a slot-less key set. */
+    /** True when @p k has a group: the existence probe of a
+     *  slot-less key set. */
     bool
-    contains(const InlineKey &k, std::uint64_t h) const
+    contains(const InlineKey &k) const
     {
-        return locate(parts_[hashPartitionOf(h)], k, h) != kAbsent;
-    }
-
-    /** No group: groupId()'s miss. */
-    static constexpr std::uint64_t kNoGroup = ~std::uint64_t{0};
-
-    /** Id of the group of @p k (hash @p h, arity keyWidth()) — its
-     *  partition in the high 32 bits, its index there in the low —
-     *  or kNoGroup. Ids stay valid until the next insert. */
-    std::uint64_t
-    groupId(const InlineKey &k, std::uint64_t h) const
-    {
-        const std::size_t p = hashPartitionOf(h);
-        const std::size_t g = locate(parts_[p], k, h);
-        return g == kAbsent ? kNoGroup
-                            : std::uint64_t{p} << 32 | g;
-    }
-
-    /** Aggregate slots of group @p id (a groupId(), not kNoGroup). */
-    const std::int64_t *
-    groupAggs(std::uint64_t id) const
-    {
-        return parts_[id >> 32].aggs.data() +
-               (id & 0xffffffffu) * slots_;
+        return locate(k).second != kAbsent;
     }
 
     /** Aggregate slots of partition @p p's groups, slots() per group
@@ -330,9 +237,9 @@ class GroupTable
     }
 
   private:
-    /** Cache-line aligned: a merge or stitch grows the partitions of
-     *  one table from different workers at once, and partitions
-     *  sharing a line would false-share their vector headers. */
+    /** Cache-line aligned: a merge grows the partitions of one table
+     *  from different workers at once, and partitions sharing a line
+     *  would false-share their vector headers. */
     struct alignas(64) Partition
     {
         std::vector<std::uint32_t> index;  ///< Group id + 1; 0 = free.
@@ -344,22 +251,23 @@ class GroupTable
 
     static constexpr std::size_t kAbsent = ~std::size_t{0};
 
-    /** Group index of @p k (hash @p h) in partition @p p, or
-     *  kAbsent. */
-    std::size_t
-    locate(const Partition &p, const InlineKey &k,
-           std::uint64_t h) const
+    /** @p k's partition and its group index there, or kAbsent (a
+     *  key of another arity never has a group). */
+    std::pair<const Partition *, std::size_t>
+    locate(const InlineKey &k) const
     {
-        if (p.index.empty())
-            return kAbsent;
+        const std::uint64_t h = InlineKeyHash{}(k);
+        const Partition &p = parts_[hashPartitionOf(h)];
+        if (k.n != keyWidth_ || p.index.empty())
+            return {&p, kAbsent};
         const std::size_t mask = p.index.size() - 1;
         for (std::size_t i = h & mask;; i = (i + 1) & mask) {
             const std::uint32_t id = p.index[i];
             if (id == 0)
-                return kAbsent;
+                return {&p, kAbsent};
             const std::size_t g = id - 1;
             if (p.hashes[g] == h && keyEquals(p, g, k))
-                return g;
+                return {&p, g};
         }
     }
 
@@ -529,14 +437,14 @@ inline constexpr std::uint64_t kDenseSlack = std::uint64_t{1} << 16;
  * @p rows collected rows may span, for key width w = @p width and
  * a = @p aggs aggregates (Aggregates form).
  *
- * Direct addressing must take no more memory than the GroupTable the
- * same rows would build. That table holds at most one group per row,
- * and each group at least 2 + w + p eight-byte words, its slot index
- * aside: the stored hash, the row count, the key and p payload slots
+ * Direct addressing must take no more memory than a hash table over
+ * the same rows. That table holds at most one group per row, and
+ * each group at least 2 + w + p eight-byte words, its slot index
+ * aside: the stored hash, the row count, the key and p payload words
  * (0 for a key set, 2 for an inner join's tuple range, a for a
  * subquery). A dense slot holds 1 bit for a key set, one 4-byte
  * tuple offset for an inner join and a words for a subquery, its
- * presence bit aside. The payload tuples are the same in both forms.
+ * presence bit aside. The payload tuples are the same either way.
  * So per collected row a build may span
  *   key set       64 (2 + w)     = 128 + 64 w slots,
  *   tuple ranges   2 (2 + w + 2) =   8 + 2 w slots,
@@ -592,17 +500,19 @@ struct KeyDomain
     observe(std::uint32_t width, std::span<const BuildRows> tasks,
             std::uint64_t bound);
 
+    /** slotsOf()'s miss. */
+    static constexpr std::uint64_t kMiss = ~std::uint64_t{0};
+
     /**
      * out[i] = slot of the key whose component c is col(c)[i]
-     * (i < n), or GroupTable::kNoGroup when a component lies outside
-     * its column's range: one unsigned compare per column.
+     * (i < n), or kMiss when a component lies outside its column's
+     * range: one unsigned compare per column.
      */
     template <typename ColFn>
     void
     slotsOf(std::size_t n, ColFn &&col,
             std::vector<std::uint64_t> &out) const
     {
-        constexpr std::uint64_t kMiss = GroupTable::kNoGroup;
         if (width == 0 || slots == 0) {
             out.assign(n, slots == 0 ? kMiss : 0);
             return;
@@ -624,20 +534,22 @@ struct KeyDomain
 
 /**
  * One join build or subquery pre-pass: the keys of the rows its scan
- * collected, placed for read-only probing by every worker. The form
- * is chosen per build from the collected keys: direct-addressed by
- * KeyDomain slot when the domain fits denseSlotBound — a bitset for
- * a key set, an offset array over the payload tuples for tuple
- * ranges, flat per-slot values for aggregates — and hashed into a
- * GroupTable otherwise. Both forms answer every probe alike; only
- * denseSlots() tells them apart. Every placement is identical for
- * any worker count.
+ * collected, placed for read-only probing by every worker. Every
+ * distinct key gets a slot, and the rows are placed by slot — a
+ * bitset for a key set, an offset array over one counting-sorted
+ * tuple array for tuple ranges, flat per-slot values for aggregates.
+ * A key's slot is its KeyDomain slot when the domain fits
+ * denseSlotBound (a probe range-checks each key column), and
+ * otherwise its number in a GroupTable of the build's distinct keys
+ * (a probe hashes the key and looks it up). Only denseSlots() tells
+ * the two mappings apart, and every answer is identical for any
+ * worker count.
  */
 class BuildTable
 {
   public:
     /** find()'s miss: no collected row has the key. */
-    static constexpr std::uint64_t kMiss = GroupTable::kNoGroup;
+    static constexpr std::uint64_t kMiss = KeyDomain::kMiss;
 
     /** A semi/anti join's key set over @p tasks' keys. */
     static BuildTable keySet(std::uint32_t width,
@@ -662,33 +574,20 @@ class BuildTable
     /** Rows collected, summed over tasks. */
     std::uint64_t rows() const { return rows_; }
 
-    /** Slots of the direct-addressed form; 0 when hashed, and for a
-     *  build of no rows (dense, with no slot). */
-    std::uint64_t denseSlots() const { return hashed_ ? 0 : domain_.slots; }
+    /** Slots of the key domain; 0 when the keys are numbered, and for
+     *  a build of no rows (a domain with no slot). */
+    std::uint64_t denseSlots() const { return numbered_ ? 0 : slots_; }
 
     /**
-     * Locate n probe keys: out[i] locates the key whose component c
-     * is col(c)[i] (a span per key column), or is kMiss. A dense
-     * build checks each column's range and reads one slot; a hashed
-     * one hashes the keys and walks its table.
+     * Locate n probe keys: out[i] is the slot of the key whose
+     * component c is col(c)[i] (a span per key column), or kMiss.
      */
     template <typename ColFn>
     void
     find(std::size_t n, ColFn &&col,
          std::vector<std::uint64_t> &out) const
     {
-        if (hashed_) {
-            hashKeyRows(width_, n, col, out);
-            InlineKey k;
-            k.n = width_;
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::uint32_t c = 0; c < width_; ++c)
-                    k.v[c] = col(c)[i];
-                out[i] = table_.groupId(k, out[i]);
-            }
-            return;
-        }
-        domain_.slotsOf(n, col, out);
+        slotsOf(n, col, out);
         for (auto &s : out)
             if (s != kMiss && !occupied(s))
                 s = kMiss;
@@ -709,15 +608,9 @@ class BuildTable
     {
         if (loc == kMiss)
             return {};
-        if (!hashed_) {
-            const std::uint32_t b = offsets_[loc];
-            return {tuples_[0].data() + std::size_t{b} * valWidth_,
-                    offsets_[loc + 1] - b};
-        }
-        const std::int64_t *range = table_.groupAggs(loc);
-        return {tuples_[loc >> 32].data() +
-                    static_cast<std::size_t>(range[0]) * valWidth_,
-                static_cast<std::uint64_t>(range[1] - range[0])};
+        const std::uint32_t b = offsets_[loc];
+        return {tuples_.data() + std::size_t{b} * valWidth_,
+                offsets_[loc + 1] - b};
     }
 
     /** Aggregate @p agg of a located key; 0 for kMiss, the IR's
@@ -725,10 +618,7 @@ class BuildTable
     std::int64_t
     value(std::uint64_t loc, std::size_t agg) const
     {
-        if (loc == kMiss)
-            return 0;
-        return hashed_ ? table_.groupAggs(loc)[agg]
-                       : aggs_[loc * valWidth_ + agg];
+        return loc == kMiss ? 0 : aggs_[loc * valWidth_ + agg];
     }
 
   private:
@@ -736,7 +626,29 @@ class BuildTable
                std::uint32_t val_width, std::vector<AggKind> kinds,
                std::span<const BuildRows> tasks, WorkerPool *pool);
 
-    /** True when dense slot @p s holds a key. */
+    /** out[i] = slot of the key whose component c is col(c)[i], or
+     *  kMiss when no collected row can have it. */
+    template <typename ColFn>
+    void
+    slotsOf(std::size_t n, ColFn &&col,
+            std::vector<std::uint64_t> &out) const
+    {
+        if (!numbered_) {
+            domain_.slotsOf(n, col, out);
+            return;
+        }
+        out.resize(n);
+        InlineKey k;
+        k.n = width_;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::uint32_t c = 0; c < width_; ++c)
+                k.v[c] = col(c)[i];
+            const std::int64_t *number = keys_.find(k);
+            out[i] = number ? static_cast<std::uint64_t>(*number) : kMiss;
+        }
+    }
+
+    /** True when slot @p s holds a key. */
     bool
     occupied(std::uint64_t s) const
     {
@@ -745,17 +657,13 @@ class BuildTable
         return (bits_[s >> 6] >> (s & 63) & 1) != 0;
     }
 
-    void placeDenseKeySet(std::span<const BuildRows> tasks,
+    /** Number the distinct keys of @p tasks 0, 1, ... in keys_. */
+    void numberKeys(std::span<const BuildRows> tasks, WorkerPool *pool);
+    void placeKeySet(std::span<const BuildRows> tasks, WorkerPool *pool);
+    void placeTupleRanges(std::span<const BuildRows> tasks,
                           WorkerPool *pool);
-    void placeDenseTupleRanges(std::span<const BuildRows> tasks,
-                               WorkerPool *pool);
-    void placeDenseAggregates(std::span<const BuildRows> tasks,
-                              WorkerPool *pool);
-    /** Key set or aggregates: per-worker GroupTables, merged. */
-    void placeHashedGroups(std::span<const BuildRows> tasks,
-                           WorkerPool *pool);
-    void placeHashedTupleRanges(std::span<const BuildRows> tasks,
-                                WorkerPool *pool);
+    void placeAggregates(std::span<const BuildRows> tasks,
+                         WorkerPool *pool);
 
     BuildForm form_ = BuildForm::KeySet;
     std::uint32_t width_ = 0;
@@ -764,22 +672,22 @@ class BuildTable
     std::uint32_t valWidth_ = 0;
     std::vector<AggKind> kinds_;
     std::uint64_t rows_ = 0;
-    bool hashed_ = false;
+    std::uint64_t slots_ = 0;
+    /** True when keys_ maps keys to slots, false when domain_ does. */
+    bool numbered_ = false;
     KeyDomain domain_;
-    /** Dense key set: membership, 1 bit per slot. Dense aggregates:
-     *  presence, likewise. */
+    /** Each distinct key with its slot number in aggregate slot 0. */
+    GroupTable keys_;
+    /** Key set: membership, 1 bit per slot. Aggregates: presence,
+     *  likewise. */
     std::vector<std::uint64_t> bits_;
-    /** Dense tuple ranges: slot s's tuples are [offsets_[s],
-     *  offsets_[s + 1]) of tuples_[0]. */
+    /** Tuple ranges: slot s's tuples are [offsets_[s], offsets_[s +
+     *  1]) of tuples_. */
     std::vector<std::uint32_t> offsets_;
-    /** Payload tuples: one array (tuples_[0]) when dense, one per
-     *  hash partition when hashed. */
-    std::array<std::vector<std::int64_t>, kHashPartitions> tuples_;
-    /** Dense aggregates: valWidth_ values per slot. */
+    /** Payload tuples, valWidth_ ints each, grouped by slot. */
+    std::vector<std::int64_t> tuples_;
+    /** Aggregates: valWidth_ values per slot. */
     std::vector<std::int64_t> aggs_;
-    /** Hashed form: the keys, with the tuple range (slots 0 and 1)
-     *  or the aggregates per group. */
-    GroupTable table_;
 };
 
 /**
@@ -912,29 +820,25 @@ class DenseGroupAggregator
     }
 
   private:
-    /** Grow (and re-base) the arrays to cover [lo, hi]. */
+    /** Grow (and re-base) the arrays to cover [lo, hi]. The span is
+     *  computed in uint64, as in KeyDomain::observe: int64 keys may
+     *  lie up to 2^64 - 1 apart. */
     bool
     ensureRange(std::int64_t lo, std::int64_t hi)
     {
-        if (count_.empty()) {
-            if (hi - lo + 1 > kMaxDomain)
-                return false;
-            lo_ = lo;
-            resizeTo(static_cast<std::size_t>(hi - lo + 1), 0);
-            return true;
-        }
-        const std::int64_t new_lo = std::min(lo, lo_);
-        const std::int64_t new_hi = std::max(
-            hi, lo_ + static_cast<std::int64_t>(count_.size()) - 1);
-        if (new_hi - new_lo + 1 > kMaxDomain)
+        const std::int64_t top =
+            lo_ + static_cast<std::int64_t>(count_.size()) - 1;
+        const std::int64_t new_lo = count_.empty() ? lo : std::min(lo, lo_);
+        const std::int64_t new_hi = count_.empty() ? hi : std::max(hi, top);
+        const std::uint64_t span = static_cast<std::uint64_t>(new_hi) -
+                                   static_cast<std::uint64_t>(new_lo);
+        if (span >= static_cast<std::uint64_t>(kMaxDomain))
             return false;
-        if (new_lo == lo_ &&
-            new_hi < lo_ + static_cast<std::int64_t>(count_.size()))
+        if (!count_.empty() && new_lo == lo_ && new_hi <= top)
             return true;
-        const auto front =
-            static_cast<std::size_t>(lo_ - new_lo);
-        resizeTo(static_cast<std::size_t>(new_hi - new_lo + 1),
-                 front);
+        const std::size_t front =
+            count_.empty() ? 0 : static_cast<std::size_t>(lo_ - new_lo);
+        resizeTo(static_cast<std::size_t>(span) + 1, front);
         lo_ = new_lo;
         return true;
     }

@@ -129,20 +129,12 @@ OlapEngine::prepareSnapshot(Timestamp ts)
     // float addition order fixed — so the returned charge is
     // bit-identical for any worker count.
     std::vector<mvcc::SnapshotStats> stats(workload::kChTableCount);
-    auto snapshotTable = [&](std::size_t i) {
-        auto &tbl = db_.table(static_cast<ChTable>(i));
-        stats[i] = snapshotters_[i].snapshot(tbl.store(),
-                                             tbl.versions(), ts);
-    };
-    if (pool_) {
-        pool_->parallelFor(workload::kChTableCount,
-                           [&](std::uint32_t, std::size_t i) {
-                               snapshotTable(i);
-                           });
-    } else {
-        for (std::size_t i = 0; i < workload::kChTableCount; ++i)
-            snapshotTable(i);
-    }
+    runTasks(pool_.get(), workload::kChTableCount,
+             [&](std::uint32_t, std::size_t i) {
+                 auto &tbl = db_.table(static_cast<ChTable>(i));
+                 stats[i] = snapshotters_[i].snapshot(tbl.store(),
+                                                      tbl.versions(), ts);
+             });
     TimeNs total = cfg_.snapshotFixedNs;
     mvcc::SnapshotStats merged;
     for (const auto &st : stats) {
@@ -168,23 +160,15 @@ OlapEngine::runDefragmentation(mvcc::DefragStrategy strategy)
     // Epoch-guarded reclamation inside run() is unchanged. The
     // merged stats fold serially in table order below.
     std::vector<mvcc::DefragStats> stats(workload::kChTableCount);
-    auto defragTable = [&](std::size_t i) {
-        auto &tbl = db_.table(static_cast<ChTable>(i));
-        stats[i] =
-            defragmenter_.run(tbl.store(), tbl.versions(), strategy);
-        // Inserted rows are now primary data-region rows.
-        tbl.absorbInserts();
-        snapshotters_[i].rewind();
-    };
-    if (pool_) {
-        pool_->parallelFor(workload::kChTableCount,
-                           [&](std::uint32_t, std::size_t i) {
-                               defragTable(i);
-                           });
-    } else {
-        for (std::size_t i = 0; i < workload::kChTableCount; ++i)
-            defragTable(i);
-    }
+    runTasks(pool_.get(), workload::kChTableCount,
+             [&](std::uint32_t, std::size_t i) {
+                 auto &tbl = db_.table(static_cast<ChTable>(i));
+                 stats[i] = defragmenter_.run(tbl.store(), tbl.versions(),
+                                              strategy);
+                 // Inserted rows are now primary data-region rows.
+                 tbl.absorbInserts();
+                 snapshotters_[i].rewind();
+             });
     TimeNs total = cfg_.defragFixedNs;
     mvcc::DefragStats merged;
     for (const auto &st : stats) {

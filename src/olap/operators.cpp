@@ -1359,7 +1359,7 @@ executePlan(const txn::Database &db, const QueryPlan &plan,
               opts.morselRows);
     WorkerPool *pool = opts.pool;
     std::optional<WorkerPool> local;
-    // Every phase fans its scan runs (and the build stitch and
+    // Every phase fans its scan runs (and the build placements and
     // group merge) out over the pool.
     if (!pool) {
         const std::uint32_t w = opts.workers == 0

@@ -22,11 +22,12 @@
  * pre-query phases are parallel too: every join build and scalar
  * subquery pre-pass scans its source through one morsel pipeline into
  * per-task row buffers, then places the keys in a BuildTable of
- * olap/group_table.hpp — direct-addressed by key slot when the keys'
- * observed domain is small enough (a bitset for semi/anti joins, an
+ * olap/group_table.hpp by key slot (a bitset for semi/anti joins, an
  * offset array over the payload tuples for inner joins, flat slots
- * for subqueries), hashed into the partitioned GroupTable otherwise —
- * before the fan-out probes it strictly read-only. Per-worker partial accumulators
+ * for subqueries): the key's offset in the keys' observed domain when
+ * that is small enough, its number in a GroupTable of the distinct
+ * keys otherwise. The fan-out probes it strictly read-only.
+ * Per-worker partial accumulators
  * merge with commutative folds and materialize in a total order, so
  * results are byte-identical to the single-threaded run for every
  * worker count.
@@ -70,8 +71,8 @@ struct QueryResult
 struct BuildExecStats
 {
     std::uint64_t rows = 0; ///< Rows its scan collected.
-    /** Direct-addressed slots; 0 when the keys were hashed, and for
-     *  a build that collected no row. */
+    /** Key-domain slots; 0 when the keys were numbered, and for a
+     *  build that collected no row. */
     std::uint64_t denseSlots = 0;
 };
 

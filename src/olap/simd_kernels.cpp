@@ -364,39 +364,6 @@ decodeInt64StrideAvx2(const std::uint8_t *base, std::size_t stride,
         std::memcpy(out + i, base + offsets[i] * stride, 8);
 }
 
-/** Low 64 bits of a 64x64 multiply (AVX2 has no mullo_epi64). */
-__attribute__((target("avx2"))) inline __m256i
-mullo64(__m256i a, __m256i b)
-{
-    const __m256i lo = _mm256_mul_epu32(a, b);
-    const __m256i cross = _mm256_add_epi64(
-        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/** InlineKeyHash for four single-int keys at once. */
-__attribute__((target("avx2"))) inline void
-hashKeys4(const std::int64_t *k, std::uint64_t *out)
-{
-    __m256i x = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(k));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
-    x = mullo64(x, _mm256_set1_epi64x(
-                       static_cast<long long>(0xbf58476d1ce4e5b9ull)));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
-    x = mullo64(x, _mm256_set1_epi64x(
-                       static_cast<long long>(0x94d049bb133111ebull)));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    const __m256i h0 = _mm256_set1_epi64x(
-        static_cast<long long>(0x9e3779b97f4a7c15ull + 1));
-    const __m256i h =
-        mullo64(_mm256_xor_si256(h0, x),
-                _mm256_set1_epi64x(
-                    static_cast<long long>(0x100000001b3ull)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), h);
-}
-
 #endif // PUSHTAP_SIMD_X86
 
 } // namespace
@@ -563,25 +530,6 @@ gatherDictCodes(std::span<const std::uint8_t> packed,
       default:
         fatal("gatherDictCodes: unsupported code width {}",
               code_width);
-    }
-}
-
-void
-hashKeys1(std::span<const std::int64_t> keys,
-          std::span<std::uint64_t> out)
-{
-    const std::size_t n = keys.size();
-    std::size_t i = 0;
-#ifdef PUSHTAP_SIMD_X86
-    if (simdActive())
-        for (; i + 4 <= n; i += 4)
-            hashKeys4(keys.data() + i, out.data() + i);
-#endif
-    InlineKey key;
-    key.n = 1;
-    for (; i < n; ++i) {
-        key.v[0] = keys[i];
-        out[i] = InlineKeyHash{}(key);
     }
 }
 

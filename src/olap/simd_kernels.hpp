@@ -120,7 +120,4 @@ void gatherDictCodes(std::span<const std::uint8_t> packed,
                      std::span<const std::uint32_t> sel,
                      AlignedVec<std::uint32_t> &out);
 
-// hashKeys1, the bulk single-int key hash, is declared next to
-// InlineKeyHash in olap/group_table.hpp.
-
 } // namespace pushtap::olap::simd

@@ -61,21 +61,6 @@ TEST(RngDeterminism, SeedsProduceDistinctStreams)
                 firsts.end());
 }
 
-TEST(RngDeterminism, SplitIsDeterministicAndDecorrelated)
-{
-    Rng a(7);
-    Rng b(7);
-    Rng ca = a.split();
-    Rng cb = b.split();
-    for (int i = 0; i < 64; ++i)
-        ASSERT_EQ(ca(), cb());
-    // Parent and child streams diverge.
-    bool differs = false;
-    for (int i = 0; i < 64 && !differs; ++i)
-        differs = a() != ca();
-    EXPECT_TRUE(differs);
-}
-
 TEST(RngDeterminism, BelowOneIsAlwaysZero)
 {
     Rng rng(3);

@@ -101,17 +101,43 @@ TEST(WorkerPool, PerWorkerAccumulatorsNeedNoSynchronization)
     EXPECT_EQ(total, kTasks * (kTasks + 1) / 2);
 }
 
-TEST(WorkerPool, RngStreamsAreDeterministicAndDistinct)
+TEST(RunTasks, EveryTaskRunsOnceInlineWithoutAParallelPool)
 {
-    WorkerPool a(3, 123), b(3, 123), c(3, 321);
-    for (std::uint32_t w = 0; w < 3; ++w) {
-        EXPECT_EQ(a.rng(w)(), b.rng(w)());
-        EXPECT_EQ(a.rng(w)(), b.rng(w)());
+    // Without a pool, on a one-worker pool and for a single task the
+    // loop runs inline as worker 0, in order; on a four-worker pool
+    // every task still runs exactly once.
+    WorkerPool one(1), four(4);
+    const struct
+    {
+        WorkerPool *pool;
+        std::size_t tasks;
+        bool runsInline;
+    } cases[] = {{nullptr, 16, true},
+                 {&one, 16, true},
+                 {&four, 1, true},
+                 {&four, 1000, false}};
+    for (const auto &c : cases) {
+        std::vector<int> hits(c.tasks, 0);
+        std::vector<std::size_t> order;
+        std::atomic<bool> other_worker{false};
+        runTasks(c.pool, c.tasks, [&](std::uint32_t w, std::size_t t) {
+            ++hits[t];
+            if (w != 0)
+                other_worker = true;
+            if (c.runsInline)
+                order.push_back(t); // Safe: the loop runs inline.
+        });
+        const auto what = ::testing::Message()
+                          << "pool " << (c.pool ? c.pool->workers() : 0)
+                          << " tasks " << c.tasks;
+        EXPECT_EQ(hits, std::vector<int>(c.tasks, 1)) << what;
+        if (c.runsInline) {
+            EXPECT_FALSE(other_worker) << what;
+            std::vector<std::size_t> expect(c.tasks);
+            std::iota(expect.begin(), expect.end(), 0);
+            EXPECT_EQ(order, expect) << what;
+        }
     }
-    // Different seeds and different workers give different streams.
-    EXPECT_NE(WorkerPool(3, 123).rng(0)(), c.rng(0)());
-    WorkerPool d(2, 7);
-    EXPECT_NE(d.rng(0)(), d.rng(1)());
 }
 
 TEST(WorkerPool, ReentrantParallelForFatals)

@@ -155,7 +155,7 @@ filterKeys(const GroupTable &set, const std::vector<InlineKey> &probe,
 {
     std::vector<std::size_t> kept;
     for (std::size_t i = 0; i < probe.size(); ++i)
-        if (set.contains(probe[i], InlineKeyHash{}(probe[i])) != anti)
+        if (set.contains(probe[i]) != anti)
             kept.push_back(i);
     return kept;
 }
@@ -323,6 +323,45 @@ TEST(DenseGroupAggregator, MergesArraysAndSpillsDisjointRanges)
         ++groups;
     });
     EXPECT_EQ(groups, 1001u + 1001u);
+}
+
+TEST(DenseGroupAggregator, KeysAtTheInt64ExtremesRefuseAndStaySpillable)
+{
+    // Keys 2^63 or more apart are far past kMaxDomain: the domain
+    // check must refuse them, not wrap into a small array, on an
+    // empty aggregator and on a live one widened by INT64_MIN.
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<AggSpec> specs = {{AggKind::Sum, {}, {}}};
+    const std::vector<std::int64_t> extremes = {kMin, kMax}, low = {kMin};
+    const std::vector<std::int64_t> vals = {1, 2};
+    const std::vector<std::span<const std::int64_t>> cols = {vals};
+
+    DenseGroupAggregator empty(specs);
+    EXPECT_FALSE(empty.accumulate(extremes, cols));
+    GroupTable none(1, 1);
+    empty.spill(none);
+    EXPECT_EQ(none.size(), 0u);
+
+    DenseGroupAggregator live(specs);
+    const std::vector<std::int64_t> keys = {10, 20, 10};
+    const std::vector<std::int64_t> live_vals = {1, 2, 3};
+    ASSERT_TRUE(live.accumulate(
+        keys, std::vector<std::span<const std::int64_t>>{live_vals}));
+    EXPECT_FALSE(live.accumulate(
+        low, std::vector<std::span<const std::int64_t>>{
+                 std::span<const std::int64_t>(vals).first(1)}));
+    GroupTable groups(1, 1);
+    live.spill(groups);
+    ASSERT_EQ(groups.size(), 2u);
+    for (const auto &[k, sum] : {std::pair{10, 4}, std::pair{20, 2}}) {
+        InlineKey key;
+        key.n = 1;
+        key.v[0] = k;
+        const std::int64_t *got = groups.find(key);
+        ASSERT_NE(got, nullptr) << k;
+        EXPECT_EQ(got[0], sum) << k;
+    }
 }
 
 // ---- BuildTable: the join builds' and subquery pre-passes' keys ----

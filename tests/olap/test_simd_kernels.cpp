@@ -287,38 +287,6 @@ TEST(SimdKernels, DecodeIntStrideMatchesManualDecode)
     EXPECT_FALSE(simd::decodeIntStride(col, buf, 8, off, out));
 }
 
-TEST(SimdKernels, HashKeys1MatchesInlineKeyHash)
-{
-    // The bulk single-int hash feeds join-build partitioning and the
-    // GroupTable probes, so it must equal InlineKeyHash bit for bit
-    // under both dispatches: across the vector width's tails and at
-    // the int64 extremes (the SplitMix64 shifts see the sign bit).
-    Rng rng(131);
-    for (const auto n : kSizes) {
-        std::vector<std::int64_t> keys(n);
-        for (auto &k : keys)
-            k = static_cast<std::int64_t>(rng());
-        const std::int64_t edges[] = {
-            std::numeric_limits<std::int64_t>::min(),
-            std::numeric_limits<std::int64_t>::max(), -1, 0, 1};
-        for (std::size_t i = 0; i < n && i < std::size(edges); ++i)
-            keys[n - 1 - i] = edges[i];
-        std::vector<std::uint64_t> want(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            InlineKey ik;
-            ik.n = 1;
-            ik.v[0] = keys[i];
-            want[i] = InlineKeyHash{}(ik);
-        }
-        for (const bool forced : {true, false}) {
-            ScalarGuard g(forced);
-            std::vector<std::uint64_t> got(n, 0);
-            simd::hashKeys1(keys, got);
-            EXPECT_EQ(got, want) << "n=" << n << " scalar=" << forced;
-        }
-    }
-}
-
 TEST(SimdKernels, DispatchReportsConsistentState)
 {
     const auto &d = simd::kernelDispatch();
