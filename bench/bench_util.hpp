@@ -115,7 +115,7 @@ isaJson()
  * The host's reference time for the machine header of a BENCH_*.json
  * file: the best of 15 timings, in ns, of a fixed scalar loop of 2^20
  * dependent multiply-xorshift steps that calls no library code. It
- * puts the rows of two sessions or hosts on one scale for compute:
+ * puts the rows of two runs or hosts on one scale for compute:
  * a host that runs everything 1.5x slower reads a 1.5x larger
  * reference. It does not see interference that slows only
  * memory-bound kernels.
