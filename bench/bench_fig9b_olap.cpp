@@ -21,7 +21,7 @@
  *
  * A final scaling section sweeps the parallel executor over worker
  * counts and records per-configuration host wall-clock, so the
- * thread-scaling trajectory of the scan-run fan-out is archived
+ * thread-scaling trajectory of the morsel fan-out is archived
  * alongside the suite rows (speedups
  * depend on the runner's core count, which is recorded too). A
  * morselRows axis rides the same grid for the paper's Q1/Q6/Q9

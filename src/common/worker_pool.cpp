@@ -62,13 +62,21 @@ WorkerPool::threadMain(std::uint32_t worker)
             if (stop_)
                 return;
             seen = generation_;
+            // A closed job has every task claimed: sleep until the
+            // next one.
+            if (!open_)
+                continue;
+            ++inside_;
             fn = fn_;
             tasks = tasks_;
         }
         claimTasks(worker, *fn, tasks);
         {
             std::lock_guard<std::mutex> lk(mu_);
-            ++finished_;
+            // Only the last thread out of a closed job has a caller
+            // to wake.
+            if (--inside_ != 0 || open_)
+                continue;
         }
         doneCv_.notify_one();
     }
@@ -93,17 +101,20 @@ WorkerPool::parallelFor(std::size_t tasks, const Task &fn)
         std::lock_guard<std::mutex> lk(mu_);
         fn_ = &fn;
         tasks_ = tasks;
-        finished_ = 0;
+        open_ = true;
         next_.store(0, std::memory_order_relaxed);
         ++generation_;
     }
     workCv_.notify_all();
     claimTasks(0, fn, tasks);
     {
+        // The caller's claim loop returned, so every task is claimed:
+        // close the job and wait only for the threads inside it.
         // parallelFor must not return while a thread still runs a
         // task: the caller may free captured state right after.
         std::unique_lock<std::mutex> lk(mu_);
-        doneCv_.wait(lk, [&] { return finished_ == workers_ - 1; });
+        open_ = false;
+        doneCv_.wait(lk, [&] { return inside_ == 0; });
         fn_ = nullptr;
     }
 }

@@ -12,6 +12,14 @@
  * tasks balance dynamically across workers. runTasks() runs a loop
  * on a pool when one is given and inline otherwise.
  *
+ * Completion: a job is open to threads until the caller's own claim
+ * loop runs dry, which means every task has been claimed. The caller
+ * then closes it and waits only for the threads inside it; a thread
+ * that wakes to a closed job goes back to sleep without touching it.
+ * So a job never waits for threads that did not join it, and no
+ * task is promised a worker of its own: the caller or a fast thread
+ * may run several.
+ *
  * Task functions must not throw (engine errors go through fatal(),
  * which throws before any job is dispatched, or panic()).
  *
@@ -90,11 +98,12 @@ class WorkerPool
 
     std::mutex mu_;
     std::condition_variable workCv_; ///< New job / shutdown.
-    std::condition_variable doneCv_; ///< Threads finished a job.
+    std::condition_variable doneCv_; ///< Last thread left a job.
     const Task *fn_ = nullptr;       ///< Guarded by mu_.
     std::size_t tasks_ = 0;          ///< Guarded by mu_.
     std::uint64_t generation_ = 0;   ///< Job id, guarded by mu_.
-    std::size_t finished_ = 0;       ///< Guarded by mu_.
+    bool open_ = false;              ///< Joinable; guarded by mu_.
+    std::size_t inside_ = 0;         ///< Joined threads; mu_.
     bool stop_ = false;              ///< Guarded by mu_.
     std::atomic<std::size_t> next_{0}; ///< Task claim counter.
 };

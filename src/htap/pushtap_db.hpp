@@ -26,8 +26,8 @@
  *
  * Parallel execution: by default (opts.olap.workers = 0) every query
  * phase, snapshot and defragmentation pass runs on a pool with one
- * worker per hardware thread, whose workers claim morsel-aligned
- * scan runs dynamically. Answers and the modelled decomposition are
+ * worker per hardware thread, whose workers claim one morsel at a
+ * time dynamically. Answers and the modelled decomposition are
  * byte-identical for every worker count; only host wall-clock
  * changes.
  * @code

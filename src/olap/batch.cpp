@@ -16,23 +16,22 @@ namespace pushtap::olap {
 
 using storage::Region;
 
-std::vector<ScanRun>
-scanRuns(std::uint64_t data_rows, std::uint64_t delta_rows,
-         std::uint32_t morsel_rows)
+std::vector<Morsel>
+scanMorsels(std::uint64_t data_rows, std::uint64_t delta_rows,
+            std::uint32_t morsel_rows)
 {
-    const std::uint64_t run_rows =
-        static_cast<std::uint64_t>(morsel_rows) * kRunMorsels;
-    std::vector<ScanRun> runs;
-    runs.reserve((data_rows + run_rows - 1) / run_rows +
-                 (delta_rows + run_rows - 1) / run_rows);
+    std::vector<Morsel> tasks;
+    tasks.reserve((data_rows + morsel_rows - 1) / morsel_rows +
+                  (delta_rows + morsel_rows - 1) / morsel_rows);
     for (const auto &[reg, rows] :
          {std::pair{Region::Data, data_rows},
           std::pair{Region::Delta, delta_rows}})
-        for (std::uint64_t b = 0; b < rows; b += run_rows)
-            runs.push_back(ScanRun{
-                reg, static_cast<RowId>(b),
-                static_cast<RowId>(std::min(rows, b + run_rows))});
-    return runs;
+        for (std::uint64_t b = 0; b < rows; b += morsel_rows)
+            tasks.push_back(Morsel{
+                reg, b,
+                static_cast<std::uint32_t>(
+                    std::min<std::uint64_t>(morsel_rows, rows - b))});
+    return tasks;
 }
 
 BatchColumnReader::BatchColumnReader(const storage::TableStore &store,

@@ -5,22 +5,22 @@
  * Morsel-driven batch execution layer under the OLAP operators.
  *
  * The executor walks each table in *morsels* of up to kMorselRows
- * rows per region. A morsel's snapshot visibility becomes a
- * SelectionVector via word-level bitmap extraction (no bit-by-bit
- * findNext walk); every referenced column is then decoded once per
- * morsel into a typed ColumnBatch — through a zero-copy stride read
- * straight off the contiguous region bytes when the column is
- * unfragmented, through the fragment-gather path otherwise — and
- * predicates run as selection-vector kernels that compact the
- * selection in place. The whole predicate chain, and (when no join
- * intervenes) the aggregate update too, fuses into a single pass
- * over each morsel.
+ * rows per region, and each morsel is one scan task that any worker
+ * of the pool may claim (scanMorsels). A morsel's snapshot
+ * visibility becomes a SelectionVector via word-level bitmap
+ * extraction (no bit-by-bit findNext walk); every referenced column
+ * is then decoded once per morsel into a typed ColumnBatch — through
+ * a zero-copy stride read straight off the contiguous region bytes
+ * when the column is unfragmented, through the fragment-gather path
+ * otherwise — and predicates run as selection-vector kernels that
+ * compact the selection in place. The whole predicate chain, and
+ * (when no join intervenes) the aggregate update too, fuses into a
+ * single pass over each morsel.
  *
  * This layer is purely functional: the pricing walks charge one
  * serial scan per operator input (section 6.2), fused pass or not.
  */
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -323,82 +323,37 @@ void filterCharPrefix(std::span<const std::uint8_t> chars,
                       std::string_view prefix, bool negate);
 
 /**
- * Apply fn(Morsel) to every morsel of rows [begin, end) of region
- * @p reg, ascending, the first morsel starting at @p begin.
- */
-template <typename Fn>
-void
-forEachMorselInRange(storage::Region reg, RowId begin, RowId end,
-                     std::uint32_t morsel_rows, Fn &&fn)
-{
-    for (RowId b = begin; b < end; b += morsel_rows)
-        fn(Morsel{reg, b,
-                  static_cast<std::uint32_t>(
-                      std::min<RowId>(morsel_rows, end - b))});
-}
-
-/** Morsels per scan run: short enough that a table of a few dozen
- *  morsels still spreads over every worker, long enough that the
- *  per-run predicate reorder settles within a run. */
-inline constexpr std::uint32_t kRunMorsels = 4;
-
-/**
- * One scan task of a table pass: rows [begin, end) of one region,
- * a run of whole morsels whose first row is a multiple of the
- * morsel size.
- */
-struct ScanRun
-{
-    storage::Region reg = storage::Region::Data;
-    RowId begin = 0;
-    RowId end = 0;
-};
-
-/**
  * The scan-task list of a pass over @p data_rows data-region and
- * @p delta_rows delta-region rows: runs of up to kRunMorsels
- * morsels, every data run (ascending) before every delta run
- * (ascending). Concatenating per-task output in task order therefore
- * reproduces forEachMorsel's serial row order, whichever worker ran
- * which task. The list depends on the region sizes and the morsel
- * size only — never on the worker count — so anything computed per
- * task is identical for every execution configuration.
+ * @p delta_rows delta-region rows: one morsel per task, each
+ * starting at a multiple of @p morsel_rows, every data morsel
+ * (ascending) before every delta morsel (ascending). Concatenating
+ * per-task output in task order therefore reproduces the serial row
+ * order, whichever worker ran which task. The list depends on the
+ * region sizes and the morsel size only — never on the worker
+ * count — so anything computed per task is identical for every
+ * execution configuration.
  */
-std::vector<ScanRun> scanRuns(std::uint64_t data_rows,
-                              std::uint64_t delta_rows,
-                              std::uint32_t morsel_rows);
+std::vector<Morsel> scanMorsels(std::uint64_t data_rows,
+                                std::uint64_t delta_rows,
+                                std::uint32_t morsel_rows);
 
-/** scanRuns over a table store's visibility bitmaps. */
-inline std::vector<ScanRun>
-scanRuns(const storage::TableStore &store, std::uint32_t morsel_rows)
+/** scanMorsels over a table store's visibility bitmaps. */
+inline std::vector<Morsel>
+scanMorsels(const storage::TableStore &store, std::uint32_t morsel_rows)
 {
-    return scanRuns(store.dataVisible().size(),
-                    store.deltaVisible().size(), morsel_rows);
+    return scanMorsels(store.dataVisible().size(),
+                       store.deltaVisible().size(), morsel_rows);
 }
 
-/** Apply fn(Morsel) to every morsel of run @p r, ascending. */
-template <typename Fn>
-void
-forEachMorselInRun(const ScanRun &r, std::uint32_t morsel_rows,
-                   Fn &&fn)
-{
-    forEachMorselInRange(r.reg, r.begin, r.end, morsel_rows, fn);
-}
-
-/**
- * Apply fn(Morsel) to every morsel of both regions: the data region
- * first, then the delta region, ascending.
- */
+/** Apply fn(Morsel) to every morsel of both regions, in scan-task
+ *  order: the data region first, then the delta region. */
 template <typename Fn>
 void
 forEachMorsel(const storage::TableStore &store, Fn &&fn,
               std::uint32_t morsel_rows = kMorselRows)
 {
-    forEachMorselInRange(storage::Region::Data, 0,
-                         store.dataVisible().size(), morsel_rows, fn);
-    forEachMorselInRange(storage::Region::Delta, 0,
-                         store.deltaVisible().size(), morsel_rows,
-                         fn);
+    for (const Morsel &m : scanMorsels(store, morsel_rows))
+        fn(m);
 }
 
 } // namespace pushtap::olap

@@ -48,7 +48,7 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
     // workers = 0 resolves to the hardware thread count here, once.
     if (cfg_.workers == 0)
         cfg_.workers = WorkerPool::hardwareWorkers();
-    // The pool runs the scan runs of every query phase (subquery
+    // The pool runs the morsels of every query phase (subquery
     // pre-passes, join builds, the probe) plus the per-table
     // snapshot/defrag passes.
     if (cfg_.workers > 1)

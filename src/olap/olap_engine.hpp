@@ -45,7 +45,7 @@ struct OlapConfig
     /** Block-circulant placement on (affects PIM parallelism). */
     bool blockCirculant = true;
     /**
-     * Host worker threads claiming the scan runs of every query
+     * Host worker threads claiming the morsels of every query
      * phase — subquery pre-passes, join builds, the probe and the
      * group merge — plus the per-table snapshot and defragmentation
      * passes. 0 (default) = hardware concurrency, resolved at engine

@@ -293,12 +293,7 @@ class MorselExprContext final : public BatchExprContext
  * vector kernels: each apply() is one pass over the morsel. The
  * closed int-range and char-prefix forms run their specialized
  * kernels first; expression predicates follow as a short-circuit
- * conjunction whose order adapts to the observed per-conjunct
- * selectivity (cheapest-rejection-first; re-sorted before every
- * morsel of a scan run from that run's own counts). Reordering is
- * sound because conjuncts are side-effect free — the surviving
- * selection is order-invariant. The adaptive state restarts with
- * every run (beginRun).
+ * conjunction in plan order.
  */
 class BatchPredicates
 {
@@ -316,22 +311,8 @@ class BatchPredicates
         for (const auto &p : input.charPredicates)
             chars_.push_back({BatchColumnReader(store, p.column),
                               p.prefix, p.negate, {}, false});
-        for (const auto &e : input.exprPredicates) {
-            exprs_.push_back({foldConstants(e), 0, 0});
-            order_.push_back(order_.size());
-        }
-    }
-
-    /** Start a scan run: the conjunct order and its pass-rate
-     *  counters restart from the plan's predicate order. */
-    void
-    beginRun()
-    {
-        for (std::size_t i = 0; i < exprs_.size(); ++i) {
-            exprs_[i].runSeen = exprs_[i].runKept = 0;
-            order_[i] = i;
-        }
-        applies_ = 0;
+        for (const auto &e : input.exprPredicates)
+            exprs_.push_back(foldConstants(e));
     }
 
     void
@@ -368,20 +349,13 @@ class BatchPredicates
             filterCharPrefix(scratch_.chars, p.rd.column().width,
                              sel, p.prefix, p.negate);
         }
-        if (exprs_.empty())
-            return;
-        maybeReorder();
-        ++applies_;
-        for (const auto idx : order_) {
+        for (const auto &e : exprs_) {
             if (sel.empty())
                 return;
-            auto &c = exprs_[idx];
             // Each conjunct re-gathers over the current (compacted)
             // selection: begin() bumps the context epoch.
             ctx_.begin(m, sel);
-            c.runSeen += sel.size();
-            filterExprBatch(*c.expr, ctx_, sel);
-            c.runKept += sel.size();
+            filterExprBatch(*e, ctx_, sel);
         }
     }
 
@@ -399,39 +373,9 @@ class BatchPredicates
         std::vector<std::uint32_t> lut; ///< Dict truth table.
         bool lutBuilt = false;
     };
-    struct ExprConjunct
-    {
-        ExprPtr expr; ///< Constant-folded.
-        /** Rows seen and kept in the current run. */
-        std::uint64_t runSeen, runKept;
-
-        double
-        passRate() const
-        {
-            return runSeen == 0
-                       ? 1.0
-                       : static_cast<double>(runKept) /
-                             static_cast<double>(runSeen);
-        }
-    };
-
-    void
-    maybeReorder()
-    {
-        if (exprs_.size() < 2 || applies_ == 0)
-            return;
-        std::stable_sort(order_.begin(), order_.end(),
-                         [this](std::size_t a, std::size_t b) {
-                             return exprs_[a].passRate() <
-                                    exprs_[b].passRate();
-                         });
-    }
-
     std::vector<IntPred> ints_;
     std::vector<CharPred> chars_;
-    std::vector<ExprConjunct> exprs_;
-    std::vector<std::size_t> order_;
-    std::uint64_t applies_ = 0;
+    std::vector<ExprPtr> exprs_; ///< Constant-folded.
     ColumnBatch scratch_;
     MorselExprContext ctx_;
 };
@@ -465,11 +409,12 @@ slotFold(const std::vector<SpecT> &specs)
 
 /**
  * The build-side scan of join builds and subquery pre-passes alike:
- * workers claim @p input's scan runs dynamically, and each task
- * appends its surviving rows, in scan order, to its own BuildRows —
- * the @p keys columns, then per row the @p payload columns and the
- * evaluated @p values expressions. Concatenating the tasks in order
- * reproduces the serial scan, whichever worker ran which task.
+ * workers claim @p input's morsels dynamically, and each task
+ * appends its morsel's surviving rows, in scan order, to its own
+ * BuildRows — the @p keys columns, then per row the @p payload
+ * columns and the evaluated @p values expressions. Concatenating the
+ * tasks in order reproduces the serial scan, whichever worker ran
+ * which task.
  */
 std::vector<BuildRows>
 collectBuildRows(const storage::TableStore &store,
@@ -480,7 +425,7 @@ collectBuildRows(const storage::TableStore &store,
                  const ExecOptions &opts, WorkerPool *pool)
 {
     /** Per-worker scan state: private readers, predicate chain and
-     *  batches, built lazily on the worker's first claimed run. */
+     *  batches, built lazily on the worker's first claimed morsel. */
     struct Collector
     {
         Collector(const storage::TableStore &st, const TableInput &in,
@@ -502,49 +447,46 @@ collectBuildRows(const storage::TableStore &store,
         std::vector<std::vector<std::int64_t>> vals;
     };
 
-    const auto runs = scanRuns(store, opts.morselRows);
-    std::vector<BuildRows> out(runs.size());
+    const auto morsels = scanMorsels(store, opts.morselRows);
+    std::vector<BuildRows> out(morsels.size());
     std::vector<std::optional<Collector>> states(pool ? pool->workers()
                                                       : 1);
     const std::size_t valw = payload.size() + values.size();
-    runTasks(pool, runs.size(), [&](std::uint32_t w, std::size_t t) {
+    runTasks(pool, morsels.size(), [&](std::uint32_t w, std::size_t t) {
         if (!states[w])
             states[w].emplace(store, input, keys, payload,
                               values.size());
         auto &st = *states[w];
+        const Morsel &m = morsels[t];
         auto &rows = out[t];
         rows.keys.resize(keys.size());
-        st.preds.beginRun();
-        forEachMorselInRun(runs[t], opts.morselRows, [&](const Morsel &m) {
-            visibleRows(store, m, st.sel);
-            st.preds.apply(m, st.sel);
-            const std::size_t n = st.sel.size();
-            if (n == 0)
-                return;
-            for (std::size_t c = 0; c < keys.size(); ++c) {
-                st.keyRd[c].gatherInts(m, st.sel.span(), st.batch);
-                rows.appendKeys(c, st.batch.ints);
-            }
-            const std::size_t base = rows.vals.size();
-            rows.vals.resize(base + n * valw);
-            auto scatter = [&](std::size_t v,
-                               std::span<const std::int64_t> col) {
-                std::int64_t *dst = rows.vals.data() + base + v;
-                for (std::size_t i = 0; i < n; ++i, dst += valw)
-                    *dst = col[i];
-            };
-            for (std::size_t c = 0; c < payload.size(); ++c) {
-                st.payRd[c].gatherInts(m, st.sel.span(), st.batch);
-                scatter(c, st.batch.ints);
-            }
-            if (!values.empty())
-                st.ctx.begin(m, st.sel);
-            for (std::size_t a = 0; a < values.size(); ++a) {
-                evalExprBatch(*values[a], st.ctx, st.vals[a]);
-                scatter(payload.size() + a, st.vals[a]);
-            }
-            rows.rows += n;
-        });
+        visibleRows(store, m, st.sel);
+        st.preds.apply(m, st.sel);
+        const std::size_t n = st.sel.size();
+        if (n == 0)
+            return;
+        for (std::size_t c = 0; c < keys.size(); ++c) {
+            st.keyRd[c].gatherInts(m, st.sel.span(), st.batch);
+            rows.appendKeys(c, st.batch.ints);
+        }
+        rows.vals.resize(n * valw);
+        auto scatter = [&](std::size_t v,
+                           std::span<const std::int64_t> col) {
+            std::int64_t *dst = rows.vals.data() + v;
+            for (std::size_t i = 0; i < n; ++i, dst += valw)
+                *dst = col[i];
+        };
+        for (std::size_t c = 0; c < payload.size(); ++c) {
+            st.payRd[c].gatherInts(m, st.sel.span(), st.batch);
+            scatter(c, st.batch.ints);
+        }
+        if (!values.empty())
+            st.ctx.begin(m, st.sel);
+        for (std::size_t a = 0; a < values.size(); ++a) {
+            evalExprBatch(*values[a], st.ctx, st.vals[a]);
+            scatter(payload.size() + a, st.vals[a]);
+        }
+        rows.rows = n;
     });
     return out;
 }
@@ -863,7 +805,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     const bool dense_grouped = group_refs.size() == 1;
 
     /**
-     * Everything one worker touches while draining scan runs: its own
+     * Everything one worker touches while draining morsels: its own
      * readers, batches, selection, accumulators and join-expansion
      * scratch. Workers never share mutable state; the build tables
      * and the plan context above are read-only during the fan-out.
@@ -950,12 +892,6 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     };
 
     /**
-     * Resolve every aggregate input to a value vector parallel to
-     * the fused pass's surviving selection: plain columns alias
-     * their gathered batch; expressions evaluate column-at-a-time
-     * over the probe batches into per-worker scratch.
-     */
-    /**
      * Evaluate every aggregate LIKE node once over the morsel's
      * final selection (dictionary codes when the column is encoded,
      * raw bytes otherwise) into per-worker 0/1 vectors. The fused
@@ -974,6 +910,12 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         }
     };
 
+    /**
+     * Resolve every aggregate input to a value vector parallel to
+     * the fused pass's surviving selection: plain columns alias
+     * their gathered batch; expressions evaluate column-at-a-time
+     * over the probe batches into per-worker scratch.
+     */
     auto computeFusedAggPtrs = [&](WorkerState &st) {
         for (std::size_t a = 0; a < agg_inputs.size(); ++a) {
             const auto &in = agg_inputs[a];
@@ -1255,24 +1197,22 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             });
     };
 
-    // Probe fan-out: the probe table's scan runs are the unit of
-    // work, claimed dynamically by the pool's workers; each worker
-    // drains its runs through its private state, and nothing below
-    // depends on which worker ran which run. States are built lazily
-    // on a worker's first claimed run — a pool given fewer runs than
-    // workers constructs no more reader sets than runs actually run.
-    const auto runs = scanRuns(probe_store, opts.morselRows);
+    // Probe fan-out: each morsel of the probe table is one task,
+    // claimed dynamically by the pool's workers; each worker drains
+    // its morsels through its private state, and nothing below
+    // depends on which worker ran which morsel. States are built
+    // lazily on a worker's first claimed morsel — a pool given fewer
+    // morsels than workers constructs no more reader sets than
+    // morsels actually run.
+    const auto morsels = scanMorsels(probe_store, opts.morselRows);
     const std::uint32_t nworkers = pool ? pool->workers() : 1;
     std::vector<std::optional<WorkerState>> states(nworkers);
-    runTasks(pool, runs.size(), [&](std::uint32_t w, std::size_t t) {
+    runTasks(pool, morsels.size(), [&](std::uint32_t w, std::size_t t) {
         if (!states[w])
             states[w].emplace(probe_store, plan, &subqueries,
                               probe_cols, fused_ungrouped,
                               dense_grouped);
-        auto &st = *states[w];
-        st.preds.beginRun();
-        forEachMorselInRun(runs[t], opts.morselRows,
-                           [&](const Morsel &m) { processMorsel(st, m); });
+        processMorsel(*states[w], morsels[t]);
     });
     const auto t_probe = Clock::now();
 
@@ -1280,7 +1220,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // fold is commutative (sum/min/max/count), and materialization
     // orders by (order-by keys, group key), so the result is
     // byte-identical for any worker count. Workers that never
-    // claimed a run have no state to fold.
+    // claimed a morsel have no state to fold.
     std::vector<WorkerState *> engaged;
     for (auto &st : states)
         if (st)
@@ -1321,7 +1261,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             st->dense.spill(st->groups);
     }
     // Group tables merge partition-parallel into one (an empty
-    // stand-in when no run ran); the folded dense arrays join last.
+    // stand-in when no morsel ran); the folded dense arrays join
+    // last.
     std::vector<GroupTable *> tables;
     for (auto *st : engaged)
         tables.push_back(&st->groups);
@@ -1359,7 +1300,7 @@ executePlan(const txn::Database &db, const QueryPlan &plan,
               opts.morselRows);
     WorkerPool *pool = opts.pool;
     std::optional<WorkerPool> local;
-    // Every phase fans its scan runs (and the build placements and
+    // Every phase fans its morsels (and the build placements and
     // group merge) out over the pool.
     if (!pool) {
         const std::uint32_t w = opts.workers == 0

@@ -8,14 +8,14 @@
  * and is the only way a plan executes.
  *
  * executePlan() is morsel-driven, batch-at-a-time and parallel: every
- * table pass splits into morsel-aligned scan runs (scanRuns, data
+ * table pass splits into one task per morsel (scanMorsels, data
  * region then delta region) that the workers of a pool claim
- * dynamically, and each worker walks its runs in morsels through the
- * kernel layer of olap/batch.hpp (selection vectors from word-level
- * bitmap extraction, one typed column decode per morsel with a
- * zero-copy stride path for unfragmented columns, predicate kernels
- * — closed forms and expression trees with selectivity-adaptive
- * conjunct ordering — that compact the selection in place,
+ * dynamically, and each worker runs its morsels through the kernel
+ * layer of olap/batch.hpp (selection vectors from word-level bitmap
+ * extraction, one typed column decode per morsel with a zero-copy
+ * stride path for unfragmented columns, predicate kernels — closed
+ * forms, then expression trees in plan order — that compact the
+ * selection in place,
  * bulk join probes with batched inner-join match expansion
  * into per-morsel index/payload-pointer vectors, and a filter+
  * aggregate pass fused into one loop when no join intervenes). The
@@ -112,9 +112,9 @@ struct PlanExecution
 
 /**
  * Host-side execution options of the batch engine: how many worker
- * threads claim the scan runs and how many rows a morsel holds.
+ * threads claim the morsels and how many rows a morsel holds.
  * Results and ExecStats are byte-identical for every worker count:
- * the run list is fixed by the table sizes and the morsel size, and
+ * the task list is fixed by the table sizes and the morsel size, and
  * per-worker partials merge with commutative folds. OlapEngine passes
  * its OlapConfig::workers and pool; a bare executePlan() call stays
  * single-threaded unless asked otherwise.
@@ -135,7 +135,7 @@ struct ExecOptions
 
 /**
  * Execute @p plan exactly over the current snapshot bitmaps of @p db
- * with the morsel-driven batch engine, fanning scan runs out over
+ * with the morsel-driven batch engine, fanning its morsels out over
  * @p opts' worker pool. The plan is validated first (fatal
  * on malformed plans, including join or group keys wider than
  * kMaxKeyColumns).

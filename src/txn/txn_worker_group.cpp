@@ -231,9 +231,11 @@ TxnWorkerGroup::drainPartition(std::uint32_t p)
 void
 TxnWorkerGroup::executeSchedule()
 {
-    // Partition count equals worker count, so every partition drains
-    // on its own worker; a gate wait in one partition never starves
-    // the partition it waits on.
+    // One task per partition. The pool does not give each partition
+    // a worker of its own (the caller or a fast thread may drain two
+    // in turn), but the job stays open to waking threads until every
+    // partition is claimed, so the partition a gate waits on always
+    // finds a worker and the oldest unfinished transaction can run.
     pool_.parallelFor(pool_.workers(),
                       [this](std::uint32_t, std::size_t p) {
                           drainPartition(

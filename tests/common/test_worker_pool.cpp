@@ -86,6 +86,38 @@ TEST(WorkerPool, ReusableAcrossJobs)
     }
 }
 
+TEST(WorkerPool, BackToBackShortJobsStayInsideTheirCall)
+{
+    // The engine's per-query passes in miniature: thousands of jobs
+    // of 2-9 tasks back to back, so threads often wake to a job the
+    // caller has already run dry and closed. Each job's closure and
+    // live flag sit on this frame, and the flag is cleared right
+    // after parallelFor returns: a task that ran late would see it
+    // cleared, and its hit would race with the check below.
+    WorkerPool pool(4);
+    constexpr std::size_t kJobs = 10000;
+    constexpr std::size_t kMaxTasks = 9;
+    std::vector<std::uint8_t> hits(kJobs * kMaxTasks, 0);
+    std::atomic<std::size_t> late{0};
+    for (std::size_t job = 0; job < kJobs; ++job) {
+        const std::size_t tasks = 2 + job % (kMaxTasks - 1);
+        std::atomic<bool> live{true};
+        pool.parallelFor(tasks, [&](std::uint32_t, std::size_t t) {
+            if (!live.load(std::memory_order_relaxed))
+                late.fetch_add(1, std::memory_order_relaxed);
+            ++hits[job * kMaxTasks + t];
+        });
+        live.store(false, std::memory_order_relaxed);
+    }
+    EXPECT_EQ(late.load(), 0u);
+    for (std::size_t job = 0; job < kJobs; ++job) {
+        const std::size_t tasks = 2 + job % (kMaxTasks - 1);
+        for (std::size_t t = 0; t < kMaxTasks; ++t)
+            ASSERT_EQ(hits[job * kMaxTasks + t], t < tasks ? 1 : 0)
+                << "job " << job << " task " << t;
+    }
+}
+
 TEST(WorkerPool, PerWorkerAccumulatorsNeedNoSynchronization)
 {
     // The executor pattern: worker w only touches slot w, then the

@@ -387,7 +387,7 @@ expectAgreesWithReference(Database &db, const QueryPlan &plan)
     testsupport::expectSameRows(executePlan(db, plan).result.rows, ref,
                                 plan.name);
 
-    // And the parallel scan-run fan-out must not change a byte.
+    // And the parallel morsel fan-out must not change a byte.
     WorkerPool pool(2);
     ExecOptions opts;
     opts.workers = 2;

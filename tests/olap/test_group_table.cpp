@@ -712,7 +712,7 @@ TEST(BuildTable, BothFormsMatchReferenceAtEveryWorkerCount)
  * per-task morsels concatenated in task order cover every data row,
  * then every delta row, exactly once, ascending and morsel-aligned.
  * The list takes no worker or shard count at all, so the same tasks
- * (and per-task predicate state) arise under every configuration.
+ * arise under every configuration.
  */
 TEST(ScanRuns, CoverEveryRowOnceInSerialOrder)
 {
@@ -723,45 +723,40 @@ TEST(ScanRuns, CoverEveryRowOnceInSerialOrder)
             for (const std::uint64_t delta :
                  {std::uint64_t{0}, std::uint64_t{1}, m - 1, m,
                   10 * m + 1}) {
-                const auto runs = scanRuns(data, delta, morsel);
+                const auto tasks = scanMorsels(data, delta, morsel);
                 for (const std::uint32_t workers : {1u, 3u, 4u}) {
                     WorkerPool pool(workers);
-                    std::vector<std::vector<Morsel>> per_task(
-                        runs.size());
-                    pool.parallelFor(runs.size(), [&](std::uint32_t,
-                                                      std::size_t t) {
-                        forEachMorselInRun(runs[t], morsel,
-                                           [&](const Morsel &mo) {
-                                               per_task[t].push_back(mo);
-                                           });
+                    std::vector<Morsel> per_task(tasks.size());
+                    pool.parallelFor(tasks.size(), [&](std::uint32_t,
+                                                       std::size_t t) {
+                        per_task[t] = tasks[t];
                     });
                     ::testing::Message what;
                     what << "m" << morsel << " data " << data
                          << " delta " << delta << " w" << workers;
                     std::uint64_t next_data = 0, next_delta = 0;
                     bool in_delta = false;
-                    for (const auto &task : per_task)
-                        for (const auto &mo : task) {
-                            EXPECT_GT(mo.count, 0u) << what;
-                            if (mo.reg == storage::Region::Delta)
-                                in_delta = true;
-                            else
-                                EXPECT_FALSE(in_delta)
-                                    << what << ": data after delta";
-                            auto &next = mo.reg == storage::Region::Data
-                                             ? next_data
-                                             : next_delta;
-                            EXPECT_EQ(mo.base, next) << what;
-                            EXPECT_EQ(mo.base % morsel, 0u) << what;
-                            next = mo.base + mo.count;
-                        }
+                    for (const auto &mo : per_task) {
+                        EXPECT_GT(mo.count, 0u) << what;
+                        if (mo.reg == storage::Region::Delta)
+                            in_delta = true;
+                        else
+                            EXPECT_FALSE(in_delta)
+                                << what << ": data after delta";
+                        auto &next = mo.reg == storage::Region::Data
+                                         ? next_data
+                                         : next_delta;
+                        EXPECT_EQ(mo.base, next) << what;
+                        EXPECT_EQ(mo.base % morsel, 0u) << what;
+                        next = mo.base + mo.count;
+                    }
                     EXPECT_EQ(next_data, data) << what;
                     EXPECT_EQ(next_delta, delta) << what;
                 }
-                for (const auto &r : runs) {
-                    EXPECT_LT(r.begin, r.end);
-                    EXPECT_LE(r.end - r.begin,
-                              std::uint64_t{kRunMorsels} * morsel);
+                // One morsel of at most morselRows rows per task.
+                for (const auto &mo : tasks) {
+                    EXPECT_GT(mo.count, 0u);
+                    EXPECT_LE(mo.count, morsel);
                 }
             }
     }

@@ -30,7 +30,7 @@ smallConfig()
     DatabaseConfig cfg;
     cfg.scale = 0.0002;
     // 64-row blocks: circulant block boundaries land mid-morsel, so
-    // the per-run stride segmentation of the build scans is
+    // the per-block stride segmentation of the build scans is
     // exercised.
     cfg.blockRows = 64;
     cfg.deltaFraction = 3.0;
@@ -50,7 +50,7 @@ struct ScalarGuard
  * catalog plan with a join or subquery, swept across worker counts
  * against the reference executor.
  * In-flight deltas (transactions ingested after the snapshot) stay
- * in the delta region and stress the data-runs-then-delta-runs
+ * in the delta region and stress the data-morsels-then-delta-morsels
  * stitch order.
  */
 class ParallelBuildTest : public ::testing::Test
@@ -120,7 +120,7 @@ TEST_F(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkers)
         WorkerPool pool(workers);
         ExecOptions opts;
         opts.workers = workers;
-        opts.morselRows = 256; // many runs per build table
+        opts.morselRows = 256; // many morsels per build table
         opts.pool = &pool;
         std::size_t i = 0;
         for (const auto &q : workload::chExecutablePlans()) {

@@ -118,7 +118,7 @@ TEST_F(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
         catalog.push_back(q.plan);
     const auto plans = withUnlimitedCopies(std::move(catalog));
     ExecOptions serial;
-    serial.morselRows = 256; // many runs per table
+    serial.morselRows = 256; // many morsels per table
     std::vector<PlanExecution> want;
     for (const auto &plan : plans) {
         want.push_back(executePlan(db, plan, serial));
@@ -141,7 +141,8 @@ TEST_F(ParallelExecTest, AllPlansMatchReferenceAcrossWorkers)
 
 TEST_F(ParallelExecTest, EngineAnswersInvariantAcrossWorkers)
 {
-    // Through the engine: workers claim runs — answers never move.
+    // Through the engine: workers claim morsels — answers never
+    // move.
     std::vector<std::vector<testsupport::RefRow>> want;
     for (const auto &q : workload::chExecutablePlans())
         want.push_back(referenceExecute(db, q.plan));
@@ -362,11 +363,11 @@ TEST_F(HighCardinalityTest, CatalogBuildsAreDirectAddressed)
 TEST_F(HighCardinalityTest, DisjointDenseKeyRangesMerge)
 {
     // Grouped on ol_o_id (ascending with the row id), keeping two
-    // order-id clusters ~5000 apart: a worker whose runs fall in one
-    // cluster keeps a dense domain under 4096 keys, the union of two
-    // such workers does not, and a worker spanning both spills
-    // mid-probe. Whichever way the runs are claimed, the answer cannot
-    // move.
+    // order-id clusters ~5000 apart: a worker whose morsels fall in
+    // one cluster keeps a dense domain under 4096 keys, the union of
+    // two such workers does not, and a worker spanning both spills
+    // mid-probe. Whichever way the morsels are claimed, the answer
+    // cannot move.
     using namespace ex;
     QueryPlan p;
     p.name = "disjoint_dense";
