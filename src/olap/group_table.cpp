@@ -37,31 +37,16 @@ poolWorkers(const WorkerPool *pool)
 } // namespace
 
 std::optional<KeyDomain>
-KeyDomain::observe(std::uint32_t width, std::span<const BuildRows> tasks,
-                   std::uint64_t bound)
+KeyDomain::ofRanges(std::uint32_t width, const Bounds &lo, const Bounds &hi,
+                    std::uint64_t bound)
 {
-    KeyDomain d;
-    d.width = width;
-    std::array<std::int64_t, InlineKey::kMaxKeys> hi{};
-    bool any = false;
-    for (const auto &t : tasks) {
-        if (t.rows == 0)
-            continue;
-        for (std::uint32_t c = 0; c < width; ++c) {
-            d.lo[c] = any ? std::min(d.lo[c], t.lo[c]) : t.lo[c];
-            hi[c] = any ? std::max(hi[c], t.hi[c]) : t.hi[c];
-        }
-        any = true;
-    }
-    if (!any)
-        return d; // No rows: dense, with no slot.
+    KeyDomain d{width, lo};
     d.slots = 1;
     for (std::uint32_t c = 0; c < width; ++c) {
         // hi - lo + 1 in uint64 is exact below 2^64; it wraps to 0
         // only for a column spanning all of int64.
         const std::uint64_t span = static_cast<std::uint64_t>(hi[c]) -
-                                   static_cast<std::uint64_t>(d.lo[c]) +
-                                   1;
+                                   static_cast<std::uint64_t>(lo[c]) + 1;
         if (span == 0 || span > bound / d.slots)
             return std::nullopt;
         d.span[c] = span;
@@ -69,6 +54,26 @@ KeyDomain::observe(std::uint32_t width, std::span<const BuildRows> tasks,
         d.slots *= span;
     }
     return d;
+}
+
+std::optional<KeyDomain>
+KeyDomain::observe(std::uint32_t width, std::span<const BuildRows> tasks,
+                   std::uint64_t bound)
+{
+    Bounds lo{}, hi{};
+    bool any = false;
+    for (const auto &t : tasks) {
+        if (t.rows == 0)
+            continue;
+        for (std::uint32_t c = 0; c < width; ++c) {
+            lo[c] = any ? std::min(lo[c], t.lo[c]) : t.lo[c];
+            hi[c] = any ? std::max(hi[c], t.hi[c]) : t.hi[c];
+        }
+        any = true;
+    }
+    if (!any)
+        return KeyDomain{width}; // No rows: dense, with no slot.
+    return ofRanges(width, lo, hi, bound);
 }
 
 BuildTable::BuildTable(BuildForm form, std::uint32_t width,
@@ -286,6 +291,153 @@ BuildTable::placeAggregates(std::span<const BuildRows> tasks,
         });
     aggs_ = std::move(into.aggs);
     bits_ = std::move(into.bits);
+}
+
+namespace {
+
+/** True when every key whose column c lies in [lo[c], hi[c]] has a
+ *  slot of @p d: one unsigned compare per bound, as in slotsOf. */
+bool
+covers(const KeyDomain &d, const KeyDomain::Bounds &lo,
+       const KeyDomain::Bounds &hi)
+{
+    for (std::uint32_t c = 0; c < d.width; ++c) {
+        const auto base = static_cast<std::uint64_t>(d.lo[c]);
+        if (static_cast<std::uint64_t>(lo[c]) - base >= d.span[c] ||
+            static_cast<std::uint64_t>(hi[c]) - base >= d.span[c])
+            return false;
+    }
+    return d.slots != 0;
+}
+
+/** acc[slotAt(i)] = fold(acc[slotAt(i)], v[i]) for entries [0, n),
+ *  with the fold of @p kind. */
+template <typename SlotAt>
+void
+foldColumn(AggKind kind, std::int64_t *acc, std::span<const std::int64_t> v,
+           std::size_t n, SlotAt &&slotAt)
+{
+    const auto each = [&](auto &&fold) {
+        for (std::size_t i = 0; i < n; ++i) {
+            auto &s = acc[slotAt(i)];
+            s = fold(s, v[i]);
+        }
+    };
+    switch (kind) {
+      case AggKind::Sum:
+        each(wrapAdd);
+        break;
+      case AggKind::Min:
+        each([](std::int64_t a, std::int64_t b) { return std::min(a, b); });
+        break;
+      case AggKind::Max:
+        each([](std::int64_t a, std::int64_t b) { return std::max(a, b); });
+        break;
+    }
+}
+
+} // namespace
+
+void
+GroupFold::fold(std::size_t n, Columns keys, Columns vals)
+{
+    if (n == 0)
+        return;
+    const std::uint32_t width = table_.keyWidth();
+    KeyDomain::Bounds lo{}, hi{};
+    for (std::uint32_t c = 0; c < width; ++c) {
+        const auto [l, h] = std::minmax_element(keys[c].begin(),
+                                                keys[c].begin() + n);
+        lo[c] = *l;
+        hi[c] = *h;
+    }
+    if (!covers(window_, lo, hi)) {
+        flush(table_);
+        const auto domain =
+            KeyDomain::ofRanges(width, lo, hi, n / kRowsPerSlot);
+        if (!domain) {
+            InlineKey k;
+            k.n = width;
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::uint32_t c = 0; c < width; ++c)
+                    k.v[c] = keys[c][i];
+                const auto g = table_.findOrInsert(k);
+                const bool first = *g.count == 0;
+                for (std::size_t a = 0; a < kinds_.size(); ++a)
+                    foldValue(g.aggs[a], kinds_[a], vals[a][i], first);
+                ++*g.count;
+            }
+            return;
+        }
+        window_ = *domain;
+        aggs_.clear();
+        for (std::uint64_t s = 0; s < window_.slots; ++s)
+            for (const auto kind : kinds_)
+                aggs_.push_back(foldIdentity(kind));
+        counts_.assign(window_.slots, 0);
+    }
+    foldWindow(n, keys, vals);
+}
+
+void
+GroupFold::flush(GroupTable &into)
+{
+    InlineKey k;
+    k.n = window_.width;
+    // Each key column's offset in the window, stepped with the slot
+    // (column 0 fastest, as slots are numbered).
+    std::array<std::uint64_t, InlineKey::kMaxKeys> off{};
+    for (std::uint64_t s = 0; s < window_.slots; ++s) {
+        if (counts_[s] != 0) {
+            for (std::uint32_t c = 0; c < k.n; ++c)
+                k.v[c] = window_.lo[c] + static_cast<std::int64_t>(off[c]);
+            combineSlots(kinds_, into.findOrInsert(k),
+                         aggs_.data() + s * kinds_.size(), counts_[s]);
+        }
+        for (std::uint32_t c = 0; c < k.n && ++off[c] == window_.span[c];
+             ++c)
+            off[c] = 0;
+    }
+    window_.slots = 0;
+}
+
+void
+GroupFold::foldWindow(std::size_t n, Columns keys, Columns vals)
+{
+    const std::size_t na = kinds_.size();
+    const auto foldSlots = [&](auto &&slotAt) {
+        for (std::size_t a = 0; a < na; ++a)
+            foldColumn(kinds_[a], aggs_.data() + a, vals[a], n,
+                       [&](std::size_t i) { return slotAt(i) * na; });
+        for (std::size_t i = 0; i < n; ++i)
+            ++counts_[slotAt(i)];
+    };
+    switch (window_.width) {
+      case 0:
+        // One slot: a plain reduction per column, in a register.
+        for (std::size_t a = 0; a < na; ++a) {
+            std::int64_t acc = aggs_[a];
+            foldColumn(kinds_[a], &acc, vals[a], n,
+                       [](std::size_t) { return 0; });
+            aggs_[a] = acc;
+        }
+        counts_[0] += n;
+        break;
+      case 1: {
+        // One key column: its offset is the slot, with no slot vector.
+        const auto col = keys[0];
+        const auto base = static_cast<std::uint64_t>(window_.lo[0]);
+        foldSlots([&](std::size_t i) {
+            return static_cast<std::uint64_t>(col[i]) - base;
+        });
+        break;
+      }
+      default:
+        window_.slotsOf(
+            n, [&](std::size_t c) { return keys[c]; }, slots_);
+        foldSlots([&](std::size_t i) { return slots_[i]; });
+        break;
+    }
 }
 
 } // namespace pushtap::olap

@@ -15,21 +15,19 @@
  * one independent task, and any work confined to one partition runs
  * beside the others without locks.
  *
- * The batch engine groups into it. Join builds and subquery
- * pre-passes go through BuildTable, which gives every distinct key a
- * slot and places the rows by slot into flat arrays: a bitset for a
- * semi/anti join's key set, one counting-sorted tuple array for an
- * inner join, per-slot values for a subquery's aggregates. A key's
- * slot is its mixed-radix number over the key columns' observed
- * ranges when they span few enough slots (denseSlotBound), so a
- * probe reads it with one range check per key column; otherwise the
- * build numbers its distinct keys in a GroupTable, and a probe looks
- * its key up there.
- *
- * DenseGroupAggregator is the hash-free alternative for the probe's
- * grouping over one small integer key domain: flat arrays indexed by
- * key offset, merged array by array across workers and spilled into
- * a GroupTable when the domain outgrows it.
+ * The probe groups into it through one GroupFold per worker: a batch
+ * whose keys fit a small key-domain window folds into the window's
+ * flat slot arrays, any other batch hashes, and the window flushes
+ * into the table before it moves and once after the fan-out. Join
+ * builds and subquery pre-passes go through BuildTable, which gives
+ * every distinct key a slot and places the rows by slot into flat
+ * arrays: a bitset for a semi/anti join's key set, one
+ * counting-sorted tuple array for an inner join, per-slot values for
+ * a subquery's aggregates. A key's slot is its mixed-radix number
+ * over the key columns' observed ranges when they span few enough
+ * slots (denseSlotBound), so a probe reads it with one range check
+ * per key column; otherwise the build numbers its distinct keys in a
+ * GroupTable, and a probe looks its key up there.
  */
 
 #include <algorithm>
@@ -383,6 +381,23 @@ foldIdentity(AggKind kind)
 }
 
 /**
+ * Fold a partial group — its values @p from, one per @p kinds entry,
+ * over @p from_count > 0 rows — into group @p into: a window's flush
+ * and the cross-worker merge step. Every fold is commutative and
+ * associative (wrapping sum, min, max, count), so neither the
+ * task-to-worker assignment nor the merge order can show in the
+ * folded values.
+ */
+inline void
+combineSlots(std::span<const AggKind> kinds, GroupTable::Group into,
+             const std::int64_t *from, std::uint64_t from_count)
+{
+    for (std::size_t a = 0; a < kinds.size(); ++a)
+        foldValue(into.aggs[a], kinds[a], from[a], *into.count == 0);
+    *into.count += from_count;
+}
+
+/**
  * The surviving rows of one build-scan task, in scan order: what a
  * join build or a subquery pre-pass collected from its source table.
  * BuildTable places them.
@@ -491,11 +506,21 @@ struct KeyDomain
     std::array<std::uint64_t, InlineKey::kMaxKeys> stride{};
     std::uint64_t slots = 0;
 
+    using Bounds = std::array<std::int64_t, InlineKey::kMaxKeys>;
+
     /**
-     * The domain of @p tasks' keys, or nullopt when it spans more
-     * than @p bound slots. Computed in uint64 with overflow checks: a
-     * column spanning all of int64 is simply too wide.
+     * The domain of keys whose column c lies in [lo[c], hi[c]], or
+     * nullopt when it spans more than @p bound slots. Computed in
+     * uint64 with overflow checks: a column spanning all of int64 is
+     * simply too wide. Width 0 is one slot, whatever the bound.
      */
+    static std::optional<KeyDomain> ofRanges(std::uint32_t width,
+                                             const Bounds &lo,
+                                             const Bounds &hi,
+                                             std::uint64_t bound);
+
+    /** The domain of @p tasks' keys (ofRanges over their bounds); a
+     *  domain with no slot when they hold no row. */
     static std::optional<KeyDomain>
     observe(std::uint32_t width, std::span<const BuildRows> tasks,
             std::uint64_t bound);
@@ -691,180 +716,59 @@ class BuildTable
 };
 
 /**
- * Dense aggregation for fused plans with one Int group key whose
- * value domain stays small (Q1's ol_number, Q9-style warehouse ids):
- * accumulators are flat arrays indexed by (key - lo), updated
- * column-at-a-time with no per-row hashing. Falls back (spills to
- * the group table) when the observed domain exceeds kMaxDomain.
- * Per-worker aggregators merge array by array (mergeFrom).
+ * One worker's grouped aggregation: batches of n entries — key
+ * columns plus one input column per aggregate kind — fold into its
+ * GroupTable. A batch whose keys lie inside the live window, a
+ * KeyDomain over flat slot arrays idle at each fold's identity, folds
+ * column by column into the window's slots without hashing. Any other
+ * batch first flushes the window into the table, then opens a new
+ * window over its own key domain when that spans at most one slot per
+ * kRowsPerSlot entries, and otherwise hashes entry by entry. An
+ * ungrouped fold (width 0) has one slot, which every batch lies in,
+ * so each of its batches is a plain column reduction. Every fold
+ * commutes, so which batches took the window cannot show once
+ * flush() has emptied it.
  */
-class DenseGroupAggregator
+class GroupFold
 {
   public:
-    static constexpr std::int64_t kMaxDomain = 4096;
+    /** Entries per slot a batch's own key domain needs for a window. */
+    static constexpr std::uint64_t kRowsPerSlot = 2;
 
-    explicit DenseGroupAggregator(const std::vector<AggSpec> &specs)
+    /** Per key column or aggregate input: a span of the entries. */
+    using Columns = std::span<const std::span<const std::int64_t>>;
+
+    GroupFold(std::uint32_t width, std::vector<AggKind> kinds)
+        : kinds_(std::move(kinds)), table_(width, kinds_.size()),
+          window_{width}
     {
-        for (const auto &a : specs)
-            kinds_.push_back(a.kind);
-        aggs_.resize(kinds_.size());
     }
 
-    /**
-     * Fold one morsel's group keys and aggregate columns (all
-     * parallel to the surviving selection) into the dense arrays.
-     * Returns false — leaving this morsel unconsumed — when the key
-     * domain would exceed kMaxDomain.
-     */
-    bool
-    accumulate(std::span<const std::int64_t> gvals,
-               const std::vector<std::span<const std::int64_t>>
-                   &avals)
-    {
-        if (gvals.empty())
-            return true;
-        std::int64_t mlo = gvals[0], mhi = gvals[0];
-        for (const auto v : gvals) {
-            mlo = std::min(mlo, v);
-            mhi = std::max(mhi, v);
-        }
-        if (!ensureRange(mlo, mhi))
-            return false;
-        const std::int64_t lo = lo_;
-        for (std::size_t a = 0; a < kinds_.size(); ++a) {
-            auto *slots = aggs_[a].data();
-            const auto vals = avals[a];
-            switch (kinds_[a]) {
-              case AggKind::Sum:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = wrapAdd(s, vals[i]);
-                }
-                break;
-              case AggKind::Min:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = std::min(s, vals[i]);
-                }
-                break;
-              case AggKind::Max:
-                for (std::size_t i = 0; i < gvals.size(); ++i) {
-                    auto &s = slots[gvals[i] - lo];
-                    s = std::max(s, vals[i]);
-                }
-                break;
-            }
-        }
-        auto *counts = count_.data();
-        for (const auto v : gvals)
-            ++counts[v - lo];
-        return true;
-    }
+    /** Fold entries [0, @p n) of @p keys and @p vals. */
+    void fold(std::size_t n, Columns keys, Columns vals);
 
-    /**
-     * Fold another worker's aggregator in, slot by slot. Returns
-     * false — leaving both untouched — when the union key domain
-     * would exceed kMaxDomain.
-     */
-    bool
-    mergeFrom(const DenseGroupAggregator &o)
-    {
-        if (o.count_.empty())
-            return true;
-        if (!ensureRange(o.lo_,
-                         o.lo_ + static_cast<std::int64_t>(
-                                     o.count_.size()) -
-                             1))
-            return false;
-        const auto off = static_cast<std::size_t>(o.lo_ - lo_);
-        // Idle slots hold each fold's identity (0, +inf, -inf), so
-        // empty groups on either side fold away.
-        for (std::size_t a = 0; a < kinds_.size(); ++a) {
-            auto *into = aggs_[a].data() + off;
-            const auto &from = o.aggs_[a];
-            for (std::size_t i = 0; i < from.size(); ++i) {
-                switch (kinds_[a]) {
-                  case AggKind::Sum:
-                    into[i] = wrapAdd(into[i], from[i]);
-                    break;
-                  case AggKind::Min:
-                    into[i] = std::min(into[i], from[i]);
-                    break;
-                  case AggKind::Max:
-                    into[i] = std::max(into[i], from[i]);
-                    break;
-                }
-            }
-        }
-        for (std::size_t i = 0; i < o.count_.size(); ++i)
-            count_[off + i] += o.count_[i];
-        return true;
-    }
+    /** Fold the window's occupied slots into @p into — this fold's
+     *  table, or another of its shape — and close the window. */
+    void flush(GroupTable &into);
 
-    /** Fold the non-empty groups into a (1-key) group table. */
-    void
-    spill(GroupTable &groups) const
-    {
-        for (std::size_t i = 0; i < count_.size(); ++i) {
-            if (count_[i] == 0)
-                continue;
-            InlineKey key;
-            key.n = 1;
-            key.v[0] = lo_ + static_cast<std::int64_t>(i);
-            const auto g = groups.findOrInsert(key);
-            const bool first = *g.count == 0;
-            for (std::size_t a = 0; a < kinds_.size(); ++a)
-                foldValue(g.aggs[a], kinds_[a], aggs_[a][i], first);
-            *g.count += count_[i];
-        }
-    }
+    /** The groups folded so far, less any still in the window. */
+    GroupTable &table() { return table_; }
+
+    /** Slots of the live window; 0 while none is open. */
+    std::uint64_t windowSlots() const { return window_.slots; }
 
   private:
-    /** Grow (and re-base) the arrays to cover [lo, hi]. The span is
-     *  computed in uint64, as in KeyDomain::observe: int64 keys may
-     *  lie up to 2^64 - 1 apart. */
-    bool
-    ensureRange(std::int64_t lo, std::int64_t hi)
-    {
-        const std::int64_t top =
-            lo_ + static_cast<std::int64_t>(count_.size()) - 1;
-        const std::int64_t new_lo = count_.empty() ? lo : std::min(lo, lo_);
-        const std::int64_t new_hi = count_.empty() ? hi : std::max(hi, top);
-        const std::uint64_t span = static_cast<std::uint64_t>(new_hi) -
-                                   static_cast<std::uint64_t>(new_lo);
-        if (span >= static_cast<std::uint64_t>(kMaxDomain))
-            return false;
-        if (!count_.empty() && new_lo == lo_ && new_hi <= top)
-            return true;
-        const std::size_t front =
-            count_.empty() ? 0 : static_cast<std::size_t>(lo_ - new_lo);
-        resizeTo(static_cast<std::size_t>(span) + 1, front);
-        lo_ = new_lo;
-        return true;
-    }
+    void foldWindow(std::size_t n, Columns keys, Columns vals);
 
-    void
-    resizeTo(std::size_t n, std::size_t front)
-    {
-        std::vector<std::uint64_t> counts(n, 0);
-        std::copy(count_.begin(), count_.end(),
-                  counts.begin() + static_cast<std::ptrdiff_t>(front));
-        count_ = std::move(counts);
-        for (std::size_t a = 0; a < aggs_.size(); ++a) {
-            // Slots idle at their fold's identity: updates need no
-            // count check, and only count>0 slots are read back.
-            std::vector<std::int64_t> slots(n, foldIdentity(kinds_[a]));
-            std::copy(aggs_[a].begin(), aggs_[a].end(),
-                      slots.begin() +
-                          static_cast<std::ptrdiff_t>(front));
-            aggs_[a] = std::move(slots);
-        }
-    }
-
-    std::int64_t lo_ = 0;
     std::vector<AggKind> kinds_;
-    std::vector<std::uint64_t> count_;
-    std::vector<std::vector<std::int64_t>> aggs_; ///< [agg][group].
+    GroupTable table_;
+    /** The live window; no slot while none is open. */
+    KeyDomain window_;
+    /** Window values, one per aggregate kind per slot. */
+    std::vector<std::int64_t> aggs_;
+    /** Entries folded per window slot. */
+    std::vector<std::uint64_t> counts_;
+    std::vector<std::uint64_t> slots_; ///< Scratch: entry slots.
 };
 
 } // namespace pushtap::olap

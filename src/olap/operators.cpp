@@ -22,45 +22,6 @@ using storage::Region;
 
 namespace {
 
-/** Grouped-aggregation accumulator (exact integer arithmetic). */
-struct Accum
-{
-    std::vector<std::int64_t> aggs;
-    std::uint64_t count = 0;
-};
-
-/** Fold one row's aggregate inputs (vals(a) per slot a) into a
- *  group-table group, then count the row. */
-template <typename SpecT, typename Vals>
-inline void
-accumulateRow(const std::vector<SpecT> &specs, GroupTable::Group g,
-              Vals &&vals)
-{
-    const bool first = *g.count == 0;
-    for (std::size_t a = 0; a < specs.size(); ++a)
-        foldValue(g.aggs[a], specs[a].kind, vals(a), first);
-    ++*g.count;
-}
-
-/** Fold a partial group (@p from slots, @p from_count rows) into
- *  @p into per the specs' aggregate kinds — the cross-worker merge
- *  step. Every fold is commutative and associative (wrapping sum,
- *  min, max, count), so neither the task-to-worker assignment nor
- *  the merge order can show in the folded values. Works over
- *  top-level AggSpec and SubqueryAgg alike. */
-template <typename SpecT>
-inline void
-combineSlots(const std::vector<SpecT> &specs, std::int64_t *into,
-             std::uint64_t &into_count, const std::int64_t *from,
-             std::uint64_t from_count)
-{
-    if (from_count == 0)
-        return;
-    for (std::size_t a = 0; a < specs.size(); ++a)
-        foldValue(into[a], specs[a].kind, from[a], into_count == 0);
-    into_count += from_count;
-}
-
 /** One merged group as materialization reads it: plan.groupBy.size()
  *  key ints and one slot per plan aggregate. */
 struct GroupView
@@ -379,33 +340,6 @@ class BatchPredicates
     ColumnBatch scratch_;
     MorselExprContext ctx_;
 };
-
-/** combineSlots over whole Accum records (the fused ungrouped
- *  totals). */
-template <typename SpecT>
-void
-combineAccum(const std::vector<SpecT> &specs, Accum &into,
-             const Accum &from)
-{
-    if (from.count == 0)
-        return;
-    if (into.count == 0)
-        into.aggs.assign(specs.size(), 0);
-    combineSlots(specs, into.aggs.data(), into.count, from.aggs.data(),
-                 from.count);
-}
-
-/** The group-table merge fold of an aggregate list: combineSlots
- *  per group. */
-template <typename SpecT>
-auto
-slotFold(const std::vector<SpecT> &specs)
-{
-    return [&specs](GroupTable::Group into, const std::int64_t *from,
-                    std::uint64_t from_count) {
-        combineSlots(specs, into.aggs, *into.count, from, from_count);
-    };
-}
 
 /**
  * The build-side scan of join builds and subquery pre-passes alike:
@@ -726,7 +660,9 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     };
     std::vector<BatchAggInput> agg_inputs;
     std::vector<const Expr *> agg_like_nodes;
+    std::vector<AggKind> kinds;
     for (const auto &agg : plan.aggregates) {
+        kinds.push_back(agg.kind);
         BatchAggInput in;
         if (agg.expr) {
             in.expr = foldConstants(agg.expr);
@@ -798,15 +734,10 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             late_cols.push_back(c);
 
     const bool no_descend = descend_joins.empty();
-    const bool fused_ungrouped = no_descend && group_refs.empty();
-    // Single-key grouping goes through the dense aggregator (flat
-    // arrays, no per-row hashing) until its key domain spills — in
-    // the fused pass and after a join expansion alike.
-    const bool dense_grouped = group_refs.size() == 1;
 
     /**
      * Everything one worker touches while draining morsels: its own
-     * readers, batches, selection, accumulators and join-expansion
+     * readers, batches, selection, group fold and join-expansion
      * scratch. Workers never share mutable state; the build tables
      * and the plan context above are read-only during the fan-out.
      */
@@ -816,12 +747,10 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     const QueryPlan &plan,
                     const std::vector<BuildTable> *subs,
                     const std::vector<std::string> &cols,
-                    bool fused_ungrouped, bool dense_grouped)
+                    const std::vector<AggKind> &kinds)
             : preds(store, plan.probe, &plan, subs),
               aggLikeCtx(store, nullptr, nullptr),
-              groups(static_cast<std::uint32_t>(plan.groupBy.size()),
-                     plan.aggregates.size()),
-              dense(plan.aggregates), denseActive(dense_grouped)
+              fold(static_cast<std::uint32_t>(plan.groupBy.size()), kinds)
         {
             rd.reserve(cols.size());
             for (const auto &name : cols)
@@ -832,10 +761,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             etupNext.resize(plan.joins.size());
             gvals.resize(plan.groupBy.size());
             avals.resize(plan.aggregates.size());
-            aggExprVals.resize(plan.aggregates.size());
+            keyPtrs.resize(plan.groupBy.size());
             aggPtrs.resize(plan.aggregates.size());
-            if (fused_ungrouped)
-                fusedTotal.aggs.assign(plan.aggregates.size(), 0);
         }
 
         BatchPredicates preds;
@@ -855,10 +782,10 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<std::uint32_t> erow, erowNext;
         std::vector<std::vector<const std::int64_t *>> etup, etupNext;
         std::vector<std::size_t> activeTup; ///< Expanded inner joins.
-        // Group-key / aggregate columns over the expanded entries.
+        /** Group-key / aggregate columns the fold reads when they do
+         *  not alias a gathered batch: gathered over the expanded
+         *  entries, or an evaluated aggregate expression. */
         std::vector<std::vector<std::int64_t>> gvals, avals;
-        /** Evaluated aggregate-expression vectors (fused pass). */
-        std::vector<std::vector<std::int64_t>> aggExprVals;
         /** Per-ref gathers feeding a post-join expression eval. */
         std::vector<std::vector<std::int64_t>> refScratch;
         /** Aggregate-LIKE machinery: the context evaluating each
@@ -869,26 +796,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<std::vector<std::int64_t>> likeVals;
         std::vector<std::vector<std::int64_t>> likeExpand;
         RefVecExprContext exprCtx;
-        std::vector<std::span<const std::int64_t>> aggPtrs;
-        GroupTable groups;
-        Accum fusedTotal;
-        DenseGroupAggregator dense;
-        bool denseActive;
+        /** The batch the fold reads: group-key and aggregate columns
+         *  over the final selection or the expanded entries. */
+        std::vector<std::span<const std::int64_t>> keyPtrs, aggPtrs;
+        GroupFold fold;
         std::uint64_t visible = 0;
-    };
-
-    /** Group-table accumulation of entries [0, n) via
-     *  group_val(g, e) / agg_val(a, e). */
-    auto hashAccumulate = [&](WorkerState &st, std::size_t n,
-                              auto &&group_val, auto &&agg_val) {
-        InlineKey gk;
-        gk.n = static_cast<std::uint32_t>(group_refs.size());
-        for (std::size_t e = 0; e < n; ++e) {
-            for (std::size_t g = 0; g < group_refs.size(); ++g)
-                gk.v[g] = group_val(g, e);
-            accumulateRow(plan.aggregates, st.groups.findOrInsert(gk),
-                          [&](std::size_t a) { return agg_val(a, e); });
-        }
     };
 
     /**
@@ -911,28 +823,40 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     };
 
     /**
-     * Resolve every aggregate input to a value vector parallel to
-     * the fused pass's surviving selection: plain columns alias
-     * their gathered batch; expressions evaluate column-at-a-time
-     * over the probe batches into per-worker scratch.
+     * Fold one batch of n entries into the worker's GroupFold: every
+     * group key and aggregate input resolves to a column over the
+     * entries — col(ref, scratch) per column reference, like(slot,
+     * scratch) per aggregate LIKE vector — and expressions evaluate
+     * column-at-a-time over those columns. The fused pass's columns
+     * alias its gathered batches; after a join expansion they gather
+     * through the entries into the scratch.
      */
-    auto computeFusedAggPtrs = [&](WorkerState &st) {
+    auto foldEntries = [&](WorkerState &st, std::size_t n, auto &&col,
+                           auto &&like) {
+        for (std::size_t g = 0; g < group_refs.size(); ++g)
+            st.keyPtrs[g] = col(group_refs[g], st.gvals[g]);
         for (std::size_t a = 0; a < agg_inputs.size(); ++a) {
             const auto &in = agg_inputs[a];
             if (!in.expr) {
-                st.aggPtrs[a] = st.batches[in.ref.idx].ints;
+                st.aggPtrs[a] = col(in.ref, st.avals[a]);
                 continue;
             }
-            st.exprCtx.reset(st.sel.size());
-            for (const auto &[cref, bref] : in.exprRefs)
-                st.exprCtx.add(cref, st.batches[bref.idx].ints);
+            if (st.refScratch.size() < in.exprRefs.size())
+                st.refScratch.resize(in.exprRefs.size());
+            if (st.likeExpand.size() < in.likes.size())
+                st.likeExpand.resize(in.likes.size());
+            st.exprCtx.reset(n);
+            for (std::size_t c = 0; c < in.exprRefs.size(); ++c)
+                st.exprCtx.add(in.exprRefs[c].first,
+                               col(in.exprRefs[c].second,
+                                   st.refScratch[c]));
             for (std::size_t j = 0; j < in.likes.size(); ++j)
-                st.exprCtx.addLike(in.likes[j],
-                                   st.likeVals[in.likeSlots[j]]);
-            evalExprBatch(*in.expr, st.exprCtx,
-                          st.aggExprVals[a]);
-            st.aggPtrs[a] = st.aggExprVals[a];
+                st.exprCtx.addLike(
+                    in.likes[j], like(in.likeSlots[j], st.likeExpand[j]));
+            evalExprBatch(*in.expr, st.exprCtx, st.avals[a]);
+            st.aggPtrs[a] = st.avals[a];
         }
+        st.fold.fold(n, st.keyPtrs, st.aggPtrs);
     };
 
     auto processMorsel = [&](WorkerState &st, const Morsel &m) {
@@ -972,61 +896,18 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             st.rd[c].gatherInts(m, st.sel.span(), st.batches[c]);
         computeAggLikes(st, m);
 
-        if (fused_ungrouped) {
-            // Fused filter+aggregate: column-at-a-time accumulator
-            // updates over the surviving selection.
-            computeFusedAggPtrs(st);
-            for (std::size_t a = 0; a < agg_inputs.size(); ++a) {
-                const auto vals = st.aggPtrs[a];
-                auto &acc = st.fusedTotal.aggs[a];
-                switch (plan.aggregates[a].kind) {
-                  case AggKind::Sum:
-                    for (const auto v : vals)
-                        acc = wrapAdd(acc, v);
-                    break;
-                  case AggKind::Min: {
-                    std::size_t i = 0;
-                    if (st.fusedTotal.count == 0)
-                        acc = vals[i++];
-                    for (; i < vals.size(); ++i)
-                        acc = std::min(acc, vals[i]);
-                    break;
-                  }
-                  case AggKind::Max: {
-                    std::size_t i = 0;
-                    if (st.fusedTotal.count == 0)
-                        acc = vals[i++];
-                    for (; i < vals.size(); ++i)
-                        acc = std::max(acc, vals[i]);
-                    break;
-                  }
-                }
-            }
-            st.fusedTotal.count += st.sel.size();
-            return;
-        }
-
         if (no_descend) {
-            // Fused grouped pass: every reference is probe-side.
-            computeFusedAggPtrs(st);
-            if (st.denseActive) {
-                if (st.dense.accumulate(
-                        st.batches[group_refs[0].idx].ints,
-                        st.aggPtrs))
-                    return;
-                // Key domain outgrew the dense arrays: spill to
-                // the group table and continue generically (this
-                // morsel included, below).
-                st.denseActive = false;
-                st.dense.spill(st.groups);
-            }
-            hashAccumulate(
+            // Fused filter+aggregate: every reference is probe-side,
+            // so the fold reads the gathered batches in place.
+            foldEntries(
                 st, st.sel.size(),
-                [&](std::size_t g, std::size_t e) {
-                    return st.batches[group_refs[g].idx].ints[e];
+                [&](const BatchRef &r, std::vector<std::int64_t> &) {
+                    return std::span<const std::int64_t>(
+                        st.batches[r.idx].ints);
                 },
-                [&](std::size_t a, std::size_t e) {
-                    return st.aggPtrs[a][e];
+                [&](std::size_t slot, std::vector<std::int64_t> &) {
+                    return std::span<const std::int64_t>(
+                        st.likeVals[slot]);
                 });
             return;
         }
@@ -1129,71 +1010,32 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 return;
         }
 
-        // Gather the group-key and aggregate columns over the
-        // expanded entries (column-at-a-time), then accumulate.
+        // Fold the expanded entries: each column gathers through the
+        // entries' selection rows or payload tuples, and each LIKE
+        // vector, evaluated over the selection, through their rows.
         const std::size_t ne = erow.size();
-        auto gatherRef = [&](const BatchRef &r,
-                             std::vector<std::int64_t> &out) {
-            out.resize(ne);
-            if (r.side == ColRef::kProbe) {
-                const auto &src = st.batches[r.idx].ints;
+        foldEntries(
+            st, ne,
+            [&](const BatchRef &r, std::vector<std::int64_t> &out) {
+                out.resize(ne);
+                if (r.side == ColRef::kProbe) {
+                    const auto &src = st.batches[r.idx].ints;
+                    for (std::size_t e = 0; e < ne; ++e)
+                        out[e] = src[erow[e]];
+                } else {
+                    const auto &tup =
+                        st.etup[static_cast<std::size_t>(r.side)];
+                    for (std::size_t e = 0; e < ne; ++e)
+                        out[e] = tup[e][r.idx];
+                }
+                return std::span<const std::int64_t>(out);
+            },
+            [&](std::size_t slot, std::vector<std::int64_t> &out) {
+                const auto &src = st.likeVals[slot];
+                out.resize(ne);
                 for (std::size_t e = 0; e < ne; ++e)
                     out[e] = src[erow[e]];
-            } else {
-                const auto &tup =
-                    st.etup[static_cast<std::size_t>(r.side)];
-                for (std::size_t e = 0; e < ne; ++e)
-                    out[e] = tup[e][r.idx];
-            }
-        };
-        for (std::size_t g = 0; g < group_refs.size(); ++g)
-            gatherRef(group_refs[g], st.gvals[g]);
-        for (std::size_t a = 0; a < agg_inputs.size(); ++a) {
-            const auto &in = agg_inputs[a];
-            if (!in.expr) {
-                gatherRef(in.ref, st.avals[a]);
-                continue;
-            }
-            // Gather every column the expression touches over the
-            // expanded entries, then evaluate column-at-a-time.
-            if (st.refScratch.size() < in.exprRefs.size())
-                st.refScratch.resize(in.exprRefs.size());
-            st.exprCtx.reset(ne);
-            for (std::size_t c = 0; c < in.exprRefs.size(); ++c) {
-                gatherRef(in.exprRefs[c].second, st.refScratch[c]);
-                st.exprCtx.add(in.exprRefs[c].first,
-                               st.refScratch[c]);
-            }
-            // LIKE vectors were evaluated over the selection; remap
-            // them through the expanded entries' source rows.
-            if (st.likeExpand.size() < in.likes.size())
-                st.likeExpand.resize(in.likes.size());
-            for (std::size_t j = 0; j < in.likes.size(); ++j) {
-                const auto &src = st.likeVals[in.likeSlots[j]];
-                auto &dst = st.likeExpand[j];
-                dst.resize(ne);
-                for (std::size_t e = 0; e < ne; ++e)
-                    dst[e] = src[erow[e]];
-                st.exprCtx.addLike(in.likes[j], dst);
-            }
-            evalExprBatch(*in.expr, st.exprCtx, st.avals[a]);
-        }
-
-        if (st.denseActive && dense_grouped) {
-            for (std::size_t a = 0; a < agg_inputs.size(); ++a)
-                st.aggPtrs[a] = st.avals[a];
-            if (st.dense.accumulate(st.gvals[0], st.aggPtrs))
-                return;
-            st.denseActive = false;
-            st.dense.spill(st.groups);
-        }
-        hashAccumulate(
-            st, ne,
-            [&](std::size_t g, std::size_t e) {
-                return st.gvals[g][e];
-            },
-            [&](std::size_t a, std::size_t e) {
-                return st.avals[a][e];
+                return std::span<const std::int64_t>(out);
             });
     };
 
@@ -1210,17 +1052,19 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     runTasks(pool, morsels.size(), [&](std::uint32_t w, std::size_t t) {
         if (!states[w])
             states[w].emplace(probe_store, plan, &subqueries,
-                              probe_cols, fused_ungrouped,
-                              dense_grouped);
+                              probe_cols, kinds);
         processMorsel(*states[w], morsels[t]);
     });
     const auto t_probe = Clock::now();
 
-    // CPU-side merge of the per-worker partial accumulators. Every
+    // CPU-side merge: every worker's fold window flushes into one of
+    // the workers' group tables (an empty stand-in when no morsel
+    // ran), so a plan whose groups all sat in windows merges nothing
+    // more, and the tables merge partition-parallel into one. Every
     // fold is commutative (sum/min/max/count), and materialization
     // orders by (order-by keys, group key), so the result is
-    // byte-identical for any worker count. Workers that never
-    // claimed a morsel have no state to fold.
+    // byte-identical for any worker count. Workers that never claimed
+    // a morsel have no state to fold.
     std::vector<WorkerState *> engaged;
     for (auto &st : states)
         if (st)
@@ -1237,43 +1081,21 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         out.stats.subqueryBuilds.push_back(
             {sub.rows(), sub.denseSlots()});
 
-    if (fused_ungrouped) {
-        Accum total;
-        total.aggs.assign(plan.aggregates.size(), 0);
-        for (const auto *st : engaged)
-            combineAccum(plan.aggregates, total, st->fusedTotal);
-        out.result.rows.push_back(ResultRow{
-            {}, std::move(total.aggs), total.count});
-        out.mergeNs = phaseNs(t_probe, Clock::now());
-        return out;
-    }
-
-    // Still-dense per-worker aggregators fold array by array into
-    // the first one; a worker whose key range would widen the union
-    // past the dense domain spills into its own group table instead.
-    DenseGroupAggregator *dense_total = nullptr;
-    for (auto *st : engaged) {
-        if (!st->denseActive)
-            continue;
-        if (!dense_total)
-            dense_total = &st->dense;
-        else if (!dense_total->mergeFrom(st->dense))
-            st->dense.spill(st->groups);
-    }
-    // Group tables merge partition-parallel into one (an empty
-    // stand-in when no morsel ran); the folded dense arrays join
-    // last.
     std::vector<GroupTable *> tables;
     for (auto *st : engaged)
-        tables.push_back(&st->groups);
+        tables.push_back(&st->fold.table());
     GroupTable empty(static_cast<std::uint32_t>(plan.groupBy.size()),
                      plan.aggregates.size());
     if (tables.empty())
         tables.push_back(&empty);
-    GroupTable &groups =
-        mergeGroupTables(tables, pool, slotFold(plan.aggregates));
-    if (dense_total)
-        dense_total->spill(groups);
+    for (auto *st : engaged)
+        st->fold.flush(*tables.front());
+    GroupTable &groups = mergeGroupTables(
+        tables, pool,
+        [&kinds](GroupTable::Group into, const std::int64_t *from,
+                 std::uint64_t from_count) {
+            combineSlots(kinds, into, from, from_count);
+        });
 
     std::vector<GroupView> views;
     views.reserve(groups.size());

@@ -17,20 +17,22 @@
  * forms, then expression trees in plan order — that compact the
  * selection in place,
  * bulk join probes with batched inner-join match expansion
- * into per-morsel index/payload-pointer vectors, and a filter+
- * aggregate pass fused into one loop when no join intervenes). The
- * pre-query phases are parallel too: every join build and scalar
- * subquery pre-pass scans its source through one morsel pipeline into
- * per-task row buffers, then places the keys in a BuildTable of
- * olap/group_table.hpp by key slot (a bitset for semi/anti joins, an
- * offset array over the payload tuples for inner joins, flat slots
- * for subqueries): the key's offset in the keys' observed domain when
- * that is small enough, its number in a GroupTable of the distinct
- * keys otherwise. The fan-out probes it strictly read-only.
- * Per-worker partial accumulators
- * merge with commutative folds and materialize in a total order, so
- * results are byte-identical to the single-threaded run for every
- * worker count.
+ * into per-morsel index/payload-pointer vectors, and one GroupFold
+ * per worker that every batch of surviving entries ends in: straight
+ * off the gathered columns when no join intervenes, after the
+ * expansion otherwise). The pre-query phases are parallel too: every
+ * join build and scalar subquery pre-pass scans its source through
+ * one morsel pipeline into per-task row buffers, then places the keys
+ * in a BuildTable of olap/group_table.hpp by key slot (a bitset for
+ * semi/anti joins, an offset array over the payload tuples for inner
+ * joins, flat slots for subqueries): the key's offset in the keys'
+ * observed domain when that is small enough, its number in a
+ * GroupTable of the distinct keys otherwise. The fan-out probes it
+ * strictly read-only. After the fan-out every worker's fold flushes
+ * its key-domain window into one GroupTable, the per-worker tables
+ * merge once with commutative folds (mergeGroupTables), and the groups
+ * materialize in a total order, so results are byte-identical to the
+ * single-threaded run for every worker count.
  *
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the

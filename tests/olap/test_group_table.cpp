@@ -260,108 +260,198 @@ TEST(GroupTable, MergedKeySetsContainTheUnion)
         }
 }
 
-TEST(DenseGroupAggregator, MergesArraysAndSpillsDisjointRanges)
-{
-    const std::vector<AggSpec> specs = {{AggKind::Sum, {}, {}},
-                                        {AggKind::Min, {}, {}},
-                                        {AggKind::Max, {}, {}}};
-    auto feed = [&](DenseGroupAggregator &d, std::int64_t lo,
-                    std::int64_t hi) {
-        std::vector<std::int64_t> keys, vals;
-        for (std::int64_t k = lo; k <= hi; k += 3) {
-            keys.push_back(k);
-            vals.push_back(k * 7 - 1000);
-        }
-        const std::vector<std::span<const std::int64_t>> cols = {
-            vals, vals, vals};
-        EXPECT_TRUE(d.accumulate(keys, cols));
-    };
-    // Overlapping ranges merge array by array.
-    DenseGroupAggregator a(specs), b(specs), both(specs);
-    feed(a, 0, 3000);
-    feed(b, 1500, 4000);
-    feed(both, 0, 3000);
-    feed(both, 1500, 4000);
-    ASSERT_TRUE(a.mergeFrom(b));
-    GroupTable merged(1, 3), want(1, 3);
-    a.spill(merged);
-    both.spill(want);
-    ASSERT_EQ(merged.size(), want.size());
-    want.forEach([&](const std::int64_t *key, const std::int64_t *aggs,
-                     std::uint64_t count) {
-        InlineKey k;
-        k.n = 1;
-        k.v[0] = key[0];
-        const std::int64_t *got = merged.find(k);
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got[0], aggs[0]);
-        EXPECT_EQ(got[1], aggs[1]);
-        EXPECT_EQ(got[2], aggs[2]);
-        (void)count;
-    });
+// ---- GroupFold: the probe's per-worker grouped aggregation ----
 
-    // Disjoint ranges whose union outgrows the dense domain refuse
-    // to merge and leave both sides untouched; spilling both into
-    // one table then folds overlapping-key groups correctly.
-    DenseGroupAggregator lo(specs), hi(specs);
-    feed(lo, 0, 3000);
-    feed(hi, 6000, 9000);
-    ASSERT_FALSE(lo.mergeFrom(hi));
-    GroupTable spilled(1, 3);
-    lo.spill(spilled);
-    hi.spill(spilled);
-    lo.spill(spilled); // second fold of the same groups: sums double
-    std::size_t groups = 0;
-    spilled.forEach([&](const std::int64_t *key, const std::int64_t *aggs,
-                        std::uint64_t count) {
-        const std::int64_t v = key[0] * 7 - 1000;
-        const std::uint64_t reps = key[0] <= 3000 ? 2 : 1;
-        EXPECT_EQ(count, reps) << key[0];
-        EXPECT_EQ(aggs[0], v * static_cast<std::int64_t>(reps));
-        EXPECT_EQ(aggs[1], v);
-        EXPECT_EQ(aggs[2], v);
-        ++groups;
-    });
-    EXPECT_EQ(groups, 1001u + 1001u);
+/** Every fold below aggregates one value column three ways. */
+const std::vector<AggKind> kFoldKinds = {AggKind::Sum, AggKind::Min,
+                                         AggKind::Max};
+
+/** Ordered-map reference per key tuple: (count, wrapping sum, min,
+ *  max) of the values folded under it. */
+using FoldRef =
+    std::map<std::vector<std::int64_t>,
+             std::tuple<std::uint64_t, std::int64_t, std::int64_t,
+                        std::int64_t>>;
+
+/** Fold entries with key columns @p keys and values @p vals into
+ *  @p f (the values feed every aggregate) and into @p ref. */
+void
+foldInto(GroupFold &f, const std::vector<std::vector<std::int64_t>> &keys,
+         const std::vector<std::int64_t> &vals, FoldRef &ref)
+{
+    const std::vector<std::span<const std::int64_t>> key_cols(
+        keys.begin(), keys.end());
+    const std::vector<std::span<const std::int64_t>> val_cols(
+        kFoldKinds.size(), vals);
+    f.fold(vals.size(), key_cols, val_cols);
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        std::vector<std::int64_t> k;
+        for (const auto &col : keys)
+            k.push_back(col[i]);
+        auto &[count, sum, lo, hi] =
+            ref.try_emplace(k, 0, 0,
+                            std::numeric_limits<std::int64_t>::max(),
+                            std::numeric_limits<std::int64_t>::min())
+                .first->second;
+        ++count;
+        sum = wrapAdd(sum, vals[i]);
+        lo = std::min(lo, vals[i]);
+        hi = std::max(hi, vals[i]);
+    }
 }
 
-TEST(DenseGroupAggregator, KeysAtTheInt64ExtremesRefuseAndStaySpillable)
+void
+expectFolded(const GroupTable &t, const FoldRef &ref)
 {
-    // Keys 2^63 or more apart are far past kMaxDomain: the domain
-    // check must refuse them, not wrap into a small array, on an
-    // empty aggregator and on a live one widened by INT64_MIN.
+    ASSERT_EQ(t.size(), ref.size());
+    t.forEach([&](const std::int64_t *key, const std::int64_t *aggs,
+                  std::uint64_t count) {
+        const auto it =
+            ref.find(std::vector<std::int64_t>(key, key + t.keyWidth()));
+        ASSERT_NE(it, ref.end());
+        const auto &[want_count, sum, lo, hi] = it->second;
+        EXPECT_EQ(count, want_count);
+        EXPECT_EQ(aggs[0], sum);
+        EXPECT_EQ(aggs[1], lo);
+        EXPECT_EQ(aggs[2], hi);
+    });
+}
+
+TEST(GroupFold, MergedFoldsMatchOrderedMapAtEveryWidth)
+{
+    // Random batches of 1-300 entries at key widths 0-3, spread over
+    // 1-4 folds (the workers) and merged as the executor merges
+    // them. Small key domains (at most 64 slots, shifted per batch)
+    // open, reuse and move windows, and short batches among them
+    // hash; wide domains hash; {INT64_MIN, INT64_MAX} wraps the
+    // uint64 span to 0 and must hash too. Values span all of int64,
+    // so the sums wrap.
     constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
     constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
-    const std::vector<AggSpec> specs = {{AggKind::Sum, {}, {}}};
-    const std::vector<std::int64_t> extremes = {kMin, kMax}, low = {kMin};
-    const std::vector<std::int64_t> vals = {1, 2};
-    const std::vector<std::span<const std::int64_t>> cols = {vals};
+    enum class Domain { Small, Wide, Extremes };
+    WorkerPool pool(4);
+    for (const std::uint32_t width : {0u, 1u, 2u, 3u})
+        for (const auto domain :
+             {Domain::Small, Domain::Wide, Domain::Extremes})
+            for (std::size_t nfolds = 1; nfolds <= 4; ++nfolds) {
+                if (width == 0 && domain != Domain::Small)
+                    continue; // No key to draw.
+                SCOPED_TRACE(testing::Message()
+                             << "width " << width << " domain "
+                             << static_cast<int>(domain) << " folds "
+                             << nfolds);
+                Rng rng(41 + 16 * width + 4 * nfolds +
+                        static_cast<std::uint64_t>(domain));
+                std::vector<GroupFold> folds(nfolds,
+                                             GroupFold(width, kFoldKinds));
+                FoldRef ref;
+                for (int b = 0; b < 60; ++b) {
+                    const auto n =
+                        static_cast<std::size_t>(rng.inRange(1, 300));
+                    const std::int64_t shift = rng.inRange(-2, 2);
+                    std::vector<std::vector<std::int64_t>> keys(width);
+                    for (auto &col : keys) {
+                        for (std::size_t i = 0; i < n; ++i) {
+                            switch (domain) {
+                              case Domain::Small:
+                                col.push_back(shift + rng.inRange(0, 3));
+                                break;
+                              case Domain::Wide:
+                                col.push_back(rng.inRange(-(1LL << 50),
+                                                          1LL << 50));
+                                break;
+                              case Domain::Extremes:
+                                col.push_back(i == 0   ? kMin
+                                              : i == 1 ? kMax
+                                              : rng.inRange(0, 1) != 0
+                                                  ? kMin
+                                                  : kMax);
+                                break;
+                            }
+                        }
+                    }
+                    std::vector<std::int64_t> vals;
+                    for (std::size_t i = 0; i < n; ++i)
+                        vals.push_back(static_cast<std::int64_t>(rng()));
+                    auto &f = folds[static_cast<std::size_t>(
+                        rng.inRange(0, static_cast<std::int64_t>(nfolds) -
+                                           1))];
+                    foldInto(f, keys, vals, ref);
+                    if (width == 0) {
+                        EXPECT_EQ(f.windowSlots(), 1u);
+                    } else if (domain != Domain::Small) {
+                        EXPECT_EQ(f.windowSlots(), 0u) << "batch " << b;
+                    } else if (n >= 2 * 64) {
+                        EXPECT_NE(f.windowSlots(), 0u) << "batch " << b;
+                    }
+                }
+                // Windows flush into their own tables, or all into the
+                // first fold's, as the executor flushes them.
+                std::vector<GroupTable *> tables;
+                for (auto &f : folds) {
+                    f.flush(nfolds % 2 == 0 ? f.table()
+                                            : folds.front().table());
+                    tables.push_back(&f.table());
+                }
+                const GroupTable &merged = mergeGroupTables(
+                    tables, nfolds % 2 == 0 ? &pool : nullptr,
+                    [](GroupTable::Group into, const std::int64_t *from,
+                       std::uint64_t from_count) {
+                        combineSlots(kFoldKinds, into, from, from_count);
+                    });
+                expectFolded(merged, ref);
+            }
+}
 
-    DenseGroupAggregator empty(specs);
-    EXPECT_FALSE(empty.accumulate(extremes, cols));
-    GroupTable none(1, 1);
-    empty.spill(none);
-    EXPECT_EQ(none.size(), 0u);
+TEST(GroupFold, LoneInt64MinBatchFlushesTheLiveWindow)
+{
+    // A batch of INT64_MIN keys after a live window over {10, 11}
+    // lies outside it (the unsigned offset check must not wrap it in):
+    // the window flushes into the table, and a one-slot window opens
+    // over INT64_MIN alone. INT64_MAX then moves it once more.
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    GroupFold f(1, kFoldKinds);
+    FoldRef ref;
+    foldInto(f, {{10, 11, 10, 11}}, {1, 2, 3, 4}, ref);
+    EXPECT_EQ(f.windowSlots(), 2u);
+    EXPECT_EQ(f.table().size(), 0u);
+    foldInto(f, {{kMin, kMin}}, {kMax, 5}, ref);
+    EXPECT_EQ(f.windowSlots(), 1u);
+    EXPECT_EQ(f.table().size(), 2u) << "the {10, 11} window flushed";
+    foldInto(f, {{kMax, kMax, kMax}}, {kMin, -1, 7}, ref);
+    EXPECT_EQ(f.windowSlots(), 1u);
+    EXPECT_EQ(f.table().size(), 3u);
+    f.flush(f.table());
+    expectFolded(f.table(), ref);
+}
 
-    DenseGroupAggregator live(specs);
-    const std::vector<std::int64_t> keys = {10, 20, 10};
-    const std::vector<std::int64_t> live_vals = {1, 2, 3};
-    ASSERT_TRUE(live.accumulate(
-        keys, std::vector<std::span<const std::int64_t>>{live_vals}));
-    EXPECT_FALSE(live.accumulate(
-        low, std::vector<std::span<const std::int64_t>>{
-                 std::span<const std::int64_t>(vals).first(1)}));
-    GroupTable groups(1, 1);
-    live.spill(groups);
-    ASSERT_EQ(groups.size(), 2u);
-    for (const auto &[k, sum] : {std::pair{10, 4}, std::pair{20, 2}}) {
-        InlineKey key;
-        key.n = 1;
-        key.v[0] = k;
-        const std::int64_t *got = groups.find(key);
-        ASSERT_NE(got, nullptr) << k;
-        EXPECT_EQ(got[0], sum) << k;
-    }
+TEST(GroupFold, RefoldedKeysJoinTheirFlushedGroups)
+{
+    // Keys flushed out of one window and folded again — hashed by a
+    // batch outside any window, then through a new window — add to
+    // their groups in the table instead of creating second ones.
+    GroupFold f(2, kFoldKinds);
+    FoldRef ref;
+    std::vector<std::vector<std::int64_t>> grid(2);
+    std::vector<std::int64_t> vals;
+    for (int rep = 0; rep < 2; ++rep)
+        for (std::int64_t a = 1; a <= 4; ++a)
+            for (std::int64_t b = 0; b <= 1; ++b) {
+                grid[0].push_back(a);
+                grid[1].push_back(b);
+                vals.push_back(10 * a + b + rep);
+            }
+    foldInto(f, grid, vals, ref);
+    EXPECT_EQ(f.windowSlots(), 8u);
+    foldInto(f, {{1, 1'000'000}, {0, 0}}, {-7, 9}, ref);
+    EXPECT_EQ(f.windowSlots(), 0u) << "a two-entry batch hashes";
+    EXPECT_EQ(f.table().size(), 9u);
+    foldInto(f, grid, vals, ref);
+    EXPECT_EQ(f.windowSlots(), 8u);
+    f.flush(f.table());
+    EXPECT_EQ(f.table().size(), 9u);
+    expectFolded(f.table(), ref);
 }
 
 // ---- BuildTable: the join builds' and subquery pre-passes' keys ----
