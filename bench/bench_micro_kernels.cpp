@@ -429,9 +429,8 @@ BM_FilterDictCodesGatherLut(benchmark::State &state)
     // Isolates the i32-gather LUT variant: 1024 distinct values keep
     // the dictionary far above the 16-entry pshufb ceiling, so the
     // dispatched AVX2 path is always the latency-bound gather. This
-    // row is the pinned baseline for the PUSHTAP_SIMD_GATHER_LUT
-    // compile-probe revisit (wider in-register tables on AVX-512
-    // VBMI hardware) — see the dispatch note in filterDictCodes.
+    // row is the baseline a wider in-register table (an AVX-512 VBMI
+    // vpermb over 64- or 128-entry LUTs) would be measured against.
     setKernelVariant(state);
     if (olap::simd::simdActive())
         state.SetLabel("avx2-gather");

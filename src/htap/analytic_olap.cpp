@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "workload/ch_schema.hpp"
 
@@ -99,100 +96,39 @@ kindName(BaselineKind k)
 
 } // namespace
 
-BaselineReport
+olap::QueryReport
 AnalyticOlapModel::runQuery(BaselineKind kind,
                             const olap::QueryPlan &plan,
                             std::uint64_t pending_versions) const
 {
     olap::validatePlan(plan);
 
-    BaselineReport rep;
+    olap::QueryReport rep;
     rep.name = std::string(kindName(kind)) + "/" + plan.name;
 
     auto rows_of = [this](ChTable t) {
         return db_.table(t).usedDataRows();
     };
-    auto width_of = [this](ChTable t, const std::string &col) {
-        const auto &s = db_.table(t).schema();
-        return s.column(s.columnId(col)).width;
-    };
-    // Clean packed columns: every operator input is one ideal scan,
-    // char predicates included (the column-store instance scans them
-    // in PIM, unlike the single-instance engine's CPU gather).
-    auto scan = [&](ChTable t, const std::string &col) {
-        rep.pimNs += idealColumnScan(rows_of(t), width_of(t, col))
-                         .total();
-    };
-    // Expression predicates charge one ideal scan per distinct
-    // referenced column (the column-store instance scans Char LIKE
-    // targets in PIM too, unlike the single-instance CPU gather).
-    auto scan_exprs = [&](workload::ChTable table,
-                          const std::vector<olap::ExprPtr> &exprs) {
-        std::set<std::string> int_cols, char_cols;
-        olap::collectExprColumns(exprs, int_cols, char_cols);
-        for (const auto &name : int_cols)
-            scan(table, name);
-        for (const auto &name : char_cols)
-            scan(table, name);
-    };
-    auto scan_input = [&](const olap::TableInput &in) {
-        for (const auto &p : in.intPredicates)
-            scan(in.table, p.column);
-        for (const auto &p : in.charPredicates)
-            scan(in.table, p.column);
-        scan_exprs(in.table, in.exprPredicates);
-    };
-
-    // Scalar-subquery pre-passes: source filters, group keys,
-    // aggregate inputs, and the probe-side key lookup columns.
-    for (const auto &sub : plan.subqueries) {
-        scan_input(sub.source);
-        for (const auto &col : sub.groupBy)
-            scan(sub.source.table, col);
-        std::vector<olap::ExprPtr> inputs;
-        for (const auto &agg : sub.aggs)
-            inputs.push_back(agg.value);
-        scan_exprs(sub.source.table, inputs);
-        std::set<std::string> key_cols;
-        for (const auto &key : sub.keys)
-            key_cols.insert(key.column);
-        for (const auto &name : key_cols)
-            scan(plan.probe.table, name);
-    }
-
-    scan_input(plan.probe);
     const std::uint64_t probe_rows = rows_of(plan.probe.table);
-    for (const auto &join : plan.joins) {
-        scan_input(join.build);
-        for (const auto &[build_col, ref] : join.keys) {
-            scan(join.build.table, build_col);
-            scan(olap::tableOf(plan, ref), ref.column);
+    const pim::CostModel cm(pimCfg_);
+    for (const auto &step : olap::planSteps(plan)) {
+        if (step.op != pim::OpType::Join) {
+            // Clean packed columns: every scan step is one ideal
+            // scan, Char columns included (the column-store instance
+            // scans them in PIM, unlike the single-instance engine's
+            // CPU gather).
+            const auto &s = db_.table(step.table).schema();
+            rep.pimNs += idealColumnScan(
+                             rows_of(step.table),
+                             s.column(s.columnId(step.column)).width)
+                             .total();
+            continue;
         }
-        const std::uint64_t build_rows = rows_of(join.build.table);
-        pim::CostModel cm(pimCfg_);
-        rep.pimNs += cm.computeTime(
-            pim::OpType::Join,
-            (build_rows + probe_rows) / geom_.pimUnitCount() + 1);
-        rep.cpuNs += 2.0 * timing_.cpuPeakBandwidth().transferTime(
-                               (build_rows + probe_rows) * 4);
-    }
-    for (const auto &key : plan.groupBy)
-        scan(olap::tableOf(plan, key), key.column);
-    for (const auto &agg : plan.aggregates) {
-        if (agg.expr) {
-            std::set<std::pair<workload::ChTable, std::string>>
-                cols;
-            olap::forEachColumnRef(
-                *agg.expr,
-                [&cols, &plan](const olap::ColRef &ref, bool) {
-                    cols.emplace(olap::tableOf(plan, ref),
-                                 ref.column);
-                });
-            for (const auto &[table, name] : cols)
-                scan(table, name);
-        } else {
-            scan(olap::tableOf(plan, agg.value), agg.value.column);
-        }
+        const std::uint64_t rows = rows_of(step.table) + probe_rows;
+        rep.pimNs += cm.computeTime(pim::OpType::Join,
+                                    rows / geom_.pimUnitCount() + 1);
+        rep.cpuNs +=
+            2.0 * timing_.cpuPeakBandwidth().transferTime(rows * 4);
     }
 
     // CPU merge: joined plans already paid the bucket partition; a

@@ -14,8 +14,8 @@
  *
  * Both systems answer queries identically to the single-instance
  * engine by construction, so only times are modelled here: runQuery()
- * walks the same logical plans (olap/plan.hpp) the engine executes
- * and prices every operator on clean packed columns.
+ * prices the operator steps the engine charges (olap::planSteps,
+ * olap/plan.hpp) on clean packed columns.
  */
 
 #include <cstdint>
@@ -41,14 +41,6 @@ enum class BaselineKind : std::uint8_t
     MultiInstanceAccel,
 };
 
-/**
- * Baseline query report: the shared OLAP report shape, with
- * consistencyNs carrying the column-store rebuild time (zero for
- * Ideal) and the engine-only fields (cpuBlockedNs, rowsVisible) left
- * at zero.
- */
-using BaselineReport = olap::QueryReport;
-
 class AnalyticOlapModel
 {
   public:
@@ -67,13 +59,15 @@ class AnalyticOlapModel
 
     /**
      * Price @p plan on clean packed columns over current table
-     * sizes: one ideal scan per predicate / group / aggregate
-     * column, hash + partition + probe work per join, plus the
-     * consistency charge of @p kind.
+     * sizes, one loop over olap::planSteps: one ideal scan per scan
+     * step, the partition transfers and bucket probe per Join step,
+     * then the CPU merge and the consistency charge of @p kind. The
+     * report's consistencyNs carries the column-store rebuild time
+     * (zero for Ideal); cpuBlockedNs and rowsVisible stay zero.
      */
-    BaselineReport runQuery(BaselineKind kind,
-                            const olap::QueryPlan &plan,
-                            std::uint64_t pending_versions) const;
+    olap::QueryReport runQuery(BaselineKind kind,
+                               const olap::QueryPlan &plan,
+                               std::uint64_t pending_versions) const;
 
     /**
      * Rebuild cost for @p versions pending transactions: the CPU

@@ -17,8 +17,9 @@
  * (when no join intervenes) the aggregate update too, fuses into a
  * single pass over each morsel.
  *
- * This layer is purely functional: the pricing walks charge one
- * serial scan per operator input (section 6.2), fused pass or not.
+ * This layer is purely functional: the pricing charges one serial
+ * scan per scan step of the plan (planSteps, section 6.2), fused
+ * pass or not.
  */
 
 #include <array>

@@ -235,21 +235,6 @@ forEachSubqueryRef(const Expr &e,
             forEachSubqueryRef(*k, fn);
 }
 
-void
-collectExprColumns(const std::vector<ExprPtr> &exprs,
-                   std::set<std::string> &int_cols,
-                   std::set<std::string> &char_cols)
-{
-    for (const auto &e : exprs) {
-        if (!e)
-            continue;
-        forEachColumnRef(*e, [&int_cols, &char_cols](
-                                 const ColRef &ref, bool is_char) {
-            (is_char ? char_cols : int_cols).insert(ref.column);
-        });
-    }
-}
-
 bool
 containsSubqueryRef(const Expr &e)
 {

@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -145,17 +144,6 @@ ExprPtr foldConstants(const ExprPtr &e);
 void forEachColumnRef(
     const Expr &e,
     const std::function<void(const ColRef &, bool)> &fn);
-
-/**
- * Distinct column names an expression set references over its
- * (single) input table, split by leaf type: Int column refs into
- * @p int_cols, Char LIKE targets into @p char_cols. The shared
- * dedup walk of the pricing layers — one serial scan per Int
- * column, the CPU gather path per Char column.
- */
-void collectExprColumns(const std::vector<ExprPtr> &exprs,
-                        std::set<std::string> &int_cols,
-                        std::set<std::string> &char_cols);
 
 /** Visit every SubqueryRef node of @p e. */
 void forEachSubqueryRef(

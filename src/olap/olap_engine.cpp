@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,131 +244,6 @@ OlapEngine::priceColumnRead(const txn::TableRuntime &tbl,
 }
 
 void
-OlapEngine::priceExprColumns(const txn::TableRuntime &tbl,
-                             const std::vector<ExprPtr> &exprs,
-                             pim::OpType op, QueryReport &rep) const
-{
-    // Expression columns charge through the same ScanCost footprints
-    // as the closed predicate forms: one serial scan per distinct
-    // Int column the expression set streams, the CPU gather path for
-    // every distinct Char (LIKE) column. std::set keeps the charge
-    // order deterministic.
-    std::set<std::string> int_cols, char_cols;
-    collectExprColumns(exprs, int_cols, char_cols);
-    for (const auto &name : char_cols)
-        priceCpuGather(tbl, name, rep);
-    for (const auto &name : int_cols)
-        priceColumnRead(tbl, name, op, rep);
-}
-
-void
-OlapEngine::priceSubqueries(const QueryPlan &plan,
-                            QueryReport &rep) const
-{
-    const auto &probe_tbl = db_.table(plan.probe.table);
-    for (const auto &sub : plan.subqueries) {
-        const auto &tbl = db_.table(sub.source.table);
-        // The pre-pass filters the source exactly like any probe.
-        for (const auto &p : sub.source.charPredicates)
-            priceCpuGather(tbl, p.column, rep);
-        for (const auto &p : sub.source.intPredicates)
-            priceColumnRead(tbl, p.column, pim::OpType::Filter,
-                            rep);
-        priceExprColumns(tbl, sub.source.exprPredicates,
-                         pim::OpType::Filter, rep);
-        for (const auto &col : sub.groupBy)
-            priceColumnRead(tbl, col, pim::OpType::Group, rep);
-        std::vector<ExprPtr> inputs;
-        for (const auto &agg : sub.aggs)
-            inputs.push_back(agg.value);
-        priceExprColumns(tbl, inputs, pim::OpType::Aggregation,
-                         rep);
-        // The probe-side lookup streams each key column once.
-        std::set<std::string> key_cols;
-        for (const auto &key : sub.keys)
-            key_cols.insert(key.column);
-        for (const auto &name : key_cols)
-            priceColumnRead(probe_tbl, name, pim::OpType::Filter,
-                            rep);
-    }
-}
-
-void
-OlapEngine::priceQuery(const QueryPlan &plan, QueryReport &rep) const
-{
-    const auto &probe_tbl = db_.table(plan.probe.table);
-    const std::uint64_t probe_rows =
-        probe_tbl.usedDataRows() +
-        probe_tbl.versions().deltaUsed();
-
-    // Predicate filters: one serial PIM scan per pushed-down Int
-    // predicate column, the CPU gather path for Char predicates and
-    // the expression predicates' column sets.
-    auto price_input = [&](const TableInput &in) {
-        const auto &tbl = db_.table(in.table);
-        for (const auto &p : in.charPredicates)
-            priceCpuGather(tbl, p.column, rep);
-        for (const auto &p : in.intPredicates)
-            priceColumnRead(tbl, p.column, pim::OpType::Filter, rep);
-        priceExprColumns(tbl, in.exprPredicates, pim::OpType::Filter,
-                         rep);
-    };
-
-    // One hash-join leg: PIM hashes both key columns, the CPU
-    // fetches the hashes, partitions buckets and pushes them back
-    // (4 B per value each way), then the PIM units probe within
-    // buckets.
-    auto price_join = [&](const JoinSpec &join) {
-        price_input(join.build);
-        const auto &build_tbl = db_.table(join.build.table);
-        for (const auto &[build_col, ref] : join.keys) {
-            priceColumnRead(build_tbl, build_col, pim::OpType::Hash,
-                            rep);
-            priceColumnRead(db_.table(tableOf(plan, ref)), ref.column,
-                            pim::OpType::Hash, rep);
-        }
-        const std::uint64_t build_rows = build_tbl.usedDataRows();
-        rep.cpuNs += 2.0 * busTime((build_rows + probe_rows) * 4);
-        pim::CostModel cm(cfg_.pimConfig);
-        rep.pimNs += cm.computeTime(
-            pim::OpType::Join,
-            (build_rows + probe_rows) / cfg_.geom.pimUnitCount() +
-                1);
-    };
-
-    priceSubqueries(plan, rep);
-    price_input(plan.probe);
-
-    for (const auto &join : plan.joins)
-        price_join(join);
-
-    // Grouped aggregation: one Group scan per key, one Aggregation
-    // scan per aggregated column — every distinct column an
-    // aggregate expression streams charges its own scan.
-    for (const auto &key : plan.groupBy)
-        priceColumnRead(db_.table(tableOf(plan, key)), key.column,
-                        pim::OpType::Group, rep);
-    for (const auto &agg : plan.aggregates) {
-        if (agg.expr) {
-            std::set<std::pair<workload::ChTable, std::string>>
-                cols;
-            forEachColumnRef(
-                *agg.expr,
-                [&cols, &plan](const ColRef &ref, bool) {
-                    cols.emplace(tableOf(plan, ref), ref.column);
-                });
-            for (const auto &[table, name] : cols)
-                priceColumnRead(db_.table(table), name,
-                                pim::OpType::Aggregation, rep);
-        } else {
-            priceColumnRead(db_.table(tableOf(plan, agg.value)),
-                            agg.value.column,
-                            pim::OpType::Aggregation, rep);
-        }
-    }
-}
-
-void
 OlapEngine::priceMerge(const QueryPlan &plan, std::uint64_t visible,
                        QueryReport &rep) const
 {
@@ -402,7 +276,24 @@ OlapEngine::pricePlan(const QueryPlan &plan,
     // The hand-built plan is priced per operator (section 6.2).
     QueryReport rep;
     rep.name = plan.name;
-    priceQuery(plan, rep);
+    const auto &probe_tbl = db_.table(plan.probe.table);
+    const std::uint64_t probe_rows =
+        probe_tbl.usedDataRows() + probe_tbl.versions().deltaUsed();
+    const pim::CostModel cm(cfg_.pimConfig);
+    for (const auto &step : planSteps(plan)) {
+        const auto &tbl = db_.table(step.table);
+        if (step.op != pim::OpType::Join) {
+            priceColumnRead(tbl, step.column, step.op, rep);
+            continue;
+        }
+        // One hash-join leg after its key scans: the CPU fetches the
+        // hashes, partitions buckets and pushes them back (4 B per
+        // value each way), then the PIM units probe within buckets.
+        const std::uint64_t rows = tbl.usedDataRows() + probe_rows;
+        rep.cpuNs += 2.0 * busTime(rows * 4);
+        rep.pimNs += cm.computeTime(
+            pim::OpType::Join, rows / cfg_.geom.pimUnitCount() + 1);
+    }
     priceMerge(plan, visible_rows, rep);
     return rep;
 }

@@ -94,8 +94,10 @@ class OlapEngine
      * Defragment every table with @p strategy — per-table parallel
      * over the worker pool like prepareSnapshot, with epoch-guarded
      * reclamation unchanged and the merged stats folded serially in
-     * table order. Returns modelled time (also charged to the next
-     * query's consistency share).
+     * table order. Returns modelled time. Defragmentation pauses
+     * OLTP (section 5.3), so PushtapDB charges it to the transaction
+     * side; it is not added to the pending consistency charge, and
+     * the next query pays only its snapshot.
      */
     TimeNs runDefragmentation(mvcc::DefragStrategy strategy);
 
@@ -111,9 +113,10 @@ class OlapEngine
                          QueryResult *result = nullptr);
 
     /**
-     * Price @p plan through the modelled walk runQuery charges
-     * (priceQuery + priceMerge) without executing anything;
-     * @p visible_rows feeds the visible-row-dependent merge terms.
+     * Price @p plan as runQuery charges it, without executing
+     * anything: one loop over planSteps (a PIM scan or CPU gather
+     * per scan step, the partition transfers and bucket probe per
+     * Join step), then priceMerge, which @p visible_rows feeds.
      * consistencyNs and rowsVisible are left zero.
      */
     QueryReport pricePlan(const QueryPlan &plan,
@@ -148,32 +151,6 @@ class OlapEngine
     /** Delta rows the PIM units must stream: every allocated delta
      *  block. */
     std::uint64_t scannedDeltaRows(const txn::TableRuntime &tbl) const;
-
-    /**
-     * Accumulate the plan's operator timing contributions into
-     * @p rep: PIM scan schedules for predicates / group keys /
-     * aggregates, hash + partition + probe work per join, and the
-     * CPU gather path for char-predicate (normal) columns.
-     */
-    void priceQuery(const QueryPlan &plan, QueryReport &rep) const;
-
-    /**
-     * Charge the distinct columns an expression set streams over
-     * @p tbl: one serial scan (as @p op) per Int column, the CPU
-     * gather path per Char (LIKE) column — the same ScanCost
-     * footprints the closed predicate forms charge.
-     */
-    void priceExprColumns(const txn::TableRuntime &tbl,
-                          const std::vector<ExprPtr> &exprs,
-                          pim::OpType op, QueryReport &rep) const;
-
-    /**
-     * Charge each scalar-subquery pre-pass: source filters, group
-     * and aggregate-input scans, plus the probe-side key lookup
-     * columns.
-     */
-    void priceSubqueries(const QueryPlan &plan,
-                         QueryReport &rep) const;
 
     /** Charge one serial scan of @p width bytes per row over the
      *  table's scanned rows: its ScanCost schedule. */

@@ -37,8 +37,9 @@
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the
  * version chains — while the timing contribution of each operator is
- * accumulated separately by the pricing walks in olap_engine.cpp and
- * analytic_olap.cpp.
+ * priced separately, from the plan's operator steps (planSteps,
+ * olap/plan.hpp), by OlapEngine::pricePlan and the Ideal/MI
+ * baselines in htap/analytic_olap.cpp.
  */
 
 #include <cstddef>
@@ -101,7 +102,7 @@ struct PlanExecution
      * nanoseconds: the scalar-subquery pre-pass, the join build
      * phase (build scans + key placement), the
      * probe fan-out, and the final cross-worker merge/materialize.
-     * Measured time, not modelled — the pricing walks never read
+     * Measured time, not modelled — the pricing never reads
      * these.
      */
     double subqueryNs = 0.0;

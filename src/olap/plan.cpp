@@ -23,61 +23,88 @@ tableOf(const QueryPlan &plan, const ColRef &ref)
         .build.table;
 }
 
+std::vector<PlanStep>
+planSteps(const QueryPlan &plan)
+{
+    using pim::OpType;
+    std::vector<PlanStep> steps;
+    auto scan = [&steps](ChTable table, const std::string &column,
+                         OpType op) {
+        steps.push_back({table, column, op});
+    };
+    auto scan_exprs = [&scan](ChTable table,
+                              const std::vector<ExprPtr> &exprs,
+                              OpType op) {
+        std::set<std::string> int_cols, char_cols;
+        for (const auto &e : exprs)
+            if (e)
+                forEachColumnRef(*e, [&](const ColRef &ref,
+                                         bool is_char) {
+                    (is_char ? char_cols : int_cols).insert(ref.column);
+                });
+        for (const auto &name : char_cols)
+            scan(table, name, op);
+        for (const auto &name : int_cols)
+            scan(table, name, op);
+    };
+    auto scan_input = [&](const TableInput &in) {
+        for (const auto &p : in.charPredicates)
+            scan(in.table, p.column, OpType::Filter);
+        for (const auto &p : in.intPredicates)
+            scan(in.table, p.column, OpType::Filter);
+        scan_exprs(in.table, in.exprPredicates, OpType::Filter);
+    };
+
+    for (const auto &sub : plan.subqueries) {
+        scan_input(sub.source);
+        for (const auto &col : sub.groupBy)
+            scan(sub.source.table, col, OpType::Group);
+        std::vector<ExprPtr> inputs;
+        for (const auto &agg : sub.aggs)
+            inputs.push_back(agg.value);
+        scan_exprs(sub.source.table, inputs, OpType::Aggregation);
+        // The probe-side lookup streams each key column once.
+        std::set<std::string> key_cols;
+        for (const auto &key : sub.keys)
+            key_cols.insert(key.column);
+        for (const auto &name : key_cols)
+            scan(plan.probe.table, name, OpType::Filter);
+    }
+    scan_input(plan.probe);
+    for (const auto &join : plan.joins) {
+        scan_input(join.build);
+        for (const auto &[build_col, ref] : join.keys) {
+            scan(join.build.table, build_col, OpType::Hash);
+            scan(tableOf(plan, ref), ref.column, OpType::Hash);
+        }
+        steps.push_back({join.build.table, {}, OpType::Join});
+    }
+    for (const auto &key : plan.groupBy)
+        scan(tableOf(plan, key), key.column, OpType::Group);
+    for (const auto &agg : plan.aggregates) {
+        if (!agg.expr) {
+            scan(tableOf(plan, agg.value), agg.value.column,
+                 OpType::Aggregation);
+            continue;
+        }
+        std::set<std::pair<ChTable, std::string>> cols;
+        forEachColumnRef(*agg.expr, [&cols, &plan](const ColRef &ref,
+                                                   bool) {
+            cols.emplace(tableOf(plan, ref), ref.column);
+        });
+        for (const auto &[table, name] : cols)
+            scan(table, name, OpType::Aggregation);
+    }
+    return steps;
+}
+
 std::set<std::pair<workload::ChTable, std::string>>
 touchedColumns(const QueryPlan &plan)
 {
     std::set<std::pair<ChTable, std::string>> touched;
-    auto addInput = [&touched](const TableInput &in) {
-        for (const auto &p : in.intPredicates)
-            touched.emplace(in.table, p.column);
-        for (const auto &p : in.charPredicates)
-            touched.emplace(in.table, p.column);
-        // Input-local expressions reference the input's own table.
-        for (const auto &e : in.exprPredicates)
-            if (e)
-                forEachColumnRef(
-                    *e, [&touched, &in](const ColRef &ref, bool) {
-                        touched.emplace(in.table, ref.column);
-                    });
-    };
-    auto addRef = [&touched, &plan](const ColRef &ref) {
-        touched.emplace(tableOf(plan, ref), ref.column);
-    };
-
-    addInput(plan.probe);
-    for (const auto &join : plan.joins) {
-        addInput(join.build);
-        for (const auto &[build_col, ref] : join.keys) {
-            touched.emplace(join.build.table, build_col);
-            addRef(ref);
-        }
-    }
-    for (const auto &sub : plan.subqueries) {
-        addInput(sub.source);
-        for (const auto &col : sub.groupBy)
-            touched.emplace(sub.source.table, col);
-        for (const auto &agg : sub.aggs)
-            if (agg.value)
-                forEachColumnRef(
-                    *agg.value,
-                    [&touched, &sub](const ColRef &ref, bool) {
-                        touched.emplace(sub.source.table,
-                                        ref.column);
-                    });
-        for (const auto &key : sub.keys)
-            touched.emplace(plan.probe.table, key.column);
-    }
-    for (const auto &key : plan.groupBy)
-        addRef(key);
-    for (const auto &agg : plan.aggregates) {
-        if (agg.expr)
-            forEachColumnRef(*agg.expr,
-                             [&addRef](const ColRef &ref, bool) {
-                                 addRef(ref);
-                             });
-        else
-            addRef(agg.value);
-    }
+    for (const auto &step : planSteps(plan))
+        if (step.op != pim::OpType::Join)
+            touched.emplace(step.table, step.column);
     return touched;
 }
 

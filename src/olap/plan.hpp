@@ -10,10 +10,11 @@
  * a pre-pass, a chain of equi-joins against filtered build tables, a
  * grouped aggregation (plain columns or integer expressions) and an
  * optional sort/limit. The physical operators in olap/operators.hpp
- * execute a plan exactly over the MVCC snapshot bitmaps; the pricing
- * walks in olap/olap_engine.cpp (single-instance PIM engine) and
- * htap/analytic_olap.cpp (Ideal/MI baselines) derive each operator's
- * timing contribution from the same structure.
+ * execute a plan exactly over the MVCC snapshot bitmaps; planSteps
+ * lists the operator steps a plan charges, and the single-instance
+ * PIM engine (olap/olap_engine.cpp), the Ideal/MI baselines
+ * (htap/analytic_olap.cpp) and the catalog footprint
+ * (workload/query_catalog.cpp) all read that one list.
  *
  * The builders in plans:: define all 22 executable CH queries.
  * Q1/Q6/Q9 reproduce the engine's original bespoke code paths
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "olap/expr.hpp"
+#include "pim/cost_model.hpp"
 #include "workload/ch_gen.hpp"
 #include "workload/ch_schema.hpp"
 
@@ -195,10 +197,35 @@ struct QueryPlan
 workload::ChTable tableOf(const QueryPlan &plan, const ColRef &ref);
 
 /**
- * Every (table, column) the plan reads — predicates, join keys, group
- * keys and aggregate inputs. The query catalog derives each CH
- * query's footprint, and so the key columns, from this set
- * (workload::scanFrequencies).
+ * One operator step of a plan: a serial scan of one column as a
+ * Filter, Group, Aggregation or Hash operator, or (op == Join, empty
+ * column) the bucket probe of a join against build table `table`.
+ */
+struct PlanStep
+{
+    workload::ChTable table{};
+    std::string column;
+    pim::OpType op = pim::OpType::Filter;
+};
+
+/**
+ * The plan's operator steps in the order the pricing layers charge
+ * them (section 6.2): each subquery pre-pass (source filters, group
+ * keys, aggregate inputs, then its distinct probe-side key columns),
+ * the probe filters, each join (build filters, both key columns of
+ * every key pair, the Join step), the group keys, then each
+ * aggregate's distinct columns in (table, column) order. An input
+ * lists its Char predicates before its Int ones, then its expression
+ * columns; an expression set (an input's predicates, a subquery's
+ * aggregate inputs) streams each distinct column once, Char (LIKE)
+ * targets first.
+ */
+std::vector<PlanStep> planSteps(const QueryPlan &plan);
+
+/**
+ * Every (table, column) the plan reads: its scan steps. The query
+ * catalog derives each CH query's footprint, and so the key columns,
+ * from this set (workload::scanFrequencies).
  */
 std::set<std::pair<workload::ChTable, std::string>>
 touchedColumns(const QueryPlan &plan);

@@ -434,19 +434,6 @@ filterDictCodes(std::span<const std::uint32_t> codes,
     if (simdActive()) {
         // Tiny dictionaries (<= 16 distinct values) take the
         // pshufb in-register table; larger ones keep the gather.
-        //
-        // PUSHTAP_SIMD_GATHER_LUT compile-probe note: the 16-entry
-        // ceiling is the pshufb table width, not a property of the
-        // algorithm. On AVX-512 VBMI hardware a vpermb over one or
-        // two 64-byte zmm tables lifts the in-register path to 64 or
-        // 128 distinct values, displacing the latency-bound gather
-        // for most frozen Char dictionaries. That variant needs a
-        // CMake compile-and-run probe (the baked toolchain targets
-        // AVX2 only), which would define PUSHTAP_SIMD_GATHER_LUT and
-        // gate a third branch here. Until the probe lands, the
-        // gather below is the > 16-entry baseline; its throughput is
-        // pinned by bench_micro_kernels' BM_FilterDictCodesGatherLut
-        // row so the wider-hardware revisit has a recorded before.
         if (lut.size() <= 16)
             filterDictCodesPshufbAvx2(codes, sel, lut, negate);
         else

@@ -9,10 +9,11 @@
  * analytical queries" (section 4.1.2) and evaluates key-column growth
  * over the subsets Q1, Q1-2, Q1-3, Q1-10, Q1-22 and ALL (Fig. 8(c,d);
  * the Q1 subset has 4 key columns, Q1-3 has 32). Each query's
- * footprint is the (table, column) set its plan reads
- * (olap::touchedColumns), so the plans — the standard CH-benCHmark
- * rewrites of the TPC-H queries over the TPC-C schema — are the one
- * source of both the answers and the key-column model.
+ * footprint is the (table, column) set of its plan's scan steps
+ * (olap::touchedColumns over olap::planSteps, the steps the pricing
+ * charges), so the plans — the standard CH-benCHmark rewrites of the
+ * TPC-H queries over the TPC-C schema — are the one source of the
+ * answers, the priced scans and the key-column model.
  */
 
 #include <cstddef>
@@ -48,7 +49,7 @@ const olap::QueryPlan *executableQueryPlan(int query_no);
 
 /**
  * Per-(table, column) scan frequency over queries [1, n_queries]:
- * how many of the subset's plans touch the column
+ * how many of the subset's plans scan the column
  * (olap::touchedColumns). Columns never scanned are absent.
  */
 std::map<std::pair<ChTable, std::string>, std::uint32_t>

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/log.hpp"
 
 #include "htap/analytic_olap.hpp"
@@ -126,6 +129,41 @@ TEST_F(AnalyticOlapTest, JoinPlansCostMoreThanTheirProbeScan)
     const auto scan =
         model.runQuery(BaselineKind::Ideal, scan_only, 0);
     EXPECT_GT(q14.totalNs(), scan.totalNs());
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/** FNV-1a over the little-endian bytes of one double (PricingPins'
+ *  fold). */
+std::uint64_t
+fnv1a(std::uint64_t h, double value)
+{
+    const auto word = std::bit_cast<std::uint64_t>(value);
+    for (int b = 0; b < 8; ++b)
+        h = (h ^ static_cast<std::uint8_t>(word >> (8 * b))) *
+            kFnvPrime;
+    return h;
+}
+
+using BaselinePins = AnalyticOlapTest;
+
+TEST_F(BaselinePins, CatalogReportsAreBitIdentical)
+{
+    // The Ideal/MI side of Fig. 9(b), pinned: every catalog plan's
+    // scan, CPU and rebuild charges under each baseline.
+    constexpr std::uint64_t kBaselineHash = 0x4a1b53e29b5fc7efull;
+    std::uint64_t h = kFnvOffset;
+    for (const auto &q : workload::chExecutablePlans())
+        for (const auto kind :
+             {BaselineKind::Ideal, BaselineKind::MultiInstance,
+              BaselineKind::MultiInstanceAccel}) {
+            const auto rep = model.runQuery(kind, q.plan, 10'000);
+            h = fnv1a(h, rep.pimNs);
+            h = fnv1a(h, rep.cpuNs);
+            h = fnv1a(h, rep.consistencyNs);
+        }
+    EXPECT_EQ(h, kBaselineHash) << std::hex << h;
 }
 
 } // namespace

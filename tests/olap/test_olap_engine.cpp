@@ -379,7 +379,7 @@ TEST_F(OlapEngineTest, Q1TimingMatchesBespokeDecomposition)
 TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
 {
     // Q9 now carries its full CH join graph (ITEM, STOCK and ORDERS
-    // legs); the decomposition mirrors priceQuery leg by leg.
+    // legs); the decomposition mirrors pricePlan's steps leg by leg.
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());

@@ -53,6 +53,66 @@ TEST(Plan, TouchedColumnsIncludePayloadsOnlyWhenReferenced)
     EXPECT_FALSE(touched.contains({ChTable::Orders, "o_all_local"}));
 }
 
+/** One "Op table.column" line per step ("Join table" for a join). */
+std::vector<std::string>
+describeSteps(const QueryPlan &plan)
+{
+    std::vector<std::string> lines;
+    for (const auto &step : planSteps(plan)) {
+        const char *op = "?";
+        switch (step.op) {
+          case pim::OpType::Filter: op = "Filter"; break;
+          case pim::OpType::Group: op = "Group"; break;
+          case pim::OpType::Aggregation: op = "Aggregation"; break;
+          case pim::OpType::Hash: op = "Hash"; break;
+          case pim::OpType::Join: op = "Join"; break;
+          default: break;
+        }
+        std::string line =
+            std::string(op) + " " + workload::chTableName(step.table);
+        if (!step.column.empty())
+            line += "." + step.column;
+        lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
+TEST(Plan, StepsOfQ17FollowThePricingOrder)
+{
+    // The subquery pre-pass (group key, aggregate input, probe-side
+    // key), the probe filter, the ITEM join (its filter, both key
+    // columns, the Join), then the aggregate.
+    const std::vector<std::string> expect = {
+        "Group orderline.ol_i_id",
+        "Aggregation orderline.ol_quantity",
+        "Filter orderline.ol_i_id",
+        "Filter orderline.ol_quantity",
+        "Filter item.i_data",
+        "Hash item.i_id",
+        "Hash orderline.ol_i_id",
+        "Join item",
+        "Aggregation orderline.ol_amount",
+    };
+    EXPECT_EQ(describeSteps(plans::q17()), expect);
+}
+
+TEST(Plan, StepsOfQ19ListCharPredicatesFirst)
+{
+    // The ITEM build's Char predicate precedes its Int one, although
+    // the plan lists i_price first.
+    const std::vector<std::string> expect = {
+        "Filter orderline.ol_quantity",
+        "Filter orderline.ol_w_id",
+        "Filter item.i_data",
+        "Filter item.i_price",
+        "Hash item.i_id",
+        "Hash orderline.ol_i_id",
+        "Join item",
+        "Aggregation orderline.ol_amount",
+    };
+    EXPECT_EQ(describeSteps(plans::q19()), expect);
+}
+
 TEST(Plan, ValidateRejectsUnknownColumn)
 {
     auto p = plans::q6();
