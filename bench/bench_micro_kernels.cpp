@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks for the core kernels: compact
- * aligned bin-packing, row scatter/gather re-layout, snapshot bitmap
+ * aligned bin-packing, TableStore row reads and writes on CUSTOMER
+ * and STOCK, one defragmentation pass, snapshot bitmap
  * updates, hash-index lookups, and the batch execution layer (morsel
  * column decode, selection-vector filtering, word-level visibility
  * extraction) vs the row-at-a-time paths — so kernel-level
@@ -35,7 +36,7 @@
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "format/generators.hpp"
-#include "format/row_codec.hpp"
+#include "mvcc/defragmenter.hpp"
 #include "olap/batch.hpp"
 #include "olap/expr.hpp"
 #include "olap/group_table.hpp"
@@ -43,6 +44,7 @@
 #include "storage/table_store.hpp"
 #include "txn/hash_index.hpp"
 #include "workload/ch_schema.hpp"
+#include "workload/query_catalog.hpp"
 
 #include "bench_util.hpp"
 
@@ -65,53 +67,87 @@ BM_CompactAlignedGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_CompactAlignedGeneration)->Arg(0)->Arg(6)->Arg(10);
 
-void
-BM_RowScatterGather(benchmark::State &state)
+/** The populated database's layout of CH table @p t: key columns
+ *  from Q1-Q22, 8 devices, th = 0.6. */
+format::TableLayout
+chLayout(workload::ChTable t, format::TableSchema &schema)
 {
-    auto schema =
-        workload::chTableSchema(workload::ChTable::OrderLine);
-    schema.setKeyColumns({"ol_o_id", "ol_amount", "ol_quantity",
-                          "ol_delivery_d"});
-    const auto layout = format::compactAligned(schema, 8, 0.6);
-    const format::RowCodec codec(layout,
-                                 format::BlockCirculant(8, 1024));
+    auto schemas = workload::chBenchmarkSchemas();
+    workload::markKeyColumns(schemas, 22);
+    schema = std::move(schemas[static_cast<std::size_t>(t)]);
+    return format::compactAligned(schema, 8, 0.6);
+}
 
-    // Flat per-(part, device) regions.
-    std::vector<std::vector<std::vector<std::uint8_t>>> regions(
-        layout.parts().size());
-    for (std::size_t p = 0; p < layout.parts().size(); ++p)
-        regions[p].assign(8, std::vector<std::uint8_t>(
-                                 4096 * layout.parts()[p].rowWidth));
-
-    std::vector<std::uint8_t> row(schema.rowBytes(), 7);
-    std::vector<std::uint8_t> out(schema.rowBytes());
+void
+BM_TableStoreRow(benchmark::State &state)
+{
+    // One row re-layout each way, TableStore::readRow from the data
+    // region then writeRow into the delta region, on CUSTOMER (Arg 0)
+    // and STOCK (Arg 1), over 8 blocks so every rotation class runs.
+    const auto t = state.range(0) == 0 ? workload::ChTable::Customer
+                                       : workload::ChTable::Stock;
+    format::TableSchema schema;
+    const auto layout = chLayout(t, schema);
+    constexpr RowId kRows = 8 * 1024;
+    storage::TableStore store(layout, format::BlockCirculant(8, 1024),
+                              kRows, kRows);
+    std::vector<std::uint8_t> row(schema.rowBytes());
+    Rng rng(3);
+    for (RowId r = 0; r < kRows; ++r) {
+        for (auto &b : row)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        store.writeRow(storage::Region::Data, r, row);
+    }
     RowId r = 0;
     for (auto _ : state) {
-        codec.scatter(r % 4096, row,
-                      [&](std::uint32_t p, std::uint32_t d,
-                          std::uint64_t off,
-                          std::span<const std::uint8_t> data) {
-                          std::copy(data.begin(), data.end(),
-                                    regions[p][d].begin() +
-                                        static_cast<long>(off));
-                      });
-        codec.gather(r % 4096,
-                     [&](std::uint32_t p, std::uint32_t d,
-                         std::uint64_t off,
-                         std::span<std::uint8_t> dst) {
-                         std::copy_n(regions[p][d].begin() +
-                                         static_cast<long>(off),
-                                     dst.size(), dst.begin());
-                     },
-                     out);
-        benchmark::DoNotOptimize(out.data());
-        ++r;
+        store.readRow(storage::Region::Data, r, row);
+        store.writeRow(storage::Region::Delta, r, row);
+        benchmark::DoNotOptimize(row.data());
+        r = (r + 1) % kRows;
     }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 2 *
-        schema.rowBytes());
+    state.SetLabel(state.range(0) == 0 ? "customer" : "stock");
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RowScatterGather);
+BENCHMARK(BM_TableStoreRow)->Arg(0)->Arg(1);
+
+void
+BM_DefragPass(benchmark::State &state)
+{
+    // One defragmentation pass over 8,192 newly inserted ORDERLINE
+    // rows, the shape NewOrder leaves behind: data rows and delta
+    // slots both step by one, so the pass copies whole runs. The
+    // versions are re-added untimed before each pass (the delta
+    // bytes stay put, and the allocator hands out the same slots).
+    format::TableSchema schema;
+    const auto layout = chLayout(workload::ChTable::OrderLine, schema);
+    constexpr RowId kRows = 8 * 1024;
+    const format::BlockCirculant circ(8, 1024);
+    storage::TableStore store(layout, circ, kRows, kRows);
+    mvcc::VersionManager vm(circ, kRows, kRows);
+    const mvcc::Defragmenter defrag(Bandwidth::gbPerSec(100.0),
+                                    Bandwidth::gbPerSec(1000.0), 8);
+    std::vector<std::uint8_t> row(schema.rowBytes());
+    Rng rng(4);
+    for (RowId r = 0; r < kRows; ++r) {
+        for (auto &b : row)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        store.writeRow(storage::Region::Delta, vm.allocDeltaSlot(r), row);
+    }
+    vm.reset();
+    Timestamp ts = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (RowId r = 0; r < kRows; ++r)
+            vm.addVersion(r, vm.allocDeltaSlot(r), ++ts);
+        state.ResumeTiming();
+        const auto stats =
+            defrag.run(store, vm, mvcc::DefragStrategy::Hybrid);
+        benchmark::DoNotOptimize(stats.bytesMoved);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kRows));
+}
+BENCHMARK(BM_DefragPass);
 
 void
 BM_SnapshotBitmapUpdate(benchmark::State &state)

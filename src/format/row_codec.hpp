@@ -6,13 +6,17 @@
  * canonical packed representation (what the CPU operates on in cache)
  * and its scattered placement across parts/devices in the unified
  * format. Invoked only when loading a row from DRAM and when pushing
- * a modified row back at commit.
+ * a modified row back at commit. RowCodec compiles the layout into a
+ * flat copy plan per rotation class, so a row moves with one small
+ * copy per plan entry instead of a walk over parts, slots and
+ * fragments.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
-#include "common/log.hpp"
 #include "common/types.hpp"
 #include "format/block_circulant.hpp"
 #include "format/layout.hpp"
@@ -40,91 +44,84 @@ void gatherCharsStride(const Column &col, const std::uint8_t *base,
                        std::span<const std::uint32_t> offsets,
                        std::uint8_t *out);
 
+/**
+ * One region's bytes of one part on one device (a *lane*): row r's
+ * slot of the part starts at base + r * stride. A region's lanes are
+ * numbered part-major, part * devices + device.
+ */
+struct Lane
+{
+    std::uint8_t *base = nullptr;
+    std::uint64_t stride = 0; ///< The part's rowWidth.
+};
+
+/**
+ * One byte move of a row re-layout: bytes bytes at offset slotOffset
+ * of the row's slot in lane `lane`, and at canonOffset of the
+ * canonical row.
+ */
+struct RowCopy
+{
+    std::uint32_t lane;
+    std::uint32_t slotOffset;
+    std::uint32_t canonOffset;
+    std::uint32_t bytes;
+};
+
+/**
+ * The row re-layout of one table as a compiled copy plan. The
+ * block-circulant rotation only permutes which device holds each
+ * slot, so every row of one rotation class moves the same bytes
+ * between the same lanes: the codec lists them once per class, in
+ * layout order (part, slot, fragment), and merges fragments that
+ * follow each other both in the slot and in the canonical row into
+ * one copy. scatter and gather walk the plan of the row's class, one
+ * inline small copy per entry.
+ */
 class RowCodec
 {
   public:
-    RowCodec(const TableLayout &layout, const BlockCirculant &circulant)
-        : layout_(&layout), circulant_(circulant)
-    {}
+    RowCodec(const TableLayout &layout, const BlockCirculant &circulant);
 
     const TableLayout &layout() const { return *layout_; }
     const BlockCirculant &circulant() const { return circulant_; }
 
-    /**
-     * Scatter canonical @p row bytes of row @p r to the format:
-     * write(part, device, device-local byte offset within the part's
-     * region, bytes) once per fragment.
-     */
-    template <typename Write>
-    void
-    scatter(RowId r, std::span<const std::uint8_t> row,
-            Write &&write) const
+    /** The copy plan of row @p r's rotation class. */
+    std::span<const RowCopy>
+    plan(RowId r) const
     {
-        if (row.size() < layout_->schema().rowBytes())
-            panic("scatter: row buffer {} < row bytes {}", row.size(),
-                  layout_->schema().rowBytes());
-        forEachFragment(r, [&](std::uint32_t part, std::uint32_t dev,
-                               std::uint64_t off, std::uint32_t canon,
-                               std::uint32_t bytes) {
-            write(part, dev, off, row.subspan(canon, bytes));
-        });
+        const std::size_t cls = circulant_.blockOf(r) % classes_;
+        return {copies_.data() + cls * perClass_, perClass_};
     }
 
-    /**
-     * Gather row @p r back into canonical @p row bytes: read(part,
-     * device, offset, span) fills each fragment's span.
-     */
-    template <typename Read>
-    void
-    gather(RowId r, Read &&read, std::span<std::uint8_t> row) const
-    {
-        if (row.size() < layout_->schema().rowBytes())
-            panic("gather: row buffer {} < row bytes {}", row.size(),
-                  layout_->schema().rowBytes());
-        forEachFragment(r, [&](std::uint32_t part, std::uint32_t dev,
-                               std::uint64_t off, std::uint32_t canon,
-                               std::uint32_t bytes) {
-            read(part, dev, off, row.subspan(canon, bytes));
-        });
-    }
+    /** Scatter canonical @p row bytes of row @p r into @p lanes. */
+    void scatter(RowId r, std::span<const std::uint8_t> row,
+                 std::span<const Lane> lanes) const;
+
+    /** Gather row @p r from @p lanes into canonical @p row bytes. */
+    void gather(RowId r, std::span<const Lane> lanes,
+                std::span<std::uint8_t> row) const;
 
     /**
-     * Number of distinct byte moves one row re-layout performs (the
+     * Number of layout fragments one row re-layout moves (the
      * CPU-side cost driver of the +3.5% OLTP overhead, Fig. 9(a)).
+     * It counts fragments, not the plan's merged copies: the model
+     * prices the paper's per-fragment re-layout.
      */
     std::uint32_t fragmentsPerRow() const;
 
   private:
-    /**
-     * Visit every fragment of row @p r as (part, device, device-local
-     * byte offset, canonical byte offset, byte count).
-     */
-    template <typename Visit>
-    void
-    forEachFragment(RowId r, Visit &&visit) const
-    {
-        const auto &schema = layout_->schema();
-        const auto &parts = layout_->parts();
-        for (std::uint32_t p = 0; p < parts.size(); ++p) {
-            const Part &part = parts[p];
-            const std::uint64_t base =
-                static_cast<std::uint64_t>(r) * part.rowWidth;
-            for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
-                const std::uint32_t dev = circulant_.deviceFor(s, r);
-                std::uint32_t off = 0;
-                for (const auto &f : part.slots[s].fragments) {
-                    visit(p, dev, base + off,
-                          schema.canonicalOffset(f.column) +
-                              f.byteOffset,
-                          f.byteCount);
-                    off += f.byteCount;
-                }
-            }
-        }
-    }
+    /** Panic unless @p row and @p lanes fit this codec's rows. */
+    void checkSizes(const char *op, std::size_t row,
+                    std::size_t lanes) const;
 
     const TableLayout *layout_;
     BlockCirculant circulant_;
+    /** Rotation classes: devices with rotation on, else 1. */
+    std::uint32_t classes_;
+    /** Copies per class; class c's plan starts at c * perClass_. */
+    std::size_t perClass_ = 0;
+    std::vector<RowCopy> copies_;
 };
 
 } // namespace pushtap::format

@@ -77,22 +77,41 @@ Defragmenter::run(storage::TableStore &store, VersionManager &vm,
             store.layout().devices() - 1) /
                store.layout().devices());
 
-    // One sweep of the arena in append order: copy each row's newest
-    // version back over its origin row (inserted rows thus land in
-    // data-row and delta-slot order) and count every swept entry as a
-    // chain hop (Fig. 11(d) breakdown). The epoch pin covers the
-    // sweep and must drop before reset(), which waits for all pinned
-    // readers.
+    // One sweep of the arena in append order copies each row's newest
+    // version back over its origin row and counts every swept entry
+    // as a chain hop (Fig. 11(d) breakdown). Inserted rows land in
+    // data-row and delta-slot order, so heads whose data row and
+    // delta slot both step by one inside one rotation block merge
+    // into a run, and a run is one device-local copy of rows x w
+    // bytes per (part, device). The epoch pin covers the sweep and
+    // must drop before reset(), which waits for all pinned readers.
     {
         const EpochGuard epoch(vm.epochs());
+        const auto &circ = store.circulant();
+        RowId run_data = 0, run_delta = 0;
+        std::uint64_t run_rows = 0;
+        const auto flush = [&] {
+            stats.bytesMoved +=
+                store.copyDeltaToData(run_delta, run_data, run_rows);
+        };
         stats.chainSteps =
             vm.forEachHead([&](RowId data_row, std::uint32_t head) {
-                stats.bytesMoved += store.copyDeltaToData(
-                    versions[head].deltaSlot, data_row);
+                const RowId slot = versions[head].deltaSlot;
+                if (run_rows == 0 || data_row != run_data + run_rows ||
+                    slot != run_delta + run_rows ||
+                    circ.blockOf(data_row) != circ.blockOf(run_data) ||
+                    circ.blockOf(slot) != circ.blockOf(run_delta)) {
+                    flush();
+                    run_data = data_row;
+                    run_delta = slot;
+                    run_rows = 0;
+                }
+                ++run_rows;
                 ++stats.rowsCopied;
                 // Repair visibility: origin row is current again.
                 store.dataVisible().set(data_row);
             });
+        flush();
     }
     store.deltaVisible().setAll(false);
     vm.reset();

@@ -62,9 +62,13 @@ class Defragmenter
      * Functionally: one sweep of the version arena in append order
      * copies each row's newest version back over its origin row,
      * then the visibility bitmaps are repaired and the version
-     * chains reset. chainSteps counts the entries swept, which is
-     * the summed length of all chains. The returned stats carry the
-     * modelled strategy time.
+     * chains reset. Heads whose data row and delta slot both step by
+     * one inside one rotation block (NewOrder's inserts) merge into
+     * runs, and each run is one TableStore::copyDeltaToData: a
+     * device-local copy per (part, device). chainSteps counts the
+     * entries swept, which is the summed length of all chains;
+     * rowsCopied and bytesMoved count rows, whatever the runs. The
+     * returned stats carry the modelled strategy time.
      *
      * Per-row CPU costs (chain traverse, metadata merge) are included
      * in the breakdown; the caller adds fixed thread/PIM activation

@@ -96,17 +96,12 @@ BuildTable::BuildTable(BuildForm form, std::uint32_t width,
     } else {
         numberKeys(tasks, pool);
     }
-    switch (form) {
-      case BuildForm::KeySet:
-        placeKeySet(tasks, pool);
-        break;
-      case BuildForm::TupleRanges:
+    // A key set is the aggregates form with no aggregate: presence
+    // bits alone.
+    if (form == BuildForm::TupleRanges)
         placeTupleRanges(tasks, pool);
-        break;
-      case BuildForm::Aggregates:
+    else
         placeAggregates(tasks, pool);
-        break;
-    }
 }
 
 BuildTable
@@ -162,25 +157,6 @@ BuildTable::numberKeys(std::span<const BuildRows> tasks, WorkerPool *pool)
 }
 
 void
-BuildTable::placeKeySet(std::span<const BuildRows> tasks, WorkerPool *pool)
-{
-    bits_.assign((slots_ + 63) / 64, 0);
-    std::vector<std::vector<std::uint64_t>> slots(poolWorkers(pool));
-    runTasks(pool, tasks.size(), [&](std::uint32_t w, std::size_t t) {
-        slotsOf(tasks[t].rows, keyColumns(tasks[t]), slots[w]);
-        for (const auto s : slots[w]) {
-            // Read before the OR: rows sharing a slot (a build keyed
-            // on one warehouse) then share a clean cache line instead
-            // of serializing the workers on one read-modify-write.
-            std::atomic_ref<std::uint64_t> word(bits_[s >> 6]);
-            const std::uint64_t bit = std::uint64_t{1} << (s & 63);
-            if ((word.load(std::memory_order_relaxed) & bit) == 0)
-                word.fetch_or(bit, std::memory_order_relaxed);
-        }
-    });
-}
-
-void
 BuildTable::placeTupleRanges(std::span<const BuildRows> tasks,
                              WorkerPool *pool)
 {
@@ -227,11 +203,13 @@ void
 BuildTable::placeAggregates(std::span<const BuildRows> tasks,
                             WorkerPool *pool)
 {
-    // Each worker folds the tasks it claims into private slot arrays
-    // idle at each fold's identity (foldIdentity), so no fold needs a
-    // first-row check; the arrays then merge chunk of slots by chunk
-    // over the pool. Every fold commutes, so the worker count cannot
-    // show in the result.
+    // Each worker folds the tasks it claims into private presence
+    // bits and slot arrays idle at each fold's identity
+    // (foldIdentity), so no fold needs a first-row check and no
+    // worker writes another's cache line; the arrays then merge chunk
+    // of slots by chunk over the pool. Every fold commutes, so the
+    // worker count cannot show in the result. A key set folds no
+    // aggregate and keeps the presence bits alone.
     struct Partial
     {
         std::vector<std::int64_t> aggs; ///< valWidth_ per slot.

@@ -684,9 +684,10 @@ class BuildTable
 
     /** Number the distinct keys of @p tasks 0, 1, ... in keys_. */
     void numberKeys(std::span<const BuildRows> tasks, WorkerPool *pool);
-    void placeKeySet(std::span<const BuildRows> tasks, WorkerPool *pool);
     void placeTupleRanges(std::span<const BuildRows> tasks,
                           WorkerPool *pool);
+    /** Key sets and aggregates: presence bits and valWidth_ folds
+     *  per slot. */
     void placeAggregates(std::span<const BuildRows> tasks,
                          WorkerPool *pool);
 

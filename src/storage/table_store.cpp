@@ -34,6 +34,17 @@ TableStore::TableStore(const format::TableLayout &layout,
     };
     provision(data_, data_rows);
     provision(delta_, delta_rows);
+    data_.bindLanes(layout);
+    delta_.bindLanes(layout);
+}
+
+void
+TableStore::RegionStore::bindLanes(const format::TableLayout &layout)
+{
+    lanes.clear();
+    for (std::size_t p = 0; p < parts.size(); ++p)
+        for (auto &dev : parts[p])
+            lanes.push_back({dev.data(), layout.parts()[p].rowWidth});
 }
 
 TableStore::RegionStore &
@@ -60,6 +71,7 @@ TableStore::growDelta(std::uint64_t rows)
         for (auto &dev : delta_.parts[p])
             dev.resize(new_rows * w, 0);
     }
+    delta_.bindLanes(*layout_);
     deltaVisible_.grow(new_rows);
     deltaRows_ = new_rows;
 }
@@ -77,14 +89,7 @@ TableStore::writeRow(Region reg, RowId r,
         reg == Region::Data ? dataRows_ : deltaRows_;
     if (r >= limit)
         panic("writeRow: row {} beyond region capacity {}", r, limit);
-    auto &store = regionStore(reg);
-    codec_.scatter(r, row,
-                   [&store](std::uint32_t part, std::uint32_t dev,
-                            std::uint64_t off,
-                            std::span<const std::uint8_t> data) {
-                       std::memcpy(store.parts[part][dev].data() + off,
-                                   data.data(), data.size());
-                   });
+    codec_.scatter(r, row, regionStore(reg).lanes);
     if (reg == Region::Data && !dicts_.empty())
         encodeDictRow(r, row);
 }
@@ -97,16 +102,7 @@ TableStore::readRow(Region reg, RowId r,
         reg == Region::Data ? dataRows_ : deltaRows_;
     if (r >= limit)
         panic("readRow: row {} beyond region capacity {}", r, limit);
-    const auto &store = regionStore(reg);
-    codec_.gather(r,
-                  [&store](std::uint32_t part, std::uint32_t dev,
-                           std::uint64_t off,
-                           std::span<std::uint8_t> out) {
-                      std::memcpy(out.data(),
-                                  store.parts[part][dev].data() + off,
-                                  out.size());
-                  },
-                  row);
+    codec_.gather(r, regionStore(reg).lanes, row);
 }
 
 std::int64_t
@@ -114,13 +110,9 @@ TableStore::columnValue(Region reg, ColumnId c, RowId r) const
 {
     const auto &pl = layout_->keyPlacement(c);
     const auto &col = schema().column(c);
-    const auto w = layout_->parts()[pl.part].rowWidth;
-    const std::uint32_t dev = circulant_.deviceFor(pl.slot, r);
-    const auto &bytes = regionStore(reg).parts[pl.part][dev];
-    const std::uint64_t off = r * w + pl.slotOffset;
-
     return format::decodeValue(
-        col, std::span<const std::uint8_t>(bytes).subspan(off));
+        col, std::span<const std::uint8_t>(slotBytes(reg, pl, r),
+                                           col.width));
 }
 
 void
@@ -131,59 +123,79 @@ TableStore::readColumnBytes(Region reg, ColumnId c, RowId r,
     if (out.size() < col.width)
         panic("readColumnBytes: buffer {} < column width {}",
               out.size(), col.width);
-    for (const auto &pl : layout_->placements(c)) {
-        const auto w = layout_->parts()[pl.part].rowWidth;
-        const std::uint32_t dev = circulant_.deviceFor(pl.slot, r);
-        const auto &bytes = regionStore(reg).parts[pl.part][dev];
+    for (const auto &pl : layout_->placements(c))
         std::memcpy(out.data() + pl.fragment.byteOffset,
-                    bytes.data() + r * w + pl.slotOffset,
-                    pl.fragment.byteCount);
-    }
+                    slotBytes(reg, pl, r), pl.fragment.byteCount);
+}
+
+const std::uint8_t *
+TableStore::slotBytes(Region reg, const format::Placement &pl,
+                      RowId r) const
+{
+    const format::Lane &lane =
+        regionStore(reg).lanes[pl.part * layout_->devices() +
+                               circulant_.deviceFor(pl.slot, r)];
+    return lane.base + r * lane.stride + pl.slotOffset;
 }
 
 Bytes
-TableStore::copyDeltaToData(RowId from_delta, RowId to_data)
+TableStore::copyDeltaToData(RowId from_delta, RowId to_data,
+                            std::uint64_t rows)
 {
+    if (rows == 0)
+        return 0;
     if (!sameRotation(to_data, from_delta))
         panic("defragment copy across rotations: data {} delta {}",
               to_data, from_delta);
+    const RowId data_end = to_data + rows, delta_end = from_delta + rows;
+    if (circulant_.blockOf(data_end - 1) != circulant_.blockOf(to_data) ||
+        circulant_.blockOf(delta_end - 1) != circulant_.blockOf(from_delta))
+        panic("defragment run of {} rows leaves a rotation block: "
+              "data {} delta {}",
+              rows, to_data, from_delta);
+    if (data_end > dataRows_ || delta_end > deltaRows_)
+        panic("defragment run of {} rows beyond a region: data {} of "
+              "{}, delta {} of {}",
+              rows, to_data, dataRows_, from_delta, deltaRows_);
 
     Bytes moved = 0;
-    // The rotations match, so for every (part, device) the slot
-    // contents align: a pure device-local copy, exactly what the PIM
-    // Defragment op does.
-    for (std::size_t p = 0; p < layout_->parts().size(); ++p) {
-        const auto w = layout_->parts()[p].rowWidth;
-        for (std::uint32_t dev = 0; dev < layout_->devices(); ++dev) {
-            auto &dst = data_.parts[p][dev];
-            const auto &src = delta_.parts[p][dev];
-            std::memcpy(dst.data() + to_data * w,
-                        src.data() + from_delta * w, w);
-            moved += w;
-        }
+    // Inside one block the rotations match, so for every (part,
+    // device) the run's slots align: one device-local copy per lane,
+    // exactly what the PIM Defragment op does.
+    for (std::size_t l = 0; l < data_.lanes.size(); ++l) {
+        const format::Lane &dst = data_.lanes[l];
+        const format::Lane &src = delta_.lanes[l];
+        std::memcpy(dst.base + to_data * dst.stride,
+                    src.base + from_delta * src.stride, rows * dst.stride);
+        moved += rows * dst.stride;
     }
     if (!dicts_.empty()) {
-        // Re-encode the dict columns of the refreshed data row from
+        // Re-encode the dict columns of each refreshed data row from
         // the bytes just copied in (defrag keeps codes in sync).
-        for (ColumnId c = 0; c < dicts_.size(); ++c) {
-            if (!dicts_[c])
-                continue;
-            const std::span<std::uint8_t> buf(
-                dictScratch_.data(), schema().column(c).width);
-            readColumnBytes(Region::Data, c, to_data, buf);
-            const std::uint32_t code = dicts_[c]->dict.encode(buf);
-            if (code == dicts_[c]->dict.sentinel())
-                dicts_[c]->anyNonCoded.store(
-                    true, std::memory_order_release);
-            const std::uint32_t cw = dicts_[c]->dict.codeWidthBytes();
-            std::uint8_t *dst =
-                dicts_[c]->codes.data() +
-                static_cast<std::size_t>(to_data) * cw;
-            for (std::uint32_t b = 0; b < cw; ++b)
-                dst[b] = static_cast<std::uint8_t>(code >> (8 * b));
+        for (RowId r = to_data; r < data_end; ++r) {
+            for (ColumnId c = 0; c < dicts_.size(); ++c) {
+                if (!dicts_[c])
+                    continue;
+                const std::span<std::uint8_t> buf(
+                    dictScratch_.data(), schema().column(c).width);
+                readColumnBytes(Region::Data, c, r, buf);
+                storeDictCode(c, r, dicts_[c]->dict.encode(buf));
+            }
         }
     }
     return moved;
+}
+
+void
+TableStore::storeDictCode(ColumnId c, RowId r, std::uint32_t code)
+{
+    ColumnDict &cd = *dicts_[c];
+    if (code == cd.dict.sentinel())
+        cd.anyNonCoded.store(true, std::memory_order_release);
+    const std::uint32_t cw = cd.dict.codeWidthBytes();
+    std::uint8_t *dst = cd.codes.data() + static_cast<std::size_t>(r) * cw;
+    for (std::uint32_t b = 0; b < cw; ++b)
+        dst[b] = static_cast<std::uint8_t>(code >> (8 * b));
 }
 
 void
@@ -193,16 +205,9 @@ TableStore::encodeDictRow(RowId r, std::span<const std::uint8_t> row)
         if (!dicts_[c])
             continue;
         const auto &col = schema().column(c);
-        const std::uint32_t code = dicts_[c]->dict.encode(
-            row.subspan(schema().canonicalOffset(c), col.width));
-        if (code == dicts_[c]->dict.sentinel())
-            dicts_[c]->anyNonCoded.store(true,
-                                         std::memory_order_release);
-        const std::uint32_t cw = dicts_[c]->dict.codeWidthBytes();
-        std::uint8_t *dst = dicts_[c]->codes.data() +
-                            static_cast<std::size_t>(r) * cw;
-        for (std::uint32_t b = 0; b < cw; ++b)
-            dst[b] = static_cast<std::uint8_t>(code >> (8 * b));
+        storeDictCode(c, r,
+                      dicts_[c]->dict.encode(row.subspan(
+                          schema().canonicalOffset(c), col.width)));
     }
 }
 

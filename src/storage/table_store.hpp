@@ -12,6 +12,12 @@
  * The delta region is also organised into blocks: a new version of a
  * row keeps the block-circulant rotation of its origin row so PIM
  * units can later copy it back without cross-device traffic.
+ *
+ * Each region keeps one lane table, the base pointer and row width of
+ * every (part, device) buffer, so a row read or write is the codec's
+ * copy plan for the row's rotation class with one small copy per
+ * entry, and a defragmentation run of consecutive rows is one memcpy
+ * per lane.
  */
 
 #include <atomic>
@@ -70,13 +76,18 @@ class TableStore
     void growDelta(std::uint64_t rows);
 
     /**
-     * Write the canonical bytes of a row into a region. Delta writes
-     * beyond the current capacity grow the region on demand.
+     * Write the canonical bytes of a row into a region: the codec's
+     * copy plan for the row's rotation class, one small copy per
+     * entry through the region's lane pointers. Delta writes beyond
+     * the current capacity grow the region on demand (a
+     * TxnWorkerGroup pre-grows it, so this never happens under
+     * concurrent readers).
      */
     void writeRow(Region reg, RowId r,
                   std::span<const std::uint8_t> row);
 
-    /** Read the canonical bytes of a row back from a region. */
+    /** Read the canonical bytes of a row back from a region (the
+     *  same copy plan, gathered). */
     void readRow(Region reg, RowId r,
                  std::span<std::uint8_t> row) const;
 
@@ -108,13 +119,18 @@ class TableStore
     }
 
     /**
-     * Copy the full row @p from (delta) over row @p to (data) the way
-     * the PIM Defragment operation does: device-local, slot-aligned
-     * copies. Requires both rows to have the same rotation. Returns
-     * bytes moved per device stripe. One caller at a time per store:
-     * the dictionary re-encode reuses a shared scratch buffer.
+     * Copy @p rows consecutive delta rows from @p from_delta on over
+     * the data rows from @p to_data on, the way the PIM Defragment
+     * operation does: one device-local copy of rows x w bytes per
+     * (part, device), w the part's row width, then the dictionary
+     * codes of each refreshed data row are re-encoded. Each run must
+     * stay inside one rotation block on both sides, and the two
+     * blocks must share their rotation. Returns bytes moved per device
+     * stripe. One caller at a time per store: the re-encode reuses a
+     * shared scratch buffer.
      */
-    Bytes copyDeltaToData(RowId from_delta, RowId to_data);
+    Bytes copyDeltaToData(RowId from_delta, RowId to_data,
+                          std::uint64_t rows);
 
     /**
      * Bytes of raw storage provisioned for a region (layout bytes *
@@ -188,6 +204,11 @@ class TableStore
     {
         /** [part][device] -> bytes (rows * rowWidth per device). */
         std::vector<std::vector<std::vector<std::uint8_t>>> parts;
+        /** The codec's lanes over parts: each (part, device) buffer's
+         *  base and row width, re-read whenever a buffer moves. */
+        std::vector<format::Lane> lanes;
+
+        void bindLanes(const format::TableLayout &layout);
     };
 
     struct ColumnDict
@@ -206,8 +227,16 @@ class TableStore
     RegionStore &regionStore(Region reg);
     const RegionStore &regionStore(Region reg) const;
 
+    /** Row @p r's first byte of placement @p pl in region @p reg. */
+    const std::uint8_t *slotBytes(Region reg,
+                                  const format::Placement &pl,
+                                  RowId r) const;
+
     /** Encode @p row's dict columns into the code arrays at @p r. */
     void encodeDictRow(RowId r, std::span<const std::uint8_t> row);
+
+    /** Store dict column @p c's @p code for data row @p r. */
+    void storeDictCode(ColumnId c, RowId r, std::uint32_t code);
 
     const format::TableLayout *layout_;
     format::BlockCirculant circulant_;

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "format/generators.hpp"
 #include "format/row_codec.hpp"
+#include "support/fragment_walk.hpp"
 
 namespace pushtap::format {
 namespace {
@@ -25,41 +25,41 @@ paperCustomer()
         });
 }
 
-/** In-memory stand-in for per-device part regions. */
-class FakeStore
+using testsupport::forEachFragment;
+using testsupport::LaneBuffers;
+
+/**
+ * Scatter @p nrows random rows through @p codec's plans and through
+ * the reference fragment walk into two regions filled alike: every
+ * lane byte must match, padding included, and gather must return
+ * each row.
+ */
+void
+expectPlanMatchesFragmentWalk(const RowCodec &codec, RowId nrows,
+                              std::uint64_t seed)
 {
-  public:
-    auto
-    writer()
-    {
-        return [this](std::uint32_t part, std::uint32_t dev,
-                      std::uint64_t off,
-                      std::span<const std::uint8_t> data) {
-            auto &region = regions_[{part, dev}];
-            if (region.size() < off + data.size())
-                region.resize(off + data.size(), 0xEE);
-            std::copy(data.begin(), data.end(),
-                      region.begin() + static_cast<long>(off));
-        };
+    const auto &layout = codec.layout();
+    const auto &schema = layout.schema();
+    LaneBuffers planned(layout, nrows, 0xEE), walked(layout, nrows, 0xEE);
+    pushtap::Rng rng(seed);
+    std::vector<std::vector<std::uint8_t>> rows;
+    for (RowId r = 0; r < nrows; ++r) {
+        std::vector<std::uint8_t> row(schema.rowBytes());
+        for (auto &b : row)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        codec.scatter(r, row, planned.lanes());
+        walked.referenceScatter(layout, codec.circulant(), r, row);
+        rows.push_back(std::move(row));
     }
-
-    auto
-    reader()
-    {
-        return [this](std::uint32_t part, std::uint32_t dev,
-                      std::uint64_t off,
-                      std::span<std::uint8_t> out) {
-            const auto &region = regions_.at({part, dev});
-            ASSERT_LE(off + out.size(), region.size());
-            std::copy_n(region.begin() + static_cast<long>(off),
-                        out.size(), out.begin());
-        };
+    for (std::size_t l = 0; l < planned.laneCount(); ++l)
+        ASSERT_EQ(planned.bytes(l), walked.bytes(l))
+            << schema.name() << " lane " << l;
+    for (RowId r = 0; r < nrows; ++r) {
+        std::vector<std::uint8_t> out(schema.rowBytes(), 0);
+        codec.gather(r, planned.lanes(), out);
+        ASSERT_EQ(out, rows[r]) << schema.name() << " row " << r;
     }
-
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<std::uint8_t>>
-        regions_;
-};
+}
 
 class RowCodecTest : public ::testing::TestWithParam<double>
 {
@@ -69,23 +69,9 @@ TEST_P(RowCodecTest, ScatterGatherRoundTrip)
 {
     const auto s = paperCustomer();
     const auto layout = compactAligned(s, 4, GetParam());
-    const RowCodec codec(layout, BlockCirculant(4, 2));
-    FakeStore store;
-
-    pushtap::Rng rng(1);
-    std::vector<std::vector<std::uint8_t>> rows;
-    for (RowId r = 0; r < 10; ++r) {
-        std::vector<std::uint8_t> row(s.rowBytes());
-        for (auto &b : row)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        codec.scatter(r, row, store.writer());
-        rows.push_back(std::move(row));
-    }
-    for (RowId r = 0; r < 10; ++r) {
-        std::vector<std::uint8_t> out(s.rowBytes(), 0);
-        codec.gather(r, store.reader(), out);
-        EXPECT_EQ(out, rows[r]) << "row " << r;
-    }
+    // B = 2 over 10 rows: every rotation class, twice over.
+    expectPlanMatchesFragmentWalk(RowCodec(layout, BlockCirculant(4, 2)),
+                                  10, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, RowCodecTest,
@@ -96,26 +82,19 @@ TEST(RowCodec, CirculantRotationChangesDevices)
     const auto s = paperCustomer();
     const auto layout = compactAligned(s, 4, 0.75);
     const RowCodec codec(layout, BlockCirculant(4, 2));
-    FakeStore store;
 
-    // Track which device receives the (indivisible) w_id key bytes.
-    const auto &pl = layout.keyPlacement(s.columnId("w_id"));
-    const auto w = layout.parts()[pl.part].rowWidth;
-    std::vector<std::uint8_t> row(s.rowBytes(), 0xAB);
-    std::map<RowId, std::uint32_t> key_device;
-    for (RowId r : {RowId{0}, RowId{2}}) { // different blocks (B = 2)
-        codec.scatter(
-            r, row,
-            [&](std::uint32_t part, std::uint32_t dev,
-                std::uint64_t off, std::span<const std::uint8_t> d) {
-                if (part == pl.part && d.size() == w &&
-                    off == r * w)
-                    key_device[r] = dev;
-            });
-    }
+    // Which device receives the (indivisible) w_id key bytes.
+    const auto wid = s.columnId("w_id");
+    const auto device = [&](RowId r) {
+        for (const RowCopy &c : codec.plan(r))
+            if (c.canonOffset == s.canonicalOffset(wid))
+                return c.lane % layout.devices();
+        ADD_FAILURE() << "w_id starts no copy of row " << r;
+        return 0u;
+    };
     // Fig. 5(b): block 1 is rotated by one device relative to block 0.
-    ASSERT_EQ(key_device.size(), 2u);
-    EXPECT_EQ((key_device[0] + 1) % 4, key_device[2]);
+    EXPECT_EQ((device(0) + 1) % 4, device(2)); // different blocks (B = 2)
+    EXPECT_EQ(device(0), device(1));           // one block
 }
 
 TEST(RowCodec, DeviceOffsetsAreRowStrided)
@@ -123,26 +102,55 @@ TEST(RowCodec, DeviceOffsetsAreRowStrided)
     const auto s = paperCustomer();
     const auto layout = compactAligned(s, 4, 0.75);
     const RowCodec codec(layout, BlockCirculant(4, 0));
+    LaneBuffers region(layout, 2, 0);
 
-    // Collect the w_id placement offset for rows 0 and 1.
+    // Rows 0 and 1 of w_id sit one row width apart on one device.
     const auto wid = s.columnId("w_id");
     const auto &pl = layout.keyPlacement(wid);
     const auto w = layout.parts()[pl.part].rowWidth;
-
-    std::vector<std::uint8_t> row(s.rowBytes(), 0);
-    std::vector<std::uint64_t> offsets;
-    for (RowId r = 0; r < 2; ++r) {
-        codec.scatter(
-            r, row,
-            [&](std::uint32_t part, std::uint32_t dev,
-                std::uint64_t off, std::span<const std::uint8_t>) {
-                if (part == pl.part && dev == pl.slot &&
-                    off % w == pl.slotOffset % w)
-                    offsets.push_back(off);
-            });
+    codec.scatter(0, std::vector<std::uint8_t>(s.rowBytes(), 0x11),
+                  region.lanes());
+    codec.scatter(1, std::vector<std::uint8_t>(s.rowBytes(), 0x22),
+                  region.lanes());
+    const auto &lane = region.bytes(pl.part * layout.devices() + pl.slot);
+    for (std::uint32_t b = 0; b < s.column(wid).width; ++b) {
+        EXPECT_EQ(lane[pl.slotOffset + b], 0x11);
+        EXPECT_EQ(lane[w + pl.slotOffset + b], 0x22);
     }
-    ASSERT_GE(offsets.size(), 2u);
-    EXPECT_EQ(offsets[1] - offsets[0], w);
+}
+
+TEST(RowCodec, PlanMergesFragmentsContiguousInSlotAndRow)
+{
+    // Every threshold's plan: one copy per run of a slot's fragments
+    // that also follow each other in the canonical row, the same
+    // length in every rotation class, and every canonical byte
+    // covered once.
+    const auto s = paperCustomer();
+    for (double th : {0.0, 0.5, 0.75, 1.0}) {
+        const auto layout = compactAligned(s, 4, th);
+        const RowCodec codec(layout, BlockCirculant(4, 2));
+        const BlockCirculant circ(4, 2);
+        std::size_t runs = 0;
+        std::uint32_t prev_lane = ~0u, prev_end = 0;
+        forEachFragment(layout, circ, 0,
+                        [&](std::uint32_t lane, std::uint32_t,
+                            std::uint32_t canon, std::uint32_t n) {
+                            if (lane != prev_lane || canon != prev_end)
+                                ++runs;
+                            prev_lane = lane;
+                            prev_end = canon + n;
+                        });
+        for (RowId r = 0; r < 8; r += 2) {
+            const auto plan = codec.plan(r);
+            EXPECT_EQ(plan.size(), runs) << th;
+            std::vector<int> covered(s.rowBytes(), 0);
+            for (const RowCopy &c : plan)
+                for (std::uint32_t b = 0; b < c.bytes; ++b)
+                    ++covered[c.canonOffset + b];
+            EXPECT_EQ(covered, std::vector<int>(s.rowBytes(), 1)) << th;
+        }
+        EXPECT_LE(runs, codec.fragmentsPerRow());
+    }
 }
 
 TEST(RowCodec, FragmentsPerRowCountsAllPieces)

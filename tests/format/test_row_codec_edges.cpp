@@ -8,60 +8,29 @@
  * columns, single-column tables) across the layout threshold range.
  */
 
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "format/generators.hpp"
 #include "format/row_codec.hpp"
+#include "support/fragment_walk.hpp"
 
 namespace pushtap::format {
 namespace {
 
-/** In-memory stand-in for per-device part regions. */
-class FakeStore
-{
-  public:
-    auto
-    writer()
-    {
-        return [this](std::uint32_t part, std::uint32_t dev,
-                      std::uint64_t off,
-                      std::span<const std::uint8_t> data) {
-            auto &region = regions_[{part, dev}];
-            if (region.size() < off + data.size())
-                region.resize(off + data.size(), 0xEE);
-            std::copy(data.begin(), data.end(),
-                      region.begin() + static_cast<long>(off));
-        };
-    }
-
-    auto
-    reader()
-    {
-        return [this](std::uint32_t part, std::uint32_t dev,
-                      std::uint64_t off,
-                      std::span<std::uint8_t> out) {
-            const auto &region = regions_.at({part, dev});
-            ASSERT_LE(off + out.size(), region.size());
-            std::copy_n(region.begin() + static_cast<long>(off),
-                        out.size(), out.begin());
-        };
-    }
-
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<std::uint8_t>>
-        regions_;
-};
-
-/** Round-trip @p nrows random rows of @p schema at @p threshold. */
+/**
+ * Round-trip @p nrows random rows of @p schema at @p threshold, and
+ * check the plan writes the bytes the fragment walk writes.
+ */
 void
 roundTrip(TableSchema schema, std::uint32_t devices, double threshold,
           RowId nrows)
 {
     const auto layout = compactAligned(schema, devices, threshold);
-    const RowCodec codec(layout, BlockCirculant(devices, 2));
-    FakeStore store;
+    const BlockCirculant circ(devices, 2);
+    const RowCodec codec(layout, circ);
+    testsupport::LaneBuffers planned(layout, nrows, 0xEE),
+        walked(layout, nrows, 0xEE);
 
     pushtap::Rng rng(99);
     std::vector<std::vector<std::uint8_t>> rows;
@@ -69,12 +38,15 @@ roundTrip(TableSchema schema, std::uint32_t devices, double threshold,
         std::vector<std::uint8_t> row(schema.rowBytes());
         for (auto &b : row)
             b = static_cast<std::uint8_t>(rng.below(256));
-        codec.scatter(r, row, store.writer());
+        codec.scatter(r, row, planned.lanes());
+        walked.referenceScatter(layout, circ, r, row);
         rows.push_back(std::move(row));
     }
+    for (std::size_t l = 0; l < planned.laneCount(); ++l)
+        ASSERT_EQ(planned.bytes(l), walked.bytes(l)) << "lane " << l;
     for (RowId r = 0; r < nrows; ++r) {
         std::vector<std::uint8_t> out(schema.rowBytes(), 0);
-        codec.gather(r, store.reader(), out);
+        codec.gather(r, planned.lanes(), out);
         ASSERT_EQ(out, rows[r]) << "row " << r;
     }
 }

@@ -2,6 +2,8 @@
 
 #include "common/log.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "format/generators.hpp"
@@ -195,6 +197,194 @@ TEST_F(DefragmenterTest, EmptyDeltaIsFree)
         defrag.run(store, vm, DefragStrategy::Hybrid);
     EXPECT_EQ(stats.rowsCopied, 0u);
     EXPECT_EQ(stats.timeNs, 0.0);
+}
+
+/**
+ * A defragmentation pass against the row-by-row copies it replaces:
+ * two identical stores and version managers over @p devices devices
+ * and 8-row blocks, where each entry of @p versions is one version
+ * (data row, delta slots to burn before its own). One side runs
+ * Defragmenter::run, which merges heads into run copies; the other
+ * sweeps the same heads with one single-row copyDeltaToData each.
+ * Data bytes, dictionary codes, visibility and DefragStats must
+ * agree.
+ */
+class DefragRuns : public ::testing::Test
+{
+  protected:
+    struct Version
+    {
+        RowId dataRow;
+        std::uint32_t burn = 0; ///< Slots allocated and left unused.
+    };
+
+    struct Side
+    {
+        Side(const format::TableLayout &layout,
+             const format::BlockCirculant &circ)
+            : store(layout, circ, 64, 64), vm(circ, 64, 64)
+        {
+        }
+
+        storage::TableStore store;
+        VersionManager vm;
+    };
+
+    static format::TableSchema
+    schema()
+    {
+        return format::TableSchema(
+            "runs", {
+                        {"k", 4, format::ColType::Int, true},
+                        {"tag", 6, format::ColType::Char, false},
+                        {"v", 8, format::ColType::Int, true},
+                    });
+    }
+
+    /** Row bytes: k = @p k, tag one of four values (the fourth is
+     *  not in the frozen dictionary), v = @p k * 7. */
+    static std::vector<std::uint8_t>
+    rowBytes(const format::TableSchema &s, std::uint64_t k)
+    {
+        static const char *const kTags[] = {"alpha", "beta", "gamma",
+                                            "delta"};
+        std::vector<std::uint8_t> row(s.rowBytes(), 0);
+        const auto put = [&](const char *col, std::uint64_t v) {
+            const ColumnId c = s.columnId(col);
+            for (std::uint32_t b = 0; b < s.column(c).width; ++b)
+                row[s.canonicalOffset(c) + b] =
+                    static_cast<std::uint8_t>(v >> (8 * b));
+        };
+        put("k", k);
+        put("v", k * 7);
+        const char *tag = kTags[k % 4];
+        std::memcpy(row.data() + s.canonicalOffset(s.columnId("tag")), tag,
+                    std::strlen(tag));
+        return row;
+    }
+
+    /** Populate @p side's data rows (three tags), freeze the
+     *  dictionaries, then write @p versions through the allocator. */
+    static void
+    load(Side &side, const format::TableSchema &s,
+         const std::vector<Version> &versions)
+    {
+        for (RowId r = 0; r < 64; ++r)
+            side.store.writeRow(storage::Region::Data, r,
+                                rowBytes(s, r % 3));
+        side.store.buildDictionaries(8);
+        Timestamp ts = 0;
+        for (const Version &v : versions) {
+            for (std::uint32_t b = 0; b < v.burn; ++b)
+                side.vm.allocDeltaSlot(v.dataRow);
+            const RowId slot = side.vm.allocDeltaSlot(v.dataRow);
+            side.store.writeRow(storage::Region::Delta, slot,
+                                rowBytes(s, 100 + ts));
+            side.vm.addVersion(v.dataRow, slot, ++ts);
+        }
+    }
+
+    /** Run both sides over @p versions and compare everything. */
+    void
+    expectRunsMatchRowCopies(std::uint32_t devices,
+                             const std::vector<Version> &versions,
+                             std::uint64_t want_runs_below_rows)
+    {
+        const auto s = schema();
+        const auto layout = format::compactAligned(s, devices, 0.6);
+        const format::BlockCirculant circ(devices, 8);
+        Side runs(layout, circ), rows(layout, circ);
+        load(runs, s, versions);
+        load(rows, s, versions);
+
+        const Defragmenter defrag(Bandwidth::gbPerSec(100.0),
+                                  Bandwidth::gbPerSec(1000.0), devices);
+        const DefragStats got =
+            defrag.run(runs.store, runs.vm, DefragStrategy::Hybrid);
+
+        // The row-by-row sweep, counting where runs would start.
+        DefragStats want;
+        want.deltaRows = rows.vm.deltaUsed();
+        std::uint64_t run_starts = 0;
+        RowId last_row = 0, last_slot = 0;
+        want.chainSteps =
+            rows.vm.forEachHead([&](RowId row, std::uint32_t head) {
+                const RowId slot = rows.vm.versions()[head].deltaSlot;
+                if (want.rowsCopied == 0 || row != last_row + 1 ||
+                    slot != last_slot + 1 ||
+                    circ.blockOf(row) != circ.blockOf(last_row) ||
+                    circ.blockOf(slot) != circ.blockOf(last_slot))
+                    ++run_starts;
+                last_row = row;
+                last_slot = slot;
+                want.bytesMoved += rows.store.copyDeltaToData(slot, row, 1);
+                ++want.rowsCopied;
+                rows.store.dataVisible().set(row);
+            });
+        rows.store.deltaVisible().setAll(false);
+        rows.vm.reset();
+
+        EXPECT_EQ(got.deltaRows, want.deltaRows);
+        EXPECT_EQ(got.rowsCopied, want.rowsCopied);
+        EXPECT_EQ(got.chainSteps, want.chainSteps);
+        EXPECT_EQ(got.bytesMoved, want.bytesMoved);
+        // The case must hold runs that stop at block boundaries.
+        EXPECT_EQ(want.rowsCopied - run_starts, want_runs_below_rows);
+        for (std::uint32_t p = 0; p < layout.parts().size(); ++p)
+            for (std::uint32_t d = 0; d < devices; ++d)
+                EXPECT_TRUE(std::ranges::equal(
+                    runs.store.partBytes(storage::Region::Data, p, d),
+                    rows.store.partBytes(storage::Region::Data, p, d)))
+                    << "part " << p << " device " << d;
+        const ColumnId tag = s.columnId("tag");
+        ASSERT_NE(runs.store.dictionary(tag), nullptr);
+        EXPECT_TRUE(std::ranges::equal(runs.store.dictDataCodes(tag),
+                                       rows.store.dictDataCodes(tag)));
+        EXPECT_EQ(runs.store.dictFullyCoded(tag),
+                  rows.store.dictFullyCoded(tag));
+        EXPECT_FALSE(runs.store.dictFullyCoded(tag)); // "delta" missed
+        EXPECT_EQ(runs.store.dataVisible().words(),
+                  rows.store.dataVisible().words());
+    }
+};
+
+TEST_F(DefragRuns, RunsStopAtBlockBoundariesOnEitherSide)
+{
+    // One device, so one rotation class: a run may meet a block
+    // boundary on one side only. Slots come out of the allocator in
+    // order (0, 1, 2, ...) and 8-row blocks.
+    expectRunsMatchRowCopies(
+        1, {
+               // Data side: rows 6..9 cross into block 1 at row 8,
+               // slots 2..5 stay in block 0.
+               {6, 2}, {7}, {8}, {9},
+               // Delta side: slots 6..9 cross at slot 8, rows
+               // 18..21 stay in block 2.
+               {18}, {19}, {20}, {21},
+               // Both: rows 30..33 cross at 32, slots 14..17 at 16.
+               {30, 4}, {31}, {32}, {33},
+               // An update chain (row 40's head is its second
+               // version) that the next row's head extends.
+               {40}, {40}, {41},
+               // Rows stepping by one whose slots do not.
+               {50}, {51, 1},
+           },
+        // Rows that extend a run: 3 per crossing case less the break,
+        // and row 41.
+        2 + 2 + 2 + 1);
+}
+
+TEST_F(DefragRuns, RunsStopWhereBothRotationsChange)
+{
+    // Four devices: an inserted run crosses from block 1 into block 2
+    // on both sides at once, where the rotation class changes.
+    // Class 1's slots start at 8 and class 2's at 16.
+    expectRunsMatchRowCopies(4,
+                             {
+                                 {14, 6}, {15}, // slots 14, 15
+                                 {16}, {17},    // slots 16, 17
+                             },
+                             2);
 }
 
 } // namespace

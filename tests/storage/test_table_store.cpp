@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -88,7 +89,7 @@ TEST_F(TableStoreTest, CopyDeltaToDataSameRotation)
     // Row 3 (block 0) and delta slot 5 (block 0): same rotation.
     ASSERT_TRUE(store.sameRotation(3, 5));
     store.writeRow(Region::Delta, 5, row);
-    const Bytes moved = store.copyDeltaToData(5, 3);
+    const Bytes moved = store.copyDeltaToData(5, 3, 1);
     EXPECT_EQ(moved, layout.bytesPerDevicePerRow() * 4u);
     std::vector<std::uint8_t> out(schema.rowBytes());
     store.readRow(Region::Data, 3, out);
@@ -100,7 +101,46 @@ TEST_F(TableStoreTest, CrossRotationCopyPanics)
     // Row 3 is block 0; delta slot 9 is block 1 (block size 8):
     // rotations differ.
     ASSERT_FALSE(store.sameRotation(3, 9));
-    EXPECT_DEATH(store.copyDeltaToData(9, 3), "rotation");
+    EXPECT_DEATH(store.copyDeltaToData(9, 3, 1), "rotation");
+}
+
+TEST_F(TableStoreTest, RunCopyEqualsRowCopies)
+{
+    // Delta slots 25..29 (block 3) over data rows 57..61 (block 7):
+    // both rotation class 3 of four. One run copy of 5 rows must land
+    // what 5 single-row copies land in a twin store.
+    TableStore twin(layout, format::BlockCirculant(4, 8), 64, 32);
+    ASSERT_TRUE(store.sameRotation(57, 25));
+    pushtap::Rng rng(8);
+    std::vector<std::uint8_t> row(schema.rowBytes());
+    for (RowId r = 24; r < 32; ++r) {
+        for (auto &b : row)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        store.writeRow(Region::Delta, r, row);
+        twin.writeRow(Region::Delta, r, row);
+    }
+    const Bytes moved = store.copyDeltaToData(25, 57, 5);
+    Bytes single = 0;
+    for (RowId i = 0; i < 5; ++i)
+        single += twin.copyDeltaToData(25 + i, 57 + i, 1);
+    EXPECT_EQ(moved, single);
+    EXPECT_EQ(moved, 5u * layout.bytesPerDevicePerRow() * 4u);
+    for (std::uint32_t p = 0; p < layout.parts().size(); ++p)
+        for (std::uint32_t d = 0; d < 4; ++d)
+            EXPECT_TRUE(
+                std::ranges::equal(store.partBytes(Region::Data, p, d),
+                                   twin.partBytes(Region::Data, p, d)))
+                << "part " << p << " device " << d;
+}
+
+TEST_F(TableStoreTest, RunCopyLeavingABlockPanics)
+{
+    // Rows and slots 6..9 share rotations row by row but cross from
+    // block 0 into block 1 (block size 8): not one device-local run.
+    ASSERT_TRUE(store.sameRotation(6, 6));
+    EXPECT_DEATH(store.copyDeltaToData(6, 6, 4), "rotation block");
+    EXPECT_DEATH(store.copyDeltaToData(0, 0, 65), "rotation block");
+    EXPECT_EQ(store.copyDeltaToData(0, 0, 0), 0u);
 }
 
 TEST_F(TableStoreTest, VisibilityDefaults)
