@@ -10,7 +10,7 @@
  * A second section measures the concurrent OLTP front end: the same
  * mixed TPC-C stream drained by a TxnWorkerGroup at 1/2/4/hw worker
  * threads (fresh database per point, scale 1/100 so the schedule
- * spans two warehouses / twenty districts of partitions). Host
+ * spans two warehouses, and so two home-warehouse partitions). Host
  * wall-clock of the whole batch is recorded per worker count along
  * with the modelled per-transaction time, which is worker-invariant
  * because the schedule is deterministic. Results are written to
@@ -174,8 +174,8 @@ main()
     zp.print();
     std::printf("\n(host time includes schedule generation; "
                 "speedups are bounded by this host's %u hardware "
-                "threads and by gate contention on the two "
-                "warehouse rows)\n",
+                "threads and by the schedule's two warehouses, "
+                "which drain on at most two workers)\n",
                 hw);
 
     std::FILE *f = std::fopen("BENCH_fig9a.json", "w");

@@ -13,8 +13,10 @@
  * vector path), and the Char-LIKE benches add the dictionary-code
  * variant vs the raw byte-match path. The join-probe benches compare
  * the hashed GroupTable key set, a node-based set and the
- * direct-addressed BuildTable key set over the same keys, and
- * BM_PoolDispatch times one short WorkerPool job. Results land in
+ * direct-addressed BuildTable key set over the same keys,
+ * BM_PoolDispatch times one short WorkerPool job, and
+ * BM_TxnGroupBatch one 1,000-transaction TxnWorkerGroup batch.
+ * Results land in
  * BENCH_micro.json (rows/s per kernel and variant, the minimum over
  * --benchmark_repetitions, under a header with the host's reference
  * time), archived by CI and committed at the repository root next to
@@ -36,6 +38,7 @@
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "format/generators.hpp"
+#include "htap/pushtap_db.hpp"
 #include "mvcc/defragmenter.hpp"
 #include "olap/batch.hpp"
 #include "olap/expr.hpp"
@@ -43,6 +46,7 @@
 #include "olap/simd_kernels.hpp"
 #include "storage/table_store.hpp"
 #include "txn/hash_index.hpp"
+#include "txn/txn_worker_group.hpp"
 #include "workload/ch_schema.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -725,6 +729,51 @@ BM_PoolDispatch(benchmark::State &state)
                          });
 }
 BENCHMARK(BM_PoolDispatch)->UseRealTime();
+
+/**
+ * One 1,000-transaction TxnWorkerGroup::run on 3 workers at scale
+ * 0.002: the htap workload's ingest batch without its queries. Its
+ * one warehouse is one partition, so one worker drains the batch.
+ * Every 10th batch a defragmentation pass runs outside the timed
+ * region. Each call populates its own database, with insert room
+ * for every batch it times.
+ */
+void
+BM_TxnGroupBatch(benchmark::State &state)
+{
+    constexpr double kScale = 0.002;
+    constexpr std::uint64_t kBatch = 1'000;
+    htap::PushtapOptions o;
+    o.database.scale = kScale;
+    // A batch inserts at most kBatch rows into ORDERS, HISTORY and
+    // NEW_ORDER and ten times that into ORDERLINE: as a share of each
+    // table's rows, at most kBatch / |ORDERS| per batch.
+    o.database.insertHeadroom =
+        static_cast<double>((state.max_iterations + 1) * kBatch) /
+        static_cast<double>(
+            workload::chRowCounts(kScale).at(workload::ChTable::Orders));
+    htap::PushtapDB db(o);
+    const format::BandwidthModel bw(o.database.devices,
+                                    o.olap.geom.interleaveGranularity,
+                                    o.olap.geom.stripedLines);
+    const dram::BatchTimingModel timing(o.olap.geom, o.olap.timing);
+    txn::TxnWorkerGroupOptions opts;
+    opts.workers = 3;
+    opts.seed = o.txnSeed;
+    txn::TxnWorkerGroup group(db.database(), o.format, bw, timing, opts);
+    std::uint64_t batches = 0;
+    for (auto _ : state) {
+        group.run(kBatch);
+        if (++batches % 10 == 0) {
+            state.PauseTiming();
+            db.defragment();
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_TxnGroupBatch)->UseRealTime();
 
 /**
  * Console reporter that also collects every iteration run's

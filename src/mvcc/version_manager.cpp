@@ -47,74 +47,70 @@ VersionManager::VersionManager(
     const format::BlockCirculant &circulant,
     std::uint64_t delta_capacity, std::uint64_t data_rows)
     : circulant_(circulant), deltaCapacity_(delta_capacity),
+      classes_(circulant.enabled() ? circulant.devices() : 1),
+      blockRows_(circulant.enabled() ? circulant.blockRows() : 1),
+      allocated_(std::make_unique<ClassCount[]>(classes_)),
       arena_(delta_capacity), dataRows_(data_rows),
       heads_(std::make_unique<std::atomic<std::uint32_t>[]>(data_rows))
 {
-    const std::uint32_t classes =
-        circulant_.enabled() ? circulant_.devices() : 1;
-    cursors_.resize(classes);
     for (std::uint64_t r = 0; r < dataRows_; ++r)
         heads_[r].store(kNoVersion, std::memory_order_relaxed);
 }
 
 RowId
+VersionManager::slotOf(std::uint32_t cls, std::uint64_t k) const
+{
+    const std::uint64_t block = cls + (k / blockRows_) * classes_;
+    return block * blockRows_ + k % blockRows_;
+}
+
+RowId
 VersionManager::allocDeltaSlot(RowId data_row)
 {
-    std::lock_guard<std::mutex> guard(mu_);
-    const std::uint32_t classes =
-        static_cast<std::uint32_t>(cursors_.size());
-    const std::uint32_t cls = static_cast<std::uint32_t>(
-        circulant_.blockOf(data_row) % classes);
-    auto &cur = cursors_[cls];
-
-    const std::uint32_t block_rows =
-        circulant_.enabled() ? circulant_.blockRows() : 1;
-
-    // Delta block index with the right rotation: cls, cls+d, cls+2d...
-    const std::uint64_t block = cls + cur.blockOrdinal * classes;
-    const RowId slot =
-        static_cast<RowId>(block) * block_rows + cur.slot;
-    if (slot >= deltaCapacity_)
-        fatal("delta region exhausted ({} of {} rows); "
-              "defragmentation overdue",
-              deltaUsed_.load(std::memory_order_relaxed),
-              deltaCapacity_);
-
-    if (++cur.slot == block_rows) {
-        cur.slot = 0;
-        ++cur.blockOrdinal;
+    // CAS loop rather than fetch_add: a failed claim leaves the count
+    // untouched, so it never passes the capacity guard. The count
+    // orders nothing else, so relaxed suffices.
+    const std::uint32_t cls = rotationClassOf(data_row);
+    std::atomic<std::uint64_t> &count = allocated_[cls].n;
+    std::uint64_t k = count.load(std::memory_order_relaxed);
+    for (;;) {
+        const RowId slot = slotOf(cls, k);
+        if (slot >= deltaCapacity_)
+            fatal("delta region exhausted ({} of {} rows); "
+                  "defragmentation overdue",
+                  deltaUsed(), deltaCapacity_);
+        if (count.compare_exchange_weak(k, k + 1,
+                                        std::memory_order_relaxed))
+            return slot;
     }
-    deltaUsed_.fetch_add(1, std::memory_order_relaxed);
-    return slot;
+}
+
+std::uint64_t
+VersionManager::deltaUsed() const
+{
+    std::uint64_t used = 0;
+    for (std::uint32_t cls = 0; cls < classes_; ++cls)
+        used += allocated_[cls].n.load(std::memory_order_relaxed);
+    return used;
 }
 
 std::uint64_t
 VersionManager::slotBoundWithExtra(
     const std::vector<std::uint64_t> &extra_per_class) const
 {
-    std::lock_guard<std::mutex> guard(mu_);
-    const std::uint32_t classes =
-        static_cast<std::uint32_t>(cursors_.size());
-    if (extra_per_class.size() != classes)
+    if (extra_per_class.size() != classes_)
         fatal("slotBoundWithExtra: {} classes given, {} expected",
-              extra_per_class.size(), classes);
-    const std::uint32_t block_rows =
-        circulant_.enabled() ? circulant_.blockRows() : 1;
+              extra_per_class.size(), classes_);
 
     std::uint64_t bound = 0;
-    for (std::uint32_t cls = 0; cls < classes; ++cls) {
+    for (std::uint32_t cls = 0; cls < classes_; ++cls) {
         const std::uint64_t k = extra_per_class[cls];
         if (k == 0)
             continue;
-        const auto &cur = cursors_[cls];
         // Where the k-th future allocation of this class lands.
-        const std::uint64_t last = cur.slot + k - 1;
-        const std::uint64_t last_ord =
-            cur.blockOrdinal + last / block_rows;
-        const std::uint64_t last_block = cls + last_ord * classes;
-        const std::uint64_t last_slot =
-            last_block * block_rows + last % block_rows;
-        bound = std::max(bound, last_slot + 1);
+        const std::uint64_t done =
+            allocated_[cls].n.load(std::memory_order_relaxed);
+        bound = std::max(bound, slotOf(cls, done + k - 1) + 1);
     }
     if (bound > deltaCapacity_)
         fatal("delta region cannot hold the scheduled batch "
@@ -206,9 +202,8 @@ VersionManager::reset()
     for (const VersionMeta &v : arena_)
         heads_[v.rowId].store(kNoVersion, std::memory_order_relaxed);
     arena_.clear();
-    deltaUsed_.store(0, std::memory_order_relaxed);
-    for (auto &c : cursors_)
-        c = ClassCursor{};
+    for (std::uint32_t cls = 0; cls < classes_; ++cls)
+        allocated_[cls].n.store(0, std::memory_order_relaxed);
     lastAppendTs_ = 0;
     commitOrdered_.store(true, std::memory_order_release);
 }

@@ -183,7 +183,8 @@ class VersionManager
     /**
      * Allocate a delta slot whose rotation matches data row @p data_row.
      * fatal()s when the delta region is exhausted (defragmentation
-     * overdue). Thread-safe.
+     * overdue). Thread-safe and lock-free: one CAS on the rotation
+     * class's allocation count.
      */
     RowId allocDeltaSlot(RowId data_row);
 
@@ -247,37 +248,31 @@ class VersionManager
         return commitOrdered_.load(std::memory_order_acquire);
     }
 
-    std::uint64_t
-    deltaUsed() const
-    {
-        return deltaUsed_.load(std::memory_order_relaxed);
-    }
+    /** Delta slots allocated since the last reset(). */
+    std::uint64_t deltaUsed() const;
     std::uint64_t deltaCapacity() const { return deltaCapacity_; }
 
     /**
      * The exclusive upper bound of delta slot ids after allocating
      * @p extra_per_class more versions in each rotation class, given
-     * the current cursors. Lets a transaction scheduler pre-grow the
+     * the allocations so far. Lets a transaction scheduler pre-grow the
      * physical delta region so no growth (and no reallocation) can
      * happen under concurrent readers. fatal()s if the bound would
-     * exceed the delta capacity guard.
+     * exceed the delta capacity guard. Call with no allocation in
+     * flight.
      */
     std::uint64_t slotBoundWithExtra(
         const std::vector<std::uint64_t> &extra_per_class) const;
 
     /** Rotation classes the delta allocator cycles through. */
-    std::uint32_t
-    rotationClasses() const
-    {
-        return static_cast<std::uint32_t>(cursors_.size());
-    }
+    std::uint32_t rotationClasses() const { return classes_; }
 
     /** Rotation class of @p data_row's versions. */
     std::uint32_t
     rotationClassOf(RowId data_row) const
     {
-        return static_cast<std::uint32_t>(
-            circulant_.blockOf(data_row) % cursors_.size());
+        return static_cast<std::uint32_t>(circulant_.blockOf(data_row) %
+                                          classes_);
     }
 
     /** Epoch manager guarding metadata reclamation. */
@@ -308,22 +303,31 @@ class VersionManager
                    : kNoVersion;
     }
 
+    /**
+     * The delta slot of the @p k-th allocation (from 0) of rotation
+     * class @p cls: block ordinal k / B of the class's blocks cls,
+     * cls + d, cls + 2d, ..., slot k % B within it.
+     */
+    RowId slotOf(std::uint32_t cls, std::uint64_t k) const;
+
     format::BlockCirculant circulant_;
     std::uint64_t deltaCapacity_;
-    std::atomic<std::uint64_t> deltaUsed_{0};
+    std::uint32_t classes_;
+    /** Rows per delta block the allocator fills (1 without rotation). */
+    std::uint32_t blockRows_;
 
-    /** Serialises allocator cursors and arena appends. */
-    mutable std::mutex mu_;
+    /** Serialises arena appends. */
+    std::mutex mu_;
     Timestamp lastAppendTs_ = 0; ///< Guarded by mu_.
     std::atomic<bool> commitOrdered_{true};
 
-    /** Per rotation class: next block ordinal and slot within it. */
-    struct ClassCursor
+    /** Per rotation class: allocations since the last reset(), on a
+     *  cache line of its own. */
+    struct alignas(64) ClassCount
     {
-        std::uint64_t blockOrdinal = 0; ///< 0 -> block class, 1 -> class+d...
-        std::uint32_t slot = 0;         ///< Next free slot within the block.
+        std::atomic<std::uint64_t> n{0};
     };
-    std::vector<ClassCursor> cursors_; ///< Guarded by mu_.
+    std::unique_ptr<ClassCount[]> allocated_;
 
     VersionArena arena_;
 

@@ -98,16 +98,13 @@ Database::populate()
     for (auto &tbl : tables_) {
         const auto &schema = tbl->schema();
         row.assign(schema.rowBytes(), 0);
+        const workload::ConstRowView v(schema, row);
         const std::uint64_t n = tbl->populatedRows();
         for (RowId r = 0; r < n; ++r) {
             gen_.fillRow(tbl->id(), schema, r, row);
             tbl->store().writeRow(storage::Region::Data, r, row);
-        }
 
-        // Primary-key index population.
-        workload::ConstRowView v(schema, row);
-        for (RowId r = 0; r < n; ++r) {
-            gen_.fillRow(tbl->id(), schema, r, row);
+            // Primary-key index population.
             std::uint64_t key = 0;
             switch (tbl->id()) {
               case ChTable::Warehouse:

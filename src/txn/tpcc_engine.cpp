@@ -1,12 +1,14 @@
 #include "txn/tpcc_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,24 @@ namespace pushtap::txn {
 
 using workload::ChTable;
 using workload::RowView;
+
+TxnGate::TxnGate(const Database &db)
+{
+    // make_unique value-initializes: every row starts released at 0.
+    for (const ChTable t : kGatedTables)
+        applied_[static_cast<std::size_t>(t)] =
+            std::make_unique<std::atomic<Timestamp>[]>(
+                db.table(t).dataCapacity());
+}
+
+void
+TxnGate::enter(ChTable t, RowId row, Timestamp pred) const
+{
+    // pred is smaller than the caller's own timestamp, so waits form
+    // no cycle.
+    while (!released(t, row, pred))
+        std::this_thread::yield();
+}
 
 TpccEngine::TpccEngine(Database &db, InstanceFormat fmt,
                        const format::BandwidthModel &bw,
@@ -184,7 +204,7 @@ TpccEngine::lookupOrDie(ChTable t, std::uint64_t key)
 }
 
 void
-TpccEngine::gateEnter(ChTable t, RowId row, Timestamp ts)
+TpccEngine::gateEnter(ChTable t, RowId row)
 {
     if (gate_ == nullptr)
         return;
@@ -193,13 +213,35 @@ TpccEngine::gateEnter(ChTable t, RowId row, Timestamp ts)
     for (const auto &h : held_)
         if (h.table == t && h.row == row)
             return;
-    gate_->enter(t, row, ts);
+    if (held_.size() >= waits_.size())
+        panic("transaction enters more row gates than its {} "
+              "scheduled waits",
+              waits_.size());
+    const Timestamp pred = waits_[held_.size()];
     held_.push_back({t, row});
+    if (pred == 0)
+        return;
+    GateCounts &counts = stats_.gate(t);
+    ++counts.waits;
+    if (gate_->released(t, row, pred))
+        return;
+    ++counts.stalls;
+    const auto start = std::chrono::steady_clock::now();
+    gate_->enter(t, row, pred);
+    counts.stallNs += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
 }
 
 void
 TpccEngine::releaseGates(Timestamp ts)
 {
+    if (gate_ == nullptr)
+        return;
+    if (held_.size() != waits_.size())
+        panic("transaction entered {} row gates, {} scheduled",
+              held_.size(), waits_.size());
     for (const auto &h : held_)
         gate_->leave(h.table, h.row, ts);
     held_.clear();
@@ -321,8 +363,10 @@ TpccEngine::genMixed(Rng &rng, const Database &db)
 }
 
 Timestamp
-TpccEngine::execute(const TxnDescriptor &d)
+TpccEngine::execute(const TxnDescriptor &d,
+                    std::span<const Timestamp> waits)
 {
+    waits_ = waits;
     if (d.kind == TxnDescriptor::Kind::Payment)
         applyPayment(d);
     else
@@ -368,7 +412,7 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
          {std::pair{&sites_.payWarehouse, packKey(w)},
           std::pair{&sites_.payDistrict, packKey(w, d)}}) {
         const RowId row = lookupOrDie(site->table, key);
-        gateEnter(site->table, row, ts);
+        gateEnter(site->table, row);
         const auto bytes = readRow(*site, row);
         RowView v(*site->schema, bytes);
         const ColumnId ytd = site->columns[0];
@@ -379,7 +423,7 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
     {
         const AccessSite &s = sites_.payCustomer;
         const RowId row = lookupOrDie(s.table, packKey(0, 0, c));
-        gateEnter(s.table, row, ts);
+        gateEnter(s.table, row);
         const auto bytes = readRow(s, row);
         RowView v(*s.schema, bytes);
         const ColumnId balance = s.columns[0];
@@ -421,7 +465,7 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         const AccessSite &s = sites_.noDistrict;
         const RowId row =
             lookupOrDie(s.table, packKey(txn.warehouse, txn.district));
-        gateEnter(s.table, row, ts);
+        gateEnter(s.table, row);
         const auto bytes = readRow(s, row);
         RowView v(*s.schema, bytes);
         const ColumnId next = s.columns[0];
@@ -429,10 +473,15 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         v.setInt(next, next_o_id + 1);
         updateRow(s.table, row, bytes, ts);
     }
-    // Customer: discount / credit.
+    // Customer: discount / credit. Read-only, but gated like the
+    // RMWs: another partition's Payment may write the row, and the
+    // chain steps the read charges must follow the serial order.
     {
         const AccessSite &s = sites_.noCustomer;
-        readRow(s, lookupOrDie(s.table, packKey(0, 0, txn.customer)));
+        const RowId row =
+            lookupOrDie(s.table, packKey(0, 0, txn.customer));
+        gateEnter(s.table, row);
+        readRow(s, row);
     }
 
     for (std::uint64_t line = 0; line < workload::kLinesPerOrder;
@@ -449,7 +498,7 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         // Stock read-modify-write.
         const AccessSite &s = sites_.noStock;
         const RowId row = lookupOrDie(s.table, packKey(0, 0, item));
-        gateEnter(s.table, row, ts);
+        gateEnter(s.table, row);
         const auto bytes = readRow(s, row);
         RowView v(*s.schema, bytes);
         const ColumnId quantity = s.columns[0];

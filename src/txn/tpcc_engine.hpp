@@ -16,7 +16,8 @@
  * a descriptor at its pre-assigned commit timestamp. The single-
  * threaded execute*() conveniences compose the two, consuming the
  * identical random stream the pre-split engine did. Under concurrent
- * execution an optional TxnGate orders same-row writers by timestamp.
+ * execution an optional TxnGate orders same-row writers in different
+ * partitions by timestamp.
  *
  * The cost model is evaluated once per engine, not per statement.
  * Construction resolves every (table, statement) pair the two
@@ -31,8 +32,10 @@
  */
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -89,6 +92,19 @@ inline constexpr std::array<std::string_view, 6> kTxnCpuNames = {
     "computation", "indexing", "relayout",
 };
 
+/**
+ * One table's row-gate counters under concurrent execution (host
+ * side, not modelled): the schedule's cross-partition waits, the
+ * waits that found the predecessor still holding the row (stalls),
+ * and the host time those stalls took. A serial engine counts none.
+ */
+struct GateCounts
+{
+    std::uint64_t waits = 0;
+    std::uint64_t stalls = 0;
+    std::uint64_t stallNs = 0;
+};
+
 struct TxnStats
 {
     std::uint64_t transactions = 0;
@@ -99,6 +115,20 @@ struct TxnStats
     SlotBreakdown<TxnCpu, kTxnCpuNames> cpu;
     double memLines = 0.0;
     TimeNs memTimeNs = 0.0;
+
+    /** Per table, indexed by ChTable. */
+    std::array<GateCounts, workload::kChTableCount> gates{};
+
+    GateCounts &
+    gate(workload::ChTable t)
+    {
+        return gates[static_cast<std::size_t>(t)];
+    }
+    const GateCounts &
+    gate(workload::ChTable t) const
+    {
+        return gates[static_cast<std::size_t>(t)];
+    }
 
     /** Fold another worker's stats into this one. */
     void
@@ -111,6 +141,11 @@ struct TxnStats
         cpu.merge(o.cpu);
         memLines += o.memLines;
         memTimeNs += o.memTimeNs;
+        for (std::size_t t = 0; t < gates.size(); ++t) {
+            gates[t].waits += o.gates[t].waits;
+            gates[t].stalls += o.gates[t].stalls;
+            gates[t].stallNs += o.gates[t].stallNs;
+        }
     }
 
     TimeNs
@@ -158,21 +193,56 @@ struct TxnDescriptor
     std::array<TxnLine, workload::kLinesPerOrder> lines{}; ///< NewOrder.
 };
 
+/** The tables whose rows Payment and NewOrder read-modify-write. */
+inline constexpr std::array<workload::ChTable, 4> kGatedTables = {
+    workload::ChTable::Warehouse, workload::ChTable::District,
+    workload::ChTable::Customer, workload::ChTable::Stock};
+
 /**
- * Row-level ordering gates for concurrent execution. Before the first
- * read of a row it will modify, a transaction enters the row's gate;
- * enter() blocks until every earlier-timestamped writer of that row
- * has left. Gates are held to transaction end (2PL-style), so a
- * same-row successor never observes a partial transaction.
+ * Row-level ordering gates for concurrent execution: one atomic per
+ * row of each gated table, holding the timestamp of the last writer
+ * that left the row. Before its first access to a gated row, a
+ * transaction enters the row's gate naming its scheduled
+ * predecessor, and enter() blocks until that writer has left. Gates
+ * are held to transaction end (2PL-style), so a same-row successor
+ * never observes a partial transaction. A row's writers leave in
+ * timestamp order, so its atomic only grows.
  */
 class TxnGate
 {
   public:
-    virtual ~TxnGate() = default;
-    virtual void enter(workload::ChTable t, RowId row,
-                       Timestamp ts) = 0;
-    virtual void leave(workload::ChTable t, RowId row,
-                       Timestamp ts) = 0;
+    /** Released gates over every row @p db's gated tables can hold. */
+    explicit TxnGate(const Database &db);
+
+    /** True once the writer at @p pred has left (t, row); pred 0
+     *  (no predecessor) always is. */
+    bool
+    released(workload::ChTable t, RowId row, Timestamp pred) const
+    {
+        return applied(t, row).load(std::memory_order_acquire) >= pred;
+    }
+
+    /** Block until released(t, row, pred). */
+    void enter(workload::ChTable t, RowId row, Timestamp pred) const;
+
+    /** The writer at @p ts leaves (t, row). */
+    void
+    leave(workload::ChTable t, RowId row, Timestamp ts)
+    {
+        applied(t, row).store(ts, std::memory_order_release);
+    }
+
+  private:
+    std::atomic<Timestamp> &
+    applied(workload::ChTable t, RowId row) const
+    {
+        return applied_[static_cast<std::size_t>(t)][row];
+    }
+
+    /** Per table, by row; null for tables without gates. */
+    std::array<std::unique_ptr<std::atomic<Timestamp>[]>,
+               workload::kChTableCount>
+        applied_;
 };
 
 class TpccEngine
@@ -205,9 +275,13 @@ class TpccEngine
 
     /**
      * Execute a pre-parameterised transaction at its pre-assigned
-     * timestamp. Row gates (if set) order same-row writers.
+     * timestamp. With a gate set, @p waits holds one entry per row
+     * gate the transaction enters, in entry order: the timestamp of
+     * the row's predecessor in another partition, or 0 when there is
+     * none to wait for.
      */
-    Timestamp execute(const TxnDescriptor &d);
+    Timestamp execute(const TxnDescriptor &d,
+                      std::span<const Timestamp> waits = {});
 
     /** Install row-ordering gates (nullptr disables; not owned). */
     void setGate(TxnGate *gate) { gate_ = gate; }
@@ -272,8 +346,11 @@ class TpccEngine
     void applyPayment(const TxnDescriptor &d);
     void applyNewOrder(const TxnDescriptor &d);
 
-    /** Enter @p row's gate unless this txn already holds it. */
-    void gateEnter(workload::ChTable t, RowId row, Timestamp ts);
+    /**
+     * Enter @p row's gate unless this txn already holds it, waiting
+     * for the predecessor the next entry of waits_ names.
+     */
+    void gateEnter(workload::ChTable t, RowId row);
 
     /** Leave every gate held by the current transaction. */
     void releaseGates(Timestamp ts);
@@ -313,6 +390,8 @@ class TpccEngine
     /** One canonical row of the widest table. */
     std::vector<std::uint8_t> scratch_;
     TxnGate *gate_ = nullptr;
+    /** The in-flight transaction's predecessors, one per gate entry. */
+    std::span<const Timestamp> waits_;
 
     /** Gates held by the in-flight transaction (deduplicated). */
     struct HeldGate

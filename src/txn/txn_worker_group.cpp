@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "common/log.hpp"
@@ -13,59 +13,41 @@ namespace pushtap::txn {
 
 using workload::ChTable;
 
-void
-GateDirectory::append(ChTable t, RowId row, Timestamp ts)
-{
-    auto &entry = entries_[keyOf(t, row)];
-    if (!entry)
-        entry = std::make_unique<Entry>();
-    entry->order.push_back(ts);
-}
-
-void
-GateDirectory::enter(ChTable t, RowId row, Timestamp ts)
-{
-    const auto it = entries_.find(keyOf(t, row));
-    if (it == entries_.end())
-        fatal("gate directory: no entry for table {} row {}",
-              static_cast<int>(t), row);
-    Entry &e = *it->second;
-    const auto pos =
-        std::lower_bound(e.order.begin(), e.order.end(), ts);
-    const Timestamp pred =
-        pos == e.order.begin() ? 0 : *(pos - 1);
-    // Wait until every earlier-timestamped writer of this row has
-    // committed. pred < ts always, so waits form no cycle.
-    while (e.applied.load(std::memory_order_acquire) != pred)
-        std::this_thread::yield();
-}
-
-void
-GateDirectory::leave(ChTable t, RowId row, Timestamp ts)
-{
-    Entry &e = *entries_.find(keyOf(t, row))->second;
-    e.applied.store(ts, std::memory_order_release);
-}
-
 TxnWorkerGroup::TxnWorkerGroup(Database &db, InstanceFormat fmt,
                                const format::BandwidthModel &bw,
                                const dram::BatchTimingModel &timing,
                                const TxnWorkerGroupOptions &opts)
-    : db_(db), pool_(opts.workers), rng_(opts.seed)
+    : db_(db), pool_(opts.workers), gate_(db), rng_(opts.seed)
 {
     const std::uint32_t p = pool_.workers();
     engines_.reserve(p);
     for (std::uint32_t i = 0; i < p; ++i) {
         engines_.push_back(std::make_unique<TpccEngine>(
             db, fmt, bw, timing, opts.seed, opts.cost));
-        engines_.back()->setGate(&gates_);
+        engines_.back()->setGate(&gate_);
     }
     partitions_ = std::make_unique<Partition[]>(p);
+    for (const ChTable t : kGatedTables)
+        lastWriter_[static_cast<std::size_t>(t)].assign(
+            db.table(t).dataCapacity(), 0);
 }
 
 TxnWorkerGroup::~TxnWorkerGroup()
 {
     finish();
+}
+
+void
+TxnWorkerGroup::scheduleGate(ChTable t, RowId row,
+                             const TxnDescriptor &d)
+{
+    Timestamp &last = lastWriter_[static_cast<std::size_t>(t)][row];
+    // An entry at or below base_ is a finished batch's writer.
+    const bool cross =
+        last > base_ &&
+        partitionOf(schedule_[last - base_ - 1]) != partitionOf(d);
+    waits_.push_back(cross ? last : 0);
+    last = d.ts;
 }
 
 void
@@ -76,9 +58,11 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
               "finish() first");
 
     const std::uint32_t parts = pool_.workers();
-    gates_.clear();
     schedule_.clear();
     schedule_.reserve(n);
+    waits_.clear();
+    waitBegin_.clear();
+    waitBegin_.reserve(n + 1);
     for (std::uint32_t p = 0; p < parts; ++p) {
         partitions_[p].queue.clear();
         partitions_[p].nextPending.store(
@@ -95,9 +79,10 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
         schedule_.push_back(d);
     }
 
-    // 2. Partition by home district, register per-row gates (in ts
-    //    order, deduplicated per transaction exactly as the engine
-    //    enters them) and count versions per rotation class.
+    // 2. Partition by home warehouse, schedule each row gate's
+    //    cross-partition predecessor (in ts order, deduplicated per
+    //    transaction exactly as the engine enters them) and count
+    //    versions per rotation class.
     std::array<std::vector<std::uint64_t>, workload::kChTableCount>
         per_class;
     std::array<std::uint64_t, workload::kChTableCount> inserts{};
@@ -126,9 +111,9 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
     std::vector<RowId> seen_stock;
     for (std::uint32_t i = 0; i < schedule_.size(); ++i) {
         const TxnDescriptor &d = schedule_[i];
-        const std::uint32_t p = static_cast<std::uint32_t>(
-            (d.warehouse * 10 + d.district) % parts);
+        const std::uint32_t p = partitionOf(d);
         partitions_[p].queue.push_back(i);
+        waitBegin_.push_back(static_cast<std::uint32_t>(waits_.size()));
 
         if (d.kind == TxnDescriptor::Kind::Payment) {
             const RowId wrow =
@@ -137,9 +122,9 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
                 ChTable::District, packKey(d.warehouse, d.district));
             const RowId crow = row_of(ChTable::Customer,
                                       packKey(0, 0, d.customer));
-            gates_.append(ChTable::Warehouse, wrow, d.ts);
-            gates_.append(ChTable::District, drow, d.ts);
-            gates_.append(ChTable::Customer, crow, d.ts);
+            scheduleGate(ChTable::Warehouse, wrow, d);
+            scheduleGate(ChTable::District, drow, d);
+            scheduleGate(ChTable::Customer, crow, d);
             bump(ChTable::Warehouse, wrow);
             bump(ChTable::District, drow);
             bump(ChTable::Customer, crow);
@@ -147,7 +132,11 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
         } else {
             const RowId drow = row_of(
                 ChTable::District, packKey(d.warehouse, d.district));
-            gates_.append(ChTable::District, drow, d.ts);
+            scheduleGate(ChTable::District, drow, d);
+            scheduleGate(ChTable::Customer,
+                         row_of(ChTable::Customer,
+                                packKey(0, 0, d.customer)),
+                         d);
             bump(ChTable::District, drow);
             seen_stock.clear();
             for (const TxnLine &line : d.lines) {
@@ -158,7 +147,7 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
                 bump(ChTable::Stock, srow);
                 if (std::find(seen_stock.begin(), seen_stock.end(),
                               srow) == seen_stock.end()) {
-                    gates_.append(ChTable::Stock, srow, d.ts);
+                    scheduleGate(ChTable::Stock, srow, d);
                     seen_stock.push_back(srow);
                 }
             }
@@ -168,6 +157,7 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
             count_insert(ChTable::NewOrder, 1);
         }
     }
+    waitBegin_.push_back(static_cast<std::uint32_t>(waits_.size()));
 
     // 3. Inserted rows also become delta versions. Which transaction
     //    claims which tail row is scheduling-dependent, but the
@@ -220,7 +210,10 @@ TxnWorkerGroup::drainPartition(std::uint32_t p)
     TpccEngine &engine = *engines_[p];
     const std::size_t n = part.queue.size();
     for (std::size_t i = 0; i < n; ++i) {
-        engine.execute(schedule_[part.queue[i]]);
+        const std::uint32_t k = part.queue[i];
+        engine.execute(schedule_[k],
+                       std::span(waits_).subspan(
+                           waitBegin_[k], waitBegin_[k + 1] - waitBegin_[k]));
         part.nextPending.store(
             i + 1 < n ? schedule_[part.queue[i + 1]].ts
                       : kPartitionDone,

@@ -4,44 +4,52 @@
  * @file
  * Concurrent multi-writer OLTP front end: a worker-per-thread
  * transaction layer that executes a Payment/New-Order stream
- * partitioned by home (warehouse, district) while preserving the
- * exact serial schedule semantics.
+ * partitioned by home warehouse while preserving the exact serial
+ * schedule semantics.
  *
  * The design is deterministic-first (Calvin-style):
  *  1. The schedule is generated serially: every transaction's random
  *     parameters are drawn off one Rng stream (bit-identical to the
  *     single-threaded engine's stream) and its commit timestamp is
  *     pre-assigned from one atomic reservation.
- *  2. Transactions are partitioned by home (warehouse*10+district)
- *     modulo the worker count — a locality heuristic, not a
- *     correctness requirement.
- *  3. Cross-partition conflicts (customer rows, stock rows shared by
- *     orders from different home districts) are ordered by a per-row
- *     gate directory keyed by (table, row id): a transaction's first
- *     write-access to a row waits until every earlier-timestamped
- *     writer of that row has committed, and gates are held to
- *     transaction end. Waits only ever target strictly smaller
- *     timestamps and the globally smallest unfinished transaction
- *     sits at the head of its partition's queue, so the schedule is
- *     deadlock-free.
+ *  2. Transactions are partitioned by home warehouse modulo the
+ *     worker count, a locality heuristic, not a correctness
+ *     requirement. Every writer of a WAREHOUSE row and of its
+ *     DISTRICT rows shares one partition, and each partition drains
+ *     in timestamp order, so W warehouses drain on min(W, P)
+ *     workers; at one warehouse the whole batch drains on one
+ *     worker by design.
+ *  3. Cross-partition conflicts (CUSTOMER and STOCK rows, which are
+ *     keyed across warehouses; NewOrder's CUSTOMER read counts as
+ *     one, since the chain steps it charges depend on which writes
+ *     it sees) are ordered by per-row gates. While
+ *     building the schedule the group keeps each gated row's last
+ *     scheduled writer, and records for every gate a transaction
+ *     enters that writer's timestamp when it belongs to another
+ *     partition, else 0 (a same-partition predecessor has already
+ *     run). At execution a transaction waits until the row's atomic
+ *     reaches that timestamp and holds its gates to transaction end.
+ *     Waits only ever target strictly smaller timestamps and the
+ *     globally smallest unfinished transaction sits at the head of
+ *     its partition's queue, so the schedule is deadlock-free.
  *  4. Before execution starts the group pre-computes each table's
  *     per-rotation-class version counts and pre-grows the delta
  *     regions, so no storage reallocation can happen under
  *     concurrent snapshot readers.
  *
  * Row values at any commit frontier F equal the serial execution's
- * values at F: every value-carrying read is a gated same-row RMW (or
- * reads an immutable table), so per-row write order — which the gates
- * pin to timestamp order — determines all visible bytes. OLAP
- * snapshots taken at F during ingest therefore return byte-identical
- * query results to a serial run stopped at F.
+ * values at F: every value-carrying read is a same-row RMW ordered by
+ * its partition or its gate (or reads an immutable table), so per-row
+ * write order, which is timestamp order, determines all visible
+ * bytes. OLAP snapshots taken at F during ingest therefore return
+ * byte-identical query results to a serial run stopped at F.
  */
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,48 +60,6 @@
 #include "txn/tpcc_engine.hpp"
 
 namespace pushtap::txn {
-
-/**
- * Per-row ordering gates (the lock/indirection table routing
- * cross-partition writes). Entries are built serially in timestamp
- * order during scheduling; execution only reads the map and spins on
- * the per-row applied timestamp.
- */
-class GateDirectory final : public TxnGate
-{
-  public:
-    /** Register @p ts as a writer of (t, row); build-time, serial,
-     * called in ascending ts order (caller dedups per transaction). */
-    void append(workload::ChTable t, RowId row, Timestamp ts);
-
-    void clear() { entries_.clear(); }
-
-    std::size_t rows() const { return entries_.size(); }
-
-    // TxnGate
-    void enter(workload::ChTable t, RowId row, Timestamp ts) override;
-    void leave(workload::ChTable t, RowId row, Timestamp ts) override;
-
-  private:
-    struct Entry
-    {
-        /** Writer timestamps in ascending order. */
-        std::vector<Timestamp> order;
-        /** Last writer that left the gate (0 = none yet). */
-        std::atomic<Timestamp> applied{0};
-    };
-
-    static std::uint64_t
-    keyOf(workload::ChTable t, RowId row)
-    {
-        return (static_cast<std::uint64_t>(t) << 56) | row;
-    }
-
-    /** unique_ptr for address stability across rehashes (entries
-     * contain an atomic and are spun on concurrently). */
-    std::unordered_map<std::uint64_t, std::unique_ptr<Entry>>
-        entries_;
-};
 
 struct TxnWorkerGroupOptions
 {
@@ -148,18 +114,48 @@ class TxnWorkerGroup
     void executeSchedule();
     void drainPartition(std::uint32_t p);
 
+    /** A scheduled transaction's partition: its home warehouse. */
+    std::uint32_t
+    partitionOf(const TxnDescriptor &d) const
+    {
+        return static_cast<std::uint32_t>(d.warehouse %
+                                          pool_.workers());
+    }
+
+    /**
+     * Schedule @p d's entry into (t, row)'s gate: record the row's
+     * last scheduled writer when it runs in another partition of this
+     * batch, else 0, and make @p d that writer.
+     */
+    void scheduleGate(workload::ChTable t, RowId row,
+                      const TxnDescriptor &d);
+
     /** Sentinel published by a partition that has drained fully. */
     static constexpr Timestamp kPartitionDone = kInvalidTimestamp;
 
     Database &db_;
     WorkerPool pool_;
-    GateDirectory gates_;
+    TxnGate gate_;
     Rng rng_;
     std::vector<std::unique_ptr<TpccEngine>> engines_;
 
     std::vector<TxnDescriptor> schedule_;
     Timestamp base_ = 0;
     std::uint64_t count_ = 0;
+
+    /**
+     * Per gated table and row: the timestamp of the row's last
+     * scheduled writer, 0 if none. Kept across batches; an entry at
+     * or below base_ belongs to a finished batch.
+     */
+    std::array<std::vector<Timestamp>, workload::kChTableCount>
+        lastWriter_;
+    /** Every gate entry's cross-partition predecessor (or 0), by
+     *  transaction, in the engine's entry order. */
+    std::vector<Timestamp> waits_;
+    /** Transaction i's entries are waits_[waitBegin_[i]] up to
+     *  waits_[waitBegin_[i + 1]]. */
+    std::vector<std::uint32_t> waitBegin_;
 
     struct Partition
     {

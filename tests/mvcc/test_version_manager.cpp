@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -243,6 +244,43 @@ TEST_F(VersionManagerTest, SlotBoundPredictsAllocations)
         max_slot = std::max(max_slot, vm.allocDeltaSlot(r));
     EXPECT_LT(max_slot, bound);
     EXPECT_LE(bound, vm.deltaCapacity());
+}
+
+TEST_F(VersionManagerTest, ConcurrentClaimsTakeTheSerialSlots)
+{
+    // Writers claim delta slots lock-free. Together they must take
+    // each rotation class's first slots exactly once: the slots one
+    // writer making the same number of claims per class gets.
+    constexpr int kThreads = 4;
+    constexpr int kClaims = 500;
+    VersionManager shared{circ, 4096, 64};
+    std::vector<std::vector<std::pair<RowId, RowId>>> claims(kThreads);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+        writers.emplace_back([&shared, &claims, t] {
+            for (int i = 0; i < kClaims; ++i) {
+                const auto row = static_cast<RowId>((t * 13 + i * 7) % 64);
+                claims[t].emplace_back(row, shared.allocDeltaSlot(row));
+            }
+        });
+    for (auto &w : writers)
+        w.join();
+    EXPECT_EQ(shared.deltaUsed(),
+              static_cast<std::uint64_t>(kThreads * kClaims));
+
+    std::map<std::uint32_t, std::vector<RowId>> by_class;
+    for (const auto &claimed : claims)
+        for (const auto &[row, slot] : claimed)
+            by_class[shared.rotationClassOf(row)].push_back(slot);
+    VersionManager serial{circ, 4096, 64};
+    for (auto &[cls, slots] : by_class) {
+        std::sort(slots.begin(), slots.end());
+        // Data row cls * 8 opens block cls, of rotation class cls.
+        std::vector<RowId> want;
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            want.push_back(serial.allocDeltaSlot(RowId{cls} * 8));
+        EXPECT_EQ(slots, want) << "class " << cls;
+    }
 }
 
 TEST_F(VersionManagerTest, SlotBoundOverCapacityIsFatal)

@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -45,6 +46,27 @@ constexpr ChTable kWrittenTables[] = {
     ChTable::History,   ChTable::NewOrder, ChTable::Orders,
     ChTable::OrderLine, ChTable::Stock,
 };
+
+/** Every written table's version chains run newest to oldest. */
+void
+expectChainsTimestampOrdered(const Database &db)
+{
+    for (const ChTable t : kWrittenTables) {
+        const auto &vm = db.table(t).versions();
+        const auto &versions = vm.versions();
+        vm.forEachHead([&](RowId, std::uint32_t head) {
+            std::uint32_t idx = head;
+            Timestamp newer = kInvalidTimestamp;
+            while (idx != mvcc::kNoVersion) {
+                const auto &v = versions[idx];
+                ASSERT_LE(v.writeTs, newer)
+                    << workload::chTableName(t);
+                newer = v.writeTs;
+                idx = v.prev;
+            }
+        });
+    }
+}
 
 class TxnWorkerGroupTest : public ::testing::Test
 {
@@ -111,8 +133,8 @@ TEST_F(TxnWorkerGroupTest, SingleWorkerMatchesSerialEngine)
 
 TEST_F(TxnWorkerGroupTest, ParallelMatchesSerialRowValues)
 {
-    // Four workers race over one warehouse (every payment gates on
-    // the same warehouse row) yet all RMW row values must land
+    // One warehouse is one partition: four workers drain it on one
+    // worker, schedule no gate wait, and every RMW row value lands
     // exactly where the serial schedule puts them.
     constexpr std::uint64_t kTxns = 200;
     Database serial_db(smallConfig());
@@ -135,6 +157,9 @@ TEST_F(TxnWorkerGroupTest, ParallelMatchesSerialRowValues)
     for (const ChTable t : kWrittenTables)
         EXPECT_EQ(serial_db.table(t).usedDataRows(),
                   par_db.table(t).usedDataRows())
+            << workload::chTableName(t);
+    for (const ChTable t : kGatedTables)
+        EXPECT_EQ(par->stats().gate(t).waits, 0u)
             << workload::chTableName(t);
 }
 
@@ -160,21 +185,7 @@ TEST_F(TxnWorkerGroupTest, ChainsStayTimestampOrderedPerRow)
     Database db(smallConfig());
     auto group = makeGroup(db, 4);
     group->run(150);
-
-    for (const ChTable t : kWrittenTables) {
-        const auto &vm = db.table(t).versions();
-        const auto &versions = vm.versions();
-        vm.forEachHead([&](RowId, std::uint32_t head) {
-            std::uint32_t idx = head;
-            Timestamp newer = kInvalidTimestamp;
-            while (idx != mvcc::kNoVersion) {
-                const auto &v = versions[idx];
-                ASSERT_LE(v.writeTs, newer);
-                newer = v.writeTs;
-                idx = v.prev;
-            }
-        });
-    }
+    expectChainsTimestampOrdered(db);
 }
 
 TEST_F(TxnWorkerGroupTest, StartFinishRunsInBackground)
@@ -204,6 +215,136 @@ TEST_F(TxnWorkerGroupTest, ConsecutiveBatchesContinueTheClock)
     EXPECT_EQ(group->scheduleBase(), 40u);
     EXPECT_EQ(group->commitFrontier(), 80u);
     EXPECT_EQ(group->stats().transactions, 80u);
+}
+
+/**
+ * Two warehouses (scale 0.01): four workers drain two partitions, and
+ * the row gates order the CUSTOMER and STOCK rows that both
+ * warehouses' transactions write. The serial engine, a one-worker
+ * group and a four-worker group each run the same 1,000-transaction
+ * schedule on a database of their own, once for the whole suite.
+ */
+class TwoWarehouseGroup : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint64_t kTxns = 1'000;
+
+    struct Runs
+    {
+        static DatabaseConfig
+        config()
+        {
+            DatabaseConfig cfg;
+            cfg.scale = 0.01;
+            return cfg;
+        }
+
+        TxnStats
+        runGroup(Database &db, std::uint32_t workers)
+        {
+            TxnWorkerGroupOptions opts;
+            opts.workers = workers;
+            TxnWorkerGroup group(db, InstanceFormat::Unified, bw, timing,
+                                 opts);
+            group.run(kTxns);
+            return group.stats();
+        }
+
+        Runs()
+            : bw(8, 8, true),
+              timing(dram::Geometry::dimmDefault(),
+                     dram::TimingParams::ddr5_3200())
+        {
+            // Population dominates the suite under the sanitizers, so
+            // the three databases populate side by side.
+            const auto populate = [] {
+                return std::async(std::launch::async, [] {
+                    return std::make_unique<Database>(config());
+                });
+            };
+            auto s = populate(), o = populate(), f = populate();
+            serial = s.get();
+            one = o.get();
+            four = f.get();
+
+            TpccEngine engine(*serial, InstanceFormat::Unified, bw,
+                              timing, 7);
+            for (std::uint64_t i = 0; i < kTxns; ++i)
+                engine.executeMixed();
+            serialStats = engine.stats();
+            oneStats = runGroup(*one, 1);
+            fourStats = runGroup(*four, 4);
+        }
+
+        format::BandwidthModel bw;
+        dram::BatchTimingModel timing;
+        std::unique_ptr<Database> serial, one, four;
+        TxnStats serialStats, oneStats, fourStats;
+    };
+
+    static void SetUpTestSuite() { runs_ = std::make_unique<Runs>(); }
+    static void TearDownTestSuite() { runs_.reset(); }
+
+    static inline std::unique_ptr<Runs> runs_;
+};
+
+TEST_F(TwoWarehouseGroup, FourWorkersMatchOneWorkerAndSerialEngine)
+{
+    ASSERT_EQ(runs_->serial->generator().rows(ChTable::Warehouse), 2u);
+    for (const ChTable t : kGatedTables) {
+        const auto want = tableBytes(*runs_->serial, t);
+        EXPECT_EQ(tableBytes(*runs_->one, t), want)
+            << workload::chTableName(t);
+        EXPECT_EQ(tableBytes(*runs_->four, t), want)
+            << workload::chTableName(t);
+    }
+    for (const ChTable t : kWrittenTables)
+        EXPECT_EQ(runs_->four->table(t).usedDataRows(),
+                  runs_->serial->table(t).usedDataRows())
+            << workload::chTableName(t);
+    // The schedule, and so the modelled cost, is worker-invariant.
+    // Chain steps and index probes are charged in whole nanoseconds,
+    // so their sums are exact in any merge order; NewOrder's gated
+    // CUSTOMER read keeps the steps it counts in serial order.
+    EXPECT_EQ(runs_->fourStats.versionsCreated,
+              runs_->serialStats.versionsCreated);
+    for (const char *part : {"chain_traverse", "indexing"})
+        EXPECT_EQ(runs_->fourStats.cpu.get(part),
+                  runs_->serialStats.cpu.get(part))
+            << part;
+    EXPECT_EQ(runs_->oneStats.totalNs(), runs_->serialStats.totalNs());
+}
+
+TEST_F(TwoWarehouseGroup, WaitsOnlyOnRowsKeyedAcrossWarehouses)
+{
+    // A warehouse's WAREHOUSE and DISTRICT rows are written by its
+    // own partition alone; CUSTOMER and STOCK rows are keyed across
+    // warehouses, so both partitions write some of them.
+    const TxnStats &four = runs_->fourStats;
+    EXPECT_EQ(four.gate(ChTable::Warehouse).waits, 0u);
+    EXPECT_EQ(four.gate(ChTable::District).waits, 0u);
+    EXPECT_GT(four.gate(ChTable::Customer).waits +
+                  four.gate(ChTable::Stock).waits,
+              0u);
+    for (const ChTable t : kGatedTables) {
+        EXPECT_LE(four.gate(t).stalls, four.gate(t).waits)
+            << workload::chTableName(t);
+        if (four.gate(t).stalls == 0) {
+            EXPECT_EQ(four.gate(t).stallNs, 0u)
+                << workload::chTableName(t);
+        }
+        // One worker is one partition: nothing to wait for. The
+        // serial engine has no gates and counts nothing.
+        EXPECT_EQ(runs_->oneStats.gate(t).waits, 0u)
+            << workload::chTableName(t);
+        EXPECT_EQ(runs_->serialStats.gate(t).waits, 0u)
+            << workload::chTableName(t);
+    }
+}
+
+TEST_F(TwoWarehouseGroup, ChainsStayTimestampOrderedPerRow)
+{
+    expectChainsTimestampOrdered(*runs_->four);
 }
 
 } // namespace
