@@ -254,11 +254,13 @@ OlapEngine::priceMerge(const QueryPlan &plan, std::uint64_t visible,
     if (!plan.groupBy.empty()) {
         // CPU transfers the group indices to the banks holding the
         // aggregated columns (2 B per visible row), then merges the
-        // per-unit partial sums.
+        // per-unit partial sums: 16 group slots per PIM unit, Q1's
+        // fixed ol_number domain.
+        constexpr Bytes kGroupSlots = 16;
         rep.cpuNs += busTime(visible * 2);
         rep.cpuNs += busTime(static_cast<Bytes>(
                                  cfg_.geom.pimUnitCount()) *
-                             plan.groupSlots * 8);
+                             kGroupSlots * 8);
         return;
     }
     // CPU merges one partial value per unit per aggregate.

@@ -185,12 +185,6 @@ struct QueryPlan
     std::vector<AggSpec> aggregates;
     std::vector<SortKey> orderBy;
     std::uint64_t limit = 0;
-    /**
-     * Group slots per PIM unit the CPU merge step transfers (the
-     * grouped-aggregate CPU pricing term; 16 matches Q1's fixed
-     * ol_number domain).
-     */
-    std::uint32_t groupSlots = 16;
 };
 
 /** Table a column reference resolves to. */

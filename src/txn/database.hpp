@@ -71,6 +71,7 @@ class TableRuntime
     mvcc::VersionManager &versions() { return *versions_; }
     const mvcc::VersionManager &versions() const { return *versions_; }
     HashIndex &index() { return index_; }
+    const HashIndex &index() const { return index_; }
 
     std::uint64_t populatedRows() const { return populatedRows_; }
 

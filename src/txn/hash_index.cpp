@@ -137,7 +137,6 @@ HashIndex::lookup(std::uint64_t key, std::uint64_t *probes) const
         i = (i + 1) & mask;
         ++n;
     }
-    probes_.fetch_add(n, std::memory_order_relaxed);
     if (probes)
         *probes = n;
     return found;

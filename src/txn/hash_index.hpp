@@ -5,7 +5,8 @@
  * Open-addressing hash index (the DBx1000-style hash index the paper
  * uses to speed up transactions and snapshotting, section 7.1).
  * Keys are 64-bit composite primary keys; values are data-region row
- * ids. Probe counts are tracked for the transaction cost breakdown.
+ * ids. Each lookup reports its probe count for the transaction cost
+ * breakdown.
  *
  * Concurrency: lookups are lock-free and `const` — slots are
  * (key, row) atomic pairs published row-last with release ordering,
@@ -15,10 +16,9 @@
  * serialised by a writer mutex. The probe sequence, hash mix and
  * growth thresholds are identical to the original single-threaded
  * index, so serial probe counts — and the Fig. 11(c) indexing share
- * they feed — are unchanged. Per-call probe counts are returned
- * through an out-parameter so concurrent callers can account their
- * own cost race-free; the cumulative counter is kept (atomically) for
- * the existing accounting API.
+ * they feed — are unchanged. Probe counts are returned per call
+ * through an out-parameter, so concurrent callers account their own
+ * cost race-free and lookups share no written state.
  */
 
 #include <atomic>
@@ -42,9 +42,8 @@ class HashIndex
     void insert(std::uint64_t key, RowId row);
 
     /**
-     * Find @p key; safe to call concurrently with inserts. The probe
-     * cost is added to the running counter and, when @p probes is
-     * non-null, also reported per call for race-free accounting.
+     * Find @p key; safe to call concurrently with inserts. When
+     * @p probes is non-null it receives the lookup's probe count.
      */
     std::optional<RowId> lookup(std::uint64_t key,
                                 std::uint64_t *probes = nullptr) const;
@@ -52,17 +51,6 @@ class HashIndex
     std::size_t size() const
     {
         return size_.load(std::memory_order_relaxed);
-    }
-
-    /** Cumulative probe count (cost accounting). */
-    std::uint64_t probes() const
-    {
-        return probes_.load(std::memory_order_relaxed);
-    }
-
-    void resetProbes()
-    {
-        probes_.store(0, std::memory_order_relaxed);
     }
 
   private:
@@ -102,7 +90,6 @@ class HashIndex
     std::vector<std::unique_ptr<SlotArray>> arrays_;
     std::mutex writeMu_;
     std::atomic<std::size_t> size_{0};
-    mutable std::atomic<std::uint64_t> probes_{0};
 };
 
 /** Field widths of the packed composite key. */

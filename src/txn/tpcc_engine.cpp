@@ -1,14 +1,13 @@
 #include "txn/tpcc_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,29 +20,49 @@ namespace pushtap::txn {
 using workload::ChTable;
 using workload::RowView;
 
-TxnGate::TxnGate(const Database &db)
+namespace {
+
+// CPU-side cost constants (ns), calibrated to Fig. 11(c).
+constexpr double kIndexNsPerProbe = 46.0;
+constexpr double kAllocNsPerVersion = 98.0;
+constexpr double kComputeNsPerVersion = 81.5;
+constexpr double kTraverseNsPerStep = 4.0;
+/** Byte re-layout cost per fragment moved (PUSHtap only). */
+constexpr double kRelayoutNsPerFragment = 0.3;
+/** Commit fence after the clflush of dirtied lines. */
+constexpr double kCommitBarrierNs = 30.0;
+/**
+ * Read memory-level parallelism. Row-organized formats (row store,
+ * PUSHtap unified) fetch a row's lines from a few contiguous regions
+ * that prefetching covers well; the column store gathers every column
+ * from a distinct region, which serializes on TLB fills and row
+ * activations (the CS penalty of Fig. 9(a)).
+ */
+constexpr double kRowFormatReadOverlap = 4.0;
+constexpr double kColumnStoreReadOverlap = 1.0;
+/** Cores sharing the memory bus (fair-share write cost). */
+constexpr std::uint32_t kCores = 16;
+
+/** Look @p key up in @p t's primary-key index; it must be there. */
+TxnRow
+resolve(const Database &db, ChTable t, std::uint64_t key)
 {
-    // make_unique value-initializes: every row starts released at 0.
-    for (const ChTable t : kGatedTables)
-        applied_[static_cast<std::size_t>(t)] =
-            std::make_unique<std::atomic<Timestamp>[]>(
-                db.table(t).dataCapacity());
+    TxnRow r;
+    const auto row = db.table(t).index().lookup(key, &r.probes);
+    if (!row)
+        panic("missing key {} in table {}", key,
+              db.table(t).schema().name());
+    r.row = *row;
+    return r;
 }
 
-void
-TxnGate::enter(ChTable t, RowId row, Timestamp pred) const
-{
-    // pred is smaller than the caller's own timestamp, so waits form
-    // no cycle.
-    while (!released(t, row, pred))
-        std::this_thread::yield();
-}
+} // namespace
 
 TpccEngine::TpccEngine(Database &db, InstanceFormat fmt,
                        const format::BandwidthModel &bw,
                        const dram::BatchTimingModel &timing,
-                       std::uint64_t seed, const TxnCostConfig &cost)
-    : db_(db), fmt_(fmt), cost_(cost), rng_(seed),
+                       std::uint64_t seed)
+    : db_(db), fmt_(fmt), rng_(seed),
       sites_(resolveSites(bw, timing)), writes_(resolveWrites(bw, timing))
 {
     std::uint32_t widest = 0;
@@ -143,13 +162,13 @@ TpccEngine::readSite(ChTable t,
         break;
     }
     const double overlap = fmt_ == InstanceFormat::ColumnStore
-                               ? cost_.columnStoreReadOverlap
-                               : cost_.rowFormatReadOverlap;
+                               ? kColumnStoreReadOverlap
+                               : kRowFormatReadOverlap;
     s.readMemNs = s.readLines * timing.randomAccessLatency() / overlap;
     if (fmt_ == InstanceFormat::Unified) {
         // Loading re-layouts the fragments into the canonical form.
-        s.readRelayoutNs = cost_.relayoutNsPerFragment *
-                           static_cast<double>(ids.size());
+        s.readRelayoutNs =
+            kRelayoutNsPerFragment * static_cast<double>(ids.size());
     }
     return s;
 }
@@ -172,79 +191,22 @@ TpccEngine::writeSite(ChTable t, const format::BandwidthModel &bw,
     // Streamed writes cost each core its fair share of the bus.
     const double bus_share_ns =
         line / (timing.cpuPeakBandwidth().bytesPerNs() /
-                static_cast<double>(cost_.cores));
+                static_cast<double>(kCores));
     w.memNs = w.lines * bus_share_ns;
     if (fmt_ == InstanceFormat::Unified) {
         const format::RowCodec codec(tbl.layout(),
                                      tbl.store().circulant());
-        w.relayoutNs = cost_.relayoutNsPerFragment *
+        w.relayoutNs = kRelayoutNsPerFragment *
                        static_cast<double>(codec.fragmentsPerRow());
     }
     return w;
 }
 
 void
-TpccEngine::chargeIndex(std::uint64_t probes)
+TpccEngine::chargeIndex(const TxnRow &row)
 {
     stats_.cpu.add(TxnCpu::Indexing,
-                   cost_.indexNsPerProbe * static_cast<double>(probes));
-}
-
-RowId
-TpccEngine::lookupOrDie(ChTable t, std::uint64_t key)
-{
-    auto &index = db_.table(t).index();
-    std::uint64_t probes = 0;
-    const auto row = index.lookup(key, &probes);
-    chargeIndex(probes);
-    if (!row)
-        panic("missing key {} in table {}", key,
-              db_.table(t).schema().name());
-    return *row;
-}
-
-void
-TpccEngine::gateEnter(ChTable t, RowId row)
-{
-    if (gate_ == nullptr)
-        return;
-    // One NewOrder can hit the same stock row twice (duplicate
-    // items); entering its own gate again would deadlock.
-    for (const auto &h : held_)
-        if (h.table == t && h.row == row)
-            return;
-    if (held_.size() >= waits_.size())
-        panic("transaction enters more row gates than its {} "
-              "scheduled waits",
-              waits_.size());
-    const Timestamp pred = waits_[held_.size()];
-    held_.push_back({t, row});
-    if (pred == 0)
-        return;
-    GateCounts &counts = stats_.gate(t);
-    ++counts.waits;
-    if (gate_->released(t, row, pred))
-        return;
-    ++counts.stalls;
-    const auto start = std::chrono::steady_clock::now();
-    gate_->enter(t, row, pred);
-    counts.stallNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-void
-TpccEngine::releaseGates(Timestamp ts)
-{
-    if (gate_ == nullptr)
-        return;
-    if (held_.size() != waits_.size())
-        panic("transaction entered {} row gates, {} scheduled",
-              held_.size(), waits_.size());
-    for (const auto &h : held_)
-        gate_->leave(h.table, h.row, ts);
-    held_.clear();
+                   kIndexNsPerProbe * static_cast<double>(row.probes));
 }
 
 std::span<std::uint8_t>
@@ -254,7 +216,7 @@ TpccEngine::readRow(const AccessSite &site, RowId row)
                                       site.schema->rowBytes());
     const auto steps = db_.readNewest(site.table, row, out);
     stats_.cpu.add(TxnCpu::ChainTraverse,
-                   cost_.traverseNsPerStep * static_cast<double>(steps));
+                   kTraverseNsPerStep * static_cast<double>(steps));
     stats_.memLines += site.readLines;
     stats_.memTimeNs += site.readMemNs;
     stats_.cpu.add(TxnCpu::Relayout, site.readRelayoutNs);
@@ -273,8 +235,8 @@ TpccEngine::updateRow(ChTable t, RowId row,
     ++stats_.versionsCreated;
 
     const WriteSite &w = writes_[static_cast<std::size_t>(t)];
-    stats_.cpu.add(TxnCpu::Allocation, cost_.allocNsPerVersion);
-    stats_.cpu.add(TxnCpu::Computation, cost_.computeNsPerVersion);
+    stats_.cpu.add(TxnCpu::Allocation, kAllocNsPerVersion);
+    stats_.cpu.add(TxnCpu::Computation, kComputeNsPerVersion);
     stats_.memLines += w.lines;
     stats_.memTimeNs += w.memNs;
     stats_.cpu.add(TxnCpu::Relayout, w.relayoutNs);
@@ -310,7 +272,7 @@ TpccEngine::commit(std::uint64_t dirtied_lines)
     // clflush of the dirtied lines is already accounted as write
     // traffic; the commit fence serialises them (section 6.3).
     (void)dirtied_lines;
-    stats_.cpu.add(TxnCpu::Commit, cost_.commitBarrierNs);
+    stats_.cpu.add(TxnCpu::Commit, kCommitBarrierNs);
 }
 
 TxnDescriptor
@@ -328,6 +290,11 @@ TpccEngine::genPayment(Rng &rng, const Database &db)
     d.customer = static_cast<std::uint64_t>(
         nurand(0, static_cast<std::int64_t>(n_c - 1)));
     d.amount = rng.inRange(100, 500000);
+    d.warehouseRow = resolve(db, ChTable::Warehouse, packKey(d.warehouse));
+    d.districtRow =
+        resolve(db, ChTable::District, packKey(d.warehouse, d.district));
+    d.customerRow =
+        resolve(db, ChTable::Customer, packKey(0, 0, d.customer));
     return d;
 }
 
@@ -346,11 +313,18 @@ TpccEngine::genNewOrder(Rng &rng, const Database &db)
     NuRand nurand(rng, 1023, 259);
     d.customer = static_cast<std::uint64_t>(
         nurand(0, static_cast<std::int64_t>(n_c - 1)));
+    d.districtRow =
+        resolve(db, ChTable::District, packKey(d.warehouse, d.district));
+    d.customerRow =
+        resolve(db, ChTable::Customer, packKey(0, 0, d.customer));
     NuRand item_rand(rng, 8191, 7911);
     for (auto &line : d.lines) {
         line.item = static_cast<std::uint64_t>(
             item_rand(0, static_cast<std::int64_t>(n_i - 1)));
         line.qty = rng.inRange(1, 10);
+        line.itemRow = resolve(db, ChTable::Item, packKey(0, 0, line.item));
+        line.stockRow =
+            resolve(db, ChTable::Stock, packKey(0, 0, line.item));
     }
     return d;
 }
@@ -363,10 +337,8 @@ TpccEngine::genMixed(Rng &rng, const Database &db)
 }
 
 Timestamp
-TpccEngine::execute(const TxnDescriptor &d,
-                    std::span<const Timestamp> waits)
+TpccEngine::execute(const TxnDescriptor &d)
 {
-    waits_ = waits;
     if (d.kind == TxnDescriptor::Kind::Payment)
         applyPayment(d);
     else
@@ -408,23 +380,22 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
     const Timestamp ts = txn.ts;
 
     // Warehouse, then district: read ytd/tax/name, bump ytd.
-    for (const auto &[site, key] :
-         {std::pair{&sites_.payWarehouse, packKey(w)},
-          std::pair{&sites_.payDistrict, packKey(w, d)}}) {
-        const RowId row = lookupOrDie(site->table, key);
-        gateEnter(site->table, row);
-        const auto bytes = readRow(*site, row);
+    for (const auto &[site, row] :
+         {std::pair{&sites_.payWarehouse, txn.warehouseRow},
+          std::pair{&sites_.payDistrict, txn.districtRow}}) {
+        chargeIndex(row);
+        const auto bytes = readRow(*site, row.row);
         RowView v(*site->schema, bytes);
         const ColumnId ytd = site->columns[0];
         v.setInt(ytd, v.getInt(ytd) + amount);
-        updateRow(site->table, row, bytes, ts);
+        updateRow(site->table, row.row, bytes, ts);
     }
     // Customer: balance / ytd / payment count.
     {
         const AccessSite &s = sites_.payCustomer;
-        const RowId row = lookupOrDie(s.table, packKey(0, 0, c));
-        gateEnter(s.table, row);
-        const auto bytes = readRow(s, row);
+        const TxnRow &row = txn.customerRow;
+        chargeIndex(row);
+        const auto bytes = readRow(s, row.row);
         RowView v(*s.schema, bytes);
         const ColumnId balance = s.columns[0];
         const ColumnId ytd_payment = s.columns[1];
@@ -432,7 +403,7 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
         v.setInt(balance, v.getInt(balance) - amount);
         v.setInt(ytd_payment, v.getInt(ytd_payment) + amount);
         v.setInt(payment_cnt, v.getInt(payment_cnt) + 1);
-        updateRow(s.table, row, bytes, ts);
+        updateRow(s.table, row.row, bytes, ts);
     }
     // History insert.
     const auto wi = static_cast<std::int64_t>(w);
@@ -444,7 +415,6 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
               ts);
 
     commit(0);
-    releaseGates(ts);
     ++stats_.transactions;
     ++stats_.payments;
 }
@@ -463,43 +433,35 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
     // District: read and bump the order counter.
     {
         const AccessSite &s = sites_.noDistrict;
-        const RowId row =
-            lookupOrDie(s.table, packKey(txn.warehouse, txn.district));
-        gateEnter(s.table, row);
-        const auto bytes = readRow(s, row);
+        const TxnRow &row = txn.districtRow;
+        chargeIndex(row);
+        const auto bytes = readRow(s, row.row);
         RowView v(*s.schema, bytes);
         const ColumnId next = s.columns[0];
         next_o_id = v.getInt(next);
         v.setInt(next, next_o_id + 1);
-        updateRow(s.table, row, bytes, ts);
+        updateRow(s.table, row.row, bytes, ts);
     }
-    // Customer: discount / credit. Read-only, but gated like the
-    // RMWs: another partition's Payment may write the row, and the
-    // chain steps the read charges must follow the serial order.
-    {
-        const AccessSite &s = sites_.noCustomer;
-        const RowId row =
-            lookupOrDie(s.table, packKey(0, 0, txn.customer));
-        gateEnter(s.table, row);
-        readRow(s, row);
-    }
+    // Customer: discount / credit (read-only).
+    chargeIndex(txn.customerRow);
+    readRow(sites_.noCustomer, txn.customerRow.row);
 
     for (std::uint64_t line = 0; line < workload::kLinesPerOrder;
          ++line) {
-        const auto item = txn.lines[line].item;
-        const std::int64_t qty = txn.lines[line].qty;
+        const TxnLine &l = txn.lines[line];
+        const std::int64_t qty = l.qty;
 
         // Item read.
         const AccessSite &is = sites_.noItem;
-        const RowId item_row = lookupOrDie(is.table, packKey(0, 0, item));
+        chargeIndex(l.itemRow);
         const std::int64_t price =
-            RowView(*is.schema, readRow(is, item_row)).getInt(is.columns[0]);
+            RowView(*is.schema, readRow(is, l.itemRow.row))
+                .getInt(is.columns[0]);
 
         // Stock read-modify-write.
         const AccessSite &s = sites_.noStock;
-        const RowId row = lookupOrDie(s.table, packKey(0, 0, item));
-        gateEnter(s.table, row);
-        const auto bytes = readRow(s, row);
+        chargeIndex(l.stockRow);
+        const auto bytes = readRow(s, l.stockRow.row);
         RowView v(*s.schema, bytes);
         const ColumnId quantity = s.columns[0];
         const ColumnId ytd = s.columns[1];
@@ -509,12 +471,12 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         v.setInt(quantity, sq);
         v.setInt(ytd, v.getInt(ytd) + qty);
         v.setInt(order_cnt, v.getInt(order_cnt) + 1);
-        updateRow(s.table, row, bytes, ts);
+        updateRow(s.table, l.stockRow.row, bytes, ts);
 
         // Order line insert.
         insertRow(sites_.noOrderLine,
                   {next_o_id, d, w, static_cast<std::int64_t>(line + 1),
-                   static_cast<std::int64_t>(item), w, date, qty,
+                   static_cast<std::int64_t>(l.item), w, date, qty,
                    qty * price},
                   ts);
     }
@@ -527,9 +489,35 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
     insertRow(sites_.noNewOrder, {next_o_id, d, w}, ts);
 
     commit(0);
-    releaseGates(ts);
     ++stats_.transactions;
     ++stats_.newOrders;
+}
+
+void
+TpccEngine::footprint(
+    const TxnDescriptor &d, std::vector<TxnAccess> &rows,
+    std::array<std::uint64_t, workload::kChTableCount> &inserts)
+{
+    const auto insert = [&inserts](ChTable t, std::uint64_t n) {
+        inserts[static_cast<std::size_t>(t)] += n;
+    };
+    if (d.kind == TxnDescriptor::Kind::Payment) {
+        rows.push_back({ChTable::Warehouse, true, d.warehouseRow.row});
+        rows.push_back({ChTable::District, true, d.districtRow.row});
+        rows.push_back({ChTable::Customer, true, d.customerRow.row});
+        insert(ChTable::History, 1);
+        return;
+    }
+    rows.push_back({ChTable::District, true, d.districtRow.row});
+    // Listed although read-only: another partition's Payment may
+    // write the row, and the chain steps the read charges must follow
+    // the serial order.
+    rows.push_back({ChTable::Customer, false, d.customerRow.row});
+    for (const TxnLine &line : d.lines)
+        rows.push_back({ChTable::Stock, true, line.stockRow.row});
+    insert(ChTable::OrderLine, workload::kLinesPerOrder);
+    insert(ChTable::Orders, 1);
+    insert(ChTable::NewOrder, 1);
 }
 
 } // namespace pushtap::txn

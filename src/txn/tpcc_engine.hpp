@@ -12,30 +12,30 @@
  *
  * Execution is split into two halves so a multi-worker front end can
  * reuse it: gen*() draws a transaction's parameters into a
- * TxnDescriptor (serially, off one Rng stream), and execute() applies
- * a descriptor at its pre-assigned commit timestamp. The single-
- * threaded execute*() conveniences compose the two, consuming the
- * identical random stream the pre-split engine did. Under concurrent
- * execution an optional TxnGate orders same-row writers in different
- * partitions by timestamp.
+ * TxnDescriptor (serially, off one Rng stream) and resolves every row
+ * it names through the primary-key indexes, and execute() applies a
+ * descriptor at its pre-assigned commit timestamp without touching an
+ * index. The single-threaded execute*() conveniences compose the two,
+ * consuming the identical random stream the pre-split engine did.
+ * footprint() lists the gated rows a descriptor accesses, next to the
+ * apply*() code that accesses them; the engine orders nothing itself
+ * (TxnWorkerGroup does, around execute()).
  *
  * The cost model is evaluated once per engine, not per statement.
  * Construction resolves every (table, statement) pair the two
  * transactions execute into an access site: the statement's column
  * ids plus each modelled charge that depends only on the table
- * layout, the instance format and TxnCostConfig (read lines and
- * their latency, re-layout, write lines at the core's bus share).
- * execute() adds those precomputed numbers in the order the
- * per-statement model did, so every modelled figure is bit-identical
- * to evaluating the model on each access; only the run-dependent
- * charges (index probes, chain steps) are computed per call.
+ * layout and the instance format (read lines and their latency,
+ * re-layout, write lines at the core's bus share). execute() adds
+ * those precomputed numbers in the order the per-statement model did,
+ * so every modelled figure is bit-identical to evaluating the model
+ * on each access; only the run-dependent charges (index probes, chain
+ * steps) are computed per call.
  */
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -49,31 +49,6 @@
 #include "workload/ch_gen.hpp"
 
 namespace pushtap::txn {
-
-/** CPU-side cost constants (ns), calibrated to Fig. 11(c). */
-struct TxnCostConfig
-{
-    double indexNsPerProbe = 46.0;
-    double allocNsPerVersion = 98.0;
-    double computeNsPerVersion = 81.5;
-    double traverseNsPerStep = 4.0;
-    /** Byte re-layout cost per fragment moved (PUSHtap only). */
-    double relayoutNsPerFragment = 0.3;
-    /** Commit fence after the clflush of dirtied lines. */
-    double commitBarrierNs = 30.0;
-    /**
-     * Read memory-level parallelism. Row-organized formats (row
-     * store, PUSHtap unified) fetch a row's lines from a few
-     * contiguous regions that prefetching covers well; the column
-     * store gathers every column from a distinct region, which
-     * serializes on TLB fills and row activations (the CS penalty of
-     * Fig. 9(a)).
-     */
-    double rowFormatReadOverlap = 4.0;
-    double columnStoreReadOverlap = 1.0;
-    /** Cores sharing the memory bus (fair-share write cost). */
-    std::uint32_t cores = 16;
-};
 
 /** CPU cost components (Fig. 11(c) plus re-layout and commit). */
 enum class TxnCpu : std::uint8_t
@@ -96,7 +71,8 @@ inline constexpr std::array<std::string_view, 6> kTxnCpuNames = {
  * One table's row-gate counters under concurrent execution (host
  * side, not modelled): the schedule's cross-partition waits, the
  * waits that found the predecessor still holding the row (stalls),
- * and the host time those stalls took. A serial engine counts none.
+ * and the host time those stalls took. TxnWorkerGroup enters the
+ * gates and counts them; an engine's own stats count none.
  */
 struct GateCounts
 {
@@ -163,18 +139,33 @@ struct TxnStats
     }
 };
 
+/**
+ * A row a transaction names, resolved when the transaction is drawn:
+ * its id and the probes its primary-key lookup took, which execution
+ * charges as that lookup's Indexing cost. The indexes do not change
+ * after Database::populate, so both are what execution would find.
+ */
+struct TxnRow
+{
+    RowId row = 0;
+    std::uint64_t probes = 0;
+};
+
 /** One New-Order order line's pre-drawn parameters. */
 struct TxnLine
 {
     std::uint64_t item = 0;
     std::int64_t qty = 1;
+    TxnRow itemRow;
+    TxnRow stockRow;
 };
 
 /**
  * A fully parameterised transaction: every random draw is made up
- * front (by the gen* helpers, off one serial Rng stream) and the
- * commit timestamp is pre-assigned, so execution itself is
- * deterministic and can be partitioned across worker threads.
+ * front and every row it names is resolved (by the gen* helpers, off
+ * one serial Rng stream), and the commit timestamp is pre-assigned,
+ * so execution itself is deterministic and can be partitioned across
+ * worker threads.
  */
 struct TxnDescriptor
 {
@@ -190,6 +181,9 @@ struct TxnDescriptor
     std::uint64_t district = 0;
     std::uint64_t customer = 0;
     std::int64_t amount = 0; ///< Payment only.
+    TxnRow warehouseRow;     ///< Payment only.
+    TxnRow districtRow;
+    TxnRow customerRow;
     std::array<TxnLine, workload::kLinesPerOrder> lines{}; ///< NewOrder.
 };
 
@@ -198,51 +192,12 @@ inline constexpr std::array<workload::ChTable, 4> kGatedTables = {
     workload::ChTable::Warehouse, workload::ChTable::District,
     workload::ChTable::Customer, workload::ChTable::Stock};
 
-/**
- * Row-level ordering gates for concurrent execution: one atomic per
- * row of each gated table, holding the timestamp of the last writer
- * that left the row. Before its first access to a gated row, a
- * transaction enters the row's gate naming its scheduled
- * predecessor, and enter() blocks until that writer has left. Gates
- * are held to transaction end (2PL-style), so a same-row successor
- * never observes a partial transaction. A row's writers leave in
- * timestamp order, so its atomic only grows.
- */
-class TxnGate
+/** One access of a transaction to a row of a gated table. */
+struct TxnAccess
 {
-  public:
-    /** Released gates over every row @p db's gated tables can hold. */
-    explicit TxnGate(const Database &db);
-
-    /** True once the writer at @p pred has left (t, row); pred 0
-     *  (no predecessor) always is. */
-    bool
-    released(workload::ChTable t, RowId row, Timestamp pred) const
-    {
-        return applied(t, row).load(std::memory_order_acquire) >= pred;
-    }
-
-    /** Block until released(t, row, pred). */
-    void enter(workload::ChTable t, RowId row, Timestamp pred) const;
-
-    /** The writer at @p ts leaves (t, row). */
-    void
-    leave(workload::ChTable t, RowId row, Timestamp ts)
-    {
-        applied(t, row).store(ts, std::memory_order_release);
-    }
-
-  private:
-    std::atomic<Timestamp> &
-    applied(workload::ChTable t, RowId row) const
-    {
-        return applied_[static_cast<std::size_t>(t)][row];
-    }
-
-    /** Per table, by row; null for tables without gates. */
-    std::array<std::unique_ptr<std::atomic<Timestamp>[]>,
-               workload::kChTableCount>
-        applied_;
+    workload::ChTable table{};
+    bool writes = false;
+    RowId row = 0;
 };
 
 class TpccEngine
@@ -251,8 +206,7 @@ class TpccEngine
     TpccEngine(Database &db, InstanceFormat fmt,
                const format::BandwidthModel &bw,
                const dram::BatchTimingModel &timing,
-               std::uint64_t seed = 7,
-               const TxnCostConfig &cost = {});
+               std::uint64_t seed = 7);
 
     /** Execute one Payment transaction; returns commit timestamp. */
     Timestamp executePayment();
@@ -264,10 +218,11 @@ class TpccEngine
     Timestamp executeMixed();
 
     /**
-     * Draw a transaction's parameters from @p rng without executing
-     * anything (or touching timestamps). The draw order matches the
-     * execute*() paths exactly, so a scheduler generating descriptors
-     * serially consumes the identical random stream.
+     * Draw a transaction's parameters from @p rng and resolve the
+     * rows they name, without executing anything (or touching
+     * timestamps). The draw order matches the execute*() paths
+     * exactly, so a scheduler generating descriptors serially
+     * consumes the identical random stream.
      */
     static TxnDescriptor genPayment(Rng &rng, const Database &db);
     static TxnDescriptor genNewOrder(Rng &rng, const Database &db);
@@ -275,16 +230,20 @@ class TpccEngine
 
     /**
      * Execute a pre-parameterised transaction at its pre-assigned
-     * timestamp. With a gate set, @p waits holds one entry per row
-     * gate the transaction enters, in entry order: the timestamp of
-     * the row's predecessor in another partition, or 0 when there is
-     * none to wait for.
+     * timestamp. It takes no lock: a concurrent caller orders
+     * execute() against other writers of the rows footprint() lists.
      */
-    Timestamp execute(const TxnDescriptor &d,
-                      std::span<const Timestamp> waits = {});
+    Timestamp execute(const TxnDescriptor &d);
 
-    /** Install row-ordering gates (nullptr disables; not owned). */
-    void setGate(TxnGate *gate) { gate_ = gate; }
+    /**
+     * Append to @p rows every access @p d makes to a row of a gated
+     * table (kGatedTables), in execution order and with whether it
+     * writes the row: a row the transaction names twice is listed
+     * twice. Add to @p inserts the rows @p d inserts, per table.
+     */
+    static void
+    footprint(const TxnDescriptor &d, std::vector<TxnAccess> &rows,
+              std::array<std::uint64_t, workload::kChTableCount> &inserts);
 
     const TxnStats &stats() const { return stats_; }
     void resetStats() { stats_ = TxnStats{}; }
@@ -347,15 +306,6 @@ class TpccEngine
     void applyNewOrder(const TxnDescriptor &d);
 
     /**
-     * Enter @p row's gate unless this txn already holds it, waiting
-     * for the predecessor the next entry of waits_ names.
-     */
-    void gateEnter(workload::ChTable t, RowId row);
-
-    /** Leave every gate held by the current transaction. */
-    void releaseGates(Timestamp ts);
-
-    /**
      * Functional read of the newest version into the scratch row +
      * cost accounting. Returns the row's canonical bytes.
      */
@@ -373,33 +323,19 @@ class TpccEngine
                     std::initializer_list<std::int64_t> values,
                     Timestamp ts);
 
-    RowId lookupOrDie(workload::ChTable t, std::uint64_t key);
-
-    void chargeIndex(std::uint64_t probes);
+    /** Charge the primary-key lookup that resolved @p row. */
+    void chargeIndex(const TxnRow &row);
     void commit(std::uint64_t dirtied_lines);
 
     Database &db_;
     InstanceFormat fmt_;
-    TxnCostConfig cost_;
     Rng rng_;
     TxnStats stats_;
-    // Resolved at construction (after db_, fmt_ and cost_), then
-    // only read.
+    // Resolved at construction (after db_ and fmt_), then only read.
     const Sites sites_;
     const std::array<WriteSite, workload::kChTableCount> writes_;
     /** One canonical row of the widest table. */
     std::vector<std::uint8_t> scratch_;
-    TxnGate *gate_ = nullptr;
-    /** The in-flight transaction's predecessors, one per gate entry. */
-    std::span<const Timestamp> waits_;
-
-    /** Gates held by the in-flight transaction (deduplicated). */
-    struct HeldGate
-    {
-        workload::ChTable table;
-        RowId row;
-    };
-    std::vector<HeldGate> held_;
 };
 
 } // namespace pushtap::txn

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
-#include <span>
+#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -13,20 +14,47 @@ namespace pushtap::txn {
 
 using workload::ChTable;
 
+TxnGate::TxnGate(const Database &db)
+{
+    // make_unique value-initializes: every row starts released at 0.
+    for (const ChTable t : kGatedTables)
+        applied_[static_cast<std::size_t>(t)] =
+            std::make_unique<std::atomic<Timestamp>[]>(
+                db.table(t).dataCapacity());
+}
+
+void
+TxnGate::enter(ChTable t, RowId row, Timestamp pred,
+               GateCounts &counts) const
+{
+    if (pred == 0)
+        return;
+    ++counts.waits;
+    const std::atomic<Timestamp> &a = applied(t, row);
+    if (a.load(std::memory_order_acquire) >= pred)
+        return;
+    ++counts.stalls;
+    const auto start = std::chrono::steady_clock::now();
+    // pred is smaller than the caller's own timestamp, so waits form
+    // no cycle.
+    while (a.load(std::memory_order_acquire) < pred)
+        std::this_thread::yield();
+    counts.stallNs += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
 TxnWorkerGroup::TxnWorkerGroup(Database &db, InstanceFormat fmt,
                                const format::BandwidthModel &bw,
                                const dram::BatchTimingModel &timing,
                                const TxnWorkerGroupOptions &opts)
     : db_(db), pool_(opts.workers), gate_(db), rng_(opts.seed)
 {
-    const std::uint32_t p = pool_.workers();
-    engines_.reserve(p);
-    for (std::uint32_t i = 0; i < p; ++i) {
-        engines_.push_back(std::make_unique<TpccEngine>(
-            db, fmt, bw, timing, opts.seed, opts.cost));
-        engines_.back()->setGate(&gate_);
-    }
-    partitions_ = std::make_unique<Partition[]>(p);
+    partitions_ = std::make_unique<Partition[]>(pool_.workers());
+    for (std::uint32_t p = 0; p < pool_.workers(); ++p)
+        partitions_[p].engine = std::make_unique<TpccEngine>(
+            db, fmt, bw, timing, opts.seed);
     for (const ChTable t : kGatedTables)
         lastWriter_[static_cast<std::size_t>(t)].assign(
             db.table(t).dataCapacity(), 0);
@@ -60,9 +88,10 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
     const std::uint32_t parts = pool_.workers();
     schedule_.clear();
     schedule_.reserve(n);
+    accesses_.clear();
     waits_.clear();
-    waitBegin_.clear();
-    waitBegin_.reserve(n + 1);
+    accessBegin_.clear();
+    accessBegin_.reserve(n + 1);
     for (std::uint32_t p = 0; p < parts; ++p) {
         partitions_[p].queue.clear();
         partitions_[p].nextPending.store(
@@ -79,10 +108,9 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
         schedule_.push_back(d);
     }
 
-    // 2. Partition by home warehouse, schedule each row gate's
-    //    cross-partition predecessor (in ts order, deduplicated per
-    //    transaction exactly as the engine enters them) and count
-    //    versions per rotation class.
+    // 2. Partition by home warehouse, walk each transaction's
+    //    footprint in ts order to schedule its gates' cross-partition
+    //    predecessors, and count versions per rotation class.
     std::array<std::vector<std::uint64_t>, workload::kChTableCount>
         per_class;
     std::array<std::uint64_t, workload::kChTableCount> inserts{};
@@ -92,72 +120,24 @@ TxnWorkerGroup::buildSchedule(std::uint64_t n)
                                 .rotationClasses(),
                             0);
 
-    const auto row_of = [&](ChTable t, std::uint64_t key) {
-        const auto row = db_.table(t).index().lookup(key);
-        if (!row)
-            panic("missing key {} in table {}", key,
-                  db_.table(t).schema().name());
-        return *row;
-    };
-    const auto bump = [&](ChTable t, RowId row) {
-        auto &vm = db_.table(t).versions();
-        ++per_class[static_cast<std::size_t>(t)]
-                   [vm.rotationClassOf(row)];
-    };
-    const auto count_insert = [&](ChTable t, std::uint64_t k) {
-        inserts[static_cast<std::size_t>(t)] += k;
-    };
-
-    std::vector<RowId> seen_stock;
     for (std::uint32_t i = 0; i < schedule_.size(); ++i) {
         const TxnDescriptor &d = schedule_[i];
-        const std::uint32_t p = partitionOf(d);
-        partitions_[p].queue.push_back(i);
-        waitBegin_.push_back(static_cast<std::uint32_t>(waits_.size()));
-
-        if (d.kind == TxnDescriptor::Kind::Payment) {
-            const RowId wrow =
-                row_of(ChTable::Warehouse, packKey(d.warehouse));
-            const RowId drow = row_of(
-                ChTable::District, packKey(d.warehouse, d.district));
-            const RowId crow = row_of(ChTable::Customer,
-                                      packKey(0, 0, d.customer));
-            scheduleGate(ChTable::Warehouse, wrow, d);
-            scheduleGate(ChTable::District, drow, d);
-            scheduleGate(ChTable::Customer, crow, d);
-            bump(ChTable::Warehouse, wrow);
-            bump(ChTable::District, drow);
-            bump(ChTable::Customer, crow);
-            count_insert(ChTable::History, 1);
-        } else {
-            const RowId drow = row_of(
-                ChTable::District, packKey(d.warehouse, d.district));
-            scheduleGate(ChTable::District, drow, d);
-            scheduleGate(ChTable::Customer,
-                         row_of(ChTable::Customer,
-                                packKey(0, 0, d.customer)),
-                         d);
-            bump(ChTable::District, drow);
-            seen_stock.clear();
-            for (const TxnLine &line : d.lines) {
-                const RowId srow = row_of(ChTable::Stock,
-                                          packKey(0, 0, line.item));
-                // Duplicate items create two versions but enter the
-                // row's gate once (mirrors TpccEngine::gateEnter).
-                bump(ChTable::Stock, srow);
-                if (std::find(seen_stock.begin(), seen_stock.end(),
-                              srow) == seen_stock.end()) {
-                    scheduleGate(ChTable::Stock, srow, d);
-                    seen_stock.push_back(srow);
-                }
+        partitions_[partitionOf(d)].queue.push_back(i);
+        accessBegin_.push_back(
+            static_cast<std::uint32_t>(accesses_.size()));
+        TpccEngine::footprint(d, accesses_, inserts);
+        for (std::size_t k = accessBegin_.back(); k < accesses_.size();
+             ++k) {
+            const TxnAccess &a = accesses_[k];
+            scheduleGate(a.table, a.row, d);
+            if (a.writes) {
+                auto &vm = db_.table(a.table).versions();
+                ++per_class[static_cast<std::size_t>(a.table)]
+                           [vm.rotationClassOf(a.row)];
             }
-            count_insert(ChTable::OrderLine,
-                         workload::kLinesPerOrder);
-            count_insert(ChTable::Orders, 1);
-            count_insert(ChTable::NewOrder, 1);
         }
     }
-    waitBegin_.push_back(static_cast<std::uint32_t>(waits_.size()));
+    accessBegin_.push_back(static_cast<std::uint32_t>(accesses_.size()));
 
     // 3. Inserted rows also become delta versions. Which transaction
     //    claims which tail row is scheduling-dependent, but the
@@ -207,13 +187,22 @@ void
 TxnWorkerGroup::drainPartition(std::uint32_t p)
 {
     Partition &part = partitions_[p];
-    TpccEngine &engine = *engines_[p];
     const std::size_t n = part.queue.size();
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t k = part.queue[i];
-        engine.execute(schedule_[k],
-                       std::span(waits_).subspan(
-                           waitBegin_[k], waitBegin_[k + 1] - waitBegin_[k]));
+        const TxnDescriptor &d = schedule_[k];
+        // Hold every gate from before the first access until after
+        // the commit.
+        for (std::uint32_t a = accessBegin_[k]; a < accessBegin_[k + 1];
+             ++a) {
+            const TxnAccess &acc = accesses_[a];
+            gate_.enter(acc.table, acc.row, waits_[a],
+                        part.gates[static_cast<std::size_t>(acc.table)]);
+        }
+        part.engine->execute(d);
+        for (std::uint32_t a = accessBegin_[k]; a < accessBegin_[k + 1];
+             ++a)
+            gate_.leave(accesses_[a].table, accesses_[a].row, d.ts);
         part.nextPending.store(
             i + 1 < n ? schedule_[part.queue[i + 1]].ts
                       : kPartitionDone,
@@ -274,8 +263,12 @@ TxnStats
 TxnWorkerGroup::stats() const
 {
     TxnStats merged;
-    for (const auto &e : engines_)
-        merged.merge(e->stats());
+    for (std::uint32_t p = 0; p < pool_.workers(); ++p) {
+        // An engine counts no gates; its partition's worker does.
+        TxnStats s = partitions_[p].engine->stats();
+        s.gates = partitions_[p].gates;
+        merged.merge(s);
+    }
     return merged;
 }
 

@@ -22,16 +22,20 @@
  *  3. Cross-partition conflicts (CUSTOMER and STOCK rows, which are
  *     keyed across warehouses; NewOrder's CUSTOMER read counts as
  *     one, since the chain steps it charges depend on which writes
- *     it sees) are ordered by per-row gates. While
- *     building the schedule the group keeps each gated row's last
- *     scheduled writer, and records for every gate a transaction
- *     enters that writer's timestamp when it belongs to another
- *     partition, else 0 (a same-partition predecessor has already
- *     run). At execution a transaction waits until the row's atomic
- *     reaches that timestamp and holds its gates to transaction end.
- *     Waits only ever target strictly smaller timestamps and the
- *     globally smallest unfinished transaction sits at the head of
- *     its partition's queue, so the schedule is deadlock-free.
+ *     it sees) are ordered by per-row gates. While building the
+ *     schedule the group walks each transaction's
+ *     TpccEngine::footprint (the gated rows it accesses, resolved
+ *     when it was drawn), keeps each gated row's last scheduled
+ *     writer, and records for every access that writer's timestamp
+ *     when it belongs to another partition, else 0 (a same-partition
+ *     predecessor has already run; so has the transaction itself
+ *     when it names a row twice). A worker enters all of a
+ *     transaction's gates, each waiting until the row's atomic
+ *     reaches the recorded timestamp, before TpccEngine::execute, and
+ *     leaves them after the commit. Waits only ever target strictly
+ *     smaller timestamps and the globally smallest unfinished
+ *     transaction sits at the head of its partition's queue, so the
+ *     schedule is deadlock-free.
  *  4. Before execution starts the group pre-computes each table's
  *     per-rotation-class version counts and pre-grows the delta
  *     regions, so no storage reallocation can happen under
@@ -67,7 +71,50 @@ struct TxnWorkerGroupOptions
     std::uint32_t workers = 1;
     /** Seed of the serial schedule stream (matches TpccEngine). */
     std::uint64_t seed = 7;
-    TxnCostConfig cost;
+};
+
+/**
+ * Row-level ordering gates for concurrent execution: one atomic per
+ * row of each gated table, holding the timestamp of the last writer
+ * that left the row. Before a transaction's first access, its worker
+ * enters the gate of every gated row it accesses, naming the row's
+ * scheduled predecessor, and enter() blocks until that writer has
+ * left. Gates are held until after the commit (2PL-style), so a
+ * same-row successor never observes a partial transaction. A row's
+ * writers leave in timestamp order, so its atomic only grows.
+ */
+class TxnGate
+{
+  public:
+    /** Released gates over every row @p db's gated tables can hold. */
+    explicit TxnGate(const Database &db);
+
+    /**
+     * Block until the writer at @p pred has left (t, row), counting
+     * the wait in @p counts; pred 0 (no predecessor to wait for)
+     * returns at once.
+     */
+    void enter(workload::ChTable t, RowId row, Timestamp pred,
+               GateCounts &counts) const;
+
+    /** The writer at @p ts leaves (t, row). */
+    void
+    leave(workload::ChTable t, RowId row, Timestamp ts)
+    {
+        applied(t, row).store(ts, std::memory_order_release);
+    }
+
+  private:
+    std::atomic<Timestamp> &
+    applied(workload::ChTable t, RowId row) const
+    {
+        return applied_[static_cast<std::size_t>(t)][row];
+    }
+
+    /** Per table, by row; null for tables without gates. */
+    std::array<std::unique_ptr<std::atomic<Timestamp>[]>,
+               workload::kChTableCount>
+        applied_;
 };
 
 class TxnWorkerGroup
@@ -106,7 +153,7 @@ class TxnWorkerGroup
     /** First timestamp of the current batch minus one. */
     Timestamp scheduleBase() const { return base_; }
 
-    /** Merged per-worker statistics. */
+    /** Merged per-worker statistics, gate counters included. */
     TxnStats stats() const;
 
   private:
@@ -137,7 +184,6 @@ class TxnWorkerGroup
     WorkerPool pool_;
     TxnGate gate_;
     Rng rng_;
-    std::vector<std::unique_ptr<TpccEngine>> engines_;
 
     std::vector<TxnDescriptor> schedule_;
     Timestamp base_ = 0;
@@ -150,17 +196,21 @@ class TxnWorkerGroup
      */
     std::array<std::vector<Timestamp>, workload::kChTableCount>
         lastWriter_;
-    /** Every gate entry's cross-partition predecessor (or 0), by
-     *  transaction, in the engine's entry order. */
+    /** Every transaction's footprint, by transaction. */
+    std::vector<TxnAccess> accesses_;
+    /** Each access's cross-partition predecessor (or 0). */
     std::vector<Timestamp> waits_;
-    /** Transaction i's entries are waits_[waitBegin_[i]] up to
-     *  waits_[waitBegin_[i + 1]]. */
-    std::vector<std::uint32_t> waitBegin_;
+    /** Transaction i's accesses are accesses_[accessBegin_[i]] up to
+     *  accesses_[accessBegin_[i + 1]]. */
+    std::vector<std::uint32_t> accessBegin_;
 
     struct Partition
     {
+        std::unique_ptr<TpccEngine> engine;
         std::vector<std::uint32_t> queue; ///< schedule_ indices, ts order.
         std::atomic<Timestamp> nextPending{kInvalidTimestamp};
+        /** Per table, the gates its transactions entered. */
+        std::array<GateCounts, workload::kChTableCount> gates{};
     };
     std::unique_ptr<Partition[]> partitions_;
 

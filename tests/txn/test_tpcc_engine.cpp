@@ -2,6 +2,8 @@
 
 #include "common/log.hpp"
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -209,6 +211,57 @@ TEST_F(TpccEngineTest, TimeAccumulates)
     EXPECT_GT(engine.stats().totalNs(), t1);
     EXPECT_GT(engine.stats().memTimeNs, 0.0);
     EXPECT_GT(engine.stats().memLines, 0.0);
+}
+
+TEST_F(TpccEngineTest, FootprintListsTheRowsExecuteVersions)
+{
+    // footprint() and apply*() are the two descriptions of a
+    // transaction: the worker group sizes the delta regions and
+    // places the row gates from the first, execute() writes through
+    // the second. Per table, the footprint's written rows plus the
+    // tail rows its inserts claim must be the rows of the versions a
+    // serial execute() appends.
+    Rng rng(5);
+    std::vector<TxnDescriptor> txns;
+    for (int i = 0; i < 300; ++i)
+        txns.push_back(TpccEngine::genMixed(rng, db));
+    // A NewOrder whose second line repeats the first line's item
+    // versions one STOCK row twice.
+    TxnDescriptor repeat = TpccEngine::genNewOrder(rng, db);
+    repeat.lines[1] = repeat.lines[0];
+    txns.push_back(repeat);
+
+    for (TxnDescriptor &d : txns) {
+        std::vector<TxnAccess> rows;
+        std::array<std::uint64_t, workload::kChTableCount> inserts{};
+        TpccEngine::footprint(d, rows, inserts);
+        std::vector<std::vector<RowId>> want(workload::kChTableCount);
+        for (const TxnAccess &a : rows)
+            if (a.writes)
+                want[static_cast<std::size_t>(a.table)].push_back(a.row);
+        for (std::size_t t = 0; t < want.size(); ++t) {
+            const RowId tail =
+                db.table(static_cast<ChTable>(t)).usedDataRows();
+            for (std::uint64_t k = 0; k < inserts[t]; ++k)
+                want[t].push_back(tail + k);
+        }
+
+        const auto before = versionsPerTable();
+        d.ts = db.nextTimestamp();
+        engine.execute(d);
+        for (std::size_t t = 0; t < want.size(); ++t) {
+            const auto &versions =
+                db.table(static_cast<ChTable>(t)).versions().versions();
+            std::vector<RowId> got;
+            for (std::size_t i = before[t]; i < versions.size(); ++i)
+                got.push_back(versions[i].rowId);
+            std::sort(got.begin(), got.end());
+            std::sort(want[t].begin(), want[t].end());
+            ASSERT_EQ(got, want[t])
+                << workload::chTableName(static_cast<ChTable>(t))
+                << " at ts " << d.ts;
+        }
+    }
 }
 
 TEST(TpccFormatComparison, FormatsOrderAsInFig9a)
