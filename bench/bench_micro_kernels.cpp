@@ -14,7 +14,9 @@
  * variant vs the raw byte-match path. The join-probe benches compare
  * the hashed GroupTable key set, a node-based set and the
  * direct-addressed BuildTable key set over the same keys,
- * BM_PoolDispatch times one short WorkerPool job, and
+ * BM_CaseAggOneGroup folds Q21's CASE aggregate over 20k expanded
+ * join entries into one group, BM_PoolDispatch times one short
+ * WorkerPool job, and
  * BM_TxnGroupBatch one 1,000-transaction TxnWorkerGroup batch.
  * Results land in
  * BENCH_micro.json (rows/s per kernel and variant, the minimum over
@@ -696,6 +698,68 @@ BM_UnorderedSetProbe(benchmark::State &state)
         olap::kMorselRows);
 }
 BENCHMARK(BM_UnorderedSetProbe);
+
+/**
+ * Q21's late-delivery aggregate over 20k expanded join entries:
+ * CASE WHEN ol_delivery_d > o_entry_d + 50 THEN 1 ELSE 0, evaluated
+ * column-at-a-time (evalExprBatch) and summed by GroupFold into one
+ * group, the ol_supply_w_id of a one-warehouse database. The
+ * post-join fold every expanded entry pays.
+ */
+void
+BM_CaseAggOneGroup(benchmark::State &state)
+{
+    constexpr std::size_t kEntries = 20'000;
+    class Columns final : public olap::BatchExprContext
+    {
+      public:
+        std::vector<std::int64_t> delivery, entry;
+
+        std::size_t entries() const override { return delivery.size(); }
+
+        std::span<const std::int64_t>
+        ints(const olap::ColRef &ref) override
+        {
+            return ref.side == olap::ColRef::kProbe ? delivery : entry;
+        }
+
+        std::span<const std::uint8_t>
+        chars(const olap::ColRef &, std::uint32_t &) override
+        {
+            return {};
+        }
+
+        std::span<const std::int64_t>
+        subqueryValues(const olap::Expr &) override
+        {
+            return {};
+        }
+    };
+    Rng rng(21);
+    Columns ctx;
+    for (std::size_t i = 0; i < kEntries; ++i) {
+        const auto entry = rng.inRange(0, 1'000'000);
+        ctx.entry.push_back(entry);
+        ctx.delivery.push_back(entry + rng.inRange(1, 100));
+    }
+    const auto expr = olap::foldConstants(
+        workload::executableQueryPlan(21)->aggregates[0].expr);
+    const std::vector<std::int64_t> supply_w(kEntries, 0);
+    const std::span<const std::int64_t> keys[] = {supply_w};
+    std::vector<std::int64_t> late;
+    olap::GroupFold fold(1, {olap::AggKind::Sum});
+    for (auto _ : state) {
+        olap::evalExprBatch(*expr, ctx, late);
+        const std::span<const std::int64_t> vals[] = {late};
+        fold.fold(kEntries, keys, vals);
+        benchmark::DoNotOptimize(late.data());
+    }
+    fold.flush(fold.table());
+    benchmark::DoNotOptimize(fold.table().size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kEntries));
+}
+BENCHMARK(BM_CaseAggOneGroup);
 
 void
 BM_HashIndexLookup(benchmark::State &state)

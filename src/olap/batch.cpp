@@ -182,8 +182,87 @@ BatchExprContext::likeValues(const Expr &e)
 
 namespace {
 
+void evalRec(const Expr &e, BatchExprContext &ctx,
+             std::vector<std::int64_t> &out);
+
 /**
- * Recursive column-at-a-time evaluation. Column leaves copy the
+ * out = (left Op right) over the entries, one tight loop of
+ * exprApplyOp<Op>: a literal operand folds into the loop instead of
+ * being materialized, and a column right operand is read straight
+ * off the provider's span (the left one is already in out, so no
+ * other provider call can reuse that span's scratch meanwhile).
+ */
+template <ExprOp Op>
+void
+binaryRec(const Expr &e, BatchExprContext &ctx,
+          std::vector<std::int64_t> &out)
+{
+    const Expr &l = *e.kids[0];
+    const Expr &r = *e.kids[1];
+    if (l.op == ExprOp::IntLit && r.op != ExprOp::IntLit) {
+        evalRec(r, ctx, out);
+        for (auto &v : out)
+            v = exprApplyOp<Op>(l.lit, v);
+        return;
+    }
+    evalRec(l, ctx, out);
+    if (r.op == ExprOp::IntLit) {
+        for (auto &v : out)
+            v = exprApplyOp<Op>(v, r.lit);
+        return;
+    }
+    std::vector<std::int64_t> scratch;
+    std::span<const std::int64_t> rhs;
+    if (r.op == ExprOp::Column) {
+        rhs = ctx.ints(r.col);
+    } else {
+        evalRec(r, ctx, scratch);
+        rhs = scratch;
+    }
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = exprApplyOp<Op>(out[i], rhs[i]);
+}
+
+/**
+ * CASE WHEN: the condition evaluates into out, and each entry then
+ * selects its arm in one loop; a literal arm is selected as is,
+ * without a vector of copies.
+ */
+void
+caseRec(const Expr &e, BatchExprContext &ctx,
+        std::vector<std::int64_t> &out)
+{
+    evalRec(*e.kids[0], ctx, out);
+    const Expr &te = *e.kids[1];
+    const Expr &ee = *e.kids[2];
+    std::vector<std::int64_t> tv, ev;
+    if (te.op != ExprOp::IntLit)
+        evalRec(te, ctx, tv);
+    if (ee.op != ExprOp::IntLit)
+        evalRec(ee, ctx, ev);
+    const auto select = [&out](auto &&then_at, auto &&else_at) {
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = out[i] != 0 ? then_at(i) : else_at(i);
+    };
+    const auto lit = [](const Expr &x) {
+        return [v = x.lit](std::size_t) { return v; };
+    };
+    const auto vec = [](const std::vector<std::int64_t> &x) {
+        return [&x](std::size_t i) { return x[i]; };
+    };
+    if (te.op == ExprOp::IntLit && ee.op == ExprOp::IntLit)
+        select(lit(te), lit(ee));
+    else if (te.op == ExprOp::IntLit)
+        select(lit(te), vec(ev));
+    else if (ee.op == ExprOp::IntLit)
+        select(vec(tv), lit(ee));
+    else
+        select(vec(tv), vec(ev));
+}
+
+/**
+ * Recursive column-at-a-time evaluation: one switch on the operator
+ * per node, then one loop over the entries. Column leaves copy the
  * provider span (the provider may reuse its scratch across calls
  * for different columns); everything else computes in place over
  * freshly sized vectors — morsel-bounded, so the transient
@@ -221,24 +300,21 @@ evalRec(const Expr &e, BatchExprContext &ctx,
             v = v == 0 ? 1 : 0;
         return;
       }
-      case ExprOp::CaseWhen: {
-        std::vector<std::int64_t> cond, then_v, else_v;
-        evalRec(*e.kids[0], ctx, cond);
-        evalRec(*e.kids[1], ctx, then_v);
-        evalRec(*e.kids[2], ctx, else_v);
-        out.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = cond[i] != 0 ? then_v[i] : else_v[i];
+      case ExprOp::CaseWhen:
+        caseRec(e, ctx, out);
         return;
-      }
-      default: {
-        std::vector<std::int64_t> rhs;
-        evalRec(*e.kids[0], ctx, out);
-        evalRec(*e.kids[1], ctx, rhs);
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = exprApply(e.op, out[i], rhs[i]);
-        return;
-      }
+      case ExprOp::Add: binaryRec<ExprOp::Add>(e, ctx, out); return;
+      case ExprOp::Sub: binaryRec<ExprOp::Sub>(e, ctx, out); return;
+      case ExprOp::Mul: binaryRec<ExprOp::Mul>(e, ctx, out); return;
+      case ExprOp::Div: binaryRec<ExprOp::Div>(e, ctx, out); return;
+      case ExprOp::Eq: binaryRec<ExprOp::Eq>(e, ctx, out); return;
+      case ExprOp::Ne: binaryRec<ExprOp::Ne>(e, ctx, out); return;
+      case ExprOp::Lt: binaryRec<ExprOp::Lt>(e, ctx, out); return;
+      case ExprOp::Le: binaryRec<ExprOp::Le>(e, ctx, out); return;
+      case ExprOp::Gt: binaryRec<ExprOp::Gt>(e, ctx, out); return;
+      case ExprOp::Ge: binaryRec<ExprOp::Ge>(e, ctx, out); return;
+      case ExprOp::And: binaryRec<ExprOp::And>(e, ctx, out); return;
+      case ExprOp::Or: binaryRec<ExprOp::Or>(e, ctx, out); return;
     }
 }
 

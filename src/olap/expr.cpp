@@ -72,29 +72,19 @@ exprOpName(ExprOp op)
 std::int64_t
 exprApply(ExprOp op, std::int64_t a, std::int64_t b)
 {
-    const auto ua = static_cast<std::uint64_t>(a);
-    const auto ub = static_cast<std::uint64_t>(b);
     switch (op) {
-      case ExprOp::Add:
-        return static_cast<std::int64_t>(ua + ub);
-      case ExprOp::Sub:
-        return static_cast<std::int64_t>(ua - ub);
-      case ExprOp::Mul:
-        return static_cast<std::int64_t>(ua * ub);
-      case ExprOp::Div:
-        if (b == 0)
-            return 0;
-        if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-            return a;
-        return a / b;
-      case ExprOp::Eq: return a == b ? 1 : 0;
-      case ExprOp::Ne: return a != b ? 1 : 0;
-      case ExprOp::Lt: return a < b ? 1 : 0;
-      case ExprOp::Le: return a <= b ? 1 : 0;
-      case ExprOp::Gt: return a > b ? 1 : 0;
-      case ExprOp::Ge: return a >= b ? 1 : 0;
-      case ExprOp::And: return (a != 0 && b != 0) ? 1 : 0;
-      case ExprOp::Or: return (a != 0 || b != 0) ? 1 : 0;
+      case ExprOp::Add: return exprApplyOp<ExprOp::Add>(a, b);
+      case ExprOp::Sub: return exprApplyOp<ExprOp::Sub>(a, b);
+      case ExprOp::Mul: return exprApplyOp<ExprOp::Mul>(a, b);
+      case ExprOp::Div: return exprApplyOp<ExprOp::Div>(a, b);
+      case ExprOp::Eq: return exprApplyOp<ExprOp::Eq>(a, b);
+      case ExprOp::Ne: return exprApplyOp<ExprOp::Ne>(a, b);
+      case ExprOp::Lt: return exprApplyOp<ExprOp::Lt>(a, b);
+      case ExprOp::Le: return exprApplyOp<ExprOp::Le>(a, b);
+      case ExprOp::Gt: return exprApplyOp<ExprOp::Gt>(a, b);
+      case ExprOp::Ge: return exprApplyOp<ExprOp::Ge>(a, b);
+      case ExprOp::And: return exprApplyOp<ExprOp::And>(a, b);
+      case ExprOp::Or: return exprApplyOp<ExprOp::Or>(a, b);
       case ExprOp::Not: return a == 0 ? 1 : 0;
       case ExprOp::IntLit:
       case ExprOp::Column:

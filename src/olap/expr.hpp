@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -117,6 +118,48 @@ const char *exprOpName(ExprOp op);
  * side-effect free). Not is unary: pass the operand as @p a.
  */
 std::int64_t exprApply(ExprOp op, std::int64_t a, std::int64_t b = 0);
+
+/**
+ * exprApply for one binary operator fixed at compile time: the step
+ * exprApply dispatches to, and the batch evaluator's per-operator
+ * loops run.
+ */
+template <ExprOp Op>
+constexpr std::int64_t
+exprApplyOp(std::int64_t a, std::int64_t b)
+{
+    using U = std::uint64_t;
+    if constexpr (Op == ExprOp::Add)
+        return static_cast<std::int64_t>(U(a) + U(b));
+    else if constexpr (Op == ExprOp::Sub)
+        return static_cast<std::int64_t>(U(a) - U(b));
+    else if constexpr (Op == ExprOp::Mul)
+        return static_cast<std::int64_t>(U(a) * U(b));
+    else if constexpr (Op == ExprOp::Div) {
+        if (b == 0)
+            return 0;
+        if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+            return a;
+        return a / b;
+    } else if constexpr (Op == ExprOp::Eq)
+        return a == b ? 1 : 0;
+    else if constexpr (Op == ExprOp::Ne)
+        return a != b ? 1 : 0;
+    else if constexpr (Op == ExprOp::Lt)
+        return a < b ? 1 : 0;
+    else if constexpr (Op == ExprOp::Le)
+        return a <= b ? 1 : 0;
+    else if constexpr (Op == ExprOp::Gt)
+        return a > b ? 1 : 0;
+    else if constexpr (Op == ExprOp::Ge)
+        return a >= b ? 1 : 0;
+    else if constexpr (Op == ExprOp::And)
+        return (a != 0 && b != 0) ? 1 : 0;
+    else {
+        static_assert(Op == ExprOp::Or, "not a binary operator");
+        return (a != 0 || b != 0) ? 1 : 0;
+    }
+}
 
 /**
  * '%'-wildcard LIKE over a fixed-width Char payload: the effective

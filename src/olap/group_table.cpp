@@ -63,7 +63,7 @@ KeyDomain::observe(std::uint32_t width, std::span<const BuildRows> tasks,
     Bounds lo{}, hi{};
     bool any = false;
     for (const auto &t : tasks) {
-        if (t.rows == 0)
+        if (t.collected() == 0)
             continue;
         for (std::uint32_t c = 0; c < width; ++c) {
             lo[c] = any ? std::min(lo[c], t.lo[c]) : t.lo[c];
@@ -82,8 +82,10 @@ BuildTable::BuildTable(BuildForm form, std::uint32_t width,
     : form_(form), width_(width), valWidth_(val_width),
       kinds_(std::move(kinds))
 {
-    for (const auto &t : tasks)
-        rows_ += t.rows;
+    for (const auto &t : tasks) {
+        rows_ += t.collected();
+        kept_ += t.rows;
+    }
     if (form == BuildForm::TupleRanges &&
         rows_ > std::numeric_limits<std::uint32_t>::max())
         fatal("BuildTable: an inner-join build of {} rows overflows its "
@@ -184,7 +186,7 @@ BuildTable::placeTupleRanges(std::span<const BuildRows> tasks,
     // every key's tuples keep the serial scan order. offsets_[s] is
     // slot s's cursor and ends at slot s + 1's start; shifting the
     // array up by one restores the starts.
-    tuples_.resize(rows_ * valWidth_);
+    tuples_.resize(kept_ * valWidth_);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
         const auto *vals = tasks[t].vals.data();
         for (const auto s : slots[t]) {
@@ -390,9 +392,10 @@ GroupFold::foldWindow(std::size_t n, Columns keys, Columns vals)
         for (std::size_t i = 0; i < n; ++i)
             ++counts_[slotAt(i)];
     };
-    switch (window_.width) {
-      case 0:
-        // One slot: a plain reduction per column, in a register.
+    if (window_.slots == 1) {
+        // One slot — an ungrouped fold, or every key column constant
+        // over the batch: a plain reduction per column, in a
+        // register.
         for (std::size_t a = 0; a < na; ++a) {
             std::int64_t acc = aggs_[a];
             foldColumn(kinds_[a], &acc, vals[a], n,
@@ -400,7 +403,9 @@ GroupFold::foldWindow(std::size_t n, Columns keys, Columns vals)
             aggs_[a] = acc;
         }
         counts_[0] += n;
-        break;
+        return;
+    }
+    switch (window_.width) {
       case 1: {
         // One key column: its offset is the slot, with no slot vector.
         const auto col = keys[0];

@@ -399,8 +399,9 @@ combineSlots(std::span<const AggKind> kinds, GroupTable::Group into,
 
 /**
  * The surviving rows of one build-scan task, in scan order: what a
- * join build or a subquery pre-pass collected from its source table.
- * BuildTable places them.
+ * join build or a subquery pre-pass collected from its source table,
+ * less the rows a semi-join reduction dropped (retain()). BuildTable
+ * places them.
  */
 struct BuildRows
 {
@@ -409,10 +410,47 @@ struct BuildRows
     /** Value ints per row, row after row: an inner join's payload
      *  tuple or a subquery's evaluated aggregate inputs. */
     std::vector<std::int64_t> vals;
-    /** Each key column's min and max over the rows (unset while
-     *  there are none). */
+    /** Each key column's min and max over the collected rows, dropped
+     *  ones included (unset while none was collected). */
     std::array<std::int64_t, InlineKey::kMaxKeys> lo{}, hi{};
     std::size_t rows = 0;
+    /** Collected rows that retain() dropped. */
+    std::size_t dropped = 0;
+
+    /** Rows the scan collected, dropped ones included. */
+    std::size_t collected() const { return rows + dropped; }
+
+    /**
+     * Keep the rows i < rows for which @p keep(i) holds, in scan
+     * order, with @p width value ints per row. @p keep(i) is asked
+     * once per row, in order, before row i moves. lo and hi keep
+     * ranging over every collected row.
+     */
+    template <typename Keep>
+    void
+    retain(std::size_t width, Keep &&keep)
+    {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < rows; ++i) {
+            if (!keep(i))
+                continue;
+            if (n != i) {
+                for (auto &col : keys)
+                    col[n] = col[i];
+                std::copy_n(vals.begin() + static_cast<std::ptrdiff_t>(
+                                               i * width),
+                            width,
+                            vals.begin() +
+                                static_cast<std::ptrdiff_t>(n * width));
+            }
+            ++n;
+        }
+        for (auto &col : keys)
+            col.resize(n);
+        vals.resize(n * width);
+        dropped += rows - n;
+        rows = n;
+    }
 
     /** Append a batch of key column @p c's values, widening its
      *  range; the caller counts the batch's rows into `rows` once
@@ -519,8 +557,8 @@ struct KeyDomain
                                              const Bounds &hi,
                                              std::uint64_t bound);
 
-    /** The domain of @p tasks' keys (ofRanges over their bounds); a
-     *  domain with no slot when they hold no row. */
+    /** The domain of @p tasks' collected keys (ofRanges over their
+     *  bounds); a domain with no slot when they collected no row. */
     static std::optional<KeyDomain>
     observe(std::uint32_t width, std::span<const BuildRows> tasks,
             std::uint64_t bound);
@@ -568,7 +606,10 @@ struct KeyDomain
  * otherwise its number in a GroupTable of the build's distinct keys
  * (a probe hashes the key and looks it up). Only denseSlots() tells
  * the two mappings apart, and every answer is identical for any
- * worker count.
+ * worker count. The domain and the density rule read every collected
+ * row, so a build whose tasks a semi-join reduction thinned
+ * (BuildRows::retain) takes the form the unreduced build would, and
+ * places only the rows that were kept.
  */
 class BuildTable
 {
@@ -596,11 +637,16 @@ class BuildTable
                                  std::span<const BuildRows> tasks,
                                  WorkerPool *pool);
 
-    /** Rows collected, summed over tasks. */
+    /** Rows collected, summed over tasks, dropped ones included: the
+     *  rows the key domain and the density rule are read off. */
     std::uint64_t rows() const { return rows_; }
 
+    /** Rows placed: the collected rows less the ones a reduction
+     *  dropped. */
+    std::uint64_t kept() const { return kept_; }
+
     /** Slots of the key domain; 0 when the keys are numbered, and for
-     *  a build of no rows (a domain with no slot). */
+     *  a build that collected no row (a domain with no slot). */
     std::uint64_t denseSlots() const { return numbered_ ? 0 : slots_; }
 
     /**
@@ -698,6 +744,7 @@ class BuildTable
     std::uint32_t valWidth_ = 0;
     std::vector<AggKind> kinds_;
     std::uint64_t rows_ = 0;
+    std::uint64_t kept_ = 0;
     std::uint64_t slots_ = 0;
     /** True when keys_ maps keys to slots, false when domain_ does. */
     bool numbered_ = false;
@@ -724,11 +771,11 @@ class BuildTable
  * column by column into the window's slots without hashing. Any other
  * batch first flushes the window into the table, then opens a new
  * window over its own key domain when that spans at most one slot per
- * kRowsPerSlot entries, and otherwise hashes entry by entry. An
- * ungrouped fold (width 0) has one slot, which every batch lies in,
- * so each of its batches is a plain column reduction. Every fold
- * commutes, so which batches took the window cannot show once
- * flush() has emptied it.
+ * kRowsPerSlot entries, and otherwise hashes entry by entry. A window
+ * of one slot — an ungrouped fold (width 0), or a batch whose every
+ * key column is constant — folds each batch as a plain column
+ * reduction in a register. Every fold commutes, so which batches took
+ * the window cannot show once flush() has emptied it.
  */
 class GroupFold
 {

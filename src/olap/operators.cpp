@@ -578,24 +578,79 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // order so inner-join match expansion stays byte-identical to the
     // serial build. Built once here, then probed strictly read-only
     // by every worker.
-    std::vector<BuildTable> builds;
-    builds.reserve(plan.joins.size());
-    for (const auto &join : plan.joins) {
-        const bool inner = join.kind == JoinKind::Inner;
+    //
+    // Semi-join reduction: a join that reduces inner join k
+    // (reducedJoin) is built before k is placed, and each of k's
+    // collected tuples is tested against it once, in scan order; the
+    // probe then never runs it, and k's matches expand into the
+    // surviving entries only, in the order they had.
+    std::vector<std::vector<std::size_t>> reducers(plan.joins.size());
+    for (std::size_t j = 0; j < plan.joins.size(); ++j)
+        if (const auto k = reducedJoin(plan, j))
+            reducers[*k].push_back(j);
+    std::vector<std::optional<BuildTable>> builds(plan.joins.size());
+    auto collect = [&](std::size_t k) {
+        const auto &join = plan.joins[k];
         std::vector<std::string> key_cols;
         for (const auto &key : join.keys)
             key_cols.push_back(key.first);
-        const auto rows = collectBuildRows(
-            db.table(join.build.table).store(), join.build, key_cols,
-            inner ? join.payload : std::vector<std::string>{}, {}, opts,
-            pool);
-        const auto keyw = static_cast<std::uint32_t>(key_cols.size());
-        builds.push_back(
-            inner ? BuildTable::tupleRanges(
-                        keyw,
-                        static_cast<std::uint32_t>(join.payload.size()),
-                        rows, pool)
-                  : BuildTable::keySet(keyw, rows, pool));
+        return collectBuildRows(db.table(join.build.table).store(),
+                                join.build, key_cols, join.payload, {},
+                                opts, pool);
+    };
+    /** Keep the tuples of inner join k's @p rows that pass reducing
+     *  join j: their payload key is (semi) or is not (anti) in j's
+     *  key set. */
+    auto reduce = [&](std::vector<BuildRows> &rows, std::size_t k,
+                      std::size_t j) {
+        const auto &payload = plan.joins[k].payload;
+        std::vector<std::size_t> at;
+        for (const auto &[build_col, ref] : plan.joins[j].keys)
+            at.push_back(static_cast<std::size_t>(
+                std::find(payload.begin(), payload.end(), ref.column) -
+                payload.begin()));
+        const bool anti = plan.joins[j].kind == JoinKind::Anti;
+        const BuildTable &set = *builds[j];
+        runTasks(pool, rows.size(), [&](std::uint32_t, std::size_t t) {
+            auto &r = rows[t];
+            std::vector<std::vector<std::int64_t>> keys(
+                at.size(), std::vector<std::int64_t>(r.rows));
+            for (std::size_t c = 0; c < at.size(); ++c)
+                for (std::size_t i = 0; i < r.rows; ++i)
+                    keys[c][i] = r.vals[i * payload.size() + at[c]];
+            std::vector<std::uint64_t> locs;
+            set.find(
+                r.rows,
+                [&](std::size_t c) {
+                    return std::span<const std::int64_t>(keys[c]);
+                },
+                locs);
+            r.retain(payload.size(), [&](std::size_t i) {
+                return set.contains(locs[i]) != anti;
+            });
+        });
+    };
+    auto keySet = [&](std::size_t j) {
+        builds[j] = BuildTable::keySet(
+            static_cast<std::uint32_t>(plan.joins[j].keys.size()),
+            collect(j), pool);
+    };
+    for (std::size_t k = 0; k < plan.joins.size(); ++k) {
+        const auto &join = plan.joins[k];
+        if (builds[k])
+            continue; // A reducing join, built for its inner join.
+        if (join.kind != JoinKind::Inner) {
+            keySet(k);
+            continue;
+        }
+        auto rows = collect(k);
+        for (const auto j : reducers[k]) {
+            keySet(j);
+            reduce(rows, k, j);
+        }
+        builds[k] = BuildTable::tupleRanges(
+            static_cast<std::uint32_t>(join.keys.size()),
+            static_cast<std::uint32_t>(join.payload.size()), rows, pool);
     }
     const auto t_build = Clock::now();
 
@@ -693,8 +748,9 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // columns are *selection kernels*: each probes the morsel's keys
     // in bulk and compacts the selection like any other predicate,
     // so a plan whose joins are all of that shape still runs its
-    // aggregation fused. Inner joins and payload-keyed joins go
-    // through the batched match expansion.
+    // aggregation fused. Inner joins and the remaining payload-keyed
+    // joins go through the batched match expansion; reducing joins
+    // were applied at build time and run nowhere in the probe.
     std::vector<char> probe_keyed(plan.joins.size(), 1);
     for (std::size_t k = 0; k < plan.joins.size(); ++k)
         for (const auto &ref : join_key_refs[k])
@@ -702,6 +758,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 probe_keyed[k] = 0;
     std::vector<std::size_t> filter_joins, descend_joins;
     for (std::size_t k = 0; k < plan.joins.size(); ++k) {
+        if (reducedJoin(plan, k))
+            continue;
         if (plan.joins[k].kind != JoinKind::Inner && probe_keyed[k])
             filter_joins.push_back(k);
         else
@@ -873,7 +931,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             for (const auto &ref : refs)
                 st.rd[ref.idx].gatherInts(m, st.sel.span(),
                                           st.batches[ref.idx]);
-            builds[k].find(
+            builds[k]->find(
                 st.sel.size(),
                 [&](std::size_t c) {
                     return std::span<const std::int64_t>(
@@ -886,7 +944,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
                 st.sel.idx[n] = st.sel.idx[i];
                 n += static_cast<std::size_t>(
-                    builds[k].contains(st.locs[i]) != anti);
+                    builds[k]->contains(st.locs[i]) != anti);
             }
             st.sel.idx.resize(n);
         }
@@ -917,7 +975,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             if (!probe_keyed[k])
                 continue;
             const auto &refs = join_key_refs[k];
-            builds[k].find(
+            builds[k]->find(
                 st.sel.size(),
                 [&](std::size_t c) {
                     return std::span<const std::int64_t>(
@@ -939,7 +997,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         st.activeTup.clear();
 
         for (const auto k : descend_joins) {
-            const auto &side = builds[k];
+            const auto &side = *builds[k];
             if (!probe_keyed[k]) {
                 // Keys over earlier joins' payloads: gather them over
                 // the entries, then locate in bulk.
@@ -1076,10 +1134,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     for (const auto *st : engaged)
         out.rowsVisible += st->visible;
     for (const auto &b : builds)
-        out.stats.joinBuilds.push_back({b.rows(), b.denseSlots()});
+        out.stats.joinBuilds.push_back(
+            {b->rows(), b->denseSlots(), b->kept()});
     for (const auto &sub : subqueries)
         out.stats.subqueryBuilds.push_back(
-            {sub.rows(), sub.denseSlots()});
+            {sub.rows(), sub.denseSlots(), sub.kept()});
 
     std::vector<GroupTable *> tables;
     for (auto *st : engaged)

@@ -27,8 +27,11 @@
  * semi/anti joins, an offset array over the payload tuples for inner
  * joins, flat slots for subqueries): the key's offset in the keys'
  * observed domain when that is small enough, its number in a
- * GroupTable of the distinct keys otherwise. The fan-out probes it
- * strictly read-only. After the fan-out every worker's fold flushes
+ * GroupTable of the distinct keys otherwise. A semi or anti join
+ * keyed on one inner join's payload alone (reducedJoin, olap/plan.hpp)
+ * is built first and applied to that join's collected tuples before
+ * they are placed, so it never runs in the probe. The fan-out probes
+ * the builds strictly read-only. After the fan-out every worker's fold flushes
  * its key-domain window into one GroupTable, the per-worker tables
  * merge once with commutative folds (mergeGroupTables), and the groups
  * materialize in a total order, so results are byte-identical to the
@@ -74,9 +77,12 @@ struct QueryResult
 struct BuildExecStats
 {
     std::uint64_t rows = 0; ///< Rows its scan collected.
-    /** Key-domain slots; 0 when the keys were numbered, and for a
-     *  build that collected no row. */
+    /** Key-domain slots over the collected keys; 0 when the keys were
+     *  numbered, and for a build that collected no row. */
     std::uint64_t denseSlots = 0;
+    /** Rows placed: an inner join's tuples left after the joins that
+     *  reduce it (reducedJoin) dropped theirs; `rows` otherwise. */
+    std::uint64_t kept = 0;
 };
 
 /**

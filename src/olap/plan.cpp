@@ -368,6 +368,21 @@ validatePlan(const QueryPlan &plan)
     }
 }
 
+std::optional<std::size_t>
+reducedJoin(const QueryPlan &plan, std::size_t j)
+{
+    const auto &join = plan.joins[j];
+    if (join.kind == JoinKind::Inner || join.keys.empty())
+        return std::nullopt;
+    const int side = join.keys.front().second.side;
+    if (side == ColRef::kProbe)
+        return std::nullopt;
+    for (const auto &[build_col, ref] : join.keys)
+        if (ref.side != side)
+            return std::nullopt;
+    return static_cast<std::size_t>(side);
+}
+
 namespace {
 
 const char *
@@ -512,6 +527,8 @@ describePlan(const QueryPlan &plan)
             os << (i ? ", " : "") << build_col << " == "
                << refStr(ref);
         }
+        if (const auto reduced = reducedJoin(plan, k))
+            os << " [reduces j" << *reduced << "'s build]";
         os << "\n";
         dumpInput(os, join.build, "    ");
         if (!join.payload.empty()) {

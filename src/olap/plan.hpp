@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -234,9 +235,22 @@ touchedColumns(const QueryPlan &plan);
 void validatePlan(const QueryPlan &plan);
 
 /**
+ * The inner join that join @p j of @p plan reduces, if any: a semi or
+ * anti join whose keys all name the payload of one earlier inner join
+ * k reduces k. Its test reads nothing but k's payload tuple, so the
+ * executor applies it to k's build tuples — k keeps the tuples whose
+ * key is (semi) or is not (anti) in j's key set — instead of to every
+ * entry that k's matches expand into. A key that mixes probe and
+ * payload columns, or spans two joins' payloads, reduces nothing.
+ */
+std::optional<std::size_t> reducedJoin(const QueryPlan &plan,
+                                       std::size_t j);
+
+/**
  * EXPLAIN-style text dump of a logical plan: probe predicates,
- * subquery pre-passes, the join chain with kinds and key equalities,
- * grouping, aggregates and sort/limit. One node per line.
+ * subquery pre-passes, the join chain with kinds and key equalities
+ * (a reducing join marked with the build it reduces), grouping,
+ * aggregates and sort/limit. One node per line.
  */
 std::string describePlan(const QueryPlan &plan);
 

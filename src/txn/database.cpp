@@ -1,9 +1,11 @@
 #include "txn/database.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -91,6 +93,31 @@ Database::Database(const DatabaseConfig &cfg)
         tbl->store().buildDictionaries(cfg_.dictMaxCardinality);
 }
 
+namespace {
+
+/**
+ * The columns of @p t's primary-key index in packKey's (a, b, c)
+ * argument order, null where the key packs 0; all null for a table
+ * without an index (history, new-order, order-line).
+ */
+std::array<const char *, 3>
+primaryKeyColumns(ChTable t)
+{
+    switch (t) {
+      case ChTable::Warehouse: return {"w_id", nullptr, nullptr};
+      case ChTable::District: return {"d_w_id", "d_id", nullptr};
+      case ChTable::Customer: return {nullptr, nullptr, "c_id"};
+      case ChTable::Item: return {nullptr, nullptr, "i_id"};
+      // STOCK and ITEM have equal row counts (section 7.1), so stock
+      // is keyed by item id alone.
+      case ChTable::Stock: return {nullptr, nullptr, "s_i_id"};
+      case ChTable::Orders: return {nullptr, nullptr, "o_id"};
+      default: return {nullptr, nullptr, nullptr};
+    }
+}
+
+} // namespace
+
 void
 Database::populate()
 {
@@ -99,46 +126,24 @@ Database::populate()
         const auto &schema = tbl->schema();
         row.assign(schema.rowBytes(), 0);
         const workload::ConstRowView v(schema, row);
+        // Primary-key index population, its columns resolved once.
+        std::array<std::optional<ColumnId>, 3> pk;
+        const auto names = primaryKeyColumns(tbl->id());
+        for (std::size_t c = 0; c < pk.size(); ++c)
+            if (names[c])
+                pk[c] = schema.columnId(names[c]);
+        const bool indexed = pk[0] || pk[1] || pk[2];
         const std::uint64_t n = tbl->populatedRows();
         for (RowId r = 0; r < n; ++r) {
             gen_.fillRow(tbl->id(), schema, r, row);
             tbl->store().writeRow(storage::Region::Data, r, row);
-
-            // Primary-key index population.
-            std::uint64_t key = 0;
-            switch (tbl->id()) {
-              case ChTable::Warehouse:
-                key = packKey(static_cast<std::uint64_t>(
-                    v.getInt("w_id")));
-                break;
-              case ChTable::District:
-                key = packKey(static_cast<std::uint64_t>(
-                                  v.getInt("d_w_id")),
-                              static_cast<std::uint64_t>(
-                                  v.getInt("d_id")));
-                break;
-              case ChTable::Customer:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("c_id")));
-                break;
-              case ChTable::Item:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("i_id")));
-                break;
-              case ChTable::Stock:
-                // STOCK and ITEM have equal row counts (section 7.1),
-                // so stock is keyed by item id alone.
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("s_i_id")));
-                break;
-              case ChTable::Orders:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("o_id")));
-                break;
-              default:
-                continue; // history/neworder/orderline: no PK index
-            }
-            tbl->index().insert(key, r);
+            if (!indexed)
+                continue;
+            std::array<std::uint64_t, 3> key{};
+            for (std::size_t c = 0; c < pk.size(); ++c)
+                if (pk[c])
+                    key[c] = static_cast<std::uint64_t>(v.getInt(*pk[c]));
+            tbl->index().insert(packKey(key[0], key[1], key[2]), r);
         }
     }
 }

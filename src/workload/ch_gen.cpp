@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "common/log.hpp"
 
@@ -32,10 +33,59 @@ randomText(Rng &rng, std::size_t len)
     return s;
 }
 
+/**
+ * One generated row's writer: the k-th set call writes column k of
+ * the schema, so no value looks its column up by name. Each call
+ * still names its column, and a name that is not column k's — a
+ * fillRow case out of schema order — panics; the compare of two short
+ * names is all a value pays.
+ */
+class ColumnWriter
+{
+  public:
+    ColumnWriter(const format::TableSchema &schema,
+                 std::span<std::uint8_t> row)
+        : v_(schema, row)
+    {
+    }
+
+    void
+    setInt(std::string_view name, std::int64_t value)
+    {
+        v_.setInt(next(name), value);
+    }
+
+    void
+    setChars(std::string_view name, std::string_view s)
+    {
+        v_.setChars(next(name), s);
+    }
+
+  private:
+    ColumnId
+    next(std::string_view name)
+    {
+        const ColumnId c = next_++;
+        const auto &col = v_.schema().column(c);
+        if (col.name != name)
+            panic("fillRow: column {} of {} is {}, not {}", c,
+                  v_.schema().name(), col.name, name);
+        return c;
+    }
+
+    RowView v_;
+    ColumnId next_ = 0;
+};
+
 } // namespace
 
 ChGenerator::ChGenerator(std::uint64_t seed, double scale)
-    : seed_(seed), scale_(scale), counts_(chRowCounts(scale))
+    : seed_(seed), scale_(scale), counts_(chRowCounts(scale)),
+      nWarehouses_(counts_.at(ChTable::Warehouse)),
+      nDistricts_(counts_.at(ChTable::District)),
+      nCustomers_(counts_.at(ChTable::Customer)),
+      nItems_(counts_.at(ChTable::Item)),
+      nOrders_(counts_.at(ChTable::Orders))
 {
 }
 
@@ -44,14 +94,16 @@ ChGenerator::fillRow(ChTable t, const format::TableSchema &schema,
                      RowId r, std::span<std::uint8_t> row) const
 {
     std::fill(row.begin(), row.begin() + schema.rowBytes(), 0);
-    RowView v(schema, row);
+    // Every case sets its table's columns in schema order (an
+    // extension's appended columns stay zero).
+    ColumnWriter v(schema, row);
     Rng rng = rowRng(t, r);
 
-    const std::uint64_t n_warehouses = counts_.at(ChTable::Warehouse);
-    const std::uint64_t n_districts = counts_.at(ChTable::District);
-    const std::uint64_t n_customers = counts_.at(ChTable::Customer);
-    const std::uint64_t n_items = counts_.at(ChTable::Item);
-    const std::uint64_t n_orders = counts_.at(ChTable::Orders);
+    const std::uint64_t n_warehouses = nWarehouses_;
+    const std::uint64_t n_districts = nDistricts_;
+    const std::uint64_t n_customers = nCustomers_;
+    const std::uint64_t n_items = nItems_;
+    const std::uint64_t n_orders = nOrders_;
 
     switch (t) {
       case ChTable::Warehouse:

@@ -69,6 +69,9 @@ class ChGenerator
     std::uint64_t seed_;
     double scale_;
     std::map<ChTable, std::uint64_t> counts_;
+    /** The row counts fillRow reads, looked up once. */
+    std::uint64_t nWarehouses_, nDistricts_, nCustomers_, nItems_,
+        nOrders_;
 };
 
 } // namespace pushtap::workload

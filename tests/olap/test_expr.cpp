@@ -4,10 +4,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "olap/batch.hpp"
 #include "olap/expr.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
@@ -53,6 +56,110 @@ TEST(ExprSemantics, ArithmeticWrapsAndDivisionIsGuarded)
     EXPECT_EQ(exprApply(ExprOp::Or, 0, 0), 0);
     EXPECT_EQ(exprApply(ExprOp::Not, 7, 0), 0);
     EXPECT_EQ(exprApply(ExprOp::Not, 0, 0), 1);
+}
+
+/** Int columns by name over a fixed entry count: the leaves the
+ *  batch evaluator reads. */
+class VecContext final : public BatchExprContext
+{
+  public:
+    std::map<std::string, std::vector<std::int64_t>> cols;
+
+    std::size_t
+    entries() const override
+    {
+        return cols.begin()->second.size();
+    }
+
+    std::span<const std::int64_t>
+    ints(const ColRef &ref) override
+    {
+        return cols.at(ref.column);
+    }
+
+    std::span<const std::uint8_t>
+    chars(const ColRef &ref, std::uint32_t &) override
+    {
+        fatal("VecContext: no char column {}", ref.column);
+    }
+
+    std::span<const std::int64_t>
+    subqueryValues(const Expr &) override
+    {
+        fatal("VecContext: no subqueries");
+    }
+};
+
+TEST(ExprBatch, LiteralFormsMatchScalarApply)
+{
+    // Every binary operator with a literal right operand, a literal
+    // left operand, a column and a subtree on the right, evaluated
+    // over the entries in one batch, equals exprApply entry by entry
+    // — INT64_MIN / -1, x / 0 and wrapping multiplies included. CASE
+    // with literal and column arms selects like the scalar definition.
+    using namespace ex;
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<std::int64_t> a = {kMin, kMin, kMax, -7, 0, 7,
+                                         3'000'000'000, 1, -1, 42};
+    const std::vector<std::int64_t> b = {-1, 0, 2, 2, 0, -2,
+                                         3'000'000'000, kMin, kMax, 0};
+    VecContext ctx;
+    ctx.cols = {{"a", a}, {"b", b}};
+    const std::vector<std::int64_t> lits = {-1, 0, 2, kMin, kMax};
+    const std::vector<std::pair<ExprOp, ExprPtr (*)(ExprPtr, ExprPtr)>>
+        ops = {{ExprOp::Add, add}, {ExprOp::Sub, sub}, {ExprOp::Mul, mul},
+               {ExprOp::Div, div}, {ExprOp::Eq, eq},   {ExprOp::Ne, ne},
+               {ExprOp::Lt, lt},   {ExprOp::Le, le},   {ExprOp::Gt, gt},
+               {ExprOp::Ge, ge},   {ExprOp::And, and_}, {ExprOp::Or, or_}};
+    std::vector<std::int64_t> got;
+    const auto expect = [&](const ExprPtr &e, auto &&want,
+                            const std::string &what) {
+        evalExprBatch(*e, ctx, got);
+        ASSERT_EQ(got.size(), a.size()) << what;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            EXPECT_EQ(got[i], want(i)) << what << " entry " << i;
+    };
+    for (const auto &[op, make] : ops) {
+        const std::string name = exprOpName(op);
+        for (const auto l : lits) {
+            expect(make(col("a"), lit(l)),
+                   [&](std::size_t i) { return exprApply(op, a[i], l); },
+                   "a " + name + " " + std::to_string(l));
+            expect(make(lit(l), col("b")),
+                   [&](std::size_t i) { return exprApply(op, l, b[i]); },
+                   std::to_string(l) + " " + name + " b");
+        }
+        expect(make(col("a"), col("b")),
+               [&](std::size_t i) { return exprApply(op, a[i], b[i]); },
+               "a " + name + " b");
+        expect(make(col("a"), sub(col("b"), lit(1))),
+               [&](std::size_t i) {
+                   return exprApply(op, a[i],
+                                    exprApply(ExprOp::Sub, b[i], 1));
+               },
+               "a " + name + " (b - 1)");
+    }
+    EXPECT_EQ(exprApply(ExprOp::Div, kMin, -1), kMin);
+    EXPECT_EQ(exprApply(ExprOp::Mul, kMax, 2), -2);
+
+    const auto cond = gt(col("a"), col("b"));
+    const auto pick = [&](std::int64_t t, std::int64_t f) {
+        return [&, t, f](std::size_t i) { return a[i] > b[i] ? t : f; };
+    };
+    expect(caseWhen(cond, lit(1), lit(0)), pick(1, 0), "case 1 0");
+    expect(caseWhen(cond, lit(kMin), col("b")),
+           [&](std::size_t i) { return a[i] > b[i] ? kMin : b[i]; },
+           "case lit col");
+    expect(caseWhen(cond, col("a"), lit(-5)),
+           [&](std::size_t i) { return a[i] > b[i] ? a[i] : -5; },
+           "case col lit");
+    expect(caseWhen(cond, col("a"), col("b")),
+           [&](std::size_t i) { return a[i] > b[i] ? a[i] : b[i]; },
+           "case col col");
+    expect(caseWhen(col("a"), lit(3), lit(4)),
+           [&](std::size_t i) { return a[i] != 0 ? 3 : 4; },
+           "case on a nonzero column");
 }
 
 TEST(ExprSemantics, LikeMatchAnchorsAndWildcards)

@@ -454,6 +454,69 @@ TEST(GroupFold, RefoldedKeysJoinTheirFlushedGroups)
     expectFolded(f.table(), ref);
 }
 
+TEST(GroupFold, ConstantKeyBatchesMatchHashedGroups)
+{
+    // Batches whose every key column is constant open a one-slot
+    // window and fold as a register reduction; wider batches between
+    // them flush it. At key widths 1-3 the folded groups equal a
+    // GroupTable fold of the same entries hashed one by one, for Sum,
+    // Min and Max over values spanning all of int64.
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    Rng rng(91);
+    for (std::uint32_t width = 1; width <= 3; ++width) {
+        GroupFold f(width, kFoldKinds);
+        GroupTable hashed(width, kFoldKinds.size());
+        FoldRef ref;
+        std::size_t one_slot = 0;
+        for (int batch = 0; batch < 60; ++batch) {
+            const bool constant = batch % 3 != 2;
+            const std::size_t n = 2 + rng.below(150);
+            std::vector<std::vector<std::int64_t>> keys(width);
+            std::vector<std::int64_t> vals;
+            std::vector<std::int64_t> fixed(width);
+            for (auto &k : fixed)
+                k = rng.flip(0.1) ? kMin : rng.inRange(-3, 3);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::uint32_t c = 0; c < width; ++c)
+                    keys[c].push_back(constant ? fixed[c]
+                                               : rng.inRange(-40, 40));
+                vals.push_back(rng.flip(0.2)
+                                   ? (rng.flip(0.5) ? kMin : kMax)
+                                   : rng.inRange(-1000, 1000));
+            }
+            foldInto(f, keys, vals, ref);
+            one_slot += f.windowSlots() == 1 ? 1 : 0;
+            InlineKey k;
+            k.n = width;
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::uint32_t c = 0; c < width; ++c)
+                    k.v[c] = keys[c][i];
+                const auto g = hashed.findOrInsert(k);
+                for (std::size_t a = 0; a < kFoldKinds.size(); ++a)
+                    foldValue(g.aggs[a], kFoldKinds[a], vals[i],
+                              *g.count == 0);
+                ++*g.count;
+            }
+        }
+        EXPECT_GT(one_slot, 10u) << "width " << width;
+        f.flush(f.table());
+        expectFolded(f.table(), ref);
+        ASSERT_EQ(f.table().size(), hashed.size()) << "width " << width;
+        f.table().forEach([&](const std::int64_t *key,
+                              const std::int64_t *aggs,
+                              std::uint64_t count) {
+            InlineKey k;
+            k.n = width;
+            std::copy_n(key, width, k.v.begin());
+            const auto g = hashed.findOrInsert(k);
+            EXPECT_EQ(count, *g.count) << "width " << width;
+            for (std::size_t a = 0; a < kFoldKinds.size(); ++a)
+                EXPECT_EQ(aggs[a], g.aggs[a]) << "width " << width;
+        });
+    }
+}
+
 // ---- BuildTable: the join builds' and subquery pre-passes' keys ----
 
 using Tuple = std::vector<std::int64_t>;

@@ -18,6 +18,7 @@
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectMatchesReference;
 using testsupport::expectSameRows;
 using txn::Database;
 using txn::DatabaseConfig;
@@ -167,30 +168,6 @@ TEST_F(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
                 q.plan.name + " morsel " + std::to_string(morsel));
         }
     }
-}
-
-/**
- * Run @p plan at workers {1, 4} x morselRows {64, 2048} and compare
- * each answer with the reference executor (snapshot at db.now()),
- * which is returned.
- */
-std::vector<testsupport::RefRow>
-expectMatchesReference(Database &db, const QueryPlan &plan)
-{
-    const auto want = testsupport::referenceExecute(db, plan);
-    WorkerPool pool(4);
-    for (const std::uint32_t workers : {1u, 4u})
-        for (const std::uint32_t morsel : {64u, 2048u}) {
-            ExecOptions opts;
-            opts.workers = workers;
-            opts.morselRows = morsel;
-            opts.pool = workers > 1 ? &pool : nullptr;
-            expectSameRows(executePlan(db, plan, opts).result.rows,
-                           want,
-                           plan.name + " w" + std::to_string(workers) +
-                               " m" + std::to_string(morsel));
-        }
-    return want;
 }
 
 TEST_F(ParallelBuildTest, BuildPredicateRejectingEveryRow)
